@@ -86,7 +86,11 @@ def _cmd_jw(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    rep = projectors.quiver_check(args.n_max, args.params)
+    try:
+        rep = projectors.quiver_check(args.n_max, args.params)
+    except projectors.ProjectorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fails = [c for c in rep["checks"] if c["status"] != "pass"]
     lines = [f"quiver relations up to {args.n_max} strands "
              f"at (a1, a2) = ({args.params.a1}, {args.params.a2})"]
@@ -99,6 +103,11 @@ def _cmd_kirby(args) -> int:
     J = args.levels - 1
     if J < 1:
         print("error: need at least two levels", file=sys.stderr)
+        return 2
+    try:
+        kirby.check_size(args.k, J)
+    except kirby.KirbyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         system = kirby.build_kirby(args.k, J, args.a2)

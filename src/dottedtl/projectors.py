@@ -379,8 +379,11 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
     """The five relations among U, D, z inside the projector category.
 
     The first three hold after setting E1 = E2 = 0; the z-intertwinings are
-    exact identities.
+    exact identities.  n_max must lie in 0..JW_TRACKED_BOUND.
     """
+    if not 0 <= n_max <= JW_TRACKED_BOUND:
+        raise ProjectorError(
+            f"n_max must be between 0 and {JW_TRACKED_BOUND}, got {n_max}")
     checks = []
 
     def record(name, ok):

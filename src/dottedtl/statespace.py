@@ -6,11 +6,19 @@ the base ring are the semantic values of diagrams and the equality oracle.
 
 Basis convention: words over {A1, A0}, A1 < A0, lexicographic; index bit 0 is
 A1 and bit 1 is A0, with the first strand in the most significant position.
+
+PolyMatrix entries are GradedPoly values with canonical Fraction
+coefficients.  The product kernel reads each operand once into an integer
+form (one common denominator per matrix, int numerators, each exponent pair
+(e1, e2) packed into the int e1 << 32 | e2), accumulates in ints and
+normalises each output coefficient once.  Packed keys add like exponent
+pairs because E1 and E2 are not invertible, so no exponent is negative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .ring import E_RING, GradedPoly, RingError
 from .sl2 import BASE_SPEC, GENERATORS, TwistData
@@ -20,13 +28,9 @@ E2 = E_RING.gen("E2")
 
 A1, A0 = 0, 1  # bit values of the two basis letters
 
-
-def basis_labels(n: int):
-    """All 2^n tensor words, index order."""
-    return [
-        "".join("A0" if (i >> (n - 1 - k)) & 1 else "A1" for k in range(n))
-        for i in range(2 ** n)
-    ]
+# packed exponent keys of the product kernel: e1 << _EXP_BITS | e2
+_EXP_BITS = 32
+_EXP_MASK = (1 << _EXP_BITS) - 1
 
 
 def basis_weight(index: int, n: int) -> int:
@@ -132,40 +136,84 @@ class PolyMatrix:
 
     def scale(self, c) -> "PolyMatrix":
         c = E_RING.coerce(c)
-        if c.is_zero():
-            return PolyMatrix(self.n_out, self.n_in)
         m = PolyMatrix(self.n_out, self.n_in)
+        if c.is_zero():
+            return m
+        if len(c.terms) > 1:
+            m.cols = {j: {i: v * c for i, v in col.items()}
+                      for j, col in self.cols.items()}
+            return m
+        # a monomial c = x * E1^s1 E2^s2 shifts exponents and scales by x
+        ((s1, s2), x), = c.terms.items()
         m.cols = {
-            j: {i: v * c for i, v in col.items()} for j, col in self.cols.items()
+            j: {i: GradedPoly(E_RING, {(e1 + s1, e2 + s2): y * x
+                                       for (e1, e2), y in v.terms.items()})
+                for i, v in col.items()}
+            for j, col in self.cols.items()
         }
         return m
 
+    def _packed(self):
+        """The matrix over one common denominator, for the product kernel.
+
+        Returns (den, cols) with cols[j][i] a list of (key, numerator) pairs:
+        den is the lcm of every coefficient's denominator, each numerator is
+        an int over den, and each exponent pair (e1, e2) is packed into the
+        int key e1 << 32 | e2.
+        """
+        den = 1
+        for col in self.cols.values():
+            for v in col.values():
+                for c in v.terms.values():
+                    d = c.denominator
+                    if den % d:
+                        den = lcm(den, d)
+        cols = {}
+        for j, col in self.cols.items():
+            cols[j] = {
+                i: [((e1 << _EXP_BITS) | e2, c.numerator * (den // c.denominator))
+                    for (e1, e2), c in v.terms.items()]
+                for i, v in col.items()
+            }
+        return den, cols
+
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Composition self o other (apply other first)."""
+        """Composition self o other (apply other first).
+
+        The inner loop runs on ints: each operand is read once into its
+        _packed form, numerator products accumulate as ints under packed
+        exponent keys, and each output coefficient is normalised once, as
+        Fraction(sum, den_self * den_other).  Adding packed keys adds the
+        exponent pairs, because E1 and E2 are not invertible (exponents are
+        never negative) and no exponent reaches 2^32.
+        """
         if self.n_in != other.n_out:
             raise ValueError("shape mismatch in product")
         m = PolyMatrix(self.n_out, other.n_in)
+        den_s, scols = self._packed()
+        den_o, ocols = other._packed()
+        den = den_s * den_o
         ring = E_RING
-        for j, ocol in other.cols.items():
-            # accumulate raw term dicts to avoid intermediate polynomials
+        for j, ocol in ocols.items():
+            # raw term dicts per output row, keyed by packed exponents
             acc: dict = {}
-            for k, v in ocol.items():
-                scol = self.cols.get(k)
+            for k, vt in ocol.items():
+                scol = scols.get(k)
                 if not scol:
                     continue
-                vt = v.terms
-                for i, w in scol.items():
+                for i, wt in scol.items():
                     tacc = acc.get(i)
                     if tacc is None:
                         tacc = acc[i] = {}
-                    for e1, c1 in w.terms.items():
-                        for e2, c2 in vt.items():
-                            e = tuple(a + b for a, b in zip(e1, e2))
+                    for e1, c1 in wt:
+                        for e2, c2 in vt:
+                            e = e1 + e2
                             c = tacc.get(e)
                             tacc[e] = c1 * c2 if c is None else c + c1 * c2
             col = {}
             for i, tacc in acc.items():
-                terms = {e: c for e, c in tacc.items() if c}
+                terms = {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, den)
+                         for e, c in tacc.items() if c}
                 if terms:
                     col[i] = GradedPoly(ring, terms)
             if col:
@@ -221,17 +269,6 @@ class PolyMatrix:
             if len(degs) > 1:
                 return None
         return degs.pop() if degs else 0
-
-    def to_dict(self) -> dict:
-        rows = basis_labels(self.n_out)
-        cols = basis_labels(self.n_in)
-        return {
-            "rows": rows,
-            "cols": cols,
-            "entries": {
-                f"{rows[i]}|{cols[j]}": str(v) for (i, j), v in sorted(self.entries())
-            },
-        }
 
     def __repr__(self):
         return f"PolyMatrix({self.n_out}<-{self.n_in}, nnz={self.nnz()})"

@@ -88,3 +88,34 @@ def test_reports_are_deterministic():
     c = run_cli("decompose-b4", "--depth", "12", "--json")
     d = run_cli("decompose-b4", "--depth", "12", "--json")
     assert c.stdout == d.stdout
+
+
+def test_quiver_bounds_are_usage_errors():
+    for n_max in ("-1", "9"):
+        res = run_cli("quiver", "--n-max", n_max)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: n_max must be between 0 and 8")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+def test_kirby_size_is_usage_error():
+    for k, levels in (("9", "2"), ("-1", "2"), ("1", "5")):
+        res = run_cli("kirby-certify", "--k", k, "--levels", levels)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
+
+def test_kirby_certification_failure_exits_one(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from dottedtl import cli, kirby
+    from dottedtl.sl2 import TwistData
+
+    # a twist that no dotted cup map is equivariant for
+    monkeypatch.setattr(kirby, "level_twist",
+                        lambda n, a2: TwistData(Fraction(n), q_shift=-n))
+    assert cli.main(["kirby-certify", "--k", "0", "--levels", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL level map U_0 not annihilated")

@@ -78,3 +78,34 @@ def test_net_degree_zero():
         deg = F.mat.qdegree()
         src, tgt = system.levels[j], system.levels[j + 1]
         assert deg + tgt.twist.q_shift - src.twist.q_shift == 0
+
+
+def test_every_composite_is_checked_directly():
+    system = kirby.build_kirby(1, 3, Fraction(1, 2))
+    comp = kirby.composite_check(system)
+    assert comp["ok"]
+    assert [c["composite"] for c in comp["checks"]] == ["U_3 o U_1",
+                                                       "U_5 o U_3"]
+    assert all(c["star_check"] == "direct" for c in comp["checks"])
+    assert kirby.leibniz_closure_check(system)
+
+
+def test_perturbed_seven_strand_composite_fails():
+    """A wrong twist on the 7-strand level breaks only the composite into it."""
+    system = kirby.build_kirby(1, 3, Fraction(1, 2))
+    top = system.levels[3]
+    assert top.n == 7
+    system.levels[3] = kirby.TwistedObject(
+        top.n, kirby.level_twist(top.n + 2, system.a2))
+    comp = kirby.composite_check(system)
+    assert not comp["ok"]
+    assert [c["status"] for c in comp["checks"]] == ["pass", "fail"]
+    assert comp["checks"][1]["nonzero"]
+    assert not comp["checks"][1]["star_annihilated"]
+
+
+def test_check_size():
+    kirby.check_size(0, 4)
+    for k, J in ((-1, 1), (9, 0), (1, 4)):
+        with pytest.raises(kirby.KirbyError):
+            kirby.check_size(k, J)

@@ -103,3 +103,115 @@ def test_qdegree_of_primitives():
     assert PRIM_MATRICES["cup"].qdegree() == 0
     assert PRIM_MATRICES["cap"].qdegree() == 0
     assert PolyMatrix.identity(3).qdegree() == 0
+
+
+# -- product kernel against a naive reference ----------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=80)
+
+# coprime and composite denominators, so common denominators are exercised
+coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.sampled_from([1, 2, 3, 5, 7, 12, 35]))
+# exponents of any mix, so entries are inhomogeneous as often as not
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), coefficients,
+    min_size=1, max_size=3,
+).map(E_RING.poly)
+
+
+@st.composite
+def matrices(draw, n_out, n_in):
+    cells = st.tuples(st.integers(0, 2 ** n_out - 1),
+                      st.integers(0, 2 ** n_in - 1))
+    return PolyMatrix(n_out, n_in,
+                      draw(st.dictionaries(cells, polys, max_size=12)))
+
+
+strands = st.integers(0, 3)
+
+
+@st.composite
+def factor_pairs(draw):
+    n_out, n_mid, n_in = draw(strands), draw(strands), draw(strands)
+    return draw(matrices(n_out, n_mid)), draw(matrices(n_mid, n_in))
+
+
+def naive_product(a, b):
+    out = {}
+    for (k, j), v in b.entries():
+        for i in range(a.nrows):
+            w = a[i, k]
+            if not w.is_zero():
+                out[i, j] = out.get((i, j), E_RING.zero) + w * v
+    return PolyMatrix(a.n_out, b.n_in, out)
+
+
+def assert_stored_like(m, ref):
+    """Same entries as ref, no zero entry or empty column stored, and
+    canonical Fraction coefficients."""
+    assert (m.n_out, m.n_in) == (ref.n_out, ref.n_in)
+    assert dict(m.entries()) == dict(ref.entries())
+    assert all(m.cols.values())
+    for _, v in m.entries():
+        assert v.terms
+        assert all(type(c) is Fraction and c for c in v.terms.values())
+
+
+@KERNEL_SETTINGS
+@given(factor_pairs())
+def test_product_matches_naive(pair):
+    a, b = pair
+    assert_stored_like(a * b, naive_product(a, b))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """[A | A] o [B ; C - B] = A o C, with every term of A o B cancelling."""
+    n_out, m, n_in = draw(strands), draw(st.integers(0, 2)), draw(strands)
+    a, b, c = (draw(matrices(n_out, m)), draw(matrices(m, n_in)),
+               draw(matrices(m, n_in)))
+    half = 2 ** m
+    wide = PolyMatrix(n_out, m + 1)
+    for (i, k), v in a.entries():
+        wide[i, k] = v
+        wide[i, half + k] = v
+    tall = PolyMatrix(m + 1, n_in)
+    for (k, j), v in b.entries():
+        tall[k, j] = v
+    for (k, j), v in (c - b).entries():
+        tall[half + k, j] = v
+    return wide, tall, a, c
+
+
+@KERNEL_SETTINGS
+@given(cancelling_pairs())
+def test_product_cancels_to_stored_zeros(case):
+    wide, tall, a, c = case
+    got = wide * tall
+    assert_stored_like(got, naive_product(a, c))
+    assert_stored_like(got, naive_product(wide, tall))
+
+
+def test_product_cancelling_to_zero_stores_nothing():
+    a = PolyMatrix(1, 1, {(0, 0): E1 / 3, (1, 0): E2 / 7})
+    b = PolyMatrix(1, 1, {(0, 0): E1 / 5, (0, 1): E2 / 2})
+    wide = a.tensor(PolyMatrix(0, 1, {(0, 0): 1, (0, 1): 1}))
+    tall = b.tensor(PolyMatrix(1, 0, {(0, 0): 1, (1, 0): -1}))
+    prod = wide * tall
+    assert prod.is_zero() and prod.cols == {}
+    assert (PolyMatrix(2, 0) * PolyMatrix(0, 3)).cols == {}
+    assert (PolyMatrix.identity(0) * PolyMatrix.identity(0)) == \
+        PolyMatrix.identity(0)
+
+
+@KERNEL_SETTINGS
+@given(strands.flatmap(lambda n_out: strands.flatmap(
+    lambda n_in: matrices(n_out, n_in))),
+    st.one_of(polys, coefficients, st.just(0)))
+def test_scale_matches_entrywise(m, c):
+    c = E_RING.coerce(c)
+    ref = PolyMatrix(m.n_out, m.n_in, {ij: v * c for ij, v in m.entries()})
+    assert_stored_like(m.scale(c), ref)
