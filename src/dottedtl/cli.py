@@ -16,11 +16,18 @@ from . import expr, kirby, lasagna, projectors, selftest
 from .words import DtlParams, WordError, verify_relations
 
 
-def _default_depth(fallback: int) -> int:
+def _default_depth(fallback: int) -> str:
+    """DOTTEDTL_DEPTH, else fallback, as text: argparse converts a text
+    default with the option's type only when the option is not given."""
+    return os.environ.get("DOTTEDTL_DEPTH", str(fallback))
+
+
+def _depth(text: str) -> int:
     try:
-        return int(os.environ.get("DOTTEDTL_DEPTH", fallback))
+        return int(text)
     except ValueError:
-        return fallback
+        raise argparse.ArgumentTypeError(
+            f"bad depth {text!r} (from --depth or DOTTEDTL_DEPTH)")
 
 
 def _params(text: str) -> DtlParams:
@@ -134,7 +141,11 @@ def _cmd_kirby(args) -> int:
 
 
 def _cmd_b4(args) -> int:
-    rep = lasagna.b4_report(args.depth)
+    try:
+        rep = lasagna.b4_report(args.depth)
+    except lasagna.LasagnaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = [f"ball invariant module, depth {args.depth}"]
     lines.append("summands: Mdual(0) + "
                  + " + ".join(f"M({-4 * j})"
@@ -150,7 +161,11 @@ def _cmd_b4(args) -> int:
 
 
 def _cmd_b2s2(args) -> int:
-    rep = lasagna.summary_report(args.depth)
+    try:
+        rep = lasagna.summary_report(args.depth)
+    except lasagna.LasagnaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rep["status"] = "pass" if rep["ok"] else "fail"
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -229,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose-b4", help="decompose the ball invariant "
                        "module")
-    p.add_argument("--depth", type=int, default=_default_depth(40))
+    p.add_argument("--depth", type=_depth, default=_default_depth(40))
     common(p)
     p.set_defaults(fn=_cmd_b4)
 
     p = sub.add_parser("decompose-b2s2", help="decompose the double sphere "
                        "invariant module")
-    p.add_argument("--depth", type=int, default=_default_depth(20))
+    p.add_argument("--depth", type=_depth, default=_default_depth(20))
     p.add_argument("--summary", metavar="FILE",
                    help="also write the JSON summary to FILE")
     common(p)

@@ -328,9 +328,12 @@ def normalize(combo: Combo):
     """Express the evaluation of a diagram combination over the dotted
     matching spanning set with polynomial coefficients.
 
-    Returns [(coefficient, matching, dots)], solving one exact linear
-    system per structural degree; the solution is deterministic but, where
-    the spanning set is linearly dependent, not unique.
+    Returns [(coefficient, matching, dots)].  The target is split by
+    structural degree and each degree is solved once, as one exact linear
+    system over all of its entries.  Where the spanning set is linearly
+    dependent, the coefficients are the unique solution supported on the
+    leftmost independent spanning-set columns (every other coefficient is
+    zero).
     """
     n_in, n_out = combo.n_in, combo.n_out
     if n_in is None:
@@ -407,29 +410,14 @@ def normalize_matrix(mat, n_in: int, n_out: int):
                 row_keys.append(k)
         if not unknowns:
             raise ExprError("evaluation is outside the diagram span")
-        # solve on a small row subset, verify the candidate against the
-        # rest, and grow the subset with any violated row
         ncols = len(unknowns)
-        kept = row_keys[:ncols]
-        while True:
-            rows = [
-                [rowmap[k].get(j, _F(0)) for j in range(ncols)] for k in kept
-            ]
-            rhs = [rhs_map.get(k, _F(0)) for k in kept]
-            sol = exactla.solve(rows, rhs)
-            if sol is None:
-                raise ExprError("evaluation is outside the diagram span")
-            bad = None
-            for k in row_keys:
-                got = sum(
-                    (c * sol[j] for j, c in rowmap[k].items()), _F(0)
-                )
-                if got != rhs_map.get(k, _F(0)):
-                    bad = k
-                    break
-            if bad is None:
-                break
-            kept.append(bad)
+        rows = [
+            [rowmap[k].get(j, _F(0)) for j in range(ncols)] for k in row_keys
+        ]
+        rhs = [rhs_map.get(k, _F(0)) for k in row_keys]
+        sol = exactla.solve(rows, rhs)
+        if sol is None:
+            raise ExprError("evaluation is outside the diagram span")
         for (i, mu), c in zip(unknowns, sol):
             if c:
                 coeffs.setdefault(i, {})[mu] = c

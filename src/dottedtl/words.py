@@ -357,6 +357,8 @@ def relation_instances(n_max: int = 4):
 
 def verify_relations(params: DtlParams, n_max: int = 4) -> dict:
     """Check each defining relation and its e/f/h images in the matrix model."""
+    if n_max < 0:
+        raise WordError(f"ambient width must be non-negative, got {n_max}")
     results = []
     ok = True
     for name, lhs, rhs in relation_instances(n_max):

@@ -119,3 +119,38 @@ def test_kirby_certification_failure_exits_one(monkeypatch, capsys):
     assert cli.main(["kirby-certify", "--k", "0", "--levels", "2"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL level map U_0 not annihilated")
+
+
+def test_decompose_depth_bounds_are_usage_errors():
+    for cmd, depth in (("decompose-b4", "3"), ("decompose-b2s2", "5")):
+        res = run_cli(cmd, "--depth", depth)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: depth must be at least")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+def test_bad_depth_environment_is_usage_error(monkeypatch):
+    monkeypatch.setenv("DOTTEDTL_DEPTH", "abc")
+    res = run_cli("decompose-b4")
+    assert res.returncode == 2
+    assert "DOTTEDTL_DEPTH" in res.stderr
+    assert res.stdout == ""
+    # an explicit --depth wins, and other commands never read the variable
+    assert run_cli("decompose-b4", "--depth", "8").returncode == 0
+    assert run_cli("dtl-verify", "--n-max", "1").returncode == 0
+
+
+def test_depth_environment_sets_the_default(monkeypatch):
+    monkeypatch.setenv("DOTTEDTL_DEPTH", "8")
+    res = run_cli("decompose-b4", "--json")
+    assert res.returncode == 0
+    assert res.stdout == run_cli("decompose-b4", "--depth", "8",
+                                 "--json").stdout
+
+
+def test_negative_verify_width_is_usage_error():
+    res = run_cli("dtl-verify", "--n-max", "-2")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ambient width must be non-negative")
+    assert res.stdout == ""

@@ -1,6 +1,10 @@
 """Expression DSL: parsing, printing, macros, normalization."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,12 +14,14 @@ from dottedtl.expr import (
     ExprError,
     normalize,
     normalize_combo,
+    normalize_matrix,
     normalized_string,
     parse_expr,
     print_combo,
     roundtrip_equal,
 )
 from dottedtl.ring import E_RING
+from dottedtl.statespace import PolyMatrix
 from dottedtl.words import Combo, DtlParams, random_word
 
 
@@ -87,6 +93,38 @@ def test_normalize_preserves_evaluation():
     for _ in range(30):
         c = Combo.of(random_word(rng, max_strands=3))
         assert _same(normalize_combo(c), c)
+
+
+# sha256 of `eval-expr EXPR --json` stdout; the normal forms these pin are
+# the solutions supported on the leftmost independent spanning-set columns
+PINNED_EVAL_SHA256 = {
+    "jw(4) ; z(4)":
+        "c464348c943745be6073c6b33b9f82da433bc242c7fff4cd34b238438b090e48",
+    "u(3)":
+        "dc5a9e5c54029dce62894fd2acc3d26e04ea49beb3f9eca7579ea2ff42b49da1",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_EVAL_SHA256))
+def test_normalized_reports_are_pinned(text):
+    for hashseed in ("0", "4242"):
+        res = subprocess.run(
+            [sys.executable, "-m", "dottedtl.cli", "eval-expr", text,
+             "--json"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hashseed},
+        )
+        assert res.returncode == 0, res.stderr
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == PINNED_EVAL_SHA256[text], hashseed
+
+
+def test_normalize_outside_span_fails():
+    # the state-space matrix with a single 1 at (0, 0) is no combination
+    # of the one-strand diagrams id and dot
+    mat = PolyMatrix(1, 1, {(0, 0): E_RING.const(1)})
+    with pytest.raises(ExprError, match="outside the diagram span"):
+        normalize_matrix(mat, 1, 1)
 
 
 def test_normalize_scalars():

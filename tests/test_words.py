@@ -70,6 +70,13 @@ def test_relations_all_params():
         assert rep["ok"], rep
 
 
+def test_relations_reject_negative_width():
+    with pytest.raises(WordError, match="non-negative"):
+        verify_relations(PARAM_SETS[0], n_max=-2)
+    # width 0 still checks the circle relation and its images
+    assert len(verify_relations(PARAM_SETS[0], n_max=0)["checks"]) == 4
+
+
 def test_act_is_linear():
     rng = random.Random(13)
     p = PARAM_SETS[3]
