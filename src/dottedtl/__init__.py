@@ -20,6 +20,7 @@ from .ring import (
 from .sl2 import (
     BASE_SPEC,
     GENERATORS,
+    DtlParams,
     LASAGNA_SPEC,
     Sl2ActionSpec,
     TwistData,
@@ -30,7 +31,6 @@ from .sl2 import (
 from .statespace import PolyMatrix, apply_intrinsic, commutator_star
 from .words import (
     Combo,
-    DtlParams,
     Word,
     WordError,
     act,

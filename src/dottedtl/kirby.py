@@ -1,10 +1,11 @@
 """Twisted projector objects and truncated Kirby-color systems.
 
 A level is a projector P_n carrying a rank-one twist a*E1 and an integer
-q-shift.  The star action on maps between twisted objects is the word
-action corrected by the twist difference; connecting maps of a Kirby
-system must be annihilated by e, f, and h under it, and that is certified
-when the system is built, never assumed.
+q-shift.  The star action on maps between twisted objects is
+statespace.commutator_star at the map's parameters, with the twists of
+source and target; connecting maps of a Kirby system must be annihilated
+by e, f, and h under it, and that is certified when the system is built,
+never assumed.
 """
 
 from __future__ import annotations
@@ -12,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import E_RING
-from .sl2 import GENERATORS, TwistData, check_flat_twist
-from .statespace import PolyMatrix
-from .projectors import TrackedMor, jw_tracked, un
-from .words import DtlParams
-
-E1 = E_RING.gen("E1")
+from .sl2 import GENERATORS, DtlParams, TwistData, check_flat_twist
+from .statespace import PolyMatrix, commutator_star
+from .projectors import TrackedMor, un
 
 STRAND_BOUND = 8
 
@@ -40,23 +37,14 @@ class TwistedObject:
 def star_act_twisted(
     g: str, F: TrackedMor, src: TwistedObject, tgt: TwistedObject
 ) -> PolyMatrix:
-    """g*F between twisted objects: the word action of g on F plus the
-    twist correction (f gains (a_tgt - a_src)E1, h gains 2(a_src - a_tgt))."""
-    if g not in GENERATORS:
-        raise KirbyError(f"unknown generator {g!r}")
+    """g*F between twisted objects: the commutator action at F's parameters
+    (f gains (a_tgt - a_src)E1, h gains 2(a_src - a_tgt) from the twists)."""
     if F.mat.n_in != src.n or F.mat.n_out != tgt.n:
         raise KirbyError(
             f"map shape {F.mat.n_out}<-{F.mat.n_in} does not match "
             f"objects {tgt.n}<-{src.n}"
         )
-    out = F.streams[g]
-    diff = Fraction(tgt.twist.a) - Fraction(src.twist.a)
-    if diff:
-        if g == "f":
-            out = out + F.mat.scale(diff * E1)
-        elif g == "h":
-            out = out + F.mat.scale(E_RING.const(-2 * diff))
-    return out
+    return commutator_star(g, F.mat, src.twist, tgt.twist, F.params)
 
 
 def level_twist(n: int, a2: Fraction) -> TwistData:

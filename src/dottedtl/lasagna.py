@@ -435,7 +435,27 @@ def minus_zuckerman_check(depth: int = 20, ell_range=range(-2, 3)) -> bool:
 
 # -- summary ----------------------------------------------------------------
 
+def _finite_part_from_plus(generators, blocks, mn_max: int) -> bool:
+    """The listed generators (m, n, j) of the locally finite part against
+    the Zuckerman summands of the computed plus blocks: in each block
+    (m, n), the listed weights are exactly the summand weights lambda with
+    m + n + 4j = 2m - lambda <= mn_max."""
+    for b in blocks:
+        if "zuckerman" not in b:
+            return False
+        m, n = b["m"], b["n"]
+        listed = sorted(g["lambda"] for g in generators
+                        if (g["m"], g["n"]) == (m, n))
+        found = sorted(s["lambda"] for s in b["zuckerman"]
+                       if 2 * m - s["lambda"] <= mn_max)
+        if listed != found:
+            return False
+    return True
+
+
 def summary_report(depth: int = 20) -> dict:
+    if depth < 6:
+        raise LasagnaError("depth must be at least 6")
     lines = []
 
     def line(name, ok, detail=None):
@@ -464,8 +484,9 @@ def summary_report(depth: int = 20) -> dict:
             rep = filtration_quotient(ell, r, depth)
             filt_ok = filt_ok and rep["ok"]
     line("minus filtration layers are twisted polynomial modules", filt_ok)
+    minus_finite_ok = minus_zuckerman_check(depth)
     line("minus part contributes nothing to the locally finite part",
-         minus_zuckerman_check(depth))
+         minus_finite_ok)
 
     gm = []
     mn_max = min(depth // 2, 12)
@@ -475,7 +496,8 @@ def summary_report(depth: int = 20) -> dict:
                 lam = m - n - 4 * j
                 if lam >= 0 and lam % 2 == 0 and m + n + 4 * j <= mn_max:
                     gm.append({"m": m, "n": n, "j": j, "lambda": lam})
-    line("locally finite part comes from the plus side", True,
+    line("locally finite part comes from the plus side",
+         minus_finite_ok and _finite_part_from_plus(gm, plus["blocks"], mn_max),
          {"generators": len(gm)})
 
     ok = all(entry["status"] == "pass" for entry in lines)

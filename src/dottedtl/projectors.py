@@ -1,10 +1,10 @@
 """Jones-Wenzl projectors and the dotted operators z_n, U_n, D_n.
 
 Word-level projector combinations blow up combinatorially past n=4, so the
-heavy objects are TrackedMor values: a matrix bundled with the matrices of
-its e/f/h images, propagated through composition and tensor by the Leibniz
-rule.  The word-level action in words.act and these streams agree on
-everything both can reach; tests pin that bridge.
+heavy objects are matrices: TrackedMor is a matrix with the action
+parameters it was built at.  U_n and D_n are certified when built, by the
+one sl2 action on morphisms, statespace.commutator_star, applied to their
+final matrices.
 """
 
 from __future__ import annotations
@@ -13,19 +13,16 @@ import itertools
 from fractions import Fraction
 
 from .ring import E_RING
-from .sl2 import BASE_SPEC, GENERATORS
-from .statespace import PRIM_ARITY, PolyMatrix
+from .sl2 import GENERATORS, DtlParams
+from .statespace import PolyMatrix, commutator_star, generator_matrix
 from .words import (
     Combo,
-    DtlParams,
     Word,
-    WordError,
     cupcap_combo,
     crossing_combo,
+    evaluate_word,
     identity_word,
-    noncrossing_matchings,
     matching_matrix,
-    primitive_combo,
     zn_combo,
 )
 
@@ -42,138 +39,46 @@ class ProjectorError(Exception):
 
 
 class TrackedMor:
-    """A matrix together with the matrices of its e, f, h images."""
+    """A morphism's matrix with the action parameters it is certified at."""
 
-    __slots__ = ("mat", "streams", "params")
+    __slots__ = ("mat", "params")
 
-    def __init__(self, mat: PolyMatrix, streams: dict, params: DtlParams):
+    def __init__(self, mat: PolyMatrix, params: DtlParams):
         self.mat = mat
-        self.streams = streams
         self.params = params
-
-    @classmethod
-    def from_combo(cls, combo: Combo, params: DtlParams) -> "TrackedMor":
-        from .words import act
-
-        mat = combo.evaluate()
-        streams = {g: act(g, combo, params).evaluate() for g in GENERATORS}
-        return cls(mat, streams, params)
-
-    @classmethod
-    def identity(cls, n: int, params: DtlParams) -> "TrackedMor":
-        z = PolyMatrix(n, n)
-        return cls(PolyMatrix.identity(n), {g: z for g in GENERATORS}, params)
-
-    def _check(self, other: "TrackedMor"):
-        if other.params != self.params:
-            raise ProjectorError("mixing tracked morphisms at different parameters")
 
     def compose(self, other: "TrackedMor") -> "TrackedMor":
         """self o other (other applied first)."""
-        self._check(other)
-        mat = self.mat * other.mat
-        streams = {}
-        for g in GENERATORS:
-            a, b = self.streams[g], other.streams[g]
-            if a.is_zero() and b.is_zero():
-                streams[g] = PolyMatrix(self.mat.n_out, other.mat.n_in)
-            elif b.is_zero():
-                streams[g] = a * other.mat
-            elif a.is_zero():
-                streams[g] = self.mat * b
-            else:
-                streams[g] = a * other.mat + self.mat * b
-        return TrackedMor(mat, streams, self.params)
-
-    def tensor(self, other: "TrackedMor") -> "TrackedMor":
-        self._check(other)
-        mat = self.mat.tensor(other.mat)
-        streams = {
-            g: self.streams[g].tensor(other.mat) + self.mat.tensor(other.streams[g])
-            for g in GENERATORS
-        }
-        return TrackedMor(mat, streams, self.params)
-
-    def __add__(self, other: "TrackedMor") -> "TrackedMor":
-        self._check(other)
-        return TrackedMor(
-            self.mat + other.mat,
-            {g: self.streams[g] + other.streams[g] for g in GENERATORS},
-            self.params,
-        )
-
-    def __sub__(self, other: "TrackedMor") -> "TrackedMor":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "TrackedMor":
-        c = E_RING.coerce(c)
-        mat = self.mat.scale(c)
-        streams = {}
-        for g in GENERATORS:
-            s = self.streams[g].scale(c)
-            dc = BASE_SPEC.apply(g, c)
-            if not dc.is_zero():
-                s = s + self.mat.scale(dc)
-            streams[g] = s
-        return TrackedMor(mat, streams, self.params)
-
-
-def tracked_primitive(prim: str, position: int, n: int,
-                      params: DtlParams) -> TrackedMor:
-    return TrackedMor.from_combo(primitive_combo(prim, position, n), params)
+        if other.params != self.params:
+            raise ProjectorError("mixing tracked morphisms at different parameters")
+        return TrackedMor(self.mat * other.mat, self.params)
 
 
 # -- Jones-Wenzl projectors --------------------------------------------------
 
-_jw_tracked_cache: dict = {}
-_jw_mat_cache: dict = {}  # projector matrices are parameter-independent
+_jw_cache: dict = {}  # p_n by n; projector matrices are parameter-independent
 _jw_word_cache: dict = {}
 
 
 def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
-    """p_n with action streams, by the Wenzl recursion at circle value 2:
-    p_{k+1} = p_k(x)id - (k/(k+1)) (p_k(x)id) e_k (p_k(x)id)."""
+    """p_n by the Wenzl recursion at circle value 2,
+    p_{k+1} = p_k(x)id - (k/(k+1)) (p_k(x)id) e_k (p_k(x)id),
+    with the turnback e_k factored through its cap for a low-rank product."""
     if n < 0 or n > JW_TRACKED_BOUND:
         raise ProjectorError(f"projector bound exceeded: n={n}")
-    key = (n, params.a1, params.a2)
-    got = _jw_tracked_cache.get(key)
-    if got is not None:
-        return got
-    if n == 0:
-        p = TrackedMor.identity(0, params)
-    else:
-        prev = jw_tracked(n - 1, params)
-        ext = prev.tensor(TrackedMor.identity(1, params))
-        if n == 1:
+    p = _jw_cache.get(n)
+    if p is None:
+        p = PolyMatrix.identity(0)
+        if n:
+            ext = jw_tracked(n - 1, params).mat.tensor(PolyMatrix.identity(1))
             p = ext
-        else:
-            # turnback tracked as one combo: its streams vanish at a1=0 for
-            # every a2 (the cup and cap contributions cancel), which keeps
-            # all stream products trivially sparse through the recursion
-            e = TrackedMor.from_combo(cupcap_combo(n - 2, n), params)
-            zero_streams = all(
-                ext.streams[g].is_zero() and e.streams[g].is_zero()
-                for g in GENERATORS
-            )
-            if zero_streams and n in _jw_mat_cache:
-                zmat = PolyMatrix(n, n)
-                p = TrackedMor(
-                    _jw_mat_cache[n], {g: zmat for g in GENERATORS}, params
-                )
-            elif zero_streams:
-                # factor the sandwich through the cap for a low-rank product
-                capm = primitive_combo("cap", n - 2, n).evaluate()
-                cupm = primitive_combo("cup", n - 2, n - 2).evaluate()
-                mid = (ext.mat * cupm) * (capm * ext.mat)
-                zmat = PolyMatrix(n, n)
-                sandwich = TrackedMor(mid, {g: zmat for g in GENERATORS}, params)
-                p = ext - sandwich.scale(Fraction(n - 1, n))
-            else:
-                sandwich = ext.compose(e.compose(ext))
-                p = ext - sandwich.scale(Fraction(n - 1, n))
-    _jw_tracked_cache[key] = p
-    _jw_mat_cache.setdefault(n, p.mat)
-    return p
+            if n > 1:
+                capm = generator_matrix("cap", n - 2, n)
+                cupm = generator_matrix("cup", n - 2, n - 2)
+                mid = (ext * cupm) * (capm * ext)
+                p = ext - mid.scale(Fraction(n - 1, n))
+        _jw_cache[n] = p
+    return TrackedMor(p, params)
 
 
 def jw_word(n: int) -> Combo:
@@ -310,30 +215,21 @@ def zn(n: int) -> Combo:
     return zn_combo(n)
 
 
-def _dotted_cup(params: DtlParams) -> TrackedMor:
-    combo = Combo.of(Word((("cup",), ("dot", "id"))))
-    return TrackedMor.from_combo(combo, params)
-
-
-def _dotted_cap(params: DtlParams) -> TrackedMor:
-    combo = Combo.of(Word((("dot", "id"), ("cap",))))
-    return TrackedMor.from_combo(combo, params)
-
-
 def _certify(name: str, t: TrackedMor, f_eig, h_eig):
     """Abort unless e kills t and f, h scale it by the stated eigenvalues."""
     failures = []
-    if not t.streams["e"].is_zero():
+    star = {g: commutator_star(g, t.mat, params=t.params) for g in GENERATORS}
+    if not star["e"].is_zero():
         failures.append("e image nonzero")
-    if t.streams["f"] != t.mat.scale(f_eig):
+    if star["f"] != t.mat.scale(f_eig):
         failures.append(f"f image is not ({f_eig}) times the morphism")
-    if t.streams["h"] != t.mat.scale(E_RING.const(h_eig)):
+    if star["h"] != t.mat.scale(E_RING.const(h_eig)):
         failures.append(f"h image is not ({h_eig}) times the morphism")
     if failures:
         raise ProjectorError(f"{name} failed certification: " + "; ".join(failures))
 
 
-def un(n: int, params: DtlParams = DtlParams(), certify: bool = True) -> TrackedMor:
+def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """U_n = p_{n+2} o (id^n (x) dotted cup) o p_n, certified at build time.
 
     The dotted cup is side-independent in the matrix model, so a single
@@ -342,26 +238,26 @@ def un(n: int, params: DtlParams = DtlParams(), certify: bool = True) -> Tracked
         raise ProjectorError("n must be non-negative")
     if params.a1 != 0:
         raise ProjectorError("U_n requires a1 = 0")
-    mid = TrackedMor.identity(n, params).tensor(_dotted_cup(params))
+    cup = evaluate_word(Word((("cup",), ("dot", "id"))))
+    mid = TrackedMor(PolyMatrix.identity(n).tensor(cup), params)
     u = jw_tracked(n + 2, params).compose(mid).compose(jw_tracked(n, params))
-    if certify:
-        a2 = params.a2
-        _certify(f"U_{n}", u, (1 - a2) * E1, 2 * a2 - 2)
+    a2 = params.a2
+    _certify(f"U_{n}", u, (1 - a2) * E1, 2 * a2 - 2)
     return u
 
 
-def dn(n: int, params: DtlParams = DtlParams(), certify: bool = True) -> TrackedMor:
+def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """D_n = n(n-1) * p_{n-2} o (id^(n-2) (x) dotted cap) o p_n, certified."""
     if n < 2:
         raise ProjectorError("D_n needs n >= 2")
     if params.a1 != 0:
         raise ProjectorError("D_n requires a1 = 0")
-    mid = TrackedMor.identity(n - 2, params).tensor(_dotted_cap(params))
+    cap = evaluate_word(Word((("dot", "id"), ("cap",))))
+    mid = TrackedMor(PolyMatrix.identity(n - 2).tensor(cap), params)
     d = jw_tracked(n - 2, params).compose(mid).compose(jw_tracked(n, params))
-    d = d.scale(Fraction(n * (n - 1)))
-    if certify:
-        a2 = params.a2
-        _certify(f"D_{n}", d, (1 + a2) * E1, -2 * a2 - 2)
+    d = TrackedMor(d.mat.scale(Fraction(n * (n - 1))), params)
+    a2 = params.a2
+    _certify(f"D_{n}", d, (1 + a2) * E1, -2 * a2 - 2)
     return d
 
 

@@ -286,7 +286,6 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim,
         elif p.kind == "Mdual":
             # finite part: L(lam) inside; witness that it extends upward
             try:
-                got_kind = "L" if p.lam >= 0 else "M"
                 cls = m.classify_cyclic(v, p.lam)
             except RepError as exc:
                 record(f"{label} socle classification", False, str(exc))

@@ -142,6 +142,19 @@ def iterate_f(x: GradedPoly, r: int, spec: Sl2ActionSpec) -> GradedPoly:
 
 
 @dataclass(frozen=True)
+class DtlParams:
+    """The two free parameters of the sl2 action on cups and caps."""
+
+    a1: Fraction = Fraction(0)
+    a2: Fraction = Fraction(0)
+
+    @classmethod
+    def parse(cls, text: str) -> "DtlParams":
+        a1, a2 = (Fraction(part.strip()) for part in text.split(","))
+        return cls(a1, a2)
+
+
+@dataclass(frozen=True)
 class TwistData:
     """Rank-one twist by a*E1: f gains a*E1, h gains -2a on the object generator."""
 

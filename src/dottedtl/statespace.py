@@ -18,10 +18,11 @@ pairs because E1 and E2 are not invertible, so no exponent is negative.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .ring import E_RING, GradedPoly, RingError
-from .sl2 import BASE_SPEC, GENERATORS, TwistData
+from .sl2 import GENERATORS, DtlParams, TwistData
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
@@ -340,40 +341,68 @@ LETTER_IMAGES = {
 
 
 def apply_intrinsic(g: str, vec: dict, n: int) -> dict:
-    """Apply e/f/h to a vector {index: GradedPoly} in V_n by the Leibniz rule.
-
-    Acts on polynomial coefficients through the base-ring derivation and on
-    each tensor factor through the letter table.
-    """
-    if g not in GENERATORS:
-        raise ValueError(g)
-    out: dict = {}
-
-    def add(i, p):
-        s = out.get(i, E_RING.zero) + p
-        if s.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = s
-
-    for idx, coeff in vec.items():
-        dc = BASE_SPEC.apply(g, coeff)
-        if not dc.is_zero():
-            add(idx, dc)
-        for k in range(n):
-            bit = (idx >> (n - 1 - k)) & 1
-            for new_bit, img in LETTER_IMAGES[g][bit]:
-                new_idx = idx if new_bit == bit else idx ^ (1 << (n - 1 - k))
-                add(new_idx, coeff * img)
-    return out
+    """Apply e/f/h to a vector {index: GradedPoly} in V_n: the action on the
+    map V_0 -> V_n with that column, where it is G_n plus the derivation."""
+    F = PolyMatrix(n, 0)
+    if vec:
+        F.cols[0] = dict(vec)
+    return commutator_star(g, F).cols.get(0, {})
 
 
-def intrinsic_action_columns(g: str, n: int):
-    """Images of the 2^n basis words under g, as vectors (no coefficient term)."""
-    return [apply_intrinsic(g, {i: E_RING.one}, n) for i in range(2 ** n)]
-
+# -- the sl2 action on morphisms ---------------------------------------------
 
 ZERO_TWIST = TwistData(Fraction(0))
+_E1_KEY = 1 << _EXP_BITS  # packed key of E1
+
+
+def _strand_operator(g: str, params: DtlParams) -> PolyMatrix:
+    """How g acts on one strand: the letter images, plus -(a1/2) dot -
+    (a2/2) E1 for f and (a1 + 2 a2)/2 for h."""
+    m = PolyMatrix(1, 1)
+    for bit, images in LETTER_IMAGES[g].items():
+        for new_bit, img in images:
+            m[new_bit, bit] = img
+    a1, a2 = Fraction(params.a1), Fraction(params.a2)
+    one = PolyMatrix.identity(1)
+    if g == "f":
+        m = m + PRIM_MATRICES["dot"].scale(E_RING.const(-a1 / 2)) \
+            + one.scale(-a2 / 2 * E1)
+    elif g == "h":
+        m = m + one.scale(E_RING.const((a1 + 2 * a2) / 2))
+    return m
+
+
+@lru_cache(maxsize=256)
+def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
+    """G_n in _packed form: the strand operator on each of the n strands
+    plus the object's twist term (a*E1 for f, -2a for h)."""
+    strand = _strand_operator(g, params)
+    op = PolyMatrix.identity(n).scale(TwistData(a).tau(g))
+    for i in range(n):
+        op = op + PolyMatrix.identity(i).tensor(strand).tensor(
+            PolyMatrix.identity(n - 1 - i))
+    return op._packed()
+
+
+def _derive(g: str, terms) -> list:
+    """The base derivation on packed terms, in closed form: e sends E1 -> -2
+    and E2 -> -E1, f sends E1 -> E1^2 - 2E2 and E2 -> E1E2, and h has
+    weights -2 and -4."""
+    out = []
+    for key, c in terms:
+        a, b = key >> _EXP_BITS, key & _EXP_MASK
+        if g == "h":
+            out.append((key, (-2 * a - 4 * b) * c))
+        elif g == "e":
+            if a:
+                out.append((key - _E1_KEY, -2 * a * c))
+            if b:
+                out.append((key + _E1_KEY - 1, -b * c))
+        else:
+            out.append((key + _E1_KEY, (a + b) * c))
+            if a:
+                out.append((key - _E1_KEY + 1, -2 * a * c))
+    return out
 
 
 def commutator_star(
@@ -381,36 +410,68 @@ def commutator_star(
     F: PolyMatrix,
     source_twist: TwistData = ZERO_TWIST,
     target_twist: TwistData = ZERO_TWIST,
+    params: DtlParams = DtlParams(),
 ) -> PolyMatrix:
-    """The commutator action on morphism spaces: g*F = g o F - F o g,
-    plus the rank-one twist corrections on source and target.
+    """The sl2 action on morphisms: g*F = G_out F - F G_in + d_g(F).
 
-    The commutator of the base-derivation operator with a matrix is again
-    base-linear, hence a PolyMatrix.
+    d_g is the base derivation on F's entries.  G_n acts on V_n strand by
+    strand (LETTER_IMAGES plus the parameter terms of _strand_operator)
+    and adds the object's twist: a*E1 for f and -2a for h.  The word action
+    and the twisted star action are both this map: for every parameter
+    pair, act(g, x, params).evaluate() equals
+    commutator_star(g, x.evaluate(), params=params).
+
+    One pass over the _packed integer forms of F and of the two G_n, as in
+    PolyMatrix.__mul__; d_g acts on packed exponents in closed form.
     """
-    n_in, n_out = F.n_in, F.n_out
-    out = PolyMatrix(n_out, n_in)
-    for j in range(2 ** n_in):
-        col = F.cols.get(j, {})
-        gFb = apply_intrinsic(g, col, n_out) if col else {}
-        gb = apply_intrinsic(g, {j: E_RING.one}, n_in)
-        # F applied to g(b_j)
-        Fgb: dict = {}
-        for k, v in gb.items():
-            for i, w in F.cols.get(k, {}).items():
-                s = Fgb.get(i, E_RING.zero) + w * v
-                if s.is_zero():
-                    Fgb.pop(i, None)
-                else:
-                    Fgb[i] = s
-        for i in set(gFb) | set(Fgb):
-            val = gFb.get(i, E_RING.zero) - Fgb.get(i, E_RING.zero)
-            if not val.is_zero():
-                out[i, j] = val
-    a_src, a_tgt = Fraction(source_twist.a), Fraction(target_twist.a)
-    if a_src != a_tgt:
-        if g == "f":
-            out = out + F.scale((a_tgt - a_src) * E1)
-        elif g == "h":
-            out = out + F.scale(E_RING.const(2 * (a_src - a_tgt)))
+    if g not in GENERATORS:
+        raise ValueError(g)
+    den_f, fcols = F._packed()
+    den_o, gout = _object_operator(g, F.n_out, params,
+                                   Fraction(target_twist.a))
+    den_i, gin = _object_operator(g, F.n_in, params,
+                                  Fraction(source_twist.a))
+    den = lcm(den_o, den_i)
+    mo, mi = den // den_o, den // den_i  # bring both G_n over den
+    full = den * den_f
+    ring = E_RING
+    out = PolyMatrix(F.n_out, F.n_in)
+    for j in range(2 ** F.n_in):
+        acc: dict = {}
+        for k, ft in fcols.get(j, {}).items():
+            # G_out F
+            for i, gt in gout.get(k, {}).items():
+                tacc = acc.get(i)
+                if tacc is None:
+                    tacc = acc[i] = {}
+                for e1, c1 in gt:
+                    c1 *= mo
+                    for e2, c2 in ft:
+                        e = e1 + e2
+                        tacc[e] = tacc.get(e, 0) + c1 * c2
+            # d_g(F), brought from den_f to the full denominator
+            tacc = acc.get(k)
+            if tacc is None:
+                tacc = acc[k] = {}
+            for e, c in _derive(g, ft):
+                tacc[e] = tacc.get(e, 0) + c * den
+        # - F G_in
+        for k, gt in gin.get(j, {}).items():
+            for i, ft in fcols.get(k, {}).items():
+                tacc = acc.get(i)
+                if tacc is None:
+                    tacc = acc[i] = {}
+                for e1, c1 in gt:
+                    c1 *= mi
+                    for e2, c2 in ft:
+                        e = e1 + e2
+                        tacc[e] = tacc.get(e, 0) - c1 * c2
+        col = {}
+        for i, tacc in acc.items():
+            terms = {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, full)
+                     for e, c in tacc.items() if c}
+            if terms:
+                col[i] = GradedPoly(ring, terms)
+        if col:
+            out.cols[j] = col
     return out

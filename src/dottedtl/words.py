@@ -9,12 +9,11 @@ Leibniz rule; equality testing happens in the state-space matrices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
 from .ring import E_RING, GradedPoly
-from .sl2 import BASE_SPEC, GENERATORS
+from .sl2 import BASE_SPEC, GENERATORS, DtlParams
 from .statespace import PRIM_ARITY, PRIM_MATRICES, PolyMatrix
 
 E1 = E_RING.gen("E1")
@@ -23,19 +22,6 @@ E2 = E_RING.gen("E2")
 
 class WordError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class DtlParams:
-    """The two free parameters of the sl2 action on cups and caps."""
-
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-
-    @classmethod
-    def parse(cls, text: str) -> "DtlParams":
-        a1, a2 = (Fraction(part.strip()) for part in text.split(","))
-        return cls(a1, a2)
 
 
 class Word:

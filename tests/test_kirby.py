@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dottedtl import kirby
-from dottedtl.sl2 import TwistData
-from dottedtl.words import DtlParams
-from dottedtl.projectors import un
+from dottedtl.ring import E_RING
+from dottedtl.sl2 import GENERATORS, DtlParams, TwistData
+from dottedtl.statespace import commutator_star
+from dottedtl.words import Combo, Word
+from dottedtl.projectors import TrackedMor, un
 
 
 def test_level_twist_flatness():
@@ -55,9 +57,30 @@ def test_star_twist_correction():
 
 
 def test_untwisted_map_not_equivariant():
-    """The raw dotted cup map has a nonzero f-stream without the twist."""
-    u = un(2, DtlParams(Fraction(0), Fraction(0)))
-    assert not u.streams["f"].is_zero()
+    """The raw dotted cup map has a nonzero f-image without the twist."""
+    p = DtlParams(Fraction(0), Fraction(0))
+    u = un(2, p)
+    assert not commutator_star("f", u.mat, params=p).is_zero()
+
+
+def test_level_twisted_action_is_a2_independent():
+    """With the level twists folded in, the action on maps P_n -> P_{n+2}
+    does not depend on a2: the net f-correction is -E1 and the net
+    h-correction is +2, on U_n and on a map that is not equivariant."""
+    E1 = E_RING.gen("E1")
+    n = 2
+    mats = [un(n).mat, Combo.of(Word((("id", "id", "cup"),))).evaluate()]
+    for F in mats:
+        base = {g: commutator_star(g, F) for g in GENERATORS}
+        want = {"e": base["e"], "f": base["f"] - F.scale(E1),
+                "h": base["h"] + F.scale(E_RING.const(2))}
+        for a2 in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
+            src = kirby.level_twist(n, a2)
+            tgt = kirby.level_twist(n + 2, a2)
+            p = DtlParams(Fraction(0), a2)
+            for g in GENERATORS:
+                assert commutator_star(g, F, src, tgt, p) == want[g]
+    assert not want["f"].is_zero()
 
 
 def test_strand_bound():
@@ -109,3 +132,18 @@ def test_check_size():
     for k, J in ((-1, 1), (9, 0), (1, 4)):
         with pytest.raises(kirby.KirbyError):
             kirby.check_size(k, J)
+
+
+def test_perturbed_level_map_is_not_annihilated():
+    """One changed entry of a certified level map breaks its star action."""
+    system = kirby.build_kirby(0, 1, Fraction(1, 2))
+    F = system.maps[0]
+    src, tgt = system.levels
+    (i, j), v = next(iter(F.mat.entries()))
+    bad = F.mat.copy()
+    bad[i, j] = v + E_RING.one
+    bad = TrackedMor(bad, F.params)
+    assert all(kirby.star_act_twisted(g, F, src, tgt).is_zero()
+               for g in GENERATORS)
+    assert not all(kirby.star_act_twisted(g, bad, src, tgt).is_zero()
+                   for g in GENERATORS)

@@ -108,3 +108,31 @@ def test_depth_guard():
         lasagna.b4_module(2)
     with pytest.raises(lasagna.LasagnaError):
         lasagna.b2s2_module(4)
+
+
+def test_summary_finite_part_is_compared(monkeypatch):
+    """Dropping one Zuckerman summand of a plus block fails exactly the
+    "comes from the plus side" claim."""
+    orig = lasagna.mplus_decomposition
+
+    def dropped(depth):
+        rep = orig(depth)
+        block = next(b for b in rep["blocks"] if b["zuckerman"])
+        block["zuckerman"] = block["zuckerman"][1:]
+        return rep
+
+    monkeypatch.setattr(lasagna, "mplus_decomposition", dropped)
+    rep = lasagna.summary_report(12)
+    failed = [c["claim"] for c in rep["claims"] if c["status"] == "fail"]
+    assert failed == ["locally finite part comes from the plus side"]
+    assert len(rep["claims"]) == 8
+
+
+def test_summary_depth_checked_first(monkeypatch):
+    """A depth below 6 is rejected before any module is built."""
+    def never(depth):
+        raise AssertionError("b4_report ran before the depth check")
+
+    monkeypatch.setattr(lasagna, "b4_report", never)
+    with pytest.raises(lasagna.LasagnaError, match="at least 6"):
+        lasagna.summary_report(5)

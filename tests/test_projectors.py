@@ -7,7 +7,7 @@ import pytest
 import dottedtl.words as words
 from dottedtl import projectors
 from dottedtl.ring import E_RING
-from dottedtl.statespace import PolyMatrix, generator_matrix
+from dottedtl.statespace import PolyMatrix, commutator_star, generator_matrix
 from dottedtl.words import Combo, DtlParams, Word, identity_word, verify_relations
 
 P0 = DtlParams(Fraction(0), Fraction(0))
@@ -56,14 +56,32 @@ def test_un_dn_certified():
 
 
 def test_un_eigen_stream():
-    """The f-stream of the certified cup map is its eigenvalue multiple."""
+    """The f-image of the certified cup map is its eigenvalue multiple."""
     E1 = E_RING.gen("E1")
     for a2 in (Fraction(0), Fraction(1, 2)):
         p = DtlParams(Fraction(0), a2)
         u = projectors.un(2, p)
-        assert u.streams["e"].is_zero()
-        assert u.streams["f"] == u.mat.scale((1 - a2) * E1)
-        assert u.streams["h"] == u.mat.scale(E_RING.const(2 * a2 - 2))
+        assert commutator_star("e", u.mat, params=p).is_zero()
+        assert commutator_star("f", u.mat, params=p) \
+            == u.mat.scale((1 - a2) * E1)
+        assert commutator_star("h", u.mat, params=p) \
+            == u.mat.scale(E_RING.const(2 * a2 - 2))
+
+
+def test_perturbed_un_fails_certification():
+    """U_n with one perturbed entry must fail certification."""
+    E1 = E_RING.gen("E1")
+    for a2 in (Fraction(0), Fraction(1, 2)):
+        p = DtlParams(Fraction(0), a2)
+        u = projectors.un(2, p)
+        f_eig, h_eig = (1 - a2) * E1, 2 * a2 - 2
+        projectors._certify("U_2", u, f_eig, h_eig)
+        (i, j), v = next(iter(u.mat.entries()))
+        bad = u.mat.copy()
+        bad[i, j] = v + E1
+        with pytest.raises(projectors.ProjectorError):
+            projectors._certify("U_2", projectors.TrackedMor(bad, p),
+                                f_eig, h_eig)
 
 
 def test_dn_scalar_normalization():

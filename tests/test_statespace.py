@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from dottedtl.ring import E_RING
+from dottedtl.ring import E_RING, GradedPoly
 from dottedtl.statespace import (
     PRIM_MATRICES,
     PolyMatrix,
@@ -13,7 +13,8 @@ from dottedtl.statespace import (
     commutator_star,
     generator_matrix,
 )
-from dottedtl.words import Combo, random_word
+from dottedtl.sl2 import BASE_SPEC, GENERATORS, DtlParams
+from dottedtl.words import Combo, act, random_word
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
@@ -215,3 +216,41 @@ def test_scale_matches_entrywise(m, c):
     c = E_RING.coerce(c)
     ref = PolyMatrix(m.n_out, m.n_in, {ij: v * c for ij, v in m.entries()})
     assert_stored_like(m.scale(c), ref)
+
+
+# the four selftest parameter sets plus two generic pairs
+ACTION_PARAMS = [
+    DtlParams(Fraction(0), Fraction(0)),
+    DtlParams(Fraction(1), Fraction(0)),
+    DtlParams(Fraction(0), Fraction(1, 2)),
+    DtlParams(Fraction(-1), Fraction(2)),
+    DtlParams(Fraction(3, 7), Fraction(-5, 2)),
+    DtlParams(Fraction(2), Fraction(1, 3)),
+]
+
+
+def test_word_action_is_the_commutator_action():
+    """act(g, x, p) evaluates to commutator_star(g, x, params=p)."""
+    rng = random.Random(12)
+    words = [Combo.of(random_word(rng, max_strands=4, max_slices=5))
+             for _ in range(20)]
+    words += [Combo.of(random_word(rng)).scale(E1 * E1 - E2)]
+    for x in words:
+        m = x.evaluate()
+        for p in ACTION_PARAMS:
+            for g in GENERATORS:
+                assert act(g, x, p).evaluate() \
+                    == commutator_star(g, m, params=p), (x, p, g)
+
+
+def test_commutator_on_scalars_is_the_base_derivation():
+    """On 0-strand matrices the action is the derivation of BASE_SPEC."""
+    rng = random.Random(13)
+    for _ in range(30):
+        terms = {(rng.randint(0, 4), rng.randint(0, 3)):
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 4))}
+        c = GradedPoly(E_RING, terms)
+        m = PolyMatrix(0, 0, {(0, 0): c})
+        for g in GENERATORS:
+            assert commutator_star(g, m)[0, 0] == BASE_SPEC.apply(g, c)
