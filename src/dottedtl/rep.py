@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactla
-from .ring import GradedPoly, PolyRing
-from .sl2 import GENERATORS, Sl2ActionSpec
+from .ring import PolyRing
+from .sl2 import GENERATORS, Sl2ActionSpec, add_term
 
 E1_NAME = "E1"
 
@@ -56,31 +56,31 @@ class TruncatedModule:
         self._build_action()
 
     def _build_action(self):
-        ring, spec = self.ring, self.spec
-        e1_exp = None
-        if self.twist and self.twist.a:
-            e1_exp = tuple(
-                1 if n == E1_NAME else 0 for n in ring.names
-            )
+        """e/f/h tables from the spec's monomial kernel, one dict per basis
+        key; the twist adds a*x^(k+E1) to f(x^k) and shift*x^k to h(x^k) in
+        the same dict.  An image term outside the basis is dropped from the
+        table and the key is recorded in ``boundary_loss``."""
+        derive = self.spec.derive_monomial
+        index = self.index
+        one = Fraction(1)
+        a = Fraction(self.twist.a) if self.twist else 0
+        shift = Fraction(self.twist.shift) if self.twist else 0
+        e1 = self.ring.index[E1_NAME] if a else None
         for g in GENERATORS:
             table = {}
+            loss = self.boundary_loss[g]
             for k in self.basis:
-                mono = GradedPoly(ring, {k: Fraction(1)})
-                img = spec.apply(g, mono)
-                if self.twist:
-                    if g == "f" and self.twist.a:
-                        img = img + Fraction(self.twist.a) * GradedPoly(
-                            ring, {tuple(a + b for a, b in zip(k, e1_exp)):
-                                   Fraction(1)}
-                        )
-                    elif g == "h" and self.twist.shift:
-                        img = img + Fraction(self.twist.shift) * mono
+                img = derive(g, k, one, {})
+                if g == "f" and a:
+                    add_term(img, k[:e1] + (k[e1] + 1,) + k[e1 + 1:], a)
+                elif g == "h" and shift:
+                    add_term(img, k, shift)
                 col = {}
-                for ke, c in img.terms.items():
-                    if ke in self.index:
+                for ke, c in img.items():
+                    if ke in index:
                         col[ke] = c
                     else:
-                        self.boundary_loss[g].add(k)
+                        loss.add(k)
                 if col:
                     table[k] = col
             self.action[g] = table

@@ -234,15 +234,11 @@ def criterion_plus_part() -> dict:
 
 def criterion_minus_part() -> dict:
     ok = lasagna.minus_block_split_check(12)
-    table_ok = True
-    quot_ok = True
-    for ell in range(-2, 3):
-        for r in range(5):
-            if lasagna.strictness(ell, r, 20) != (r >= max(0, ell + 1)):
-                table_ok = False
-            if not lasagna.filtration_quotient(ell, r, 20)["ok"]:
-                quot_ok = False
-    zuck = lasagna.minus_zuckerman_check(20)
+    table_ok = all(
+        lasagna.strictness(ell, r, 20) == (r >= max(0, ell + 1))
+        for ell in range(-2, 3) for r in range(5)
+    )
+    quot_ok, zuck = lasagna.minus_side_checks(20)
     return {"name": "minus part: blocks, filtration layers, no finite part",
             "split": ok, "strictness": table_ok, "layers": quot_ok,
             "no_finite_part": zuck,

@@ -10,14 +10,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
-from .ring import E_RING, LASAGNA_RING, GradedPoly, PolyRing
+from .ring import E_RING, LASAGNA_RING, GradedPoly, PolyRing, RingError
 
 GENERATORS = ("e", "f", "h")
 
 
+def add_term(vec: dict, key, c) -> None:
+    """vec[key] += c, removing the entry when it cancels to zero."""
+    s = vec.get(key, 0) + c
+    if s:
+        vec[key] = s
+    else:
+        vec.pop(key, None)
+
+
 class Sl2ActionSpec:
-    """Derivation data on a PolyRing: e/f images and h-weights per generator."""
+    """Derivation data on a PolyRing: e/f images and h-weights per generator.
+
+    e and f act as derivations, so on a monomial they are fixed by the power
+    rule g(c*x^p) = sum_i p_i*c * x^(p - unit_i) * g(x_i).  The spec
+    precomputes, for e and f and each generator i with g(x_i) != 0, the
+    terms of x^(-unit_i) * g(x_i) as (exponent shift, coefficient) pairs;
+    ``derive_monomial`` then adds each shift to p and never builds a
+    ``GradedPoly``.  That skips the ring's negative-exponent guard on
+    products, which is safe because the power rule only lowers an exponent
+    p_i != 0 (p_i >= 1 when x_i is not invertible) and ``__init__`` rejects
+    images with a negative power of a non-invertible generator.
+    """
 
     def __init__(self, ring: PolyRing, e_images, f_images, h_weights):
         self.ring = ring
@@ -28,40 +49,70 @@ class Sl2ActionSpec:
             if name not in self.e_images or name not in self.f_images \
                     or name not in self.h_weights:
                 raise KeyError(f"incomplete action data for generator {name}")
+        self._weights = tuple(self.h_weights[n] for n in ring.names)
+        self._shifts = {
+            g: self._derivation_shifts(images)
+            for g, images in (("e", self.e_images), ("f", self.f_images))
+        }
+
+    def _derivation_shifts(self, images) -> tuple:
+        """(i, ((shift, coeff), ...)) for each generator i with a nonzero
+        image; shift is the image term's exponent minus unit_i."""
+        ring = self.ring
+        out = []
+        for i, name in enumerate(ring.names):
+            terms = []
+            for exp, c in images[name].terms.items():
+                if any(p < 0 and not inv
+                       for p, inv in zip(exp, ring.invertible)):
+                    raise RingError(
+                        f"image of {name} has a negative power of a "
+                        "non-invertible generator"
+                    )
+                shift = list(exp)
+                shift[i] -= 1
+                terms.append((tuple(shift), c))
+            if terms:
+                out.append((i, tuple(terms)))
+        return tuple(out)
 
     def weight_of_monomial(self, exp: tuple) -> int:
-        return sum(
-            p * self.h_weights[name] for p, name in zip(exp, self.ring.names)
-        )
+        return sum(map(mul, exp, self._weights))
+
+    def derive_monomial(self, g: str, exp: tuple, c, out: dict) -> dict:
+        """Add g(c * x^exp) into ``out`` (exponent tuple -> coefficient) and
+        return it; entries that cancel to zero are removed."""
+        if g == "h":
+            w = self.weight_of_monomial(exp)
+            if w:
+                add_term(out, exp, c * w)
+            return out
+        if g not in self._shifts:
+            raise ValueError(f"unknown generator {g!r}")
+        for i, terms in self._shifts[g]:
+            p = exp[i]
+            if not p:
+                continue
+            pc = p * c
+            # add_term inlined: this loop runs once per image term
+            for shift, coeff in terms:
+                key = tuple(map(add, exp, shift))
+                s = out.get(key, 0) + pc * coeff
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return out
 
     def apply(self, g: str, x: GradedPoly) -> GradedPoly:
-        """Apply e, f, or h to a polynomial by the Leibniz rule."""
+        """Apply e, f, or h to a polynomial: the monomial kernel summed over
+        its terms."""
         if x.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
-        if g == "h":
-            terms = {}
-            for e, c in x.terms.items():
-                w = self.weight_of_monomial(e)
-                if w:
-                    terms[e] = c * w
-            return GradedPoly(self.ring, terms)
-        images = self.e_images if g == "e" else self.f_images
-        out = self.ring.zero
+        out: dict = {}
         for exp, c in x.terms.items():
-            for i, name in enumerate(self.ring.names):
-                p = exp[i]
-                if p == 0:
-                    continue
-                img = images[name]
-                if img.is_zero():
-                    continue
-                # power rule: d(g^p) = p * g^(p-1) * d(g)
-                rest = list(exp)
-                rest[i] = p - 1
-                out = out + (c * p) * GradedPoly(
-                    self.ring, {tuple(rest): Fraction(1)}
-                ) * img
-        return out
+            self.derive_monomial(g, exp, c, out)
+        return GradedPoly(self.ring, out)
 
     def serialize(self) -> dict:
         """Declarative text form (generator -> three images), for fixtures."""

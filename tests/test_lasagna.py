@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dottedtl import lasagna
+from dottedtl import lasagna, rep
 from dottedtl.ring import LASAGNA_RING, delta
 from dottedtl.sl2 import LASAGNA_SPEC
 
@@ -90,11 +90,26 @@ def test_minus_no_finite_part():
     assert lasagna.minus_zuckerman_check(12)
 
 
+def _finite_part_claim(report):
+    claim = report["claims"][-1]
+    assert claim["claim"] == "locally finite part comes from the plus side"
+    return claim
+
+
 def test_summary_report():
     rep = lasagna.summary_report(12)
     assert rep["ok"], rep
     assert rep["depth"] == 12
     assert all(c["status"] == "pass" for c in rep["claims"])
+    # only generators inside a computed plus block (m, n <= 12 // 4) are
+    # compared; the last claim says how many
+    listed = [
+        (m, n, j) for m in range(7) for n in range(7) for j in range(4)
+        if m - n - 4 * j >= 0 and (m - n) % 2 == 0 and m + n + 4 * j <= 6
+    ]
+    detail = _finite_part_claim(rep)["detail"]
+    assert detail["generators"] == len(listed)
+    assert detail["checked"] == sum(m <= 3 and n <= 3 for m, n, _ in listed)
 
 
 def test_laurent_ring_consistency():
@@ -136,3 +151,41 @@ def test_summary_depth_checked_first(monkeypatch):
     monkeypatch.setattr(lasagna, "b4_report", never)
     with pytest.raises(lasagna.LasagnaError, match="at least 6"):
         lasagna.summary_report(5)
+
+
+def test_finite_part_counts_checked_generators():
+    """At depth 40, 14 of the 34 listed generators lie in a computed plus
+    block (m, n <= 5)."""
+    rep40 = lasagna.summary_report(40)
+    assert len(rep40["claims"]) == 8
+    assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
+                                                   "checked": 14}
+
+
+def test_summary_builds_one_minus_block_per_ell(monkeypatch):
+    """Operation-count gate: outside the block split check, summary_report
+    builds each minus block once for its filtration layers and its Zuckerman
+    check."""
+    built = []
+    in_split = []
+    split = lasagna.minus_block_split_check
+
+    class Counted(rep.TruncatedModule):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if not in_split:
+                built.append((self.name, self.depth))
+
+    def counted_split(depth):
+        in_split.append(depth)
+        try:
+            return split(depth)
+        finally:
+            in_split.pop()
+
+    monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
+    monkeypatch.setattr(lasagna, "minus_block_split_check", counted_split)
+    lasagna.summary_report(12)
+    minus = [b for b in built if b[0].startswith("minus[")]
+    assert sorted(minus) == sorted((f"minus[{ell}]", 12)
+                                   for ell in range(-2, 3))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dottedtl import lasagna
 from dottedtl.rep import (
     ClaimPart,
     DecompositionClaim,
@@ -15,8 +16,9 @@ from dottedtl.rep import (
     verify_claim,
     zuckerman,
 )
-from dottedtl.ring import E_RING
-from dottedtl.sl2 import BASE_SPEC
+from dottedtl.ring import E_RING, GradedPoly
+from dottedtl.sl2 import BASE_SPEC, GENERATORS, Sl2ActionSpec
+from test_sl2 import leibniz_apply
 
 
 def _poly_module(depth, twist=None):
@@ -115,3 +117,68 @@ def test_zuckerman_on_polynomials():
     assert z["summands"] == [{"kind": "L", "lambda": 0}]
     assert z["dimension"] == 1
     assert "depth" in z["caveat"] or "depth" in str(z)
+
+
+# -- action tables against the Leibniz oracle ---------------------------------
+
+def oracle_tables(m):
+    """(action, boundary_loss) of m rebuilt with one GradedPoly per basis key,
+    the spec applied by the Leibniz oracle and the twist added as polynomials."""
+    ring, twist = m.ring, m.twist
+    e1 = GradedPoly(ring, {tuple(int(n == "E1") for n in ring.names):
+                           Fraction(1)})
+    action, loss = {}, {g: set() for g in GENERATORS}
+    for g in GENERATORS:
+        table = {}
+        for k in m.basis:
+            mono = GradedPoly(ring, {k: Fraction(1)})
+            img = leibniz_apply(m.spec, g, mono)
+            if twist and g == "f":
+                img = img + Fraction(twist.a) * mono * e1
+            elif twist and g == "h":
+                img = img + Fraction(twist.shift) * mono
+            col = {}
+            for k2, c in img.terms.items():
+                if k2 in m.index:
+                    col[k2] = c
+                else:
+                    loss[g].add(k)
+            if col:
+                table[k] = col
+        action[g] = table
+    return action, loss
+
+
+def _items(action):
+    return {g: [(k, list(col.items())) for k, col in table.items()]
+            for g, table in action.items()}
+
+
+@pytest.mark.parametrize("module", [
+    lambda: lasagna.twisted_block(Fraction(-3, 2), 3, 16, "twisted"),
+    lambda: lasagna.twisted_block(Fraction(5, 2), -5, 12, "twisted"),
+    lambda: lasagna.minus_block(-1, 12),
+    lambda: lasagna.b2s2_module(8, "plus"),
+], ids=["twisted-a<0", "twisted-a>0-shift<0", "minus-block", "b2s2-plus"])
+def test_tables_match_leibniz_oracle(module):
+    m = module()
+    action, loss = oracle_tables(m)
+    assert _items(m.action) == _items(action)
+    assert m.boundary_loss == loss
+    assert all(type(c) is Fraction for table in m.action.values()
+               for col in table.values() for c in col.values())
+
+
+def test_perturbed_spec_changes_table_and_fails_brackets():
+    """Negative control: f(E2) = 2*E1*E2 instead of E1*E2."""
+    E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
+    bad = Sl2ActionSpec(E_RING, dict(BASE_SPEC.e_images),
+                        {**BASE_SPEC.f_images, "E2": 2 * E1 * E2},
+                        dict(BASE_SPEC.h_weights))
+    good = _poly_module(12)
+    m = TruncatedModule(E_RING, bad, good.basis, good.degree_fn, 12,
+                        name="perturbed")
+    assert m.action["f"] != good.action["f"]
+    assert m.action["f"] == oracle_tables(m)[0]["f"]
+    assert bracket_check(good)
+    assert not bracket_check(m)

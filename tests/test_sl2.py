@@ -3,15 +3,44 @@
 import random
 from fractions import Fraction
 
-from dottedtl.ring import E_RING, LASAGNA_RING
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dottedtl.ring import E_RING, LASAGNA_RING, GradedPoly, RingError, delta
 from dottedtl.sl2 import (
     BASE_SPEC,
+    GENERATORS,
     LASAGNA_SPEC,
+    Sl2ActionSpec,
     TwistData,
     check_bracket,
     check_flat_twist,
     iterate_f,
 )
+
+ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=150)
+
+
+def leibniz_apply(spec, g, x):
+    """Reference action: one GradedPoly product per (term, generator) by the
+    power rule d(x_i^p) = p * x_i^(p-1) * d(x_i); h by the weight."""
+    if g == "h":
+        return GradedPoly(spec.ring, {
+            e: c * spec.weight_of_monomial(e) for e, c in x.terms.items()
+        })
+    images = spec.e_images if g == "e" else spec.f_images
+    out = spec.ring.zero
+    for exp, c in x.terms.items():
+        for i, name in enumerate(spec.ring.names):
+            p = exp[i]
+            if p == 0 or images[name].is_zero():
+                continue
+            rest = list(exp)
+            rest[i] = p - 1
+            out = out + (c * p) * GradedPoly(
+                spec.ring, {tuple(rest): Fraction(1)}) * images[name]
+    return out
 
 
 def _random_monomials(spec, rng, count=100):
@@ -72,3 +101,91 @@ def test_iterate_f():
 def test_flat_twists():
     for a in (Fraction(0), Fraction(1), Fraction(-3, 2)):
         assert check_flat_twist(TwistData(a))
+
+
+# -- the monomial kernel against the Leibniz oracle ---------------------------
+
+coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                   st.sampled_from([1, 2, 3, 7, 12]))
+
+
+@st.composite
+def polys(draw, spec):
+    """Sparse polynomials with Fraction coefficients; negative A0 powers in
+    the Laurent ring; now and then a factor killed by e, so that the terms
+    of e(x) cancel."""
+    ring = spec.ring
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = tuple(draw(st.integers(-3 if inv else 0, 4))
+                    for inv in ring.invertible)
+        terms[exp] = draw(coeffs)
+    x = GradedPoly(ring, terms)
+    if draw(st.booleans()):
+        kernel = delta(ring)
+        if "A0" in ring.names:
+            kernel = kernel * (ring.gen("A0")
+                               - Fraction(1, 2) * ring.gen("E1") * ring.gen("A1"))
+        x = x * kernel
+    return x
+
+
+SPECS = {"base": BASE_SPEC, "lasagna": LASAGNA_SPEC}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_apply_matches_leibniz_oracle(name):
+    spec = SPECS[name]
+
+    @ORACLE_SETTINGS
+    @given(polys(spec))
+    def check(x):
+        for g in GENERATORS:
+            got = spec.apply(g, x)
+            want = leibniz_apply(spec, g, x)
+            assert got == want
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+    check()
+
+
+def test_apply_cancels_to_zero():
+    """e kills the discriminant and v = A0 - E1*A1/2 term by term only after
+    cancellation; nothing is stored for a cancelled term."""
+    for ring, spec in ((E_RING, BASE_SPEC), (LASAGNA_RING, LASAGNA_SPEC)):
+        d = delta(ring)
+        assert spec.apply("e", d).terms == {}
+        assert leibniz_apply(spec, "e", d).is_zero()
+    v = LASAGNA_RING.gen("A0") - Fraction(1, 2) * LASAGNA_RING.gen("E1") \
+        * LASAGNA_RING.gen("A1")
+    x = LASAGNA_RING.monomial(Fraction(3, 7), A0=-2) * v * v
+    assert LASAGNA_SPEC.apply("e", x) == leibniz_apply(LASAGNA_SPEC, "e", x)
+    weight_zero = LASAGNA_RING.monomial(5, A1=1, A0=1)
+    assert LASAGNA_SPEC.apply("h", weight_zero).terms == {}
+
+
+def test_derive_monomial_accumulates():
+    out = {}
+    BASE_SPEC.derive_monomial("e", (1, 0), Fraction(1), out)
+    assert out == {(0, 0): Fraction(-2)}
+    BASE_SPEC.derive_monomial("e", (1, 0), Fraction(1), out)
+    assert out == {(0, 0): Fraction(-4)}
+    BASE_SPEC.derive_monomial("e", (1, 0), Fraction(-2), out)
+    assert out == {}
+    with pytest.raises(ValueError):
+        BASE_SPEC.derive_monomial("x", (1, 0), Fraction(1), out)
+
+
+def test_negative_non_invertible_image_is_rejected():
+    """The kernel skips the ring's product guard, so an image with a negative
+    power of a non-invertible generator is refused when the spec is built."""
+    bad = E_RING.poly({(-1, 1): Fraction(1)})
+    with pytest.raises(RingError, match="non-invertible"):
+        Sl2ActionSpec(E_RING, {"E1": E_RING.zero, "E2": bad},
+                      dict(BASE_SPEC.f_images), dict(BASE_SPEC.h_weights))
+    # a negative power of the invertible A0 is accepted
+    Sl2ActionSpec(LASAGNA_RING, dict(LASAGNA_SPEC.e_images),
+                  {**LASAGNA_SPEC.f_images,
+                   "A1": LASAGNA_RING.monomial(1, A0=-1)},
+                  dict(LASAGNA_SPEC.h_weights))
