@@ -36,7 +36,6 @@ from .words import (
     act,
     dotted_spanning_set,
     evaluate_word,
-    hom_rank,
     identity_word,
     matching_matrix,
     matching_to_word,
@@ -61,7 +60,6 @@ from .projectors import (
     jw,
     jw_bruteforce,
     jw_tracked,
-    jw_word,
     quiver_check,
     un,
     zn,
@@ -97,13 +95,12 @@ __all__ = [
     "check_bracket", "check_flat_twist", "iterate_f",
     "PolyMatrix", "apply_intrinsic", "commutator_star",
     "Combo", "DtlParams", "Word", "WordError", "act", "dotted_spanning_set",
-    "evaluate_word", "hom_rank", "identity_word", "matching_matrix",
-    "matching_to_word", "noncrossing_matchings", "random_word",
-    "verify_relations",
+    "evaluate_word", "identity_word", "matching_matrix", "matching_to_word",
+    "noncrossing_matchings", "random_word", "verify_relations",
     "ExprError", "normalize", "normalize_combo", "normalized_string",
     "parse_expr", "print_combo", "print_word", "roundtrip_equal",
     "ProjectorError", "TrackedMor", "dn", "jw", "jw_bruteforce",
-    "jw_tracked", "jw_word", "quiver_check", "un", "zn", "zn_matrix",
+    "jw_tracked", "quiver_check", "un", "zn", "zn_matrix",
     "KirbyError", "KirbySystem", "TwistedObject", "build_kirby",
     "composite_check", "leibniz_closure_check", "level_twist",
     "star_act_twisted",

@@ -1,7 +1,7 @@
 """Jones-Wenzl projectors and the dotted operators z_n, U_n, D_n.
 
-Word-level projector combinations blow up combinatorially past n=4, so the
-heavy objects are matrices: TrackedMor is a matrix with the action
+A projector is a matrix, built by the Wenzl recursion and checked against
+the coset-product symmetrizer.  TrackedMor is a matrix with the action
 parameters it was built at.  U_n and D_n are certified when built, by the
 one sl2 action on morphisms, statespace.commutator_star, applied to their
 final matrices.
@@ -9,7 +9,7 @@ final matrices.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 
 from .ring import E_RING
@@ -18,11 +18,8 @@ from .statespace import PolyMatrix, commutator_star, generator_matrix
 from .words import (
     Combo,
     Word,
-    cupcap_combo,
     crossing_combo,
     evaluate_word,
-    identity_word,
-    matching_matrix,
     zn_combo,
 )
 
@@ -30,8 +27,8 @@ E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
 
 JW_TRACKED_BOUND = 8
-JW_WORD_BOUND = 5
-JW_BRUTE_BOUND = 6
+# the symmetrizer oracle runs wherever the recursion does
+JW_BRUTE_BOUND = JW_TRACKED_BOUND
 
 
 class ProjectorError(Exception):
@@ -57,7 +54,6 @@ class TrackedMor:
 # -- Jones-Wenzl projectors --------------------------------------------------
 
 _jw_cache: dict = {}  # p_n by n; projector matrices are parameter-independent
-_jw_word_cache: dict = {}
 
 
 def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
@@ -81,132 +77,26 @@ def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     return TrackedMor(p, params)
 
 
-def jw_word(n: int) -> Combo:
-    """p_n as a formal word combination (small n only; term count explodes)."""
-    if n < 0 or n > JW_WORD_BOUND:
-        raise ProjectorError(f"word-level projector bound exceeded: n={n}")
-    got = _jw_word_cache.get(n)
-    if got is not None:
-        return got
-    if n == 0:
-        p = Combo.of(identity_word(0))
-    else:
-        prev = jw_word(n - 1)
-        ext = prev.tensor(Combo.of(identity_word(1)))
-        if n == 1:
-            p = ext
-        else:
-            e = cupcap_combo(n - 2, n)
-            p = ext - ext.then(e).then(ext).scale(Fraction(n - 1, n))
-    _jw_word_cache[n] = p
-    return p
-
-
 def jw(n: int, params: DtlParams = DtlParams()) -> PolyMatrix:
     return jw_tracked(n, params).mat
 
 
-# -- brute-force symmetrizer oracle -----------------------------------------
-
-def _matching_compose(m1, m2):
-    """m2 o m1 in the undotted matching algebra; returns (matching, loops)."""
-    adj: dict = {}
-
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for (s1, i1), (s2, i2) in m1:
-        a = ("b", i1) if s1 == "b" else ("m", i1)
-        b = ("b", i2) if s2 == "b" else ("m", i2)
-        link(a, b)
-    for (s1, i1), (s2, i2) in m2:
-        a = ("m", i1) if s1 == "b" else ("t", i1)
-        b = ("m", i2) if s2 == "b" else ("t", i2)
-        link(a, b)
-
-    def walk(start):
-        # consume edges from start until a boundary node or exhaustion
-        cur = adj[start].pop(0)
-        adj[cur].remove(start)
-        prev = start
-        while cur[0] == "m" and adj[cur]:
-            nxt = adj[cur].pop(0)
-            adj[nxt].remove(cur)
-            prev, cur = cur, nxt
-        return cur
-
-    pairs = []
-    for node in list(adj):
-        if node[0] != "m" and adj[node]:
-            pairs.append(tuple(sorted((node, walk(node)))))
-    loops = 0
-    for node in list(adj):
-        while adj[node]:
-            walk(node)
-            loops += 1
-    return tuple(sorted(pairs)), loops
-
-
-def _identity_matching(n: int):
-    return tuple(sorted(tuple(sorted((("b", i), ("t", i)))) for i in range(n)))
-
-
-def _turnback_matching(i: int, n: int):
-    pairs = [(("b", i), ("b", i + 1)), (("t", i), ("t", i + 1))]
-    pairs += [
-        tuple(sorted((("b", j), ("t", j)))) for j in range(n) if j not in (i, i + 1)
-    ]
-    return tuple(sorted(tuple(sorted(p)) for p in pairs))
-
-
-def _alg_mul_turnback(elem: dict, i: int, n: int) -> dict:
-    """Right-multiply a matching-algebra element by e_i (loop value 2)."""
-    ei = _turnback_matching(i, n)
-    out: dict = {}
-    for m, c in elem.items():
-        m2, loops = _matching_compose(m, ei)
-        out[m2] = out.get(m2, Fraction(0)) + c * (2 ** loops)
-    return {m: c for m, c in out.items() if c}
-
-
-def _reduced_expression(perm):
-    """Adjacent-transposition word sorting the permutation, smallest index first."""
-    w = list(perm)
-    out = []
-    while True:
-        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
-        if i is None:
-            return out
-        out.append(i)
-        w[i], w[i + 1] = w[i + 1], w[i]
-
+# -- symmetrizer oracle -------------------------------------------------------
 
 def jw_bruteforce(n: int) -> PolyMatrix:
-    """(1/n!) sum of all permutations, each expanded via s_i = id - e_i in
-    the undotted matching algebra; independent of the Wenzl recursion."""
+    """(1/n!) times the sum of all of S_n, with s_i = id - e_i, as the product
+    C_1 C_2 ... C_{n-1} of coset sums C_k = 1 + s_k + s_k s_{k-1} + ...
+    + s_k...s_1 = 1 + s_k C_{k-1}; independent of the Wenzl recursion.
+    braid_check(n) is its precondition: the s_i satisfy the Coxeter
+    relations of S_n."""
     if n < 0 or n > JW_BRUTE_BOUND:
-        raise ProjectorError(f"brute-force projector bound exceeded: n={n}")
-    ident = _identity_matching(n)
-    total: dict = {}
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        count += 1
-        elem = {ident: Fraction(1)}
-        for i in _reduced_expression(perm):
-            # multiply by s_i = id - e_i
-            sub = _alg_mul_turnback(elem, i, n)
-            for m, c in sub.items():
-                elem[m] = elem.get(m, Fraction(0)) - c
-            elem = {m: c for m, c in elem.items() if c}
-        for m, c in elem.items():
-            total[m] = total.get(m, Fraction(0)) + c
-    out = PolyMatrix(n, n)
-    scale = Fraction(1, count) if count else Fraction(1)
-    for m, c in total.items():
-        if c:
-            out = out + matching_matrix(m, (0,) * len(m), n).scale(c * scale)
-    return out
+        raise ProjectorError(f"projector bound exceeded: n={n}")
+    ident = PolyMatrix.identity(n)
+    total = coset = ident
+    for i in range(1, n):
+        coset = ident + crossing_combo(i, n).evaluate() * coset
+        total = total * coset
+    return total.scale(Fraction(1, math.factorial(n)))
 
 
 # -- dotted connecting operators --------------------------------------------

@@ -106,7 +106,7 @@ def criterion_projectors() -> dict:
 
 def criterion_projector_action() -> dict:
     """e and h annihilate p2; f moves a dot across the turnback."""
-    p2c = projectors.jw_word(2)
+    p2c = expr._jw_combo(2)
     above = Combo.of(Word((("cap",), ("cup",), ("dot", "id"))))
     below = Combo.of(Word((("dot", "id"), ("cap",), ("cup",))))
     ok = True

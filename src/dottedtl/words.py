@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import exactla
 from .ring import E_RING, GradedPoly
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams
 from .statespace import PRIM_ARITY, PRIM_MATRICES, PolyMatrix
@@ -530,39 +529,6 @@ def matching_to_word(matching, dots, n_bot: int,
     if not slices:
         return identity_word(n_bot)
     return Word(slices)
-
-
-RANK_SAMPLE_POINTS = [
-    {"E1": Fraction(5), "E2": Fraction(3)},
-    {"E1": Fraction(7), "E2": Fraction(2)},
-    {"E1": Fraction(11), "E2": Fraction(6)},
-]
-
-
-def _numeric_rows(mats, point):
-    size = mats[0].nrows * mats[0].ncols
-    rows = []
-    for m in mats:
-        num = m.substitute(point)
-        row = [Fraction(0)] * size
-        for (i, j), v in num.entries():
-            row[i * m.ncols + j] = v.constant_value()
-        rows.append(row)
-    return rows
-
-
-def hom_rank(n: int, bound: int = 5) -> int:
-    """Rank of the span of the evaluated dotted spanning set, by random
-    integer specialization at three points with required agreement."""
-    if n > bound:
-        raise WordError(f"hom_rank bound exceeded: {n} > {bound}")
-    mats = [matching_matrix(m, d, n) for m, d in dotted_spanning_set(n)]
-    if not mats:
-        return 1 if n == 0 else 0
-    ranks = {exactla.rank(_numeric_rows(mats, pt)) for pt in RANK_SAMPLE_POINTS}
-    if len(ranks) != 1:
-        raise WordError(f"rank disagreement across sample points: {ranks}")
-    return ranks.pop()
 
 
 # -- random words for property testing --------------------------------------

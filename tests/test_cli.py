@@ -56,6 +56,17 @@ def test_jw_command():
     assert rep["diagram_form"] == "(id|id) + (-1/2)*(cap ; cup)"
 
 
+def test_jw_checks_symmetrizer_at_every_accepted_size():
+    res = run_cli("jw", "7", "--json")
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["ok"]
+    assert {"check": "matches symmetrizer", "status": "pass"} in rep["checks"]
+    res = run_cli("jw", "9")
+    assert res.returncode == 2
+    assert "bound" in res.stderr
+
+
 def test_kirby_command():
     res = run_cli("kirby-certify", "--k", "0", "--levels", "3",
                   "--a2", "1/2", "--json")

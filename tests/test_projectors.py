@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dottedtl.words as words
-from dottedtl import projectors
+from dottedtl import expr, projectors, selftest
 from dottedtl.ring import E_RING
 from dottedtl.statespace import PolyMatrix, commutator_star, generator_matrix
 from dottedtl.words import Combo, DtlParams, Word, identity_word, verify_relations
@@ -31,13 +31,33 @@ def test_projector_identities():
 
 
 def test_recursion_equals_symmetrizer():
-    for n in range(7):
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
         assert projectors.jw(n) == projectors.jw_bruteforce(n)
 
 
+def test_symmetrizer_oracle_bound():
+    with pytest.raises(projectors.ProjectorError):
+        projectors.jw_bruteforce(projectors.JW_TRACKED_BOUND + 1)
+
+
+def test_perturbed_projector_fails_symmetrizer_check(monkeypatch):
+    """Criterion 3 with one entry of p_4 perturbed reports the symmetrizer
+    mismatch at p_4."""
+    p4 = projectors.jw(4)
+    (i, j), v = next(iter(p4.entries()))
+    bad = p4.copy()
+    bad[i, j] = v + E_RING.gen("E1")
+    monkeypatch.setattr(projectors, "_jw_cache", {4: bad})
+    rep = selftest.criterion_projectors()
+    status = {c["check"]: c["status"] for c in rep["checks"]}
+    assert not rep["ok"]
+    assert status["p4 equals symmetrizer"] == "fail"
+    assert status["p3 equals symmetrizer"] == "pass"
+
+
 def test_word_level_projector_matches_matrix():
-    for n in range(4):
-        assert projectors.jw_word(n).evaluate() == projectors.jw(n)
+    for n in range(expr.MACRO_ARG_BOUNDS["jw"] + 1):
+        assert expr._jw_combo(n).evaluate() == projectors.jw(n)
 
 
 def test_projector_matrix_is_parameter_free():
@@ -102,7 +122,8 @@ def test_quiver_relations():
 
 
 def test_braid_relations():
-    assert projectors.braid_check(4)
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
+        assert projectors.braid_check(n)
 
 
 def test_negative_control_corrupted_action(monkeypatch):
@@ -132,6 +153,25 @@ def test_negative_control_sign_flipped_cap_map():
     assert lhs_good == rhs
     lhs_bad = projectors._mod_EE((d.scale(E_RING.const(-1))) * u)
     assert lhs_bad != rhs
+
+
+def test_quiver_check_fails_with_sign_flipped_cap_map(monkeypatch):
+    """Criterion 6 through quiver_check itself: with D_n negated, exactly the
+    D o U and U o D relations fail.  The z-intertwinings are linear in D and
+    survive; so do D_2U_0 and D_3U_1, whose sides both vanish modulo
+    (E1, E2)."""
+    orig = projectors.dn
+
+    def flipped(n, params=P0):
+        d = orig(n, params)
+        return projectors.TrackedMor(d.mat.scale(E_RING.const(-1)), d.params)
+
+    monkeypatch.setattr(projectors, "dn", flipped)
+    rep = projectors.quiver_check(2)
+    assert not rep["ok"]
+    failed = [c["relation"] for c in rep["checks"] if c["status"] != "pass"]
+    assert failed == ["D_4U_2 = -z_2^2 mod (E1,E2)",
+                      "U_0D_2 = -z_2^2 mod (E1,E2)"]
 
 
 def test_certification_failure_raises():

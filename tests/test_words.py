@@ -1,4 +1,5 @@
-"""Diagram words, the parameterized action, matchings, and hom ranks."""
+"""Diagram words, the parameterized action, matchings, and the local
+relations."""
 
 import random
 from fractions import Fraction
@@ -14,7 +15,6 @@ from dottedtl.words import (
     act,
     dotted_spanning_set,
     evaluate_word,
-    hom_rank,
     identity_word,
     matching_matrix,
     matching_to_word,
@@ -127,13 +127,6 @@ def test_matching_matrix_is_independent_oracle():
         d = tuple(rng.randint(0, 3) for _ in m)
         w = matching_to_word(m, d, nb, nt)
         assert evaluate_word(w) == matching_matrix(m, d, nb, nt)
-
-
-def test_hom_ranks():
-    assert hom_rank(0) == 1
-    assert hom_rank(1) == 2
-    assert hom_rank(2) == 6
-    assert hom_rank(3) == 20
 
 
 def test_hom_rank_two_relation():
