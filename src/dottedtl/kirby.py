@@ -5,7 +5,8 @@ q-shift.  The star action on maps between twisted objects is
 statespace.commutator_star at the map's parameters, with the twists of
 source and target; connecting maps of a Kirby system must be annihilated
 by e, f, and h under it, and that is certified when the system is built,
-never assumed.
+never assumed.  A system computes each star image, and each composite of
+consecutive maps, once and keeps it for the checks that read it.
 """
 
 from __future__ import annotations
@@ -74,14 +75,35 @@ class KirbySystem:
             TwistedObject(k + 2 * j, level_twist(k + 2 * j, a2)) for j in range(J + 1)
         ]
         self.maps = [un(k + 2 * j, self.params) for j in range(J)]
+        # keyed by the map and level objects, not by index, so that a map
+        # or level swapped after the build is recomputed, never served stale
+        self._stars: dict = {}  # (g, map, src, tgt) -> g*map
+        self._composites: dict = {}  # (B, A) -> B o A
         self.certificates = self._certify()
+
+    def star(self, g: str, F: TrackedMor, src: TwistedObject,
+             tgt: TwistedObject) -> PolyMatrix:
+        """g*F from src to tgt, computed once per system."""
+        key = (g, F, src, tgt)
+        img = self._stars.get(key)
+        if img is None:
+            img = self._stars[key] = star_act_twisted(g, F, src, tgt)
+        return img
+
+    def composite(self, j: int) -> TrackedMor:
+        """maps[j+1] o maps[j], composed once per pair of maps."""
+        A, B = self.maps[j], self.maps[j + 1]
+        comp = self._composites.get((B, A))
+        if comp is None:
+            comp = self._composites[B, A] = B.compose(A)
+        return comp
 
     def _certify(self):
         certs = []
         for j, F in enumerate(self.maps):
             src, tgt = self.levels[j], self.levels[j + 1]
             for g in GENERATORS:
-                if not star_act_twisted(g, F, src, tgt).is_zero():
+                if not self.star(g, F, src, tgt).is_zero():
                     raise KirbyError(
                         f"level map U_{src.n} not annihilated by {g}* "
                         f"(k={self.k}, j={j}, a2={self.a2})"
@@ -116,14 +138,14 @@ def build_kirby(k: int, J: int, a2) -> KirbySystem:
 
 def composite_check(system: KirbySystem) -> dict:
     """Composites of consecutive connecting maps: nonzero and star-annihilated,
-    each recomputed directly from the composite."""
+    each star image computed directly from the composite (once per system)."""
     checks = []
     for j in range(system.J - 1):
         src, tgt = system.levels[j], system.levels[j + 2]
-        comp = system.maps[j + 1].compose(system.maps[j])
+        comp = system.composite(j)
         nonzero = not comp.mat.is_zero()
         annihilated = all(
-            star_act_twisted(g, comp, src, tgt).is_zero() for g in GENERATORS
+            system.star(g, comp, src, tgt).is_zero() for g in GENERATORS
         )
         checks.append({
             "composite": f"U_{system.levels[j + 1].n} o U_{src.n}",
@@ -141,15 +163,15 @@ def composite_check(system: KirbySystem) -> dict:
 
 def leibniz_closure_check(system: KirbySystem) -> bool:
     """g*(B o A) = (g*B)A + B(g*A) for every pair of consecutive maps with
-    matching middle twist."""
+    matching middle twist: the star images of the maps against the one
+    computed directly from their composite, all read from the system."""
     for j in range(system.J - 1):
         src, mid_obj, tgt = system.levels[j:j + 3]
         A, B = system.maps[j], system.maps[j + 1]
-        comp = B.compose(A)
+        comp = system.composite(j)
         for g in GENERATORS:
-            lhs = star_act_twisted(g, comp, src, tgt)
-            rhs = star_act_twisted(g, B, mid_obj, tgt) * A.mat \
-                + B.mat * star_act_twisted(g, A, src, mid_obj)
-            if lhs != rhs:
+            rhs = system.star(g, B, mid_obj, tgt) * A.mat \
+                + B.mat * system.star(g, A, src, mid_obj)
+            if system.star(g, comp, src, tgt) != rhs:
                 return False
     return True

@@ -2,9 +2,11 @@
 
 A projector is a matrix, built by the Wenzl recursion and checked against
 the coset-product symmetrizer.  TrackedMor is a matrix with the action
-parameters it was built at.  U_n and D_n are certified when built, by the
-one sl2 action on morphisms, statespace.commutator_star, applied to their
-final matrices.
+parameters it was built at.  The matrices of p_n, U_n, D_n and z_n do not
+depend on the parameters, so each is built once per process, in one
+cache bounded by n <= JW_TRACKED_BOUND.  U_n and D_n are certified once
+per parameter pair, by the one sl2 action on morphisms,
+statespace.commutator_star, applied to their matrices.
 """
 
 from __future__ import annotations
@@ -53,7 +55,12 @@ class TrackedMor:
 
 # -- Jones-Wenzl projectors --------------------------------------------------
 
-_jw_cache: dict = {}  # p_n by n; projector matrices are parameter-independent
+# Parameter-independent matrices: p_n under n, and U_n, D_n, z_n under
+# ("u", n), ("d", n), ("z", n).  The parameter pairs at which U_n and D_n
+# passed certification are recorded in the same dict, as keys
+# ("u", n, params) and ("d", n, params) holding True, so swapping the dict
+# swaps every derived matrix and certificate with the projectors.
+_jw_cache: dict = {}
 
 
 def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
@@ -119,42 +126,69 @@ def _certify(name: str, t: TrackedMor, f_eig, h_eig):
         raise ProjectorError(f"{name} failed certification: " + "; ".join(failures))
 
 
+def _derived(key: tuple, build) -> PolyMatrix:
+    """The cached matrix under key, built on first use."""
+    m = _jw_cache.get(key)
+    if m is None:
+        m = _jw_cache[key] = build()
+    return m
+
+
+def _certified(kind: str, n: int, params: DtlParams, build, f_eig, h_eig):
+    """The U_n or D_n matrix at params, certified once per parameter pair.
+    A failed certification is not recorded, so it raises on every call."""
+    t = TrackedMor(_derived((kind, n), build), params)
+    if (kind, n, params) not in _jw_cache:
+        _certify(f"{kind.upper()}_{n}", t, f_eig, h_eig)
+        _jw_cache[kind, n, params] = True
+    return t
+
+
 def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
-    """U_n = p_{n+2} o (id^n (x) dotted cup) o p_n, certified at build time.
+    """U_n = p_{n+2} o (id^n (x) dotted cup) o p_n, certified at params.
 
     The dotted cup is side-independent in the matrix model, so a single
-    dot carries the construction; certification pins the eigen-equations."""
+    dot carries the construction; certification pins the eigen-equations.
+    The matrix is built once per process and certified once per
+    parameter pair."""
     if n < 0:
         raise ProjectorError("n must be non-negative")
     if params.a1 != 0:
         raise ProjectorError("U_n requires a1 = 0")
-    cup = evaluate_word(Word((("cup",), ("dot", "id"))))
-    mid = TrackedMor(PolyMatrix.identity(n).tensor(cup), params)
-    u = jw_tracked(n + 2, params).compose(mid).compose(jw_tracked(n, params))
+
+    def build():
+        cup = evaluate_word(Word((("cup",), ("dot", "id"))))
+        return jw(n + 2) * PolyMatrix.identity(n).tensor(cup) * jw(n)
+
     a2 = params.a2
-    _certify(f"U_{n}", u, (1 - a2) * E1, 2 * a2 - 2)
-    return u
+    return _certified("u", n, params, build, (1 - a2) * E1, 2 * a2 - 2)
 
 
 def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
-    """D_n = n(n-1) * p_{n-2} o (id^(n-2) (x) dotted cap) o p_n, certified."""
+    """D_n = n(n-1) * p_{n-2} o (id^(n-2) (x) dotted cap) o p_n, certified
+    at params; built once per process and certified once per parameter
+    pair, like U_n."""
     if n < 2:
         raise ProjectorError("D_n needs n >= 2")
     if params.a1 != 0:
         raise ProjectorError("D_n requires a1 = 0")
-    cap = evaluate_word(Word((("dot", "id"), ("cap",))))
-    mid = TrackedMor(PolyMatrix.identity(n - 2).tensor(cap), params)
-    d = jw_tracked(n - 2, params).compose(mid).compose(jw_tracked(n, params))
-    d = TrackedMor(d.mat.scale(Fraction(n * (n - 1))), params)
+
+    def build():
+        cap = evaluate_word(Word((("dot", "id"), ("cap",))))
+        mid = PolyMatrix.identity(n - 2).tensor(cap)
+        return (jw(n - 2) * mid * jw(n)).scale(Fraction(n * (n - 1)))
+
     a2 = params.a2
-    _certify(f"D_{n}", d, (1 + a2) * E1, -2 * a2 - 2)
-    return d
+    return _certified("d", n, params, build, (1 + a2) * E1, -2 * a2 - 2)
 
 
 def zn_matrix(n: int, params: DtlParams = DtlParams()) -> PolyMatrix:
-    """z_n inside End(P_n): p_n z_n p_n."""
-    p = jw(n, params)
-    return p * zn_combo(n).evaluate() * p
+    """z_n inside End(P_n): p_n z_n p_n, built once per process."""
+    def build():
+        p = jw(n)
+        return p * zn_combo(n).evaluate() * p
+
+    return _derived(("z", n), build)
 
 
 def _mod_EE(m: PolyMatrix) -> PolyMatrix:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .ring import E_RING, GradedPoly, RingError
 from .sl2 import GENERATORS, DtlParams, TwistData
@@ -191,6 +191,8 @@ class PolyMatrix:
         if self.n_in != other.n_out:
             raise ValueError("shape mismatch in product")
         m = PolyMatrix(self.n_out, other.n_in)
+        if not self.cols or not other.cols:
+            return m
         den_s, scols = self._packed()
         den_o, ocols = other._packed()
         den = den_s * den_o
@@ -237,9 +239,9 @@ class PolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if (self.n_out, self.n_in) != (other.n_out, other.n_in):
-            return False
-        return (self - other).is_zero()
+        # structural: no zero entry and no empty column is ever stored
+        return (self.n_out, self.n_in) == (other.n_out, other.n_in) \
+            and self.cols == other.cols
 
     def __hash__(self):
         raise TypeError("PolyMatrix is unhashable")
@@ -375,13 +377,44 @@ def _strand_operator(g: str, params: DtlParams) -> PolyMatrix:
 @lru_cache(maxsize=256)
 def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     """G_n in _packed form: the strand operator on each of the n strands
-    plus the object's twist term (a*E1 for f, -2a for h)."""
-    strand = _strand_operator(g, params)
-    op = PolyMatrix.identity(n).scale(TwistData(a).tau(g))
-    for i in range(n):
-        op = op + PolyMatrix.identity(i).tensor(strand).tensor(
-            PolyMatrix.identity(n - 1 - i))
-    return op._packed()
+    plus the object's twist term (a*E1 for f, -2a for h).
+
+    Built one basis index at a time: column j gets, for each strand, the
+    strand operator's column at that strand's bit of j, written into the
+    row with that bit replaced by the image letter's; the twist term sits
+    on the diagonal.  Numerators accumulate as ints over one denominator,
+    which is then reduced to the lowest one, as _packed gives it.
+    """
+    den_s, strand = _strand_operator(g, params)._packed()
+    tau = TwistData(a).tau(g).terms
+    den = lcm(den_s, *(c.denominator for c in tau.values()))
+    ms = den // den_s
+    diag = {(e1 << _EXP_BITS) | e2: c.numerator * (den // c.denominator)
+            for (e1, e2), c in tau.items()}
+    cols = {}
+    content = den  # gcd of den and every numerator
+    for j in range(2 ** n):
+        acc = {j: dict(diag)} if diag else {}
+        for shift in range(n):
+            bit = j >> shift & 1
+            for new_bit, terms in strand.get(bit, {}).items():
+                tacc = acc.setdefault(j ^ (bit ^ new_bit) << shift, {})
+                for e, c in terms:
+                    tacc[e] = tacc.get(e, 0) + c * ms
+        col = {}
+        for i, tacc in acc.items():
+            terms = [(e, c) for e, c in tacc.items() if c]
+            if terms:
+                col[i] = terms
+                content = gcd(content, *(c for _, c in terms))
+        if col:
+            cols[j] = col
+    if content > 1:
+        den //= content
+        cols = {j: {i: [(e, c // content) for e, c in terms]
+                    for i, terms in col.items()}
+                for j, col in cols.items()}
+    return den, cols
 
 
 def _derive(g: str, terms) -> list:

@@ -147,3 +147,81 @@ def test_perturbed_level_map_is_not_annihilated():
                for g in GENERATORS)
     assert not all(kirby.star_act_twisted(g, bad, src, tgt).is_zero()
                    for g in GENERATORS)
+
+
+def _perturbed_map(F):
+    (i, j), v = next(iter(F.mat.entries()))
+    bad = F.mat.copy()
+    bad[i, j] = v + E_RING.gen("E1")
+    return TrackedMor(bad, F.params)
+
+
+def test_swapped_map_is_recomputed_not_served_stale():
+    """A level map replaced after the checks ran is read afresh.  Its
+    composites are no longer star-annihilated, so composite_check fails.
+    The Leibniz rule is an identity for any maps, so the closure check
+    still holds; it holds here only because the swapped map's star images
+    are recomputed: with the stored (zero) images of the old map its rhs
+    would be zero, against a nonzero star image of the new composite."""
+    system = kirby.build_kirby(0, 3, Fraction(1, 2))
+    assert kirby.composite_check(system)["ok"]
+    assert kirby.leibniz_closure_check(system)
+    system.maps[1] = _perturbed_map(system.maps[1])
+    comp = kirby.composite_check(system)
+    assert not comp["ok"]
+    assert [c["status"] for c in comp["checks"]] == ["fail", "fail"]
+    src, tgt = system.levels[0], system.levels[2]
+    assert any(not system.star(g, system.composite(0), src, tgt).is_zero()
+               for g in GENERATORS)
+    assert kirby.leibniz_closure_check(system)
+
+
+def test_leibniz_check_reads_the_map_images():
+    """A wrong star image of a map in the system's store breaks the
+    Leibniz comparison with the composite's directly computed image."""
+    system = kirby.build_kirby(0, 2, Fraction(1, 2))
+    assert kirby.leibniz_closure_check(system)
+    A = system.maps[0]
+    src, mid = system.levels[0], system.levels[1]
+    system._stars["f", A, src, mid] = A.mat  # nonzero, hence wrong
+    assert not kirby.leibniz_closure_check(system)
+
+
+def test_kirby_workload_computes_each_image_once(monkeypatch):
+    """Operation-count gate on the benchmark's kirby calls: each U_n, D_n,
+    z_n (and p_n) matrix is built once, U_n and D_n are certified once per
+    a2, and each star image is computed once per system: 126
+    commutator_star calls (66 certifying U_n and D_n, 36 certifying the
+    level maps, 24 for the composites)."""
+    from dottedtl import projectors
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return commutator_star(*args, **kwargs)
+
+    built = []
+
+    class RecordingCache(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(kirby, "commutator_star", counted)
+    monkeypatch.setattr(projectors, "commutator_star", counted)
+    monkeypatch.setattr(projectors, "_jw_cache", RecordingCache())
+    a2s = (Fraction(0), Fraction(1, 2))
+    for a2 in a2s:
+        for k in (0, 1):
+            system = kirby.build_kirby(k, 3, a2)
+            assert kirby.composite_check(system)["ok"]
+            assert kirby.leibniz_closure_check(system)
+        assert projectors.quiver_check(4, DtlParams(Fraction(0), a2))["ok"]
+    assert len(calls) == 126
+    assert len(built) == len(set(built))
+    maps = [("u", n) for n in range(6)] + [("d", n) for n in range(2, 7)]
+    certified = [(kind, n, DtlParams(Fraction(0), a2))
+                 for kind, n in maps for a2 in a2s]
+    zs = [("z", n) for n in range(7)]
+    assert set(built) == set(range(8)) | set(maps) | set(zs) | set(certified)

@@ -178,3 +178,26 @@ def test_certification_failure_raises():
     """A nonzero a1 breaks the eigen-equations, and certification says so."""
     with pytest.raises(projectors.ProjectorError):
         projectors.un(2, DtlParams(Fraction(1), Fraction(0)))
+
+
+def test_swapped_projector_cache_swaps_derived_matrices(monkeypatch):
+    """Derived matrices and certificates live in the projector cache: with a
+    perturbed p_4 swapped in, z_4 is rebuilt from it and U_2 (which reads
+    p_4) fails certification on every call; none outlives the swap."""
+    real_z4 = projectors.zn_matrix(4)
+    projectors.un(2, P0)  # built and certified with the real p_4
+    p4 = projectors.jw(4)
+    (i, j), v = next(iter(p4.entries()))
+    bad = p4.copy()
+    bad[i, j] = v + E_RING.gen("E1")
+    with monkeypatch.context() as m:
+        m.setattr(projectors, "_jw_cache", {4: bad})
+        assert projectors.zn_matrix(4) != real_z4
+        for _ in range(2):
+            with pytest.raises(projectors.ProjectorError):
+                projectors.un(2, P0)
+    assert projectors.zn_matrix(4) == real_z4
+    assert projectors.un(2, P0).mat == projectors.jw(4) * (
+        PolyMatrix.identity(2).tensor(
+            Combo.of(Word((("cup",), ("dot", "id")))).evaluate())
+        * projectors.jw(2))

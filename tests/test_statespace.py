@@ -254,3 +254,122 @@ def test_commutator_on_scalars_is_the_base_derivation():
         m = PolyMatrix(0, 0, {(0, 0): c})
         for g in GENERATORS:
             assert commutator_star(g, m)[0, 0] == BASE_SPEC.apply(g, c)
+
+
+# -- structural equality and the no-stored-zero invariant ------------------------
+
+import pytest
+
+from dottedtl.selftest import PARAM_SETS
+from dottedtl.sl2 import TwistData
+from dottedtl.statespace import _object_operator, _strand_operator
+
+
+def perturbed(m):
+    """m with one entry changed, or with one entry added if m is empty."""
+    out = m.copy()
+    if m.is_zero():
+        out[0, 0] = E2
+    else:
+        (i, j), v = next(iter(m.entries()))
+        out[i, j] = v + E1
+    return out
+
+
+@st.composite
+def comparable_pairs(draw):
+    n_out, n_in = draw(strands), draw(strands)
+    a, c = draw(matrices(n_out, n_in)), draw(matrices(n_out, n_in))
+    kind = draw(st.sampled_from(["rebuilt", "cancel", "perturbed", "other",
+                                 "empty", "shape"]))
+    if kind == "rebuilt":  # equal, by sums whose terms cancel
+        b = (a + c) - c
+    elif kind == "cancel":  # every entry of a cancels, then c is added
+        b = (c - a) + a
+        a = c.copy()
+    elif kind == "perturbed":
+        b = perturbed(a)
+    elif kind == "other":
+        b = c
+    elif kind == "empty":
+        b = PolyMatrix(n_out, n_in)
+    else:
+        b = draw(matrices(draw(strands), draw(strands)))
+    return a, b
+
+
+@KERNEL_SETTINGS
+@given(comparable_pairs())
+def test_equality_agrees_with_difference(pair):
+    a, b = pair
+    if (a.n_out, a.n_in) != (b.n_out, b.n_in):
+        assert a != b and b != a
+        with pytest.raises(ValueError):
+            a - b
+    else:
+        assert (a == b) == (b == a) == (a - b).is_zero()
+
+
+def test_equality_edge_cases():
+    assert PolyMatrix(2, 0) == PolyMatrix(2, 0)
+    assert PolyMatrix(2, 0) != PolyMatrix(0, 2)
+    assert PolyMatrix(1, 1) != PolyMatrix(1, 1, {(0, 0): E1})
+    a = PolyMatrix(1, 1, {(0, 0): E1 / 3, (1, 1): E2})
+    assert (a + a.scale(E_RING.const(-1))) == PolyMatrix(1, 1)
+    assert a != perturbed(a) and a == perturbed(a) - PolyMatrix(
+        1, 1, {(0, 0): E1})
+
+
+def assert_no_stored_zero(m):
+    assert all(m.cols.values())
+    for _, v in m.entries():
+        assert v.terms and all(v.terms.values())
+
+
+@st.composite
+def same_shape_pairs(draw):
+    n_out, n_in = draw(strands), draw(strands)
+    a = draw(matrices(n_out, n_in))
+    # b shares entries with a or their negatives, so sums cancel
+    b = draw(st.sampled_from([a, -a, PolyMatrix(n_out, n_in)]))
+    return a, b + draw(matrices(n_out, n_in))
+
+
+@KERNEL_SETTINGS
+@given(factor_pairs(), same_shape_pairs(), st.one_of(polys, st.just(0)),
+       st.sampled_from(GENERATORS), st.sampled_from(ACTION_PARAMS))
+def test_operations_store_no_zero(pair, sums, c, g, p):
+    a, b = pair
+    x, y = sums
+    outs = [a * b, x + y, x - y, x - x, x + (-x), x.scale(c),
+            a.tensor(b), a.tensor(PolyMatrix(1, 2)),
+            x.substitute({"E1": Fraction(0), "E2": Fraction(0)}),
+            x.substitute({"E1": Fraction(1), "E2": Fraction(1, 4)}),
+            commutator_star(g, x, params=p),
+            commutator_star(g, x, TwistData(Fraction(-3, 2)),
+                            TwistData(Fraction(5, 4)), p)]
+    for m in outs:
+        assert_no_stored_zero(m)
+
+
+def tensor_sum_object_operator(g, n, params, a):
+    """G_n as the sum of n tensor products I (x) strand (x) I plus the
+    twist term on the identity: the construction the bitwise one replaced."""
+    strand = _strand_operator(g, params)
+    op = PolyMatrix.identity(n).scale(TwistData(a).tau(g))
+    for i in range(n):
+        op = op + PolyMatrix.identity(i).tensor(strand).tensor(
+            PolyMatrix.identity(n - 1 - i))
+    return op._packed()
+
+
+def test_object_operator_matches_tensor_sum():
+    """e, f and h; n <= 8; the four selftest parameter sets plus one with
+    a1 != 0; twists 0, -3/2 and 5/4."""
+    params = list(PARAM_SETS) + [DtlParams(Fraction(3, 7), Fraction(-5, 2))]
+    for g in GENERATORS:
+        for n in range(9):
+            for p in params:
+                for a in (Fraction(0), Fraction(-3, 2), Fraction(5, 4)):
+                    assert _object_operator.__wrapped__(g, n, p, a) \
+                        == tensor_sum_object_operator(g, n, p, a), (g, n, p, a)
