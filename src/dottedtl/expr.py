@@ -342,8 +342,13 @@ def normalize(combo: Combo):
 
 
 def normalize_matrix(mat, n_in: int, n_out: int):
-    from fractions import Fraction as _F
+    """The normal form of a state-space matrix over the dotted matching
+    spanning set, as normalize() describes.
 
+    Each spanning-set matrix comes from words.matching_matrix, built at most
+    once per call; each structural degree is one exactla.solve over dense
+    rows that share one Fraction zero in their empty cells.
+    """
     from . import exactla
     from .statespace import basis_qdegree
     from .words import dotted_spanning_set, matching_matrix
@@ -353,6 +358,7 @@ def normalize_matrix(mat, n_in: int, n_out: int):
             f"normalization bound exceeded: {n_in}+{n_out} boundary strands"
         )
     span = dotted_spanning_set(n_in, n_out)
+    zero = Fraction(0)
     mat_cache: dict = {}
 
     def span_matrix(i):
@@ -402,7 +408,8 @@ def normalize_matrix(mat, n_in: int, n_out: int):
                         if k not in rowmap:
                             rowmap[k] = {}
                             row_keys.append(k)
-                        rowmap[k][j] = rowmap[k].get(j, _F(0)) + c
+                        # distinct (cell, exp) give distinct keys for one j
+                        rowmap[k][j] = c
                 unknowns.append((i, mu))
         for k in rhs_map:
             if k not in rowmap:
@@ -412,9 +419,9 @@ def normalize_matrix(mat, n_in: int, n_out: int):
             raise ExprError("evaluation is outside the diagram span")
         ncols = len(unknowns)
         rows = [
-            [rowmap[k].get(j, _F(0)) for j in range(ncols)] for k in row_keys
+            [rowmap[k].get(j, zero) for j in range(ncols)] for k in row_keys
         ]
-        rhs = [rhs_map.get(k, _F(0)) for k in row_keys]
+        rhs = [rhs_map.get(k, zero) for k in row_keys]
         sol = exactla.solve(rows, rhs)
         if sol is None:
             raise ExprError("evaluation is outside the diagram span")

@@ -45,6 +45,27 @@ def basis_qdegree(index: int, n: int) -> int:
     return -basis_weight(index, n)
 
 
+def _pack_poly(poly: GradedPoly):
+    """A polynomial in packed form: (den, [(e1 << 32 | e2, numerator)]),
+    den the lcm of its coefficients' denominators, numerators ints."""
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    return den, [((e1 << _EXP_BITS) | e2, c.numerator * (den // c.denominator))
+                 for (e1, e2), c in poly.terms.items()]
+
+
+def _unpack_column(acc: dict, den: int) -> dict:
+    """{row: {packed exponent: int numerator over den}} as a matrix column
+    of GradedPoly entries, each coefficient normalised once; zero
+    coefficients and zero entries are dropped."""
+    col = {}
+    for i, tacc in acc.items():
+        terms = {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, den)
+                 for e, c in tacc.items() if c}
+        if terms:
+            col[i] = GradedPoly(E_RING, terms)
+    return col
+
+
 class PolyMatrix:
     """Sparse rectangular matrix over Q[E1,E2], indexed by state bases.
 
@@ -196,7 +217,6 @@ class PolyMatrix:
         den_s, scols = self._packed()
         den_o, ocols = other._packed()
         den = den_s * den_o
-        ring = E_RING
         for j, ocol in ocols.items():
             # raw term dicts per output row, keyed by packed exponents
             acc: dict = {}
@@ -213,12 +233,7 @@ class PolyMatrix:
                             e = e1 + e2
                             c = tacc.get(e)
                             tacc[e] = c1 * c2 if c is None else c + c1 * c2
-            col = {}
-            for i, tacc in acc.items():
-                terms = {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, den)
-                         for e, c in tacc.items() if c}
-                if terms:
-                    col[i] = GradedPoly(ring, terms)
+            col = _unpack_column(acc, den)
             if col:
                 m.cols[j] = col
         return m
@@ -467,7 +482,6 @@ def commutator_star(
     den = lcm(den_o, den_i)
     mo, mi = den // den_o, den // den_i  # bring both G_n over den
     full = den * den_f
-    ring = E_RING
     out = PolyMatrix(F.n_out, F.n_in)
     for j in range(2 ** F.n_in):
         acc: dict = {}
@@ -499,12 +513,7 @@ def commutator_star(
                     for e2, c2 in ft:
                         e = e1 + e2
                         tacc[e] = tacc.get(e, 0) - c1 * c2
-        col = {}
-        for i, tacc in acc.items():
-            terms = {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, full)
-                     for e, c in tacc.items() if c}
-            if terms:
-                col[i] = GradedPoly(ring, terms)
+        col = _unpack_column(acc, full)
         if col:
             out.cols[j] = col
     return out

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .ring import E_RING, GradedPoly
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams
-from .statespace import PRIM_ARITY, PRIM_MATRICES, PolyMatrix
+from .statespace import (
+    PRIM_ARITY,
+    PRIM_MATRICES,
+    PolyMatrix,
+    _pack_poly,
+    _unpack_column,
+)
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
@@ -148,9 +155,40 @@ class Combo:
         return out
 
     def evaluate(self) -> PolyMatrix:
+        """The state-space matrix, sum of coeff * evaluate_word(w).
+
+        One int accumulator keyed by (column, row, packed exponent), as in
+        PolyMatrix.__mul__: each term is read once in _packed form and added
+        over a running common denominator (the accumulator is rescaled when
+        a term needs a larger one), and each entry is built once.
+        """
         out = PolyMatrix(self.n_out, self.n_in)
+        acc: dict = {}
+        den = 1
         for w, c in self.terms.items():
-            out = out + evaluate_word(w).scale(c)
+            den_w, cols = evaluate_word(w)._packed()
+            den_c, coeff = _pack_poly(c)
+            d = den_w * den_c
+            if den % d:
+                grow = lcm(den, d) // den
+                for acc_j in acc.values():
+                    for tacc in acc_j.values():
+                        for e in tacc:
+                            tacc[e] *= grow
+                den *= grow
+            coeff = [(e, x * (den // d)) for e, x in coeff]
+            for j, col in cols.items():
+                acc_j = acc.setdefault(j, {})
+                for i, terms in col.items():
+                    tacc = acc_j.setdefault(i, {})
+                    for e1, c1 in terms:
+                        for e2, c2 in coeff:
+                            e = e1 + e2
+                            tacc[e] = tacc.get(e, 0) + c1 * c2
+        for j, acc_j in acc.items():
+            col = _unpack_column(acc_j, den)
+            if col:
+                out.cols[j] = col
         return out
 
     def is_empty(self) -> bool:
@@ -393,65 +431,143 @@ def noncrossing_matchings(n_bot: int, n_top: int | None = None):
     return [tuple(sorted(m)) for m in rec(seq)]
 
 
-def _dot_power(d: int) -> PolyMatrix:
-    m = PolyMatrix.identity(1)
-    for _ in range(d):
-        m = PRIM_MATRICES["dot"] * m
-    return m
+def _packed_mul(p: dict, q: dict) -> dict:
+    """Product of two packed polynomials {e1 << 32 | e2: int numerator}."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _accumulate(table: dict, key, poly: dict):
+    tacc = table.setdefault(key, {})
+    for e, c in poly.items():
+        tacc[e] = tacc.get(e, 0) + c
+
+
+def _nonzero(table: dict) -> dict:
+    """The accumulated table without zero coefficients or zero values."""
+    out = {}
+    for key, tacc in table.items():
+        poly = {e: c for e, c in tacc.items() if c}
+        if poly:
+            out[key] = poly
+    return out
+
+
+def _prim_packed(prim: str):
+    """A primitive's matrix as (den, {col: {row: packed polynomial}})."""
+    den, cols = PRIM_MATRICES[prim]._packed()
+    return den, {j: {i: dict(terms) for i, terms in col.items()}
+                 for j, col in cols.items()}
+
+
+def _dot_powers(d_max: int) -> list:
+    """dot^0, ..., dot^d_max, each as (den, {in bit: {out bit: packed}})."""
+    den_dot, dot = _prim_packed("dot")
+    powers = [(1, {0: {0: {0: 1}}, 1: {1: {0: 1}}})]
+    for _ in range(d_max):
+        den, prev = powers[-1]
+        nxt = {}
+        for b, col in prev.items():
+            acc: dict = {}
+            for y, p in col.items():
+                for z, q in dot.get(y, {}).items():
+                    _accumulate(acc, z, _packed_mul(p, q))
+            nxt[b] = _nonzero(acc)
+        powers.append((den * den_dot, nxt))
+    return powers
+
+
+def _check_matching(matching, dots, n_bot: int, n_top: int):
+    if n_bot < 0 or n_top < 0:
+        raise WordError(f"negative boundary width {n_bot} -> {n_top}")
+    if len(dots) != len(matching):
+        raise WordError(
+            f"{len(dots)} dot counts for a matching of {len(matching)} arcs")
+    if not all(isinstance(d, int) and d >= 0 for d in dots):
+        raise WordError(f"dot counts must be non-negative integers: {dots}")
+    points = [p for arc in matching for p in arc]
+    boundary = {("b", i) for i in range(n_bot)} | \
+        {("t", j) for j in range(n_top)}
+    if not all(len(arc) == 2 for arc in matching) \
+            or len(points) != len(boundary) or set(points) != boundary:
+        raise WordError(
+            f"matching does not pair up the {n_bot} -> {n_top} boundary points")
 
 
 def matching_matrix(matching, dots, n_bot: int,
                     n_top: int | None = None) -> PolyMatrix:
     """Evaluate a dotted crossingless matching directly by the state-space
-    rules, independently of the word machinery.
+    rules, independently of the word machinery (it reads PRIM_MATRICES only).
 
-    dots: number of dots per arc, aligned with the matching tuple.
+    dots: number of dots per arc, aligned with the matching tuple.  A dot
+    on a cap or cup arc sits at its first listed point.
+
+    Each arc gets one table of (input bits, output bits, value), built once
+    per call from the _packed int forms of cup, cap and dot^d: a cap arc a
+    value for each input bit pair, a cup arc its output bit pairs, a through
+    arc its output bits for each input bit.  Arcs cover disjoint boundary
+    points, so the matrix entries are the products of one value per arc,
+    multiplied as packed int polynomials; each stored entry is turned into
+    a GradedPoly with Fraction coefficients once.
     """
     if n_top is None:
         n_top = n_bot
-    cup = PRIM_MATRICES["cup"]
-    cap = PRIM_MATRICES["cap"]
+    _check_matching(matching, dots, n_bot, n_top)
+    den_cup, cup = _prim_packed("cup")
+    den_cap, cap = _prim_packed("cap")
+    powers = _dot_powers(max(dots, default=0))
+
+    def bit_in(b, i):
+        return b << (n_bot - 1 - i)
+
+    def bit_out(b, j):
+        return b << (n_top - 1 - j)
+
+    den = 1
+    entries = [(0, 0, {0: 1})]  # (column bits, row bits, packed value)
+    for arc, d in zip(matching, dots):
+        (s1, i1), (s2, i2) = arc
+        den_d, dm = powers[d]
+        table: dict = {}
+        if s1 == "b" and s2 == "b":
+            # cap o (dot^d (x) id) on the two input letters
+            den *= den_cap * den_d
+            for b1, col in dm.items():
+                for y, v in col.items():
+                    for b2 in (0, 1):
+                        w = cap.get(2 * y + b2, {}).get(0)
+                        if w:
+                            x = bit_in(b1, i1) | bit_in(b2, i2)
+                            _accumulate(table, (x, 0), _packed_mul(v, w))
+        elif s1 == "t" and s2 == "t":
+            # (dot^d (x) id) o cup on the two output letters
+            den *= den_cup * den_d
+            for y, v in cup.get(0, {}).items():
+                b1, b2 = y >> 1, y & 1
+                for z, w in dm[b1].items():
+                    _accumulate(table, (0, bit_out(z, i1) | bit_out(b2, i2)),
+                                _packed_mul(v, w))
+        else:
+            bi, tj = (i1, i2) if s1 == "b" else (i2, i1)
+            den *= den_d
+            for b, col in dm.items():
+                for y, v in col.items():
+                    _accumulate(table, (bit_in(b, bi), bit_out(y, tj)), v)
+        entries = [(x | xa, y | ya, _packed_mul(p, v))
+                   for (xa, ya), v in _nonzero(table).items()
+                   for x, y, p in entries]
+    cols: dict = {}
+    for x, y, p in entries:
+        cols.setdefault(x, {})[y] = p
     out = PolyMatrix(n_top, n_bot)
-    for x in range(2 ** n_bot):
-        in_bits = [(x >> (n_bot - 1 - i)) & 1 for i in range(n_bot)]
-        dist = [(E_RING.one, {})]  # (coefficient, partial top assignment)
-        for arc, d in zip(matching, dots):
-            dm = _dot_power(d)
-            (s1, i1), (s2, i2) = arc
-            new = []
-            if s1 == "b" and s2 == "b":
-                # pairing: cap o (dot^d (x) id) on the two input letters
-                val = E_RING.zero
-                for y, v in dm.cols.get(in_bits[i1], {}).items():
-                    val = val + v * cap[0, 2 * y + in_bits[i2]]
-                if val.is_zero():
-                    dist = []
-                    break
-                new = [(c * val, a) for c, a in dist]
-            elif s1 == "t" and s2 == "t":
-                # copairing: (dot^d (x) id) o cup distributes over two outputs
-                for y, v in cup.cols.get(0, {}).items():
-                    b1, b2 = (y >> 1) & 1, y & 1
-                    for z, w in dm.cols.get(b1, {}).items():
-                        for c, a in dist:
-                            a2 = dict(a)
-                            a2[i1] = z
-                            a2[i2] = b2
-                            new.append((c * v * w, a2))
-            else:
-                bi = i1 if s1 == "b" else i2
-                tj = i2 if s2 == "t" else i1
-                for y, v in dm.cols.get(in_bits[bi], {}).items():
-                    for c, a in dist:
-                        a2 = dict(a)
-                        a2[tj] = y
-                        new.append((c * v, a2))
-            dist = new
-        for c, a in dist:
-            y = 0
-            for j in range(n_top):
-                y = (y << 1) | a[j]
-            out[y, x] = out[y, x] + c
+    for x, col in cols.items():
+        col = _unpack_column(col, den)
+        if col:
+            out.cols[x] = col
     return out
 
 

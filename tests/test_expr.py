@@ -144,3 +144,62 @@ def test_print_parse_agreement():
     for text in ["jw(2)", "z(2)", "dot|cup", "cap ; cup ; dot|id"]:
         c = parse_expr(text)
         assert _same(parse_expr(print_combo(c)), c)
+
+
+def test_sign_flipping_parser_fails_utilities_roundtrips(monkeypatch):
+    """Negative control for criterion 13: a parser that negates what it
+    reads breaks the print/parse round-trips, and the criterion fails."""
+    from dottedtl import expr, selftest
+
+    real = expr.parse_expr
+    monkeypatch.setattr(expr, "parse_expr", lambda text: -real(text))
+    assert not roundtrip_equal(parse_expr("dot|cup"))
+    assert selftest.criterion_utilities(selftest.DEFAULT_SEED)["ok"] is False
+
+
+def test_normal_forms_run_on_integer_kernels(monkeypatch):
+    """Operation-count gate on the README eval-expr inputs: normalising
+    them (projector combinations rebuilt too) makes no GradedPoly product
+    inside words.matching_matrix and no PolyMatrix sum or scale inside
+    Combo.evaluate."""
+    from dottedtl import expr, words
+    from dottedtl.ring import GradedPoly
+
+    running = []
+    counts = {}
+
+    def tally(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    def entered(name, fn):
+        def wrapped(*args, **kwargs):
+            tally(name)
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+        return wrapped
+
+    def counted(inside, name, fn):
+        def wrapped(*args, **kwargs):
+            if inside in running:
+                tally(f"{name} in {inside}")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(words, "matching_matrix",
+                        entered("matching_matrix", words.matching_matrix))
+    monkeypatch.setattr(Combo, "evaluate", entered("evaluate", Combo.evaluate))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(GradedPoly, name, counted(
+            "matching_matrix", f"GradedPoly.{name}", getattr(GradedPoly, name)))
+    for name in ("__add__", "scale"):
+        monkeypatch.setattr(PolyMatrix, name, counted(
+            "evaluate", f"PolyMatrix.{name}", getattr(PolyMatrix, name)))
+    monkeypatch.setattr(expr, "_jw_combo_cache", {})
+    for text in ("jw(4) ; z(4)", "u(3)"):
+        expr.normalize_combo(parse_expr(text))
+    assert counts.pop("matching_matrix") > 0
+    assert counts.pop("evaluate") > 0
+    assert counts == {}
