@@ -178,6 +178,11 @@ def genfrcomp_closed_form(j: int, m: int, n: int, r: int) -> GradedPoly:
     times the element, with g = 2j + (n-m)/2."""
     if r < 1:
         raise LasagnaError("r must be at least 1")
+    return _closed_form_coefficient(j, m, n, r) * vbasis_element(j, m, n)
+
+
+def _closed_form_coefficient(j: int, m: int, n: int, r: int) -> GradedPoly:
+    """The Q[E1,E2] factor of genfrcomp_closed_form(j, m, n, r)."""
     g = gamma(j, m, n)
     E1, E2 = LASAGNA_RING.gen("E1"), LASAGNA_RING.gen("E2")
     coeff = LASAGNA_RING.zero
@@ -193,7 +198,7 @@ def genfrcomp_closed_form(j: int, m: int, n: int, r: int) -> GradedPoly:
         c = (-1) ** a * desc * rise
         if c:
             coeff = coeff + c * E1 ** k * E2 ** a
-    return coeff * vbasis_element(j, m, n)
+    return coeff
 
 
 def _factorial(a: int) -> int:
@@ -206,7 +211,8 @@ def _factorial(a: int) -> int:
 def closed_form_check(j_max: int = 3, m_max: int = 3, n_max: int = 3,
                       r_max: int = 6) -> bool:
     """Closed formula equals iterated f on the whole grid (exact ring arithmetic,
-    no truncation)."""
+    no truncation).  Each v-basis element is expanded once and multiplied by
+    the closed coefficient of every r."""
     for j in range(j_max + 1):
         for m in range(m_max + 1):
             for n in range(n_max + 1):
@@ -214,7 +220,7 @@ def closed_form_check(j_max: int = 3, m_max: int = 3, n_max: int = 3,
                 fx = x
                 for r in range(1, r_max + 1):
                     fx = LASAGNA_SPEC.apply("f", fx)
-                    if genfrcomp_closed_form(j, m, n, r) != fx:
+                    if _closed_form_coefficient(j, m, n, r) * x != fx:
                         return False
     return True
 
@@ -283,11 +289,38 @@ def block_embedding_check(m: int, n: int) -> bool:
     return hx == want
 
 
+def _twisted_verdict(model: TruncatedModule, w: int) -> tuple:
+    """(claim ok, Zuckerman summand weights) of a weight-w twisted block
+    model, twisted_block(-w/2, w, depth, name): block_claim(w, depth)
+    verified on it, and the weights of its locally finite summands in the
+    order zuckerman finds them.  The model depends on nothing but w, its
+    depth and its name, so every plus block and filtration layer of one
+    weight and depth has the same verdict."""
+    ok = verify_claim(model, block_claim(w, model.depth))["ok"]
+    return ok, tuple(s["lambda"] for s in zuckerman(model)["summands"])
+
+
+def _finite_weights(w: int, depth: int) -> list:
+    """The Zuckerman weights a weight-w block claims to depth: w - 4j >= 0
+    and even, in decreasing order."""
+    return [w - 4 * j for j in range(depth // 4 + 1)
+            if w - 4 * j >= 0 and (w - 4 * j) % 2 == 0]
+
+
 def mplus_decomposition(depth: int = 20, mn_max: int | None = None) -> dict:
-    """Per-block claim verification for the plus part; blocks are the
-    twisted polynomial modules on A1^m v^n."""
+    """Per-block claim verification for the plus part, for m, n <= mn_max
+    (by default min(depth // 2, 12), the range of the locally finite
+    generators that summary_report lists).
+
+    Block (m, n) is the twisted polynomial module on A1^m v^n, of weight
+    w = m - n.  It is verified at depth max(depth, 2w + 4), as a filtration
+    layer is, so that the dual-Verma witness of weight -w-2 (degree 2w + 2)
+    lies inside the truncation.  The block's claim and Zuckerman verdict
+    depend on (m, n) only through w, so each is computed once per weight
+    and read by every block of that weight; no module is kept."""
     if mn_max is None:
-        mn_max = min(depth // 4, 5)
+        mn_max = min(depth // 2, 12)
+    verdicts = {}
     blocks = []
     ok = True
     for m in range(mn_max + 1):
@@ -298,26 +331,22 @@ def mplus_decomposition(depth: int = 20, mn_max: int | None = None) -> dict:
                                "reason": "embedding"})
                 continue
             w = m - n
-            mod = twisted_block(Fraction(n - m, 2), w, depth,
-                                f"block[m={m},n={n}]")
-            rep = verify_claim(mod, block_claim(w, depth))
-            z = zuckerman(mod)
-            expect_z = [
-                {"kind": "L", "lambda": w - 4 * j}
-                for j in range(depth // 4 + 1)
-                if w - 4 * j >= 0 and (w - 4 * j) % 2 == 0
-            ]
-            zok = sorted(
-                (s["lambda"] for s in z["summands"]), reverse=True
-            ) == sorted((s["lambda"] for s in expect_z), reverse=True)
-            ok = ok and rep["ok"] and zok
+            block_depth = max(depth, 2 * w + 4)
+            key = (w, block_depth)
+            if key not in verdicts:
+                verdicts[key] = _twisted_verdict(
+                    twisted_block(Fraction(-w, 2), w, block_depth,
+                                  f"block[m={m},n={n}]"), w)
+            claim_ok, lams = verdicts[key]
+            zok = sorted(lams, reverse=True) == _finite_weights(w, block_depth)
+            ok = ok and claim_ok and zok
             blocks.append({
-                "m": m, "n": n, "weight": w,
-                "status": "pass" if rep["ok"] and zok else "fail",
-                "zuckerman": z["summands"],
+                "m": m, "n": n, "weight": w, "depth": block_depth,
+                "status": "pass" if claim_ok and zok else "fail",
+                "zuckerman": [{"kind": "L", "lambda": lam} for lam in lams],
             })
     return {"depth": depth, "ok": ok, "blocks": blocks,
-            "caveat": f"blockwise, certified to depth {depth}"}
+            "caveat": f"blockwise, certified to depth {depth} or more"}
 
 
 # -- minus part -------------------------------------------------------------
@@ -376,24 +405,33 @@ def filtration_quotient(ell: int, r: int, depth: int = 20) -> dict:
     weight 2r - ell, verified against the minus-block action and against the
     claimed Verma/dual-Verma stack."""
     blk = minus_block(ell, depth) if strictness(ell, r, depth) else None
-    return _layer_report(blk, ell, r, depth)
+    return _layer_report(blk, ell, r, depth, {})
 
 
 def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
-                  depth: int) -> dict:
+                  depth: int, verdicts: dict) -> dict:
     """filtration_quotient(ell, r, depth) on a given minus_block(ell, depth);
-    blk is read only when the layer is strict."""
+    blk is read only when the layer is strict.
+
+    The layer's model is twisted_block(-w/2, w, model_depth) with
+    w = 2r - ell.  Its claim and Zuckerman verdict come from ``verdicts``,
+    keyed by (w, model_depth), and are computed and stored there when
+    missing.  The model is built only when the verdict is missing or the
+    layer is strict, where its action is compared with the block's."""
     if r < 0:
         raise LasagnaError("r must be non-negative")
     w = 2 * r - ell
     # the dual-Verma witness of weight -w-2 sits at degree 2w+2
     model_depth = max(depth, 2 * w + 4)
-    model = twisted_block(Fraction(ell - 2 * r, 2), w, model_depth,
-                          f"layer[ell={ell},r={r}]")
+    key = (w, model_depth)
     report = {
         "ell": ell, "r": r, "weight": w, "depth": depth,
         "strict": strictness(ell, r, depth), "checks": [], "ok": True,
     }
+    model = None
+    if report["strict"] or key not in verdicts:
+        model = twisted_block(Fraction(-w, 2), w, model_depth,
+                              f"layer[ell={ell},r={r}]")
 
     def record(name, ok):
         report["checks"].append({"check": name,
@@ -422,13 +460,12 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
                 if proj != model.apply(g, {(a, b): Fraction(1)}):
                     agree = False
         record("layer action matches twisted model", agree)
-    rep = verify_claim(model, block_claim(w, model_depth))
-    record("layer decomposition claim", rep["ok"])
-    z = zuckerman(model)
-    expect = [w - 4 * j for j in range(model_depth // 4 + 1)
-              if w - 4 * j >= 0 and (w - 4 * j) % 2 == 0]
+    if key not in verdicts:
+        verdicts[key] = _twisted_verdict(model, w)
+    claim_ok, lams = verdicts[key]
+    record("layer decomposition claim", claim_ok)
     record("layer Zuckerman part",
-           sorted((s["lambda"] for s in z["summands"]), reverse=True) == expect)
+           sorted(lams, reverse=True) == _finite_weights(w, model_depth))
     return report
 
 
@@ -442,13 +479,17 @@ def minus_side_checks(depth: int = 20) -> tuple:
     (ell, r), r = 0..4, and the Zuckerman check of each minus block.  The
     same verdicts as filtration_quotient over that grid, but
     minus_block(ell, depth) is built once per ell and dropped before the
-    next one is built."""
+    next one is built, and the layer models' claim and Zuckerman verdicts
+    are computed once per (weight, model depth): the 25 layers have 13
+    weights."""
     layers_ok = True
     finite_free = True
+    verdicts = {}
     for ell in range(-2, 3):
         blk = minus_block(ell, depth)
         for r in range(5):
-            layers_ok = _layer_report(blk, ell, r, depth)["ok"] and layers_ok
+            layers_ok = (_layer_report(blk, ell, r, depth, verdicts)["ok"]
+                         and layers_ok)
         finite_free = finite_free and not zuckerman(blk)["summands"]
         del blk
     return layers_ok, finite_free
@@ -478,11 +519,14 @@ def summary_report(depth: int = 20) -> dict:
     """Eight certified claims on the ball and disk-sphere modules, each to
     filtration depth ``depth`` (the ball to at least 40).
 
-    The minus side runs through minus_side_checks, which builds each minus
-    block once for its five filtration layers and its Zuckerman check.  The
-    last claim lists the locally finite generators (m, n, j) with
-    m + n + 4j <= min(depth // 2, 12); ``detail.checked`` counts those
-    compared with a computed plus block, i.e. with m, n <= min(depth // 4, 5).
+    The plus side runs through mplus_decomposition, and the minus side
+    through minus_side_checks, which builds each minus block once for its
+    five filtration layers and its Zuckerman check; each verifies one
+    twisted model per weight and depth.  The last claim lists the locally
+    finite generators (m, n, j) with m + n + 4j <= min(depth // 2, 12);
+    ``detail.checked`` counts those compared with a computed plus block.
+    The plus blocks cover m, n <= min(depth // 2, 12), so every listed
+    generator is checked.
     """
     if depth < 6:
         raise LasagnaError("depth must be at least 6")

@@ -58,19 +58,21 @@ class TruncatedModule:
     def _build_action(self):
         """e/f/h tables from the spec's monomial kernel, one dict per basis
         key; the twist adds a*x^(k+E1) to f(x^k) and shift*x^k to h(x^k) in
-        the same dict.  An image term outside the basis is dropped from the
-        table and the key is recorded in ``boundary_loss``."""
+        the same dict.  Derivation runs on the int coefficient 1, so an image
+        coefficient stays an int unless the spec or the twist has a proper
+        fraction, and each stored entry becomes a Fraction once.  An image
+        term outside the basis is dropped from the table and the key is
+        recorded in ``boundary_loss``."""
         derive = self.spec.derive_monomial
         index = self.index
-        one = Fraction(1)
         a = Fraction(self.twist.a) if self.twist else 0
-        shift = Fraction(self.twist.shift) if self.twist else 0
+        shift = self.twist.shift if self.twist else 0
         e1 = self.ring.index[E1_NAME] if a else None
         for g in GENERATORS:
             table = {}
             loss = self.boundary_loss[g]
             for k in self.basis:
-                img = derive(g, k, one, {})
+                img = derive(g, k, 1, {})
                 if g == "f" and a:
                     add_term(img, k[:e1] + (k[e1] + 1,) + k[e1 + 1:], a)
                 elif g == "h" and shift:
@@ -78,7 +80,7 @@ class TruncatedModule:
                 col = {}
                 for ke, c in img.items():
                     if ke in index:
-                        col[ke] = c
+                        col[ke] = c if type(c) is Fraction else Fraction(c)
                     else:
                         loss.add(k)
                 if col:
@@ -96,7 +98,7 @@ class TruncatedModule:
         table = self.action[g]
         for k, c in vec.items():
             for k2, a in table.get(k, {}).items():
-                s = out.get(k2, Fraction(0)) + c * a
+                s = out.get(k2, 0) + c * a
                 if s:
                     out[k2] = s
                 else:

@@ -57,7 +57,9 @@ class Sl2ActionSpec:
 
     def _derivation_shifts(self, images) -> tuple:
         """(i, ((shift, coeff), ...)) for each generator i with a nonzero
-        image; shift is the image term's exponent minus unit_i."""
+        image; shift is the image term's exponent minus unit_i, and an
+        integral coeff is stored as an int, so deriving an int coefficient
+        stays on ints wherever the images allow it."""
         ring = self.ring
         out = []
         for i, name in enumerate(ring.names):
@@ -71,7 +73,8 @@ class Sl2ActionSpec:
                     )
                 shift = list(exp)
                 shift[i] -= 1
-                terms.append((tuple(shift), c))
+                terms.append((tuple(shift),
+                              int(c) if c.denominator == 1 else c))
             if terms:
                 out.append((i, tuple(terms)))
         return tuple(out)

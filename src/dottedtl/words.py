@@ -496,6 +496,19 @@ def _check_matching(matching, dots, n_bot: int, n_top: int):
             or len(points) != len(boundary) or set(points) != boundary:
         raise WordError(
             f"matching does not pair up the {n_bot} -> {n_top} boundary points")
+    # planar iff the arcs nest in the circular order of noncrossing_matchings
+    # (bottom left to right, then top right to left)
+    pos = {("b", i): i for i in range(n_bot)}
+    pos.update({("t", j): n_bot + n_top - 1 - j for j in range(n_top)})
+    partner = {}
+    for p, q in matching:
+        partner[pos[p]], partner[pos[q]] = pos[q], pos[p]
+    open_arcs = []
+    for x in range(n_bot + n_top):
+        if partner[x] > x:
+            open_arcs.append(x)
+        elif open_arcs.pop() != partner[x]:
+            raise WordError("matching is not planar")
 
 
 def matching_matrix(matching, dots, n_bot: int,
@@ -583,9 +596,11 @@ def dotted_spanning_set(n_bot: int, n_top: int | None = None):
 def matching_to_word(matching, dots, n_bot: int,
                      n_top: int | None = None) -> Word:
     """A word (caps, then dots on through strands, then cups) evaluating to
-    the given dotted crossingless matching."""
+    the given dotted crossingless matching.  The matching is validated as
+    in matching_matrix, so a non-planar one raises WordError."""
     if n_top is None:
         n_top = n_bot
+    _check_matching(matching, dots, n_bot, n_top)
     bottom: dict = {}
     top: dict = {}
     through = []
@@ -617,8 +632,6 @@ def matching_to_word(matching, dots, n_bot: int,
                               ("id",) * (len(cur) - 2 - k))
                 del cur[k:k + 2]
                 break
-        else:
-            raise WordError("matching is not planar")
     # dots on through strands (order preserved by planarity)
     through.sort()
     for k, (_, _, d) in enumerate(through):
@@ -636,8 +649,6 @@ def matching_to_word(matching, dots, n_bot: int,
                 flipped.append((k, len(fcur), d))
                 del fcur[k:k + 2]
                 break
-        else:
-            raise WordError("matching is not planar")
     for k, width, d in reversed(flipped):
         slices.append(("id",) * k + ("cup",) + ("id",) * (width - 2 - k))
         for _ in range(d):

@@ -101,15 +101,15 @@ def test_summary_report():
     assert rep["ok"], rep
     assert rep["depth"] == 12
     assert all(c["status"] == "pass" for c in rep["claims"])
-    # only generators inside a computed plus block (m, n <= 12 // 4) are
-    # compared; the last claim says how many
+    # the plus blocks cover m, n <= 12 // 2, so every listed generator is
+    # compared with one; the last claim says how many
     listed = [
         (m, n, j) for m in range(7) for n in range(7) for j in range(4)
         if m - n - 4 * j >= 0 and (m - n) % 2 == 0 and m + n + 4 * j <= 6
     ]
     detail = _finite_part_claim(rep)["detail"]
-    assert detail["generators"] == len(listed)
-    assert detail["checked"] == sum(m <= 3 and n <= 3 for m, n, _ in listed)
+    assert detail == {"generators": len(listed), "checked": len(listed)}
+    assert len(listed) == 10
 
 
 def test_laurent_ring_consistency():
@@ -154,12 +154,31 @@ def test_summary_depth_checked_first(monkeypatch):
 
 
 def test_finite_part_counts_checked_generators():
-    """At depth 40, 14 of the 34 listed generators lie in a computed plus
-    block (m, n <= 5)."""
+    """At depth 40, all 34 listed generators lie in a computed plus block
+    (m, n <= 12)."""
     rep40 = lasagna.summary_report(40)
+    assert rep40["ok"], rep40
     assert len(rep40["claims"]) == 8
     assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
-                                                   "checked": 14}
+                                                   "checked": 34}
+
+
+def test_finite_part_checks_every_generator_at_depth_20():
+    rep20 = lasagna.summary_report(20)
+    assert rep20["ok"], rep20
+    assert _finite_part_claim(rep20)["detail"] == {"generators": 24,
+                                                   "checked": 24}
+
+
+def test_high_weight_block_is_verified_past_the_summary_depth():
+    """Block (10, 0) has weight 10: its dual-Verma witness of weight -12
+    sits at degree 22, so it is verified at depth 2 * 10 + 4 = 24."""
+    rep = lasagna.mplus_decomposition(20)
+    assert rep["ok"], rep
+    block = next(b for b in rep["blocks"] if (b["m"], b["n"]) == (10, 0))
+    assert block["status"] == "pass"
+    assert block["depth"] == 24
+    assert [s["lambda"] for s in block["zuckerman"]] == [10, 6, 2]
 
 
 def test_summary_builds_one_minus_block_per_ell(monkeypatch):
@@ -189,3 +208,132 @@ def test_summary_builds_one_minus_block_per_ell(monkeypatch):
     minus = [b for b in built if b[0].startswith("minus[")]
     assert sorted(minus) == sorted((f"minus[{ell}]", 12)
                                    for ell in range(-2, 3))
+
+
+def test_summary_verifies_one_twisted_model_per_weight_and_depth(monkeypatch):
+    """Operation-count gate: inside mplus_decomposition, and again inside
+    minus_side_checks, summary_report verifies one twisted model per
+    distinct (weight, depth)."""
+    verified = {}
+    phase = []
+    verify = lasagna.verify_claim
+
+    def counted(m, claim, depth=None):
+        if m.twist is not None:
+            verified.setdefault(phase[-1] if phase else None, []).append(
+                (m.twist.shift, m.depth))
+        return verify(m, claim, depth)
+
+    def inside(name):
+        fn = getattr(lasagna, name)
+
+        def wrapped(*args):
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+        return wrapped
+
+    monkeypatch.setattr(lasagna, "verify_claim", counted)
+    for name in ("mplus_decomposition", "minus_side_checks"):
+        monkeypatch.setattr(lasagna, name, inside(name))
+    assert lasagna.summary_report(12)["ok"]
+    plus = {(m - n, max(12, 2 * (m - n) + 4))
+            for m in range(7) for n in range(7)}
+    layers = {(2 * r - ell, max(12, 2 * (2 * r - ell) + 4))
+              for ell in range(-2, 3) for r in range(5)}
+    assert sorted(verified) == ["minus_side_checks", "mplus_decomposition"]
+    assert sorted(verified["mplus_decomposition"]) == sorted(plus)
+    assert sorted(verified["minus_side_checks"]) == sorted(layers)
+
+
+def _wrong_claim_at_weight_2(real):
+    """block_claim with the dual Verma Mdual(2) of weight 2 claimed as a
+    Verma module; every other weight is claimed correctly."""
+    def claim(w, depth):
+        out = real(w, depth)
+        if w == 2:
+            assert out.parts[0].kind == "Mdual"
+            out.parts[0].kind = "M"
+        return out
+    return claim
+
+
+def test_shared_verdict_fails_every_block_of_its_weight(monkeypatch):
+    """A verdict shared by the blocks of one weight hides no failure: a wrong
+    weight-2 claim fails exactly the blocks with m - n = 2."""
+    monkeypatch.setattr(lasagna, "block_claim",
+                        _wrong_claim_at_weight_2(lasagna.block_claim))
+    rep = lasagna.mplus_decomposition(20)
+    failed = {(b["m"], b["n"]) for b in rep["blocks"]
+              if b["status"] == "fail"}
+    assert failed == {(m, m - 2) for m in range(2, 11)}
+    assert not rep["ok"]
+
+
+def test_shared_verdict_fails_every_layer_of_its_weight(monkeypatch):
+    monkeypatch.setattr(lasagna, "block_claim",
+                        _wrong_claim_at_weight_2(lasagna.block_claim))
+    verdicts = {}
+    failed = []
+    for ell in range(-2, 3):
+        blk = lasagna.minus_block(ell, 20)
+        for r in range(5):
+            if not lasagna._layer_report(blk, ell, r, 20, verdicts)["ok"]:
+                failed.append((ell, r))
+    assert failed == [(-2, 0), (0, 1), (2, 2)]
+
+
+def test_wrong_weight_2_claim_fails_plus_and_layer_claims(monkeypatch):
+    monkeypatch.setattr(lasagna, "block_claim",
+                        _wrong_claim_at_weight_2(lasagna.block_claim))
+    rep = lasagna.summary_report(20)
+    failed = [c["claim"] for c in rep["claims"] if c["status"] == "fail"]
+    assert failed == [
+        "plus part splits blockwise into Verma/dual-Verma stacks",
+        "minus filtration layers are twisted polynomial modules",
+    ]
+
+
+# -- negative controls for criteria 8 and 11 ------------------------------------
+
+def test_wrong_summand_kind_fails_the_ball_criterion(monkeypatch):
+    """With M(-4) claimed as a dual Verma module, criterion 8 fails."""
+    from dottedtl import selftest
+
+    real = lasagna.b4_claim
+
+    def wrong(depth=40):
+        claim = real(depth)
+        assert (claim.parts[1].kind, claim.parts[1].lam) == ("M", -4)
+        claim.parts[1].kind = "Mdual"
+        return claim
+
+    assert selftest.criterion_ball()["ok"] is True
+    monkeypatch.setattr(lasagna, "b4_claim", wrong)
+    assert selftest.criterion_ball()["ok"] is False
+
+
+def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
+    """One doubled f-table entry of minus_block(0, 20), in the strict layer
+    (ell, r) = (0, 1), fails criterion 11 through its layer check."""
+    from dottedtl import selftest
+
+    real = lasagna.minus_block
+    k = lasagna._lkey(m=1, i=-1)           # A1 A0^-1
+    k2 = lasagna._lkey(a=1, m=1, i=-1)     # E1 A1 A0^-1
+
+    def perturbed(ell, depth=20):
+        blk = real(ell, depth)
+        if (ell, depth) == (0, 20):
+            col = blk.action["f"][k]
+            assert col[k2] == -1
+            col[k2] *= 2
+        return blk
+
+    monkeypatch.setattr(lasagna, "minus_block", perturbed)
+    rep = selftest.criterion_minus_part()
+    assert rep["split"] is True
+    assert rep["layers"] is False
+    assert rep["ok"] is False

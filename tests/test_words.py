@@ -176,6 +176,44 @@ def test_matching_matrix_rejects_negative_dots():
         matching_matrix(CUP_CAP, (0, -1), 2, 2)
 
 
+CROSSING = ((("b", 0), ("t", 1)), (("b", 1), ("t", 0)))  # through strands cross
+
+
+def test_matching_matrix_rejects_crossing_through_strands():
+    with pytest.raises(WordError, match="not planar"):
+        matching_matrix(CROSSING, (0, 0), 2, 2)
+
+
+def test_matching_to_word_rejects_crossing_through_strands():
+    with pytest.raises(WordError, match="not planar"):
+        matching_to_word(CROSSING, (0, 0), 2, 2)
+
+
+def _perfect_matchings(points):
+    if not points:
+        return [[]]
+    first, rest = points[0], points[1:]
+    return [[(first, q)] + m for i, q in enumerate(rest)
+            for m in _perfect_matchings(rest[:i] + rest[i + 1:])]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 0), (3, 3), (4, 2)])
+def test_exactly_the_noncrossing_matchings_are_accepted(shape):
+    nb, nt = shape
+    points = [("b", i) for i in range(nb)] + [("t", j) for j in range(nt)]
+    planar = {frozenset(m) for m in noncrossing_matchings(nb, nt)}
+    for m in _perfect_matchings(points):
+        dots = (0,) * len(m)
+        if frozenset(m) in planar:
+            assert evaluate_word(matching_to_word(m, dots, nb, nt)) \
+                == matching_matrix(m, dots, nb, nt)
+        else:
+            with pytest.raises(WordError, match="not planar"):
+                matching_matrix(m, dots, nb, nt)
+            with pytest.raises(WordError, match="not planar"):
+                matching_to_word(m, dots, nb, nt)
+
+
 # -- matching_matrix against the state-propagation oracle ---------------------
 
 def _dot_power(d):
