@@ -149,8 +149,11 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 
     The dotted cup is side-independent in the matrix model, so a single
     dot carries the construction; certification pins the eigen-equations.
-    The matrix is built once per process and certified once per
-    parameter pair."""
+    The right-hand p_n is absorbed: by the interchange law
+    (id^n (x) cup) o p_n = (p_n (x) id^2) o (id^n (x) cup), and
+    p_{n+2} o (p_n (x) id^2) = p_{n+2}, so U_n is the one product
+    p_{n+2} o (id^n (x) dotted cup).  The matrix is built once per process
+    and certified once per parameter pair."""
     if n < 0:
         raise ProjectorError("n must be non-negative")
     if params.a1 != 0:
@@ -158,7 +161,7 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 
     def build():
         cup = evaluate_word(Word((("cup",), ("dot", "id"))))
-        return jw(n + 2) * PolyMatrix.identity(n).tensor(cup) * jw(n)
+        return jw(n + 2) * PolyMatrix.identity(n).tensor(cup)
 
     a2 = params.a2
     return _certified("u", n, params, build, (1 - a2) * E1, 2 * a2 - 2)
@@ -167,7 +170,10 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """D_n = n(n-1) * p_{n-2} o (id^(n-2) (x) dotted cap) o p_n, certified
     at params; built once per process and certified once per parameter
-    pair, like U_n."""
+    pair, like U_n.  The left-hand p_{n-2} is absorbed, as in U_n:
+    p_{n-2} o (id^(n-2) (x) cap) = (id^(n-2) (x) cap) o (p_{n-2} (x) id^2)
+    and (p_{n-2} (x) id^2) o p_n = p_n, so D_n is
+    n(n-1) * (id^(n-2) (x) dotted cap) o p_n, one product."""
     if n < 2:
         raise ProjectorError("D_n needs n >= 2")
     if params.a1 != 0:
@@ -176,7 +182,7 @@ def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     def build():
         cap = evaluate_word(Word((("dot", "id"), ("cap",))))
         mid = PolyMatrix.identity(n - 2).tensor(cap)
-        return (jw(n - 2) * mid * jw(n)).scale(Fraction(n * (n - 1)))
+        return (mid * jw(n)).scale(n * (n - 1))
 
     a2 = params.a2
     return _certified("d", n, params, build, (1 + a2) * E1, -2 * a2 - 2)
@@ -199,7 +205,10 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
     """The five relations among U, D, z inside the projector category.
 
     The first three hold after setting E1 = E2 = 0; the z-intertwinings are
-    exact identities.  n_max must lie in 0..JW_TRACKED_BOUND.
+    exact identities.  Setting E1 = E2 = 0 is a ring homomorphism, so the
+    reduced relations multiply the reduced factors: _mod_EE(D U) =
+    _mod_EE(D) _mod_EE(U), and the reduced z_n and its square are built
+    once per n.  n_max must lie in 0..JW_TRACKED_BOUND.
     """
     if not 0 <= n_max <= JW_TRACKED_BOUND:
         raise ProjectorError(
@@ -211,24 +220,25 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
 
     for n in range(n_max + 1):
         z = zn_matrix(n, params)
+        zmod = _mod_EE(z)
+        minus_z2 = -(zmod * zmod)
         if n + 4 <= JW_TRACKED_BOUND:
             u = un(n, params)
             d = dn(n + 2, params)
-            lhs = _mod_EE(d.mat * u.mat)
-            record(f"D_{n+2}U_{n} = -z_{n}^2 mod (E1,E2)", lhs == -_mod_EE(z * z))
+            lhs = _mod_EE(d.mat) * _mod_EE(u.mat)
+            record(f"D_{n+2}U_{n} = -z_{n}^2 mod (E1,E2)", lhs == minus_z2)
             z2 = zn_matrix(n + 2, params)
             record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d.mat == d.mat * z2)
         if n >= 2:
             u = un(n - 2, params)
             d = dn(n, params)
-            lhs = _mod_EE(u.mat * d.mat)
-            record(f"U_{n-2}D_{n} = -z_{n}^2 mod (E1,E2)", lhs == -_mod_EE(z * z))
+            lhs = _mod_EE(u.mat) * _mod_EE(d.mat)
+            record(f"U_{n-2}D_{n} = -z_{n}^2 mod (E1,E2)", lhs == minus_z2)
             zp = zn_matrix(n - 2, params)
             record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u.mat == u.mat * zp)
-        zmod = _mod_EE(z)
         zpow = _mod_EE(jw(n, params))
         for _ in range(n + 1):
-            zpow = _mod_EE(zpow * zmod)
+            zpow = zpow * zmod
         record(f"z_{n}^{n+1} = 0 mod (E1,E2)", zpow.is_zero())
     ok = all(c["status"] == "pass" for c in checks)
     return {"n_max": n_max, "ok": ok, "checks": checks}

@@ -7,12 +7,16 @@ the base ring are the semantic values of diagrams and the equality oracle.
 Basis convention: words over {A1, A0}, A1 < A0, lexicographic; index bit 0 is
 A1 and bit 1 is A0, with the first strand in the most significant position.
 
-PolyMatrix entries are GradedPoly values with canonical Fraction
-coefficients.  The product kernel reads each operand once into an integer
-form (one common denominator per matrix, int numerators, each exponent pair
-(e1, e2) packed into the int e1 << 32 | e2), accumulates in ints and
-normalises each output coefficient once.  Packed keys add like exponent
-pairs because E1 and E2 are not invertible, so no exponent is negative.
+A PolyMatrix is stored in packed integer form: one common denominator den
+and a table {col: {row: {e1 << 32 | e2: int numerator}}}, each exponent pair
+(e1, e2) packed into one int key.  Packed keys add like exponent pairs
+because E1 and E2 are not invertible, so no exponent is negative.  The
+table is canonical: no zero numerator, no empty entry or column, and
+gcd(den, every numerator) = 1, so equal matrices have equal (den, table).
+Every kernel (product, tensor, sums, scaling, the sl2 action) reads and
+writes tables and ends in one normalisation, from_packed.  GradedPoly
+entries with Fraction coefficients are built only at the API boundary:
+m[i, j], entries() and cols.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ E2 = E_RING.gen("E2")
 
 A1, A0 = 0, 1  # bit values of the two basis letters
 
-# packed exponent keys of the product kernel: e1 << _EXP_BITS | e2
+# packed exponent keys: e1 << _EXP_BITS | e2
 _EXP_BITS = 32
 _EXP_MASK = (1 << _EXP_BITS) - 1
+_E1_KEY = 1 << _EXP_BITS  # packed key of E1
 
 
 def basis_weight(index: int, n: int) -> int:
@@ -45,25 +50,82 @@ def basis_qdegree(index: int, n: int) -> int:
     return -basis_weight(index, n)
 
 
-def _pack_poly(poly: GradedPoly):
-    """A polynomial in packed form: (den, [(e1 << 32 | e2, numerator)]),
-    den the lcm of its coefficients' denominators, numerators ints."""
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    return den, [((e1 << _EXP_BITS) | e2, c.numerator * (den // c.denominator))
-                 for (e1, e2), c in poly.terms.items()]
+def _pack_poly(poly: GradedPoly, den: int | None = None):
+    """A polynomial in packed form: (den, {e1 << 32 | e2: numerator}) with
+    int numerators.  den defaults to the lcm of the coefficients'
+    denominators; a given den must be a multiple of each of them."""
+    if den is None:
+        den = lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {(e1 << _EXP_BITS) | e2: c.numerator * (den // c.denominator)
+                 for (e1, e2), c in poly.terms.items()}
 
 
-def _unpack_column(acc: dict, den: int) -> dict:
-    """{row: {packed exponent: int numerator over den}} as a matrix column
-    of GradedPoly entries, each coefficient normalised once; zero
-    coefficients and zero entries are dropped."""
+def _unpack_poly(terms: dict, den: int) -> GradedPoly:
+    """The GradedPoly of packed terms over den."""
+    return GradedPoly(E_RING, {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, den)
+                               for e, c in terms.items()})
+
+
+def _pack_cols(cols: dict):
+    """(den, table) of a {col: {row: GradedPoly}} dict; zero entries and
+    empty columns are skipped.  den is the lcm of every coefficient's
+    denominator, so gcd(den, every numerator) = 1."""
+    den = 1
+    for col in cols.values():
+        for v in col.values():
+            for c in v.terms.values():
+                d = c.denominator
+                if den % d:
+                    den = lcm(den, d)
+    table = {}
+    for j, col in cols.items():
+        tcol = {}
+        for i, v in col.items():
+            if v.terms:
+                tcol[i] = _pack_poly(v, den)[1]
+        if tcol:
+            table[j] = tcol
+    return den, table
+
+
+def _packed_mul(p: dict, q: dict) -> dict:
+    """Product of two packed polynomials {e1 << 32 | e2: int numerator}."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _strip(acc: dict, content: int):
+    """An accumulated column {row: {key: numerator}} without zero numerators
+    or empty entries, and gcd(content, its numerators)."""
     col = {}
-    for i, tacc in acc.items():
-        terms = {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, den)
-                 for e, c in tacc.items() if c}
-        if terms:
-            col[i] = GradedPoly(E_RING, terms)
-    return col
+    for i, t in acc.items():
+        if not t or 0 in t.values():
+            t = {e: c for e, c in t.items() if c}
+            if not t:
+                continue
+        col[i] = t
+        if content != 1:
+            content = gcd(content, *t.values())
+    return col, content
+
+
+def _canonical(n_out: int, n_in: int, den: int, table: dict,
+               content: int) -> "PolyMatrix":
+    """The matrix of a table over den with no zero numerator and no empty
+    entry or column, content = gcd(den, every numerator) divided out."""
+    if content != 1:
+        den //= content
+        table = {j: {i: {e: c // content for e, c in t.items()}
+                     for i, t in col.items()}
+                 for j, col in table.items()}
+    m = PolyMatrix.__new__(PolyMatrix)
+    m.n_out, m.n_in = n_out, n_in
+    m._den, m._table, m._cols = den, table, None
+    return m
 
 
 class PolyMatrix:
@@ -71,18 +133,60 @@ class PolyMatrix:
 
     Shape is recorded in strand counts: a map V_{n_in} -> V_{n_out} has
     2^{n_out} rows and 2^{n_in} columns.  Entries are stored column-major
-    (cols[j][i]) and zero entries are never stored.
+    in the canonical packed table of the module docstring; tables are never
+    changed once built, so matrices may share them.
+
+    cols is the public, mutable {col: {row: GradedPoly}} view.  Reading it
+    builds that dict once and makes it the matrix's storage: the table is
+    dropped, because the caller may change the dict, and _packed() packs
+    the dict again on each call.
     """
 
-    __slots__ = ("n_out", "n_in", "cols")
+    __slots__ = ("n_out", "n_in", "_den", "_table", "_cols")
 
     def __init__(self, n_out: int, n_in: int, entries=None):
         self.n_out = n_out
         self.n_in = n_in
-        self.cols: dict = {}
+        self._cols = None
+        cols: dict = {}
         if entries:
             for (i, j), v in entries.items():
-                self[i, j] = v
+                v = E_RING.coerce(v)
+                if v.terms:
+                    cols.setdefault(j, {})[i] = v
+        self._den, self._table = _pack_cols(cols)
+
+    @classmethod
+    def from_packed(cls, n_out: int, n_in: int, den: int,
+                    acc: dict) -> "PolyMatrix":
+        """The matrix with entries acc[col][row] = {e1 << 32 | e2: int
+        numerator} over the positive int den.  Zero numerators, empty
+        entries and empty columns are dropped and the content is divided
+        out: the one normalisation every kernel ends in.  The dicts of acc
+        may become the matrix's table, so the caller must not change them
+        afterwards."""
+        table = {}
+        content = den
+        for j, col in acc.items():
+            col, content = _strip(col, content)
+            if col:
+                table[j] = col
+        return _canonical(n_out, n_in, den, table, content)
+
+    def _packed(self):
+        """(den, table): the stored table, or the cols dict packed afresh."""
+        if self._table is not None:
+            return self._den, self._table
+        return _pack_cols(self._cols)
+
+    @property
+    def cols(self) -> dict:
+        if self._cols is None:
+            den = self._den
+            self._cols = {j: {i: _unpack_poly(t, den) for i, t in col.items()}
+                          for j, col in self._table.items()}
+            self._table = None
+        return self._cols
 
     @property
     def nrows(self):
@@ -95,128 +199,114 @@ class PolyMatrix:
     def __setitem__(self, key, value):
         i, j = key
         v = E_RING.coerce(value)
-        col = self.cols.setdefault(j, {})
+        cols = self.cols
+        col = cols.setdefault(j, {})
         if v.is_zero():
             col.pop(i, None)
             if not col:
-                del self.cols[j]
+                del cols[j]
         else:
             col[i] = v
 
     def __getitem__(self, key):
         i, j = key
-        return self.cols.get(j, {}).get(i, E_RING.zero)
+        if self._table is None:
+            return self._cols.get(j, {}).get(i, E_RING.zero)
+        t = self._table.get(j, {}).get(i)
+        return E_RING.zero if t is None else _unpack_poly(t, self._den)
 
     def entries(self):
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                yield (i, j), v
+        if self._table is None:
+            for j, col in self._cols.items():
+                for i, v in col.items():
+                    yield (i, j), v
+            return
+        den = self._den
+        for j, col in self._table.items():
+            for i, t in col.items():
+                yield (i, j), _unpack_poly(t, den)
 
     def nnz(self):
-        return sum(len(col) for col in self.cols.values())
+        return sum(len(col) for col in self._packed()[1].values())
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        m = cls(n, n)
-        one = E_RING.one
-        for i in range(2 ** n):
-            m.cols[i] = {i: one}
-        return m
+        one = {0: 1}
+        return _canonical(n, n, 1, {i: {i: one} for i in range(2 ** n)}, 1)
 
     @classmethod
     def zero(cls, n_out: int, n_in: int) -> "PolyMatrix":
         return cls(n_out, n_in)
 
     def copy(self) -> "PolyMatrix":
-        m = PolyMatrix(self.n_out, self.n_in)
-        m.cols = {j: dict(col) for j, col in self.cols.items()}
-        return m
+        den, table = self._packed()
+        return _canonical(self.n_out, self.n_in, den, table, 1)
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _combine(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
+        """self + sign * other over the lcm of the two denominators."""
         if (self.n_out, self.n_in) != (other.n_out, other.n_in):
             raise ValueError("shape mismatch")
-        m = self.copy()
-        for j, col in other.cols.items():
-            mc = m.cols.setdefault(j, {})
-            for i, v in col.items():
-                s = mc.get(i, E_RING.zero) + v
-                if s.is_zero():
-                    mc.pop(i, None)
+        da, ta = self._packed()
+        db, tb = other._packed()
+        den = lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        acc = {j: {i: {e: c * ma for e, c in t.items()}
+                   for i, t in col.items()}
+               for j, col in ta.items()}
+        for j, col in tb.items():
+            acc_j = acc.setdefault(j, {})
+            for i, t in col.items():
+                tacc = acc_j.get(i)
+                if tacc is None:
+                    acc_j[i] = {e: c * mb for e, c in t.items()}
                 else:
-                    mc[i] = s
-            if not mc:
-                del m.cols[j]
-        return m
+                    for e, c in t.items():
+                        tacc[e] = tacc.get(e, 0) + c * mb
+        return PolyMatrix.from_packed(self.n_out, self.n_in, den, acc)
 
-    def __neg__(self) -> "PolyMatrix":
-        m = PolyMatrix(self.n_out, self.n_in)
-        m.cols = {j: {i: -v for i, v in col.items()} for j, col in self.cols.items()}
-        return m
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "PolyMatrix":
+        den, table = self._packed()
+        return _canonical(self.n_out, self.n_in, den,
+                          {j: {i: {e: -c for e, c in t.items()}
+                               for i, t in col.items()}
+                           for j, col in table.items()}, 1)
 
     def scale(self, c) -> "PolyMatrix":
-        c = E_RING.coerce(c)
-        m = PolyMatrix(self.n_out, self.n_in)
-        if c.is_zero():
-            return m
-        if len(c.terms) > 1:
-            m.cols = {j: {i: v * c for i, v in col.items()}
-                      for j, col in self.cols.items()}
-            return m
-        # a monomial c = x * E1^s1 E2^s2 shifts exponents and scales by x
-        ((s1, s2), x), = c.terms.items()
-        m.cols = {
-            j: {i: GradedPoly(E_RING, {(e1 + s1, e2 + s2): y * x
-                                       for (e1, e2), y in v.terms.items()})
-                for i, v in col.items()}
-            for j, col in self.cols.items()
-        }
-        return m
-
-    def _packed(self):
-        """The matrix over one common denominator, for the product kernel.
-
-        Returns (den, cols) with cols[j][i] a list of (key, numerator) pairs:
-        den is the lcm of every coefficient's denominator, each numerator is
-        an int over den, and each exponent pair (e1, e2) is packed into the
-        int key e1 << 32 | e2.
-        """
-        den = 1
-        for col in self.cols.values():
-            for v in col.values():
-                for c in v.terms.values():
-                    d = c.denominator
-                    if den % d:
-                        den = lcm(den, d)
-        cols = {}
-        for j, col in self.cols.items():
-            cols[j] = {
-                i: [((e1 << _EXP_BITS) | e2, c.numerator * (den // c.denominator))
-                    for (e1, e2), c in v.terms.items()]
-                for i, v in col.items()
-            }
-        return den, cols
+        """c times the matrix, for c a GradedPoly or a rational."""
+        if isinstance(c, GradedPoly):
+            den_c, ct = _pack_poly(E_RING.coerce(c))
+        else:
+            c = Fraction(c)
+            den_c, ct = c.denominator, {0: c.numerator} if c else {}
+        den, table = self._packed()
+        acc = {j: {i: _packed_mul(t, ct) for i, t in col.items()}
+               for j, col in table.items()} if ct else {}
+        return PolyMatrix.from_packed(self.n_out, self.n_in, den * den_c, acc)
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Composition self o other (apply other first).
 
-        The inner loop runs on ints: each operand is read once into its
-        _packed form, numerator products accumulate as ints under packed
-        exponent keys, and each output coefficient is normalised once, as
-        Fraction(sum, den_self * den_other).  Adding packed keys adds the
-        exponent pairs, because E1 and E2 are not invertible (exponents are
-        never negative) and no exponent reaches 2^32.
+        The inner loop runs on the two int tables: numerator products
+        accumulate under packed exponent keys over den_self * den_other,
+        and each output column is stripped of zeros as soon as it is
+        complete, keeping a running gcd of the numerators, so that only a
+        result whose content exceeds 1 gets a second pass.  Adding
+        packed keys adds the exponent pairs, because E1 and E2 are not
+        invertible (exponents are never negative) and no exponent reaches
+        2^32.
         """
         if self.n_in != other.n_out:
             raise ValueError("shape mismatch in product")
-        m = PolyMatrix(self.n_out, other.n_in)
-        if not self.cols or not other.cols:
-            return m
         den_s, scols = self._packed()
         den_o, ocols = other._packed()
-        den = den_s * den_o
+        content = den = den_s * den_o
+        table = {}
         for j, ocol in ocols.items():
             # raw term dicts per output row, keyed by packed exponents
             acc: dict = {}
@@ -224,69 +314,91 @@ class PolyMatrix:
                 scol = scols.get(k)
                 if not scol:
                     continue
+                vt = vt.items()
                 for i, wt in scol.items():
                     tacc = acc.get(i)
                     if tacc is None:
                         tacc = acc[i] = {}
-                    for e1, c1 in wt:
+                    for e1, c1 in wt.items():
                         for e2, c2 in vt:
                             e = e1 + e2
-                            c = tacc.get(e)
-                            tacc[e] = c1 * c2 if c is None else c + c1 * c2
-            col = _unpack_column(acc, den)
+                            tacc[e] = tacc.get(e, 0) + c1 * c2
+            col, content = _strip(acc, content)
             if col:
-                m.cols[j] = col
-        return m
+                table[j] = col
+        return _canonical(self.n_out, other.n_in, den, table, content)
 
     def tensor(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product; self occupies the leading strands."""
-        m = PolyMatrix(self.n_out + other.n_out, self.n_in + other.n_in)
+        da, ta = self._packed()
+        db, tb = other._packed()
         ro, co = 2 ** other.n_out, 2 ** other.n_in
-        for j1, col1 in self.cols.items():
-            for j2, col2 in other.cols.items():
-                j = j1 * co + j2
-                acc = m.cols.setdefault(j, {})
-                for i1, v1 in col1.items():
-                    for i2, v2 in col2.items():
-                        acc[i1 * ro + i2] = v1 * v2
-        return m
+        acc = {}
+        for j1, col1 in ta.items():
+            for j2, col2 in tb.items():
+                acc[j1 * co + j2] = {i1 * ro + i2: _packed_mul(t1, t2)
+                                     for i1, t1 in col1.items()
+                                     for i2, t2 in col2.items()}
+        return PolyMatrix.from_packed(self.n_out + other.n_out,
+                                      self.n_in + other.n_in, da * db, acc)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        # structural: no zero entry and no empty column is ever stored
+        # structural: the packed tables are canonical
         return (self.n_out, self.n_in) == (other.n_out, other.n_in) \
-            and self.cols == other.cols
+            and self._packed() == other._packed()
 
     def __hash__(self):
         raise TypeError("PolyMatrix is unhashable")
 
     def is_zero(self) -> bool:
-        return not self.cols
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        m = PolyMatrix(self.n_out, self.n_in)
-        for (i, j), v in self.entries():
-            m[i, j] = fn(v)
-        return m
+        return not self._packed()[1]
 
     def substitute(self, values) -> "PolyMatrix":
-        return self.map_entries(lambda p: p.substitute(values))
+        """Replace E1 and/or E2 ({name: rational}) by constants.
+
+        In ints: a value p/q at a generator whose top exponent is t turns
+        a term of exponent a into p^a q^(t-a) over a denominator grown by
+        q^t."""
+        den, table = self._packed()
+        subs = []
+        for name, v in values.items():
+            v = Fraction(v)
+            shift = _EXP_BITS if E_RING.index[name] == 0 else 0
+            top = max((e >> shift & _EXP_MASK for col in table.values()
+                       for t in col.values() for e in t), default=0)
+            subs.append((shift, v.numerator, v.denominator, top))
+            den *= v.denominator ** top
+        acc = {}
+        for j, col in table.items():
+            acc_j = acc[j] = {}
+            for i, t in col.items():
+                out = acc_j[i] = {}
+                for e, c in t.items():
+                    for shift, p, q, top in subs:
+                        a = e >> shift & _EXP_MASK
+                        c *= p ** a * q ** (top - a)
+                        e -= a << shift
+                    out[e] = out.get(e, 0) + c
+        return PolyMatrix.from_packed(self.n_out, self.n_in, den, acc)
 
     def qdegree(self):
         """q-degree if homogeneous (deg entry + deg(row) - deg(col) uniform), else None."""
-        degs = set()
-        for (i, j), v in self.entries():
-            if not v.is_homogeneous():
-                return None
-            degs.add(
-                v.homogeneous_degree()
-                + basis_qdegree(i, self.n_out)
-                - basis_qdegree(j, self.n_in)
-            )
-            if len(degs) > 1:
-                return None
-        return degs.pop() if degs else 0
+        d1, d2 = E_RING.degrees
+        deg = None
+        for j, col in self._packed()[1].items():
+            dj = basis_qdegree(j, self.n_in)
+            for i, t in col.items():
+                ds = {d1 * (e >> _EXP_BITS) + d2 * (e & _EXP_MASK) for e in t}
+                if len(ds) > 1:
+                    return None
+                d = ds.pop() + basis_qdegree(i, self.n_out) - dj
+                if deg is None:
+                    deg = d
+                elif d != deg:
+                    return None
+        return 0 if deg is None else deg
 
     def __repr__(self):
         return f"PolyMatrix({self.n_out}<-{self.n_in}, nnz={self.nnz()})"
@@ -295,25 +407,15 @@ class PolyMatrix:
 # -- generator matrices -----------------------------------------------------
 
 def _dot_matrix() -> PolyMatrix:
-    m = PolyMatrix(1, 1)
-    m[1, 0] = 1          # dot(A1) = A0
-    m[1, 1] = E1         # dot(A0) = E1*A0 - E2*A1
-    m[0, 1] = -E2
-    return m
+    # dot(A1) = A0, dot(A0) = E1*A0 - E2*A1
+    return PolyMatrix(1, 1, {(1, 0): 1, (1, 1): E1, (0, 1): -E2})
 
 def _cup_matrix() -> PolyMatrix:
-    m = PolyMatrix(2, 0)
-    m[0b01, 0] = 1       # A1 (x) A0
-    m[0b10, 0] = 1       # A0 (x) A1
-    m[0b00, 0] = -E1     # -E1 * A1 (x) A1
-    return m
+    # A1 (x) A0 + A0 (x) A1 - E1 * A1 (x) A1
+    return PolyMatrix(2, 0, {(0b01, 0): 1, (0b10, 0): 1, (0b00, 0): -E1})
 
 def _cap_matrix() -> PolyMatrix:
-    m = PolyMatrix(0, 2)
-    m[0, 0b01] = 1
-    m[0, 0b10] = 1
-    m[0, 0b11] = E1
-    return m
+    return PolyMatrix(0, 2, {(0, 0b01): 1, (0, 0b10): 1, (0, 0b11): E1})
 
 
 PRIM_MATRICES = {
@@ -360,84 +462,66 @@ LETTER_IMAGES = {
 def apply_intrinsic(g: str, vec: dict, n: int) -> dict:
     """Apply e/f/h to a vector {index: GradedPoly} in V_n: the action on the
     map V_0 -> V_n with that column, where it is G_n plus the derivation."""
-    F = PolyMatrix(n, 0)
-    if vec:
-        F.cols[0] = dict(vec)
-    return commutator_star(g, F).cols.get(0, {})
+    F = PolyMatrix(n, 0, {(i, 0): v for i, v in vec.items()})
+    return {i: v for (i, _), v in commutator_star(g, F).entries()}
 
 
 # -- the sl2 action on morphisms ---------------------------------------------
 
 ZERO_TWIST = TwistData(Fraction(0))
-_E1_KEY = 1 << _EXP_BITS  # packed key of E1
 
 
 def _strand_operator(g: str, params: DtlParams) -> PolyMatrix:
     """How g acts on one strand: the letter images, plus -(a1/2) dot -
     (a2/2) E1 for f and (a1 + 2 a2)/2 for h."""
-    m = PolyMatrix(1, 1)
-    for bit, images in LETTER_IMAGES[g].items():
-        for new_bit, img in images:
-            m[new_bit, bit] = img
+    m = PolyMatrix(1, 1, {(new_bit, bit): img
+                          for bit, images in LETTER_IMAGES[g].items()
+                          for new_bit, img in images})
     a1, a2 = Fraction(params.a1), Fraction(params.a2)
-    one = PolyMatrix.identity(1)
+    one = PRIM_MATRICES["id"]
     if g == "f":
-        m = m + PRIM_MATRICES["dot"].scale(E_RING.const(-a1 / 2)) \
-            + one.scale(-a2 / 2 * E1)
+        m = m - PRIM_MATRICES["dot"].scale(a1 / 2) + one.scale(-a2 / 2 * E1)
     elif g == "h":
-        m = m + one.scale(E_RING.const((a1 + 2 * a2) / 2))
+        m = m + one.scale((a1 + 2 * a2) / 2)
     return m
 
 
 @lru_cache(maxsize=256)
 def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     """G_n in _packed form: the strand operator on each of the n strands
-    plus the object's twist term (a*E1 for f, -2a for h).
+    plus the object's twist term TwistData(a).tau(g) (a*E1 for f, -2a for
+    h).
 
     Built one basis index at a time: column j gets, for each strand, the
     strand operator's column at that strand's bit of j, written into the
     row with that bit replaced by the image letter's; the twist term sits
-    on the diagonal.  Numerators accumulate as ints over one denominator,
-    which is then reduced to the lowest one, as _packed gives it.
+    on the diagonal.  Numerators accumulate as ints over one denominator;
+    from_packed reduces it to the lowest one.
     """
     den_s, strand = _strand_operator(g, params)._packed()
-    tau = TwistData(a).tau(g).terms
-    den = lcm(den_s, *(c.denominator for c in tau.values()))
+    tau = TwistData(a).tau(g)
+    den = lcm(den_s, *(c.denominator for c in tau.terms.values()))
     ms = den // den_s
-    diag = {(e1 << _EXP_BITS) | e2: c.numerator * (den // c.denominator)
-            for (e1, e2), c in tau.items()}
+    diag = _pack_poly(tau, den)[1]
     cols = {}
-    content = den  # gcd of den and every numerator
     for j in range(2 ** n):
         acc = {j: dict(diag)} if diag else {}
         for shift in range(n):
             bit = j >> shift & 1
             for new_bit, terms in strand.get(bit, {}).items():
                 tacc = acc.setdefault(j ^ (bit ^ new_bit) << shift, {})
-                for e, c in terms:
+                for e, c in terms.items():
                     tacc[e] = tacc.get(e, 0) + c * ms
-        col = {}
-        for i, tacc in acc.items():
-            terms = [(e, c) for e, c in tacc.items() if c]
-            if terms:
-                col[i] = terms
-                content = gcd(content, *(c for _, c in terms))
-        if col:
-            cols[j] = col
-    if content > 1:
-        den //= content
-        cols = {j: {i: [(e, c // content) for e, c in terms]
-                    for i, terms in col.items()}
-                for j, col in cols.items()}
-    return den, cols
+        cols[j] = acc
+    return PolyMatrix.from_packed(n, n, den, cols)._packed()
 
 
-def _derive(g: str, terms) -> list:
+def _derive(g: str, terms: dict) -> list:
     """The base derivation on packed terms, in closed form: e sends E1 -> -2
     and E2 -> -E1, f sends E1 -> E1^2 - 2E2 and E2 -> E1E2, and h has
     weights -2 and -4."""
     out = []
-    for key, c in terms:
+    for key, c in terms.items():
         a, b = key >> _EXP_BITS, key & _EXP_MASK
         if g == "h":
             out.append((key, (-2 * a - 4 * b) * c))
@@ -469,7 +553,7 @@ def commutator_star(
     pair, act(g, x, params).evaluate() equals
     commutator_star(g, x.evaluate(), params=params).
 
-    One pass over the _packed integer forms of F and of the two G_n, as in
+    One pass over the packed tables of F and of the two G_n, as in
     PolyMatrix.__mul__; d_g acts on packed exponents in closed form.
     """
     if g not in GENERATORS:
@@ -481,8 +565,8 @@ def commutator_star(
                                   Fraction(source_twist.a))
     den = lcm(den_o, den_i)
     mo, mi = den // den_o, den // den_i  # bring both G_n over den
-    full = den * den_f
-    out = PolyMatrix(F.n_out, F.n_in)
+    content = full = den * den_f
+    table = {}
     for j in range(2 ** F.n_in):
         acc: dict = {}
         for k, ft in fcols.get(j, {}).items():
@@ -491,11 +575,11 @@ def commutator_star(
                 tacc = acc.get(i)
                 if tacc is None:
                     tacc = acc[i] = {}
-                for e1, c1 in gt:
+                for e1, c1 in gt.items():
                     c1 *= mo
-                    for e2, c2 in ft:
-                        e = e1 + e2
-                        tacc[e] = tacc.get(e, 0) + c1 * c2
+                    for e, c in ft.items():
+                        e += e1
+                        tacc[e] = tacc.get(e, 0) + c1 * c
             # d_g(F), brought from den_f to the full denominator
             tacc = acc.get(k)
             if tacc is None:
@@ -504,16 +588,17 @@ def commutator_star(
                 tacc[e] = tacc.get(e, 0) + c * den
         # - F G_in
         for k, gt in gin.get(j, {}).items():
-            for i, ft in fcols.get(k, {}).items():
-                tacc = acc.get(i)
-                if tacc is None:
-                    tacc = acc[i] = {}
-                for e1, c1 in gt:
-                    c1 *= mi
-                    for e2, c2 in ft:
+            for e1, c1 in gt.items():
+                c1 *= -mi
+                for i, ft in fcols.get(k, {}).items():
+                    tacc = acc.get(i)
+                    if tacc is None:
+                        acc[i] = {e1 + e2: c1 * c2 for e2, c2 in ft.items()}
+                        continue
+                    for e2, c2 in ft.items():
                         e = e1 + e2
-                        tacc[e] = tacc.get(e, 0) - c1 * c2
-        col = _unpack_column(acc, full)
+                        tacc[e] = tacc.get(e, 0) + c1 * c2
+        col, content = _strip(acc, content)
         if col:
-            out.cols[j] = col
-    return out
+            table[j] = col
+    return _canonical(F.n_out, F.n_in, full, table, content)

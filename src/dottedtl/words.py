@@ -19,7 +19,7 @@ from .statespace import (
     PRIM_MATRICES,
     PolyMatrix,
     _pack_poly,
-    _unpack_column,
+    _packed_mul,
 )
 
 E1 = E_RING.gen("E1")
@@ -158,11 +158,10 @@ class Combo:
         """The state-space matrix, sum of coeff * evaluate_word(w).
 
         One int accumulator keyed by (column, row, packed exponent), as in
-        PolyMatrix.__mul__: each term is read once in _packed form and added
-        over a running common denominator (the accumulator is rescaled when
-        a term needs a larger one), and each entry is built once.
+        PolyMatrix.__mul__: each word matrix's packed table is added over a
+        running common denominator (the accumulator is rescaled when a term
+        needs a larger one), and PolyMatrix.from_packed normalises once.
         """
-        out = PolyMatrix(self.n_out, self.n_in)
         acc: dict = {}
         den = 1
         for w, c in self.terms.items():
@@ -176,20 +175,16 @@ class Combo:
                         for e in tacc:
                             tacc[e] *= grow
                 den *= grow
-            coeff = [(e, x * (den // d)) for e, x in coeff]
+            coeff = [(e, x * (den // d)) for e, x in coeff.items()]
             for j, col in cols.items():
                 acc_j = acc.setdefault(j, {})
                 for i, terms in col.items():
                     tacc = acc_j.setdefault(i, {})
-                    for e1, c1 in terms:
+                    for e1, c1 in terms.items():
                         for e2, c2 in coeff:
                             e = e1 + e2
                             tacc[e] = tacc.get(e, 0) + c1 * c2
-        for j, acc_j in acc.items():
-            col = _unpack_column(acc_j, den)
-            if col:
-                out.cols[j] = col
-        return out
+        return PolyMatrix.from_packed(self.n_out, self.n_in, den, acc)
 
     def is_empty(self) -> bool:
         return not self.terms
@@ -431,16 +426,6 @@ def noncrossing_matchings(n_bot: int, n_top: int | None = None):
     return [tuple(sorted(m)) for m in rec(seq)]
 
 
-def _packed_mul(p: dict, q: dict) -> dict:
-    """Product of two packed polynomials {e1 << 32 | e2: int numerator}."""
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
 def _accumulate(table: dict, key, poly: dict):
     tacc = table.setdefault(key, {})
     for e, c in poly.items():
@@ -457,16 +442,9 @@ def _nonzero(table: dict) -> dict:
     return out
 
 
-def _prim_packed(prim: str):
-    """A primitive's matrix as (den, {col: {row: packed polynomial}})."""
-    den, cols = PRIM_MATRICES[prim]._packed()
-    return den, {j: {i: dict(terms) for i, terms in col.items()}
-                 for j, col in cols.items()}
-
-
 def _dot_powers(d_max: int) -> list:
     """dot^0, ..., dot^d_max, each as (den, {in bit: {out bit: packed}})."""
-    den_dot, dot = _prim_packed("dot")
+    den_dot, dot = PRIM_MATRICES["dot"]._packed()
     powers = [(1, {0: {0: {0: 1}}, 1: {1: {0: 1}}})]
     for _ in range(d_max):
         den, prev = powers[-1]
@@ -520,18 +498,18 @@ def matching_matrix(matching, dots, n_bot: int,
     on a cap or cup arc sits at its first listed point.
 
     Each arc gets one table of (input bits, output bits, value), built once
-    per call from the _packed int forms of cup, cap and dot^d: a cap arc a
+    per call from the packed int tables of cup, cap and dot^d: a cap arc a
     value for each input bit pair, a cup arc its output bit pairs, a through
     arc its output bits for each input bit.  Arcs cover disjoint boundary
     points, so the matrix entries are the products of one value per arc,
-    multiplied as packed int polynomials; each stored entry is turned into
-    a GradedPoly with Fraction coefficients once.
+    multiplied as packed int polynomials and normalised once by
+    PolyMatrix.from_packed.
     """
     if n_top is None:
         n_top = n_bot
     _check_matching(matching, dots, n_bot, n_top)
-    den_cup, cup = _prim_packed("cup")
-    den_cap, cap = _prim_packed("cap")
+    den_cup, cup = PRIM_MATRICES["cup"]._packed()
+    den_cap, cap = PRIM_MATRICES["cap"]._packed()
     powers = _dot_powers(max(dots, default=0))
 
     def bit_in(b, i):
@@ -576,12 +554,7 @@ def matching_matrix(matching, dots, n_bot: int,
     cols: dict = {}
     for x, y, p in entries:
         cols.setdefault(x, {})[y] = p
-    out = PolyMatrix(n_top, n_bot)
-    for x, col in cols.items():
-        col = _unpack_column(col, den)
-        if col:
-            out.cols[x] = col
-    return out
+    return PolyMatrix.from_packed(n_top, n_bot, den, cols)
 
 
 def dotted_spanning_set(n_bot: int, n_top: int | None = None):

@@ -225,3 +225,61 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
                  for kind, n in maps for a2 in a2s]
     zs = [("z", n) for n in range(7)]
     assert set(built) == set(range(8)) | set(maps) | set(zs) | set(certified)
+
+
+def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):
+    """Operation-count gate on the benchmark's kirby calls: the matrix
+    kernels (product, commutator_star, scale, +, -, negation, tensor) read
+    and write packed int tables and build no GradedPoly.  GradedPoly values
+    are counted by wrapping GradedPoly.__init__ while a kernel is on the
+    stack.  The cached operators G_n are built from the twist polynomial
+    TwistData.tau, outside the kernels, so one warm-up pass fills that
+    cache before counting; the projector cache starts empty in both passes,
+    so the counted pass makes every product afresh."""
+    from dottedtl import projectors, statespace
+    from dottedtl.ring import GradedPoly
+    from dottedtl.statespace import PolyMatrix
+
+    def run_workload():
+        monkeypatch.setattr(projectors, "_jw_cache", {})
+        for a2 in (Fraction(0), Fraction(1, 2)):
+            for k in (0, 1):
+                system = kirby.build_kirby(k, 3, a2)
+                assert kirby.composite_check(system)["ok"]
+                assert kirby.leibniz_closure_check(system)
+            assert projectors.quiver_check(4, DtlParams(Fraction(0), a2))["ok"]
+
+    depth = [0]
+    kernel_calls = []
+    built_inside = []
+    real_init = GradedPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if depth[0]:
+            built_inside.append(kernel_calls[-1])
+        real_init(self, *args, **kwargs)
+
+    def entered(name, fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            kernel_calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    run_workload()
+    monkeypatch.setattr(GradedPoly, "__init__", counting_init)
+    for name in ("__mul__", "scale", "__add__", "__sub__", "__neg__",
+                 "tensor"):
+        monkeypatch.setattr(PolyMatrix, name,
+                            entered(name, getattr(PolyMatrix, name)))
+    star = entered("commutator_star", commutator_star)
+    for module in (statespace, kirby, projectors):
+        monkeypatch.setattr(module, "commutator_star", star)
+    run_workload()
+    assert kernel_calls.count("commutator_star") == 126
+    assert {"__mul__", "scale", "__add__", "__sub__", "__neg__",
+            "tensor"} <= set(kernel_calls)
+    assert built_inside == []

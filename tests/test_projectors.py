@@ -116,6 +116,40 @@ def test_dn_scalar_normalization():
     assert raw == sandwich.scale(E_RING.const(n * (n - 1)))
 
 
+def test_un_dn_single_product_equals_sandwich():
+    """U_n and D_n, each one product after absorbing a projector, equal the
+    three-factor sandwiches p_{n+2} (id^n (x) dotted cup) p_n and
+    n(n-1) p_{n-2} (id^(n-2) (x) dotted cap) p_n, for every n the
+    projector bound allows."""
+    cup = Combo.of(Word((("cup",), ("dot", "id")))).evaluate()
+    cap = Combo.of(Word((("dot", "id"), ("cap",)))).evaluate()
+    bound = projectors.JW_TRACKED_BOUND
+    for n in range(bound - 1):
+        sandwich = projectors.jw(n + 2) * PolyMatrix.identity(n).tensor(cup) \
+            * projectors.jw(n)
+        assert projectors.un(n, P0).mat == sandwich, n
+    for n in range(2, bound + 1):
+        sandwich = projectors.jw(n - 2) \
+            * PolyMatrix.identity(n - 2).tensor(cap) * projectors.jw(n)
+        assert projectors.dn(n, P0).mat == sandwich.scale(n * (n - 1)), n
+
+
+def test_quiver_reduces_factors_before_multiplying():
+    """Setting E1 = E2 = 0 is a ring homomorphism: for n <= 4 at a2 in
+    {0, 1/2}, the products of the reduced factors that quiver_check
+    multiplies equal the reduced full products."""
+    mod = projectors._mod_EE
+    for p in (P0, PH):
+        for n in range(5):
+            z = projectors.zn_matrix(n, p)
+            assert mod(z) * mod(z) == mod(z * z)
+            u, d = projectors.un(n, p).mat, projectors.dn(n + 2, p).mat
+            assert mod(d) * mod(u) == mod(d * u)
+            if n >= 2:
+                u, d = projectors.un(n - 2, p).mat, projectors.dn(n, p).mat
+                assert mod(u) * mod(d) == mod(u * d)
+
+
 def test_quiver_relations():
     rep = projectors.quiver_check(4, PH)
     assert rep["ok"], rep

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from dottedtl.ring import E_RING, GradedPoly
 from dottedtl.statespace import (
@@ -326,6 +327,23 @@ def assert_no_stored_zero(m):
         assert v.terms and all(v.terms.values())
 
 
+def assert_canonical(m):
+    """A kernel's result is stored as a packed table in canonical form: a
+    positive int denominator, no empty column, no empty entry, no zero
+    numerator, and gcd(den, every numerator) = 1."""
+    assert m._table is not None
+    den, table = m._packed()
+    assert type(den) is int and den > 0
+    content = den
+    for col in table.values():
+        assert col
+        for t in col.values():
+            assert t
+            assert all(type(c) is int and c for c in t.values())
+            content = gcd(content, *t.values())
+    assert content == 1
+
+
 @st.composite
 def same_shape_pairs(draw):
     n_out, n_in = draw(strands), draw(strands)
@@ -349,7 +367,29 @@ def test_operations_store_no_zero(pair, sums, c, g, p):
             commutator_star(g, x, TwistData(Fraction(-3, 2)),
                             TwistData(Fraction(5, 4)), p)]
     for m in outs:
+        assert_canonical(m)
         assert_no_stored_zero(m)
+
+
+@KERNEL_SETTINGS
+@given(strands.flatmap(lambda n_out: strands.flatmap(
+    lambda n_in: matrices(n_out, n_in))),
+    st.sampled_from([{"E1": Fraction(0), "E2": Fraction(0)},
+                     {"E1": Fraction(1), "E2": Fraction(1, 4)},
+                     {"E2": Fraction(-2, 3)}, {"E1": Fraction(5, 2)}]))
+def test_substitute_and_qdegree_match_entrywise(m, values):
+    """The packed substitute and qdegree against GradedPoly.substitute and
+    the entry-by-entry degree rule."""
+    ref = PolyMatrix(m.n_out, m.n_in,
+                     {ij: v.substitute(values) for ij, v in m.entries()})
+    assert_stored_like(m.substitute(values), ref)
+    degs = {v.homogeneous_degree() + basis_qdegree(i, m.n_out)
+            - basis_qdegree(j, m.n_in) if v.is_homogeneous() else None
+            for (i, j), v in m.entries()}
+    if None in degs or len(degs) > 1:
+        assert m.qdegree() is None
+    else:
+        assert m.qdegree() == (degs.pop() if degs else 0)
 
 
 def tensor_sum_object_operator(g, n, params, a):
@@ -373,3 +413,68 @@ def test_object_operator_matches_tensor_sum():
                 for a in (Fraction(0), Fraction(-3, 2), Fraction(5, 4)):
                     assert _object_operator.__wrapped__(g, n, p, a) \
                         == tensor_sum_object_operator(g, n, p, a), (g, n, p, a)
+
+
+# -- the storage boundary: cols, entry-by-entry builds, the star action ------
+
+@KERNEL_SETTINGS
+@given(factor_pairs())
+def test_entrywise_build_equals_kernel_result(pair):
+    """A matrix built entry by entry, through the entries dict or through
+    item assignment, equals the same matrix from a kernel, both ways."""
+    a, b = pair
+    prod = a * b
+    by_dict = PolyMatrix(prod.n_out, prod.n_in, dict(prod.entries()))
+    by_item = PolyMatrix(prod.n_out, prod.n_in)
+    for (i, j), v in prod.entries():
+        by_item[i, j] = v
+    assert by_dict == prod and prod == by_dict
+    assert by_item == prod and prod == by_item
+    assert by_item == naive_product(a, b)
+
+
+@KERNEL_SETTINGS
+@given(factor_pairs())
+def test_written_cols_are_read_by_products(pair):
+    """cols is the storage once read: a column written into a fresh matrix,
+    as the benchmark's composite oracle does, and an entry changed in
+    place are both seen by products and comparisons."""
+    a, b = pair
+    for j, col in b.cols.items():
+        column = PolyMatrix(b.n_out, b.n_in)
+        column.cols[j] = dict(col)
+        want = PolyMatrix(b.n_out, b.n_in, {(i, j): v for i, v in col.items()})
+        assert column == want
+        assert a * column == a * want
+    if b.cols:
+        j, col = next(iter(b.cols.items()))
+        i = next(iter(col))
+        before = a * b
+        col[i] = col[i] + E1
+        bumped = PolyMatrix(b.n_out, b.n_in, {(i, j): E1})
+        assert b[i, j] == col[i]
+        assert a * b == before + a * bumped
+
+
+def test_criterion_intrinsic_fails_with_wrong_f_parameter_term(monkeypatch):
+    """Negative control for criterion 12: with the sign of the a2 term of
+    f's strand operator flipped, commutator_star no longer equals the word
+    action at the parameter sets with a2 != 0, and the criterion fails."""
+    from dottedtl import selftest, statespace
+
+    real = statespace._strand_operator
+
+    def wrong(g, params):
+        m = real(g, params)
+        if g == "f":  # -(a2/2) E1 becomes +(a2/2) E1
+            m = m + ID1.scale(E1).scale(Fraction(params.a2))
+        return m
+
+    statespace._object_operator.cache_clear()
+    try:
+        monkeypatch.setattr(statespace, "_strand_operator", wrong)
+        assert not selftest.criterion_intrinsic()["ok"]
+    finally:
+        monkeypatch.undo()
+        statespace._object_operator.cache_clear()
+    assert selftest.criterion_intrinsic()["ok"]
