@@ -10,6 +10,7 @@ formula on the v-basis, the minus-side filtration, and a summary report.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
 from .ring import E_RING, LASAGNA_RING, GradedPoly, delta
 from .sl2 import BASE_SPEC, GENERATORS, LASAGNA_SPEC, iterate_f
@@ -44,16 +45,6 @@ def _kparts(key):
 def filtration_degree(key) -> int:
     a, b, m, i = _kparts(key)
     return 2 * a + 4 * b + m + abs(i)
-
-
-def homology_grading(key) -> int:
-    _, _, m, i = _kparts(key)
-    return m + i
-
-
-def quantum_grading(key) -> int:
-    _, _, m, _ = _kparts(key)
-    return -2 * m
 
 
 class LasagnaError(Exception):
@@ -182,30 +173,20 @@ def genfrcomp_closed_form(j: int, m: int, n: int, r: int) -> GradedPoly:
 
 
 def _closed_form_coefficient(j: int, m: int, n: int, r: int) -> GradedPoly:
-    """The Q[E1,E2] factor of genfrcomp_closed_form(j, m, n, r)."""
+    """The Q[E1,E2] factor of genfrcomp_closed_form(j, m, n, r), written
+    term by term as {E1^k E2^a: c}."""
     g = gamma(j, m, n)
-    E1, E2 = LASAGNA_RING.gen("E1"), LASAGNA_RING.gen("E2")
-    coeff = LASAGNA_RING.zero
+    terms = {}
     for a in range(r // 2 + 1):
         k = r - 2 * a
-        desc = Fraction(1)
-        for t in range(k + 1, k + 2 * a + 1):
-            desc *= t
-        desc /= Fraction(1) * _factorial(a)
+        desc = prod(range(k + 1, k + 2 * a + 1)) // factorial(a)
         rise = Fraction(1)
         for t in range(r - a):
             rise *= g + t
         c = (-1) ** a * desc * rise
         if c:
-            coeff = coeff + c * E1 ** k * E2 ** a
-    return coeff
-
-
-def _factorial(a: int) -> int:
-    out = 1
-    for t in range(2, a + 1):
-        out *= t
-    return out
+            terms[_lkey(a=k, b=a)] = c
+    return GradedPoly(LASAGNA_RING, terms)
 
 
 def closed_form_check(j_max: int = 3, m_max: int = 3, n_max: int = 3,
@@ -274,19 +255,20 @@ def block_claim(w: int, depth: int) -> DecompositionClaim:
     return DecompositionClaim(parts)
 
 
-def block_embedding_check(m: int, n: int) -> bool:
+def block_embedding_check(m: int, n: int, vn: GradedPoly) -> bool:
     """The block generator A1^m v^n is a HWV in the Laurent module and f acts
-    on it through the twist (n-m)/2 exactly."""
-    x = vbasis_element(0, m, n)
+    on it through the twist (n-m)/2 exactly.  vn is v^n; the generator is
+    vn with its A1 exponents raised by m."""
+    i = _IDX["A1"]
+    x = GradedPoly(LASAGNA_RING, {k[:i] + (k[i] + m,) + k[i + 1:]: c
+                                  for k, c in vn.terms.items()})
     if not LASAGNA_SPEC.apply("e", x).is_zero():
         return False
     fx = LASAGNA_SPEC.apply("f", x)
     tw = gamma(0, m, n) * LASAGNA_RING.gen("E1") * x
     if fx != tw:
         return False
-    hx = LASAGNA_SPEC.apply("h", x)
-    want = Fraction(m - n) * x
-    return hx == want
+    return LASAGNA_SPEC.apply("h", x) == Fraction(m - n) * x
 
 
 def _twisted_verdict(model: TruncatedModule, w: int) -> tuple:
@@ -317,15 +299,20 @@ def mplus_decomposition(depth: int = 20, mn_max: int | None = None) -> dict:
     layer is, so that the dual-Verma witness of weight -w-2 (degree 2w + 2)
     lies inside the truncation.  The block's claim and Zuckerman verdict
     depend on (m, n) only through w, so each is computed once per weight
-    and read by every block of that weight; no module is kept."""
+    and read by every block of that weight; no module is kept.  v^n is
+    built once for each n and shared by the blocks' embedding checks."""
     if mn_max is None:
         mn_max = min(depth // 2, 12)
+    v = v_poly()
+    vpowers = [LASAGNA_RING.one]
+    for _ in range(mn_max):
+        vpowers.append(vpowers[-1] * v)
     verdicts = {}
     blocks = []
     ok = True
     for m in range(mn_max + 1):
         for n in range(mn_max + 1):
-            if not block_embedding_check(m, n):
+            if not block_embedding_check(m, n, vpowers[n]):
                 ok = False
                 blocks.append({"m": m, "n": n, "status": "fail",
                                "reason": "embedding"})
@@ -379,11 +366,14 @@ def minus_block_split_check(depth: int = 12, ell_range=range(-2, 3)) -> bool:
         blk = minus_block(ell, depth)
         covered.update(blk.basis)
         for g in GENERATORS:
+            # columns compared as numerators over one denominator
+            bden, btable = blk.tables[g]
+            fden, ftable = full.tables[g]
             for k in blk.basis:
-                img = blk.apply(g, {k: Fraction(1)})
-                direct = full.apply(g, {k: Fraction(1)})
                 if k in blk.boundary_loss[g] or k in full.boundary_loss[g]:
                     continue
+                img = {k2: c * fden for k2, c in btable.get(k, {}).items()}
+                direct = {k2: c * bden for k2, c in ftable.get(k, {}).items()}
                 if img != direct:
                     return False
     leftover = [
@@ -439,25 +429,27 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
         report["ok"] = report["ok"] and ok
 
     if report["strict"]:
-        # compare the model action against the block action mod higher A1-power
+        # the block's table columns modulo higher A1-powers against the model's
         n = r - ell
         agree = True
-        for a, b in model.basis:
-            k = _lkey(a, b, r, -n)
-            if k not in blk.index:
-                continue
-            for g in GENERATORS:
-                if k in blk.boundary_loss[g] or (a, b) in model.boundary_loss[g]:
+        for g in GENERATORS:
+            bden, btable = blk.tables[g]
+            mden, mtable = model.tables[g]
+            for a, b in model.basis:
+                k = _lkey(a, b, r, -n)
+                if k not in blk.index or k in blk.boundary_loss[g] \
+                        or (a, b) in model.boundary_loss[g]:
                     continue
-                img = blk.apply(g, {k: Fraction(1)})
                 proj = {}
-                for k2, c in img.items():
-                    a2, b2, m2, i2 = _kparts(k2)
+                for k2, c in btable.get(k, {}).items():
+                    a2, b2, m2, _ = _kparts(k2)
                     if m2 == r:
-                        proj[(a2, b2)] = c
+                        proj[(a2, b2)] = c * mden
                     elif m2 < r:
                         agree = False
-                if proj != model.apply(g, {(a, b): Fraction(1)}):
+                want = {k2: c * bden
+                        for k2, c in mtable.get((a, b), {}).items()}
+                if proj != want:
                     agree = False
         record("layer action matches twisted model", agree)
     if key not in verdicts:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 
 from .ring import E_RING, LASAGNA_RING, GradedPoly, PolyRing, RingError
@@ -32,12 +33,13 @@ class Sl2ActionSpec:
     e and f act as derivations, so on a monomial they are fixed by the power
     rule g(c*x^p) = sum_i p_i*c * x^(p - unit_i) * g(x_i).  The spec
     precomputes, for e and f and each generator i with g(x_i) != 0, the
-    terms of x^(-unit_i) * g(x_i) as (exponent shift, coefficient) pairs;
-    ``derive_monomial`` then adds each shift to p and never builds a
-    ``GradedPoly``.  That skips the ring's negative-exponent guard on
-    products, which is safe because the power rule only lowers an exponent
-    p_i != 0 (p_i >= 1 when x_i is not invertible) and ``__init__`` rejects
-    images with a negative power of a non-invertible generator.
+    terms of x^(-unit_i) * g(x_i) as (exponent shift, int numerator) pairs
+    over one denominator ``den[g]`` (1 for h); ``derive_monomial`` then adds
+    each shift to p and never builds a ``GradedPoly``.  That skips the ring's
+    negative-exponent guard on products, which is safe because the power
+    rule only lowers an exponent p_i != 0 (p_i >= 1 when x_i is not
+    invertible) and ``__init__`` rejects images with a negative power of a
+    non-invertible generator.
     """
 
     def __init__(self, ring: PolyRing, e_images, f_images, h_weights):
@@ -50,17 +52,19 @@ class Sl2ActionSpec:
                     or name not in self.h_weights:
                 raise KeyError(f"incomplete action data for generator {name}")
         self._weights = tuple(self.h_weights[n] for n in ring.names)
-        self._shifts = {
-            g: self._derivation_shifts(images)
-            for g, images in (("e", self.e_images), ("f", self.f_images))
-        }
+        self.den = {"h": 1}
+        self._shifts = {}
+        for g, images in (("e", self.e_images), ("f", self.f_images)):
+            self.den[g], self._shifts[g] = self._derivation_shifts(images)
 
     def _derivation_shifts(self, images) -> tuple:
-        """(i, ((shift, coeff), ...)) for each generator i with a nonzero
-        image; shift is the image term's exponent minus unit_i, and an
-        integral coeff is stored as an int, so deriving an int coefficient
-        stays on ints wherever the images allow it."""
+        """(den, ((i, ((shift, num), ...)), ...)): for each generator i with
+        a nonzero image, the image terms' exponents minus unit_i, each with
+        its coefficient as an int numerator over den, the lcm of the
+        denominators of every image coefficient."""
         ring = self.ring
+        den = lcm(1, *(c.denominator for name in ring.names
+                       for c in images[name].terms.values()))
         out = []
         for i, name in enumerate(ring.names):
             terms = []
@@ -74,17 +78,19 @@ class Sl2ActionSpec:
                 shift = list(exp)
                 shift[i] -= 1
                 terms.append((tuple(shift),
-                              int(c) if c.denominator == 1 else c))
+                              c.numerator * (den // c.denominator)))
             if terms:
                 out.append((i, tuple(terms)))
-        return tuple(out)
+        return den, tuple(out)
 
     def weight_of_monomial(self, exp: tuple) -> int:
         return sum(map(mul, exp, self._weights))
 
     def derive_monomial(self, g: str, exp: tuple, c, out: dict) -> dict:
-        """Add g(c * x^exp) into ``out`` (exponent tuple -> coefficient) and
-        return it; entries that cancel to zero are removed."""
+        """Add den[g] * g(c * x^exp) into ``out`` (exponent tuple ->
+        coefficient) and return it; entries that cancel to zero are removed.
+        The image is scaled by ``den[g]`` so that an int c gives int
+        entries."""
         if g == "h":
             w = self.weight_of_monomial(exp)
             if w:
@@ -109,24 +115,16 @@ class Sl2ActionSpec:
 
     def apply(self, g: str, x: GradedPoly) -> GradedPoly:
         """Apply e, f, or h to a polynomial: the monomial kernel summed over
-        its terms."""
+        its terms, then divided by den[g]."""
         if x.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
         out: dict = {}
         for exp, c in x.terms.items():
             self.derive_monomial(g, exp, c, out)
+        if self.den[g] != 1:
+            inv = Fraction(1, self.den[g])
+            out = {exp: c * inv for exp, c in out.items()}
         return GradedPoly(self.ring, out)
-
-    def serialize(self) -> dict:
-        """Declarative text form (generator -> three images), for fixtures."""
-        return {
-            name: {
-                "e": str(self.e_images[name]),
-                "f": str(self.f_images[name]),
-                "h": self.h_weights[name],
-            }
-            for name in self.ring.names
-        }
 
 
 def base_spec(ring: PolyRing = E_RING) -> Sl2ActionSpec:

@@ -1,5 +1,9 @@
 """Invariant-module decompositions for the two four-manifolds."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -316,8 +320,9 @@ def test_wrong_summand_kind_fails_the_ball_criterion(monkeypatch):
 
 
 def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
-    """One doubled f-table entry of minus_block(0, 20), in the strict layer
-    (ell, r) = (0, 1), fails criterion 11 through its layer check."""
+    """One doubled entry of the stored f-table of minus_block(0, 20), in
+    the strict layer (ell, r) = (0, 1), fails criterion 11 through its layer
+    check."""
     from dottedtl import selftest
 
     real = lasagna.minus_block
@@ -327,8 +332,9 @@ def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
     def perturbed(ell, depth=20):
         blk = real(ell, depth)
         if (ell, depth) == (0, 20):
-            col = blk.action["f"][k]
-            assert col[k2] == -1
+            den, table = blk.tables["f"]
+            col = table[k]
+            assert Fraction(col[k2], den) == -1
             col[k2] *= 2
         return blk
 
@@ -337,3 +343,53 @@ def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
     assert rep["split"] is True
     assert rep["layers"] is False
     assert rep["ok"] is False
+
+
+# sha256 of the CLI's --json stdout for the lasagna reports
+PINNED_REPORT_SHA256 = {
+    ("decompose-b4",):
+        "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
+    ("decompose-b2s2", "--depth", "20"):
+        "b0d64c00dce89cb92df13331df6ffa6a0509744481466f1cb35cffcd823c4535",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORT_SHA256))
+def test_lasagna_reports_are_pinned(args):
+    for hashseed in ("0", "4242"):
+        res = subprocess.run(
+            [sys.executable, "-m", "dottedtl.cli", *args, "--json"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hashseed},
+        )
+        assert res.returncode == 0, res.stderr
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == PINNED_REPORT_SHA256[args], hashseed
+
+
+def test_f_string_walks_build_no_fraction(monkeypatch):
+    """Operation-count gate: classify_cyclic walks its f-strings on int
+    numerators, so summary_report(12) builds no Fraction inside it."""
+    inside, built, lams = [], [], []
+    real_new = Fraction.__new__
+    real_classify = rep.TruncatedModule.classify_cyclic
+
+    def counting_new(cls, *args, **kwargs):
+        if inside:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def classify(self, vec, lam):
+        lams.append(lam)
+        inside.append(lam)
+        try:
+            return real_classify(self, vec, lam)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(rep.TruncatedModule, "classify_cyclic", classify)
+    assert lasagna.summary_report(12)["ok"]
+    # walks of both kinds ran: to f^(lam+1) and down to the boundary
+    assert min(lams) < 0 <= max(lams) and len(lams) > 100
+    assert built == []

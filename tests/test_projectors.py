@@ -55,6 +55,22 @@ def test_perturbed_projector_fails_symmetrizer_check(monkeypatch):
     assert status["p3 equals symmetrizer"] == "pass"
 
 
+def test_perturbed_p2_fails_the_projector_action_criterion(monkeypatch):
+    """Negative control for criterion 4: p2 plus a dot on its first strand
+    is no longer killed by e, and the criterion fails."""
+    real = expr._jw_combo
+
+    def perturbed(n):
+        got = real(n)
+        if n == 2:
+            got = got + Combo.of(Word((("dot", "id"),)))
+        return got
+
+    assert selftest.criterion_projector_action()["ok"] is True
+    monkeypatch.setattr(expr, "_jw_combo", perturbed)
+    assert selftest.criterion_projector_action()["ok"] is False
+
+
 def test_word_level_projector_matches_matrix():
     for n in range(expr.MACRO_ARG_BOUNDS["jw"] + 1):
         assert expr._jw_combo(n).evaluate() == projectors.jw(n)

@@ -1,6 +1,8 @@
 """Truncated module machinery: weights, HWVs, classification, claims."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -154,12 +156,17 @@ def _items(action):
             for g, table in action.items()}
 
 
-@pytest.mark.parametrize("module", [
+# every f-table here is over 2: the twisted blocks have odd weight, and the
+# Laurent spec has f(A1) = -E1*A1/2
+MODULES = pytest.mark.parametrize("module", [
     lambda: lasagna.twisted_block(Fraction(-3, 2), 3, 16, "twisted"),
     lambda: lasagna.twisted_block(Fraction(5, 2), -5, 12, "twisted"),
     lambda: lasagna.minus_block(-1, 12),
     lambda: lasagna.b2s2_module(8, "plus"),
 ], ids=["twisted-a<0", "twisted-a>0-shift<0", "minus-block", "b2s2-plus"])
+
+
+@MODULES
 def test_tables_match_leibniz_oracle(module):
     m = module()
     action, loss = oracle_tables(m)
@@ -167,6 +174,40 @@ def test_tables_match_leibniz_oracle(module):
     assert m.boundary_loss == loss
     assert all(type(c) is Fraction for table in m.action.values()
                for col in table.values() for c in col.values())
+    # the stored tables are canonical: int numerators, none zero, over a
+    # positive denominator coprime to them
+    for den, table in m.tables.values():
+        nums = [c for col in table.values() for c in col.values()]
+        assert all(type(c) is int and c for c in nums)
+        assert den > 0 and gcd(den, *nums) == 1
+    assert m.tables["f"][0] == 2
+
+
+@MODULES
+def test_apply_matches_the_fraction_view(module):
+    """apply on int numerators equals the product with the Fraction view of
+    the tables, on seeded random vectors."""
+    m = module()
+    action = m.action
+    rng = random.Random(7)
+    for _ in range(25):
+        keys = rng.sample(m.basis, min(5, len(m.basis)))
+        vec = {k: Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 6))
+               for k in keys}
+        for g in GENERATORS:
+            want = {}
+            for k, c in vec.items():
+                for k2, a in action[g].get(k, {}).items():
+                    want[k2] = want.get(k2, 0) + c * a
+            got = m.apply(g, vec)
+            assert got == {k: c for k, c in want.items() if c}
+            assert all(type(c) is Fraction for c in got.values())
+
+
+def test_action_view_is_read_only():
+    m = lasagna.twisted_block(Fraction(-3, 2), 3, 16, "twisted")
+    m.action["f"][(0, 0)][(1, 0)] = Fraction(99)
+    assert m.action["f"][(0, 0)][(1, 0)] == Fraction(-3, 2)
 
 
 def test_perturbed_spec_changes_table_and_fails_brackets():

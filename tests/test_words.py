@@ -385,6 +385,27 @@ def test_evaluate_of_empty_combinations():
     assert circle.evaluate() == PolyMatrix(0, 0, {(0, 0): E_RING.one})
 
 
+# -- negative controls for criteria 1 and 2 -------------------------------------
+
+def test_sign_flipped_dot_image_fails_the_brackets(monkeypatch):
+    """With e(dot) = +id instead of -id in the word action, [e, f] = h fails
+    on the dot, and criterion 1 fails."""
+    from dottedtl import selftest, words
+
+    real = words._prim_images
+
+    def flipped(g, prim, p):
+        images = real(g, prim, p)
+        if (g, prim) == ("e", "dot"):
+            return [(-c, local) for c, local in images]
+        return images
+
+    dot = words.primitive_combo("dot")
+    assert selftest._bracket_holds(dot, DtlParams())
+    monkeypatch.setattr(words, "_prim_images", flipped)
+    assert not selftest._bracket_holds(dot, DtlParams())
+    assert selftest.criterion_brackets()["ok"] is False
+
 # -- negative control for criterion 2 ------------------------------------------
 
 def test_doubled_dot_image_fails_relation_preservation(monkeypatch):
