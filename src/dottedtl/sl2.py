@@ -115,15 +115,16 @@ class Sl2ActionSpec:
 
     def apply(self, g: str, x: GradedPoly) -> GradedPoly:
         """Apply e, f, or h to a polynomial: the monomial kernel summed over
-        its terms, then divided by den[g]."""
+        its terms, each coefficient divided by den[g] first."""
         if x.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
-        out: dict = {}
-        for exp, c in x.terms.items():
-            self.derive_monomial(g, exp, c, out)
+        terms = x.terms
         if self.den[g] != 1:
             inv = Fraction(1, self.den[g])
-            out = {exp: c * inv for exp, c in out.items()}
+            terms = {exp: c * inv for exp, c in terms.items()}
+        out: dict = {}
+        for exp, c in terms.items():
+            self.derive_monomial(g, exp, c, out)
         return GradedPoly(self.ring, out)
 
 
