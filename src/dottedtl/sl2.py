@@ -59,9 +59,8 @@ class Sl2ActionSpec:
 
     def _derivation_shifts(self, images) -> tuple:
         """(den, ((i, ((shift, num), ...)), ...)): for each generator i with
-        a nonzero image, the image terms' exponents minus unit_i, each with
-        its coefficient as an int numerator over den, the lcm of the
-        denominators of every image coefficient."""
+        a nonzero image, its terms' exponents minus unit_i and coefficients
+        as int numerators over den, the lcm of all the images' denominators."""
         ring = self.ring
         den = lcm(1, *(c.denominator for name in ring.names
                        for c in images[name].terms.values()))
@@ -88,9 +87,8 @@ class Sl2ActionSpec:
 
     def derive_monomial(self, g: str, exp: tuple, c, out: dict) -> dict:
         """Add den[g] * g(c * x^exp) into ``out`` (exponent tuple ->
-        coefficient) and return it; entries that cancel to zero are removed.
-        The image is scaled by ``den[g]`` so that an int c gives int
-        entries."""
+        coefficient; an int c gives ints) and return it; entries that cancel
+        to zero are removed."""
         if g == "h":
             w = self.weight_of_monomial(exp)
             if w:
@@ -115,16 +113,19 @@ class Sl2ActionSpec:
 
     def apply(self, g: str, x: GradedPoly) -> GradedPoly:
         """Apply e, f, or h to a polynomial: the monomial kernel summed over
-        its terms, each coefficient divided by den[g] first."""
+        its terms, on int numerators over the lcm of their denominators; each
+        output coefficient becomes a Fraction once."""
         if x.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
         terms = x.terms
-        if self.den[g] != 1:
-            inv = Fraction(1, self.den[g])
-            terms = {exp: c * inv for exp, c in terms.items()}
+        den = lcm(*[c.denominator for c in terms.values()])
         out: dict = {}
         for exp, c in terms.items():
-            self.derive_monomial(g, exp, c, out)
+            self.derive_monomial(g, exp, c.numerator * (den // c.denominator),
+                                 out)
+        if out:
+            den *= self.den[g]
+            out = {exp: Fraction(n, den) for exp, n in out.items()}
         return GradedPoly(self.ring, out)
 
 
