@@ -28,7 +28,7 @@ from .sl2 import (
     check_flat_twist,
     iterate_f,
 )
-from .statespace import PolyMatrix, apply_intrinsic, commutator_star
+from .statespace import PolyMatrix, commutator_star
 from .words import (
     Combo,
     Word,
@@ -45,7 +45,6 @@ from .words import (
 )
 from .expr import (
     ExprError,
-    normalize,
     normalize_combo,
     normalized_string,
     parse_expr,
@@ -93,11 +92,11 @@ __all__ = [
     "delta", "qbinom", "qfact", "qint",
     "BASE_SPEC", "GENERATORS", "LASAGNA_SPEC", "Sl2ActionSpec", "TwistData",
     "check_bracket", "check_flat_twist", "iterate_f",
-    "PolyMatrix", "apply_intrinsic", "commutator_star",
+    "PolyMatrix", "commutator_star",
     "Combo", "DtlParams", "Word", "WordError", "act", "dotted_spanning_set",
     "evaluate_word", "identity_word", "matching_matrix", "matching_to_word",
     "noncrossing_matchings", "random_word", "verify_relations",
-    "ExprError", "normalize", "normalize_combo", "normalized_string",
+    "ExprError", "normalize_combo", "normalized_string",
     "parse_expr", "print_combo", "print_word", "roundtrip_equal",
     "ProjectorError", "TrackedMor", "dn", "jw", "jw_bruteforce",
     "jw_tracked", "quiver_check", "un", "zn", "zn_matrix",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .projectors import JW_TRACKED_BOUND
 from .ring import E_RING, GradedPoly
 from .words import (
     Combo,
@@ -32,8 +33,20 @@ from .words import (
 )
 
 PRIMS = ("id", "dot", "cup", "cap")
+MACROS = ("jw", "z", "u", "d", "s")
 
-MACRO_ARG_BOUNDS = {"jw": 5, "z": 8, "u": 3, "d": 5, "s": 8}
+NORMALIZE_STRAND_BOUND = 10
+
+
+def _macro_bound(name: str) -> int:
+    """The largest argument of a macro: jw(n) and d(n) are normalised on
+    2n boundary strands and u(n) on 2(n + 2), within
+    NORMALIZE_STRAND_BOUND; z(n) and s(i, n) reach JW_TRACKED_BOUND."""
+    if name in ("jw", "d"):
+        return NORMALIZE_STRAND_BOUND // 2
+    if name == "u":
+        return NORMALIZE_STRAND_BOUND // 2 - 2
+    return JW_TRACKED_BOUND
 
 
 class ExprError(Exception):
@@ -68,7 +81,7 @@ def _tokenize(text: str):
 
 
 def _macro(name: str, args, pos):
-    bound = MACRO_ARG_BOUNDS[name]
+    bound = _macro_bound(name)
     if name == "s":
         if len(args) != 2:
             raise ExprError("s takes two arguments: s(i, n)", pos)
@@ -253,7 +266,7 @@ class _Parser:
             return (gen, None)
         if v in PRIMS:
             return (E_RING.one, primitive_combo(v))
-        if v in MACRO_ARG_BOUNDS:
+        if v in MACROS:
             self.expect("(")
             args = []
             while True:
@@ -321,12 +334,9 @@ def print_combo(combo: Combo) -> str:
     return " + ".join(pieces)
 
 
-NORMALIZE_STRAND_BOUND = 10
-
-
-def normalize(combo: Combo):
-    """Express the evaluation of a diagram combination over the dotted
-    matching spanning set with polynomial coefficients.
+def normalize_matrix(mat, n_in: int, n_out: int):
+    """The normal form of a state-space matrix over the dotted matching
+    spanning set, with polynomial coefficients.
 
     Returns [(coefficient, matching, dots)].  The target is split by
     structural degree and each degree is solved once, as one exact linear
@@ -334,16 +344,6 @@ def normalize(combo: Combo):
     dependent, the coefficients are the unique solution supported on the
     leftmost independent spanning-set columns (every other coefficient is
     zero).
-    """
-    n_in, n_out = combo.n_in, combo.n_out
-    if n_in is None:
-        raise ExprError("cannot normalize an empty combination of no shape")
-    return normalize_matrix(combo.evaluate(), n_in, n_out)
-
-
-def normalize_matrix(mat, n_in: int, n_out: int):
-    """The normal form of a state-space matrix over the dotted matching
-    spanning set, as normalize() describes.
 
     Each spanning-set matrix comes from words.matching_matrix, built at most
     once per call; each structural degree is one exactla.solve over dense
@@ -446,7 +446,8 @@ def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
 
 
 def normalize_combo(combo: Combo) -> Combo:
-    """normalize(), repackaged as a combination of matching words."""
+    """normalize_matrix of the combination's evaluation, as a combination of
+    matching words."""
     n_in, n_out = combo.n_in, combo.n_out
     if n_in is None:
         raise ExprError("cannot normalize an empty combination of no shape")

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from .sl2 import GENERATORS, DtlParams, TwistData, check_flat_twist
 from .statespace import PolyMatrix, commutator_star
-from .projectors import TrackedMor, un
+from .projectors import JW_TRACKED_BOUND, TrackedMor, un
 
-STRAND_BOUND = 8
+# the last map U_{k+2J-2} reads p_{k+2J}, so the top level is bounded like p_n
+STRAND_BOUND = JW_TRACKED_BOUND
 
 
 class KirbyError(Exception):

@@ -18,7 +18,6 @@ from .rep import (
     ClaimPart,
     DecompositionClaim,
     ModuleTwist,
-    RepError,
     TruncatedModule,
     verify_claim,
     zuckerman,
@@ -42,47 +41,32 @@ def _kparts(key):
     return (key[_IDX["E1"]], key[_IDX["E2"]], key[_IDX["A1"]], key[_IDX["A0"]])
 
 
-def filtration_degree(key) -> int:
-    a, b, m, i = _kparts(key)
-    return 2 * a + 4 * b + m + abs(i)
-
-
 class LasagnaError(Exception):
     pass
 
 
 # -- the ball ---------------------------------------------------------------
 
+def _poly_keys(depth: int) -> list:
+    """The exponents (x, y) of the monomials E1^x E2^y of degree at most
+    depth: the basis of Q[E1,E2] truncated at depth."""
+    return [(x, y) for x in range(depth // 2 + 1) for y in range(depth // 4 + 1)
+            if 2 * x + 4 * y <= depth]
+
+
 def b4_module(depth: int = 40) -> TruncatedModule:
+    """Q[E1,E2] with the untwisted action: the weight-0 block."""
     if depth < 4:
         raise LasagnaError("depth must be at least 4")
-    keys = [
-        (a, b)
-        for a in range(depth // 2 + 1)
-        for b in range(depth // 4 + 1)
-        if 2 * a + 4 * b <= depth
-    ]
-    return TruncatedModule(
-        E_RING, BASE_SPEC, keys,
-        degree_fn=lambda k: 2 * k[0] + 4 * k[1],
-        depth=depth, name="ball",
-    )
-
-
-def b4_claim(depth: int = 40) -> DecompositionClaim:
-    """M*(0) plus one Verma M(-4j) generated by each power of the discriminant."""
-    parts = [ClaimPart("Mdual", 0, generator={(0, 0): Fraction(1)})]
-    d = delta()
-    power = E_RING.one
-    for j in range(1, depth // 4 + 1):
-        power = power * d
-        parts.append(ClaimPart("M", -4 * j, generator=dict(power.terms)))
-    return DecompositionClaim(parts)
+    return TruncatedModule(E_RING, BASE_SPEC, _poly_keys(depth), depth,
+                           name="ball")
 
 
 def b4_report(depth: int = 40) -> dict:
+    """block_claim(0, depth) on the ball: M*(0) plus one Verma M(-4j)
+    generated by each power of the discriminant."""
     m = b4_module(depth)
-    rep = verify_claim(m, b4_claim(depth))
+    rep = verify_claim(m, block_claim(0, depth))
     hwvs = []
     for lam in sorted({w for w in m.weights.values()}, reverse=True):
         hwvs.extend((lam, v) for v in m.highest_weight_vectors(lam))
@@ -113,11 +97,8 @@ def b2s2_module(depth: int = 20, side: str = "all") -> TruncatedModule:
                 hi = -1 if side == "minus" else rest
                 for i in range(lo, hi + 1):
                     keys.append(_lkey(a, b, m, i))
-    return TruncatedModule(
-        LASAGNA_RING, LASAGNA_SPEC, keys,
-        degree_fn=filtration_degree,
-        depth=depth, name=f"disk-sphere[{side}]",
-    )
+    return TruncatedModule(LASAGNA_RING, LASAGNA_SPEC, keys, depth,
+                           name=f"disk-sphere[{side}]")
 
 
 def _consistency_check():
@@ -228,17 +209,8 @@ def vanishing_check(j_max: int = 3, m_max: int = 3, n_max: int = 3) -> bool:
 def twisted_block(a: Fraction, shift: int, depth: int,
                   name: str) -> TruncatedModule:
     """Q[E1,E2] with the rank-one twist (f gains a*E1, h gains shift)."""
-    keys = [
-        (x, y)
-        for x in range(depth // 2 + 1)
-        for y in range(depth // 4 + 1)
-        if 2 * x + 4 * y <= depth
-    ]
-    return TruncatedModule(
-        E_RING, BASE_SPEC, keys,
-        degree_fn=lambda k: 2 * k[0] + 4 * k[1],
-        depth=depth, twist=ModuleTwist(Fraction(a), shift), name=name,
-    )
+    return TruncatedModule(E_RING, BASE_SPEC, _poly_keys(depth), depth,
+                           twist=ModuleTwist(Fraction(a), shift), name=name)
 
 
 def block_claim(w: int, depth: int) -> DecompositionClaim:
@@ -350,11 +322,8 @@ def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
                 if m < 0 or 2 * a + 4 * b + m + n > depth:
                     continue
                 keys.append(_lkey(a, b, m, -n))
-    return TruncatedModule(
-        LASAGNA_RING, LASAGNA_SPEC, keys,
-        degree_fn=filtration_degree,
-        depth=depth, name=f"minus[{ell}]",
-    )
+    return TruncatedModule(LASAGNA_RING, LASAGNA_SPEC, keys, depth,
+                           name=f"minus[{ell}]")
 
 
 def minus_block_split_check(depth: int = 12, ell_range=range(-2, 3)) -> bool:
@@ -459,11 +428,6 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
     record("layer Zuckerman part",
            sorted(lams, reverse=True) == _finite_weights(w, model_depth))
     return report
-
-
-def minus_zuckerman_check(depth: int = 20) -> bool:
-    """No finite summand in any minus block (ell in -2..2) up to depth."""
-    return minus_side_checks(depth)[1]
 
 
 def minus_side_checks(depth: int = 20) -> tuple:

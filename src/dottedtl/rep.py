@@ -48,14 +48,13 @@ class TruncatedModule:
     coprime to the table's numerators.
     """
 
-    def __init__(self, ring: PolyRing, spec: Sl2ActionSpec, keys, degree_fn,
-                 depth: int, twist: ModuleTwist | None = None, name: str = ""):
+    def __init__(self, ring: PolyRing, spec: Sl2ActionSpec, keys, depth: int,
+                 twist: ModuleTwist | None = None, name: str = ""):
         self.ring = ring
         self.spec = spec
         self.depth = depth
         self.twist = twist
         self.name = name
-        self.degree_fn = degree_fn
         self.basis = sorted(keys)
         self.index = {k: i for i, k in enumerate(self.basis)}
         shift = twist.shift if twist else 0
@@ -200,10 +199,9 @@ class TruncatedModule:
 
 @dataclass
 class ClaimPart:
-    kind: str                    # M, Mdual, L, P
+    kind: str                    # M, Mdual, L
     lam: int
     generator: dict | None = None   # vector in module basis keys
-    multiplicity: int = 1
 
 
 @dataclass
@@ -212,25 +210,14 @@ class DecompositionClaim:
 
     def character(self, w_min: int, w_max: int) -> dict:
         out = {w: 0 for w in range(w_min, w_max + 1)}
-
-        def add(kind, lam, mult):
-            for w in out:
-                if (w - lam) % 2:
-                    continue
-                if kind == "L":
-                    hit = -lam <= w <= lam
-                elif kind in ("M", "Mdual"):
-                    hit = w <= lam
-                elif kind == "P":
-                    hit = w <= lam if lam < 0 else (w <= lam) + (w <= -lam - 2)
-                    out[w] += int(hit) * mult
-                    continue
-                else:
-                    raise RepError(f"unknown summand kind {kind!r}")
-                if hit:
-                    out[w] += mult
         for p in self.parts:
-            add(p.kind, p.lam, p.multiplicity)
+            if p.kind not in ("L", "M", "Mdual"):
+                raise RepError(f"unknown summand kind {p.kind!r}")
+            for w in out:
+                # L(lam) has the weights lam, lam - 2, ..., -lam
+                if (w - p.lam) % 2 == 0 and w <= p.lam \
+                        and (p.kind != "L" or w >= -p.lam):
+                    out[w] += 1
         return {w: d for w, d in out.items() if d}
 
 

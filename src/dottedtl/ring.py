@@ -86,9 +86,6 @@ class PolyRing:
             return x
         return self.const(x)
 
-    def parse(self, text: str) -> "GradedPoly":
-        return _parse_poly(self, text)
-
     def __repr__(self):
         return "PolyRing(" + ", ".join(self.names) + ")"
 
@@ -158,14 +155,7 @@ class GradedPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            if len(self.terms) == 1:
-                (e, c), = self.terms.items()
-                inv_exp = tuple(-p for p in e)
-                for i, p in enumerate(inv_exp):
-                    if p < 0 and not self.ring.invertible[i]:
-                        raise RingError("cannot invert")
-                return GradedPoly(self.ring, {inv_exp: Fraction(1) / c}) ** (-n)
-            raise RingError("can only invert monomials")
+            raise RingError("negative power of a polynomial")
         out = self.ring.one
         for _ in range(n):
             out = out * self
@@ -201,12 +191,6 @@ class GradedPoly:
 
     def monomial_degree(self, exp: tuple) -> int:
         return sum(p * d for p, d in zip(exp, self.ring.degrees))
-
-    def degree(self):
-        """Max graded degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.monomial_degree(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
         degs = {self.monomial_degree(e) for e in self.terms}
@@ -285,117 +269,6 @@ class GradedPoly:
     __repr__ = __str__
 
 
-# -- text form parser -------------------------------------------------------
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            toks.append((ch, ch))
-            i += 1
-        else:
-            raise RingError(f"unexpected character {ch!r} at position {i}")
-    toks.append(("end", ""))
-    return toks
-
-
-class _PolyParser:
-    def __init__(self, ring: PolyRing, text: str):
-        self.ring = ring
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise RingError(f"expected {kind}, got {t[1]!r}")
-        return t
-
-    def parse(self) -> GradedPoly:
-        p = self.expr()
-        self.expect("end")
-        return p
-
-    def expr(self) -> GradedPoly:
-        if self.peek() == "-":
-            self.next()
-            out = -self.term()
-        else:
-            out = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            out = out + t if op == "+" else out - t
-        return out
-
-    def term(self) -> GradedPoly:
-        out = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()[0]
-            f = self.factor()
-            if op == "*":
-                out = out * f
-            else:
-                out = out * (self.ring.one * (Fraction(1) / f.constant_value()))
-        return out
-
-    def factor(self) -> GradedPoly:
-        out = self.atom()
-        while self.peek() == "^":
-            self.next()
-            neg = False
-            if self.peek() == "-":
-                self.next()
-                neg = True
-            n = int(self.expect("int")[1])
-            out = out ** (-n if neg else n)
-        return out
-
-    def atom(self) -> GradedPoly:
-        kind, val = self.next()
-        if kind == "int":
-            return self.ring.const(int(val))
-        if kind == "name":
-            if val not in self.ring.index:
-                raise RingError(f"unknown generator {val!r}")
-            return self.ring.gen(val)
-        if kind == "(":
-            p = self.expr()
-            self.expect(")")
-            return p
-        if kind == "-":
-            return -self.atom()
-        raise RingError(f"unexpected token {val!r}")
-
-
-def _parse_poly(ring: PolyRing, text: str) -> GradedPoly:
-    return _PolyParser(ring, text).parse()
-
-
 # -- standard rings ---------------------------------------------------------
 
 # Base graded ring of the diagram category: deg E1 = 2, deg E2 = 4.
@@ -412,19 +285,9 @@ def delta(ring: PolyRing | None = None) -> GradedPoly:
     return 4 * ring.gen("E2") - ring.gen("E1") * ring.gen("E1")
 
 
-def lasagna_ring(a1_degree: int = -2, a0_degree: int = 0) -> PolyRing:
-    """Q[E1,E2][A0^{+-1}, A1]: the coefficient ring of the B^2 x S^2 module."""
-    return PolyRing(
-        [
-            GenSpec("E1", 2),
-            GenSpec("E2", 4),
-            GenSpec("A1", a1_degree),
-            GenSpec("A0", a0_degree, invertible=True),
-        ]
-    )
-
-
-LASAGNA_RING = lasagna_ring()
+# Q[E1,E2][A0^{+-1}, A1]: the coefficient ring of the B^2 x S^2 module.
+LASAGNA_RING = PolyRing([GenSpec("E1", 2), GenSpec("E2", 4), GenSpec("A1", -2),
+                         GenSpec("A0", 0, invertible=True)])
 
 
 # -- q-Laurent polynomials --------------------------------------------------

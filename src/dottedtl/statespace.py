@@ -188,26 +188,6 @@ class PolyMatrix:
             self._table = None
         return self._cols
 
-    @property
-    def nrows(self):
-        return 2 ** self.n_out
-
-    @property
-    def ncols(self):
-        return 2 ** self.n_in
-
-    def __setitem__(self, key, value):
-        i, j = key
-        v = E_RING.coerce(value)
-        cols = self.cols
-        col = cols.setdefault(j, {})
-        if v.is_zero():
-            col.pop(i, None)
-            if not col:
-                del cols[j]
-        else:
-            col[i] = v
-
     def __getitem__(self, key):
         i, j = key
         if self._table is None:
@@ -233,14 +213,6 @@ class PolyMatrix:
     def identity(cls, n: int) -> "PolyMatrix":
         one = {0: 1}
         return _canonical(n, n, 1, {i: {i: one} for i in range(2 ** n)}, 1)
-
-    @classmethod
-    def zero(cls, n_out: int, n_in: int) -> "PolyMatrix":
-        return cls(n_out, n_in)
-
-    def copy(self) -> "PolyMatrix":
-        den, table = self._packed()
-        return _canonical(self.n_out, self.n_in, den, table, 1)
 
     def _combine(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
         """self + sign * other over the lcm of the two denominators."""
@@ -457,13 +429,6 @@ LETTER_IMAGES = {
     "f": {A1: [(A1, -_HALF * E1)], A0: [(A0, _HALF * E1), (A1, -E2)]},
     "h": {A1: [(A1, E_RING.one)], A0: [(A0, E_RING.const(-1))]},
 }
-
-
-def apply_intrinsic(g: str, vec: dict, n: int) -> dict:
-    """Apply e/f/h to a vector {index: GradedPoly} in V_n: the action on the
-    map V_0 -> V_n with that column, where it is G_n plus the derivation."""
-    F = PolyMatrix(n, 0, {(i, 0): v for i, v in vec.items()})
-    return {i: v for (i, _), v in commutator_star(g, F).entries()}
 
 
 # -- the sl2 action on morphisms ---------------------------------------------

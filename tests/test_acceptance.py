@@ -66,6 +66,6 @@ def test_12_intrinsic_point_identity():
     assert rep["ok"], rep
 
 
-def test_13_utilities_and_determinism():
+def test_13_utilities_and_roundtrips():
     rep = selftest.criterion_utilities(SEED)
     assert rep["ok"], rep

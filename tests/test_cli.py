@@ -1,14 +1,16 @@
 """Command-line front end: exit codes, output shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "dottedtl.cli", *args],
         capture_output=True, text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -72,7 +74,9 @@ def test_kirby_command():
                   "--a2", "1/2", "--json")
     assert res.returncode == 0
     rep = json.loads(res.stdout)
-    assert rep["ok"] and rep["leibniz_closure"]
+    assert rep["ok"]
+    assert [c["status"] for c in rep["composites"]] == ["pass"]
+    assert "leibniz_closure" not in rep
 
 
 def test_b4_command():
@@ -99,6 +103,14 @@ def test_reports_are_deterministic():
     c = run_cli("decompose-b4", "--depth", "12", "--json")
     d = run_cli("decompose-b4", "--depth", "12", "--json")
     assert c.stdout == d.stdout
+
+
+def test_verify_report_does_not_depend_on_the_hash_seed():
+    args = ("dtl-verify", "--params", "0,1/2", "--n-max", "3", "--json")
+    a = run_cli(*args, env={"PYTHONHASHSEED": "0"})
+    b = run_cli(*args, env={"PYTHONHASHSEED": "1"})
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
 
 
 def test_quiver_bounds_are_usage_errors():

@@ -12,7 +12,6 @@ import pytest
 from dottedtl import projectors
 from dottedtl.expr import (
     ExprError,
-    normalize,
     normalize_combo,
     normalize_matrix,
     normalized_string,
@@ -59,6 +58,29 @@ def test_macros_match_projector_module():
     assert parse_expr("d(3)").evaluate() == projectors.dn(3, p0).mat
 
 
+def test_macro_argument_bounds():
+    """jw(n) and d(n) are accepted for 2n <= NORMALIZE_STRAND_BOUND, u(n)
+    for 2(n + 2) <= NORMALIZE_STRAND_BOUND, z(n) and s(i, n) for
+    n <= JW_TRACKED_BOUND; past that the bound error is raised."""
+    bounds = {"jw": 5, "u": 3, "d": 5, "z": 8, "s": 8}
+    for name, bound in bounds.items():
+        for n in range(11):
+            text = f"s(1,{n})" if name == "s" else f"{name}({n})"
+            if name == "s":
+                bound_error = f"macro argument too large: s(..., {n}) > 8"
+            else:
+                bound_error = f"macro argument out of range: {name}({n})"
+            try:
+                parse_expr(text)
+                error = None
+            except ExprError as exc:
+                error = str(exc)
+            if n > bound:
+                assert error == f"{bound_error} (at position 0)", text
+            else:
+                assert error is None or bound_error not in error, text
+
+
 def test_error_positions():
     with pytest.raises(ExprError) as exc:
         parse_expr("dot ;; id")
@@ -83,7 +105,7 @@ def test_shape_mismatch_in_sum():
 def test_normalize_examples():
     assert normalized_string(parse_expr("dot ; dot")) \
         == "(E1)*(dot) + (-E2)*(id)"
-    terms = normalize(parse_expr("dot ; dot"))
+    terms = normalize_matrix(parse_expr("dot ; dot").evaluate(), 1, 1)
     assert len(terms) == 2
     assert normalized_string(parse_expr("cup ; cap")) == "(2)"
 

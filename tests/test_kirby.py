@@ -7,7 +7,7 @@ import pytest
 from dottedtl import kirby
 from dottedtl.ring import E_RING
 from dottedtl.sl2 import GENERATORS, DtlParams, TwistData
-from dottedtl.statespace import commutator_star
+from dottedtl.statespace import PolyMatrix, commutator_star
 from dottedtl.words import Combo, Word
 from dottedtl.projectors import TrackedMor, un
 
@@ -139,21 +139,21 @@ def test_perturbed_level_map_is_not_annihilated():
     system = kirby.build_kirby(0, 1, Fraction(1, 2))
     F = system.maps[0]
     src, tgt = system.levels
-    (i, j), v = next(iter(F.mat.entries()))
-    bad = F.mat.copy()
-    bad[i, j] = v + E_RING.one
-    bad = TrackedMor(bad, F.params)
+    bad = TrackedMor(F.mat + _one_entry(F.mat, E_RING.one), F.params)
     assert all(kirby.star_act_twisted(g, F, src, tgt).is_zero()
                for g in GENERATORS)
     assert not all(kirby.star_act_twisted(g, bad, src, tgt).is_zero()
                    for g in GENERATORS)
 
 
+def _one_entry(m, v):
+    """A matrix of m's shape holding v at m's first stored entry."""
+    (i, j), _ = next(iter(m.entries()))
+    return PolyMatrix(m.n_out, m.n_in, {(i, j): v})
+
+
 def _perturbed_map(F):
-    (i, j), v = next(iter(F.mat.entries()))
-    bad = F.mat.copy()
-    bad[i, j] = v + E_RING.gen("E1")
-    return TrackedMor(bad, F.params)
+    return TrackedMor(F.mat + _one_entry(F.mat, E_RING.gen("E1")), F.params)
 
 
 def test_swapped_map_is_recomputed_not_served_stale():
@@ -238,7 +238,6 @@ def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):
     so the counted pass makes every product afresh."""
     from dottedtl import projectors, statespace
     from dottedtl.ring import GradedPoly
-    from dottedtl.statespace import PolyMatrix
 
     def run_workload():
         monkeypatch.setattr(projectors, "_jw_cache", {})

@@ -91,7 +91,7 @@ def test_strict_layer_matches_block_action():
 
 
 def test_minus_no_finite_part():
-    assert lasagna.minus_zuckerman_check(12)
+    assert lasagna.minus_side_checks(12)[1]
 
 
 def _finite_part_claim(report):
@@ -306,16 +306,17 @@ def test_wrong_summand_kind_fails_the_ball_criterion(monkeypatch):
     """With M(-4) claimed as a dual Verma module, criterion 8 fails."""
     from dottedtl import selftest
 
-    real = lasagna.b4_claim
+    real = lasagna.block_claim
 
-    def wrong(depth=40):
-        claim = real(depth)
+    def wrong(w, depth):
+        claim = real(w, depth)
+        assert w == 0  # the ball is the untwisted weight-0 block
         assert (claim.parts[1].kind, claim.parts[1].lam) == ("M", -4)
         claim.parts[1].kind = "Mdual"
         return claim
 
     assert selftest.criterion_ball()["ok"] is True
-    monkeypatch.setattr(lasagna, "b4_claim", wrong)
+    monkeypatch.setattr(lasagna, "block_claim", wrong)
     assert selftest.criterion_ball()["ok"] is False
 
 

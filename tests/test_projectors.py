@@ -14,6 +14,12 @@ P0 = DtlParams(Fraction(0), Fraction(0))
 PH = DtlParams(Fraction(0), Fraction(1, 2))
 
 
+def entry_added(m, v):
+    """m plus v at its first stored entry."""
+    (i, j), _ = next(iter(m.entries()))
+    return m + PolyMatrix(m.n_out, m.n_in, {(i, j): v})
+
+
 def test_p2_closed_form():
     cc = Combo.of(Word((("cap",), ("cup",)))).evaluate()
     want = Combo.of(identity_word(2)).evaluate() \
@@ -43,10 +49,7 @@ def test_symmetrizer_oracle_bound():
 def test_perturbed_projector_fails_symmetrizer_check(monkeypatch):
     """Criterion 3 with one entry of p_4 perturbed reports the symmetrizer
     mismatch at p_4."""
-    p4 = projectors.jw(4)
-    (i, j), v = next(iter(p4.entries()))
-    bad = p4.copy()
-    bad[i, j] = v + E_RING.gen("E1")
+    bad = entry_added(projectors.jw(4), E_RING.gen("E1"))
     monkeypatch.setattr(projectors, "_jw_cache", {4: bad})
     rep = selftest.criterion_projectors()
     status = {c["check"]: c["status"] for c in rep["checks"]}
@@ -72,7 +75,7 @@ def test_perturbed_p2_fails_the_projector_action_criterion(monkeypatch):
 
 
 def test_word_level_projector_matches_matrix():
-    for n in range(expr.MACRO_ARG_BOUNDS["jw"] + 1):
+    for n in range(expr.NORMALIZE_STRAND_BOUND // 2 + 1):
         assert expr._jw_combo(n).evaluate() == projectors.jw(n)
 
 
@@ -112,9 +115,7 @@ def test_perturbed_un_fails_certification():
         u = projectors.un(2, p)
         f_eig, h_eig = (1 - a2) * E1, 2 * a2 - 2
         projectors._certify("U_2", u, f_eig, h_eig)
-        (i, j), v = next(iter(u.mat.entries()))
-        bad = u.mat.copy()
-        bad[i, j] = v + E1
+        bad = entry_added(u.mat, E1)
         with pytest.raises(projectors.ProjectorError):
             projectors._certify("U_2", projectors.TrackedMor(bad, p),
                                 f_eig, h_eig)
@@ -236,10 +237,7 @@ def test_swapped_projector_cache_swaps_derived_matrices(monkeypatch):
     p_4) fails certification on every call; none outlives the swap."""
     real_z4 = projectors.zn_matrix(4)
     projectors.un(2, P0)  # built and certified with the real p_4
-    p4 = projectors.jw(4)
-    (i, j), v = next(iter(p4.entries()))
-    bad = p4.copy()
-    bad[i, j] = v + E_RING.gen("E1")
+    bad = entry_added(projectors.jw(4), E_RING.gen("E1"))
     with monkeypatch.context() as m:
         m.setattr(projectors, "_jw_cache", {4: bad})
         assert projectors.zn_matrix(4) != real_z4

@@ -30,11 +30,8 @@ def _poly_module(depth, twist=None):
         for b in range(depth // 4 + 1)
         if 2 * a + 4 * b <= depth
     ]
-    return TruncatedModule(
-        E_RING, BASE_SPEC, keys,
-        degree_fn=lambda k: 2 * k[0] + 4 * k[1],
-        depth=depth, twist=twist, name="test",
-    )
+    return TruncatedModule(E_RING, BASE_SPEC, keys, depth, twist=twist,
+                           name="test")
 
 
 def test_weights_match_degrees():
@@ -217,8 +214,7 @@ def test_perturbed_spec_changes_table_and_fails_brackets():
                         {**BASE_SPEC.f_images, "E2": 2 * E1 * E2},
                         dict(BASE_SPEC.h_weights))
     good = _poly_module(12)
-    m = TruncatedModule(E_RING, bad, good.basis, good.degree_fn, 12,
-                        name="perturbed")
+    m = TruncatedModule(E_RING, bad, good.basis, 12, name="perturbed")
     assert m.action["f"] != good.action["f"]
     assert m.action["f"] == oracle_tables(m)[0]["f"]
     assert bracket_check(good)

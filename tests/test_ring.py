@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dottedtl.expr import parse_expr
 from dottedtl.ring import (
     E_RING,
     LASAGNA_RING,
@@ -15,6 +16,7 @@ from dottedtl.ring import (
     qfact,
     qint,
 )
+from dottedtl.statespace import PolyMatrix
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
@@ -44,7 +46,16 @@ def test_str_parse_roundtrip():
             exp = (rng.randint(0, 3), rng.randint(0, 2))
             terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         p = E_RING.poly({e: c for e, c in terms.items() if c})
-        assert E_RING.parse(str(p)) == p
+        # the expression parser reads the printed form as p times the
+        # empty diagram
+        assert parse_expr(str(p)).evaluate() == PolyMatrix(0, 0, {(0, 0): p})
+
+
+def test_negative_power_raises():
+    with pytest.raises(RingError):
+        (E1 + E2) ** -1
+    with pytest.raises(RingError):
+        LASAGNA_RING.gen("A0") ** -1
 
 
 def test_substitution():

@@ -229,7 +229,7 @@ def propagated_matching_matrix(matching, dots, n_bot, n_top):
     GradedPoly arithmetic throughout."""
     cup = PRIM_MATRICES["cup"]
     cap = PRIM_MATRICES["cap"]
-    out = PolyMatrix(n_top, n_bot)
+    entries = {}
     for x in range(2 ** n_bot):
         in_bits = [(x >> (n_bot - 1 - i)) & 1 for i in range(n_bot)]
         dist = [(E_RING.one, {})]
@@ -262,8 +262,8 @@ def propagated_matching_matrix(matching, dots, n_bot, n_top):
             y = 0
             for j in range(n_top):
                 y = (y << 1) | a[j]
-            out[y, x] = out[y, x] + c
-    return out
+            entries[y, x] = entries.get((y, x), E_RING.zero) + c
+    return PolyMatrix(n_top, n_bot, entries)
 
 
 def assert_stored_canonically(m):
