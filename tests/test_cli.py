@@ -1,9 +1,12 @@
 """Command-line front end: exit codes, output shape, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, env=None):
@@ -111,6 +114,29 @@ def test_verify_report_does_not_depend_on_the_hash_seed():
     b = run_cli(*args, env={"PYTHONHASHSEED": "1"})
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# sha256 of the CLI's --json stdout for the projector, Kirby and
+# word-relation reports
+PINNED_REPORT_SHA256 = {
+    ("quiver",):
+        "08f1d809da14d0cdbb195e8880a9f455a2e999676986baca173fe950ae885012",
+    ("jw", "5"):
+        "fc1526ee6fb9216d9d316660fa10663b9a0727d0eb728f82d2d8e4d5f2df1b8d",
+    ("kirby-certify", "--k", "0", "--levels", "3", "--a2", "1/2"):
+        "c70e6feda25bf1304daa4001d2caccb5cdb6b2f962f6191244fe090adc3ba1e1",
+    ("dtl-verify", "--params", "1/2,-1/3"):
+        "45c6f899197b8775fc6fde861063bcbbbaccbb97a8b1f45cfbf703208bfb8d12",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORT_SHA256))
+def test_reports_are_pinned(args):
+    for hashseed in ("0", "4242"):
+        res = run_cli(*args, "--json", env={"PYTHONHASHSEED": hashseed})
+        assert res.returncode == 0, res.stderr
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == PINNED_REPORT_SHA256[args], hashseed
 
 
 def test_quiver_bounds_are_usage_errors():
