@@ -24,8 +24,6 @@ from .sl2 import (
     LASAGNA_SPEC,
     Sl2ActionSpec,
     TwistData,
-    check_bracket,
-    check_flat_twist,
     iterate_f,
 )
 from .statespace import PolyMatrix, commutator_star
@@ -61,7 +59,6 @@ from .projectors import (
     jw_tracked,
     quiver_check,
     un,
-    zn,
     zn_matrix,
 )
 from .kirby import (
@@ -91,7 +88,7 @@ __all__ = [
     "E_RING", "LASAGNA_RING", "GradedPoly", "PolyRing", "QLaurent",
     "delta", "qbinom", "qfact", "qint",
     "BASE_SPEC", "GENERATORS", "LASAGNA_SPEC", "Sl2ActionSpec", "TwistData",
-    "check_bracket", "check_flat_twist", "iterate_f",
+    "iterate_f",
     "PolyMatrix", "commutator_star",
     "Combo", "DtlParams", "Word", "WordError", "act", "dotted_spanning_set",
     "evaluate_word", "identity_word", "matching_matrix", "matching_to_word",
@@ -99,7 +96,7 @@ __all__ = [
     "ExprError", "normalize_combo", "normalized_string",
     "parse_expr", "print_combo", "print_word", "roundtrip_equal",
     "ProjectorError", "TrackedMor", "dn", "jw", "jw_bruteforce",
-    "jw_tracked", "quiver_check", "un", "zn", "zn_matrix",
+    "jw_tracked", "quiver_check", "un", "zn_matrix",
     "KirbyError", "KirbySystem", "TwistedObject", "build_kirby",
     "composite_check", "leibniz_closure_check", "level_twist",
     "star_act_twisted",

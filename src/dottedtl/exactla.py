@@ -90,10 +90,6 @@ def rref(rows: list[list[Fraction]]):
     return pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref([list(r) for r in rows]))
-
-
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the matrix given by rows."""
     work = [list(r) for r in rows]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sl2 import GENERATORS, DtlParams, TwistData, check_flat_twist
+from .sl2 import GENERATORS, DtlParams, TwistData
 from .statespace import PolyMatrix, commutator_star
 from .projectors import JW_TRACKED_BOUND, TrackedMor, un
 
@@ -30,10 +30,6 @@ class KirbyError(Exception):
 class TwistedObject:
     n: int
     twist: TwistData
-
-    def __post_init__(self):
-        if not check_flat_twist(self.twist):
-            raise KirbyError(f"twist {self.twist} is not flat")
 
 
 def star_act_twisted(

@@ -26,12 +26,11 @@ from .rep import (
 HALF = Fraction(1, 2)
 
 # exponent order in LASAGNA_RING keys
-_L_NAMES = LASAGNA_RING.names
-_IDX = {n: i for i, n in enumerate(_L_NAMES)}
+_IDX = LASAGNA_RING.index
 
 
 def _lkey(a=0, b=0, m=0, i=0):
-    key = [0] * len(_L_NAMES)
+    key = [0] * len(_IDX)
     key[_IDX["E1"]], key[_IDX["E2"]] = a, b
     key[_IDX["A1"]], key[_IDX["A0"]] = m, i
     return tuple(key)
@@ -58,8 +57,7 @@ def b4_module(depth: int = 40) -> TruncatedModule:
     """Q[E1,E2] with the untwisted action: the weight-0 block."""
     if depth < 4:
         raise LasagnaError("depth must be at least 4")
-    return TruncatedModule(E_RING, BASE_SPEC, _poly_keys(depth), depth,
-                           name="ball")
+    return TruncatedModule(BASE_SPEC, _poly_keys(depth), depth, name="ball")
 
 
 def b4_report(depth: int = 40) -> dict:
@@ -85,7 +83,6 @@ def b2s2_module(depth: int = 20, side: str = "all") -> TruncatedModule:
         raise LasagnaError("depth must be at least 6")
     if side not in ("all", "plus", "minus"):
         raise LasagnaError(f"unknown side {side!r}")
-    _consistency_check()
     keys = []
     for a in range(depth // 2 + 1):
         for b in range(depth // 4 + 1):
@@ -97,26 +94,8 @@ def b2s2_module(depth: int = 20, side: str = "all") -> TruncatedModule:
                 hi = -1 if side == "minus" else rest
                 for i in range(lo, hi + 1):
                     keys.append(_lkey(a, b, m, i))
-    return TruncatedModule(LASAGNA_RING, LASAGNA_SPEC, keys, depth,
+    return TruncatedModule(LASAGNA_SPEC, keys, depth,
                            name=f"disk-sphere[{side}]")
-
-
-def _consistency_check():
-    """The derivation images of the inverse generator, and g(A0 * A0^-1) = 0."""
-    A0inv = GradedPoly(LASAGNA_RING, {_lkey(i=-1): Fraction(1)})
-    A0 = LASAGNA_RING.gen("A0")
-    A1 = LASAGNA_RING.gen("A1")
-    E1, E2 = LASAGNA_RING.gen("E1"), LASAGNA_RING.gen("E2")
-    expected = {
-        "e": A1 * A0inv * A0inv,
-        "f": E2 * A1 * A0inv * A0inv - HALF * E1 * A0inv,
-        "h": A0inv,
-    }
-    for g in GENERATORS:
-        if LASAGNA_SPEC.apply(g, A0inv) != expected[g]:
-            raise LasagnaError(f"{g}(A0^-1) does not match the derivation rule")
-        if not LASAGNA_SPEC.apply(g, A0 * A0inv).is_zero():
-            raise LasagnaError(f"{g}(A0 * A0^-1) != 0")
 
 
 # -- the v-basis and the closed f-power formula -----------------------------
@@ -144,18 +123,11 @@ def gamma(j: int, m: int, n: int) -> Fraction:
     return 2 * j + Fraction(n - m, 2)
 
 
-def genfrcomp_closed_form(j: int, m: int, n: int, r: int) -> GradedPoly:
-    """f^r of delta^j A1^m v^n by the closed coefficient formula:
-    sum over k + 2a = r of (-1)^a ((k+2a)...(k+1)/a!) (g)...(g+r-a-1) E1^k E2^a
-    times the element, with g = 2j + (n-m)/2."""
-    if r < 1:
-        raise LasagnaError("r must be at least 1")
-    return _closed_form_coefficient(j, m, n, r) * vbasis_element(j, m, n)
-
-
 def _closed_form_coefficient(j: int, m: int, n: int, r: int) -> GradedPoly:
-    """The Q[E1,E2] factor of genfrcomp_closed_form(j, m, n, r), written
-    term by term as {E1^k E2^a: c}."""
+    """The Q[E1,E2] factor c_r of the closed f-power formula
+    f^r(delta^j A1^m v^n) = c_r delta^j A1^m v^n: the sum over k + 2a = r
+    of (-1)^a ((k+2a)...(k+1)/a!) (g)...(g+r-a-1) E1^k E2^a, with
+    g = 2j + (n-m)/2."""
     g = gamma(j, m, n)
     terms = {}
     for a in range(r // 2 + 1):
@@ -206,11 +178,10 @@ def vanishing_check(j_max: int = 3, m_max: int = 3, n_max: int = 3) -> bool:
 
 # -- plus part, blockwise ---------------------------------------------------
 
-def twisted_block(a: Fraction, shift: int, depth: int,
-                  name: str) -> TruncatedModule:
-    """Q[E1,E2] with the rank-one twist (f gains a*E1, h gains shift)."""
-    return TruncatedModule(E_RING, BASE_SPEC, _poly_keys(depth), depth,
-                           twist=ModuleTwist(Fraction(a), shift), name=name)
+def twisted_block(w: int, depth: int, name: str) -> TruncatedModule:
+    """Q[E1,E2] with the rank-one twist ModuleTwist(w) of weight shift w."""
+    return TruncatedModule(BASE_SPEC, _poly_keys(depth), depth,
+                           twist=ModuleTwist(w), name=name)
 
 
 def block_claim(w: int, depth: int) -> DecompositionClaim:
@@ -245,7 +216,7 @@ def block_embedding_check(m: int, n: int, vn: GradedPoly) -> bool:
 
 def _twisted_verdict(model: TruncatedModule, w: int) -> tuple:
     """(claim ok, Zuckerman summand weights) of a weight-w twisted block
-    model, twisted_block(-w/2, w, depth, name): block_claim(w, depth)
+    model, twisted_block(w, depth, name): block_claim(w, depth)
     verified on it, and the weights of its locally finite summands in the
     order zuckerman finds them.  The model depends on nothing but w, its
     depth and its name, so every plus block and filtration layer of one
@@ -294,8 +265,7 @@ def mplus_decomposition(depth: int = 20, mn_max: int | None = None) -> dict:
             key = (w, block_depth)
             if key not in verdicts:
                 verdicts[key] = _twisted_verdict(
-                    twisted_block(Fraction(-w, 2), w, block_depth,
-                                  f"block[m={m},n={n}]"), w)
+                    twisted_block(w, block_depth, f"block[m={m},n={n}]"), w)
             claim_ok, lams = verdicts[key]
             zok = sorted(lams, reverse=True) == _finite_weights(w, block_depth)
             ok = ok and claim_ok and zok
@@ -322,8 +292,7 @@ def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
                 if m < 0 or 2 * a + 4 * b + m + n > depth:
                     continue
                 keys.append(_lkey(a, b, m, -n))
-    return TruncatedModule(LASAGNA_RING, LASAGNA_SPEC, keys, depth,
-                           name=f"minus[{ell}]")
+    return TruncatedModule(LASAGNA_SPEC, keys, depth, name=f"minus[{ell}]")
 
 
 def minus_block_split_check(depth: int = 12, ell_range=range(-2, 3)) -> bool:
@@ -359,21 +328,14 @@ def strictness(ell: int, r: int, depth: int = 20) -> bool:
     return r >= 0 and n >= 1 and r + n <= depth
 
 
-def filtration_quotient(ell: int, r: int, depth: int = 20) -> dict:
-    """The layer S_(ell,r)/S_(ell,r+1) as a twisted polynomial module with
-    weight 2r - ell, verified against the minus-block action and against the
-    claimed Verma/dual-Verma stack."""
-    blk = minus_block(ell, depth) if strictness(ell, r, depth) else None
-    return _layer_report(blk, ell, r, depth, {})
-
-
 def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
                   depth: int, verdicts: dict) -> dict:
-    """filtration_quotient(ell, r, depth) on a given minus_block(ell, depth);
-    blk is read only when the layer is strict.
+    """The layer S_(ell,r)/S_(ell,r+1) as a twisted polynomial module with
+    weight w = 2r - ell, verified against the action of
+    blk = minus_block(ell, depth), which is read only when the layer is
+    strict, and against the claimed Verma/dual-Verma stack.
 
-    The layer's model is twisted_block(-w/2, w, model_depth) with
-    w = 2r - ell.  Its claim and Zuckerman verdict come from ``verdicts``,
+    The layer's model is twisted_block(w, model_depth).  Its claim and Zuckerman verdict come from ``verdicts``,
     keyed by (w, model_depth), and are computed and stored there when
     missing.  The model is built only when the verdict is missing or the
     layer is strict, where its action is compared with the block's."""
@@ -389,8 +351,7 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
     }
     model = None
     if report["strict"] or key not in verdicts:
-        model = twisted_block(Fraction(-w, 2), w, model_depth,
-                              f"layer[ell={ell},r={r}]")
+        model = twisted_block(w, model_depth, f"layer[ell={ell},r={r}]")
 
     def record(name, ok):
         report["checks"].append({"check": name,
@@ -432,8 +393,7 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
 
 def minus_side_checks(depth: int = 20) -> tuple:
     """(layers ok, no finite part) for ell in -2..2: the filtration layers
-    (ell, r), r = 0..4, and the Zuckerman check of each minus block.  The
-    same verdicts as filtration_quotient over that grid, but
+    (ell, r), r = 0..4, and the Zuckerman check of each minus block.
     minus_block(ell, depth) is built once per ell and dropped before the
     next one is built, and the layer models' claim and Zuckerman verdicts
     are computed once per (weight, model depth): the 25 layers have 13

@@ -18,7 +18,6 @@ from .ring import E_RING
 from .sl2 import GENERATORS, DtlParams
 from .statespace import PolyMatrix, commutator_star, generator_matrix
 from .words import (
-    Combo,
     Word,
     crossing_combo,
     evaluate_word,
@@ -108,10 +107,6 @@ def jw_bruteforce(n: int) -> PolyMatrix:
 
 # -- dotted connecting operators --------------------------------------------
 
-def zn(n: int) -> Combo:
-    return zn_combo(n)
-
-
 def _certify(name: str, t: TrackedMor, f_eig, h_eig):
     """Abort unless e kills t and f, h scale it by the stated eigenvalues."""
     failures = []
@@ -197,18 +192,14 @@ def zn_matrix(n: int, params: DtlParams = DtlParams()) -> PolyMatrix:
     return _derived(("z", n), build)
 
 
-def _mod_EE(m: PolyMatrix) -> PolyMatrix:
-    return m.substitute({"E1": Fraction(0), "E2": Fraction(0)})
-
-
 def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
     """The five relations among U, D, z inside the projector category.
 
     The first three hold after setting E1 = E2 = 0; the z-intertwinings are
-    exact identities.  Setting E1 = E2 = 0 is a ring homomorphism, so the
-    reduced relations multiply the reduced factors: _mod_EE(D U) =
-    _mod_EE(D) _mod_EE(U), and the reduced z_n and its square are built
-    once per n.  n_max must lie in 0..JW_TRACKED_BOUND.
+    exact identities.  Setting E1 = E2 = 0 (PolyMatrix.constant_terms) is a
+    ring homomorphism, so the reduced relations multiply the reduced
+    factors, and the reduced z_n and its square are built once per n.
+    n_max must lie in 0..JW_TRACKED_BOUND.
     """
     if not 0 <= n_max <= JW_TRACKED_BOUND:
         raise ProjectorError(
@@ -220,23 +211,23 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
 
     for n in range(n_max + 1):
         z = zn_matrix(n, params)
-        zmod = _mod_EE(z)
+        zmod = z.constant_terms()
         minus_z2 = -(zmod * zmod)
         if n + 4 <= JW_TRACKED_BOUND:
             u = un(n, params)
             d = dn(n + 2, params)
-            lhs = _mod_EE(d.mat) * _mod_EE(u.mat)
+            lhs = d.mat.constant_terms() * u.mat.constant_terms()
             record(f"D_{n+2}U_{n} = -z_{n}^2 mod (E1,E2)", lhs == minus_z2)
             z2 = zn_matrix(n + 2, params)
             record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d.mat == d.mat * z2)
         if n >= 2:
             u = un(n - 2, params)
             d = dn(n, params)
-            lhs = _mod_EE(u.mat) * _mod_EE(d.mat)
+            lhs = u.mat.constant_terms() * d.mat.constant_terms()
             record(f"U_{n-2}D_{n} = -z_{n}^2 mod (E1,E2)", lhs == minus_z2)
             zp = zn_matrix(n - 2, params)
             record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u.mat == u.mat * zp)
-        zpow = _mod_EE(jw(n, params))
+        zpow = jw(n, params).constant_terms()
         for _ in range(n + 1):
             zpow = zpow * zmod
         record(f"z_{n}^{n+1} = 0 mod (E1,E2)", zpow.is_zero())

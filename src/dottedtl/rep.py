@@ -15,10 +15,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from . import exactla
-from .ring import PolyRing
-from .sl2 import GENERATORS, Sl2ActionSpec, add_term
+from .sl2 import GENERATORS, Sl2ActionSpec, TwistData, add_term
 
 class RepError(Exception):
     pass
@@ -26,10 +26,15 @@ class RepError(Exception):
 
 @dataclass(frozen=True)
 class ModuleTwist:
-    """Rank-one twist: f gains a*E1*x, h gains a constant weight shift."""
+    """The rank-one twist of a Q[E1,E2] module that shifts h-weights by
+    shift: TwistData(a) with a = -shift/2, the one a for which [e, f] = h
+    still holds."""
 
-    a: Fraction
     shift: int
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(-self.shift, 2)
 
 
 def _numerators(vec: dict) -> tuple:
@@ -48,9 +53,9 @@ class TruncatedModule:
     coprime to the table's numerators.
     """
 
-    def __init__(self, ring: PolyRing, spec: Sl2ActionSpec, keys, depth: int,
+    def __init__(self, spec: Sl2ActionSpec, keys, depth: int,
                  twist: ModuleTwist | None = None, name: str = ""):
-        self.ring = ring
+        self.ring = spec.ring
         self.spec = spec
         self.depth = depth
         self.twist = twist
@@ -75,29 +80,27 @@ class TruncatedModule:
 
     def _build_action(self):
         """e/f/h tables from the spec's monomial kernel, one column per basis
-        key; the twist adds a*x^(k+E1) to f(x^k) and shift*x^k to h(x^k) in
-        the same column.  The kernel derives the int coefficient den/den[g],
-        so a column holds numerators over den, the lcm of the spec's and the
+        key; the twist adds x^k times TwistData(a).tau(g) to g(x^k) in the
+        same column.  The kernel derives the int coefficient den/den[g], so
+        a column holds numerators over den, the lcm of the spec's and the
         twist's denominators; the table is then divided by the gcd of den
         and its numerators.  An image term outside the basis is dropped from
         the table and the key is recorded in ``boundary_loss``."""
         derive = self.spec.derive_monomial
         index = self.index
-        a = Fraction(self.twist.a) if self.twist else 0
-        shift = self.twist.shift if self.twist else 0
-        e1 = self.ring.index["E1"] if a else None
         for g in GENERATORS:
+            tau = TwistData(self.twist.a).tau(g).terms if self.twist else {}
             sden = self.spec.den[g]
-            den = lcm(sden, a.denominator) if g == "f" and a else sden
+            den = lcm(sden, *(c.denominator for c in tau.values()))
+            twist = [(exp, c.numerator * (den // c.denominator))
+                     for exp, c in tau.items()]
+            scale = den // sden
             table = {}
             loss = self.boundary_loss[g]
             for k in self.basis:
-                img = derive(g, k, den // sden, {})
-                if g == "f" and a:
-                    add_term(img, k[:e1] + (k[e1] + 1,) + k[e1 + 1:],
-                             a.numerator * (den // a.denominator))
-                elif g == "h" and shift:
-                    add_term(img, k, shift)
+                img = derive(g, k, scale, {})
+                for exp, c in twist:
+                    add_term(img, tuple(map(add, k, exp)), c)
                 col = {}
                 for ke, c in img.items():
                     if ke in index:
@@ -232,11 +235,10 @@ def _in_image_of_e(m: TruncatedModule, target: dict, weight: int) -> bool:
     return exactla.solve(rows, [target.get(t, 0) for t in targets]) is not None
 
 
-def verify_claim(m: TruncatedModule, claim: DecompositionClaim,
-                 depth: int | None = None) -> dict:
+def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:
     """Character + generator + dual-Verma-witness verification of a claimed
-    direct-sum decomposition, within the stated depth."""
-    depth = m.depth if depth is None else depth
+    direct-sum decomposition, within the module's depth."""
+    depth = m.depth
     report = {"module": m.name, "depth": depth, "checks": [], "ok": True}
 
     def record(name, ok, detail=None):
@@ -296,10 +298,10 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim,
     return report
 
 
-def zuckerman(m: TruncatedModule, depth: int | None = None) -> dict:
+def zuckerman(m: TruncatedModule) -> dict:
     """Largest locally finite part visible in the truncation: the span of the
     finite cyclic modules of HWVs passing the f^(lam+1) = 0 test."""
-    depth = m.depth if depth is None else depth
+    depth = m.depth
     found = []
     weights = sorted({w for w in m.weights.values() if w >= 0}, reverse=True)
     for lam in weights:
@@ -319,44 +321,3 @@ def zuckerman(m: TruncatedModule, depth: int | None = None) -> dict:
         "dimension": dim,
         "caveat": f"certified up to filtration depth {depth} only",
     }
-
-
-# -- module invariant checks -------------------------------------------------
-
-def bracket_check(m: TruncatedModule) -> bool:
-    """(e f - f e)(x) = h(x) on every basis vector whose f and e-f images
-    stay inside the truncation, on numerators over den_e * den_f."""
-    scale = m.tables["e"][0] * m.tables["f"][0]
-    for k in m.basis:
-        vec = {k: 1}
-        if m.lossy("f", vec):
-            continue
-        ev = m._step("e", vec)
-        if m.lossy("f", ev):
-            continue
-        lhs = m._step("e", m._step("f", vec))
-        for k2, c in m._step("f", ev).items():
-            add_term(lhs, k2, -c)
-        want = {k: m.weights[k] * scale} if m.weights[k] else {}
-        if lhs != want:
-            return False
-    return True
-
-
-def ef_string_check(m: TruncatedModule, vec: dict, lam: int,
-                    k_max: int = 6) -> bool:
-    """e f^k (v) = k(lam - k + 1) f^(k-1)(v) for a HWV v of weight lam.
-    With P the numerators of f^(k-1)(v), the check is
-    E F P = k(lam - k + 1) den_e den_f P on the tables' numerators."""
-    scale = m.tables["e"][0] * m.tables["f"][0]
-    prev = _numerators(vec)[1]
-    for k in range(1, k_max + 1):
-        if m.lossy("f", prev):
-            return True
-        cur = m._step("f", prev)
-        c = k * (lam - k + 1) * scale
-        want = {kk: c * n for kk, n in prev.items()} if c else {}
-        if m._step("e", cur) != want:
-            return False
-        prev = cur
-    return True

@@ -44,9 +44,6 @@ class PolyRing:
         self.invertible = tuple(g.invertible for g in self.gens)
         self._zero_exp = (0,) * len(self.gens)
 
-    def poly(self, terms: Mapping[tuple, Fraction]) -> "GradedPoly":
-        return GradedPoly(self, terms)
-
     def const(self, c) -> "GradedPoly":
         c = Fraction(c)
         if c == 0:
@@ -68,16 +65,6 @@ class PolyRing:
         exp = [0] * len(self.gens)
         exp[i] = power
         return GradedPoly(self, {tuple(exp): Fraction(1)})
-
-    def monomial(self, coeff, **powers) -> "GradedPoly":
-        exp = [0] * len(self.gens)
-        for name, p in powers.items():
-            i = self.index[name]
-            if p < 0 and not self.invertible[i]:
-                raise RingError(f"negative power of non-invertible generator {name}")
-            exp[i] = p
-        c = Fraction(coeff)
-        return GradedPoly(self, {tuple(exp): c} if c else {})
 
     def coerce(self, x) -> "GradedPoly":
         if isinstance(x, GradedPoly):
@@ -191,47 +178,6 @@ class GradedPoly:
 
     def monomial_degree(self, exp: tuple) -> int:
         return sum(p * d for p, d in zip(exp, self.ring.degrees))
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.monomial_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_degree(self):
-        """Degree if homogeneous and nonzero, else raises."""
-        degs = {self.monomial_degree(e) for e in self.terms}
-        if len(degs) != 1:
-            raise RingError("not homogeneous or zero")
-        return degs.pop()
-
-    def substitute(self, values: Mapping[str, Fraction]) -> "GradedPoly":
-        """Replace named generators by rational constants; others are kept."""
-        idx = {self.ring.index[n]: Fraction(v) for n, v in values.items()}
-        terms: dict = {}
-        for e, c in self.terms.items():
-            coeff = c
-            new = list(e)
-            for i, v in idx.items():
-                p = new[i]
-                if p:
-                    if v == 0 and p < 0:
-                        raise RingError("substituting 0 into a negative power")
-                    coeff = coeff * v ** p
-                    new[i] = 0
-                if not coeff:
-                    break
-            if not coeff:
-                continue
-            key = tuple(new)
-            s = terms.get(key, 0) + coeff
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return GradedPoly(self.ring, terms)
-
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        out = self.substitute(values)
-        return out.constant_value()
 
     # -- printing -----------------------------------------------------------
 

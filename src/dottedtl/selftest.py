@@ -24,6 +24,7 @@ from .words import (
     primitive_combo,
     random_word,
     verify_relations,
+    zn_combo,
 )
 
 DEFAULT_SEED = 20260801
@@ -139,7 +140,7 @@ def criterion_eigenmaps() -> dict:
             detail.append(str(exc))
             continue
         for n in range(1, 5):
-            zc = projectors.zn(n)
+            zc = zn_combo(n)
             zm = zc.evaluate()
             c = Fraction((-1) ** n - 1, 2)
             ident = Combo.of(identity_word(n)).evaluate()

@@ -4,6 +4,10 @@ An action spec records, for each ring generator, its images under e and f
 and its integer h-weight.  The action extends to the whole ring as a
 derivation (power rule handles Laurent exponents), which is exactly how the
 triangular operators act on every coefficient ring in this package.
+
+This module is the one place the action's formulas are stated: BASE_SPEC
+(E1 and E2), LASAGNA_SPEC (BASE_SPEC plus the strand letters A1 and A0)
+and the rank-one twist TwistData.tau; the other modules read them.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ class Sl2ActionSpec:
 
     e and f act as derivations, so on a monomial they are fixed by the power
     rule g(c*x^p) = sum_i p_i*c * x^(p - unit_i) * g(x_i).  The spec
-    precomputes, for e and f and each generator i with g(x_i) != 0, the
-    terms of x^(-unit_i) * g(x_i) as (exponent shift, int numerator) pairs
-    over one denominator ``den[g]`` (1 for h); ``derive_monomial`` then adds
-    each shift to p and never builds a ``GradedPoly``.  That skips the ring's
-    negative-exponent guard on products, which is safe because the power
-    rule only lowers an exponent p_i != 0 (p_i >= 1 when x_i is not
-    invertible) and ``__init__`` rejects images with a negative power of a
-    non-invertible generator.
+    precomputes in ``shifts[g]``, for e and f and each generator i with
+    g(x_i) != 0, the pair (i, terms of x^(-unit_i) * g(x_i)), each term an
+    (exponent shift, int numerator) pair over one denominator ``den[g]``
+    (1 for h); ``derive_monomial`` then adds each shift to p and never
+    builds a ``GradedPoly``.  That skips the ring's negative-exponent guard
+    on products, which is safe because the power rule only lowers an
+    exponent p_i != 0 (p_i >= 1 when x_i is not invertible) and
+    ``__init__`` rejects images with a negative power of a non-invertible
+    generator.
     """
 
     def __init__(self, ring: PolyRing, e_images, f_images, h_weights):
@@ -53,9 +58,9 @@ class Sl2ActionSpec:
                 raise KeyError(f"incomplete action data for generator {name}")
         self._weights = tuple(self.h_weights[n] for n in ring.names)
         self.den = {"h": 1}
-        self._shifts = {}
+        self.shifts = {}
         for g, images in (("e", self.e_images), ("f", self.f_images)):
-            self.den[g], self._shifts[g] = self._derivation_shifts(images)
+            self.den[g], self.shifts[g] = self._derivation_shifts(images)
 
     def _derivation_shifts(self, images) -> tuple:
         """(den, ((i, ((shift, num), ...)), ...)): for each generator i with
@@ -94,9 +99,9 @@ class Sl2ActionSpec:
             if w:
                 add_term(out, exp, c * w)
             return out
-        if g not in self._shifts:
+        if g not in self.shifts:
             raise ValueError(f"unknown generator {g!r}")
-        for i, terms in self._shifts[g]:
+        for i, terms in self.shifts[g]:
             p = exp[i]
             if not p:
                 continue
@@ -129,61 +134,44 @@ class Sl2ActionSpec:
         return GradedPoly(self.ring, out)
 
 
-def base_spec(ring: PolyRing = E_RING) -> Sl2ActionSpec:
-    """The action on the symmetric-polynomial base ring (E1, E2 generators)."""
-    E1, E2 = ring.gen("E1"), ring.gen("E2")
-    e_images = {"E1": ring.const(-2), "E2": -E1}
-    f_images = {"E1": E1 * E1 - 2 * E2, "E2": E1 * E2}
-    h_weights = {"E1": -2, "E2": -4}
-    for name in ring.names:
-        e_images.setdefault(name, ring.zero)
-        f_images.setdefault(name, ring.zero)
-        h_weights.setdefault(name, 0)
-    return Sl2ActionSpec(ring, e_images, f_images, h_weights)
-
-
-def lasagna_spec(ring: PolyRing = LASAGNA_RING) -> Sl2ActionSpec:
-    """The action on Q[E1,E2][A0^{+-1},A1]; A0^{-1} images follow from the power rule."""
-    E1, E2 = ring.gen("E1"), ring.gen("E2")
-    A1, A0 = ring.gen("A1"), ring.gen("A0")
-    half = Fraction(1, 2)
+def base_spec() -> Sl2ActionSpec:
+    """The action on the symmetric-polynomial base ring Q[E1,E2]."""
+    E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
     return Sl2ActionSpec(
-        ring,
-        e_images={"E1": ring.const(-2), "E2": -E1, "A1": ring.zero, "A0": -A1},
-        f_images={
-            "E1": E1 * E1 - 2 * E2,
-            "E2": E1 * E2,
-            "A1": -half * E1 * A1,
-            "A0": half * E1 * A0 - E2 * A1,
-        },
-        h_weights={"E1": -2, "E2": -4, "A1": 1, "A0": -1},
+        E_RING,
+        e_images={"E1": E_RING.const(-2), "E2": -E1},
+        f_images={"E1": E1 * E1 - 2 * E2, "E2": E1 * E2},
+        h_weights={"E1": -2, "E2": -4},
     )
 
 
-def check_bracket(spec: Sl2ActionSpec, samples) -> list:
-    """Verify [h,e]=2e, [h,f]=-2f, [e,f]=h on each sample; returns failures."""
-    failures = []
-    for x in samples:
-        checks = [
-            ("[h,e]=2e",
-             spec.apply("h", spec.apply("e", x)) - spec.apply("e", spec.apply("h", x)),
-             2 * spec.apply("e", x)),
-            ("[h,f]=-2f",
-             spec.apply("h", spec.apply("f", x)) - spec.apply("f", spec.apply("h", x)),
-             -2 * spec.apply("f", x)),
-            ("[e,f]=h",
-             spec.apply("e", spec.apply("f", x)) - spec.apply("f", spec.apply("e", x)),
-             spec.apply("h", x)),
-        ]
-        for label, lhs, rhs in checks:
-            if lhs != rhs:
-                failures.append({
-                    "identity": label,
-                    "sample": str(x),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                })
-    return failures
+BASE_SPEC = base_spec()
+
+
+def lasagna_spec() -> Sl2ActionSpec:
+    """The action on Q[E1,E2][A0^{+-1},A1]: BASE_SPEC's images of E1 and E2
+    and those of the strand letters A1 and A0; A0^{-1} images follow from
+    the power rule."""
+    ring, base = LASAGNA_RING, BASE_SPEC
+    E1, E2 = ring.gen("E1"), ring.gen("E2")
+    A1, A0 = ring.gen("A1"), ring.gen("A0")
+    half = Fraction(1, 2)
+
+    def lift(images):  # Q[E1,E2] images as elements of ring
+        return {name: sum((c * E1 ** a * E2 ** b
+                           for (a, b), c in p.terms.items()), ring.zero)
+                for name, p in images.items()}
+
+    return Sl2ActionSpec(
+        ring,
+        e_images={**lift(base.e_images), "A1": ring.zero, "A0": -A1},
+        f_images={**lift(base.f_images), "A1": -half * E1 * A1,
+                  "A0": half * E1 * A0 - E2 * A1},
+        h_weights={**base.h_weights, "A1": 1, "A0": -1},
+    )
+
+
+LASAGNA_SPEC = lasagna_spec()
 
 
 def iterate_f(x: GradedPoly, r: int, spec: Sl2ActionSpec) -> GradedPoly:
@@ -215,35 +203,12 @@ class TwistData:
     a: Fraction
     q_shift: int = 0
 
-    def tau(self, g: str, ring: PolyRing = E_RING) -> GradedPoly:
+    def tau(self, g: str) -> GradedPoly:
         if g == "e":
-            return ring.zero
+            return E_RING.zero
         if g == "f":
-            return Fraction(self.a) * ring.gen("E1")
+            return Fraction(self.a) * E_RING.gen("E1")
         if g == "h":
-            return ring.const(-2 * Fraction(self.a))
+            return E_RING.const(-2 * Fraction(self.a))
         raise ValueError(g)
 
-
-def check_flat_twist(t: TwistData, spec: Sl2ActionSpec | None = None) -> bool:
-    """Flatness of tau: tau([g1,g2]) = g1.tau(g2) - g2.tau(g1) for all brackets.
-
-    Always true for the a*E1 family (e(a*E1) = -2a); kept as a regression guard.
-    """
-    spec = spec or base_spec()
-    ring = spec.ring
-    tau = {g: t.tau(g, ring) for g in GENERATORS}
-    brackets = [  # ([g1,g2], g1, g2)
-        (2 * tau["e"], "h", "e"),
-        (-2 * tau["f"], "h", "f"),
-        (tau["h"], "e", "f"),
-    ]
-    for lhs, g1, g2 in brackets:
-        rhs = spec.apply(g1, tau[g2]) - spec.apply(g2, tau[g1])
-        if lhs != rhs:
-            return False
-    return True
-
-
-BASE_SPEC = base_spec()
-LASAGNA_SPEC = lasagna_spec()

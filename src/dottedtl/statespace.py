@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .ring import E_RING, GradedPoly, RingError
-from .sl2 import GENERATORS, DtlParams, TwistData
+from .ring import E_RING, LASAGNA_RING, GradedPoly
+from .sl2 import BASE_SPEC, GENERATORS, LASAGNA_SPEC, DtlParams, TwistData
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
@@ -36,7 +36,6 @@ A1, A0 = 0, 1  # bit values of the two basis letters
 # packed exponent keys: e1 << _EXP_BITS | e2
 _EXP_BITS = 32
 _EXP_MASK = (1 << _EXP_BITS) - 1
-_E1_KEY = 1 << _EXP_BITS  # packed key of E1
 
 
 def basis_weight(index: int, n: int) -> int:
@@ -321,39 +320,16 @@ class PolyMatrix:
         return (self.n_out, self.n_in) == (other.n_out, other.n_in) \
             and self._packed() == other._packed()
 
-    def __hash__(self):
-        raise TypeError("PolyMatrix is unhashable")
-
     def is_zero(self) -> bool:
         return not self._packed()[1]
 
-    def substitute(self, values) -> "PolyMatrix":
-        """Replace E1 and/or E2 ({name: rational}) by constants.
-
-        In ints: a value p/q at a generator whose top exponent is t turns
-        a term of exponent a into p^a q^(t-a) over a denominator grown by
-        q^t."""
+    def constant_terms(self) -> "PolyMatrix":
+        """The matrix at E1 = E2 = 0: each entry's constant term."""
         den, table = self._packed()
-        subs = []
-        for name, v in values.items():
-            v = Fraction(v)
-            shift = _EXP_BITS if E_RING.index[name] == 0 else 0
-            top = max((e >> shift & _EXP_MASK for col in table.values()
-                       for t in col.values() for e in t), default=0)
-            subs.append((shift, v.numerator, v.denominator, top))
-            den *= v.denominator ** top
-        acc = {}
-        for j, col in table.items():
-            acc_j = acc[j] = {}
-            for i, t in col.items():
-                out = acc_j[i] = {}
-                for e, c in t.items():
-                    for shift, p, q, top in subs:
-                        a = e >> shift & _EXP_MASK
-                        c *= p ** a * q ** (top - a)
-                        e -= a << shift
-                    out[e] = out.get(e, 0) + c
-        return PolyMatrix.from_packed(self.n_out, self.n_in, den, acc)
+        return PolyMatrix.from_packed(
+            self.n_out, self.n_in, den,
+            {j: {i: {0: t[0]} for i, t in col.items() if 0 in t}
+             for j, col in table.items()})
 
     def qdegree(self):
         """q-degree if homogeneous (deg entry + deg(row) - deg(col) uniform), else None."""
@@ -418,30 +394,25 @@ def generator_matrix(gen: str, position: int, n: int) -> PolyMatrix:
     return left.tensor(PRIM_MATRICES[gen]).tensor(right)
 
 
-# -- intrinsic sl2 action ---------------------------------------------------
-
-# Images of the basis letters under the module action (5.3.1 conventions):
-#   e(A1)=0, f(A1)=-1/2*E1*A1, h(A1)=+1*A1
-#   e(A0)=-A1, f(A0)=1/2*E1*A0 - E2*A1, h(A0)=-1*A0
-_HALF = Fraction(1, 2)
-LETTER_IMAGES = {
-    "e": {A1: [], A0: [(A1, E_RING.const(-1))]},
-    "f": {A1: [(A1, -_HALF * E1)], A0: [(A0, _HALF * E1), (A1, -E2)]},
-    "h": {A1: [(A1, E_RING.one)], A0: [(A0, E_RING.const(-1))]},
-}
-
-
 # -- the sl2 action on morphisms ---------------------------------------------
 
 ZERO_TWIST = TwistData(Fraction(0))
 
 
 def _strand_operator(g: str, params: DtlParams) -> PolyMatrix:
-    """How g acts on one strand: the letter images, plus -(a1/2) dot -
-    (a2/2) E1 for f and (a1 + 2 a2)/2 for h."""
-    m = PolyMatrix(1, 1, {(new_bit, bit): img
-                          for bit, images in LETTER_IMAGES[g].items()
-                          for new_bit, img in images})
+    """How g acts on one strand V_1, the A-linear part of LASAGNA_RING:
+    column A1 or A0 holds LASAGNA_SPEC's image of that letter, its terms'
+    E1 and E2 exponents read by name; plus -(a1/2) dot - (a2/2) E1 for f
+    and (a1 + 2 a2)/2 for h."""
+    ix, den = LASAGNA_RING.index, LASAGNA_SPEC.den[g]
+    entries: dict = {}
+    for bit, name in ((A1, "A1"), (A0, "A0")):
+        letter = tuple(int(n == name) for n in LASAGNA_RING.names)
+        for exp, c in LASAGNA_SPEC.derive_monomial(g, letter, 1, {}).items():
+            terms = entries.setdefault((A0 if exp[ix["A0"]] else A1, bit), {})
+            terms[exp[ix["E1"]], exp[ix["E2"]]] = Fraction(c, den)
+    m = PolyMatrix(1, 1, {k: GradedPoly(E_RING, t)
+                          for k, t in entries.items()})
     a1, a2 = Fraction(params.a1), Fraction(params.a2)
     one = PRIM_MATRICES["id"]
     if g == "f":
@@ -454,8 +425,7 @@ def _strand_operator(g: str, params: DtlParams) -> PolyMatrix:
 @lru_cache(maxsize=256)
 def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     """G_n in _packed form: the strand operator on each of the n strands
-    plus the object's twist term TwistData(a).tau(g) (a*E1 for f, -2a for
-    h).
+    plus the object's twist term TwistData(a).tau(g).
 
     Built one basis index at a time: column j gets, for each strand, the
     strand operator's column at that strand's bit of j, written into the
@@ -481,25 +451,39 @@ def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     return PolyMatrix.from_packed(n, n, den, cols)._packed()
 
 
-def _derive(g: str, terms: dict) -> list:
-    """The base derivation on packed terms, in closed form: e sends E1 -> -2
-    and E2 -> -E1, f sends E1 -> E1^2 - 2E2 and E2 -> E1E2, and h has
-    weights -2 and -4."""
-    out = []
+def _packed_derivation() -> dict:
+    """BASE_SPEC's derivation on packed keys: for each generator, the terms
+    (packed exponent shift, factor of the E1 exponent, factor of the E2
+    exponent), equal shifts merged.  h is the zero shift with the
+    h-weights as factors."""
+    out = {"h": ((0, BASE_SPEC.h_weights["E1"], BASE_SPEC.h_weights["E2"]),)}
+    for g in ("e", "f"):
+        merged: dict = {}
+        for i, terms in BASE_SPEC.shifts[g]:
+            for (d1, d2), num in terms:
+                factors = merged.setdefault((d1 << _EXP_BITS) + d2, [0, 0])
+                factors[i] += num
+        out[g] = tuple((shift, *f) for shift, f in merged.items())
+    return out
+
+
+_DERIVATION = _packed_derivation()
+
+
+def _derive(g: str, terms: dict, scale: int, out: dict) -> None:
+    """Add scale * d_g(terms) into out, d_g being BASE_SPEC's derivation on
+    packed terms read from _DERIVATION: c E1^a E2^b gives (fa*a + fb*b)*c
+    at each shift.  Exact in ints only because BASE_SPEC.den is 1 for e,
+    f and h."""
+    derivation = _DERIVATION[g]
     for key, c in terms.items():
         a, b = key >> _EXP_BITS, key & _EXP_MASK
-        if g == "h":
-            out.append((key, (-2 * a - 4 * b) * c))
-        elif g == "e":
-            if a:
-                out.append((key - _E1_KEY, -2 * a * c))
-            if b:
-                out.append((key + _E1_KEY - 1, -b * c))
-        else:
-            out.append((key + _E1_KEY, (a + b) * c))
-            if a:
-                out.append((key - _E1_KEY + 1, -2 * a * c))
-    return out
+        c *= scale
+        for shift, fa, fb in derivation:
+            n = fa * a + fb * b
+            if n:
+                e = key + shift
+                out[e] = out.get(e, 0) + n * c
 
 
 def commutator_star(
@@ -512,14 +496,14 @@ def commutator_star(
     """The sl2 action on morphisms: g*F = G_out F - F G_in + d_g(F).
 
     d_g is the base derivation on F's entries.  G_n acts on V_n strand by
-    strand (LETTER_IMAGES plus the parameter terms of _strand_operator)
-    and adds the object's twist: a*E1 for f and -2a for h.  The word action
+    strand (_strand_operator: the letters' images and the parameter terms)
+    and adds the object's twist term TwistData.tau.  The word action
     and the twisted star action are both this map: for every parameter
     pair, act(g, x, params).evaluate() equals
     commutator_star(g, x.evaluate(), params=params).
 
     One pass over the packed tables of F and of the two G_n, as in
-    PolyMatrix.__mul__; d_g acts on packed exponents in closed form.
+    PolyMatrix.__mul__; d_g acts on packed exponents by _derive.
     """
     if g not in GENERATORS:
         raise ValueError(g)
@@ -549,8 +533,7 @@ def commutator_star(
             tacc = acc.get(k)
             if tacc is None:
                 tacc = acc[k] = {}
-            for e, c in _derive(g, ft):
-                tacc[e] = tacc.get(e, 0) + c * den
+            _derive(g, ft, den, tacc)
         # - F G_in
         for k, gt in gin.get(j, {}).items():
             for e1, c1 in gt.items():

@@ -9,10 +9,9 @@ Leibniz rule; equality testing happens in the state-space matrices.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
 
-from .ring import E_RING, GradedPoly
+from .ring import E_RING
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams
 from .statespace import (
     PRIM_ARITY,

@@ -89,7 +89,7 @@ def test_rref_edge_shapes():
         [[F(2), F(4), F(6)], [F(1), F(2), F(3)], [F(-3), F(-6), F(-9)]],
     ):
         assert_same_rref(rows)
-    assert exactla.rank([[F(1, 2), F(1, 3)], [F(3), F(2)]]) == 1
+    assert len(exactla.rref([[F(1, 2), F(1, 3)], [F(3), F(2)]])) == 1
 
 
 @LA_SETTINGS

@@ -21,7 +21,7 @@ from dottedtl.expr import (
 )
 from dottedtl.ring import E_RING
 from dottedtl.statespace import PolyMatrix
-from dottedtl.words import Combo, DtlParams, random_word
+from dottedtl.words import Combo, DtlParams, random_word, zn_combo
 
 
 def _same(a: Combo, b: Combo) -> bool:
@@ -53,7 +53,7 @@ def test_crossing_involution():
 def test_macros_match_projector_module():
     p0 = DtlParams(Fraction(0), Fraction(0))
     assert parse_expr("jw(3)").evaluate() == projectors.jw(3)
-    assert parse_expr("z(3)").evaluate() == projectors.zn(3).evaluate()
+    assert parse_expr("z(3)").evaluate() == zn_combo(3).evaluate()
     assert parse_expr("u(2)").evaluate() == projectors.un(2, p0).mat
     assert parse_expr("d(3)").evaluate() == projectors.dn(3, p0).mat
 

@@ -13,14 +13,54 @@ from dottedtl.rep import (
     ModuleTwist,
     RepError,
     TruncatedModule,
-    bracket_check,
-    ef_string_check,
+    _numerators,
     verify_claim,
     zuckerman,
 )
 from dottedtl.ring import E_RING, GradedPoly
-from dottedtl.sl2 import BASE_SPEC, GENERATORS, Sl2ActionSpec
+from dottedtl.sl2 import BASE_SPEC, GENERATORS, Sl2ActionSpec, add_term
 from test_sl2 import leibniz_apply
+
+
+# -- module invariant oracles ------------------------------------------------
+
+def bracket_check(m: TruncatedModule) -> bool:
+    """(e f - f e)(x) = h(x) on every basis vector whose f and e-f images
+    stay inside the truncation, on numerators over den_e * den_f."""
+    scale = m.tables["e"][0] * m.tables["f"][0]
+    for k in m.basis:
+        vec = {k: 1}
+        if m.lossy("f", vec):
+            continue
+        ev = m._step("e", vec)
+        if m.lossy("f", ev):
+            continue
+        lhs = m._step("e", m._step("f", vec))
+        for k2, c in m._step("f", ev).items():
+            add_term(lhs, k2, -c)
+        want = {k: m.weights[k] * scale} if m.weights[k] else {}
+        if lhs != want:
+            return False
+    return True
+
+
+def ef_string_check(m: TruncatedModule, vec: dict, lam: int,
+                    k_max: int = 6) -> bool:
+    """e f^k (v) = k(lam - k + 1) f^(k-1)(v) for a HWV v of weight lam.
+    With P the numerators of f^(k-1)(v), the check is
+    E F P = k(lam - k + 1) den_e den_f P on the tables' numerators."""
+    scale = m.tables["e"][0] * m.tables["f"][0]
+    prev = _numerators(vec)[1]
+    for k in range(1, k_max + 1):
+        if m.lossy("f", prev):
+            return True
+        cur = m._step("f", prev)
+        c = k * (lam - k + 1) * scale
+        want = {kk: c * n for kk, n in prev.items()} if c else {}
+        if m._step("e", cur) != want:
+            return False
+        prev = cur
+    return True
 
 
 def _poly_module(depth, twist=None):
@@ -30,8 +70,7 @@ def _poly_module(depth, twist=None):
         for b in range(depth // 4 + 1)
         if 2 * a + 4 * b <= depth
     ]
-    return TruncatedModule(E_RING, BASE_SPEC, keys, depth, twist=twist,
-                           name="test")
+    return TruncatedModule(BASE_SPEC, keys, depth, twist=twist, name="test")
 
 
 def test_weights_match_degrees():
@@ -72,9 +111,10 @@ def test_classify_requires_hwv():
 
 
 def test_shallow_truncation_is_reported():
-    # twisted so the f-string of the generator is infinite, weight 6:
-    # deciding f^7 = 0 needs depth 14, not 4
-    m = _poly_module(4, twist=ModuleTwist(Fraction(1), 6))
+    # twisted to weight 6 (a = -3): deciding f^7 = 0 on the generator needs
+    # depth 14, not 4
+    m = _poly_module(4, twist=ModuleTwist(6))
+    assert m.twist.a == Fraction(-3)
     with pytest.raises(RepError, match="too shallow"):
         m.classify_cyclic({(0, 0): Fraction(1)}, 6)
 
@@ -85,8 +125,18 @@ def test_bracket_and_ef_string():
     assert ef_string_check(m, {(0, 0): Fraction(1)}, 0)
 
 
+@pytest.mark.parametrize("w", range(-6, 7))
+def test_twisted_blocks_are_sl2_modules(w):
+    """[e, f] = h on the weight-w twisted block: a = -w/2 is the one twist
+    that keeps it an sl2-module."""
+    m = lasagna.twisted_block(w, 16, f"block[{w}]")
+    assert (m.twist.shift, m.twist.a) == (w, Fraction(-w, 2))
+    assert bracket_check(m)
+    assert m.weights[(0, 0)] == w
+
+
 def test_twist_changes_weights():
-    m = _poly_module(8, twist=ModuleTwist(Fraction(1), -2))
+    m = _poly_module(8, twist=ModuleTwist(-2))
     assert m.weights[(0, 0)] == -2
     fv = m.apply("f", {(0, 0): Fraction(1)})
     assert fv == {(1, 0): Fraction(1)}  # f(1) = a*E1
@@ -156,8 +206,8 @@ def _items(action):
 # every f-table here is over 2: the twisted blocks have odd weight, and the
 # Laurent spec has f(A1) = -E1*A1/2
 MODULES = pytest.mark.parametrize("module", [
-    lambda: lasagna.twisted_block(Fraction(-3, 2), 3, 16, "twisted"),
-    lambda: lasagna.twisted_block(Fraction(5, 2), -5, 12, "twisted"),
+    lambda: lasagna.twisted_block(3, 16, "twisted"),
+    lambda: lasagna.twisted_block(-5, 12, "twisted"),
     lambda: lasagna.minus_block(-1, 12),
     lambda: lasagna.b2s2_module(8, "plus"),
 ], ids=["twisted-a<0", "twisted-a>0-shift<0", "minus-block", "b2s2-plus"])
@@ -202,7 +252,7 @@ def test_apply_matches_the_fraction_view(module):
 
 
 def test_action_view_is_read_only():
-    m = lasagna.twisted_block(Fraction(-3, 2), 3, 16, "twisted")
+    m = lasagna.twisted_block(3, 16, "twisted")
     m.action["f"][(0, 0)][(1, 0)] = Fraction(99)
     assert m.action["f"][(0, 0)][(1, 0)] == Fraction(-3, 2)
 
@@ -214,7 +264,7 @@ def test_perturbed_spec_changes_table_and_fails_brackets():
                         {**BASE_SPEC.f_images, "E2": 2 * E1 * E2},
                         dict(BASE_SPEC.h_weights))
     good = _poly_module(12)
-    m = TruncatedModule(E_RING, bad, good.basis, 12, name="perturbed")
+    m = TruncatedModule(bad, good.basis, 12, name="perturbed")
     assert m.action["f"] != good.action["f"]
     assert m.action["f"] == oracle_tables(m)[0]["f"]
     assert bracket_check(good)

@@ -12,9 +12,6 @@ from dottedtl.sl2 import (
     GENERATORS,
     LASAGNA_SPEC,
     Sl2ActionSpec,
-    TwistData,
-    check_bracket,
-    check_flat_twist,
     iterate_f,
 )
 
@@ -43,17 +40,40 @@ def leibniz_apply(spec, g, x):
     return out
 
 
+def check_bracket(spec: Sl2ActionSpec, samples) -> list:
+    """Verify [h,e]=2e, [h,f]=-2f, [e,f]=h on each sample; returns failures."""
+    failures = []
+    for x in samples:
+        checks = [
+            ("[h,e]=2e",
+             spec.apply("h", spec.apply("e", x)) - spec.apply("e", spec.apply("h", x)),
+             2 * spec.apply("e", x)),
+            ("[h,f]=-2f",
+             spec.apply("h", spec.apply("f", x)) - spec.apply("f", spec.apply("h", x)),
+             -2 * spec.apply("f", x)),
+            ("[e,f]=h",
+             spec.apply("e", spec.apply("f", x)) - spec.apply("f", spec.apply("e", x)),
+             spec.apply("h", x)),
+        ]
+        for label, lhs, rhs in checks:
+            if lhs != rhs:
+                failures.append({
+                    "identity": label,
+                    "sample": str(x),
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                })
+    return failures
+
+
 def _random_monomials(spec, rng, count=100):
     out = []
     for _ in range(count):
-        powers = {}
-        for n in spec.ring.names:
-            lo = -2 if n == "A0" else 0  # A0 is invertible in the Laurent ring
-            p = rng.randint(lo, 3)
-            if p:
-                powers[n] = p
-        out.append(spec.ring.monomial(Fraction(rng.randint(-5, 5) or 1),
-                                      **powers))
+        # A0 is invertible in the Laurent ring
+        exp = tuple(rng.randint(-2 if n == "A0" else 0, 3)
+                    for n in spec.ring.names)
+        out.append(GradedPoly(spec.ring,
+                              {exp: Fraction(rng.randint(-5, 5) or 1)}))
     return out
 
 
@@ -83,6 +103,28 @@ def test_base_images():
     assert BASE_SPEC.apply("f", E2) == E1 * E2
     assert BASE_SPEC.apply("h", E1) == -2 * E1
     assert BASE_SPEC.apply("h", E2) == -4 * E2
+    # the packed derivation of statespace reads these as exact ints
+    assert BASE_SPEC.den == {"e": 1, "f": 1, "h": 1}
+    # the strand letters, whose images statespace reads as V_1's action
+    E1, E2, A1, A0 = (LASAGNA_RING.gen(n) for n in ("E1", "E2", "A1", "A0"))
+    assert LASAGNA_SPEC.apply("e", A1).is_zero()
+    assert LASAGNA_SPEC.apply("e", A0) == -A1
+    assert LASAGNA_SPEC.apply("f", A1) == -Fraction(1, 2) * E1 * A1
+    assert LASAGNA_SPEC.apply("f", A0) == Fraction(1, 2) * E1 * A0 - E2 * A1
+    assert LASAGNA_SPEC.apply("h", A1) == A1
+    assert LASAGNA_SPEC.apply("h", A0) == -A0
+
+
+def test_inverse_letter_images():
+    """The power rule gives A0^-1 its images, and g(A0 * A0^-1) = 0."""
+    E1, E2, A1, A0 = (LASAGNA_RING.gen(n) for n in ("E1", "E2", "A1", "A0"))
+    inv = LASAGNA_RING.gen("A0", -1)
+    assert LASAGNA_SPEC.apply("e", inv) == A1 * inv * inv
+    assert LASAGNA_SPEC.apply("f", inv) \
+        == E2 * A1 * inv * inv - Fraction(1, 2) * E1 * inv
+    assert LASAGNA_SPEC.apply("h", inv) == inv
+    for g in GENERATORS:
+        assert LASAGNA_SPEC.apply(g, A0 * inv).is_zero()
 
 
 def test_weights_are_degrees():
@@ -96,11 +138,6 @@ def test_iterate_f():
     assert iterate_f(E_RING.one, 0, BASE_SPEC) == E_RING.one
     assert iterate_f(E_RING.one, 1, BASE_SPEC).is_zero()
     assert iterate_f(E1, 1, BASE_SPEC) == BASE_SPEC.apply("f", E1)
-
-
-def test_flat_twists():
-    for a in (Fraction(0), Fraction(1), Fraction(-3, 2)):
-        assert check_flat_twist(TwistData(a))
 
 
 # -- the monomial kernel against the Leibniz oracle ---------------------------
@@ -159,9 +196,9 @@ def test_apply_cancels_to_zero():
         assert leibniz_apply(spec, "e", d).is_zero()
     v = LASAGNA_RING.gen("A0") - Fraction(1, 2) * LASAGNA_RING.gen("E1") \
         * LASAGNA_RING.gen("A1")
-    x = LASAGNA_RING.monomial(Fraction(3, 7), A0=-2) * v * v
+    x = Fraction(3, 7) * LASAGNA_RING.gen("A0", -2) * v * v
     assert LASAGNA_SPEC.apply("e", x) == leibniz_apply(LASAGNA_SPEC, "e", x)
-    weight_zero = LASAGNA_RING.monomial(5, A1=1, A0=1)
+    weight_zero = 5 * LASAGNA_RING.gen("A1") * LASAGNA_RING.gen("A0")
     assert LASAGNA_SPEC.apply("h", weight_zero).terms == {}
 
 
@@ -180,12 +217,12 @@ def test_derive_monomial_accumulates():
 def test_negative_non_invertible_image_is_rejected():
     """The kernel skips the ring's product guard, so an image with a negative
     power of a non-invertible generator is refused when the spec is built."""
-    bad = E_RING.poly({(-1, 1): Fraction(1)})
+    bad = GradedPoly(E_RING, {(-1, 1): Fraction(1)})
     with pytest.raises(RingError, match="non-invertible"):
         Sl2ActionSpec(E_RING, {"E1": E_RING.zero, "E2": bad},
                       dict(BASE_SPEC.f_images), dict(BASE_SPEC.h_weights))
     # a negative power of the invertible A0 is accepted
     Sl2ActionSpec(LASAGNA_RING, dict(LASAGNA_SPEC.e_images),
                   {**LASAGNA_SPEC.f_images,
-                   "A1": LASAGNA_RING.monomial(1, A0=-1)},
+                   "A1": LASAGNA_RING.gen("A0", -1)},
                   dict(LASAGNA_SPEC.h_weights))

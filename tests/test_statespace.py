@@ -124,7 +124,7 @@ coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool),
 polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2)), coefficients,
     min_size=1, max_size=3,
-).map(E_RING.poly)
+).map(lambda t: GradedPoly(E_RING, t))
 
 
 @st.composite
@@ -376,8 +376,7 @@ def test_operations_store_no_zero(pair, sums, c, g, p):
     x, y = sums
     outs = [a * b, x + y, x - y, x - x, x + (-x), x.scale(c),
             a.tensor(b), a.tensor(PolyMatrix(1, 2)),
-            x.substitute({"E1": Fraction(0), "E2": Fraction(0)}),
-            x.substitute({"E1": Fraction(1), "E2": Fraction(1, 4)}),
+            x.constant_terms(),
             commutator_star(g, x, params=p),
             commutator_star(g, x, TwistData(Fraction(-3, 2)),
                             TwistData(Fraction(5, 4)), p)]
@@ -388,19 +387,18 @@ def test_operations_store_no_zero(pair, sums, c, g, p):
 
 @KERNEL_SETTINGS
 @given(strands.flatmap(lambda n_out: strands.flatmap(
-    lambda n_in: matrices(n_out, n_in))),
-    st.sampled_from([{"E1": Fraction(0), "E2": Fraction(0)},
-                     {"E1": Fraction(1), "E2": Fraction(1, 4)},
-                     {"E2": Fraction(-2, 3)}, {"E1": Fraction(5, 2)}]))
-def test_substitute_and_qdegree_match_entrywise(m, values):
-    """The packed substitute and qdegree against GradedPoly.substitute and
-    the entry-by-entry degree rule."""
+    lambda n_in: matrices(n_out, n_in))))
+def test_constant_terms_and_qdegree_match_entrywise(m):
+    """The packed constant_terms and qdegree against each entry's constant
+    term and the entry-by-entry degree rule."""
     ref = PolyMatrix(m.n_out, m.n_in,
-                     {ij: v.substitute(values) for ij, v in m.entries()})
-    assert_stored_like(m.substitute(values), ref)
-    degs = {v.homogeneous_degree() + basis_qdegree(i, m.n_out)
-            - basis_qdegree(j, m.n_in) if v.is_homogeneous() else None
-            for (i, j), v in m.entries()}
+                     {ij: v.terms.get((0, 0), 0) for ij, v in m.entries()})
+    assert_stored_like(m.constant_terms(), ref)
+    degs = set()
+    for (i, j), v in m.entries():
+        ds = {v.monomial_degree(e) for e in v.terms}
+        degs.add(ds.pop() + basis_qdegree(i, m.n_out)
+                 - basis_qdegree(j, m.n_in) if len(ds) == 1 else None)
     if None in degs or len(degs) > 1:
         assert m.qdegree() is None
     else:
@@ -488,6 +486,28 @@ def test_criterion_intrinsic_fails_with_wrong_f_parameter_term(monkeypatch):
     statespace._object_operator.cache_clear()
     try:
         monkeypatch.setattr(statespace, "_strand_operator", wrong)
+        assert not selftest.criterion_intrinsic()["ok"]
+    finally:
+        monkeypatch.undo()
+        statespace._object_operator.cache_clear()
+    assert selftest.criterion_intrinsic()["ok"]
+
+
+def test_criterion_intrinsic_fails_with_wrong_letter_image(monkeypatch):
+    """Negative control for criterion 12: the state-space action reads the
+    letters' images from LASAGNA_SPEC, so with e(A0) = +A1 instead of -A1
+    commutator_star no longer equals the word action."""
+    from dottedtl import selftest, statespace
+    from dottedtl.ring import LASAGNA_RING
+    from dottedtl.sl2 import LASAGNA_SPEC, Sl2ActionSpec
+
+    wrong = Sl2ActionSpec(LASAGNA_RING,
+                          {**LASAGNA_SPEC.e_images,
+                           "A0": LASAGNA_RING.gen("A1")},
+                          LASAGNA_SPEC.f_images, LASAGNA_SPEC.h_weights)
+    statespace._object_operator.cache_clear()
+    try:
+        monkeypatch.setattr(statespace, "LASAGNA_SPEC", wrong)
         assert not selftest.criterion_intrinsic()["ok"]
     finally:
         monkeypatch.undo()

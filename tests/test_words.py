@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dottedtl.ring import E_RING
+from dottedtl.ring import E_RING, GradedPoly
 from dottedtl.statespace import PRIM_MATRICES, PolyMatrix
 from dottedtl.words import (
     Combo,
@@ -340,7 +340,8 @@ fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool),
 coefficients = st.one_of(
     fractions,
     st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                    fractions, min_size=1, max_size=3).map(E_RING.poly),
+                    fractions, min_size=1, max_size=3).map(
+                        lambda t: GradedPoly(E_RING, t)),
 )
 
 
