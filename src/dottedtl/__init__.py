@@ -24,7 +24,6 @@ from .sl2 import (
     LASAGNA_SPEC,
     Sl2ActionSpec,
     TwistData,
-    iterate_f,
 )
 from .statespace import PolyMatrix, commutator_star
 from .words import (
@@ -88,7 +87,6 @@ __all__ = [
     "E_RING", "LASAGNA_RING", "GradedPoly", "PolyRing", "QLaurent",
     "delta", "qbinom", "qfact", "qint",
     "BASE_SPEC", "GENERATORS", "LASAGNA_SPEC", "Sl2ActionSpec", "TwistData",
-    "iterate_f",
     "PolyMatrix", "commutator_star",
     "Combo", "DtlParams", "Word", "WordError", "act", "dotted_spanning_set",
     "evaluate_word", "identity_word", "matching_matrix", "matching_to_word",

@@ -127,20 +127,13 @@ def _macro(name: str, args, pos):
     raise ExprError(f"unknown macro {name!r}", pos)
 
 
-_jw_combo_cache: dict = {}
-
-
 def _jw_combo(n: int) -> Combo:
     """The projector as a compact combination of matching words, recovered
     from its matrix rather than by the word-level recursion (whose term
     count explodes)."""
-    got = _jw_combo_cache.get(n)
-    if got is None:
-        from . import projectors
+    from . import projectors
 
-        got = combo_from_matrix(projectors.jw(n), n, n)
-        _jw_combo_cache[n] = got
-    return got
+    return combo_from_matrix(projectors.jw(n), n, n)
 
 
 class _Parser:
@@ -334,6 +327,13 @@ def print_combo(combo: Combo) -> str:
     return " + ".join(pieces)
 
 
+def _check_normalize_bound(n_in: int, n_out: int) -> None:
+    if n_in + n_out > NORMALIZE_STRAND_BOUND:
+        raise ExprError(
+            f"normalization bound exceeded: {n_in}+{n_out} boundary strands"
+        )
+
+
 def normalize_matrix(mat, n_in: int, n_out: int):
     """The normal form of a state-space matrix over the dotted matching
     spanning set, with polynomial coefficients.
@@ -353,10 +353,7 @@ def normalize_matrix(mat, n_in: int, n_out: int):
     from .statespace import basis_qdegree
     from .words import dotted_spanning_set, matching_matrix
 
-    if n_in + n_out > NORMALIZE_STRAND_BOUND:
-        raise ExprError(
-            f"normalization bound exceeded: {n_in}+{n_out} boundary strands"
-        )
+    _check_normalize_bound(n_in, n_out)
     span = dotted_spanning_set(n_in, n_out)
     zero = Fraction(0)
     mat_cache: dict = {}
@@ -451,6 +448,7 @@ def normalize_combo(combo: Combo) -> Combo:
     n_in, n_out = combo.n_in, combo.n_out
     if n_in is None:
         raise ExprError("cannot normalize an empty combination of no shape")
+    _check_normalize_bound(n_in, n_out)  # before the evaluation it bounds
     return combo_from_matrix(combo.evaluate(), n_in, n_out)
 
 

@@ -77,8 +77,9 @@ def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
             if n > 1:
                 capm = generator_matrix("cap", n - 2, n)
                 cupm = generator_matrix("cup", n - 2, n - 2)
-                mid = (ext * cupm) * (capm * ext)
-                p = ext - mid.scale(Fraction(n - 1, n))
+                # scaled on the narrow factor, so no full-size copy is made
+                mid = (ext * cupm).scale(Fraction(n - 1, n)) * (capm * ext)
+                p = ext - mid
         _jw_cache[n] = p
     return TrackedMor(p, params)
 
@@ -93,8 +94,8 @@ def jw_bruteforce(n: int) -> PolyMatrix:
     """(1/n!) times the sum of all of S_n, with s_i = id - e_i, as the product
     C_1 C_2 ... C_{n-1} of coset sums C_k = 1 + s_k + s_k s_{k-1} + ...
     + s_k...s_1 = 1 + s_k C_{k-1}; independent of the Wenzl recursion.
-    braid_check(n) is its precondition: the s_i satisfy the Coxeter
-    relations of S_n."""
+    Its precondition, that the s_i satisfy the Coxeter relations of S_n,
+    is checked by the tests."""
     if n < 0 or n > JW_BRUTE_BOUND:
         raise ProjectorError(f"projector bound exceeded: n={n}")
     ident = PolyMatrix.identity(n)
@@ -233,20 +234,3 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
         record(f"z_{n}^{n+1} = 0 mod (E1,E2)", zpow.is_zero())
     ok = all(c["status"] == "pass" for c in checks)
     return {"n_max": n_max, "ok": ok, "checks": checks}
-
-
-def braid_check(n: int = 4) -> bool:
-    """s_i relations: involution, braid, distant commutation (as matrices)."""
-    mats = [crossing_combo(i, n).evaluate() for i in range(1, n)]
-    ident = PolyMatrix.identity(n)
-    for i, s in enumerate(mats):
-        if s * s != ident:
-            return False
-        if i + 1 < len(mats):
-            t = mats[i + 1]
-            if s * t * s != t * s * t:
-                return False
-        for j in range(i + 2, len(mats)):
-            if s * mats[j] != mats[j] * s:
-                return False
-    return True

@@ -70,14 +70,6 @@ class TruncatedModule:
         self.boundary_loss: dict = {g: set() for g in GENERATORS}
         self._build_action()
 
-    @property
-    def action(self) -> dict:
-        """The tables as {g: {key: {key2: Fraction}}}, built on each access;
-        writing into it changes nothing in the module."""
-        return {g: {k: {k2: Fraction(c, den) for k2, c in col.items()}
-                    for k, col in table.items()}
-                for g, (den, table) in self.tables.items()}
-
     def _build_action(self):
         """e/f/h tables from the spec's monomial kernel, one column per basis
         key; the twist adds x^k times TwistData(a).tau(g) to g(x^k) in the
@@ -116,11 +108,6 @@ class TruncatedModule:
                 table = {k: {k2: c // content for k2, c in col.items()}
                          for k, col in table.items()}
             self.tables[g] = (den, table)
-        hden, htable = self.tables["h"]
-        for k in self.basis:
-            hcol = htable.get(k, {})
-            if set(hcol) - {k} or hcol.get(k, 0) != self.weights[k] * hden:
-                raise RepError(f"h is not diagonal with the stated weight at {k}")
 
     # -- vector helpers -----------------------------------------------------
 

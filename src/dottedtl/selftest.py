@@ -232,10 +232,13 @@ def criterion_plus_part() -> dict:
 
 def criterion_minus_part() -> dict:
     ok = lasagna.minus_block_split_check(12)
-    table_ok = all(
-        lasagna.strictness(ell, r, 20) == (r >= max(0, ell + 1))
-        for ell in range(-2, 3) for r in range(5)
-    )
+    # S_(ell,r) is strict iff the block has a basis key with A1-power r
+    table_ok = True
+    for ell in range(-2, 3):
+        powers = {lasagna._kparts(k)[2]
+                  for k in lasagna.minus_block(ell, 20).basis}
+        table_ok &= all(lasagna.strictness(ell, r, 20) == (r in powers)
+                        for r in range(5))
     quot_ok, zuck = lasagna.minus_side_checks(20)
     return {"name": "minus part: blocks, filtration layers, no finite part",
             "split": ok, "strictness": table_ok, "layers": quot_ok,

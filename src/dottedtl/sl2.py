@@ -174,15 +174,6 @@ def lasagna_spec() -> Sl2ActionSpec:
 LASAGNA_SPEC = lasagna_spec()
 
 
-def iterate_f(x: GradedPoly, r: int, spec: Sl2ActionSpec) -> GradedPoly:
-    """f applied r times; iterate_f(x, 0) = x."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    for _ in range(r):
-        x = spec.apply("f", x)
-    return x
-
-
 @dataclass(frozen=True)
 class DtlParams:
     """The two free parameters of the sl2 action on cups and caps."""

@@ -97,6 +97,29 @@ def _packed_mul(p: dict, q: dict) -> dict:
     return out
 
 
+def _product_column(acc: dict, left: dict, right_col: dict,
+                    scale: int) -> None:
+    """The product kernel of __mul__ and commutator_star: add scale * (left
+    o right_col) into the column acc, left being a table.  Adding packed
+    keys adds the exponent pairs, because E1 and E2 are not invertible
+    (exponents are never negative) and no exponent reaches 2^32."""
+    for k, vt in right_col.items():
+        lcol = left.get(k)
+        if not lcol:
+            continue
+        if scale != 1:
+            vt = {e: c * scale for e, c in vt.items()}
+        vt = vt.items()
+        for i, wt in lcol.items():
+            tacc = acc.get(i)
+            if tacc is None:
+                tacc = acc[i] = {}
+            for e1, c1 in wt.items():
+                for e2, c2 in vt:
+                    e = e1 + e2
+                    tacc[e] = tacc.get(e, 0) + c1 * c2
+
+
 def _strip(acc: dict, content: int):
     """An accumulated column {row: {key: numerator}} without zero numerators
     or empty entries, and gcd(content, its numerators)."""
@@ -213,64 +236,26 @@ class PolyMatrix:
         one = {0: 1}
         return _canonical(n, n, 1, {i: {i: one} for i in range(2 ** n)}, 1)
 
-    def _combine(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
-        """self + sign * other over the lcm of the two denominators."""
-        if (self.n_out, self.n_in) != (other.n_out, other.n_in):
-            raise ValueError("shape mismatch")
-        da, ta = self._packed()
-        db, tb = other._packed()
-        den = lcm(da, db)
-        ma, mb = den // da, sign * (den // db)
-        acc = {j: {i: {e: c * ma for e, c in t.items()}
-                   for i, t in col.items()}
-               for j, col in ta.items()}
-        for j, col in tb.items():
-            acc_j = acc.setdefault(j, {})
-            for i, t in col.items():
-                tacc = acc_j.get(i)
-                if tacc is None:
-                    acc_j[i] = {e: c * mb for e, c in t.items()}
-                else:
-                    for e, c in t.items():
-                        tacc[e] = tacc.get(e, 0) + c * mb
-        return PolyMatrix.from_packed(self.n_out, self.n_in, den, acc)
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self._combine(other, 1)
+        return linear_combination(self.n_out, self.n_in, ((1, self), (1, other)))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self._combine(other, -1)
+        return linear_combination(self.n_out, self.n_in, ((1, self), (-1, other)))
 
     def __neg__(self) -> "PolyMatrix":
-        den, table = self._packed()
-        return _canonical(self.n_out, self.n_in, den,
-                          {j: {i: {e: -c for e, c in t.items()}
-                               for i, t in col.items()}
-                           for j, col in table.items()}, 1)
+        return linear_combination(self.n_out, self.n_in, ((-1, self),))
 
     def scale(self, c) -> "PolyMatrix":
         """c times the matrix, for c a GradedPoly or a rational."""
-        if isinstance(c, GradedPoly):
-            den_c, ct = _pack_poly(E_RING.coerce(c))
-        else:
-            c = Fraction(c)
-            den_c, ct = c.denominator, {0: c.numerator} if c else {}
-        den, table = self._packed()
-        acc = {j: {i: _packed_mul(t, ct) for i, t in col.items()}
-               for j, col in table.items()} if ct else {}
-        return PolyMatrix.from_packed(self.n_out, self.n_in, den * den_c, acc)
+        return linear_combination(self.n_out, self.n_in, ((c, self),))
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Composition self o other (apply other first).
 
-        The inner loop runs on the two int tables: numerator products
-        accumulate under packed exponent keys over den_self * den_other,
-        and each output column is stripped of zeros as soon as it is
-        complete, keeping a running gcd of the numerators, so that only a
-        result whose content exceeds 1 gets a second pass.  Adding
-        packed keys adds the exponent pairs, because E1 and E2 are not
-        invertible (exponents are never negative) and no exponent reaches
-        2^32.
+        Each output column is one _product_column over den_self *
+        den_other, stripped of zeros as soon as it is complete, keeping a
+        running gcd of the numerators, so that only a result whose content
+        exceeds 1 gets a second pass.
         """
         if self.n_in != other.n_out:
             raise ValueError("shape mismatch in product")
@@ -279,21 +264,8 @@ class PolyMatrix:
         content = den = den_s * den_o
         table = {}
         for j, ocol in ocols.items():
-            # raw term dicts per output row, keyed by packed exponents
             acc: dict = {}
-            for k, vt in ocol.items():
-                scol = scols.get(k)
-                if not scol:
-                    continue
-                vt = vt.items()
-                for i, wt in scol.items():
-                    tacc = acc.get(i)
-                    if tacc is None:
-                        tacc = acc[i] = {}
-                    for e1, c1 in wt.items():
-                        for e2, c2 in vt:
-                            e = e1 + e2
-                            tacc[e] = tacc.get(e, 0) + c1 * c2
+            _product_column(acc, scols, ocol, 1)
             col, content = _strip(acc, content)
             if col:
                 table[j] = col
@@ -350,6 +322,48 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.n_out}<-{self.n_in}, nnz={self.nnz()})"
+
+
+def linear_combination(n_out: int, n_in: int, terms) -> PolyMatrix:
+    """The linear-combination kernel of +, -, negation, scale and
+    Combo.evaluate: the sum of c * m over the (c, m) pairs of terms, c a
+    GradedPoly or a rational and each m of shape n_out <- n_in, over the
+    lcm of the terms' denominators.  A constant c keeps each packed key
+    object as it is, where e + 0 would allocate a new int per term."""
+    packed = []
+    for c, m in terms:
+        if (m.n_out, m.n_in) != (n_out, n_in):
+            raise ValueError("shape mismatch")
+        if isinstance(c, GradedPoly):
+            den_c, ct = _pack_poly(E_RING.coerce(c))
+        else:
+            c = Fraction(c)
+            den_c, ct = c.denominator, {0: c.numerator} if c else {}
+        den_m, table = m._packed()
+        if ct and table:
+            packed.append((den_c * den_m, ct, table))
+    den = lcm(1, *(d for d, _, _ in packed))
+    acc: dict = {}
+    for d, ct, table in packed:
+        mult = den // d
+        ct = {e: x * mult for e, x in ct.items()}
+        const = ct[0] if len(ct) == 1 and 0 in ct else None
+        for j, col in table.items():
+            acc_j = acc.setdefault(j, {})
+            for i, t in col.items():
+                tacc = acc_j.get(i)
+                if tacc is None:
+                    acc_j[i] = (_packed_mul(t, ct) if const is None else
+                                {e: c * const for e, c in t.items()})
+                elif const is not None:
+                    for e, c in t.items():
+                        tacc[e] = tacc.get(e, 0) + c * const
+                else:
+                    for e1, c1 in t.items():
+                        for e2, c2 in ct.items():
+                            e = e1 + e2
+                            tacc[e] = tacc.get(e, 0) + c1 * c2
+    return PolyMatrix.from_packed(n_out, n_in, den, acc)
 
 
 # -- generator matrices -----------------------------------------------------
@@ -502,8 +516,9 @@ def commutator_star(
     pair, act(g, x, params).evaluate() equals
     commutator_star(g, x.evaluate(), params=params).
 
-    One pass over the packed tables of F and of the two G_n, as in
-    PolyMatrix.__mul__; d_g acts on packed exponents by _derive.
+    One pass over the columns of F: G_out F and -F G_in are each one
+    _product_column, the product kernel of PolyMatrix.__mul__, and d_g
+    acts on packed exponents by _derive in between.
     """
     if g not in GENERATORS:
         raise ValueError(g)
@@ -518,34 +533,11 @@ def commutator_star(
     table = {}
     for j in range(2 ** F.n_in):
         acc: dict = {}
-        for k, ft in fcols.get(j, {}).items():
-            # G_out F
-            for i, gt in gout.get(k, {}).items():
-                tacc = acc.get(i)
-                if tacc is None:
-                    tacc = acc[i] = {}
-                for e1, c1 in gt.items():
-                    c1 *= mo
-                    for e, c in ft.items():
-                        e += e1
-                        tacc[e] = tacc.get(e, 0) + c1 * c
-            # d_g(F), brought from den_f to the full denominator
-            tacc = acc.get(k)
-            if tacc is None:
-                tacc = acc[k] = {}
-            _derive(g, ft, den, tacc)
-        # - F G_in
-        for k, gt in gin.get(j, {}).items():
-            for e1, c1 in gt.items():
-                c1 *= -mi
-                for i, ft in fcols.get(k, {}).items():
-                    tacc = acc.get(i)
-                    if tacc is None:
-                        acc[i] = {e1 + e2: c1 * c2 for e2, c2 in ft.items()}
-                        continue
-                    for e2, c2 in ft.items():
-                        e = e1 + e2
-                        tacc[e] = tacc.get(e, 0) + c1 * c2
+        fcol = fcols.get(j, {})
+        _product_column(acc, gout, fcol, mo)
+        for k, ft in fcol.items():  # d_g(F), over the full denominator
+            _derive(g, ft, den, acc.setdefault(k, {}))
+        _product_column(acc, fcols, gin.get(j, {}), -mi)
         col, content = _strip(acc, content)
         if col:
             table[j] = col

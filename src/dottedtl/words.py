@@ -9,7 +9,6 @@ Leibniz rule; equality testing happens in the state-space matrices.
 from __future__ import annotations
 
 import itertools
-from math import lcm
 
 from .ring import E_RING
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams
@@ -17,8 +16,8 @@ from .statespace import (
     PRIM_ARITY,
     PRIM_MATRICES,
     PolyMatrix,
-    _pack_poly,
     _packed_mul,
+    linear_combination,
 )
 
 E1 = E_RING.gen("E1")
@@ -154,36 +153,11 @@ class Combo:
         return out
 
     def evaluate(self) -> PolyMatrix:
-        """The state-space matrix, sum of coeff * evaluate_word(w).
-
-        One int accumulator keyed by (column, row, packed exponent), as in
-        PolyMatrix.__mul__: each word matrix's packed table is added over a
-        running common denominator (the accumulator is rescaled when a term
-        needs a larger one), and PolyMatrix.from_packed normalises once.
-        """
-        acc: dict = {}
-        den = 1
-        for w, c in self.terms.items():
-            den_w, cols = evaluate_word(w)._packed()
-            den_c, coeff = _pack_poly(c)
-            d = den_w * den_c
-            if den % d:
-                grow = lcm(den, d) // den
-                for acc_j in acc.values():
-                    for tacc in acc_j.values():
-                        for e in tacc:
-                            tacc[e] *= grow
-                den *= grow
-            coeff = [(e, x * (den // d)) for e, x in coeff.items()]
-            for j, col in cols.items():
-                acc_j = acc.setdefault(j, {})
-                for i, terms in col.items():
-                    tacc = acc_j.setdefault(i, {})
-                    for e1, c1 in terms.items():
-                        for e2, c2 in coeff:
-                            e = e1 + e2
-                            tacc[e] = tacc.get(e, 0) + c1 * c2
-        return PolyMatrix.from_packed(self.n_out, self.n_in, den, acc)
+        """The state-space matrix, sum of coeff * evaluate_word(w), by
+        statespace.linear_combination."""
+        return linear_combination(
+            self.n_out, self.n_in,
+            [(c, evaluate_word(w)) for w, c in self.terms.items()])
 
     def is_empty(self) -> bool:
         return not self.terms

@@ -21,7 +21,7 @@ from dottedtl.expr import (
 )
 from dottedtl.ring import E_RING
 from dottedtl.statespace import PolyMatrix
-from dottedtl.words import Combo, DtlParams, random_word, zn_combo
+from dottedtl.words import Combo, DtlParams, identity_word, random_word, zn_combo
 
 
 def _same(a: Combo, b: Combo) -> bool:
@@ -149,6 +149,17 @@ def test_normalize_outside_span_fails():
         normalize_matrix(mat, 1, 1)
 
 
+def test_normalize_bound_is_checked_before_evaluation(monkeypatch):
+    """An over-bound combination fails on its shape alone: evaluating a
+    24-strand identity would build a 2^24-state matrix first."""
+    def no_evaluation(self):
+        raise AssertionError("evaluated before the bound check")
+
+    monkeypatch.setattr(Combo, "evaluate", no_evaluation)
+    with pytest.raises(ExprError, match="normalization bound exceeded: 11"):
+        normalize_combo(Combo.of(identity_word(11)))
+
+
 def test_normalize_scalars():
     c = parse_expr("E1*E2 - 3")
     got = print_combo(normalize_combo(c))
@@ -219,7 +230,6 @@ def test_normal_forms_run_on_integer_kernels(monkeypatch):
     for name in ("__add__", "scale"):
         monkeypatch.setattr(PolyMatrix, name, counted(
             "evaluate", f"PolyMatrix.{name}", getattr(PolyMatrix, name)))
-    monkeypatch.setattr(expr, "_jw_combo_cache", {})
     for text in ("jw(4) ; z(4)", "u(3)"):
         expr.normalize_combo(parse_expr(text))
     assert counts.pop("matching_matrix") > 0

@@ -346,6 +346,17 @@ def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
     assert rep["ok"] is False
 
 
+def test_wrong_strictness_rule_fails_criterion_11(monkeypatch):
+    """Negative control: calling every layer strict disagrees with the
+    blocks' A1-powers, so criterion 11's strictness field fails."""
+    from dottedtl import selftest
+
+    monkeypatch.setattr(lasagna, "strictness", lambda ell, r, depth=20: r >= 0)
+    rep = selftest.criterion_minus_part()
+    assert rep["strictness"] is False
+    assert rep["ok"] is False
+
+
 # sha256 of the CLI's --json stdout for the lasagna reports
 PINNED_REPORT_SHA256 = {
     ("decompose-b4",):

@@ -12,7 +12,6 @@ from dottedtl.sl2 import (
     GENERATORS,
     LASAGNA_SPEC,
     Sl2ActionSpec,
-    iterate_f,
 )
 
 ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -131,13 +130,6 @@ def test_weights_are_degrees():
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
     p = E1 ** 2 * E2
     assert BASE_SPEC.apply("h", p) == -8 * p
-
-
-def test_iterate_f():
-    E1 = E_RING.gen("E1")
-    assert iterate_f(E_RING.one, 0, BASE_SPEC) == E_RING.one
-    assert iterate_f(E_RING.one, 1, BASE_SPEC).is_zero()
-    assert iterate_f(E1, 1, BASE_SPEC) == BASE_SPEC.apply("f", E1)
 
 
 # -- the monomial kernel against the Leibniz oracle ---------------------------

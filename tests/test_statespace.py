@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from dottedtl.ring import E_RING, GradedPoly
 from dottedtl.statespace import (
     PRIM_MATRICES,
@@ -14,6 +16,7 @@ from dottedtl.statespace import (
     basis_weight,
     commutator_star,
     generator_matrix,
+    linear_combination,
 )
 from dottedtl.sl2 import BASE_SPEC, GENERATORS, DtlParams, TwistData
 from dottedtl.words import Combo, act, random_word
@@ -220,6 +223,38 @@ def test_scale_matches_entrywise(m, c):
     assert_stored_like(m.scale(c), ref)
 
 
+@st.composite
+def combinations(draw):
+    """0-4 (coefficient, matrix) terms of one shape; the last term may
+    cancel the first."""
+    n_out, n_in = draw(strands), draw(strands)
+    terms = draw(st.lists(
+        st.tuples(st.one_of(polys, coefficients, st.just(0)),
+                  matrices(n_out, n_in)), max_size=3))
+    if terms and draw(st.booleans()):
+        c, m = terms[0]
+        terms.append((-c, m))
+    return n_out, n_in, terms
+
+
+@KERNEL_SETTINGS
+@given(combinations())
+def test_linear_combination_matches_entrywise(case):
+    n_out, n_in, terms = case
+    want = {}
+    for c, m in terms:
+        for ij, v in m.entries():
+            want[ij] = want.get(ij, E_RING.zero) + E_RING.coerce(c) * v
+    got = linear_combination(n_out, n_in, terms)
+    assert_canonical(got)
+    assert_stored_like(got, PolyMatrix(n_out, n_in, want))
+
+
+def test_linear_combination_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linear_combination(1, 1, [(1, DOT), (2, CUP)])
+
+
 # the four selftest parameter sets plus two generic pairs
 ACTION_PARAMS = [
     DtlParams(Fraction(0), Fraction(0)),
@@ -277,8 +312,6 @@ def test_commutator_star_is_leibniz_on_composites(pair, g, p, src, mid, tgt):
 
 
 # -- structural equality and the no-stored-zero invariant ------------------------
-
-import pytest
 
 from dottedtl.selftest import PARAM_SETS
 from dottedtl.statespace import _object_operator, _strand_operator
@@ -413,7 +446,7 @@ def tensor_sum_object_operator(g, n, params, a):
     for i in range(n):
         op = op + PolyMatrix.identity(i).tensor(strand).tensor(
             PolyMatrix.identity(n - 1 - i))
-    return op._packed()
+    return op
 
 
 def test_object_operator_matches_tensor_sum():
@@ -425,7 +458,24 @@ def test_object_operator_matches_tensor_sum():
             for p in params:
                 for a in (Fraction(0), Fraction(-3, 2), Fraction(5, 4)):
                     assert _object_operator.__wrapped__(g, n, p, a) \
-                        == tensor_sum_object_operator(g, n, p, a), (g, n, p, a)
+                        == tensor_sum_object_operator(g, n, p, a)._packed(), \
+                        (g, n, p, a)
+
+
+@KERNEL_SETTINGS
+@given(strands.flatmap(lambda n_out: strands.flatmap(
+    lambda n_in: matrices(n_out, n_in))),
+    st.sampled_from(GENERATORS), st.sampled_from(ACTION_PARAMS), twists,
+    twists)
+def test_commutator_star_is_the_unfused_formula(F, g, p, src, tgt):
+    """The fused kernel equals G_out F - F G_in + d_g(F) computed apart:
+    G_n as the tensor sum, the two products and the sum by the matrix
+    operations, and d_g entry by entry by BASE_SPEC.apply."""
+    g_out = tensor_sum_object_operator(g, F.n_out, p, Fraction(tgt.a))
+    g_in = tensor_sum_object_operator(g, F.n_in, p, Fraction(src.a))
+    d = PolyMatrix(F.n_out, F.n_in,
+                   {ij: BASE_SPEC.apply(g, v) for ij, v in F.entries()})
+    assert commutator_star(g, F, src, tgt, p) == g_out * F - F * g_in + d
 
 
 # -- the storage boundary: cols, entry-by-entry builds, the star action ------
