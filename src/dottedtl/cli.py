@@ -2,6 +2,8 @@
 
 Exit status: 0 when every requested check passes, 1 when a check fails
 (the failing report is printed, as JSON with --json), 2 on usage errors.
+A command raises the package's error on bad input, and main prints it as
+"error: ..." on stderr.
 """
 
 from __future__ import annotations
@@ -69,11 +71,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_jw(args) -> int:
     n = args.n
-    try:
-        m = projectors.jw(n)
-    except projectors.ProjectorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    m = projectors.jw(n)
     checks = [("idempotent", m * m == m),
               ("matches symmetrizer", m == projectors.jw_bruteforce(n))]
     rep = {
@@ -83,8 +81,8 @@ def _cmd_jw(args) -> int:
         "ok": all(ok for _, ok in checks),
     }
     lines = [f"projector on {n} strands"]
-    if 2 * n <= expr.NORMALIZE_STRAND_BOUND:  # the rule of the jw(n) macro
-        text = expr.print_combo(expr.parse_expr(f"jw({n})"))
+    if n <= expr._macro_bound("jw"):
+        text = expr.print_combo(expr._jw_combo(n))
         rep["diagram_form"] = text
         lines.append(text)
     lines += [f"{c}: {'pass' if ok else 'FAIL'}" for c, ok in checks]
@@ -92,11 +90,7 @@ def _cmd_jw(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    try:
-        rep = projectors.quiver_check(args.n_max, args.params)
-    except projectors.ProjectorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = projectors.quiver_check(args.n_max, args.params)
     fails = [c for c in rep["checks"] if c["status"] != "pass"]
     lines = [f"quiver relations up to {args.n_max} strands "
              f"at (a1, a2) = ({args.params.a1}, {args.params.a2})"]
@@ -108,13 +102,8 @@ def _cmd_quiver(args) -> int:
 def _cmd_kirby(args) -> int:
     J = args.levels - 1
     if J < 1:
-        print("error: need at least two levels", file=sys.stderr)
-        return 2
-    try:
-        kirby.check_size(args.k, J)
-    except kirby.KirbyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise kirby.KirbyError("need at least two levels")
+    kirby.check_size(args.k, J)
     try:
         system = kirby.build_kirby(args.k, J, args.a2)
     except kirby.KirbyError as exc:
@@ -139,11 +128,7 @@ def _cmd_kirby(args) -> int:
 
 
 def _cmd_b4(args) -> int:
-    try:
-        rep = lasagna.b4_report(args.depth)
-    except lasagna.LasagnaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = lasagna.b4_report(args.depth)
     lines = [f"ball invariant module, depth {args.depth}"]
     lines.append("summands: Mdual(0) + "
                  + " + ".join(f"M({-4 * j})"
@@ -159,11 +144,7 @@ def _cmd_b4(args) -> int:
 
 
 def _cmd_b2s2(args) -> int:
-    try:
-        rep = lasagna.summary_report(args.depth)
-    except lasagna.LasagnaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = lasagna.summary_report(args.depth)
     rep["status"] = "pass" if rep["ok"] else "fail"
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -178,12 +159,8 @@ def _cmd_b2s2(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        combo = expr.parse_expr(args.expression)
-        text = expr.normalized_string(combo)
-    except expr.ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    combo = expr.parse_expr(args.expression)
+    text = expr.normalized_string(combo)
     rep = {"expression": args.expression, "normalized": text,
            "shape": [combo.n_in, combo.n_out], "ok": True}
     return _emit(rep, args.json, [text])
@@ -273,7 +250,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WordError as exc:
+    except (expr.ExprError, kirby.KirbyError, lasagna.LasagnaError,
+            projectors.ProjectorError, WordError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

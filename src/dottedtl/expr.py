@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .projectors import JW_TRACKED_BOUND
+from . import exactla, projectors, statespace, words
 from .ring import E_RING, GradedPoly
 from .words import (
     Combo,
@@ -39,14 +39,18 @@ NORMALIZE_STRAND_BOUND = 10
 
 
 def _macro_bound(name: str) -> int:
-    """The largest argument of a macro: jw(n) and d(n) are normalised on
-    2n boundary strands and u(n) on 2(n + 2), within
-    NORMALIZE_STRAND_BOUND; z(n) and s(i, n) reach JW_TRACKED_BOUND."""
+    """The largest argument of a macro.  jw(n) is normalised on 2n boundary
+    strands, within NORMALIZE_STRAND_BOUND; z(n) and s(i, n) reach
+    JW_TRACKED_BOUND.  u(n) and d(n) keep the ranges eval-expr accepted
+    when they were projector sandwiches through p_{n+2} and p_n, of 2n + 4
+    and 2n strands: u(4) and d(6) would fit NORMALIZE_STRAND_BOUND on
+    their 10 boundary strands, but take 3.5 s and 3.0 s to parse and
+    normalise (on a 2-core Xeon)."""
     if name in ("jw", "d"):
         return NORMALIZE_STRAND_BOUND // 2
     if name == "u":
         return NORMALIZE_STRAND_BOUND // 2 - 2
-    return JW_TRACKED_BOUND
+    return projectors.JW_TRACKED_BOUND
 
 
 class ExprError(Exception):
@@ -99,40 +103,22 @@ def _macro(name: str, args, pos):
         raise ExprError(f"macro argument out of range: {name}({n})", pos)
     if name == "z":
         return zn_combo(n)
-    from . import projectors
-
+    if name == "d" and n < 2:
+        raise ExprError("d(n) needs n >= 2", pos)
     try:
         if name == "jw":
             return _jw_combo(n)
         if name == "u":
-            # projector-sandwiched dotted cup
-            mid = Combo.of(identity_word(n)).tensor(
-                Combo.of(Word((("cup",), ("dot", "id"))))
-            )
-            return _jw_combo(n).then(mid).then(_jw_combo(n + 2))
-        if name == "d":
-            if n < 2:
-                raise ExprError("d(n) needs n >= 2", pos)
-            mid = Combo.of(identity_word(n - 2)).tensor(
-                Combo.of(Word((("dot", "id"), ("cap",))))
-            )
-            return (
-                _jw_combo(n)
-                .then(mid)
-                .then(_jw_combo(n - 2))
-                .scale(Fraction(n * (n - 1)))
-            )
+            return combo_from_matrix(projectors.un(n).mat, n, n + 2)
+        return combo_from_matrix(projectors.dn(n).mat, n, n - 2)
     except projectors.ProjectorError as exc:
         raise ExprError(str(exc), pos)
-    raise ExprError(f"unknown macro {name!r}", pos)
 
 
 def _jw_combo(n: int) -> Combo:
     """The projector as a compact combination of matching words, recovered
     from its matrix rather than by the word-level recursion (whose term
     count explodes)."""
-    from . import projectors
-
     return combo_from_matrix(projectors.jw(n), n, n)
 
 
@@ -349,12 +335,8 @@ def normalize_matrix(mat, n_in: int, n_out: int):
     once per call; each structural degree is one exactla.solve over dense
     rows that share one Fraction zero in their empty cells.
     """
-    from . import exactla
-    from .statespace import basis_qdegree
-    from .words import dotted_spanning_set, matching_matrix
-
     _check_normalize_bound(n_in, n_out)
-    span = dotted_spanning_set(n_in, n_out)
+    span = words.dotted_spanning_set(n_in, n_out)
     zero = Fraction(0)
     mat_cache: dict = {}
 
@@ -362,14 +344,14 @@ def normalize_matrix(mat, n_in: int, n_out: int):
         got = mat_cache.get(i)
         if got is None:
             m, d = span[i]
-            got = matching_matrix(m, d, n_in, n_out)
+            got = words.matching_matrix(m, d, n_in, n_out)
             mat_cache[i] = got
         return got
 
     def struct_degree(cell, exp, poly):
         return (poly.monomial_degree(exp)
-                + basis_qdegree(cell[0], n_out)
-                - basis_qdegree(cell[1], n_in))
+                + statespace.basis_qdegree(cell[0], n_out)
+                - statespace.basis_qdegree(cell[1], n_in))
 
     # split the target into structurally homogeneous components
     targets: dict = {}
@@ -433,11 +415,9 @@ def normalize_matrix(mat, n_in: int, n_out: int):
 
 def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
     """A combination of matching words with the given evaluation."""
-    from .words import matching_to_word
-
     out = Combo(n_in=n_in, n_out=n_out)
     for poly, m, d in normalize_matrix(mat, n_in, n_out):
-        out = out + Combo({matching_to_word(m, d, n_in, n_out): poly},
+        out = out + Combo({words.matching_to_word(m, d, n_in, n_out): poly},
                           n_in=n_in, n_out=n_out)
     return out
 

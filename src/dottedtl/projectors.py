@@ -1,12 +1,13 @@
 """Jones-Wenzl projectors and the dotted operators z_n, U_n, D_n.
 
 A projector is a matrix, built by the Wenzl recursion and checked against
-the coset-product symmetrizer.  TrackedMor is a matrix with the action
-parameters it was built at.  The matrices of p_n, U_n, D_n and z_n do not
-depend on the parameters, so each is built once per process, in one
-cache bounded by n <= JW_TRACKED_BOUND.  U_n and D_n are certified once
-per parameter pair, by the one sl2 action on morphisms,
-statespace.commutator_star, applied to their matrices.
+the coset-product symmetrizer.  The matrices of p_n, U_n, D_n and z_n do
+not depend on the action parameters, so each is built once per process,
+in one cache bounded by n <= JW_TRACKED_BOUND, and p_n and z_n are
+returned as the cached matrices.  U_n and D_n are certified once per
+parameter pair, by the one sl2 action on morphisms,
+statespace.commutator_star, applied to their matrices, and are returned as
+a TrackedMor: the matrix with the parameters it is certified at.
 """
 
 from __future__ import annotations
@@ -62,17 +63,18 @@ class TrackedMor:
 _jw_cache: dict = {}
 
 
-def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
+def jw_tracked(n: int) -> PolyMatrix:
     """p_n by the Wenzl recursion at circle value 2,
     p_{k+1} = p_k(x)id - (k/(k+1)) (p_k(x)id) e_k (p_k(x)id),
-    with the turnback e_k factored through its cap for a low-rank product."""
+    with the turnback e_k factored through its cap for a low-rank product.
+    Built once per process: every call returns the cached matrix."""
     if n < 0 or n > JW_TRACKED_BOUND:
         raise ProjectorError(f"projector bound exceeded: n={n}")
     p = _jw_cache.get(n)
     if p is None:
         p = PolyMatrix.identity(0)
         if n:
-            ext = jw_tracked(n - 1, params).mat.tensor(PolyMatrix.identity(1))
+            ext = jw_tracked(n - 1).tensor(PolyMatrix.identity(1))
             p = ext
             if n > 1:
                 capm = generator_matrix("cap", n - 2, n)
@@ -81,11 +83,10 @@ def jw_tracked(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
                 mid = (ext * cupm).scale(Fraction(n - 1, n)) * (capm * ext)
                 p = ext - mid
         _jw_cache[n] = p
-    return TrackedMor(p, params)
+    return p
 
 
-def jw(n: int, params: DtlParams = DtlParams()) -> PolyMatrix:
-    return jw_tracked(n, params).mat
+jw = jw_tracked
 
 
 # -- symmetrizer oracle -------------------------------------------------------
@@ -184,7 +185,7 @@ def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     return _certified("d", n, params, build, (1 + a2) * E1, -2 * a2 - 2)
 
 
-def zn_matrix(n: int, params: DtlParams = DtlParams()) -> PolyMatrix:
+def zn_matrix(n: int) -> PolyMatrix:
     """z_n inside End(P_n): p_n z_n p_n, built once per process."""
     def build():
         p = jw(n)
@@ -193,13 +194,26 @@ def zn_matrix(n: int, params: DtlParams = DtlParams()) -> PolyMatrix:
     return _derived(("z", n), build)
 
 
-def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
-    """The five relations among U, D, z inside the projector category.
+def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
+    """-z_n^2 + k(E1^2 - 4E2)p_n + [n odd](E1 z_n - E2 p_n), the value of
+    D_{n+2}U_n (k = floor((n+2)^2/4)) and of U_{n-2}D_n (k = floor(n^2/4))
+    inside End(P_n), with the name that states it."""
+    p = jw(n)
+    value = -z2 + p.scale(k * (E1 * E1 - 4 * E2))
+    text = f"-z_{n}^2 + {k}*(E1^2-4*E2)*p_{n}"
+    if n % 2:
+        value = value + z.scale(E1) - p.scale(E2)
+        text += f" + E1*z_{n} - E2*p_{n}"
+    return value, text
 
-    The first three hold after setting E1 = E2 = 0; the z-intertwinings are
-    exact identities.  Setting E1 = E2 = 0 (PolyMatrix.constant_terms) is a
-    ring homomorphism, so the reduced relations multiply the reduced
-    factors, and the reduced z_n and its square are built once per n.
+
+def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
+    """The relations among U, D, z inside the projector category.
+
+    D_{n+2}U_n and U_{n-2}D_n are checked as exact identities (_quiver_rhs),
+    and so are the z-intertwinings; z_n^{n+1} = 0 holds after setting
+    E1 = E2 = 0 (PolyMatrix.constant_terms, a ring homomorphism, so the
+    power multiplies the reduced z_n).  z_n^2 is built once per n.
     n_max must lie in 0..JW_TRACKED_BOUND.
     """
     if not 0 <= n_max <= JW_TRACKED_BOUND:
@@ -211,24 +225,24 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
         checks.append({"relation": name, "status": "pass" if ok else "fail"})
 
     for n in range(n_max + 1):
-        z = zn_matrix(n, params)
-        zmod = z.constant_terms()
-        minus_z2 = -(zmod * zmod)
+        z = zn_matrix(n)
+        z2 = z * z
         if n + 4 <= JW_TRACKED_BOUND:
             u = un(n, params)
             d = dn(n + 2, params)
-            lhs = d.mat.constant_terms() * u.mat.constant_terms()
-            record(f"D_{n+2}U_{n} = -z_{n}^2 mod (E1,E2)", lhs == minus_z2)
-            z2 = zn_matrix(n + 2, params)
-            record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d.mat == d.mat * z2)
+            rhs, text = _quiver_rhs(n, (n + 2) ** 2 // 4, z, z2)
+            record(f"D_{n+2}U_{n} = {text}", d.mat * u.mat == rhs)
+            zd = zn_matrix(n + 2)
+            record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d.mat == d.mat * zd)
         if n >= 2:
             u = un(n - 2, params)
             d = dn(n, params)
-            lhs = u.mat.constant_terms() * d.mat.constant_terms()
-            record(f"U_{n-2}D_{n} = -z_{n}^2 mod (E1,E2)", lhs == minus_z2)
-            zp = zn_matrix(n - 2, params)
-            record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u.mat == u.mat * zp)
-        zpow = jw(n, params).constant_terms()
+            rhs, text = _quiver_rhs(n, n * n // 4, z, z2)
+            record(f"U_{n-2}D_{n} = {text}", u.mat * d.mat == rhs)
+            zu = zn_matrix(n - 2)
+            record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u.mat == u.mat * zu)
+        zmod = z.constant_terms()
+        zpow = jw(n).constant_terms()
         for _ in range(n + 1):
             zpow = zpow * zmod
         record(f"z_{n}^{n+1} = 0 mod (E1,E2)", zpow.is_zero())

@@ -120,7 +120,7 @@ def test_verify_report_does_not_depend_on_the_hash_seed():
 # word-relation reports
 PINNED_REPORT_SHA256 = {
     ("quiver",):
-        "08f1d809da14d0cdbb195e8880a9f455a2e999676986baca173fe950ae885012",
+        "9333f05123fc23b7c2adc59bcf2796dfa5570c4f2f1641c309f119e2b1039e56",
     ("jw", "5"):
         "fc1526ee6fb9216d9d316660fa10663b9a0727d0eb728f82d2d8e4d5f2df1b8d",
     ("kirby-certify", "--k", "0", "--levels", "3", "--a2", "1/2"):
@@ -137,6 +137,31 @@ def test_reports_are_pinned(args):
         assert res.returncode == 0, res.stderr
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == PINNED_REPORT_SHA256[args], hashseed
+
+
+# one bad input per command, with the message main prints for it
+USAGE_ERRORS = [
+    (("jw", "9"), "error: projector bound exceeded: n=9"),
+    (("quiver", "--n-max", "9"),
+     "error: n_max must be between 0 and 8, got 9"),
+    (("decompose-b4", "--depth", "3"), "error: depth must be at least 4"),
+    (("decompose-b2s2", "--depth", "5"), "error: depth must be at least 6"),
+    (("eval-expr", "u(4)"),
+     "error: macro argument out of range: u(4) (at position 0)"),
+    (("dtl-verify", "--n-max", "-2"),
+     "error: ambient width must be non-negative, got -2"),
+    (("kirby-certify", "--levels", "9"),
+     "error: strand bound exceeded: 16 > 8"),
+]
+
+
+@pytest.mark.parametrize("args,message", USAGE_ERRORS)
+def test_usage_errors_are_reported_by_main(args, message):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr == message + "\n"
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_quiver_bounds_are_usage_errors():

@@ -12,6 +12,8 @@ import pytest
 from dottedtl import projectors
 from dottedtl.expr import (
     ExprError,
+    _jw_combo,
+    _macro_bound,
     normalize_combo,
     normalize_matrix,
     normalized_string,
@@ -21,7 +23,14 @@ from dottedtl.expr import (
 )
 from dottedtl.ring import E_RING
 from dottedtl.statespace import PolyMatrix
-from dottedtl.words import Combo, DtlParams, identity_word, random_word, zn_combo
+from dottedtl.words import (
+    Combo,
+    DtlParams,
+    Word,
+    identity_word,
+    random_word,
+    zn_combo,
+)
 
 
 def _same(a: Combo, b: Combo) -> bool:
@@ -139,6 +148,44 @@ def test_normalized_reports_are_pinned(text):
         assert res.returncode == 0, res.stderr
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == PINNED_EVAL_SHA256[text], hashseed
+
+
+# sha256 of normalized_string(parse_expr(TEXT)) for every accepted u(n) and
+# d(n); the same at PYTHONHASHSEED 0 and 4242
+PINNED_MACRO_SHA256 = {
+    "u(0)": "af10e06b2fd40cea601eeef164c82b6aa69079d3b11801bf4d102149eae83677",
+    "u(1)": "88d937d297d5c352e8e08e48fb3a172eaa641dcc532a129a5d36974c56c6118b",
+    "u(2)": "b3cb49ae69887832a853c9ce6db757e241ee66a3b18b9ee4f9734e3f6c55e05b",
+    "u(3)": "361d8910ac7926ea9fc66bdbc94061abeb66f0fa9b1b3671cc91f0701bb17bca",
+    "d(2)": "d6828dad36b0bb45e1295ba1934656135610c00af6c8a79cca11f23a2a844e03",
+    "d(3)": "f4dadca47a45edd0cd4ad0de112a04c16bd23e2f66d1d372ab713d59214b9f72",
+    "d(4)": "4b013b6032074092968961367731ee214c8be8bce0b7fe84e5576be2ec1826ae",
+    "d(5)": "8c76e8c3e263c895993f180dd39a3f11736ad94b7ff50112c3afc188fa4cbc71",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_MACRO_SHA256))
+def test_macro_normal_forms_are_pinned(text):
+    got = normalized_string(parse_expr(text)).encode()
+    assert hashlib.sha256(got).hexdigest() == PINNED_MACRO_SHA256[text]
+
+
+def _sandwich(n: int, n_mid: int, mid_word: Word, n_out: int) -> Combo:
+    """The word-level sandwich p_n ; (id^n_mid | mid_word) ; p_n_out."""
+    mid = Combo.of(identity_word(n_mid)).tensor(Combo.of(mid_word))
+    return _jw_combo(n).then(mid).then(_jw_combo(n_out))
+
+
+def test_u_and_d_macros_equal_the_projector_sandwiches():
+    """Oracle for the u(n) and d(n) macros at every accepted n: the word
+    sandwiches p_{n+2} (id^n | dotted cup) p_n and
+    n(n-1) p_{n-2} (id^(n-2) | dotted cap) p_n."""
+    for n in range(_macro_bound("u") + 1):
+        want = _sandwich(n, n, Word((("cup",), ("dot", "id"))), n + 2)
+        assert _same(parse_expr(f"u({n})"), want), n
+    for n in range(2, _macro_bound("d") + 1):
+        want = _sandwich(n, n - 2, Word((("dot", "id"), ("cap",))), n - 2)
+        assert _same(parse_expr(f"d({n})"), want.scale(Fraction(n * (n - 1)))), n
 
 
 def test_normalize_outside_span_fails():
