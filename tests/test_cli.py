@@ -121,6 +121,8 @@ def test_verify_report_does_not_depend_on_the_hash_seed():
 PINNED_REPORT_SHA256 = {
     ("quiver",):
         "9333f05123fc23b7c2adc59bcf2796dfa5570c4f2f1641c309f119e2b1039e56",
+    ("quiver", "--n-max", "8"):
+        "75ff5536dfd64b643c058e8dcad7c8c330a536c97eb5b229e55ed000778a4b47",
     ("jw", "5"):
         "fc1526ee6fb9216d9d316660fa10663b9a0727d0eb728f82d2d8e4d5f2df1b8d",
     ("kirby-certify", "--k", "0", "--levels", "3", "--a2", "1/2"):
