@@ -58,7 +58,6 @@ from .projectors import (
     jw_tracked,
     quiver_check,
     un,
-    zn_matrix,
 )
 from .kirby import (
     KirbyError,
@@ -94,7 +93,7 @@ __all__ = [
     "ExprError", "normalize_combo", "normalized_string",
     "parse_expr", "print_combo", "print_word", "roundtrip_equal",
     "ProjectorError", "TrackedMor", "dn", "jw", "jw_bruteforce",
-    "jw_tracked", "quiver_check", "un", "zn_matrix",
+    "jw_tracked", "quiver_check", "un",
     "KirbyError", "KirbySystem", "TwistedObject", "build_kirby",
     "composite_check", "leibniz_closure_check", "level_twist",
     "star_act_twisted",

@@ -1,13 +1,16 @@
-"""Jones-Wenzl projectors and the dotted operators z_n, U_n, D_n.
+"""Jones-Wenzl projectors, cores, and the dotted operators z_n, U_n, D_n.
 
-A projector is a matrix, built by the Wenzl recursion and checked against
-the coset-product symmetrizer.  The matrices of p_n, U_n, D_n and z_n do
-not depend on the action parameters, so each is built once per process,
-in one cache bounded by n <= JW_TRACKED_BOUND, and p_n and z_n are
-returned as the cached matrices.  U_n and D_n are certified once per
-parameter pair, by the one sl2 action on morphisms,
-statespace.commutator_star, applied to their matrices, and are returned as
-a TrackedMor: the matrix with the parameters it is certified at.
+One basis per level n: on each strand b = A1 and v = A0 - (E1/2) A1 (T is
+that change of basis), and u_k sums the words with k v-letters, each signed
+by (-1)^(sum of the 0-based positions of its v-letters).  B_n has columns
+T^(x)n u_k and its left inverse B_n^+ the rows u_k^T T^-(x)n / C(n,k), as
+u_j^T u_k = C(n,k) [j = k] (the sign-twisted symmetric basis of Sym^n,
+Frenkel-Khovanov).  p_n is the closed form B_n B_n^+.  The core of
+F: V_n -> V_m is the (m+1) x (n+1) matrix B_m^+ F B_n; it fixes p_m F p_n,
+cores compose by the product and p_n's core is the identity, so quiver_check
+works on cores only.  p_n, B_n, U_n and D_n are parameter-free and built
+once per process; U_n and D_n are certified once per parameter pair by
+the sl2 action on morphisms, commutator_star, and returned as TrackedMor.
 """
 
 from __future__ import annotations
@@ -17,19 +20,14 @@ from fractions import Fraction
 
 from .ring import E_RING
 from .sl2 import GENERATORS, DtlParams
-from .statespace import PolyMatrix, commutator_star, generator_matrix
-from .words import (
-    Word,
-    crossing_combo,
-    evaluate_word,
-    zn_combo,
-)
+from .statespace import PolyMatrix, commutator_star
+from .words import Word, crossing_combo, evaluate_word, zn_combo
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
 
 JW_TRACKED_BOUND = 8
-# the symmetrizer oracle runs wherever the recursion does
+# the symmetrizer oracle runs at every level p_n is built
 JW_BRUTE_BOUND = JW_TRACKED_BOUND
 
 
@@ -53,40 +51,62 @@ class TrackedMor:
         return TrackedMor(self.mat * other.mat, self.params)
 
 
-# -- Jones-Wenzl projectors --------------------------------------------------
+# -- the symmetric basis, projectors and cores --------------------------------
 
-# Parameter-independent matrices: p_n under n, and U_n, D_n, z_n under
-# ("u", n), ("d", n), ("z", n).  The parameter pairs at which U_n and D_n
-# passed certification are recorded in the same dict, as keys
-# ("u", n, params) and ("d", n, params) holding True, so swapping the dict
-# swaps every derived matrix and certificate with the projectors.
+# p_n under n, (B_n, B_n^+) under ("basis", n), U_n and D_n under ("u", n)
+# and ("d", n), and True under (kind, n, params) once certified there, so
+# swapping the dict swaps every derived matrix and certificate with p_n.
 _jw_cache: dict = {}
 
 
+def _derived(key, build):
+    """The cached value under key, built on first use."""
+    m = _jw_cache.get(key)
+    if m is None:
+        m = _jw_cache[key] = build()
+    return m
+
+
+def core_side(n: int) -> int:
+    """A core's side at level n: negative, so it equals no strand count."""
+    return -1 - n
+
+
+def _basis(n: int):
+    """(B_n, B_n^+): B_n = T^(x)n U, U having the columns u_k, and its left
+    inverse B_n^+ = diag(1/C(n,k)) U^T T^-(x)n."""
+    def build():
+        t, ti = (PolyMatrix(1, 1, {(0, 0): 1, (0, 1): c * E1, (1, 1): 1})
+                 for c in (Fraction(-1, 2), Fraction(1, 2)))
+        tn = tin = PolyMatrix.identity(0)
+        for _ in range(n):
+            tn, tin = tn.tensor(t), tin.tensor(ti)
+        den = math.lcm(*(math.comb(n, k) for k in range(n + 1)))
+        u, ut = {}, {}
+        for i in range(2 ** n):  # bit b of i is the strand at position n-1-b
+            sign = (-1) ** sum(n - 1 - b for b in range(n) if i >> b & 1)
+            k = bin(i).count("1")
+            u.setdefault(k, {})[i] = {0: sign}
+            ut[i] = {k: {0: sign * den // math.comb(n, k)}}
+        return (tn * PolyMatrix.from_packed(n, core_side(n), 1, u),
+                PolyMatrix.from_packed(core_side(n), n, den, ut) * tin)
+
+    return _derived(("basis", n), build)
+
+
 def jw_tracked(n: int) -> PolyMatrix:
-    """p_n by the Wenzl recursion at circle value 2,
-    p_{k+1} = p_k(x)id - (k/(k+1)) (p_k(x)id) e_k (p_k(x)id),
-    with the turnback e_k factored through its cap for a low-rank product.
-    Built once per process: every call returns the cached matrix."""
+    """p_n = B_n B_n^+; every call returns the cached matrix."""
     if n < 0 or n > JW_TRACKED_BOUND:
         raise ProjectorError(f"projector bound exceeded: n={n}")
-    p = _jw_cache.get(n)
-    if p is None:
-        p = PolyMatrix.identity(0)
-        if n:
-            ext = jw_tracked(n - 1).tensor(PolyMatrix.identity(1))
-            p = ext
-            if n > 1:
-                capm = generator_matrix("cap", n - 2, n)
-                cupm = generator_matrix("cup", n - 2, n - 2)
-                # scaled on the narrow factor, so no full-size copy is made
-                mid = (ext * cupm).scale(Fraction(n - 1, n)) * (capm * ext)
-                p = ext - mid
-        _jw_cache[n] = p
-    return p
+    return _derived(n, lambda: _basis(n)[0] * _basis(n)[1])
 
 
 jw = jw_tracked
+
+
+def core(F: PolyMatrix) -> PolyMatrix:
+    """The core B_m^+ F B_n of p_m F p_n, for F: V_n -> V_m."""
+    return _basis(F.n_out)[1] * F * _basis(F.n_in)[0]
 
 
 # -- symmetrizer oracle -------------------------------------------------------
@@ -94,7 +114,7 @@ jw = jw_tracked
 def jw_bruteforce(n: int) -> PolyMatrix:
     """(1/n!) times the sum of all of S_n, with s_i = id - e_i, as the product
     C_1 C_2 ... C_{n-1} of coset sums C_k = 1 + s_k + s_k s_{k-1} + ...
-    + s_k...s_1 = 1 + s_k C_{k-1}; independent of the Wenzl recursion.
+    + s_k...s_1 = 1 + s_k C_{k-1}; independent of the symmetric basis.
     Its precondition, that the s_i satisfy the Coxeter relations of S_n,
     is checked by the tests."""
     if n < 0 or n > JW_BRUTE_BOUND:
@@ -123,14 +143,6 @@ def _certify(name: str, t: TrackedMor, f_eig, h_eig):
         raise ProjectorError(f"{name} failed certification: " + "; ".join(failures))
 
 
-def _derived(key: tuple, build) -> PolyMatrix:
-    """The cached matrix under key, built on first use."""
-    m = _jw_cache.get(key)
-    if m is None:
-        m = _jw_cache[key] = build()
-    return m
-
-
 def _certified(kind: str, n: int, params: DtlParams, build, f_eig, h_eig):
     """The U_n or D_n matrix at params, certified once per parameter pair.
     A failed certification is not recorded, so it raises on every call."""
@@ -143,14 +155,9 @@ def _certified(kind: str, n: int, params: DtlParams, build, f_eig, h_eig):
 
 def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """U_n = p_{n+2} o (id^n (x) dotted cup) o p_n, certified at params.
-
-    The dotted cup is side-independent in the matrix model, so a single
-    dot carries the construction; certification pins the eigen-equations.
-    The right-hand p_n is absorbed: by the interchange law
-    (id^n (x) cup) o p_n = (p_n (x) id^2) o (id^n (x) cup), and
-    p_{n+2} o (p_n (x) id^2) = p_{n+2}, so U_n is the one product
-    p_{n+2} o (id^n (x) dotted cup).  The matrix is built once per process
-    and certified once per parameter pair."""
+    One dot carries the side-independent dotted cup, and p_n is absorbed:
+    (id^n (x) cup) o p_n = (p_n (x) id^2) o (id^n (x) cup) and p_{n+2} o
+    (p_n (x) id^2) = p_{n+2}, so U_n is one product."""
     if n < 0:
         raise ProjectorError("n must be non-negative")
     if params.a1 != 0:
@@ -166,11 +173,8 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 
 def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """D_n = n(n-1) * p_{n-2} o (id^(n-2) (x) dotted cap) o p_n, certified
-    at params; built once per process and certified once per parameter
-    pair, like U_n.  The left-hand p_{n-2} is absorbed, as in U_n:
-    p_{n-2} o (id^(n-2) (x) cap) = (id^(n-2) (x) cap) o (p_{n-2} (x) id^2)
-    and (p_{n-2} (x) id^2) o p_n = p_n, so D_n is
-    n(n-1) * (id^(n-2) (x) dotted cap) o p_n, one product."""
+    at params; p_{n-2} is absorbed as in U_n, so D_n is the one product
+    n(n-1) * (id^(n-2) (x) dotted cap) o p_n."""
     if n < 2:
         raise ProjectorError("D_n needs n >= 2")
     if params.a1 != 0:
@@ -185,20 +189,11 @@ def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     return _certified("d", n, params, build, (1 + a2) * E1, -2 * a2 - 2)
 
 
-def zn_matrix(n: int) -> PolyMatrix:
-    """z_n inside End(P_n): p_n z_n p_n, built once per process."""
-    def build():
-        p = jw(n)
-        return p * zn_combo(n).evaluate() * p
-
-    return _derived(("z", n), build)
-
-
 def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
-    """-z_n^2 + k(E1^2 - 4E2)p_n + [n odd](E1 z_n - E2 p_n), the value of
-    D_{n+2}U_n (k = floor((n+2)^2/4)) and of U_{n-2}D_n (k = floor(n^2/4))
-    inside End(P_n), with the name that states it."""
-    p = jw(n)
+    """-z_n^2 + k(E1^2 - 4E2)p_n + [n odd](E1 z_n - E2 p_n), the core of
+    D_{n+2}U_n (k = floor((n+2)^2/4)) and of U_{n-2}D_n (k = floor(n^2/4)),
+    from the cores z, z2 of z_n and z_n^2, with the name that states it."""
+    p = _basis(n)[1] * _basis(n)[0]  # p_n's core, the identity
     value = -z2 + p.scale(k * (E1 * E1 - 4 * E2))
     text = f"-z_{n}^2 + {k}*(E1^2-4*E2)*p_{n}"
     if n % 2:
@@ -208,42 +203,41 @@ def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
 
 
 def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
-    """The relations among U, D, z inside the projector category.
-
-    D_{n+2}U_n and U_{n-2}D_n are checked as exact identities (_quiver_rhs),
-    and so are the z-intertwinings; z_n^{n+1} = 0 holds after setting
-    E1 = E2 = 0 (PolyMatrix.constant_terms, a ring homomorphism, so the
-    power multiplies the reduced z_n).  z_n^2 is built once per n.
-    n_max must lie in 0..JW_TRACKED_BOUND.
-    """
+    """The relations among U, D, z in the projector category, on cores: U_n
+    and D_n read through the certified un and dn, z_n the bare dot sum's.
+    D_{n+2}U_n, U_{n-2}D_n (_quiver_rhs) and the z-intertwinings are exact
+    identities; z_n^{n+1} = 0 holds at E1 = E2 = 0 (constant_terms: a ring
+    homomorphism that makes T the identity, so a core reduces to 0 exactly
+    when its state matrix does).  n_max lies in 0..JW_TRACKED_BOUND."""
     if not 0 <= n_max <= JW_TRACKED_BOUND:
         raise ProjectorError(
             f"n_max must be between 0 and {JW_TRACKED_BOUND}, got {n_max}")
     checks = []
+    zs = {}
 
     def record(name, ok):
         checks.append({"relation": name, "status": "pass" if ok else "fail"})
 
+    def zn(n):  # each z_n core is read off once per call
+        if n not in zs:
+            zs[n] = core(zn_combo(n).evaluate())
+        return zs[n]
+
     for n in range(n_max + 1):
-        z = zn_matrix(n)
+        z = zn(n)
         z2 = z * z
         if n + 4 <= JW_TRACKED_BOUND:
-            u = un(n, params)
-            d = dn(n + 2, params)
+            u, d = core(un(n, params).mat), core(dn(n + 2, params).mat)
             rhs, text = _quiver_rhs(n, (n + 2) ** 2 // 4, z, z2)
-            record(f"D_{n+2}U_{n} = {text}", d.mat * u.mat == rhs)
-            zd = zn_matrix(n + 2)
-            record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d.mat == d.mat * zd)
+            record(f"D_{n+2}U_{n} = {text}", d * u == rhs)
+            record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d == d * zn(n + 2))
         if n >= 2:
-            u = un(n - 2, params)
-            d = dn(n, params)
+            u, d = core(un(n - 2, params).mat), core(dn(n, params).mat)
             rhs, text = _quiver_rhs(n, n * n // 4, z, z2)
-            record(f"U_{n-2}D_{n} = {text}", u.mat * d.mat == rhs)
-            zu = zn_matrix(n - 2)
-            record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u.mat == u.mat * zu)
-        zmod = z.constant_terms()
-        zpow = jw(n).constant_terms()
-        for _ in range(n + 1):
+            record(f"U_{n-2}D_{n} = {text}", u * d == rhs)
+            record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u == u * zn(n - 2))
+        zpow = zmod = z.constant_terms()
+        for _ in range(n):
             zpow = zpow * zmod
         record(f"z_{n}^{n+1} = 0 mod (E1,E2)", zpow.is_zero())
     ok = all(c["status"] == "pass" for c in checks)

@@ -154,8 +154,10 @@ class PolyMatrix:
     """Sparse rectangular matrix over Q[E1,E2], indexed by state bases.
 
     Shape is recorded in strand counts: a map V_{n_in} -> V_{n_out} has
-    2^{n_out} rows and 2^{n_in} columns.  Entries are stored column-major
-    in the canonical packed table of the module docstring; tables are never
+    2^{n_out} rows and 2^{n_in} columns; a core's side,
+    projectors.core_side(n) = -1 - n, has n + 1.  Products and sums compare
+    sides, so mixing the kinds raises.  Entries are stored column-major in the
+    canonical packed table of the module docstring; tables are never
     changed once built, so matrices may share them.
 
     cols is the public, mutable {col: {row: GradedPoly}} view.  Reading it

@@ -1,6 +1,7 @@
-"""Projectors, certified dotted cup/cap maps, quiver relations."""
+"""Projectors, cores, certified dotted cup/cap maps, quiver relations."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,16 +9,110 @@ import dottedtl.words as words
 from dottedtl import expr, projectors, selftest
 from dottedtl.ring import E_RING
 from dottedtl.statespace import PolyMatrix, commutator_star, generator_matrix
-from dottedtl.words import Combo, DtlParams, Word, identity_word, verify_relations
+from dottedtl.words import (Combo, DtlParams, Word, evaluate_word,
+                            identity_word, verify_relations, zn_combo)
 
 P0 = DtlParams(Fraction(0), Fraction(0))
 PH = DtlParams(Fraction(0), Fraction(1, 2))
+E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
+DOTTED_CUP = Word((("cup",), ("dot", "id")))
+DOTTED_CAP = Word((("dot", "id"), ("cap",)))
 
 
 def entry_added(m, v):
     """m plus v at its first stored entry."""
     (i, j), _ = next(iter(m.entries()))
     return m + PolyMatrix(m.n_out, m.n_in, {(i, j): v})
+
+
+_WENZL = {}
+
+
+def wenzl(n):
+    """Oracle: p_n by the Wenzl recursion at circle value 2,
+    p_{k+1} = p_k(x)id - (k/(k+1)) (p_k(x)id) e_k (p_k(x)id),
+    with the turnback e_k factored through its cap."""
+    if n not in _WENZL:
+        p = PolyMatrix.identity(0)
+        if n:
+            p = ext = wenzl(n - 1).tensor(PolyMatrix.identity(1))
+            if n > 1:
+                capm = generator_matrix("cap", n - 2, n)
+                cupm = generator_matrix("cup", n - 2, n - 2)
+                p = ext - (ext * cupm).scale(Fraction(n - 1, n)) * (capm * ext)
+        _WENZL[n] = p
+    return _WENZL[n]
+
+
+def zn_sandwich(n):
+    """Oracle: z_n inside End(P_n) as the state matrix p_n z_n p_n."""
+    p = wenzl(n)
+    return p * zn_combo(n).evaluate() * p
+
+
+# the closed core formulas, with q = (E1^2 - 4E2)/4 = -ring.delta()/4
+Q = (E1 * E1 - 4 * E2) * Fraction(1, 4)
+SIDE = projectors.core_side
+
+
+def z_core_formula(n):
+    """The Clement tridiagonal: [n odd] E1/2 on the diagonal, k + 1 below
+    it and (n - k) q above it."""
+    entries = {}
+    for k in range(n + 1):
+        if n % 2:
+            entries[k, k] = E1 * Fraction(1, 2)
+        if k < n:
+            entries[k + 1, k] = k + 1
+            entries[k, k + 1] = Q * (n - k)
+    return PolyMatrix(SIDE(n), SIDE(n), entries)
+
+
+def u_core_formula(n):
+    entries = {}
+    for k in range(n + 1):
+        entries[k, k] = Q * Fraction(comb(n, k), comb(n + 2, k))
+        entries[k + 2, k] = Fraction(-comb(n, k), comb(n + 2, k + 2))
+    return PolyMatrix(SIDE(n + 2), SIDE(n), entries)
+
+
+def d_core_formula(n):
+    entries = {}
+    for j in range(n - 1):
+        entries[j, j] = n * (n - 1)
+        entries[j, j + 2] = -n * (n - 1) * Q
+    return PolyMatrix(SIDE(n - 2), SIDE(n), entries)
+
+
+def state_quiver(n_max, params):
+    """Oracle: the statuses of quiver_check's relations, in its order,
+    decided on 2^n state matrices."""
+    out = []
+
+    def rhs(n, k, z, z2):
+        p = wenzl(n)
+        value = -z2 + p.scale(k * (E1 * E1 - 4 * E2))
+        if n % 2:
+            value = value + z.scale(E1) - p.scale(E2)
+        return value
+
+    un, dn = projectors.un, projectors.dn
+    for n in range(n_max + 1):
+        z = zn_sandwich(n)
+        z2 = z * z
+        if n + 4 <= projectors.JW_TRACKED_BOUND:
+            u, d = un(n, params).mat, dn(n + 2, params).mat
+            out.append(d * u == rhs(n, (n + 2) ** 2 // 4, z, z2))
+            out.append(z * d == d * zn_sandwich(n + 2))
+        if n >= 2:
+            u, d = un(n - 2, params).mat, dn(n, params).mat
+            out.append(u * d == rhs(n, n * n // 4, z, z2))
+            out.append(z * u == u * zn_sandwich(n - 2))
+        zpow = wenzl(n).constant_terms()
+        for _ in range(n + 1):
+            zpow = zpow * z.constant_terms()
+        out.append(zpow.is_zero())
+    return ["pass" if ok else "fail" for ok in out]
 
 
 def test_p2_closed_form():
@@ -37,8 +132,21 @@ def test_projector_identities():
 
 
 def test_recursion_equals_symmetrizer():
+    """The Wenzl recursion, the coset-product symmetrizer and the closed
+    form B_n B_n^+ agree at every level."""
     for n in range(projectors.JW_TRACKED_BOUND + 1):
-        assert projectors.jw(n) == projectors.jw_bruteforce(n)
+        assert wenzl(n) == projectors.jw_bruteforce(n)
+        assert projectors.jw(n) == wenzl(n), n
+
+
+def test_basis_is_a_left_inverse_pair():
+    """B_n^+ B_n is the identity core, and each level's pair is cached."""
+    for n in range(7):
+        b, bp = projectors._basis(n)
+        assert (b.n_out, b.n_in) == (n, SIDE(n))
+        assert bp * b == PolyMatrix(SIDE(n), SIDE(n),
+                                    {(k, k): 1 for k in range(n + 1)})
+        assert projectors._basis(n) is projectors._basis(n)
 
 
 def test_symmetrizer_oracle_bound():
@@ -85,7 +193,6 @@ def test_projector_is_built_once():
     assert projectors.jw is projectors.jw_tracked
     for n in range(projectors.JW_TRACKED_BOUND + 1):
         assert projectors.jw_tracked(n) is projectors.jw_tracked(n)
-    assert projectors.zn_matrix(3) is projectors.zn_matrix(3)
 
 
 def test_un_dn_certified():
@@ -158,11 +265,14 @@ def test_un_dn_single_product_equals_sandwich():
 
 def test_quiver_reduces_factors_before_multiplying():
     """Setting E1 = E2 = 0 is a ring homomorphism: for n <= 4, the power of
-    the reduced z_n that quiver_check multiplies equals the reduced power."""
+    the reduced z_n core that quiver_check multiplies equals the reduced
+    power, and a state matrix reduces to zero exactly when its core does."""
     mod = PolyMatrix.constant_terms
     for n in range(5):
-        z = projectors.zn_matrix(n)
+        z = projectors.core(zn_combo(n).evaluate())
         assert mod(z) * mod(z) == mod(z * z)
+        zz = zn_sandwich(n) * zn_sandwich(n)
+        assert mod(zz).is_zero() == mod(z * z).is_zero()
 
 
 def test_quiver_relations():
@@ -214,7 +324,7 @@ def test_negative_control_sign_flipped_cap_map():
     n = 2
     u = projectors.un(n, p).mat
     d = projectors.dn(n + 2, p).mat
-    z = projectors.zn_matrix(n)
+    z = zn_sandwich(n)
     lhs_good = (d * u).constant_terms()
     rhs = (PolyMatrix(n, n) - z * z).constant_terms()
     assert lhs_good == rhs
@@ -260,19 +370,114 @@ def test_certification_failure_raises():
 
 def test_swapped_projector_cache_swaps_derived_matrices(monkeypatch):
     """Derived matrices and certificates live in the projector cache: with a
-    perturbed p_4 swapped in, z_4 is rebuilt from it and U_2 (which reads
-    p_4) fails certification on every call; none outlives the swap."""
-    real_z4 = projectors.zn_matrix(4)
+    perturbed p_4 swapped in, U_2 (which reads p_4) fails certification on
+    every call, and nothing built during the swap outlives it."""
     projectors.un(2, P0)  # built and certified with the real p_4
-    bad = entry_added(projectors.jw(4), E_RING.gen("E1"))
+    bad = entry_added(projectors.jw(4), E1)
     with monkeypatch.context() as m:
         m.setattr(projectors, "_jw_cache", {4: bad})
-        assert projectors.zn_matrix(4) != real_z4
         for _ in range(2):
             with pytest.raises(projectors.ProjectorError):
                 projectors.un(2, P0)
-    assert projectors.zn_matrix(4) == real_z4
+    assert projectors.jw(4) == wenzl(4)
     assert projectors.un(2, P0).mat == projectors.jw(4) * (
-        PolyMatrix.identity(2).tensor(
-            Combo.of(Word((("cup",), ("dot", "id")))).evaluate())
+        PolyMatrix.identity(2).tensor(evaluate_word(DOTTED_CUP))
         * projectors.jw(2))
+
+
+# -- cores -------------------------------------------------------------------
+
+def test_core_formulas_read_off_the_bare_diagrams():
+    """The closed formulas are oracles of core(): z_n for n <= 8, U_n for
+    n <= 6 and D_n for 2 <= n <= 8, both from the bare dotted cup and cap
+    and from the certified maps."""
+    cup, cap = evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
+        assert projectors.core(zn_combo(n).evaluate()) == z_core_formula(n)
+    for n in range(projectors.JW_TRACKED_BOUND - 1):
+        want = u_core_formula(n)
+        assert projectors.core(PolyMatrix.identity(n).tensor(cup)) == want
+        assert projectors.core(projectors.un(n, P0).mat) == want, n
+    for n in range(2, projectors.JW_TRACKED_BOUND + 1):
+        bare = PolyMatrix.identity(n - 2).tensor(cap)
+        assert projectors.core(bare).scale(n * (n - 1)) == d_core_formula(n)
+        assert projectors.core(projectors.dn(n, P0).mat) \
+            == d_core_formula(n), n
+
+
+def test_core_of_a_composite_is_the_product_of_cores():
+    """core(G F) = core(G) core(F) when G absorbs the projector between
+    them, as the certified U and D maps do."""
+    core = projectors.core
+    for n in range(5):
+        u, d = projectors.un(n, PH).mat, projectors.dn(n + 2, PH).mat
+        assert core(d * u) == core(d) * core(u)
+        if n >= 2:
+            d2 = projectors.dn(n, PH).mat
+            assert core(projectors.un(n - 2, PH).mat * d2) \
+                == core(projectors.un(n - 2, PH).mat) * core(d2)
+        if n <= 2:
+            u2 = projectors.un(n + 2, PH).mat
+            assert core(u2 * u) == core(u2) * core(u)
+
+
+def test_core_and_state_matrix_do_not_mix():
+    z = zn_combo(3).evaluate()
+    c = projectors.core(z)
+    with pytest.raises(ValueError):
+        c * z
+    with pytest.raises(ValueError):
+        z * c
+    with pytest.raises(ValueError):
+        c + projectors.jw(3)
+    assert SIDE(3) < 0 and len({SIDE(n) for n in range(9)}) == 9
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_quiver_core_verdicts_equal_state_space_verdicts(monkeypatch, flip):
+    """Each relation's verdict on cores equals the verdict of the 2^n
+    state-space check it replaced, for every n <= 6, also with D_n negated
+    (where the D o U and U o D relations fail)."""
+    if flip:
+        orig = projectors.dn
+        monkeypatch.setattr(projectors, "dn", lambda n, params=P0: (
+            projectors.TrackedMor(orig(n, params).mat.scale(-1), params)))
+    rep = projectors.quiver_check(6, PH)
+    got = [c["status"] for c in rep["checks"]]
+    assert got == state_quiver(6, PH)
+    assert ("fail" in got) == flip
+
+
+def test_perturbed_core_fails_its_oracle_and_d_u(monkeypatch):
+    """A D_4 core with one perturbed entry fails its formula oracle, and
+    quiver_check reading it fails D_4U_2 and z_2D_4 and nothing else."""
+    real_core = projectors.core
+    bad = entry_added(real_core(projectors.dn(4, P0).mat), E1)
+    assert real_core(projectors.dn(4, P0).mat) == d_core_formula(4)
+    assert bad != d_core_formula(4)
+    monkeypatch.setattr(projectors, "core", lambda F: (
+        bad if (F.n_out, F.n_in) == (2, 4) else real_core(F)))
+    rep = projectors.quiver_check(2, P0)
+    failed = [c["relation"] for c in rep["checks"] if c["status"] != "pass"]
+    assert failed[0].startswith("D_4U_2 = ")
+    assert failed[1:] == ["z_2D_4 = D_4z_4"]
+
+
+def test_quiver_check_multiplies_no_state_matrices(monkeypatch):
+    """With U_n and D_n certified and the dot sums' words evaluated,
+    quiver_check(8) makes no product whose result is a 2^n x 2^n state
+    matrix: each product reads a core off (B^+ F, then times B) or
+    multiplies cores."""
+    projectors.quiver_check(8, PH)
+    shapes = []
+    real = PolyMatrix.__mul__
+
+    def recorded(self, other):
+        out = real(self, other)
+        shapes.append((out.n_out, out.n_in))
+        return out
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", recorded)
+    assert projectors.quiver_check(8, PH)["ok"]
+    assert shapes
+    assert not [s for s in shapes if min(s) >= 0]  # both sides strands
