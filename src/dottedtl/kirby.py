@@ -2,11 +2,13 @@
 
 A level is a projector P_n carrying a rank-one twist a*E1 and an integer
 q-shift.  The star action on maps between twisted objects is
-statespace.commutator_star at the map's parameters, with the twists of
-source and target; connecting maps of a Kirby system must be annihilated
-by e, f, and h under it, and that is certified when the system is built,
-never assumed.  A system computes each star image, and each composite of
-consecutive maps, once and keeps it for the checks that read it.
+statespace.commutator_star at the system's parameters, with the twists of
+source and target, taken on the maps' cores (projectors.TrackedMor):
+every map is p-sandwiched, so a core's star image is the core of the
+map's.  Connecting maps of a Kirby system must be annihilated by e, f,
+and h under it, and that is certified when the system is built, never
+assumed.  A composite's core is the product of the maps' cores.  A system
+computes each star image once and keeps it for the checks that read it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .sl2 import GENERATORS, DtlParams, TwistData
 from .statespace import PolyMatrix, commutator_star
-from .projectors import JW_TRACKED_BOUND, TrackedMor, un
+from .projectors import JW_TRACKED_BOUND, core_side, un
 
 # the last map U_{k+2J-2} reads p_{k+2J}, so the top level is bounded like p_n
 STRAND_BOUND = JW_TRACKED_BOUND
@@ -33,16 +35,18 @@ class TwistedObject:
 
 
 def star_act_twisted(
-    g: str, F: TrackedMor, src: TwistedObject, tgt: TwistedObject
+    g: str, C: PolyMatrix, src: TwistedObject, tgt: TwistedObject,
+    params: DtlParams,
 ) -> PolyMatrix:
-    """g*F between twisted objects: the commutator action at F's parameters
-    (f gains (a_tgt - a_src)E1, h gains 2(a_src - a_tgt) from the twists)."""
-    if F.mat.n_in != src.n or F.mat.n_out != tgt.n:
+    """The core of g*F between twisted objects, for F: P_src -> P_tgt with
+    the core C: the commutator action on C at params (f gains
+    (a_tgt - a_src)E1, h gains 2(a_src - a_tgt) from the twists)."""
+    if (C.n_in, C.n_out) != (core_side(src.n), core_side(tgt.n)):
         raise KirbyError(
-            f"map shape {F.mat.n_out}<-{F.mat.n_in} does not match "
+            f"core sides {C.n_out}<-{C.n_in} do not match "
             f"objects {tgt.n}<-{src.n}"
         )
-    return commutator_star(g, F.mat, src.twist, tgt.twist, F.params)
+    return commutator_star(g, C, src.twist, tgt.twist, params)
 
 
 def level_twist(n: int, a2: Fraction) -> TwistData:
@@ -74,33 +78,26 @@ class KirbySystem:
         self.maps = [un(k + 2 * j, self.params) for j in range(J)]
         # keyed by the map and level objects, not by index, so that a map
         # or level swapped after the build is recomputed, never served stale
-        self._stars: dict = {}  # (g, map, src, tgt) -> g*map
-        self._composites: dict = {}  # (B, A) -> B o A
+        self._stars: dict = {}  # (g, maps, src, tgt) -> core of g*(maps)
         self.certificates = self._certify()
 
-    def star(self, g: str, F: TrackedMor, src: TwistedObject,
+    def star(self, g: str, maps: tuple, src: TwistedObject,
              tgt: TwistedObject) -> PolyMatrix:
-        """g*F from src to tgt, computed once per system."""
-        key = (g, F, src, tgt)
+        """The core of g*(maps[0] o maps[1] o ...) from src to tgt,
+        computed once per system."""
+        key = (g, maps, src, tgt)
         img = self._stars.get(key)
         if img is None:
-            img = self._stars[key] = star_act_twisted(g, F, src, tgt)
+            img = self._stars[key] = star_act_twisted(
+                g, composite_core(maps), src, tgt, self.params)
         return img
-
-    def composite(self, j: int) -> TrackedMor:
-        """maps[j+1] o maps[j], composed once per pair of maps."""
-        A, B = self.maps[j], self.maps[j + 1]
-        comp = self._composites.get((B, A))
-        if comp is None:
-            comp = self._composites[B, A] = B.compose(A)
-        return comp
 
     def _certify(self):
         certs = []
         for j, F in enumerate(self.maps):
             src, tgt = self.levels[j], self.levels[j + 1]
             for g in GENERATORS:
-                if not self.star(g, F, src, tgt).is_zero():
+                if not self.star(g, (F,), src, tgt).is_zero():
                     raise KirbyError(
                         f"level map U_{src.n} not annihilated by {g}* "
                         f"(k={self.k}, j={j}, a2={self.a2})"
@@ -133,16 +130,26 @@ def build_kirby(k: int, J: int, a2) -> KirbySystem:
     return KirbySystem(k, J, Fraction(a2))
 
 
+def composite_core(maps) -> PolyMatrix:
+    """The core of maps[0] o maps[1] o ...: the product of their cores, as
+    B_k^+ B_k is the identity between them."""
+    out = maps[0].core
+    for F in maps[1:]:
+        out = out * F.core
+    return out
+
+
 def composite_check(system: KirbySystem) -> dict:
     """Composites of consecutive connecting maps: nonzero and star-annihilated,
-    each star image computed directly from the composite (once per system)."""
+    decided on the composite's core, each star image computed directly from
+    it (once per system)."""
     checks = []
     for j in range(system.J - 1):
         src, tgt = system.levels[j], system.levels[j + 2]
-        comp = system.composite(j)
-        nonzero = not comp.mat.is_zero()
+        pair = (system.maps[j + 1], system.maps[j])
+        nonzero = not composite_core(pair).is_zero()
         annihilated = all(
-            system.star(g, comp, src, tgt).is_zero() for g in GENERATORS
+            system.star(g, pair, src, tgt).is_zero() for g in GENERATORS
         )
         checks.append({
             "composite": f"U_{system.levels[j + 1].n} o U_{src.n}",
@@ -159,16 +166,16 @@ def composite_check(system: KirbySystem) -> dict:
 
 
 def leibniz_closure_check(system: KirbySystem) -> bool:
-    """g*(B o A) = (g*B)A + B(g*A) for every pair of consecutive maps with
-    matching middle twist: the star images of the maps against the one
-    computed directly from their composite, all read from the system."""
+    """g*(B o A) = (g*B)A + B(g*A) on cores, for every pair of consecutive
+    maps with matching middle twist: the star images of the maps against
+    the one computed directly from their composite, all read from the
+    system."""
     for j in range(system.J - 1):
         src, mid_obj, tgt = system.levels[j:j + 3]
         A, B = system.maps[j], system.maps[j + 1]
-        comp = system.composite(j)
         for g in GENERATORS:
-            rhs = system.star(g, B, mid_obj, tgt) * A.mat \
-                + B.mat * system.star(g, A, src, mid_obj)
-            if system.star(g, comp, src, tgt) != rhs:
+            rhs = system.star(g, (B,), mid_obj, tgt) * A.core \
+                + B.core * system.star(g, (A,), src, mid_obj)
+            if system.star(g, (B, A), src, tgt) != rhs:
                 return False
     return True

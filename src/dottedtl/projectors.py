@@ -7,10 +7,16 @@ T^(x)n u_k and its left inverse B_n^+ the rows u_k^T T^-(x)n / C(n,k), as
 u_j^T u_k = C(n,k) [j = k] (the sign-twisted symmetric basis of Sym^n,
 Frenkel-Khovanov).  p_n is the closed form B_n B_n^+.  The core of
 F: V_n -> V_m is the (m+1) x (n+1) matrix B_m^+ F B_n; it fixes p_m F p_n,
-cores compose by the product and p_n's core is the identity, so quiver_check
-works on cores only.  p_n, B_n, U_n and D_n are parameter-free and built
-once per process; U_n and D_n are certified once per parameter pair by
-the sl2 action on morphisms, commutator_star, and returned as TrackedMor.
+cores compose by the product and p_n's core is the identity.
+
+The sl2 action reaches cores through the level operators L_n(g), g read
+on p_n's image in the basis B_n once its image and kernel are checked to
+be g-stable; commutator_star then acts on a core as on a state matrix, so
+the certification of U_n and D_n, the Kirby star images and quiver_check
+all work on cores.  A TrackedMor is a map with its core, accepted after
+the exact check that the map is p-sandwiched.  p_n, B_n, L_n(g), U_n and
+D_n are parameter-free and built once per process; U_n and D_n are
+certified once per parameter pair.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 
 from .ring import E_RING
 from .sl2 import GENERATORS, DtlParams
-from .statespace import PolyMatrix, commutator_star
+from .statespace import PolyMatrix, commutator_star, derivative, object_operator
 from .words import Word, crossing_combo, evaluate_word, zn_combo
 
 E1 = E_RING.gen("E1")
@@ -35,27 +41,12 @@ class ProjectorError(Exception):
     pass
 
 
-class TrackedMor:
-    """A morphism's matrix with the action parameters it is certified at."""
-
-    __slots__ = ("mat", "params")
-
-    def __init__(self, mat: PolyMatrix, params: DtlParams):
-        self.mat = mat
-        self.params = params
-
-    def compose(self, other: "TrackedMor") -> "TrackedMor":
-        """self o other (other applied first)."""
-        if other.params != self.params:
-            raise ProjectorError("mixing tracked morphisms at different parameters")
-        return TrackedMor(self.mat * other.mat, self.params)
-
-
 # -- the symmetric basis, projectors and cores --------------------------------
 
-# p_n under n, (B_n, B_n^+) under ("basis", n), U_n and D_n under ("u", n)
-# and ("d", n), and True under (kind, n, params) once certified there, so
-# swapping the dict swaps every derived matrix and certificate with p_n.
+# p_n under n, (B_n, B_n^+) under ("basis", n), L_n(g) under ("level", g, n),
+# the TrackedMor U_n and D_n under ("u", n) and ("d", n), and True under
+# (kind, n, params) once certified there, so swapping the dict swaps every
+# derived matrix and certificate with p_n and B_n.
 _jw_cache: dict = {}
 
 
@@ -109,6 +100,41 @@ def core(F: PolyMatrix) -> PolyMatrix:
     return _basis(F.n_out)[1] * F * _basis(F.n_in)[0]
 
 
+class TrackedMor:
+    """A map F: P_n -> P_m as its state matrix and its core C, accepted
+    only after the exact check F = B_m C B_n^+, which says F = p_m F p_n,
+    so that C fixes F and every check on C decides the same on F."""
+
+    __slots__ = ("mat", "core")
+
+    def __init__(self, mat: PolyMatrix):
+        c = core(mat)
+        if _basis(mat.n_out)[0] * (c * _basis(mat.n_in)[1]) != mat:
+            raise ProjectorError(
+                f"map {mat.n_out}<-{mat.n_in} is not p-sandwiched")
+        self.mat, self.core = mat, c
+
+
+def level_operator(g: str, n: int) -> PolyMatrix:
+    """L_n(g) = B_n^+ (G_n B_n + d_g B_n), how g acts on p_n's image in
+    the basis B_n, G_n being statespace.object_operator.  Read off once per
+    (g, n), after the exact checks that p_n's image and kernel are
+    g-stable: G_n B_n + d_g B_n = B_n L_n and B_n^+ G_n - d_g B_n^+ =
+    L_n B_n^+.  commutator_star reads it on core sides."""
+    def build():
+        b, bp = _basis(n)
+        gn = object_operator(g, n)
+        gb = gn * b + derivative(g, b)
+        lv = bp * gb
+        if gb != b * lv:
+            raise ProjectorError(f"p_{n}'s image is not {g}-stable")
+        if bp * gn - derivative(g, bp) != lv * bp:
+            raise ProjectorError(f"p_{n}'s kernel is not {g}-stable")
+        return lv
+
+    return _derived(("level", g, n), build)
+
+
 # -- symmetrizer oracle -------------------------------------------------------
 
 def jw_bruteforce(n: int) -> PolyMatrix:
@@ -129,26 +155,29 @@ def jw_bruteforce(n: int) -> PolyMatrix:
 
 # -- dotted connecting operators --------------------------------------------
 
-def _certify(name: str, t: TrackedMor, f_eig, h_eig):
-    """Abort unless e kills t and f, h scale it by the stated eigenvalues."""
+def _certify(name: str, t: TrackedMor, params: DtlParams, f_eig, h_eig):
+    """Abort unless, at params, e kills t and f, h scale it by the stated
+    eigenvalues, decided on t's core."""
     failures = []
-    star = {g: commutator_star(g, t.mat, params=t.params) for g in GENERATORS}
+    c = t.core
+    star = {g: commutator_star(g, c, params=params) for g in GENERATORS}
     if not star["e"].is_zero():
         failures.append("e image nonzero")
-    if star["f"] != t.mat.scale(f_eig):
+    if star["f"] != c.scale(f_eig):
         failures.append(f"f image is not ({f_eig}) times the morphism")
-    if star["h"] != t.mat.scale(E_RING.const(h_eig)):
+    if star["h"] != c.scale(E_RING.const(h_eig)):
         failures.append(f"h image is not ({h_eig}) times the morphism")
     if failures:
         raise ProjectorError(f"{name} failed certification: " + "; ".join(failures))
 
 
 def _certified(kind: str, n: int, params: DtlParams, build, f_eig, h_eig):
-    """The U_n or D_n matrix at params, certified once per parameter pair.
-    A failed certification is not recorded, so it raises on every call."""
-    t = TrackedMor(_derived((kind, n), build), params)
+    """U_n or D_n, built and sandwich-checked once, certified once per
+    parameter pair.  A failed certification is not recorded, so it raises
+    on every call."""
+    t = _derived((kind, n), lambda: TrackedMor(build()))
     if (kind, n, params) not in _jw_cache:
-        _certify(f"{kind.upper()}_{n}", t, f_eig, h_eig)
+        _certify(f"{kind.upper()}_{n}", t, params, f_eig, h_eig)
         _jw_cache[kind, n, params] = True
     return t
 
@@ -157,7 +186,8 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """U_n = p_{n+2} o (id^n (x) dotted cup) o p_n, certified at params.
     One dot carries the side-independent dotted cup, and p_n is absorbed:
     (id^n (x) cup) o p_n = (p_n (x) id^2) o (id^n (x) cup) and p_{n+2} o
-    (p_n (x) id^2) = p_{n+2}, so U_n is one product."""
+    (p_n (x) id^2) = p_{n+2}, so U_n is one product, and TrackedMor's
+    sandwich check confirms U_n = p_{n+2} U_n p_n exactly."""
     if n < 0:
         raise ProjectorError("n must be non-negative")
     if params.a1 != 0:
@@ -193,7 +223,7 @@ def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
     """-z_n^2 + k(E1^2 - 4E2)p_n + [n odd](E1 z_n - E2 p_n), the core of
     D_{n+2}U_n (k = floor((n+2)^2/4)) and of U_{n-2}D_n (k = floor(n^2/4)),
     from the cores z, z2 of z_n and z_n^2, with the name that states it."""
-    p = _basis(n)[1] * _basis(n)[0]  # p_n's core, the identity
+    p = PolyMatrix.identity(core_side(n))  # p_n's core
     value = -z2 + p.scale(k * (E1 * E1 - 4 * E2))
     text = f"-z_{n}^2 + {k}*(E1^2-4*E2)*p_{n}"
     if n % 2:
@@ -204,7 +234,8 @@ def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
 
 def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
     """The relations among U, D, z in the projector category, on cores: U_n
-    and D_n read through the certified un and dn, z_n the bare dot sum's.
+    and D_n the cached cores of the certified un and dn, z_n the bare dot
+    sum's.
     D_{n+2}U_n, U_{n-2}D_n (_quiver_rhs) and the z-intertwinings are exact
     identities; z_n^{n+1} = 0 holds at E1 = E2 = 0 (constant_terms: a ring
     homomorphism that makes T the identity, so a core reduces to 0 exactly
@@ -227,12 +258,12 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
         z = zn(n)
         z2 = z * z
         if n + 4 <= JW_TRACKED_BOUND:
-            u, d = core(un(n, params).mat), core(dn(n + 2, params).mat)
+            u, d = un(n, params).core, dn(n + 2, params).core
             rhs, text = _quiver_rhs(n, (n + 2) ** 2 // 4, z, z2)
             record(f"D_{n+2}U_{n} = {text}", d * u == rhs)
             record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d == d * zn(n + 2))
         if n >= 2:
-            u, d = core(un(n - 2, params).mat), core(dn(n, params).mat)
+            u, d = un(n - 2, params).core, dn(n, params).core
             rhs, text = _quiver_rhs(n, n * n // 4, z, z2)
             record(f"U_{n-2}D_{n} = {text}", u * d == rhs)
             record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u == u * zn(n - 2))

@@ -235,8 +235,10 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
+        """The identity on a side: n strands, or a core side."""
         one = {0: 1}
-        return _canonical(n, n, 1, {i: {i: one} for i in range(2 ** n)}, 1)
+        return _canonical(n, n, 1, {i: {i: one} for i in range(side_size(n))},
+                          1)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         return linear_combination(self.n_out, self.n_in, ((1, self), (1, other)))
@@ -324,6 +326,12 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.n_out}<-{self.n_in}, nnz={self.nnz()})"
+
+
+def side_size(n: int) -> int:
+    """The basis size of a side: 2^n for n strands, n + 1 for the core side
+    -1 - n of level n."""
+    return 2 ** n if n >= 0 else -n
 
 
 def linear_combination(n_out: int, n_in: int, terms) -> PolyMatrix:
@@ -502,6 +510,49 @@ def _derive(g: str, terms: dict, scale: int, out: dict) -> None:
                 out[e] = out.get(e, 0) + n * c
 
 
+def derivative(g: str, F: PolyMatrix) -> PolyMatrix:
+    """d_g(F): the base derivation on each entry of F (_derive)."""
+    den, table = F._packed()
+    acc: dict = {}
+    for j, col in table.items():
+        acc_j = acc[j] = {}
+        for i, t in col.items():
+            _derive(g, t, 1, acc_j.setdefault(i, {}))
+    return PolyMatrix.from_packed(F.n_out, F.n_in, den, acc)
+
+
+def object_operator(g: str, n: int) -> PolyMatrix:
+    """G_n at a1 = a2 = 0 and with no twist: g on V_n strand by strand."""
+    den, table = _object_operator(g, n, DtlParams(), Fraction(0))
+    return _canonical(n, n, den, table, 1)
+
+
+@lru_cache(maxsize=256)
+def _level_scalar(g: str, n: int, params: DtlParams, a: Fraction):
+    """s_n: what the parameter and twist terms of G_n amount to on level n,
+    n times the strand operator's parameter term plus TwistData(a).tau(g).
+    They are scalars only at a1 = 0 (f's a1 term is a dot)."""
+    if params.a1:
+        raise ValueError("the star action on cores needs a1 = 0")
+    term = _strand_operator(g, params) - _strand_operator(g, DtlParams())
+    return term[0, 0] * n + TwistData(a).tau(g)
+
+
+def _side_operator(g: str, side: int, params: DtlParams, a: Fraction):
+    """G on one side of a matrix, in _packed form: _object_operator on n
+    strands; on the core side -1 - n, G_n read through p_n's basis B_n,
+    that is the level operator L_n(g) plus s_n times the identity."""
+    if side >= 0:
+        return _object_operator(g, side, params, a)
+    # projectors builds on this module and holds the bases B_n
+    from .projectors import level_operator
+    n = -1 - side
+    return linear_combination(side, side, (
+        (1, level_operator(g, n)),
+        (_level_scalar(g, n, params, a), PolyMatrix.identity(side)),
+    ))._packed()
+
+
 def commutator_star(
     g: str,
     F: PolyMatrix,
@@ -518,6 +569,12 @@ def commutator_star(
     pair, act(g, x, params).evaluate() equals
     commutator_star(g, x.evaluate(), params=params).
 
+    On a core C of F = p_m F p_n the same formula gives the core of g*F,
+    because G_n is read through B_n (_side_operator): p_n's image and
+    kernel are g-stable, so g*F = B_m (L_m C - C L_n + d_g C) B_n^+ and
+    the scalars s_m, s_n of the parameter and twist terms add
+    (s_m - s_n) C.  Cores need a1 = 0.
+
     One pass over the columns of F: G_out F and -F G_in are each one
     _product_column, the product kernel of PolyMatrix.__mul__, and d_g
     acts on packed exponents by _derive in between.
@@ -525,15 +582,14 @@ def commutator_star(
     if g not in GENERATORS:
         raise ValueError(g)
     den_f, fcols = F._packed()
-    den_o, gout = _object_operator(g, F.n_out, params,
-                                   Fraction(target_twist.a))
-    den_i, gin = _object_operator(g, F.n_in, params,
-                                  Fraction(source_twist.a))
+    den_o, gout = _side_operator(g, F.n_out, params,
+                                 Fraction(target_twist.a))
+    den_i, gin = _side_operator(g, F.n_in, params, Fraction(source_twist.a))
     den = lcm(den_o, den_i)
     mo, mi = den // den_o, den // den_i  # bring both G_n over den
     content = full = den * den_f
     table = {}
-    for j in range(2 ** F.n_in):
+    for j in range(side_size(F.n_in)):
         acc: dict = {}
         fcol = fcols.get(j, {})
         _product_column(acc, gout, fcol, mo)

@@ -9,7 +9,7 @@ from dottedtl.ring import E_RING
 from dottedtl.sl2 import GENERATORS, DtlParams
 from dottedtl.statespace import PolyMatrix, commutator_star
 from dottedtl.words import Combo, Word
-from dottedtl.projectors import TrackedMor, un
+from dottedtl.projectors import TrackedMor, _basis, un
 
 
 def test_level_twist_flatness():
@@ -32,7 +32,11 @@ def test_star_action_shape_check():
     system = kirby.build_kirby(1, 1, Fraction(0))
     F = system.maps[0]
     with pytest.raises(kirby.KirbyError):
-        kirby.star_act_twisted("e", F, system.levels[1], system.levels[0])
+        kirby.star_act_twisted("e", F.core, system.levels[1],
+                               system.levels[0], system.params)
+    with pytest.raises(kirby.KirbyError):  # a state matrix is no core
+        kirby.star_act_twisted("e", F.mat, system.levels[0],
+                               system.levels[1], system.params)
 
 
 def test_star_twist_correction():
@@ -40,9 +44,10 @@ def test_star_twist_correction():
     system = kirby.build_kirby(0, 1, Fraction(0))
     F = system.maps[0]
     src, tgt = system.levels
-    assert kirby.star_act_twisted("f", F, src, tgt).is_zero()
+    p = system.params
+    assert kirby.star_act_twisted("f", F.core, src, tgt, p).is_zero()
     wrong = kirby.TwistedObject(tgt.n, kirby.level_twist(tgt.n + 2, Fraction(0)))
-    assert not kirby.star_act_twisted("f", F, src, wrong).is_zero()
+    assert not kirby.star_act_twisted("f", F.core, src, wrong, p).is_zero()
 
 
 def test_untwisted_map_not_equivariant():
@@ -124,15 +129,19 @@ def test_check_size():
 
 
 def test_perturbed_level_map_is_not_annihilated():
-    """One changed entry of a certified level map breaks its star action."""
+    """One changed core entry of a certified level map breaks its star
+    action, on the core as on the state matrix."""
     system = kirby.build_kirby(0, 1, Fraction(1, 2))
     F = system.maps[0]
     src, tgt = system.levels
-    bad = TrackedMor(F.mat + _one_entry(F.mat, E_RING.one), F.params)
-    assert all(kirby.star_act_twisted(g, F, src, tgt).is_zero()
+    p = system.params
+    bad = _perturbed_map(F, E_RING.one)
+    assert all(kirby.star_act_twisted(g, F.core, src, tgt, p).is_zero()
                for g in GENERATORS)
-    assert not all(kirby.star_act_twisted(g, bad, src, tgt).is_zero()
+    assert not all(kirby.star_act_twisted(g, bad.core, src, tgt, p).is_zero()
                    for g in GENERATORS)
+    assert not all(commutator_star(g, bad.mat, src.twist, tgt.twist, p)
+                   .is_zero() for g in GENERATORS)
 
 
 def _one_entry(m, v):
@@ -141,8 +150,11 @@ def _one_entry(m, v):
     return PolyMatrix(m.n_out, m.n_in, {(i, j): v})
 
 
-def _perturbed_map(F):
-    return TrackedMor(F.mat + _one_entry(F.mat, E_RING.gen("E1")), F.params)
+def _perturbed_map(F, v=E_RING.gen("E1")):
+    """F with v added at its core's first stored entry: still p-sandwiched,
+    so it is a map between the same projector levels."""
+    (b, _), (_, bp) = _basis(F.mat.n_out), _basis(F.mat.n_in)
+    return TrackedMor(F.mat + b * _one_entry(F.core, v) * bp)
 
 
 def test_swapped_map_is_recomputed_not_served_stale():
@@ -160,7 +172,8 @@ def test_swapped_map_is_recomputed_not_served_stale():
     assert not comp["ok"]
     assert [c["status"] for c in comp["checks"]] == ["fail", "fail"]
     src, tgt = system.levels[0], system.levels[2]
-    assert any(not system.star(g, system.composite(0), src, tgt).is_zero()
+    pair = (system.maps[1], system.maps[0])
+    assert any(not system.star(g, pair, src, tgt).is_zero()
                for g in GENERATORS)
     assert kirby.leibniz_closure_check(system)
 
@@ -172,23 +185,26 @@ def test_leibniz_check_reads_the_map_images():
     assert kirby.leibniz_closure_check(system)
     A = system.maps[0]
     src, mid = system.levels[0], system.levels[1]
-    system._stars["f", A, src, mid] = A.mat  # nonzero, hence wrong
+    system._stars["f", (A,), src, mid] = A.core  # nonzero, hence wrong
     assert not kirby.leibniz_closure_check(system)
 
 
 def test_kirby_workload_computes_each_image_once(monkeypatch):
-    """Operation-count gate on the benchmark's kirby calls: each p_n,
-    (B_n, B_n^+), U_n and D_n is built once, U_n and D_n are certified once
-    per a2, no z_n matrix is cached (quiver_check reads z_n's core off per
-    call), and each star image is computed once per system: 126
-    commutator_star calls (66 certifying U_n and D_n, 36 certifying the
-    level maps, 24 for the composites)."""
+    """Operation-count gate on the benchmark's kirby calls: no star image is
+    computed on a 2^n-state matrix.  Each p_n, each (B_n, B_n^+), each
+    level operator L_n(g) and each U_n and D_n with its sandwich-checked
+    core is built once, U_n and D_n are certified once per a2, no z_n
+    matrix is cached (quiver_check reads z_n's core off per call), and each
+    star image is computed once per system: 126 commutator_star calls, all
+    on cores (66 certifying U_n and D_n, 36 certifying the level maps, 24
+    for the composites)."""
     from dottedtl import projectors
 
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        F = args[1]
+        calls.append("core" if min(F.n_out, F.n_in) < 0 else "state")
         return commutator_star(*args, **kwargs)
 
     built = []
@@ -198,9 +214,17 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
             built.append(key)
             super().__setitem__(key, value)
 
+    sandwiched = []
+    real_init = TrackedMor.__init__
+
+    def counted_init(self, mat):
+        sandwiched.append((mat.n_out, mat.n_in))
+        real_init(self, mat)
+
     monkeypatch.setattr(kirby, "commutator_star", counted)
     monkeypatch.setattr(projectors, "commutator_star", counted)
     monkeypatch.setattr(projectors, "_jw_cache", RecordingCache())
+    monkeypatch.setattr(TrackedMor, "__init__", counted_init)
     a2s = (Fraction(0), Fraction(1, 2))
     for a2 in a2s:
         for k in (0, 1):
@@ -208,16 +232,20 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
             assert kirby.composite_check(system)["ok"]
             assert kirby.leibniz_closure_check(system)
         assert projectors.quiver_check(4, DtlParams(Fraction(0), a2))["ok"]
-    assert len(calls) == 126
+    assert calls.count("state") == 0
+    assert calls.count("core") == 126
     assert len(built) == len(set(built))
     maps = [("u", n) for n in range(6)] + [("d", n) for n in range(2, 7)]
+    assert sorted(sandwiched) == sorted(
+        (n + 2, n) if kind == "u" else (n - 2, n) for kind, n in maps)
     certified = [(kind, n, DtlParams(Fraction(0), a2))
                  for kind, n in maps for a2 in a2s]
     # p_n at the levels U_n and D_n read; the closed form builds no other
     projections = set(range(2, 8))
     bases = [("basis", n) for n in range(8)]
-    assert set(built) == projections | set(bases) | set(maps) \
-        | set(certified)
+    levels = [("level", g, n) for g in GENERATORS for n in range(8)]
+    assert set(built) == projections | set(bases) | set(levels) \
+        | set(maps) | set(certified)
 
 
 def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):
@@ -226,8 +254,10 @@ def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):
     and write packed int tables and build no GradedPoly.  GradedPoly values
     are counted by wrapping GradedPoly.__init__ while a kernel is on the
     stack.  The cached operators G_n are built from the twist polynomial
-    TwistData.tau, outside the kernels, so one warm-up pass fills that
-    cache before counting; the projector cache starts empty in both passes,
+    TwistData.tau, outside the kernels, and so are the scalars s_n that
+    the parameter and twist terms amount to on core sides
+    (statespace._level_scalar), so one warm-up pass fills those caches
+    before counting; the projector cache starts empty in both passes,
     so the counted pass makes every product afresh."""
     from dottedtl import projectors, statespace
     from dottedtl.ring import GradedPoly

@@ -25,6 +25,12 @@ def entry_added(m, v):
     return m + PolyMatrix(m.n_out, m.n_in, {(i, j): v})
 
 
+def from_core(c):
+    """The state matrix B_m c B_n^+ of a core c."""
+    return projectors._basis(-1 - c.n_out)[0] * c \
+        * projectors._basis(-1 - c.n_in)[1]
+
+
 _WENZL = {}
 
 
@@ -226,11 +232,10 @@ def test_perturbed_un_fails_certification():
         p = DtlParams(Fraction(0), a2)
         u = projectors.un(2, p)
         f_eig, h_eig = (1 - a2) * E1, 2 * a2 - 2
-        projectors._certify("U_2", u, f_eig, h_eig)
-        bad = entry_added(u.mat, E1)
+        projectors._certify("U_2", u, p, f_eig, h_eig)
+        bad = projectors.TrackedMor(from_core(entry_added(u.core, E1)))
         with pytest.raises(projectors.ProjectorError):
-            projectors._certify("U_2", projectors.TrackedMor(bad, p),
-                                f_eig, h_eig)
+            projectors._certify("U_2", bad, p, f_eig, h_eig)
 
 
 def test_dn_scalar_normalization():
@@ -348,7 +353,7 @@ def test_quiver_check_fails_with_sign_flipped_cap_map(monkeypatch):
 
     def flipped(n, params=P0):
         d = orig(n, params)
-        return projectors.TrackedMor(d.mat.scale(E_RING.const(-1)), d.params)
+        return projectors.TrackedMor(d.mat.scale(E_RING.const(-1)))
 
     monkeypatch.setattr(projectors, "dn", flipped)
     for n_max in (2, 4):
@@ -370,12 +375,13 @@ def test_certification_failure_raises():
 
 def test_swapped_projector_cache_swaps_derived_matrices(monkeypatch):
     """Derived matrices and certificates live in the projector cache: with a
-    perturbed p_4 swapped in, U_2 (which reads p_4) fails certification on
+    perturbed B_4 swapped in, U_2 (which reads B_4) fails its checks on
     every call, and nothing built during the swap outlives it."""
-    projectors.un(2, P0)  # built and certified with the real p_4
-    bad = entry_added(projectors.jw(4), E1)
+    projectors.un(2, P0)  # built and certified with the real B_4
+    b, bp = projectors._basis(4)
     with monkeypatch.context() as m:
-        m.setattr(projectors, "_jw_cache", {4: bad})
+        m.setattr(projectors, "_jw_cache",
+                  {("basis", 4): (entry_added(b, E1), bp)})
         for _ in range(2):
             with pytest.raises(projectors.ProjectorError):
                 projectors.un(2, P0)
@@ -441,7 +447,7 @@ def test_quiver_core_verdicts_equal_state_space_verdicts(monkeypatch, flip):
     if flip:
         orig = projectors.dn
         monkeypatch.setattr(projectors, "dn", lambda n, params=P0: (
-            projectors.TrackedMor(orig(n, params).mat.scale(-1), params)))
+            projectors.TrackedMor(orig(n, params).mat.scale(-1))))
     rep = projectors.quiver_check(6, PH)
     got = [c["status"] for c in rep["checks"]]
     assert got == state_quiver(6, PH)
@@ -451,12 +457,14 @@ def test_quiver_core_verdicts_equal_state_space_verdicts(monkeypatch, flip):
 def test_perturbed_core_fails_its_oracle_and_d_u(monkeypatch):
     """A D_4 core with one perturbed entry fails its formula oracle, and
     quiver_check reading it fails D_4U_2 and z_2D_4 and nothing else."""
-    real_core = projectors.core
-    bad = entry_added(real_core(projectors.dn(4, P0).mat), E1)
-    assert real_core(projectors.dn(4, P0).mat) == d_core_formula(4)
+    real_dn = projectors.dn
+    bad = entry_added(real_dn(4, P0).core, E1)
+    assert real_dn(4, P0).core == d_core_formula(4)
     assert bad != d_core_formula(4)
-    monkeypatch.setattr(projectors, "core", lambda F: (
-        bad if (F.n_out, F.n_in) == (2, 4) else real_core(F)))
+    bad_map = projectors.TrackedMor(from_core(bad))
+    assert bad_map.core == bad
+    monkeypatch.setattr(projectors, "dn", lambda n, params=P0: (
+        bad_map if n == 4 else real_dn(n, params)))
     rep = projectors.quiver_check(2, P0)
     failed = [c["relation"] for c in rep["checks"] if c["status"] != "pass"]
     assert failed[0].startswith("D_4U_2 = ")
@@ -481,3 +489,112 @@ def test_quiver_check_multiplies_no_state_matrices(monkeypatch):
     assert projectors.quiver_check(8, PH)["ok"]
     assert shapes
     assert not [s for s in shapes if min(s) >= 0]  # both sides strands
+
+
+# -- the star action on cores ----------------------------------------------
+
+A2S = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-2))
+
+
+def test_level_operators_have_closed_forms():
+    """L_n(e) = 0, L_n(f) = diag((k - n/2) E1) and L_n(h) = diag(n - 2k)
+    for every n <= 8, each read off once."""
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
+        side = SIDE(n)
+        lv = {g: projectors.level_operator(g, n) for g in "efh"}
+        assert lv["e"] == PolyMatrix(side, side)
+        assert lv["f"] == PolyMatrix(side, side, {
+            (k, k): E1 * Fraction(2 * k - n, 2) for k in range(n + 1)})
+        assert lv["h"] == PolyMatrix(side, side, {
+            (k, k): n - 2 * k for k in range(n + 1)})
+        assert projectors.level_operator("f", n) is lv["f"]
+
+
+def random_core(rng, m, n):
+    """A seeded (m+1) x (n+1) core with three nonzero entries, each a
+    small multiple of 1, E1, E2 or E1^2 (the state matrices are dense, so
+    the 2^n-state oracle's cost grows with the core's entries)."""
+    monomials = (E_RING.one, E1, E2, E1 * E1)
+    entries = {(rng.randrange(m + 1), rng.randrange(n + 1)):
+               rng.choice((-3, -2, -1, 1, 2, 3)) * rng.choice(monomials)
+               for _ in range(3)}
+    return PolyMatrix(SIDE(m), SIDE(n), entries)
+
+
+def star_oracle_maps():
+    """(name, map) for U_n, D_n, z_n and seeded random p-sandwiched maps
+    P_n -> P_m, n <= 6 and m in {n - 2, n, n + 2}."""
+    import random
+
+    rng = random.Random(17)
+    maps = []
+    for n in range(7):
+        maps.append((f"U_{n}", projectors.un(n)))
+        if n >= 2:
+            maps.append((f"D_{n}", projectors.dn(n)))
+        maps.append((f"z_{n}", projectors.TrackedMor(zn_sandwich(n))))
+        for m in (n - 2, n, n + 2):
+            if m >= 0:
+                maps.append((f"R_{m}<-{n}", projectors.TrackedMor(
+                    from_core(random_core(rng, m, n)))))
+    return maps
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_core_star_equals_state_star(twisted):
+    """commutator_star on a map's core is the core of commutator_star on
+    its state matrix, and the state image is the sandwich of the core
+    image: for e, f, h, every a2 of A2S, with zero twists or with the level
+    twists, on U_n, D_n, z_n and random p-sandwiched maps, n <= 6."""
+    from dottedtl.kirby import level_twist
+    from dottedtl.statespace import ZERO_TWIST
+
+    for name, F in star_oracle_maps():
+        m, n = F.mat.n_out, F.mat.n_in
+        for a2 in A2S:
+            p = DtlParams(Fraction(0), a2)
+            src, tgt = ((level_twist(n, a2), level_twist(m, a2)) if twisted
+                        else (ZERO_TWIST, ZERO_TWIST))
+            for g in "efh":
+                on_core = commutator_star(g, F.core, src, tgt, p)
+                on_states = commutator_star(g, F.mat, src, tgt, p)
+                assert from_core(on_core) == on_states, (name, a2, g)
+
+
+def test_core_star_needs_a1_zero():
+    u = projectors.un(1)
+    with pytest.raises(ValueError):
+        commutator_star("f", u.core, params=DtlParams(Fraction(1), 0))
+
+
+def test_bare_dotted_cup_and_cap_are_not_p_sandwiched():
+    """Negative control of the sandwich check: id_n (x) dotted cup and
+    id_n (x) dotted cap without the projectors are refused."""
+    cup, cap = evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
+    for n in range(5):
+        for bare in (PolyMatrix.identity(n).tensor(cup),
+                     PolyMatrix.identity(n).tensor(cap)):
+            with pytest.raises(projectors.ProjectorError,
+                               match="not p-sandwiched"):
+                projectors.TrackedMor(bare)
+
+
+def test_perturbed_basis_fails_the_stability_checks(monkeypatch):
+    """Negative controls of level_operator's two checks, on a swapped-in
+    basis pair of level 4: one perturbed entry of B_4 fails the image
+    check for each g; B_4^+ + Y(id - p_4), still a left inverse of B_4,
+    passes it and fails the kernel check."""
+    n = 4
+    b, bp = projectors._basis(n)
+    y = PolyMatrix(SIDE(n), n, {(0, 1): 1})
+    bp_bad = bp + y * (PolyMatrix.identity(n) - b * bp)
+    assert bp_bad * b == PolyMatrix.identity(SIDE(n)) and bp_bad != bp
+    for pair, part in (((entry_added(b, E1), bp), "image"),
+                       ((b, bp_bad), "kernel")):
+        monkeypatch.setattr(projectors, "_jw_cache", {("basis", n): pair})
+        for g in "efh":
+            with pytest.raises(projectors.ProjectorError,
+                               match=f"p_4's {part} is not {g}-stable"):
+                projectors.level_operator(g, n)
+        with pytest.raises(projectors.ProjectorError):
+            commutator_star("h", PolyMatrix.identity(SIDE(n)))
