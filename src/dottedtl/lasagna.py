@@ -10,6 +10,8 @@ formula on the v-basis, the minus-side filtration, and a summary report.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
 from .ring import E_RING, LASAGNA_RING, GradedPoly, delta
@@ -24,6 +26,17 @@ from .rep import (
 )
 
 HALF = Fraction(1, 2)
+
+# the checked v-basis elements delta^j A1^m v^n (j, m, n < VBASIS_SIZE),
+# f-powers f^r (r <= F_POWER_MAX), minus blocks ell and layers (ell, r)
+VBASIS_SIZE = 4
+F_POWER_MAX = 6
+MINUS_ELLS = range(-2, 3)
+LAYER_RS = range(5)
+# a cost cap, not a mathematical bound: with 20 in its place
+# summary_report(40) still passes, checking 100 generators instead of 34 in
+# about 1.7 times the time
+GENERATOR_CAP = 12
 
 # exponent order in LASAGNA_RING keys
 _IDX = LASAGNA_RING.index
@@ -142,39 +155,35 @@ def _closed_form_coefficient(j: int, m: int, n: int, r: int) -> GradedPoly:
     return GradedPoly(LASAGNA_RING, terms)
 
 
-def closed_form_check(j_max: int = 3, m_max: int = 3, n_max: int = 3,
-                      r_max: int = 6) -> bool:
-    """Closed formula equals iterated f on the whole grid (exact ring arithmetic,
-    no truncation).  Each v-basis element is expanded once and multiplied by
-    the closed coefficient of every r."""
-    for j in range(j_max + 1):
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                x = vbasis_element(j, m, n)
-                fx = x
-                for r in range(1, r_max + 1):
-                    fx = LASAGNA_SPEC.apply("f", fx)
-                    if _closed_form_coefficient(j, m, n, r) * x != fx:
-                        return False
+def closed_form_check() -> bool:
+    """Closed formula equals iterated f, f^r for r <= F_POWER_MAX, on the
+    whole v-basis grid (exact ring arithmetic, no truncation).  Each v-basis
+    element is expanded once and multiplied by the closed coefficient of
+    every r."""
+    for j, m, n in product(range(VBASIS_SIZE), repeat=3):
+        x = vbasis_element(j, m, n)
+        fx = x
+        for r in range(1, F_POWER_MAX + 1):
+            fx = LASAGNA_SPEC.apply("f", fx)
+            if _closed_form_coefficient(j, m, n, r) * x != fx:
+                return False
     return True
 
 
-def vanishing_check(j_max: int = 3, m_max: int = 3, n_max: int = 3) -> bool:
-    """f^(w+1) kills delta^j A1^m v^n when w = m-n-4j is >= 0 and even,
-    and f^w does not (w >= 1)."""
-    for j in range(j_max + 1):
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                w = m - n - 4 * j
-                if w < 0 or w % 2:
-                    continue
-                x = vbasis_element(j, m, n)
-                for _ in range(w):
-                    x = LASAGNA_SPEC.apply("f", x)
-                if w and x.is_zero():
-                    return False
-                if not LASAGNA_SPEC.apply("f", x).is_zero():
-                    return False
+def vanishing_check() -> bool:
+    """On the v-basis grid, f^(w+1) kills delta^j A1^m v^n when w = m-n-4j
+    is >= 0 and even, and f^w does not (w >= 1)."""
+    for j, m, n in product(range(VBASIS_SIZE), repeat=3):
+        w = m - n - 4 * j
+        if w < 0 or w % 2:
+            continue
+        x = vbasis_element(j, m, n)
+        for _ in range(w):
+            x = LASAGNA_SPEC.apply("f", x)
+        if w and x.is_zero():
+            return False
+        if not LASAGNA_SPEC.apply("f", x).is_zero():
+            return False
     return True
 
 
@@ -216,43 +225,46 @@ def block_embedding_check(m: int, n: int, vn: GradedPoly) -> bool:
     return LASAGNA_SPEC.apply("h", x) == Fraction(m - n) * x
 
 
-def _twisted_verdict(model: TruncatedModule, w: int) -> tuple:
-    """(claim ok, Zuckerman summand weights) of a weight-w twisted block
-    model, twisted_block(w, depth, name): block_claim(w, depth)
-    verified on it, and the weights of its locally finite summands in the
-    order zuckerman finds them.  The model depends on nothing but w, its
-    depth and its name, so every plus block and filtration layer of one
-    weight and depth has the same verdict."""
-    ok = verify_claim(model, block_claim(w, model.depth))["ok"]
-    return ok, tuple(s["lambda"] for s in zuckerman(model)["summands"])
+def _generator_cap(depth: int) -> int:
+    """The bound on m and n of the plus blocks and on m + n + 4j of the
+    listed locally finite generators (m, n, j)."""
+    return min(depth // 2, GENERATOR_CAP)
 
 
-def _finite_weights(w: int, depth: int) -> list:
-    """The Zuckerman weights a weight-w block claims to depth: w - 4j >= 0
-    and even, in decreasing order."""
-    return [w - 4 * j for j in range(depth // 4 + 1)
-            if w - 4 * j >= 0 and (w - 4 * j) % 2 == 0]
+@lru_cache(maxsize=128)
+def _twisted_verdict(w: int, depth: int) -> tuple:
+    """(model depth, claim ok, Zuckerman weights ok, Zuckerman weights) of
+    twisted_block(w, model depth), where the model depth max(depth, 2w + 4)
+    puts the dual-Verma witness of weight -w-2 (degree 2w + 2) inside the
+    truncation: block_claim verified on it, and the weights of its locally
+    finite summands, in the order zuckerman finds them, against the
+    claimed w - 4j >= 0 and even.  A plus block (m, n) and a minus layer
+    (ell, r) of weight w are both this module, so they share its verdict
+    per process by (w, depth); the table holds verdicts, never a module."""
+    depth = max(depth, 2 * w + 4)
+    model = twisted_block(w, depth, f"twisted[w={w}]")
+    claim_ok = verify_claim(model, block_claim(w, depth))["ok"]
+    lams = tuple(s["lambda"] for s in zuckerman(model)["summands"])
+    finite = [w - 4 * j for j in range(depth // 4 + 1)
+              if w - 4 * j >= 0 and (w - 4 * j) % 2 == 0]
+    return depth, claim_ok, sorted(lams, reverse=True) == finite, lams
 
 
-def mplus_decomposition(depth: int = 20, mn_max: int | None = None) -> dict:
-    """Per-block claim verification for the plus part, for m, n <= mn_max
-    (by default min(depth // 2, 12), the range of the locally finite
-    generators that summary_report lists).
+def mplus_decomposition(depth: int = 20) -> dict:
+    """Per-block claim verification for the plus part, for m, n <=
+    _generator_cap(depth), the range of the locally finite generators that
+    summary_report lists.
 
     Block (m, n) is the twisted polynomial module on A1^m v^n, of weight
-    w = m - n.  It is verified at depth max(depth, 2w + 4), as a filtration
-    layer is, so that the dual-Verma witness of weight -w-2 (degree 2w + 2)
-    lies inside the truncation.  The block's claim and Zuckerman verdict
-    depend on (m, n) only through w, so each is computed once per weight
-    and read by every block of that weight; no module is kept.  v^n is
-    built once for each n and shared by the blocks' embedding checks."""
-    if mn_max is None:
-        mn_max = min(depth // 2, 12)
+    w = m - n.  Its verdict is _twisted_verdict(w, depth), shared per
+    process by (w, depth) with every block and layer of that weight and
+    depth.  v^n is built once for each n and shared by the blocks'
+    embedding checks."""
+    mn_max = _generator_cap(depth)
     v = v_poly()
     vpowers = [LASAGNA_RING.one]
     for _ in range(mn_max):
         vpowers.append(vpowers[-1] * v)
-    verdicts = {}
     blocks = []
     ok = True
     for m in range(mn_max + 1):
@@ -263,13 +275,7 @@ def mplus_decomposition(depth: int = 20, mn_max: int | None = None) -> dict:
                                "reason": "embedding"})
                 continue
             w = m - n
-            block_depth = max(depth, 2 * w + 4)
-            key = (w, block_depth)
-            if key not in verdicts:
-                verdicts[key] = _twisted_verdict(
-                    twisted_block(w, block_depth, f"block[m={m},n={n}]"), w)
-            claim_ok, lams = verdicts[key]
-            zok = sorted(lams, reverse=True) == _finite_weights(w, block_depth)
+            block_depth, claim_ok, zok, lams = _twisted_verdict(w, depth)
             ok = ok and claim_ok and zok
             blocks.append({
                 "m": m, "n": n, "weight": w, "depth": block_depth,
@@ -297,12 +303,13 @@ def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
     return TruncatedModule(LASAGNA_SPEC, keys, depth, name=f"minus[{ell}]")
 
 
-def minus_block_split_check(depth: int = 12, ell_range=range(-2, 3)) -> bool:
-    """Block closure: e, f, h keep each minus block inside itself (boundary
-    losses aside), and the blocks partition the minus part."""
+def minus_block_split_check(depth: int = 12) -> bool:
+    """Block closure: e, f, h keep each minus block ell in MINUS_ELLS inside
+    itself (boundary losses aside), and those blocks partition the part of
+    the minus part with m - n in MINUS_ELLS."""
     full = b2s2_module(depth, side="minus")
     covered = set()
-    for ell in ell_range:
+    for ell in MINUS_ELLS:
         blk = minus_block(ell, depth)
         covered.update(blk.basis)
         for g in GENERATORS:
@@ -318,7 +325,7 @@ def minus_block_split_check(depth: int = 12, ell_range=range(-2, 3)) -> bool:
                     return False
     leftover = [
         k for k in full.basis
-        if k not in covered and _kparts(k)[2] - (-_kparts(k)[3]) in ell_range
+        if k not in covered and _kparts(k)[2] - (-_kparts(k)[3]) in MINUS_ELLS
     ]
     return not leftover
 
@@ -331,29 +338,24 @@ def strictness(ell: int, r: int, depth: int = 20) -> bool:
 
 
 def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
-                  depth: int, verdicts: dict) -> dict:
+                  depth: int) -> dict:
     """The layer S_(ell,r)/S_(ell,r+1) as a twisted polynomial module with
     weight w = 2r - ell, verified against the action of
     blk = minus_block(ell, depth), which is read only when the layer is
     strict, and against the claimed Verma/dual-Verma stack.
 
-    The layer's model is twisted_block(w, model_depth).  Its claim and Zuckerman verdict come from ``verdicts``,
-    keyed by (w, model_depth), and are computed and stored there when
-    missing.  The model is built only when the verdict is missing or the
-    layer is strict, where its action is compared with the block's."""
+    Its verdict is _twisted_verdict(w, depth), shared per process by
+    (w, depth) with every plus block and layer of that weight and depth,
+    so the model is built here only for a strict layer, to compare its
+    action with the block's."""
     if r < 0:
         raise LasagnaError("r must be non-negative")
     w = 2 * r - ell
-    # the dual-Verma witness of weight -w-2 sits at degree 2w+2
-    model_depth = max(depth, 2 * w + 4)
-    key = (w, model_depth)
+    layer_depth, claim_ok, zok, _ = _twisted_verdict(w, depth)
     report = {
         "ell": ell, "r": r, "weight": w, "depth": depth,
         "strict": strictness(ell, r, depth), "checks": [], "ok": True,
     }
-    model = None
-    if report["strict"] or key not in verdicts:
-        model = twisted_block(w, model_depth, f"layer[ell={ell},r={r}]")
 
     def record(name, ok):
         report["checks"].append({"check": name,
@@ -362,6 +364,7 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
 
     if report["strict"]:
         # the block's table columns modulo higher A1-powers against the model's
+        model = twisted_block(w, layer_depth, f"layer[ell={ell},r={r}]")
         n = r - ell
         agree = True
         for g in GENERATORS:
@@ -384,29 +387,25 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
                 if proj != want:
                     agree = False
         record("layer action matches twisted model", agree)
-    if key not in verdicts:
-        verdicts[key] = _twisted_verdict(model, w)
-    claim_ok, lams = verdicts[key]
     record("layer decomposition claim", claim_ok)
-    record("layer Zuckerman part",
-           sorted(lams, reverse=True) == _finite_weights(w, model_depth))
+    record("layer Zuckerman part", zok)
     return report
 
 
 def minus_side_checks(depth: int = 20) -> tuple:
-    """(layers ok, no finite part) for ell in -2..2: the filtration layers
-    (ell, r), r = 0..4, and the Zuckerman check of each minus block.
-    minus_block(ell, depth) is built once per ell and dropped before the
-    next one is built, and the layer models' claim and Zuckerman verdicts
-    are computed once per (weight, model depth): the 25 layers have 13
-    weights."""
+    """(layers ok, no finite part) for ell in MINUS_ELLS: the filtration
+    layers (ell, r), r in LAYER_RS, and the Zuckerman check of each minus
+    block.  minus_block(ell, depth) is built once per ell and dropped
+    before the next one is built.  The layers' verdicts are
+    _twisted_verdict's, shared per process by (w, depth): the 25 layers
+    have 13 weights, and from depth 20 on mplus_decomposition at the same
+    depth has computed them all."""
     layers_ok = True
     finite_free = True
-    verdicts = {}
-    for ell in range(-2, 3):
+    for ell in MINUS_ELLS:
         blk = minus_block(ell, depth)
-        for r in range(5):
-            layers_ok = (_layer_report(blk, ell, r, depth, verdicts)["ok"]
+        for r in LAYER_RS:
+            layers_ok = (_layer_report(blk, ell, r, depth)["ok"]
                          and layers_ok)
         finite_free = finite_free and not zuckerman(blk)["summands"]
         del blk
@@ -439,12 +438,13 @@ def summary_report(depth: int = 20) -> dict:
 
     The plus side runs through mplus_decomposition, and the minus side
     through minus_side_checks, which builds each minus block once for its
-    five filtration layers and its Zuckerman check; each verifies one
-    twisted model per weight and depth.  The last claim lists the locally
-    finite generators (m, n, j) with m + n + 4j <= min(depth // 2, 12);
-    ``detail.checked`` counts those compared with a computed plus block.
-    The plus blocks cover m, n <= min(depth // 2, 12), so every listed
-    generator is checked.
+    five filtration layers and its Zuckerman check.  Both read
+    _twisted_verdict, shared per process by (weight, depth), so each
+    twisted model is verified once across the whole report.  The last
+    claim lists the locally finite generators (m, n, j) with m + n + 4j <=
+    _generator_cap(depth); ``detail.checked`` counts those compared with a
+    computed plus block.  The plus blocks cover m, n <= the same cap, so
+    every listed generator is checked.
     """
     if depth < 6:
         raise LasagnaError("depth must be at least 6")
@@ -476,7 +476,7 @@ def summary_report(depth: int = 20) -> dict:
          minus_finite_ok)
 
     gm = []
-    mn_max = min(depth // 2, 12)
+    mn_max = _generator_cap(depth)
     for m in range(mn_max + 1):
         for n in range(mn_max + 1):
             for j in range(depth // 4 + 1):

@@ -43,10 +43,10 @@ class ProjectorError(Exception):
 
 # -- the symmetric basis, projectors and cores --------------------------------
 
-# p_n under n, (B_n, B_n^+) under ("basis", n), L_n(g) under ("level", g, n),
-# the TrackedMor U_n and D_n under ("u", n) and ("d", n), and True under
-# (kind, n, params) once certified there, so swapping the dict swaps every
-# derived matrix and certificate with p_n and B_n.
+# p_n under n, (B_n, B_n^+) under ("basis", n), L_n(g) under ("level", g, n)
+# and L_n(g) + s_n under ("side", g, n, params, a), U_n and D_n under
+# ("u", n) and ("d", n), and True under (kind, n, params) once certified, so
+# swapping the dict swaps every derived matrix and certificate with p_n.
 _jw_cache: dict = {}
 
 

@@ -220,7 +220,7 @@ def _proportional(v: dict, w: dict) -> bool:
 
 def criterion_closed_form() -> dict:
     """Closed formula for iterated f on the Laurent module generators."""
-    ok = lasagna.closed_form_check(3, 3, 3, 6) and lasagna.vanishing_check(3, 3, 3)
+    ok = lasagna.closed_form_check() and lasagna.vanishing_check()
     return {"name": "closed f-power formula and vanishing pattern", "ok": ok}
 
 
@@ -234,11 +234,11 @@ def criterion_minus_part() -> dict:
     ok = lasagna.minus_block_split_check(12)
     # S_(ell,r) is strict iff the block has a basis key with A1-power r
     table_ok = True
-    for ell in range(-2, 3):
+    for ell in lasagna.MINUS_ELLS:
         powers = {lasagna._kparts(k)[2]
                   for k in lasagna.minus_block(ell, 20).basis}
         table_ok &= all(lasagna.strictness(ell, r, 20) == (r in powers)
-                        for r in range(5))
+                        for r in lasagna.LAYER_RS)
     quot_ok, zuck = lasagna.minus_side_checks(20)
     return {"name": "minus part: blocks, filtration layers, no finite part",
             "split": ok, "strictness": table_ok, "layers": quot_ok,

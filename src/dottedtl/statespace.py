@@ -541,16 +541,17 @@ def _level_scalar(g: str, n: int, params: DtlParams, a: Fraction):
 def _side_operator(g: str, side: int, params: DtlParams, a: Fraction):
     """G on one side of a matrix, in _packed form: _object_operator on n
     strands; on the core side -1 - n, G_n read through p_n's basis B_n,
-    that is the level operator L_n(g) plus s_n times the identity."""
+    that is L_n(g) + s_n I, built once per key in the projector cache."""
     if side >= 0:
         return _object_operator(g, side, params, a)
     # projectors builds on this module and holds the bases B_n
-    from .projectors import level_operator
+    from .projectors import _derived, level_operator
     n = -1 - side
-    return linear_combination(side, side, (
-        (1, level_operator(g, n)),
-        (_level_scalar(g, n, params, a), PolyMatrix.identity(side)),
-    ))._packed()
+    return _derived(("side", g, n, params, a), lambda: linear_combination(
+        side, side, (
+            (1, level_operator(g, n)),
+            (_level_scalar(g, n, params, a), PolyMatrix.identity(side)),
+        ))._packed())
 
 
 def commutator_star(

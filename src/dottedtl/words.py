@@ -539,6 +539,23 @@ def dotted_spanning_set(n_bot: int, n_top: int | None = None):
     return out
 
 
+def _peel_arcs(arcs: dict, width: int) -> list:
+    """(k, width, dots) for each arc (i, j): dots of arcs, innermost first:
+    the arc joins points k and k + 1 of the width points still left, which
+    peeling it removes (an innermost arc's endpoints are adjacent)."""
+    cur = list(range(width))
+    pending = dict(arcs)
+    out = []
+    while pending:
+        for k in range(len(cur) - 1):
+            key = (cur[k], cur[k + 1])
+            if key in pending:
+                out.append((k, len(cur), pending.pop(key)))
+                del cur[k:k + 2]
+                break
+    return out
+
+
 def matching_to_word(matching, dots, n_bot: int,
                      n_top: int | None = None) -> Word:
     """A word (caps, then dots on through strands, then cups) evaluating to
@@ -565,40 +582,18 @@ def matching_to_word(matching, dots, n_bot: int,
         return ("id",) * k + ("dot",) + ("id",) * (width - 1 - k)
 
     slices = []
-    # caps: an innermost bottom arc always has adjacent endpoints
-    cur = list(range(n_bot))
-    pending = dict(bottom)
-    while pending:
-        for k in range(len(cur) - 1):
-            key = (cur[k], cur[k + 1])
-            if key in pending:
-                for _ in range(pending.pop(key)):
-                    slices.append(dot_slice(k, len(cur)))
-                slices.append(("id",) * k + ("cap",) +
-                              ("id",) * (len(cur) - 2 - k))
-                del cur[k:k + 2]
-                break
+    # caps, innermost first, each after its dots
+    for k, width, d in _peel_arcs(bottom, n_bot):
+        slices.extend([dot_slice(k, width)] * d)
+        slices.append(("id",) * k + ("cap",) + ("id",) * (width - 2 - k))
     # dots on through strands (order preserved by planarity)
     through.sort()
     for k, (_, _, d) in enumerate(through):
-        for _ in range(d):
-            slices.append(dot_slice(k, len(through)))
-    # cups: build the flipped cap sequence of the top arcs, then reverse it
-    fcur = list(range(n_top))
-    pending = dict(top)
-    flipped = []
-    while pending:
-        for k in range(len(fcur) - 1):
-            key = (fcur[k], fcur[k + 1])
-            if key in pending:
-                d = pending.pop(key)
-                flipped.append((k, len(fcur), d))
-                del fcur[k:k + 2]
-                break
-    for k, width, d in reversed(flipped):
+        slices.extend([dot_slice(k, len(through))] * d)
+    # cups: the top arcs peeled as caps of the flipped diagram, reversed
+    for k, width, d in reversed(_peel_arcs(top, n_top)):
         slices.append(("id",) * k + ("cup",) + ("id",) * (width - 2 - k))
-        for _ in range(d):
-            slices.append(dot_slice(k, width))
+        slices.extend([dot_slice(k, width)] * d)
     if not slices:
         return identity_word(n_bot)
     return Word(slices)

@@ -197,10 +197,18 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     matrix is cached (quiver_check reads z_n's core off per call), and each
     star image is computed once per system: 126 commutator_star calls, all
     on cores (66 certifying U_n and D_n, 36 certifying the level maps, 24
-    for the composites)."""
-    from dottedtl import projectors
+    for the composites).  Those calls read 252 core-side operators
+    L_n(g) + s_n, built once for each of their 90 distinct keys."""
+    from dottedtl import projectors, statespace
 
     calls = []
+    core_sides = []
+    real_side = statespace._side_operator
+
+    def counted_side(g, side, params, a):
+        if side < 0:
+            core_sides.append(side)
+        return real_side(g, side, params, a)
 
     def counted(*args, **kwargs):
         F = args[1]
@@ -225,6 +233,7 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     monkeypatch.setattr(projectors, "commutator_star", counted)
     monkeypatch.setattr(projectors, "_jw_cache", RecordingCache())
     monkeypatch.setattr(TrackedMor, "__init__", counted_init)
+    monkeypatch.setattr(statespace, "_side_operator", counted_side)
     a2s = (Fraction(0), Fraction(1, 2))
     for a2 in a2s:
         for k in (0, 1):
@@ -234,6 +243,7 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
         assert projectors.quiver_check(4, DtlParams(Fraction(0), a2))["ok"]
     assert calls.count("state") == 0
     assert calls.count("core") == 126
+    assert len(core_sides) == 252
     assert len(built) == len(set(built))
     maps = [("u", n) for n in range(6)] + [("d", n) for n in range(2, 7)]
     assert sorted(sandwiched) == sorted(
@@ -244,8 +254,14 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     projections = set(range(2, 8))
     bases = [("basis", n) for n in range(8)]
     levels = [("level", g, n) for g in GENERATORS for n in range(8)]
+    # the core-side operators: the untwisted ones at every level and a2,
+    # and 42 more at the twisted Kirby levels
+    sides = {k for k in built if isinstance(k, tuple) and k[0] == "side"}
+    assert len(sides) == 90
+    assert {("side", g, n, DtlParams(Fraction(0), a2), Fraction(0))
+            for g in GENERATORS for n in range(8) for a2 in a2s} <= sides
     assert set(built) == projections | set(bases) | set(levels) \
-        | set(maps) | set(certified)
+        | set(maps) | set(certified) | sides
 
 
 def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):

@@ -13,6 +13,16 @@ from dottedtl.ring import LASAGNA_RING, delta
 from dottedtl.sl2 import LASAGNA_SPEC
 
 
+@pytest.fixture(autouse=True)
+def fresh_verdicts():
+    """The twisted verdicts are shared per process; each test starts and
+    ends with an empty table, so no test reads a verdict made under
+    another test's monkeypatch."""
+    lasagna._twisted_verdict.cache_clear()
+    yield
+    lasagna._twisted_verdict.cache_clear()
+
+
 def test_ball_small_depth():
     rep = lasagna.b4_report(16)
     assert rep["ok"], rep
@@ -42,8 +52,8 @@ def test_gamma_and_generators():
     assert LASAGNA_SPEC.apply("e", v).is_zero()
 
 
-def test_closed_form_small():
-    assert lasagna.closed_form_check(2, 2, 2, r_max=4)
+def test_closed_form():
+    assert lasagna.closed_form_check()
 
 
 def test_closed_form_detects_perturbation():
@@ -56,7 +66,7 @@ def test_closed_form_detects_perturbation():
 
 
 def test_vanishing_pattern():
-    assert lasagna.vanishing_check(2, 3, 1)
+    assert lasagna.vanishing_check()
 
 
 def test_plus_part_decomposition():
@@ -77,13 +87,13 @@ def test_strictness_table():
 def test_degenerate_layer_is_still_analyzed():
     """(ell, r) = (1, 0) is a degenerate (equal) layer; its abstract twisted
     model still verifies."""
-    rep = lasagna._layer_report(None, 1, 0, 12, {})
+    rep = lasagna._layer_report(None, 1, 0, 12)
     assert not rep["strict"]
     assert rep["ok"], rep
 
 
 def test_strict_layer_matches_block_action():
-    rep = lasagna._layer_report(lasagna.minus_block(-1, 12), -1, 1, 12, {})
+    rep = lasagna._layer_report(lasagna.minus_block(-1, 12), -1, 1, 12)
     assert rep["strict"]
     assert rep["ok"], rep
     assert any(c["check"] == "layer action matches twisted model"
@@ -157,10 +167,25 @@ def test_summary_depth_checked_first(monkeypatch):
         lasagna.summary_report(5)
 
 
-def test_finite_part_counts_checked_generators():
+def test_finite_part_counts_checked_generators(monkeypatch):
     """At depth 40, all 34 listed generators lie in a computed plus block
-    (m, n <= 12)."""
+    (m, n <= 12).  Operation-count gate: the report verifies 26 claims (the
+    ball and one per twisted weight, plus blocks and layers sharing them)
+    and builds 56 modules (the ball, 25 twisted models, the split check's
+    six, five minus blocks and the 19 strict layers' models)."""
+    verified, built = [], []
+    verify = lasagna.verify_claim
+
+    class Counted(rep.TruncatedModule):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.name)
+
+    monkeypatch.setattr(lasagna, "verify_claim",
+                        lambda m, claim: verified.append(m) or verify(m, claim))
+    monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
     rep40 = lasagna.summary_report(40)
+    assert (len(verified), len(built)) == (26, 56)
     assert rep40["ok"], rep40
     assert len(rep40["claims"]) == 8
     assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
@@ -215,41 +240,26 @@ def test_summary_builds_one_minus_block_per_ell(monkeypatch):
 
 
 def test_summary_verifies_one_twisted_model_per_weight_and_depth(monkeypatch):
-    """Operation-count gate: inside mplus_decomposition, and again inside
-    minus_side_checks, summary_report verifies one twisted model per
-    distinct (weight, depth)."""
-    verified = {}
-    phase = []
+    """Operation-count gate: across the whole of summary_report(12), the
+    plus blocks and the minus filtration layers together verify one twisted
+    model per distinct (weight, depth): 13 plus-block keys and 4 more that
+    only layers have, 17 calls in all."""
+    verified = []
     verify = lasagna.verify_claim
 
     def counted(m, claim):
         if m.twist is not None:
-            verified.setdefault(phase[-1] if phase else None, []).append(
-                (m.twist.shift, m.depth))
+            verified.append((m.twist.shift, m.depth))
         return verify(m, claim)
 
-    def inside(name):
-        fn = getattr(lasagna, name)
-
-        def wrapped(*args):
-            phase.append(name)
-            try:
-                return fn(*args)
-            finally:
-                phase.pop()
-        return wrapped
-
     monkeypatch.setattr(lasagna, "verify_claim", counted)
-    for name in ("mplus_decomposition", "minus_side_checks"):
-        monkeypatch.setattr(lasagna, name, inside(name))
     assert lasagna.summary_report(12)["ok"]
     plus = {(m - n, max(12, 2 * (m - n) + 4))
             for m in range(7) for n in range(7)}
     layers = {(2 * r - ell, max(12, 2 * (2 * r - ell) + 4))
               for ell in range(-2, 3) for r in range(5)}
-    assert sorted(verified) == ["minus_side_checks", "mplus_decomposition"]
-    assert sorted(verified["mplus_decomposition"]) == sorted(plus)
-    assert sorted(verified["minus_side_checks"]) == sorted(layers)
+    assert sorted(verified) == sorted(plus | layers)
+    assert (len(plus), len(verified)) == (13, 17)
 
 
 def _wrong_claim_at_weight_2(real):
@@ -279,12 +289,11 @@ def test_shared_verdict_fails_every_block_of_its_weight(monkeypatch):
 def test_shared_verdict_fails_every_layer_of_its_weight(monkeypatch):
     monkeypatch.setattr(lasagna, "block_claim",
                         _wrong_claim_at_weight_2(lasagna.block_claim))
-    verdicts = {}
     failed = []
     for ell in range(-2, 3):
         blk = lasagna.minus_block(ell, 20)
         for r in range(5):
-            if not lasagna._layer_report(blk, ell, r, 20, verdicts)["ok"]:
+            if not lasagna._layer_report(blk, ell, r, 20)["ok"]:
                 failed.append((ell, r))
     assert failed == [(-2, 0), (0, 1), (2, 2)]
 

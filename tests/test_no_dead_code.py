@@ -80,3 +80,59 @@ def ignored_parameters() -> list:
 
 def test_every_parameter_is_read():
     assert ignored_parameters() == []
+
+
+_CACHES = {"cache", "lru_cache"}
+
+
+def unbounded_caches(source: str) -> list:
+    """The line of each functools cache in source without an integer
+    maxsize: ``cache``, a bare ``lru_cache``, or ``lru_cache`` called with
+    no maxsize or a non-integer one."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((a.asname or a.name, a.name) for a in node.names)
+
+    def functools_name(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            return node.attr
+        return None
+
+    def bounded(call):
+        sizes = call.args[:1] + [k.value for k in call.keywords
+                                 if k.arg == "maxsize"]
+        return (functools_name(call.func) == "lru_cache" and sizes
+                and isinstance(sizes[0], ast.Constant)
+                and type(sizes[0].value) is int)
+
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return [node.lineno for node in ast.walk(tree)
+            if functools_name(node) in _CACHES
+            and not (id(node) in calls and bounded(calls[id(node)]))]
+
+
+def test_every_functools_cache_is_bounded():
+    """Every functools cache in the package has an integer maxsize."""
+    assert [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line in unbounded_caches(path.read_text())] == []
+
+
+def test_unbounded_cache_is_reported():
+    """Negative control: an unbounded or unsized cache is reported."""
+    bounded = "from functools import lru_cache\n" \
+              "@lru_cache(maxsize=64)\ndef f(x):\n    return x\n"
+    assert unbounded_caches(bounded) == []
+    assert unbounded_caches(bounded.replace("64", "None")) == [2]
+    assert unbounded_caches(bounded.replace("(maxsize=64)", "")) == [2]
+    assert unbounded_caches(
+        "import functools\n@functools.cache\ndef g(x):\n    return x\n") \
+        == [2]

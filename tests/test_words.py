@@ -1,6 +1,7 @@
 """Diagram words, the parameterized action, matchings, and the local
 relations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -130,6 +131,76 @@ def test_matching_matrix_is_independent_oracle():
         d = tuple(rng.randint(0, 3) for _ in m)
         w = matching_to_word(m, d, nb, nt)
         assert evaluate_word(w) == matching_matrix(m, d, nb, nt)
+
+
+def _two_loop_matching_to_word(matching, dots, n_bot, n_top):
+    """The earlier matching_to_word, with one arc-peeling loop for the caps
+    and a second for the flipped cups; the oracle for its one-helper
+    rewrite.  Takes valid input only."""
+    bottom, top, through = {}, {}, []
+    for arc, d in zip(matching, dots):
+        (s1, i1), (s2, i2) = arc
+        if s1 == "b" and s2 == "b":
+            bottom[(min(i1, i2), max(i1, i2))] = d
+        elif s1 == "t" and s2 == "t":
+            top[(min(i1, i2), max(i1, i2))] = d
+        else:
+            bi = i1 if s1 == "b" else i2
+            tj = i2 if s2 == "t" else i1
+            through.append((bi, tj, d))
+
+    def dot_slice(k, width):
+        return ("id",) * k + ("dot",) + ("id",) * (width - 1 - k)
+
+    slices = []
+    cur = list(range(n_bot))
+    pending = dict(bottom)
+    while pending:
+        for k in range(len(cur) - 1):
+            key = (cur[k], cur[k + 1])
+            if key in pending:
+                for _ in range(pending.pop(key)):
+                    slices.append(dot_slice(k, len(cur)))
+                slices.append(("id",) * k + ("cap",) +
+                              ("id",) * (len(cur) - 2 - k))
+                del cur[k:k + 2]
+                break
+    through.sort()
+    for k, (_, _, d) in enumerate(through):
+        for _ in range(d):
+            slices.append(dot_slice(k, len(through)))
+    fcur = list(range(n_top))
+    pending = dict(top)
+    flipped = []
+    while pending:
+        for k in range(len(fcur) - 1):
+            key = (fcur[k], fcur[k + 1])
+            if key in pending:
+                d = pending.pop(key)
+                flipped.append((k, len(fcur), d))
+                del fcur[k:k + 2]
+                break
+    for k, width, d in reversed(flipped):
+        slices.append(("id",) * k + ("cup",) + ("id",) * (width - 2 - k))
+        for _ in range(d):
+            slices.append(dot_slice(k, width))
+    if not slices:
+        return identity_word(n_bot)
+    return Word(slices)
+
+
+def test_matching_to_word_equals_the_two_loop_version():
+    """The word of every matching up to 5 -> 5, with 0, 1 or 2 dots on
+    each arc, is the earlier version's word, slice for slice."""
+    count = 0
+    for nb in range(6):
+        for nt in range(nb % 2, 6, 2):
+            for m in noncrossing_matchings(nb, nt):
+                for d in itertools.product(range(3), repeat=len(m)):
+                    assert matching_to_word(m, d, nb, nt) \
+                        == _two_loop_matching_to_word(m, d, nb, nt)
+                    count += 1
+    assert count > 10_000
 
 
 def test_hom_rank_two_relation():
