@@ -8,7 +8,12 @@ reduced by ``row = (pv/g)*row - (f/g)*pivot_row`` with ``g = gcd(pv, f)``
 and then divided by the gcd of its entries, which keeps the integers
 small.  Only the reduced rows are turned back into ``Fraction`` rows, once,
 at the end.  The reduced row echelon form is unique, so the result equals
-that of plain Gauss-Jordan elimination over ``Fraction``.
+that of plain Gauss-Jordan elimination over ``Fraction``.  An ``int`` entry
+is read like the equal ``Fraction``.
+
+``row_basis`` takes its rows already sparse, as ``{column: int}`` dicts,
+and runs only the forward pass: it picks rows that span the row space, so a
+caller can solve on those rows alone and check the others afterwards.
 """
 
 from __future__ import annotations
@@ -48,6 +53,35 @@ def _eliminate(vec: dict, prow: dict, c: int) -> dict:
     return _primitive(out) if out else out
 
 
+def _reduce_into(echelon: dict, vec: dict) -> bool:
+    """The forward step: reduce the primitive vec by the pivot rows of
+    echelon until its leading column is a new pivot, which it then holds.
+    False if vec vanishes, i.e. lies in the span of echelon's rows."""
+    while vec:
+        c = min(vec)
+        prow = echelon.get(c)
+        if prow is None:
+            echelon[c] = vec
+            return True
+        vec = _eliminate(vec, prow, c)
+    return False
+
+
+def row_basis(rows: list[dict]) -> list[int]:
+    """Increasing indices of rows that span the row space of the sparse
+    integer rows {column: nonzero int}; as many as the rank.
+
+    One forward pass, sparsest rows first (ties by index), as sparse rows
+    fill in the least.
+    """
+    echelon: dict = {}
+    basis = []
+    for r in sorted(range(len(rows)), key=lambda r: len(rows[r])):
+        if _reduce_into(echelon, _primitive(rows[r])):
+            basis.append(r)
+    return sorted(basis)
+
+
 def rref(rows: list[list[Fraction]]):
     """Reduced row echelon form in place; returns pivot column list.
 
@@ -57,18 +91,9 @@ def rref(rows: list[list[Fraction]]):
     if not rows:
         return []
     ncols = len(rows[0])
-    # forward pass: reduce each row by the earlier pivot rows until its
-    # leading column is a new pivot, or it vanishes
     echelon: dict = {}
     for row in rows:
-        vec = _int_row(row)
-        while vec:
-            c = min(vec)
-            prow = echelon.get(c)
-            if prow is None:
-                echelon[c] = vec
-                break
-            vec = _eliminate(vec, prow, c)
+        _reduce_into(echelon, _int_row(row))
     pivots = sorted(echelon)
     # backward pass: clear each pivot column above its pivot row, last
     # column first, so no cleared column is filled again

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import exactla, projectors, statespace, words
 from .ring import E_RING, GradedPoly
+from .statespace import _EXP_BITS, _EXP_MASK
 from .words import (
     Combo,
     Word,
@@ -320,93 +323,114 @@ def _check_normalize_bound(n_in: int, n_out: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _degree_system(n_in: int, n_out: int, deg: int):
+    """The linear system of normalize_matrix at one structural degree, in
+    integers: (unknowns, row_index, columns, basis).
+
+    Unknown j = (i, mu, den) is spanning-set element i times the monomial
+    mu = (e1, e2); a diagram with k dots has degree 2k, so it contributes
+    the monomials of degree deg - 2k only.  den is the denominator of the
+    element's matching_matrix table.  row_index numbers each (row, col,
+    packed exponent) an unknown reaches; columns[j] = {row number: int
+    numerator over den}; basis lists rows that span the row space
+    (exactla.row_basis).  No target enters the system, so it is built once
+    per (n_in, n_out, deg) and shared by every call; callers only read it.
+    """
+    unknowns = []
+    row_index: dict = {}
+    columns = []
+    for i, (m, d) in enumerate(words.dotted_spanning_set(n_in, n_out)):
+        rem = deg - 2 * sum(d)
+        if rem < 0 or rem % 2:
+            continue
+        den, table = words.matching_matrix(m, d, n_in, n_out)._packed()
+        for b in range(rem // 4 + 1):
+            mu = ((rem - 4 * b) // 2, b)
+            shift = mu[0] << _EXP_BITS | mu[1]
+            col = {}
+            for c, tcol in table.items():
+                for r, t in tcol.items():
+                    for e, v in t.items():
+                        key = (r, c, e + shift)
+                        col[row_index.setdefault(key, len(row_index))] = v
+            unknowns.append((i, mu, den))
+            columns.append(col)
+    rows: list = [{} for _ in row_index]
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][j] = v
+    return unknowns, row_index, columns, exactla.row_basis(rows)
+
+
+def _solves(columns, y, rhs: dict) -> bool:
+    """Whether sum_j y[j] * columns[j] equals rhs = {row number: int} on
+    every row of the system, exactly, in integers over the lcm of the
+    denominators of y."""
+    den = lcm(*(v.denominator for v in y))
+    acc: dict = {}
+    for col, v in zip(columns, y):
+        if v:
+            v = v.numerator * (den // v.denominator)
+            for r, a in col.items():
+                acc[r] = acc.get(r, 0) + a * v
+    return {r: v for r, v in acc.items() if v} == \
+        {r: v * den for r, v in rhs.items()}
+
+
 def normalize_matrix(mat, n_in: int, n_out: int):
     """The normal form of a state-space matrix over the dotted matching
     spanning set, with polynomial coefficients.
 
     Returns [(coefficient, matching, dots)].  The target is split by
-    structural degree and each degree is solved once, as one exact linear
-    system over all of its entries.  Where the spanning set is linearly
-    dependent, the coefficients are the unique solution supported on the
-    leftmost independent spanning-set columns (every other coefficient is
-    zero).
+    structural degree straight from its packed table, and each degree is
+    solved against the cached _degree_system of (n_in, n_out, degree).
+    Where the spanning set is linearly dependent, the coefficients are the
+    unique solution supported on the leftmost independent spanning-set
+    columns (every other coefficient is zero).
 
-    Each spanning-set matrix comes from words.matching_matrix, built at most
-    once per call; each structural degree is one exactla.solve over dense
-    rows that share one Fraction zero in their empty cells.
+    Each degree is one exactla.solve on the system's basis rows only.  Those
+    rows have the row space of the whole system, hence its null space, its
+    leftmost independent columns and its solution with the free variables
+    at zero; _solves then checks that solution exactly against every row,
+    so a target off the span raises as it would with all rows solved.
     """
     _check_normalize_bound(n_in, n_out)
-    span = words.dotted_spanning_set(n_in, n_out)
-    zero = Fraction(0)
-    mat_cache: dict = {}
-
-    def span_matrix(i):
-        got = mat_cache.get(i)
-        if got is None:
-            m, d = span[i]
-            got = words.matching_matrix(m, d, n_in, n_out)
-            mat_cache[i] = got
-        return got
-
-    def struct_degree(cell, exp, poly):
-        return (poly.monomial_degree(exp)
-                + statespace.basis_qdegree(cell[0], n_out)
-                - statespace.basis_qdegree(cell[1], n_in))
-
-    # split the target into structurally homogeneous components
+    den, table = mat._packed()
     targets: dict = {}
-    for cell, poly in mat.entries():
-        for exp, c in poly.terms.items():
-            targets.setdefault(
-                struct_degree(cell, exp, poly), {}
-            )[(cell, exp)] = c
+    for c, tcol in table.items():
+        qc = statespace.basis_qdegree(c, n_in)
+        for r, t in tcol.items():
+            q = statespace.basis_qdegree(r, n_out) - qc
+            for e, v in t.items():
+                deg = q + 2 * (e >> _EXP_BITS) + 4 * (e & _EXP_MASK)
+                targets.setdefault(deg, {})[(r, c, e)] = v
 
     coeffs: dict = {}
-    for deg, rhs_map in sorted(targets.items()):
-        # one system per degree; a degree-(2 dots) diagram contributes with
-        # coefficient monomials of degree deg - 2 dots only
-        unknowns = []
-        rowmap: dict = {}
-        row_keys: list = []
-        for i, (m, d) in enumerate(span):
-            rem = deg - 2 * sum(d)
-            if rem < 0 or rem % 2:
-                continue
-            monos = [
-                (a, b) for b in range(rem // 4 + 1)
-                for a in [(rem - 4 * b) // 2] if 2 * a + 4 * b == rem
-            ]
-            if not monos:
-                continue
-            dm = span_matrix(i)
-            for mu in monos:
-                j = len(unknowns)
-                for cell, poly in dm.entries():
-                    for exp, c in poly.terms.items():
-                        k = (cell, (exp[0] + mu[0], exp[1] + mu[1]))
-                        if k not in rowmap:
-                            rowmap[k] = {}
-                            row_keys.append(k)
-                        # distinct (cell, exp) give distinct keys for one j
-                        rowmap[k][j] = c
-                unknowns.append((i, mu))
-        for k in rhs_map:
-            if k not in rowmap:
-                rowmap[k] = {}
-                row_keys.append(k)
-        if not unknowns:
+    for deg, target in sorted(targets.items()):
+        unknowns, row_index, columns, basis = _degree_system(n_in, n_out, deg)
+        rhs = {}
+        for key, v in target.items():
+            r = row_index.get(key)
+            if r is None:
+                raise ExprError("evaluation is outside the diagram span")
+            rhs[r] = v
+        place = {r: k for k, r in enumerate(basis)}
+        rows = [[0] * len(unknowns) for _ in basis]
+        for j, col in enumerate(columns):
+            for r, a in col.items():
+                k = place.get(r)
+                if k is not None:
+                    rows[k][j] = a
+        y = exactla.solve(rows, [rhs.get(r, 0) for r in basis])
+        if y is None or not _solves(columns, y, rhs):
             raise ExprError("evaluation is outside the diagram span")
-        ncols = len(unknowns)
-        rows = [
-            [rowmap[k].get(j, zero) for j in range(ncols)] for k in row_keys
-        ]
-        rhs = [rhs_map.get(k, zero) for k in row_keys]
-        sol = exactla.solve(rows, rhs)
-        if sol is None:
-            raise ExprError("evaluation is outside the diagram span")
-        for (i, mu), c in zip(unknowns, sol):
-            if c:
-                coeffs.setdefault(i, {})[mu] = c
+        # unknown j's matrix is columns[j] / den_j and the target is over
+        # den, so its coefficient is y[j] * den_j / den
+        for (i, mu, den_j), v in zip(unknowns, y):
+            if v:
+                coeffs.setdefault(i, {})[mu] = v * den_j / den
+    span = words.dotted_spanning_set(n_in, n_out)
     return [
         (GradedPoly(E_RING, terms), span[i][0], span[i][1])
         for i, terms in sorted(coeffs.items())

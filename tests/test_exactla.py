@@ -1,6 +1,7 @@
 """Exact linear algebra: the integer kernel against dense Gauss-Jordan."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -128,3 +129,52 @@ def test_nullspace_is_annihilated(rows):
         assert any(vec)
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
+
+
+def _sparse_int_rows(rows):
+    """Each row scaled by the lcm of its denominators, as {column: int}."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append({c: int(x * den) for c, x in enumerate(row) if x})
+    return out
+
+
+def _reduced(rows):
+    """The nonzero rows of the RREF, as the reference computes it."""
+    work = [list(r) for r in rows]
+    rank = len(dense_rref(work))
+    return work[:rank]
+
+
+def assert_row_basis(rows):
+    basis = exactla.row_basis(_sparse_int_rows(rows))
+    assert basis == sorted(set(basis))
+    chosen = [rows[r] for r in basis]
+    # independent, as many as the rank, and spanning: the same RREF
+    assert len(dense_rref([list(r) for r in chosen])) == len(basis)
+    assert len(basis) == len(dense_rref([list(r) for r in rows]))
+    assert _reduced(chosen) == _reduced(rows)
+
+
+@LA_SETTINGS
+@given(matrices())
+def test_row_basis_spans_the_row_space(rows):
+    assert_row_basis(rows)
+
+
+@LA_SETTINGS
+@given(matrices(max_rows=12, max_cols=4))
+def test_row_basis_of_tall_matrices(rows):
+    assert_row_basis(rows)
+
+
+def test_row_basis_edge_cases():
+    F = Fraction
+    assert exactla.row_basis([]) == []
+    assert exactla.row_basis([{}, {}]) == []
+    # zero and duplicate rows are left out; the sparsest rows come first
+    rows = [[F(0), F(0), F(0)], [F(1), F(2), F(3)], [F(2), F(4), F(6)],
+            [F(0), F(5), F(0)], [F(1), F(2), F(3)], [F(1), F(-3), F(3)]]
+    assert_row_basis(rows)
+    assert exactla.row_basis(_sparse_int_rows(rows)) == [1, 3]

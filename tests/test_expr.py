@@ -6,10 +6,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dottedtl import projectors
+from dottedtl import exactla, expr, projectors, statespace, words
 from dottedtl.expr import (
     ExprError,
     _jw_combo,
@@ -21,7 +22,7 @@ from dottedtl.expr import (
     print_combo,
     roundtrip_equal,
 )
-from dottedtl.ring import E_RING
+from dottedtl.ring import E_RING, GradedPoly
 from dottedtl.statespace import PolyMatrix
 from dottedtl.words import (
     Combo,
@@ -35,6 +36,16 @@ from dottedtl.words import (
 
 def _same(a: Combo, b: Combo) -> bool:
     return (a - b).evaluate().is_zero()
+
+
+@pytest.fixture(autouse=True)
+def fresh_degree_systems():
+    """Each test builds its normal-form systems afresh and leaves none
+    behind: a test that counts or patches words.matching_matrix would
+    otherwise see systems another test built, and no call at all."""
+    expr._degree_system.cache_clear()
+    yield
+    expr._degree_system.cache_clear()
 
 
 def test_basic_parses():
@@ -194,6 +205,11 @@ def test_normalize_outside_span_fails():
     mat = PolyMatrix(1, 1, {(0, 0): E_RING.const(1)})
     with pytest.raises(ExprError, match="outside the diagram span"):
         normalize_matrix(mat, 1, 1)
+    # the single entry A0 -> A1 has structural degree -2, where no
+    # spanning-set element has an unknown, so its key is in no system row
+    mat = PolyMatrix(1, 1, {(0, 1): E_RING.const(1)})
+    with pytest.raises(ExprError, match="outside the diagram span"):
+        normalize_matrix(mat, 1, 1)
 
 
 def test_normalize_bound_is_checked_before_evaluation(monkeypatch):
@@ -282,3 +298,204 @@ def test_normal_forms_run_on_integer_kernels(monkeypatch):
     assert counts.pop("matching_matrix") > 0
     assert counts.pop("evaluate") > 0
     assert counts == {}
+
+
+# -- the cached, basis-row solve against the full per-call solve -------------
+
+def _full_solve_normal_form(mat, n_in: int, n_out: int):
+    """Oracle for normalize_matrix: each call evaluates the spanning-set
+    matrices, builds the whole system of each structural degree from them
+    and the target, and solves it on all of its rows, as dense Fraction
+    rows.  Returns the same [(coefficient, matching, dots)]."""
+    span = words.dotted_spanning_set(n_in, n_out)
+    zero = Fraction(0)
+    mat_cache: dict = {}
+
+    def span_matrix(i):
+        if i not in mat_cache:
+            m, d = span[i]
+            mat_cache[i] = words.matching_matrix(m, d, n_in, n_out)
+        return mat_cache[i]
+
+    targets: dict = {}
+    for cell, poly in mat.entries():
+        for exp, c in poly.terms.items():
+            deg = (poly.monomial_degree(exp)
+                   + statespace.basis_qdegree(cell[0], n_out)
+                   - statespace.basis_qdegree(cell[1], n_in))
+            targets.setdefault(deg, {})[(cell, exp)] = c
+    coeffs: dict = {}
+    for deg, rhs_map in sorted(targets.items()):
+        unknowns = []
+        rowmap: dict = {}
+        for i, (m, d) in enumerate(span):
+            rem = deg - 2 * sum(d)
+            if rem < 0 or rem % 2:
+                continue
+            for b in range(rem // 4 + 1):
+                mu = ((rem - 4 * b) // 2, b)
+                for cell, poly in span_matrix(i).entries():
+                    for exp, c in poly.terms.items():
+                        k = (cell, (exp[0] + mu[0], exp[1] + mu[1]))
+                        rowmap.setdefault(k, {})[len(unknowns)] = c
+                unknowns.append((i, mu))
+        if not unknowns:
+            raise ExprError("evaluation is outside the diagram span")
+        keys = list(rowmap) + [k for k in rhs_map if k not in rowmap]
+        rows = [[rowmap.get(k, {}).get(j, zero) for j in range(len(unknowns))]
+                for k in keys]
+        sol = exactla.solve(rows, [rhs_map.get(k, zero) for k in keys])
+        if sol is None:
+            raise ExprError("evaluation is outside the diagram span")
+        for (i, mu), c in zip(unknowns, sol):
+            if c:
+                coeffs.setdefault(i, {})[mu] = c
+    return [(GradedPoly(E_RING, terms), span[i][0], span[i][1])
+            for i, terms in sorted(coeffs.items())]
+
+
+def _assert_normal_form_matches_oracle(mat, n_in, n_out, label):
+    got = normalize_matrix(mat, n_in, n_out)
+    want = _full_solve_normal_form(mat, n_in, n_out)
+    assert [(str(p), m, d) for p, m, d in got] \
+        == [(str(p), m, d) for p, m, d in want], label
+    assert got == want, label
+
+
+def _random_shaped_word(rng, n_in: int, n_out: int) -> Word:
+    """A random word n_in -> n_out: a random dotted matching, then at most
+    one dot or cap-cup pair (e_k, which may close a circle) on its top."""
+    m, d = rng.choice(words.dotted_spanning_set(n_in, n_out))
+    slices = list(words.matching_to_word(m, d, n_in, n_out).slices)
+    for _ in range(rng.randrange(2)):
+        if n_out >= 2 and rng.random() < 0.5:
+            k = rng.randrange(n_out - 1)
+            pad = ("id",) * k, ("id",) * (n_out - 2 - k)
+            slices += [pad[0] + ("cap",) + pad[1], pad[0] + ("cup",) + pad[1]]
+        elif n_out:
+            k = rng.randrange(n_out)
+            slices.append(("id",) * k + ("dot",) + ("id",) * (n_out - 1 - k))
+    return Word(tuple(slices))
+
+
+SHAPES_UP_TO_8 = [(n_in, total - n_in) for total in range(0, 9, 2)
+                  for n_in in range(total + 1)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_8)
+def test_normal_form_matches_full_solve_on_random_words(shape):
+    n_in, n_out = shape
+    rng = random.Random(1900 + 10 * n_in + n_out)
+    coeffs = [1, Fraction(-3, 2), E_RING.gen("E1") - Fraction(1, 2)]
+    # one draw at 8 strands, where the oracle's full solve takes about 1 s
+    for _ in range(2 if n_in + n_out < 8 else 1):
+        combo = Combo.of(_random_shaped_word(rng, n_in, n_out),
+                         rng.choice(coeffs))
+        if rng.random() < 0.5:
+            combo = combo + Combo.of(_random_shaped_word(rng, n_in, n_out))
+        _assert_normal_form_matches_oracle(combo.evaluate(), n_in, n_out,
+                                           repr(combo))
+
+
+@pytest.mark.parametrize("text", [f"jw({n})" for n in range(6)]
+                         + [f"u({n})" for n in range(4)]
+                         + [f"d({n})" for n in range(2, 6)])
+def test_normal_form_matches_full_solve_on_macros(text):
+    combo = parse_expr(text)
+    _assert_normal_form_matches_oracle(combo.evaluate(), combo.n_in,
+                                       combo.n_out, text)
+
+
+def _benchmark_workloads():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normal_form_matches_full_solve_on_benchmark_inputs(seed):
+    for text in _benchmark_workloads().diagrams_inputs(seed)["normalize"]:
+        combo = parse_expr(text)
+        _assert_normal_form_matches_oracle(combo.evaluate(), combo.n_in,
+                                           combo.n_out, text)
+
+
+def test_residual_rejects_a_target_off_the_basis_rows(monkeypatch):
+    """Negative control for the residual check: U_2's matrix plus one
+    degree-2 monomial on a system row outside the basis rows.  Solving on
+    the basis rows alone finds a solution, which the other rows refute;
+    with the check skipped, a wrong normal form comes back silently."""
+    n_in, n_out, deg = 2, 4, 2
+    u2 = projectors.un(2).mat
+    _, row_index, _, basis = expr._degree_system(n_in, n_out, deg)
+    off = sorted(set(row_index.values()) - set(basis))
+    assert off
+    r, c, e = next(k for k, v in row_index.items() if v == off[0])
+    exp = (e >> statespace._EXP_BITS, e & statespace._EXP_MASK)
+    assert (E_RING.degrees[0] * exp[0] + E_RING.degrees[1] * exp[1]
+            + statespace.basis_qdegree(r, n_out)
+            - statespace.basis_qdegree(c, n_in)) == deg
+    bump = PolyMatrix(u2.n_out, u2.n_in,
+                      {(r, c): GradedPoly(E_RING, {exp: Fraction(1)})})
+    target = u2 + bump
+    with pytest.raises(ExprError, match="outside the diagram span"):
+        _full_solve_normal_form(target, n_in, n_out)
+    with pytest.raises(ExprError, match="outside the diagram span"):
+        normalize_matrix(target, n_in, n_out)
+
+    monkeypatch.setattr(expr, "_solves", lambda columns, y, rhs: True)
+    wrong = expr.combo_from_matrix(target, n_in, n_out)
+    assert wrong.evaluate() != target
+
+
+def test_normal_form_reads_spanning_matrices_over_their_denominators(
+        monkeypatch):
+    """matching_matrix's tables are integral (denominator 1), so this is the
+    only test of an unknown's denominator: with every spanning-set matrix
+    halved, every coefficient of a normal form doubles."""
+    mat = parse_expr("u(1) ; jw(3)").evaluate()
+    want = normalize_matrix(mat, 1, 3)
+    expr._degree_system.cache_clear()
+    real = words.matching_matrix
+    monkeypatch.setattr(words, "matching_matrix",
+                        lambda *args: real(*args).scale(Fraction(1, 2)))
+    assert normalize_matrix(mat, 1, 3) \
+        == [(p * 2, m, d) for p, m, d in want]
+
+
+def test_normalize_counts_on_the_diagrams_workload(monkeypatch):
+    """Operation-count gate on the benchmark's diagrams calls at seed 0:
+    with the systems built once per (shape, degree) and solved on their
+    basis rows, words.matching_matrix is called at most 254 times (424 when
+    each call evaluated its spanning set; 201 distinct matrices) and the
+    rref calls see at most 12,548 cells (rows x columns), not 82,841."""
+    workloads = _benchmark_workloads()
+    counts = {"matching_matrix": 0, "cells": 0}
+    real_matching, real_rref = words.matching_matrix, exactla.rref
+
+    def matching(*args):
+        counts["matching_matrix"] += 1
+        return real_matching(*args)
+
+    def rref(rows):
+        counts["cells"] += len(rows) * (len(rows[0]) if rows else 0)
+        return real_rref(rows)
+
+    monkeypatch.setattr(words, "matching_matrix", matching)
+    monkeypatch.setattr(exactla, "rref", rref)
+    workloads.diagrams_run(workloads.diagrams_inputs(0))
+    assert 0 < counts["matching_matrix"] <= 254
+    assert 0 < counts["cells"] <= 12_548
+
+
+def test_parsed_macro_normalizes_on_cached_systems():
+    """parse_expr("u(3)") normalises U_3's matrix; normalising the parsed
+    combination again reads the same systems and builds none."""
+    combo = parse_expr("u(3)")
+    built = expr._degree_system.cache_info().misses
+    assert built > 0
+    normalize_combo(combo)
+    assert expr._degree_system.cache_info().misses == built
