@@ -2,8 +2,8 @@
 
 Exit status: 0 when every requested check passes, 1 when a check fails
 (the failing report is printed, as JSON with --json), 2 on usage errors.
-A command raises the package's error on bad input, and main prints it as
-"error: ..." on stderr.
+A command raises the package's error on bad input, or OSError on a file it
+cannot open, and main prints it as "error: ..." on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import expr, kirby, lasagna, projectors, selftest
@@ -144,10 +145,11 @@ def _cmd_b4(args) -> int:
 
 
 def _cmd_b2s2(args) -> int:
-    rep = lasagna.summary_report(args.depth)
-    rep["status"] = "pass" if rep["ok"] else "fail"
-    if args.summary:
-        with open(args.summary, "w") as fh:
+    # the file is opened first, so a bad path fails before the summary runs
+    with open(args.summary, "w") if args.summary else nullcontext() as fh:
+        rep = lasagna.summary_report(args.depth)
+        rep["status"] = "pass" if rep["ok"] else "fail"
+        if fh:
             json.dump(rep, fh, sort_keys=True, default=str, indent=2)
             fh.write("\n")
     lines = [f"double sphere invariant module, depth {args.depth}"]
@@ -251,7 +253,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (expr.ExprError, kirby.KirbyError, lasagna.LasagnaError,
-            projectors.ProjectorError, WordError) as exc:  # bad input
+            projectors.ProjectorError, WordError, OSError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

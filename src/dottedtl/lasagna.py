@@ -5,6 +5,9 @@ the Laurent module Q[E1,E2][A0^{+-1}, A1].  Both carry the derivation
 action from sl2core; everything here reduces their decompositions to
 finite certified computations: highest-weight vectors, the closed f-power
 formula on the v-basis, the minus-side filtration, and a summary report.
+
+Plus blocks and minus filtration layers share one verdict per (weight, depth),
+and each is one twist step from the cached untwisted block of its depth.
 """
 
 from __future__ import annotations
@@ -14,18 +17,17 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .ring import E_RING, LASAGNA_RING, GradedPoly, delta
+from .ring import E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms
 from .sl2 import BASE_SPEC, GENERATORS, LASAGNA_SPEC
 from .rep import (
     ClaimPart,
     DecompositionClaim,
     ModuleTwist,
     TruncatedModule,
+    _numerators,
     verify_claim,
     zuckerman,
 )
-
-HALF = Fraction(1, 2)
 
 # the checked v-basis elements delta^j A1^m v^n (j, m, n < VBASIS_SIZE),
 # f-powers f^r (r <= F_POWER_MAX), minus blocks ell and layers (ell, r)
@@ -66,11 +68,18 @@ def _poly_keys(depth: int) -> list:
             if 2 * x + 4 * y <= depth]
 
 
+@lru_cache(maxsize=16)
+def _base_block(depth: int) -> TruncatedModule:
+    """Q[E1,E2] truncated at depth with the untwisted action, built once per
+    process and depth: the ball, and the source of every twisted block."""
+    return TruncatedModule(BASE_SPEC, _poly_keys(depth), depth, name="ball")
+
+
 def b4_module(depth: int = 40) -> TruncatedModule:
     """Q[E1,E2] with the untwisted action: the weight-0 block."""
     if depth < 4:
         raise LasagnaError("depth must be at least 4")
-    return TruncatedModule(BASE_SPEC, _poly_keys(depth), depth, name="ball")
+    return _base_block(depth)
 
 
 def b4_report(depth: int = 40) -> dict:
@@ -78,10 +87,9 @@ def b4_report(depth: int = 40) -> dict:
     generated by each power of the discriminant."""
     m = b4_module(depth)
     rep = verify_claim(m, block_claim(0, depth))
-    hwvs = []
-    for lam in sorted({w for w in m.weights.values()}, reverse=True):
-        hwvs.extend((lam, v) for v in m.highest_weight_vectors(lam))
-    rep["hwv_weights"] = sorted({lam for lam, _ in hwvs}, reverse=True)
+    rep["hwv_weights"] = [lam for lam in sorted(set(m.weights.values()),
+                                                reverse=True)
+                          if m.highest_weight_vectors(lam)]
     z = zuckerman(m)
     rep["zuckerman"] = z["summands"]
     rep["ok"] = rep["ok"] and z["summands"] == [{"kind": "L", "lambda": 0}]
@@ -97,87 +105,93 @@ def b2s2_module(depth: int = 20, side: str = "all") -> TruncatedModule:
     if side not in ("all", "plus", "minus"):
         raise LasagnaError(f"unknown side {side!r}")
     keys = []
-    for a in range(depth // 2 + 1):
-        for b in range(depth // 4 + 1):
-            for m in range(depth + 1):
-                rest = depth - 2 * a - 4 * b - m
-                if rest < 0:
-                    continue
-                lo = 0 if side == "plus" else -rest
-                hi = -1 if side == "minus" else rest
-                for i in range(lo, hi + 1):
-                    keys.append(_lkey(a, b, m, i))
+    for a, b in _poly_keys(depth):
+        for m in range(depth - 2 * a - 4 * b + 1):
+            rest = depth - 2 * a - 4 * b - m
+            lo = 0 if side == "plus" else -rest
+            hi = -1 if side == "minus" else rest
+            keys.extend(_lkey(a, b, m, i) for i in range(lo, hi + 1))
     return TruncatedModule(LASAGNA_SPEC, keys, depth,
                            name=f"disk-sphere[{side}]")
 
 
 # -- the v-basis and the closed f-power formula -----------------------------
 
-def v_poly() -> GradedPoly:
-    A0, A1 = LASAGNA_RING.gen("A0"), LASAGNA_RING.gen("A1")
-    return A0 - HALF * LASAGNA_RING.gen("E1") * A1
+@lru_cache(maxsize=64)
+def _delta_power(j: int) -> GradedPoly:
+    """delta^j in Q[E1,E2], built once per process from delta^(j-1)."""
+    if j < 2:
+        return delta() if j else E_RING.one
+    return _delta_power(j - 1) * _delta_power(1)
 
 
-def vbasis_element(j: int, m: int, n: int) -> GradedPoly:
-    """delta^j * A1^m * v^n expanded in the monomial basis."""
-    if min(j, m, n) < 0:
-        raise LasagnaError("exponents must be non-negative")
-    out = GradedPoly(LASAGNA_RING, {_lkey(m=m): Fraction(1)})
-    d = delta(LASAGNA_RING)
-    for _ in range(j):
-        out = out * d
-    v = v_poly()
-    for _ in range(n):
-        out = out * v
-    return out
+def _scaled(vec: dict, c) -> dict:
+    return {k: c * n for k, n in vec.items()} if c else {}
+
+
+def _vbasis(j_max: int, mn_max: int) -> dict:
+    """{(j, m, n): delta^j A1^m v^n up to a positive constant, as an int
+    vector} for j <= j_max and m, n <= mn_max, with v = A0 - E1*A1/2 and
+    each v^n made once, as (2v)^n."""
+    vn = [{_lkey(): 1}]
+    for _ in range(mn_max):
+        vn.append(mul_terms(vn[-1], {_lkey(i=1): 2, _lkey(a=1, m=1): -1}))
+    dj = [{_lkey(a, b): c.numerator
+           for (a, b), c in _delta_power(j).terms.items()}
+          for j in range(j_max + 1)]
+    return {(j, m, n): mul_terms(mul_terms(dj[j], vn[n]), {_lkey(m=m): 1})
+            for j, m, n in product(range(j_max + 1), range(mn_max + 1),
+                                   range(mn_max + 1))}
 
 
 def gamma(j: int, m: int, n: int) -> Fraction:
     return 2 * j + Fraction(n - m, 2)
 
 
-def _closed_form_coefficient(j: int, m: int, n: int, r: int) -> GradedPoly:
-    """The Q[E1,E2] factor c_r of the closed f-power formula
-    f^r(delta^j A1^m v^n) = c_r delta^j A1^m v^n: the sum over k + 2a = r
-    of (-1)^a ((k+2a)...(k+1)/a!) (g)...(g+r-a-1) E1^k E2^a, with
-    g = 2j + (n-m)/2."""
-    g = gamma(j, m, n)
+def _closed_form_numerators(g: Fraction, r: int) -> tuple:
+    """(den, {key: int}): the Q[E1,E2] factor c_r of the closed f-power
+    formula f^r(delta^j A1^m v^n) = c_r delta^j A1^m v^n over den: the sum
+    over k + 2a = r of (-1)^a ((k+2a)...(k+1)/a!) (g)...(g+r-a-1) E1^k E2^a,
+    with g = gamma(j, m, n)."""
     terms = {}
     for a in range(r // 2 + 1):
         k = r - 2 * a
         desc = prod(range(k + 1, k + 2 * a + 1)) // factorial(a)
-        rise = Fraction(1)
-        for t in range(r - a):
-            rise *= g + t
-        c = (-1) ** a * desc * rise
+        c = (-1) ** a * desc * prod(g + t for t in range(r - a))
         if c:
             terms[_lkey(a=k, b=a)] = c
-    return GradedPoly(LASAGNA_RING, terms)
+    return _numerators(terms)
 
 
 def closed_form_check() -> bool:
     """Closed formula equals iterated f, f^r for r <= F_POWER_MAX, on the
-    whole v-basis grid (exact ring arithmetic, no truncation).  Each v-basis
-    element is expanded once and multiplied by the closed coefficient of
-    every r."""
-    for j, m, n in product(range(VBASIS_SIZE), repeat=3):
-        x = vbasis_element(j, m, n)
+    whole v-basis grid (exact, no truncation), on int numerators: f steps
+    by the spec's derive over den["f"], c_r is made once per (gamma, r) per
+    call, and f^r(x) = c_r x is compared cross-multiplied."""
+    fden = LASAGNA_SPEC.den["f"]
+    coeffs = {}
+    for (j, m, n), x in _vbasis(VBASIS_SIZE - 1, VBASIS_SIZE - 1).items():
+        g = gamma(j, m, n)
         fx = x
         for r in range(1, F_POWER_MAX + 1):
-            fx = LASAGNA_SPEC.apply("f", fx)
-            if _closed_form_coefficient(j, m, n, r) * x != fx:
+            fx = LASAGNA_SPEC.derive("f", fx)
+            if (g, r) not in coeffs:
+                coeffs[g, r] = _closed_form_numerators(g, r)
+            cden, c = coeffs[g, r]
+            if _scaled(fx, cden) != _scaled(mul_terms(c, x), fden ** r):
                 return False
     return True
 
 
 def vanishing_check() -> bool:
     """On the v-basis grid, f^(w+1) kills delta^j A1^m v^n when w = m-n-4j
-    is >= 0 and even, and f^w does not (w >= 1)."""
-    for j, m, n in product(range(VBASIS_SIZE), repeat=3):
+    is >= 0 and even, and f^w does not (w >= 1): the spec's apply on the
+    expanded polynomials."""
+    for (j, m, n), x in _vbasis(VBASIS_SIZE - 1, VBASIS_SIZE - 1).items():
         w = m - n - 4 * j
         if w < 0 or w % 2:
             continue
-        x = vbasis_element(j, m, n)
+        x = GradedPoly(LASAGNA_RING, {k: Fraction(c) for k, c in x.items()})
         for _ in range(w):
             x = LASAGNA_SPEC.apply("f", x)
         if w and x.is_zero():
@@ -190,39 +204,36 @@ def vanishing_check() -> bool:
 # -- plus part, blockwise ---------------------------------------------------
 
 def twisted_block(w: int, depth: int, name: str) -> TruncatedModule:
-    """Q[E1,E2] with the rank-one twist ModuleTwist(w) of weight shift w."""
-    return TruncatedModule(BASE_SPEC, _poly_keys(depth), depth,
-                           twist=ModuleTwist(w), name=name)
+    """Q[E1,E2] with the rank-one twist ModuleTwist(w) of weight shift w:
+    one twist step from the cached untwisted block of its depth."""
+    return _base_block(depth).twisted(ModuleTwist(w), name)
 
 
 def block_claim(w: int, depth: int) -> DecompositionClaim:
-    """Summand j of a weight-w block: dual Verma when w-4j is >= 0 and even,
-    Verma otherwise."""
+    """Summand j of a weight-w block, generated by delta^j: dual Verma when
+    w-4j is >= 0 and even, Verma otherwise."""
     parts = []
-    d = delta()
-    power = E_RING.one
     for j in range(depth // 4 + 1):
         lam = w - 4 * j
         kind = "Mdual" if lam >= 0 and lam % 2 == 0 else "M"
-        parts.append(ClaimPart(kind, lam, generator=dict(power.terms)))
-        power = power * d
+        parts.append(ClaimPart(kind, lam,
+                               generator=dict(_delta_power(j).terms)))
     return DecompositionClaim(parts)
 
 
-def block_embedding_check(m: int, n: int, vn: GradedPoly) -> bool:
-    """The block generator A1^m v^n is a HWV in the Laurent module and f acts
-    on it through the twist (n-m)/2 exactly.  vn is v^n; the generator is
-    vn with its A1 exponents raised by m."""
-    i = _IDX["A1"]
-    x = GradedPoly(LASAGNA_RING, {k[:i] + (k[i] + m,) + k[i + 1:]: c
-                                  for k, c in vn.terms.items()})
-    if not LASAGNA_SPEC.apply("e", x).is_zero():
+def block_embedding_check(m: int, n: int, x: dict) -> bool:
+    """The block generator x = A1^m v^n, as _vbasis gives it, is a HWV in
+    the Laurent module, f acts on it through the twist gamma(0, m, n)
+    exactly and h by m - n: e(x) = 0, f(x) = gamma E1 x and h(x) =
+    (m-n) x, on int vectors by the spec's derive, cross-multiplied."""
+    derive, g = LASAGNA_SPEC.derive, gamma(0, m, n)
+    if derive("e", x):
         return False
-    fx = LASAGNA_SPEC.apply("f", x)
-    tw = gamma(0, m, n) * LASAGNA_RING.gen("E1") * x
-    if fx != tw:
+    e1x = mul_terms(x, {_lkey(a=1): 1})
+    if _scaled(derive("f", x), g.denominator) \
+            != _scaled(e1x, g.numerator * LASAGNA_SPEC.den["f"]):
         return False
-    return LASAGNA_SPEC.apply("h", x) == Fraction(m - n) * x
+    return derive("h", x) == _scaled(x, m - n)
 
 
 def _generator_cap(depth: int) -> int:
@@ -238,9 +249,7 @@ def _twisted_verdict(w: int, depth: int) -> tuple:
     puts the dual-Verma witness of weight -w-2 (degree 2w + 2) inside the
     truncation: block_claim verified on it, and the weights of its locally
     finite summands, in the order zuckerman finds them, against the
-    claimed w - 4j >= 0 and even.  A plus block (m, n) and a minus layer
-    (ell, r) of weight w are both this module, so they share its verdict
-    per process by (w, depth); the table holds verdicts, never a module."""
+    claimed w - 4j >= 0 and even.  The table holds verdicts only."""
     depth = max(depth, 2 * w + 4)
     model = twisted_block(w, depth, f"twisted[w={w}]")
     claim_ok = verify_claim(model, block_claim(w, depth))["ok"]
@@ -256,32 +265,24 @@ def mplus_decomposition(depth: int = 20) -> dict:
     summary_report lists.
 
     Block (m, n) is the twisted polynomial module on A1^m v^n, of weight
-    w = m - n.  Its verdict is _twisted_verdict(w, depth), shared per
-    process by (w, depth) with every block and layer of that weight and
-    depth.  v^n is built once for each n and shared by the blocks'
-    embedding checks."""
+    w = m - n, with verdict _twisted_verdict(w, depth).  The generators
+    come from one _vbasis call, which makes each v^n once."""
     mn_max = _generator_cap(depth)
-    v = v_poly()
-    vpowers = [LASAGNA_RING.one]
-    for _ in range(mn_max):
-        vpowers.append(vpowers[-1] * v)
-    blocks = []
-    ok = True
-    for m in range(mn_max + 1):
-        for n in range(mn_max + 1):
-            if not block_embedding_check(m, n, vpowers[n]):
-                ok = False
-                blocks.append({"m": m, "n": n, "status": "fail",
-                               "reason": "embedding"})
-                continue
-            w = m - n
-            block_depth, claim_ok, zok, lams = _twisted_verdict(w, depth)
-            ok = ok and claim_ok and zok
-            blocks.append({
-                "m": m, "n": n, "weight": w, "depth": block_depth,
-                "status": "pass" if claim_ok and zok else "fail",
-                "zuckerman": [{"kind": "L", "lambda": lam} for lam in lams],
-            })
+    blocks, ok = [], True
+    for (_, m, n), x in _vbasis(0, mn_max).items():
+        if not block_embedding_check(m, n, x):
+            ok = False
+            blocks.append({"m": m, "n": n, "status": "fail",
+                           "reason": "embedding"})
+            continue
+        w = m - n
+        block_depth, claim_ok, zok, lams = _twisted_verdict(w, depth)
+        ok = ok and claim_ok and zok
+        blocks.append({
+            "m": m, "n": n, "weight": w, "depth": block_depth,
+            "status": "pass" if claim_ok and zok else "fail",
+            "zuckerman": [{"kind": "L", "lambda": lam} for lam in lams],
+        })
     return {"depth": depth, "ok": ok, "blocks": blocks,
             "caveat": f"blockwise, certified to depth {depth} or more"}
 
@@ -292,14 +293,9 @@ def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
     """Span of A1^m A0^(-n) with m - n = ell, n >= 1, over the base ring."""
     if abs(ell) > depth:
         raise LasagnaError("|ell| exceeds depth")
-    keys = []
-    for a in range(depth // 2 + 1):
-        for b in range(depth // 4 + 1):
-            for n in range(1, depth + 1):
-                m = n + ell
-                if m < 0 or 2 * a + 4 * b + m + n > depth:
-                    continue
-                keys.append(_lkey(a, b, m, -n))
+    keys = [_lkey(a, b, n + ell, -n) for a, b in _poly_keys(depth)
+            for n in range(max(1, -ell), depth + 1)
+            if 2 * a + 4 * b + 2 * n + ell <= depth]
     return TruncatedModule(LASAGNA_SPEC, keys, depth, name=f"minus[{ell}]")
 
 
@@ -319,15 +315,11 @@ def minus_block_split_check(depth: int = 12) -> bool:
             for k in blk.basis:
                 if k in blk.boundary_loss[g] or k in full.boundary_loss[g]:
                     continue
-                img = {k2: c * fden for k2, c in btable.get(k, {}).items()}
-                direct = {k2: c * bden for k2, c in ftable.get(k, {}).items()}
-                if img != direct:
+                if _scaled(btable.get(k, {}), fden) \
+                        != _scaled(ftable.get(k, {}), bden):
                     return False
-    leftover = [
-        k for k in full.basis
-        if k not in covered and _kparts(k)[2] - (-_kparts(k)[3]) in MINUS_ELLS
-    ]
-    return not leftover
+    return all(k in covered for k in full.basis
+               if _kparts(k)[2] + _kparts(k)[3] in MINUS_ELLS)
 
 
 def strictness(ell: int, r: int, depth: int = 20) -> bool:
@@ -342,12 +334,8 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
     """The layer S_(ell,r)/S_(ell,r+1) as a twisted polynomial module with
     weight w = 2r - ell, verified against the action of
     blk = minus_block(ell, depth), which is read only when the layer is
-    strict, and against the claimed Verma/dual-Verma stack.
-
-    Its verdict is _twisted_verdict(w, depth), shared per process by
-    (w, depth) with every plus block and layer of that weight and depth,
-    so the model is built here only for a strict layer, to compare its
-    action with the block's."""
+    strict, and against the claimed Verma/dual-Verma stack, the verdict
+    _twisted_verdict(w, depth)."""
     if r < 0:
         raise LasagnaError("r must be non-negative")
     w = 2 * r - ell
@@ -382,9 +370,7 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
                         proj[(a2, b2)] = c * mden
                     elif m2 < r:
                         agree = False
-                want = {k2: c * bden
-                        for k2, c in mtable.get((a, b), {}).items()}
-                if proj != want:
+                if proj != _scaled(mtable.get((a, b), {}), bden):
                     agree = False
         record("layer action matches twisted model", agree)
     record("layer decomposition claim", claim_ok)
@@ -396,10 +382,8 @@ def minus_side_checks(depth: int = 20) -> tuple:
     """(layers ok, no finite part) for ell in MINUS_ELLS: the filtration
     layers (ell, r), r in LAYER_RS, and the Zuckerman check of each minus
     block.  minus_block(ell, depth) is built once per ell and dropped
-    before the next one is built.  The layers' verdicts are
-    _twisted_verdict's, shared per process by (w, depth): the 25 layers
-    have 13 weights, and from depth 20 on mplus_decomposition at the same
-    depth has computed them all."""
+    before the next one is built.  The 25 layers have 13 weights, and from
+    depth 20 on mplus_decomposition at the same depth has verified them."""
     layers_ok = True
     finite_free = True
     for ell in MINUS_ELLS:
@@ -438,10 +422,9 @@ def summary_report(depth: int = 20) -> dict:
 
     The plus side runs through mplus_decomposition, and the minus side
     through minus_side_checks, which builds each minus block once for its
-    five filtration layers and its Zuckerman check.  Both read
-    _twisted_verdict, shared per process by (weight, depth), so each
-    twisted model is verified once across the whole report.  The last
-    claim lists the locally finite generators (m, n, j) with m + n + 4j <=
+    five filtration layers and its Zuckerman check; each twisted model is
+    verified once across the whole report.  The last claim lists the
+    locally finite generators (m, n, j) with m + n + 4j <=
     _generator_cap(depth); ``detail.checked`` counts those compared with a
     computed plus block.  The plus blocks cover m, n <= the same cap, so
     every listed generator is checked.
@@ -475,14 +458,12 @@ def summary_report(depth: int = 20) -> dict:
     line("minus part contributes nothing to the locally finite part",
          minus_finite_ok)
 
-    gm = []
     mn_max = _generator_cap(depth)
-    for m in range(mn_max + 1):
-        for n in range(mn_max + 1):
-            for j in range(depth // 4 + 1):
-                lam = m - n - 4 * j
-                if lam >= 0 and lam % 2 == 0 and m + n + 4 * j <= mn_max:
-                    gm.append({"m": m, "n": n, "j": j, "lambda": lam})
+    gm = [{"m": m, "n": n, "j": j, "lambda": m - n - 4 * j}
+          for m, n, j in product(range(mn_max + 1), range(mn_max + 1),
+                                 range(depth // 4 + 1))
+          if m - n - 4 * j >= 0 and (m - n) % 2 == 0
+          and m + n + 4 * j <= mn_max]
     # only generators inside a computed plus block are compared
     computed = {(b["m"], b["n"]) for b in plus["blocks"]}
     checked = sum((g["m"], g["n"]) in computed for g in gm)

@@ -11,6 +11,7 @@ denominator aside: scaling a vector changes no zero test and no nullspace.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,70 +45,85 @@ def _numerators(vec: dict) -> tuple:
                  for k, c in vec.items()}
 
 
+def _canonical(den: int, table: dict) -> tuple:
+    """(den, table) divided by the gcd of den and the table's numerators."""
+    content = gcd(den, *(c for col in table.values() for c in col.values()))
+    if content == 1:
+        return den, table
+    return den // content, {k: {k2: c // content for k2, c in col.items()}
+                            for k, col in table.items()}
+
+
 class TruncatedModule:
     """Finite truncation of an sl2-module with monomial basis.
 
     basis keys are ring exponent tuples; vectors are {key: Fraction} dicts.
     ``tables[g]`` is (den, {key: {key2: int}}): g(x^key) is the sum of
     n / den * x^key2 over its column.  No numerator is zero, and den is
-    coprime to the table's numerators.
+    coprime to the table's numerators.  A module is built untwisted from
+    the spec's monomial kernel; an image term outside the basis is dropped
+    and its key recorded in ``boundary_loss``.  Tables are never changed
+    after a build, so ``twisted`` shares them where the twist leaves them.
     """
 
-    def __init__(self, spec: Sl2ActionSpec, keys, depth: int,
-                 twist: ModuleTwist | None = None, name: str = ""):
+    def __init__(self, spec: Sl2ActionSpec, keys, depth: int, name: str = ""):
         self.ring = spec.ring
         self.spec = spec
         self.depth = depth
-        self.twist = twist
+        self.twist = None
         self.name = name
         self.basis = sorted(keys)
-        self.index = {k: i for i, k in enumerate(self.basis)}
-        shift = twist.shift if twist else 0
-        self.weights = {
-            k: spec.weight_of_monomial(k) + shift for k in self.basis
-        }
-        self.tables: dict = {}
-        self.boundary_loss: dict = {g: set() for g in GENERATORS}
-        self._build_action()
-
-    def _build_action(self):
-        """e/f/h tables from the spec's monomial kernel, one column per basis
-        key; the twist adds x^k times TwistData(a).tau(g) to g(x^k) in the
-        same column.  The kernel derives the int coefficient den/den[g], so
-        a column holds numerators over den, the lcm of the spec's and the
-        twist's denominators; the table is then divided by the gcd of den
-        and its numerators.  An image term outside the basis is dropped from
-        the table and the key is recorded in ``boundary_loss``."""
-        derive = self.spec.derive_monomial
-        index = self.index
+        self.index = index = {k: i for i, k in enumerate(self.basis)}
+        self.weights = {k: spec.weight_of_monomial(k) for k in self.basis}
+        self.tables, self.boundary_loss = {}, {}
         for g in GENERATORS:
-            tau = TwistData(self.twist.a).tau(g).terms if self.twist else {}
-            sden = self.spec.den[g]
-            den = lcm(sden, *(c.denominator for c in tau.values()))
-            twist = [(exp, c.numerator * (den // c.denominator))
-                     for exp, c in tau.items()]
-            scale = den // sden
-            table = {}
-            loss = self.boundary_loss[g]
+            table, loss = {}, set()
             for k in self.basis:
-                img = derive(g, k, scale, {})
-                for exp, c in twist:
-                    add_term(img, tuple(map(add, k, exp)), c)
-                col = {}
-                for ke, c in img.items():
-                    if ke in index:
-                        col[ke] = c
-                    else:
-                        loss.add(k)
+                img = spec.derive_monomial(g, k, 1, {})
+                col = {ke: c for ke, c in img.items() if ke in index}
+                if len(col) < len(img):
+                    loss.add(k)
                 if col:
                     table[k] = col
-            content = gcd(den, *(c for col in table.values()
-                                 for c in col.values()))
-            if content > 1:
-                den //= content
-                table = {k: {k2: c // content for k2, c in col.items()}
-                         for k, col in table.items()}
-            self.tables[g] = (den, table)
+            self.tables[g] = _canonical(spec.den[g], table)
+            self.boundary_loss[g] = loss
+
+    def twisted(self, twist: ModuleTwist, name: str) -> "TruncatedModule":
+        """This untwisted module twisted by ``twist``: column k of g gains
+        x^k TwistData(a).tau(g) over the lcm of the spec's and the twist's
+        denominators (f gains a*E1, h -2a; the basis, index and e-table are
+        shared).  A key is a boundary loss when its full image leaves the
+        basis: the twist term can cancel an escaped derivation term."""
+        if self.twist is not None:
+            raise RepError("module is already twisted")
+        out = copy.copy(self)
+        out.twist, out.name = twist, name
+        out.weights = {k: w + twist.shift for k, w in self.weights.items()}
+        out.tables = dict(self.tables)
+        out.boundary_loss = dict(self.boundary_loss)
+        for g in GENERATORS:
+            tau = TwistData(twist.a).tau(g).terms
+            if not tau:
+                continue
+            sden, (den0, table0) = self.spec.den[g], self.tables[g]
+            den = lcm(sden, *(c.denominator for c in tau.values()))
+            table, loss = {}, set()
+            for k in self.basis:
+                col = {k2: c * (den // den0)
+                       for k2, c in table0.get(k, {}).items()}
+                img = (self.spec.derive_monomial(g, k, den // sden, {})
+                       if k in self.boundary_loss[g] else {})
+                for exp, c in tau.items():
+                    k2 = tuple(map(add, k, exp))
+                    add_term(col if k2 in self.index else img, k2,
+                             c.numerator * (den // c.denominator))
+                if any(k2 not in self.index for k2 in img):
+                    loss.add(k)
+                if col:
+                    table[k] = col
+            out.tables[g] = _canonical(den, table)
+            out.boundary_loss[g] = loss
+        return out
 
     # -- vector helpers -----------------------------------------------------
 
@@ -253,11 +269,8 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:
         if m.apply("e", v):
             record(f"{label} generator is HWV", False)
             continue
-        hv = m.apply("h", v)
-        is_weight = all(
-            hv.get(k, Fraction(0)) == p.lam * c for k, c in v.items()
-        ) and len(hv) == (len(v) if p.lam else 0)
-        record(f"{label} generator weight", is_weight)
+        lam_v = {k: p.lam * c for k, c in v.items()} if p.lam else {}
+        record(f"{label} generator weight", m.apply("h", v) == lam_v)
         if p.kind in ("L", "M"):
             try:
                 got_kind = m.classify_cyclic(v, p.lam)

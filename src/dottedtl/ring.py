@@ -77,6 +77,20 @@ class PolyRing:
         return "PolyRing(" + ", ".join(self.names) + ")"
 
 
+def mul_terms(p: Mapping, q: Mapping) -> dict:
+    """p * q for sparse polynomials {exponent tuple: int or Fraction}."""
+    terms: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return terms
+
+
 class GradedPoly:
     """Sparse exact polynomial: dict from exponent tuple to nonzero Fraction."""
 
@@ -118,15 +132,7 @@ class GradedPoly:
             return GradedPoly(self.ring, {e: c * v for e, v in self.terms.items()})
         if other.ring is not self.ring:
             raise RingError("mixed rings")
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+        terms = mul_terms(self.terms, other.terms)
         for e in terms:
             for i, p in enumerate(e):
                 if p < 0 and not self.ring.invertible[i]:

@@ -190,18 +190,13 @@ def criterion_kirby() -> dict:
 def criterion_ball() -> dict:
     """The ball module decomposition, with its highest-weight vectors
     pinned to powers of the discriminant."""
-    from .ring import delta
-
     rep = lasagna.b4_report(40)
     m = lasagna.b4_module(40)
     ok = rep["ok"]
-    d = delta()
-    power = E_RING.one
     for lam in sorted(set(m.weights.values()), reverse=True):
         vs = m.highest_weight_vectors(lam)
         if lam <= 0 and lam % 4 == 0:
-            want = dict(power.terms)
-            power = power * d
+            want = lasagna._delta_power(-lam // 4).terms
             if len(vs) != 1 or not _proportional(vs[0], want):
                 ok = False
         elif vs:

@@ -116,18 +116,21 @@ class Sl2ActionSpec:
                     out.pop(key, None)
         return out
 
+    def derive(self, g: str, vec: dict) -> dict:
+        """den[g] * g(vec) for an int vector {exponent tuple: int}."""
+        out: dict = {}
+        for exp, c in vec.items():
+            self.derive_monomial(g, exp, c, out)
+        return out
+
     def apply(self, g: str, x: GradedPoly) -> GradedPoly:
-        """Apply e, f, or h to a polynomial: the monomial kernel summed over
-        its terms, on int numerators over the lcm of their denominators; each
-        output coefficient becomes a Fraction once."""
+        """Apply e, f, or h to a polynomial: ``derive`` on its numerators
+        over their lcm; each output coefficient becomes a Fraction once."""
         if x.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
-        terms = x.terms
-        den = lcm(*[c.denominator for c in terms.values()])
-        out: dict = {}
-        for exp, c in terms.items():
-            self.derive_monomial(g, exp, c.numerator * (den // c.denominator),
-                                 out)
+        den = lcm(*[c.denominator for c in x.terms.values()])
+        out = self.derive(g, {exp: c.numerator * (den // c.denominator)
+                              for exp, c in x.terms.items()})
         if out:
             den *= self.den[g]
             out = {exp: Fraction(n, den) for exp, n in out.items()}

@@ -99,6 +99,24 @@ def test_b2s2_summary_file(tmp_path):
     assert isinstance(rep["claims"], list)
 
 
+def test_unwritable_summary_file_is_usage_error(monkeypatch, capsys,
+                                               tmp_path):
+    """The --summary file is opened before the summary runs: a path in a
+    missing directory exits 2 with an error line and no traceback."""
+    from dottedtl import cli, lasagna
+
+    def never(depth):
+        raise AssertionError("summary_report ran before the file was opened")
+
+    monkeypatch.setattr(lasagna, "summary_report", never)
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["decompose-b2s2", "--depth", "8",
+                     "--summary", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.json" in err
+    assert not path.exists()
+
+
 def test_reports_are_deterministic():
     a = run_cli("dtl-verify", "--params", "0,1/2", "--n-max", "3", "--json")
     b = run_cli("dtl-verify", "--params", "0,1/2", "--n-max", "3", "--json")

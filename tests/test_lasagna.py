@@ -5,22 +5,29 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
 from dottedtl import lasagna, rep
-from dottedtl.ring import LASAGNA_RING, delta
-from dottedtl.sl2 import LASAGNA_SPEC
+from dottedtl.ring import LASAGNA_RING, GradedPoly, delta
+from dottedtl.sl2 import LASAGNA_SPEC, Sl2ActionSpec
+
+CACHES = (lasagna._twisted_verdict, lasagna._base_block, lasagna._delta_power)
 
 
 @pytest.fixture(autouse=True)
 def fresh_verdicts():
-    """The twisted verdicts are shared per process; each test starts and
-    ends with an empty table, so no test reads a verdict made under
-    another test's monkeypatch."""
-    lasagna._twisted_verdict.cache_clear()
+    """The twisted verdicts, the untwisted blocks and the powers of delta
+    are shared per process; each test starts and ends with empty tables,
+    so no test reads a verdict or a module made under another test's
+    monkeypatch, and the operation-count gates see every build."""
+    for cache in CACHES:
+        cache.cache_clear()
     yield
-    lasagna._twisted_verdict.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 def test_ball_small_depth():
@@ -45,24 +52,118 @@ def test_ball_hwvs_are_discriminant_powers():
     assert set(v) == set(sq)
 
 
+def v_poly():
+    """v = A0 - E1*A1/2."""
+    ring = LASAGNA_RING
+    return ring.gen("A0") - Fraction(1, 2) * ring.gen("E1") * ring.gen("A1")
+
+
+def vbasis_element(j, m, n):
+    """delta^j * A1^m * v^n expanded in the monomial basis."""
+    return (delta(LASAGNA_RING) ** j * LASAGNA_RING.gen("A1", m)
+            * v_poly() ** n)
+
+
 def test_gamma_and_generators():
     assert lasagna.gamma(0, 0, 0) == 0
-    v = lasagna.v_poly()
+    v = v_poly()
     # v = A0 - E1*A1/2 is killed by e
     assert LASAGNA_SPEC.apply("e", v).is_zero()
+
+
+def test_vbasis_matches_the_expanded_elements():
+    """Each grid vector is a positive multiple of delta^j A1^m v^n, the
+    multiple 2^n of (2v)^n."""
+    grid = lasagna._vbasis(3, 4)
+    assert len(grid) == 4 * 5 * 5
+    for (j, m, n), x in grid.items():
+        want = vbasis_element(j, m, n)
+        assert {k: Fraction(c, 2 ** n) for k, c in x.items()} == want.terms
 
 
 def test_closed_form():
     assert lasagna.closed_form_check()
 
 
+def closed_form_coefficient(j, m, n, r):
+    """The closed coefficient c_r of f^r(delta^j A1^m v^n) as a GradedPoly
+    over Fraction: the sum over k + 2a = r of (-1)^a ((k+2a)...(k+1)/a!)
+    (g)...(g+r-a-1) E1^k E2^a, with g = gamma(j, m, n)."""
+    g = lasagna.gamma(j, m, n)
+    terms = {}
+    for a in range(r // 2 + 1):
+        k = r - 2 * a
+        desc = prod(range(k + 1, k + 2 * a + 1)) // factorial(a)
+        rise = Fraction(1)
+        for t in range(r - a):
+            rise *= g + t
+        if desc * rise:
+            terms[lasagna._lkey(a=k, b=a)] = (-1) ** a * desc * rise
+    return GradedPoly(LASAGNA_RING, terms)
+
+
 def test_closed_form_detects_perturbation():
     """The closed form is exact: r = 1 already distinguishes gamma shifts."""
-    x = lasagna.vbasis_element(1, 2, 1)
-    got = lasagna._closed_form_coefficient(1, 2, 1, 1) * x
+    x = vbasis_element(1, 2, 1)
+    got = closed_form_coefficient(1, 2, 1, 1) * x
     assert got == LASAGNA_SPEC.apply("f", x)
     wrong = got + x
     assert wrong != LASAGNA_SPEC.apply("f", x)
+
+
+def test_closed_form_matches_the_graded_poly_path():
+    """Oracle: the int closed-form numerators are the GradedPoly closed
+    coefficients, and f^r on the expanded v-basis element equals c_r x over
+    Fraction, on the whole grid."""
+    for j, m, n in product(range(lasagna.VBASIS_SIZE), repeat=3):
+        x = vbasis_element(j, m, n)
+        fx = x
+        for r in range(1, lasagna.F_POWER_MAX + 1):
+            fx = LASAGNA_SPEC.apply("f", fx)
+            want = closed_form_coefficient(j, m, n, r)
+            den, nums = lasagna._closed_form_numerators(
+                lasagna.gamma(j, m, n), r)
+            assert {k: Fraction(c, den) for k, c in nums.items()} \
+                == want.terms
+            assert want * x == fx
+
+
+def test_perturbed_closed_coefficient_fails_the_check(monkeypatch):
+    """Negative control: gamma + 1/2 at the one grid point (1, 2, 1)."""
+    real = lasagna.gamma
+    monkeypatch.setattr(
+        lasagna, "gamma",
+        lambda j, m, n: real(j, m, n) + Fraction((j, m, n) == (1, 2, 1), 2))
+    assert not lasagna.closed_form_check()
+
+
+def test_perturbed_f_image_fails_the_closed_form_check(monkeypatch):
+    """Negative control on the iterated side: f(A1) = -E1*A1 instead of
+    -E1*A1/2."""
+    spec = LASAGNA_SPEC
+    bad = Sl2ActionSpec(spec.ring, spec.e_images,
+                        {**spec.f_images, "A1": 2 * spec.f_images["A1"]},
+                        spec.h_weights)
+    assert lasagna.closed_form_check()
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", bad)
+    assert not lasagna.closed_form_check()
+
+
+def test_embedding_check_on_the_plus_blocks():
+    assert all(lasagna.block_embedding_check(m, n, x)
+               for (_, m, n), x in lasagna._vbasis(0, 4).items())
+
+
+def test_wrong_twist_fails_the_embedding_check(monkeypatch):
+    """Negative control: the generator A1^2 v of block (2, 1) with the
+    twist of block (2, 0), and with v^2 in place of v."""
+    grid = lasagna._vbasis(0, 2)
+    assert lasagna.block_embedding_check(2, 1, grid[0, 2, 1])
+    assert not lasagna.block_embedding_check(2, 1, grid[0, 2, 2])
+    real = lasagna.gamma
+    monkeypatch.setattr(lasagna, "gamma",
+                        lambda j, m, n: real(j, m, n - 1))
+    assert not lasagna.block_embedding_check(2, 1, grid[0, 2, 1])
 
 
 def test_vanishing_pattern():
@@ -171,8 +272,10 @@ def test_finite_part_counts_checked_generators(monkeypatch):
     """At depth 40, all 34 listed generators lie in a computed plus block
     (m, n <= 12).  Operation-count gate: the report verifies 26 claims (the
     ball and one per twisted weight, plus blocks and layers sharing them)
-    and builds 56 modules (the ball, 25 twisted models, the split check's
-    six, five minus blocks and the 19 strict layers' models)."""
+    and builds 12 modules (the untwisted depth-40 block, which is the ball
+    and the source of the 25 twisted models and the 19 strict layers'
+    models, the split check's six and five minus blocks); a twist is made
+    from its source's tables, not built."""
     verified, built = [], []
     verify = lasagna.verify_claim
 
@@ -185,7 +288,7 @@ def test_finite_part_counts_checked_generators(monkeypatch):
                         lambda m, claim: verified.append(m) or verify(m, claim))
     monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
     rep40 = lasagna.summary_report(40)
-    assert (len(verified), len(built)) == (26, 56)
+    assert (len(verified), len(built)) == (26, 12)
     assert rep40["ok"], rep40
     assert len(rep40["claims"]) == 8
     assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
@@ -414,3 +517,41 @@ def test_f_string_walks_build_no_fraction(monkeypatch):
     # walks of both kinds ran: to f^(lam+1) and down to the boundary
     assert min(lams) < 0 <= max(lams) and len(lams) > 100
     assert built == []
+
+
+def test_polynomial_checks_run_on_int_numerators(monkeypatch):
+    """Operation-count gate: in summary_report(12), closed_form_check,
+    block_claim and block_embedding_check call no sl2.apply, and their only
+    GradedPoly products build the powers of delta, one per power
+    delta^1..delta^10 of the depth-40 ball (the parent made 859 products
+    and 531 applies here)."""
+    inside, applies, products = [], [], []
+    real_apply = Sl2ActionSpec.apply
+    real_mul = GradedPoly.__mul__
+
+    def apply(self, g, x):
+        if inside:
+            applies.append(g)
+        return real_apply(self, g, x)
+
+    def mul(self, other):
+        if inside:
+            products.append(other)
+        return real_mul(self, other)
+
+    def watched(fn):
+        def call(*args):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(Sl2ActionSpec, "apply", apply)
+    monkeypatch.setattr(GradedPoly, "__mul__", mul)
+    for name in ("closed_form_check", "block_claim", "block_embedding_check"):
+        monkeypatch.setattr(lasagna, name, watched(getattr(lasagna, name)))
+    assert lasagna.summary_report(12)["ok"]
+    assert applies == []
+    assert len(products) <= 10

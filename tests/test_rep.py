@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 import pytest
 
@@ -18,7 +19,13 @@ from dottedtl.rep import (
     zuckerman,
 )
 from dottedtl.ring import E_RING, GradedPoly
-from dottedtl.sl2 import BASE_SPEC, GENERATORS, Sl2ActionSpec, add_term
+from dottedtl.sl2 import (
+    BASE_SPEC,
+    GENERATORS,
+    Sl2ActionSpec,
+    TwistData,
+    add_term,
+)
 from test_sl2 import leibniz_apply
 
 
@@ -77,7 +84,8 @@ def _poly_module(depth, twist=None):
         for b in range(depth // 4 + 1)
         if 2 * a + 4 * b <= depth
     ]
-    return TruncatedModule(BASE_SPEC, keys, depth, twist=twist, name="test")
+    m = TruncatedModule(BASE_SPEC, keys, depth, name="test")
+    return m if twist is None else m.twisted(twist, "test")
 
 
 def test_weights_match_degrees():
@@ -270,3 +278,95 @@ def test_perturbed_spec_changes_table_and_fails_brackets():
     assert action_view(m)["f"] == oracle_tables(m)[0]["f"]
     assert bracket_check(good)
     assert not bracket_check(m)
+
+
+# -- the twist step against the one-pass twisted construction -----------------
+
+def one_pass_twisted(spec, keys, twist):
+    """(tables, boundary_loss, weights) of the twisted module built in one
+    pass: each column is the spec's kernel image of its key plus the key
+    times TwistData(a).tau(g), over den, the lcm of the spec's and the
+    twist's denominators, and a key whose image has a term outside the
+    basis is a loss; each table is then divided by its content.  This is
+    the construction the twist step replaced."""
+    basis = sorted(keys)
+    index = {k: i for i, k in enumerate(basis)}
+    tables, losses = {}, {}
+    for g in GENERATORS:
+        tau = TwistData(twist.a).tau(g).terms
+        sden = spec.den[g]
+        den = lcm(sden, *(c.denominator for c in tau.values()))
+        terms = [(exp, c.numerator * (den // c.denominator))
+                 for exp, c in tau.items()]
+        table, loss = {}, set()
+        for k in basis:
+            img = spec.derive_monomial(g, k, den // sden, {})
+            for exp, c in terms:
+                add_term(img, tuple(map(add, k, exp)), c)
+            col = {}
+            for ke, c in img.items():
+                if ke in index:
+                    col[ke] = c
+                else:
+                    loss.add(k)
+            if col:
+                table[k] = col
+        content = gcd(den, *(c for col in table.values()
+                             for c in col.values()))
+        tables[g] = (den // content,
+                     {k: {k2: c // content for k2, c in col.items()}
+                      for k, col in table.items()})
+        losses[g] = loss
+    weights = {k: spec.weight_of_monomial(k) + twist.shift for k in basis}
+    return tables, losses, weights
+
+
+def _ordered(tables):
+    """The tables with the dict order of every table and column."""
+    return {g: (den, [(k, list(col.items())) for k, col in table.items()])
+            for g, (den, table) in tables.items()}
+
+
+def twist_mismatches(m, oracle):
+    """The parts of m that differ from the one-pass construction."""
+    tables, losses, weights = oracle
+    parts = [("tables", _ordered(m.tables), _ordered(tables)),
+             ("boundary_loss", m.boundary_loss, losses),
+             ("weights", list(m.weights.items()), list(weights.items()))]
+    return [name for name, got, want in parts if got != want]
+
+
+@pytest.mark.parametrize("depth", [12, 20, 40])
+def test_twist_step_matches_one_pass_construction(depth):
+    """For w in -12..12, the twist of the cached untwisted block equals the
+    one-pass construction: tables in dict order, boundary losses, weights."""
+    lasagna._base_block.cache_clear()
+    keys = lasagna._poly_keys(depth)
+    for w in range(-12, 13):
+        m = lasagna.twisted_block(w, depth, f"twisted[w={w}]")
+        oracle = one_pass_twisted(BASE_SPEC, keys, ModuleTwist(w))
+        assert twist_mismatches(m, oracle) == [], w
+        assert m.tables["e"] is lasagna._base_block(depth).tables["e"]
+    lasagna._base_block.cache_clear()
+
+
+def test_twist_term_cancels_an_escaped_term():
+    """At depth 12, f(E2^3) = 3 E1 E2^3 escapes the basis, and the weight-6
+    twist adds -3 E1 E2^3: E2^3 is a loss of the untwisted block only.  A
+    twist step that keeps the source's losses instead of deciding on the
+    full image fails the comparison with the one-pass construction."""
+    base = _poly_module(12)
+    m = base.twisted(ModuleTwist(6), "twisted")
+    oracle = one_pass_twisted(BASE_SPEC, base.basis, ModuleTwist(6))
+    assert (0, 3) in base.boundary_loss["f"]
+    assert (0, 3) not in m.boundary_loss["f"]
+    assert twist_mismatches(m, oracle) == []
+    m.boundary_loss = {**m.boundary_loss,
+                       "f": m.boundary_loss["f"] | base.boundary_loss["f"]}
+    assert twist_mismatches(m, oracle) == ["boundary_loss"]
+
+
+def test_twist_of_a_twisted_module_is_refused():
+    m = _poly_module(8, twist=ModuleTwist(2))
+    with pytest.raises(RepError, match="already twisted"):
+        m.twisted(ModuleTwist(2), "twice")
