@@ -441,8 +441,7 @@ def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
     """A combination of matching words with the given evaluation."""
     out = Combo(n_in=n_in, n_out=n_out)
     for poly, m, d in normalize_matrix(mat, n_in, n_out):
-        out = out + Combo({words.matching_to_word(m, d, n_in, n_out): poly},
-                          n_in=n_in, n_out=n_out)
+        out._add(words.matching_to_word(m, d, n_in, n_out), poly)
     return out
 
 

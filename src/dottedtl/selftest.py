@@ -50,10 +50,10 @@ def _generator_combos():
 
 
 def _bracket_holds(x: Combo, params: DtlParams) -> bool:
+    first = {g: act(g, x, params) for g in GENERATORS}
     for g1, g2, c, gout in BRACKETS:
-        lhs = act(g1, act(g2, x, params), params) \
-            - act(g2, act(g1, x, params), params) \
-            - act(gout, x, params).scale(E_RING.const(c))
+        lhs = act(g1, first[g2], params) - act(g2, first[g1], params) \
+            - first[gout].scale(E_RING.const(c))
         if not lhs.evaluate().is_zero():
             return False
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ring import E_RING
+from .ring import E_RING, GradedPoly, mul_terms
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams
 from .statespace import (
     PRIM_ARITY,
@@ -37,23 +37,18 @@ class Word:
         slices = tuple(tuple(s) for s in slices)
         if not slices:
             raise WordError("a word needs at least one slice (use identity_word)")
-        counts = []
-        cur = None
-        for k, sl in enumerate(slices):
-            for p in sl:
-                if p not in PRIM_ARITY:
-                    raise WordError(f"unknown primitive {p!r}")
-            n_in = sum(PRIM_ARITY[p][0] for p in sl)
-            n_out = sum(PRIM_ARITY[p][1] for p in sl)
-            if cur is not None and n_in != cur:
-                raise WordError(f"strand mismatch at slice {k}: {n_in} != {cur}")
-            if cur is None:
-                counts.append(n_in)
-            counts.append(n_out)
-            cur = n_out
         self.slices = slices
-        self.counts = tuple(counts)
+        self.counts = _strand_counts(slices, None)
         self._hash = hash(slices)
+
+    @classmethod
+    def _spliced(cls, slices: tuple, counts: tuple) -> "Word":
+        """A word from slices whose strand counts the caller has checked."""
+        w = object.__new__(cls)
+        w.slices = slices
+        w.counts = counts
+        w._hash = hash(slices)
+        return w
 
     @property
     def n_in(self):
@@ -71,6 +66,25 @@ class Word:
 
     def __repr__(self):
         return " ; ".join("|".join(s) if s else "()" for s in self.slices)
+
+
+def _strand_counts(slices: tuple, cur) -> tuple:
+    """The strand counts between consecutive slices, from cur below the
+    first (None: the first slice's inputs) to above the last; raises
+    WordError on an unknown primitive or a strand mismatch."""
+    counts = []
+    for k, sl in enumerate(slices):
+        for p in sl:
+            if p not in PRIM_ARITY:
+                raise WordError(f"unknown primitive {p!r}")
+        n_in = sum(PRIM_ARITY[p][0] for p in sl)
+        if cur is None:
+            counts.append(n_in)
+        elif n_in != cur:
+            raise WordError(f"strand mismatch at slice {k}: {n_in} != {cur}")
+        cur = sum(PRIM_ARITY[p][1] for p in sl)
+        counts.append(cur)
+    return tuple(counts)
 
 
 def identity_word(n: int) -> Word:
@@ -104,17 +118,26 @@ class Combo:
             self.n_in, self.n_out = w.n_in, w.n_out
         elif (w.n_in, w.n_out) != (self.n_in, self.n_out):
             raise WordError("adding words of different shapes")
-        s = self.terms.get(w, E_RING.zero) + c
+        s = self.terms.get(w)
+        s = c if s is None else s + c
         if s.is_zero():
             self.terms.pop(w, None)
         else:
             self.terms[w] = s
 
+    @classmethod
+    def _of_terms(cls, terms: dict, n_in, n_out) -> "Combo":
+        """A combination owning terms, a dict of nonzero GradedPoly
+        coefficients on words of shape (n_in, n_out)."""
+        out = cls(None, n_in, n_out)
+        out.terms = terms
+        return out
+
     def __add__(self, other: "Combo") -> "Combo":
-        out = Combo(self.terms, self.n_in, self.n_out)
         if other.n_in is not None and self.n_in is not None and \
                 (other.n_in, other.n_out) != (self.n_in, self.n_out):
             raise WordError("shape mismatch")
+        out = Combo._of_terms(dict(self.terms), self.n_in, self.n_out)
         for w, c in other.terms.items():
             out._add(w, c)
         if out.n_in is None:
@@ -122,7 +145,8 @@ class Combo:
         return out
 
     def __neg__(self):
-        return Combo({w: -c for w, c in self.terms.items()}, self.n_in, self.n_out)
+        return Combo._of_terms({w: -c for w, c in self.terms.items()},
+                               self.n_in, self.n_out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -131,7 +155,9 @@ class Combo:
         c = E_RING.coerce(c)
         if c.is_zero():
             return Combo.zero(self.n_in, self.n_out)
-        return Combo({w: v * c for w, v in self.terms.items()}, self.n_in, self.n_out)
+        # Q[E1, E2] has no zero divisors, so no product vanishes
+        return Combo._of_terms({w: v * c for w, v in self.terms.items()},
+                               self.n_in, self.n_out)
 
     def then(self, other: "Combo") -> "Combo":
         """Stack: self applied first, then other."""
@@ -142,7 +168,8 @@ class Combo:
         out = Combo.zero(self.n_in, other.n_out)
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                out._add(Word(w1.slices + w2.slices), c1 * c2)
+                out._add(Word._spliced(w1.slices + w2.slices,
+                                       w1.counts + w2.counts[1:]), c1 * c2)
         return out
 
     def tensor(self, other: "Combo") -> "Combo":
@@ -242,6 +269,9 @@ def _prim_images(g: str, prim: str, p: DtlParams):
 
 
 def _replace_occurrence(w: Word, si: int, pi: int, local: tuple) -> Word:
+    """w with primitive pi of slice si replaced by the local slices, padded
+    with identities.  Only the new slices are validated; the other slices
+    keep their strand counts."""
     sl = w.slices[si]
     before, after = sl[:pi], sl[pi + 1:]
     out_before = sum(PRIM_ARITY[p][1] for p in before)
@@ -249,26 +279,45 @@ def _replace_occurrence(w: Word, si: int, pi: int, local: tuple) -> Word:
     expanded = [before + local[0] + after]
     for ls in local[1:]:
         expanded.append(("id",) * out_before + ls + ("id",) * out_after)
-    return Word(w.slices[:si] + tuple(expanded) + w.slices[si + 1:])
+    counts = _strand_counts(expanded, w.counts[si])
+    if counts[-1] != w.counts[si + 1]:
+        raise WordError(f"image of {sl[pi]!r} has {counts[-1]} output strands "
+                        f"at slice {si}, not {w.counts[si + 1]}")
+    return Word._spliced(w.slices[:si] + tuple(expanded) + w.slices[si + 1:],
+                         w.counts[:si + 1] + counts + w.counts[si + 2:])
 
 
 def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
     """Apply e, f, or h to a word or combination by the full Leibniz rule:
-    one term per primitive occurrence plus the base-coefficient derivative."""
+    one term per primitive occurrence plus the base-coefficient derivative.
+
+    Every contribution to an output word is summed into one exponent ->
+    Fraction dict, and each output word's GradedPoly is built once, at the
+    end.  _prim_images is read, and its coefficients multiplied by a word's
+    coefficient, once per primitive of that word, not once per occurrence."""
     if g not in GENERATORS:
         raise WordError(f"unknown sl2 generator {g!r}")
     if isinstance(x, Word):
         x = Combo.of(x)
-    out = Combo.zero(x.n_in, x.n_out)
+    acc: dict = {}
     for w, coeff in x.terms.items():
         dc = BASE_SPEC.apply(g, coeff)
-        if not dc.is_zero():
-            out._add(w, dc)
+        if dc.terms:
+            _accumulate(acc, w, dc.terms)
+        scaled: dict = {}
         for si, sl in enumerate(w.slices):
             for pi, prim in enumerate(sl):
-                for c, local in _prim_images(g, prim, params):
-                    out._add(_replace_occurrence(w, si, pi, local), coeff * c)
-    return out
+                prim_images = scaled.get(prim)
+                if prim_images is None:
+                    prim_images = scaled[prim] = [
+                        (mul_terms(coeff.terms, c.terms), local)
+                        for c, local in _prim_images(g, prim, params)]
+                for poly, local in prim_images:
+                    _accumulate(acc, _replace_occurrence(w, si, pi, local),
+                                poly)
+    terms = {w: GradedPoly(E_RING, poly)
+             for w, poly in acc.items() if any(poly.values())}
+    return Combo._of_terms(terms, x.n_in, x.n_out)
 
 
 # -- handy combos -----------------------------------------------------------
@@ -300,10 +349,8 @@ def zn_combo(n: int) -> Combo:
     """Alternating sum of single dots: sum_i (-1)^(i-1) dot_i."""
     if n < 0:
         raise WordError("n must be non-negative")
-    out = Combo.zero(n, n)
-    for i in range(n):
-        out = out + primitive_combo("dot", i, n).scale((-1) ** i)
-    return out
+    return Combo({Word((("id",) * i + ("dot",) + ("id",) * (n - 1 - i),)):
+                  (-1) ** i for i in range(n)}, n, n)
 
 
 def ambient(combo: Combo, left: int, right: int) -> Combo:

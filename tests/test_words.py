@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dottedtl import words
 from dottedtl.ring import E_RING, GradedPoly
-from dottedtl.statespace import PRIM_MATRICES, PolyMatrix
+from dottedtl.sl2 import BASE_SPEC
+from dottedtl.statespace import PRIM_ARITY, PRIM_MATRICES, PolyMatrix
 from dottedtl.words import (
     Combo,
     DtlParams,
@@ -503,3 +505,225 @@ def test_doubled_dot_image_fails_relation_preservation(monkeypatch):
                          if c["relation"].startswith(("dot2[", "dotslide["))}
         assert len(dot_relations) == 16
         assert failed == {(r, "f") for r in dot_relations}
+
+
+# -- act against the per-term Leibniz rule ---------------------------------------
+
+def _per_term_replace(w, si, pi, local):
+    sl = w.slices[si]
+    before, after = sl[:pi], sl[pi + 1:]
+    out_before = sum(PRIM_ARITY[p][1] for p in before)
+    out_after = sum(PRIM_ARITY[p][1] for p in after)
+    expanded = [before + local[0] + after]
+    for ls in local[1:]:
+        expanded.append(("id",) * out_before + ls + ("id",) * out_after)
+    return Word(w.slices[:si] + tuple(expanded) + w.slices[si + 1:])
+
+
+def per_term_act(g, x, params):
+    """The earlier act: one Combo._add of a GradedPoly per contribution, and
+    every image word validated from scratch by Word; the oracle of the
+    one-dict-per-output-word act."""
+    out = Combo.zero(x.n_in, x.n_out)
+    for w, coeff in x.terms.items():
+        dc = BASE_SPEC.apply(g, coeff)
+        if not dc.is_zero():
+            out._add(w, dc)
+        for si, sl in enumerate(w.slices):
+            for pi, prim in enumerate(sl):
+                for c, local in words._prim_images(g, prim, params):
+                    out._add(_per_term_replace(w, si, pi, local), coeff * c)
+    return out
+
+
+def _random_coefficient(rng):
+    """A nonzero polynomial with rational, mostly non-constant terms."""
+    return GradedPoly(E_RING, {
+        (rng.randint(0, 2), rng.randint(0, 2)):
+            Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+        for _ in range(rng.randint(1, 3))})
+
+
+def _random_combos(seed, count):
+    rng = random.Random(seed)
+    shapes = [s for s in sorted(WORD_POOL) if len(WORD_POOL[s]) > 1]
+    out = []
+    for _ in range(count):
+        pool = WORD_POOL[rng.choice(shapes)]
+        x = Combo.zero(pool[0].n_in, pool[0].n_out)
+        for w in rng.sample(pool, min(len(pool), rng.randint(1, 5))):
+            x._add(w, _random_coefficient(rng))
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("p", PARAM_SETS, ids=str)
+def test_act_equals_the_per_term_rule(p):
+    combos = _random_combos(23, 40)
+    assert sum(not c.terms[w].is_constant()
+               for c in combos for w in c.terms) > 40
+    for x in combos:
+        for g in ("e", "f", "h"):
+            got, want = act(g, x, p), per_term_act(g, x, p)
+            assert (got.n_in, got.n_out) == (want.n_in, want.n_out)
+            assert got.terms == want.terms
+            assert all(c.terms for c in got.terms.values())
+
+
+def test_act_images_cancelling_to_nothing():
+    """e(dot) = -id and e(-E1/2) = 1, so e(dot - E1/2 * id) has no terms;
+    so have the h-images of relation zeros scaled by E1."""
+    x = primitive_combo("dot") - Combo.of(identity_word(1)).scale(
+        E_RING.gen("E1") / 2)
+    for p in PARAM_SETS:
+        got = act("e", x, p)
+        assert got.terms == {} and got.is_empty()
+        assert (got.n_in, got.n_out) == (1, 1)
+        assert per_term_act("e", x, p).terms == {}
+
+
+# -- the splice: image words without re-validation -------------------------------
+
+def test_spliced_image_words_equal_validated_words():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(60):
+        w = random_word(rng, max_strands=4, max_slices=4)
+        for p in PARAM_SETS:
+            for g in ("e", "f", "h"):
+                for si, sl in enumerate(w.slices):
+                    for pi, prim in enumerate(sl):
+                        for _, local in words._prim_images(g, prim, p):
+                            got = words._replace_occurrence(w, si, pi, local)
+                            want = Word(got.slices)
+                            assert got.slices == want.slices
+                            assert got.counts == want.counts
+                            assert hash(got) == hash(want) and got == want
+                            checked += 1
+    assert checked > 1000
+
+
+def test_stacked_words_equal_validated_words():
+    for x, y in [(primitive_combo("cap", 0, 3), primitive_combo("cup", 1, 1)),
+                 (zn_combo(2), Combo.of(Word((("cap",), ("cup",)))))]:
+        for w in x.then(y).terms:
+            want = Word(w.slices)
+            assert (w.slices, w.counts, hash(w)) == \
+                (want.slices, want.counts, hash(want))
+
+
+@pytest.mark.parametrize("prim,bad", [
+    ("cup", (("cup",), ("cap",))),   # ends on 0 strands, a cup has 2
+    ("dot", (("dot",), ("cup",))),   # second slice takes 0 of 1 strands
+    ("dot", (("cap",),)),            # takes 2 strands, a dot has 1
+    ("cap", (("frob",),)),           # unknown primitive
+])
+def test_wrong_arity_image_raises(monkeypatch, prim, bad):
+    """Negative control of the splice: an image slice list that does not
+    fit the primitive it replaces raises WordError from act."""
+    real = words._prim_images
+
+    def wrong(g, q, p):
+        if (g, q) == ("f", prim):
+            return [(E_RING.one, bad)]
+        return real(g, q, p)
+
+    x = Combo.of(Word((("cup",), ("dot", "id"), ("cap",))))
+    act("f", x, PARAM_SETS[3])
+    monkeypatch.setattr(words, "_prim_images", wrong)
+    with pytest.raises(WordError):
+        act("f", x, PARAM_SETS[3])
+
+
+# -- operation counts --------------------------------------------------------------
+
+def test_act_builds_one_coefficient_per_output_word(monkeypatch):
+    """Operation-count gate: outside _prim_images and BASE_SPEC.apply, act
+    builds exactly one GradedPoly per output word (the per-term rule builds
+    about three per contribution), and calls apply once per input word."""
+    E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
+    x = Combo.zero(2, 2)
+    for slices, c in [((("dot", "id"), ("cap",), ("cup",)), E1),
+                      ((("id", "dot"), ("dot", "id")), E2 - Fraction(1, 2)),
+                      ((("dot", "id"), ("id", "id")), Fraction(3, 2) * E1 * E2),
+                      ((("cap",), ("cup",), ("dot", "dot")), E1 + 7),
+                      ((("id", "id"), ("dot", "id")), E1 * E1)]:
+        x._add(Word(slices), c)
+    inside = [0]
+    counts = {"built": 0, "apply": 0}
+    real_init = GradedPoly.__init__
+    real_images, real_apply = words._prim_images, BASE_SPEC.apply
+
+    def counting_init(self, *args, **kwargs):
+        if not inside[0]:
+            counts["built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def shielded(fn, key=None):
+        def wrapper(*args):
+            inside[0] += 1
+            if key:
+                counts[key] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(words, "_prim_images", shielded(real_images))
+    monkeypatch.setattr(BASE_SPEC, "apply", shielded(real_apply, "apply"))
+    merged = 0
+    for p in PARAM_SETS[1:]:
+        for g in ("e", "f", "h"):
+            want = per_term_act(g, x, p)
+            counts.update(built=0, apply=0)
+            monkeypatch.setattr(GradedPoly, "__init__", counting_init)
+            got = act(g, x, p)
+            monkeypatch.setattr(GradedPoly, "__init__", real_init)
+            assert got.terms == want.terms
+            assert got.terms
+            assert counts == {"built": len(got.terms), "apply": len(x.terms)}
+            merged += len(x.terms) + sum(len(real_images(g, prim, p))
+                                         for w in x.terms for sl in w.slices
+                                         for prim in sl) - len(got.terms)
+    assert merged > 0  # some output words have several contributions
+
+
+def test_combos_are_summed_in_one_pass(monkeypatch):
+    """Operation-count gate: combo_from_matrix and zn_combo make one
+    Combo._add per term (a running out = out + ... makes a quadratic
+    number)."""
+    from dottedtl import expr
+
+    adds = [0]
+    real_add = Combo._add
+
+    def counted(self, w, c):
+        adds[0] += 1
+        return real_add(self, w, c)
+
+    mat = expr.parse_expr("jw(3)").evaluate()
+    monkeypatch.setattr(Combo, "_add", counted)
+    combo = expr.combo_from_matrix(mat, 3, 3)
+    assert len(combo.terms) > 2 and adds[0] == len(combo.terms)
+    for n in range(7):
+        adds[0] = 0
+        assert len(zn_combo(n).terms) == n == adds[0]
+
+
+def test_bracket_check_acts_once_per_generator_on_its_input(monkeypatch):
+    """Operation-count gate: _bracket_holds applies e, f and h to its input
+    once each and each of the six second steps once: 9 act calls, not the
+    15 of applying every bracket's terms afresh."""
+    from dottedtl import selftest
+
+    calls = []
+    real = selftest.act
+
+    def counted(g, x, p):
+        calls.append(g)
+        return real(g, x, p)
+
+    monkeypatch.setattr(selftest, "act", counted)
+    assert selftest._bracket_holds(primitive_combo("cup"), PARAM_SETS[3])
+    assert len(calls) == 9 and sorted(calls) == ["e"] * 3 + ["f"] * 3 + ["h"] * 3
