@@ -5,10 +5,13 @@ q-shift.  The star action on maps between twisted objects is
 statespace.commutator_star at the system's parameters, with the twists of
 source and target, taken on the maps' cores (projectors.TrackedMor):
 every map is p-sandwiched, so a core's star image is the core of the
-map's.  Connecting maps of a Kirby system must be annihilated by e, f,
-and h under it, and that is certified when the system is built, never
-assumed.  A composite's core is the product of the maps' cores.  A system
-computes each star image once and keeps it for the checks that read it.
+map's, G acting on a core side by statespace's diagonal core operator.
+The top level k + 2J is at most projectors.JW_TRACKED_BOUND, as the last
+map U_{k+2J-2} reads p_{k+2J}.  Connecting maps of a Kirby system must be
+annihilated by e, f, and h under it, and that is certified when the
+system is built, never assumed.  A composite's core is the product of the
+maps' cores.  A system computes each star image once and keeps it for the
+checks that read it.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .sl2 import GENERATORS, DtlParams, TwistData
-from .statespace import PolyMatrix, commutator_star
-from .projectors import JW_TRACKED_BOUND, core_side, un
-
-# the last map U_{k+2J-2} reads p_{k+2J}, so the top level is bounded like p_n
-STRAND_BOUND = JW_TRACKED_BOUND
+from .statespace import PolyMatrix, commutator_star, core_side
+from .projectors import JW_TRACKED_BOUND, un
 
 
 class KirbyError(Exception):
@@ -55,11 +55,12 @@ def level_twist(n: int, a2: Fraction) -> TwistData:
 
 def check_size(k: int, J: int) -> None:
     """Raise KirbyError unless k >= 0 and the top level k + 2J fits in
-    STRAND_BOUND strands."""
+    JW_TRACKED_BOUND strands."""
     if k < 0:
         raise KirbyError("k must be non-negative")
-    if k + 2 * J > STRAND_BOUND:
-        raise KirbyError(f"strand bound exceeded: {k + 2 * J} > {STRAND_BOUND}")
+    if k + 2 * J > JW_TRACKED_BOUND:
+        raise KirbyError(
+            f"strand bound exceeded: {k + 2 * J} > {JW_TRACKED_BOUND}")
 
 
 class KirbySystem:

@@ -1,22 +1,21 @@
 """Jones-Wenzl projectors, cores, and the dotted operators z_n, U_n, D_n.
 
-One basis per level n: on each strand b = A1 and v = A0 - (E1/2) A1 (T is
-that change of basis), and u_k sums the words with k v-letters, each signed
-by (-1)^(sum of the 0-based positions of its v-letters).  B_n has columns
-T^(x)n u_k and its left inverse B_n^+ the rows u_k^T T^-(x)n / C(n,k), as
-u_j^T u_k = C(n,k) [j = k] (the sign-twisted symmetric basis of Sym^n,
-Frenkel-Khovanov).  p_n is the closed form B_n B_n^+.  The core of
-F: V_n -> V_m is the (m+1) x (n+1) matrix B_m^+ F B_n; it fixes p_m F p_n,
-cores compose by the product and p_n's core is the identity.
+One basis per level n: on each strand b = A1 and v = A0 - (E1/2) A1 (T,
+statespace.STRAND_BASIS), and u_k sums the words with k v-letters, each
+signed by (-1)^(sum of the 0-based positions of its v-letters).  B_n has
+columns T^(x)n u_k and its left inverse B_n^+ the rows u_k^T T^-(x)n /
+C(n,k), as u_j^T u_k = C(n,k) [j = k] (the sign-twisted symmetric basis
+of Sym^n, Frenkel-Khovanov).  p_n is the closed form B_n B_n^+.  The core
+of F: V_n -> V_m is the (m+1) x (n+1) matrix B_m^+ F B_n; it fixes
+p_m F p_n, cores compose by the product and p_n's core is the identity.
 
-The sl2 action reaches cores through the level operators L_n(g), g read
-on p_n's image in the basis B_n once its image and kernel are checked to
-be g-stable; commutator_star then acts on a core as on a state matrix, so
-the certification of U_n and D_n, the Kirby star images and quiver_check
-all work on cores.  A TrackedMor is a map with its core, accepted after
-the exact check that the map is p-sandwiched.  p_n, B_n, L_n(g), U_n and
-D_n are parameter-free and built once per process; U_n and D_n are
-certified once per parameter pair.
+commutator_star acts on a core as on a state matrix: on a core side G_n
+is statespace._core_operator, diagonal in B_n and built from one strand,
+so the certification of U_n and D_n, the Kirby star images and
+quiver_check all work on cores.  A TrackedMor is a map with its core,
+accepted after the exact check that the map is p-sandwiched.  p_n, B_n,
+U_n and D_n are parameter-free and built once per process; U_n and D_n
+are certified once per parameter pair.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 from .ring import E_RING
 from .sl2 import GENERATORS, DtlParams
-from .statespace import PolyMatrix, commutator_star, derivative, object_operator
+from .statespace import STRAND_BASIS, PolyMatrix, commutator_star, core_side
 from .words import Word, crossing_combo, evaluate_word, zn_combo
 
 E1 = E_RING.gen("E1")
@@ -43,9 +42,8 @@ class ProjectorError(Exception):
 
 # -- the symmetric basis, projectors and cores --------------------------------
 
-# p_n under n, (B_n, B_n^+) under ("basis", n), L_n(g) under ("level", g, n)
-# and L_n(g) + s_n under ("side", g, n, params, a), U_n and D_n under
-# ("u", n) and ("d", n), and True under (kind, n, params) once certified, so
+# p_n under n, (B_n, B_n^+) under ("basis", n), U_n and D_n under ("u", n)
+# and ("d", n), and True under (kind, n, params) once certified, so
 # swapping the dict swaps every derived matrix and certificate with p_n.
 _jw_cache: dict = {}
 
@@ -58,17 +56,11 @@ def _derived(key, build):
     return m
 
 
-def core_side(n: int) -> int:
-    """A core's side at level n: negative, so it equals no strand count."""
-    return -1 - n
-
-
 def _basis(n: int):
     """(B_n, B_n^+): B_n = T^(x)n U, U having the columns u_k, and its left
     inverse B_n^+ = diag(1/C(n,k)) U^T T^-(x)n."""
     def build():
-        t, ti = (PolyMatrix(1, 1, {(0, 0): 1, (0, 1): c * E1, (1, 1): 1})
-                 for c in (Fraction(-1, 2), Fraction(1, 2)))
+        t, ti = STRAND_BASIS
         tn = tin = PolyMatrix.identity(0)
         for _ in range(n):
             tn, tin = tn.tensor(t), tin.tensor(ti)
@@ -113,26 +105,6 @@ class TrackedMor:
             raise ProjectorError(
                 f"map {mat.n_out}<-{mat.n_in} is not p-sandwiched")
         self.mat, self.core = mat, c
-
-
-def level_operator(g: str, n: int) -> PolyMatrix:
-    """L_n(g) = B_n^+ (G_n B_n + d_g B_n), how g acts on p_n's image in
-    the basis B_n, G_n being statespace.object_operator.  Read off once per
-    (g, n), after the exact checks that p_n's image and kernel are
-    g-stable: G_n B_n + d_g B_n = B_n L_n and B_n^+ G_n - d_g B_n^+ =
-    L_n B_n^+.  commutator_star reads it on core sides."""
-    def build():
-        b, bp = _basis(n)
-        gn = object_operator(g, n)
-        gb = gn * b + derivative(g, b)
-        lv = bp * gb
-        if gb != b * lv:
-            raise ProjectorError(f"p_{n}'s image is not {g}-stable")
-        if bp * gn - derivative(g, bp) != lv * bp:
-            raise ProjectorError(f"p_{n}'s kernel is not {g}-stable")
-        return lv
-
-    return _derived(("level", g, n), build)
 
 
 # -- symmetrizer oracle -------------------------------------------------------

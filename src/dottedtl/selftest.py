@@ -172,7 +172,7 @@ def criterion_kirby() -> dict:
     ok = True
     for a2 in (Fraction(0), Fraction(1, 2)):
         for k in (0, 1):
-            J = (kirby.STRAND_BOUND - k) // 2
+            J = (projectors.JW_TRACKED_BOUND - k) // 2
             try:
                 system = kirby.build_kirby(k, J, a2)
             except kirby.KirbyError as exc:

@@ -154,9 +154,9 @@ class PolyMatrix:
     """Sparse rectangular matrix over Q[E1,E2], indexed by state bases.
 
     Shape is recorded in strand counts: a map V_{n_in} -> V_{n_out} has
-    2^{n_out} rows and 2^{n_in} columns; a core's side,
-    projectors.core_side(n) = -1 - n, has n + 1.  Products and sums compare
-    sides, so mixing the kinds raises.  Entries are stored column-major in the
+    2^{n_out} rows and 2^{n_in} columns; a core's side, core_side(n) =
+    -1 - n, has n + 1.  Products and sums compare sides, so mixing the
+    kinds raises.  Entries are stored column-major in the
     canonical packed table of the module docstring; tables are never
     changed once built, so matrices may share them.
 
@@ -328,6 +328,12 @@ class PolyMatrix:
         return f"PolyMatrix({self.n_out}<-{self.n_in}, nnz={self.nnz()})"
 
 
+def core_side(n: int) -> int:
+    """A core's side at level n: negative, so it equals no strand count.
+    It is its own inverse: core_side(core_side(n)) = n."""
+    return -1 - n
+
+
 def side_size(n: int) -> int:
     """The basis size of a side: 2^n for n strands, n + 1 for the core side
     -1 - n of level n."""
@@ -398,6 +404,11 @@ PRIM_MATRICES = {
 }
 
 PRIM_ARITY = {"id": (1, 1), "dot": (1, 1), "cup": (0, 2), "cap": (2, 0)}
+
+# (T, T^-1): T's columns are the strand basis b = A1, v = A0 - (E1/2) A1
+STRAND_BASIS = tuple(
+    PolyMatrix(1, 1, {(A1, A1): 1, (A1, A0): c * E1, (A0, A0): 1})
+    for c in (Fraction(-1, 2), Fraction(1, 2)))
 
 
 def generator_matrix(gen: str, position: int, n: int) -> PolyMatrix:
@@ -521,37 +532,41 @@ def derivative(g: str, F: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_packed(F.n_out, F.n_in, den, acc)
 
 
-def object_operator(g: str, n: int) -> PolyMatrix:
-    """G_n at a1 = a2 = 0 and with no twist: g on V_n strand by strand."""
-    den, table = _object_operator(g, n, DtlParams(), Fraction(0))
-    return _canonical(n, n, den, table, 1)
-
-
 @lru_cache(maxsize=256)
-def _level_scalar(g: str, n: int, params: DtlParams, a: Fraction):
-    """s_n: what the parameter and twist terms of G_n amount to on level n,
-    n times the strand operator's parameter term plus TwistData(a).tau(g).
-    They are scalars only at a1 = 0 (f's a1 term is a dot)."""
-    if params.a1:
-        raise ValueError("the star action on cores needs a1 = 0")
-    term = _strand_operator(g, params) - _strand_operator(g, DtlParams())
-    return term[0, 0] * n + TwistData(a).tau(g)
+def _core_operator(g: str, n: int, params: DtlParams, a: Fraction):
+    """G on the core side -1 - n, in _packed form: L_n(g) = diag_k((n - k)
+    l_b + k l_v), how G_n acts on p_n's image in the basis B_n of
+    projectors, plus the twist term TwistData(a).tau(g).
+
+    l_b and l_v are read once on 2 x 2 matrices: L_1(g) = T^-1 (G_1 T +
+    d_g T), G_1 being _strand_operator and T the strand basis, must be
+    diag(l_b, l_v).  At a1 != 0, L_1(f) is not, as f's dot term sends b
+    to v + (E1/2) b, and f on cores is refused.  For every n: G_n is the sum of
+    the strand operators and d_g is a derivation, so G_n T^(x)n +
+    d_g T^(x)n = T^(x)n D with D diagonal on words, l_b per b-letter and
+    l_v per v-letter.  Column k of B_n = T^(x)n U sums words with k
+    v-letters, so G_n B_n + d_g B_n = B_n L_n(g): p_n's image is
+    g-stable.  As T is invertible, G_1 T + d_g T = T L_1(g) also reads
+    T^-1 G_1 - d_g T^-1 = L_1(g) T^-1, so B_n^+ G_n - d_g B_n^+ =
+    L_n(g) B_n^+: p_n's kernel is g-stable.  The twist term is a scalar
+    on every side.
+    """
+    t, ti = STRAND_BASIS
+    level = ti * (_strand_operator(g, params) * t + derivative(g, t))
+    l_b, l_v = level[A1, A1], level[A0, A0]
+    if level != PolyMatrix(1, 1, {(A1, A1): l_b, (A0, A0): l_v}):
+        raise ValueError("the star action on cores needs a1 = 0: "
+                         f"L_1({g}) is not diagonal on b, v")
+    tau, side = TwistData(a).tau(g), core_side(n)
+    return PolyMatrix(side, side, {(k, k): l_b * (n - k) + l_v * k + tau
+                                   for k in range(n + 1)})._packed()
 
 
 def _side_operator(g: str, side: int, params: DtlParams, a: Fraction):
-    """G on one side of a matrix, in _packed form: _object_operator on n
-    strands; on the core side -1 - n, G_n read through p_n's basis B_n,
-    that is L_n(g) + s_n I, built once per key in the projector cache."""
+    """G on one side of a matrix, in _packed form: n strands or a core."""
     if side >= 0:
         return _object_operator(g, side, params, a)
-    # projectors builds on this module and holds the bases B_n
-    from .projectors import _derived, level_operator
-    n = -1 - side
-    return _derived(("side", g, n, params, a), lambda: linear_combination(
-        side, side, (
-            (1, level_operator(g, n)),
-            (_level_scalar(g, n, params, a), PolyMatrix.identity(side)),
-        ))._packed())
+    return _core_operator(g, core_side(side), params, a)
 
 
 def commutator_star(
@@ -570,11 +585,10 @@ def commutator_star(
     pair, act(g, x, params).evaluate() equals
     commutator_star(g, x.evaluate(), params=params).
 
-    On a core C of F = p_m F p_n the same formula gives the core of g*F,
-    because G_n is read through B_n (_side_operator): p_n's image and
-    kernel are g-stable, so g*F = B_m (L_m C - C L_n + d_g C) B_n^+ and
-    the scalars s_m, s_n of the parameter and twist terms add
-    (s_m - s_n) C.  Cores need a1 = 0.
+    On a core C of F = p_m F p_n the same formula gives the core of g*F:
+    on the core side of level n, G is _core_operator, L_n, how G_n acts
+    on p_n's image in the basis B_n; p_n's image and kernel are g-stable,
+    so g*F = B_m (L_m C - C L_n + d_g C) B_n^+.  f on cores needs a1 = 0.
 
     One pass over the columns of F: G_out F and -F G_in are each one
     _product_column, the product kernel of PolyMatrix.__mul__, and d_g

@@ -191,24 +191,24 @@ def test_leibniz_check_reads_the_map_images():
 
 def test_kirby_workload_computes_each_image_once(monkeypatch):
     """Operation-count gate on the benchmark's kirby calls: no star image is
-    computed on a 2^n-state matrix.  Each p_n, each (B_n, B_n^+), each
-    level operator L_n(g) and each U_n and D_n with its sandwich-checked
-    core is built once, U_n and D_n are certified once per a2, no z_n
-    matrix is cached (quiver_check reads z_n's core off per call), and each
-    star image is computed once per system: 126 commutator_star calls, all
-    on cores (66 certifying U_n and D_n, 36 certifying the level maps, 24
-    for the composites).  Those calls read 252 core-side operators
-    L_n(g) + s_n, built once for each of their 90 distinct keys."""
+    computed on a 2^n-state matrix.  Each p_n, each (B_n, B_n^+) and each
+    U_n and D_n with its sandwich-checked core is built once, U_n and D_n
+    are certified once per a2, no z_n matrix is cached (quiver_check reads
+    z_n's core off per call), and each star image is computed once per
+    system: 126 commutator_star calls, all on cores (66 certifying U_n and
+    D_n, 36 certifying the level maps, 24 for the composites).  Those calls
+    read 252 core-side operators, served by statespace._core_operator from
+    its 90 distinct keys, each built once; the projector cache holds no
+    operator."""
     from dottedtl import projectors, statespace
 
     calls = []
-    core_sides = []
-    real_side = statespace._side_operator
+    core_keys = []
+    real_core_operator = statespace._core_operator
 
-    def counted_side(g, side, params, a):
-        if side < 0:
-            core_sides.append(side)
-        return real_side(g, side, params, a)
+    def counted_core_operator(*key):
+        core_keys.append(key)
+        return real_core_operator(*key)
 
     def counted(*args, **kwargs):
         F = args[1]
@@ -233,7 +233,8 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     monkeypatch.setattr(projectors, "commutator_star", counted)
     monkeypatch.setattr(projectors, "_jw_cache", RecordingCache())
     monkeypatch.setattr(TrackedMor, "__init__", counted_init)
-    monkeypatch.setattr(statespace, "_side_operator", counted_side)
+    monkeypatch.setattr(statespace, "_core_operator", counted_core_operator)
+    real_core_operator.cache_clear()
     a2s = (Fraction(0), Fraction(1, 2))
     for a2 in a2s:
         for k in (0, 1):
@@ -243,7 +244,15 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
         assert projectors.quiver_check(4, DtlParams(Fraction(0), a2))["ok"]
     assert calls.count("state") == 0
     assert calls.count("core") == 126
-    assert len(core_sides) == 252
+    assert len(core_keys) == 252
+    # the untwisted operators at every level and a2, and 42 more at the
+    # twisted Kirby levels
+    assert len(set(core_keys)) == 90
+    assert {(g, n, DtlParams(Fraction(0), a2), Fraction(0))
+            for g in GENERATORS for n in range(8) for a2 in a2s} \
+        <= set(core_keys)
+    info = real_core_operator.cache_info()
+    assert (info.misses, info.hits) == (90, 252 - 90)
     assert len(built) == len(set(built))
     maps = [("u", n) for n in range(6)] + [("d", n) for n in range(2, 7)]
     assert sorted(sandwiched) == sorted(
@@ -253,15 +262,10 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     # p_n at the levels U_n and D_n read; the closed form builds no other
     projections = set(range(2, 8))
     bases = [("basis", n) for n in range(8)]
-    levels = [("level", g, n) for g in GENERATORS for n in range(8)]
-    # the core-side operators: the untwisted ones at every level and a2,
-    # and 42 more at the twisted Kirby levels
-    sides = {k for k in built if isinstance(k, tuple) and k[0] == "side"}
-    assert len(sides) == 90
-    assert {("side", g, n, DtlParams(Fraction(0), a2), Fraction(0))
-            for g in GENERATORS for n in range(8) for a2 in a2s} <= sides
-    assert set(built) == projections | set(bases) | set(levels) \
-        | set(maps) | set(certified) | sides
+    assert set(built) == projections | set(bases) | set(maps) \
+        | set(certified)
+    assert not [key for key in built
+                if isinstance(key, tuple) and key[0] in ("level", "side")]
 
 
 def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):
@@ -269,12 +273,12 @@ def test_kirby_workload_kernels_build_no_graded_poly(monkeypatch):
     kernels (product, commutator_star, scale, +, -, negation, tensor) read
     and write packed int tables and build no GradedPoly.  GradedPoly values
     are counted by wrapping GradedPoly.__init__ while a kernel is on the
-    stack.  The cached operators G_n are built from the twist polynomial
-    TwistData.tau, outside the kernels, and so are the scalars s_n that
-    the parameter and twist terms amount to on core sides
-    (statespace._level_scalar), so one warm-up pass fills those caches
-    before counting; the projector cache starts empty in both passes,
-    so the counted pass makes every product afresh."""
+    stack.  The cached operators G_n on strands and on core sides are
+    built from the twist polynomial TwistData.tau, outside the kernels
+    (statespace._object_operator and statespace._core_operator), so one
+    warm-up pass fills those caches before counting; the projector cache
+    starts empty in both passes, so the counted pass makes every product
+    afresh."""
     from dottedtl import projectors, statespace
     from dottedtl.ring import GradedPoly
 

@@ -6,11 +6,13 @@ from math import comb
 import pytest
 
 import dottedtl.words as words
-from dottedtl import expr, projectors, selftest
+from dottedtl import expr, projectors, selftest, statespace
 from dottedtl.ring import E_RING
-from dottedtl.statespace import PolyMatrix, commutator_star, generator_matrix
+from dottedtl.statespace import (PolyMatrix, commutator_star, derivative,
+                                 generator_matrix)
 from dottedtl.words import (Combo, DtlParams, Word, evaluate_word,
                             identity_word, verify_relations, zn_combo)
+from test_statespace import tensor_sum_object_operator
 
 P0 = DtlParams(Fraction(0), Fraction(0))
 PH = DtlParams(Fraction(0), Fraction(1, 2))
@@ -496,18 +498,88 @@ def test_quiver_check_multiplies_no_state_matrices(monkeypatch):
 A2S = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-2))
 
 
+def level_read_off(g, n, params=P0, a=Fraction(0), basis=None):
+    """Oracle: how G_n acts on p_n's image in the basis B_n, read off the
+    2^n states as B_n^+ (G_n B_n + d_g B_n) after the exact checks that
+    p_n's image and kernel are g-stable: G_n B_n + d_g B_n = B_n L and
+    B_n^+ G_n - d_g B_n^+ = L B_n^+.  G_n is the tensor sum of strand
+    operators with the twist term, so at P0 with no twist L is L_n(g) and
+    otherwise it includes the scalars the parameter and twist terms amount
+    to.  basis defaults to projectors' (B_n, B_n^+)."""
+    b, bp = basis or projectors._basis(n)
+    gn = tensor_sum_object_operator(g, n, params, a)
+    gb = gn * b + derivative(g, b)
+    lv = bp * gb
+    if gb != b * lv:
+        raise projectors.ProjectorError(f"p_{n}'s image is not {g}-stable")
+    if bp * gn - derivative(g, bp) != lv * bp:
+        raise projectors.ProjectorError(f"p_{n}'s kernel is not {g}-stable")
+    return lv
+
+
+def core_operator(g, n, params, a):
+    """statespace._core_operator as a matrix on the core side of level n."""
+    return PolyMatrix.from_packed(SIDE(n), SIDE(n),
+                                  *statespace._core_operator(g, n, params, a))
+
+
 def test_level_operators_have_closed_forms():
     """L_n(e) = 0, L_n(f) = diag((k - n/2) E1) and L_n(h) = diag(n - 2k)
-    for every n <= 8, each read off once."""
+    for every n <= 8, at a1 = a2 = 0 with no twist: read off the states
+    and from _core_operator, which builds each once."""
     for n in range(projectors.JW_TRACKED_BOUND + 1):
         side = SIDE(n)
-        lv = {g: projectors.level_operator(g, n) for g in "efh"}
-        assert lv["e"] == PolyMatrix(side, side)
-        assert lv["f"] == PolyMatrix(side, side, {
-            (k, k): E1 * Fraction(2 * k - n, 2) for k in range(n + 1)})
-        assert lv["h"] == PolyMatrix(side, side, {
-            (k, k): n - 2 * k for k in range(n + 1)})
-        assert projectors.level_operator("f", n) is lv["f"]
+        want = {
+            "e": PolyMatrix(side, side),
+            "f": PolyMatrix(side, side, {
+                (k, k): E1 * Fraction(2 * k - n, 2) for k in range(n + 1)}),
+            "h": PolyMatrix(side, side, {
+                (k, k): n - 2 * k for k in range(n + 1)}),
+        }
+        for g in "efh":
+            assert level_read_off(g, n) == want[g]
+            assert core_operator(g, n, P0, Fraction(0)) == want[g]
+            assert statespace._core_operator(g, n, P0, Fraction(0)) \
+                is statespace._core_operator(g, n, P0, Fraction(0))
+
+
+def test_core_operator_equals_the_state_read_off():
+    """The core-side operator built from one strand equals the read-off
+    of G_n on p_n's image for e, f and h, every n <= 8 and every a2 of
+    A2S, with zero twists and with the Kirby level twists.  At a1 != 0 it
+    does for e and h, and f, whose a1 term is a dot, is refused."""
+    from dottedtl.kirby import level_twist
+
+    a1 = DtlParams(Fraction(3, 7), Fraction(-5, 2))
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
+        for a2 in A2S:
+            p = DtlParams(Fraction(0), a2)
+            for a in (Fraction(0), level_twist(n, a2).a):
+                for g in "efh":
+                    assert core_operator(g, n, p, a) \
+                        == level_read_off(g, n, p, a), (g, n, a2, a)
+        for g in "eh":
+            assert core_operator(g, n, a1, Fraction(0)) \
+                == level_read_off(g, n, a1), (g, n)
+        with pytest.raises(ValueError, match="needs a1 = 0"):
+            statespace._core_operator("f", n, a1, Fraction(0))
+
+
+def test_strand_operator_not_diagonal_on_b_v_is_refused(monkeypatch):
+    """Negative control of _core_operator's check: with a dot added to
+    each strand operator (the dot sends b to v + (E1/2) b), L_1(g) is not
+    diagonal on b, v, and the core-side operator raises for each g, also
+    through commutator_star on a core."""
+    real = statespace._strand_operator
+    dot = statespace.PRIM_MATRICES["dot"]
+    monkeypatch.setattr(statespace, "_strand_operator",
+                        lambda g, params: real(g, params) + dot)
+    statespace._core_operator.cache_clear()
+    for g in "efh":
+        with pytest.raises(ValueError, match=rf"L_1\({g}\) is not diagonal"):
+            statespace._core_operator(g, 3, P0, Fraction(0))
+    with pytest.raises(ValueError):
+        commutator_star("h", PolyMatrix.identity(SIDE(3)))
 
 
 def random_core(rng, m, n):
@@ -579,11 +651,11 @@ def test_bare_dotted_cup_and_cap_are_not_p_sandwiched():
                 projectors.TrackedMor(bare)
 
 
-def test_perturbed_basis_fails_the_stability_checks(monkeypatch):
-    """Negative controls of level_operator's two checks, on a swapped-in
-    basis pair of level 4: one perturbed entry of B_4 fails the image
-    check for each g; B_4^+ + Y(id - p_4), still a left inverse of B_4,
-    passes it and fails the kernel check."""
+def test_perturbed_basis_fails_the_stability_checks():
+    """Negative controls of the read-off oracle's two checks, on a basis
+    pair of level 4: one perturbed entry of B_4 fails the image check for
+    each g; B_4^+ + Y(id - p_4), still a left inverse of B_4, passes it and
+    fails the kernel check."""
     n = 4
     b, bp = projectors._basis(n)
     y = PolyMatrix(SIDE(n), n, {(0, 1): 1})
@@ -591,10 +663,7 @@ def test_perturbed_basis_fails_the_stability_checks(monkeypatch):
     assert bp_bad * b == PolyMatrix.identity(SIDE(n)) and bp_bad != bp
     for pair, part in (((entry_added(b, E1), bp), "image"),
                        ((b, bp_bad), "kernel")):
-        monkeypatch.setattr(projectors, "_jw_cache", {("basis", n): pair})
         for g in "efh":
             with pytest.raises(projectors.ProjectorError,
                                match=f"p_4's {part} is not {g}-stable"):
-                projectors.level_operator(g, n)
-        with pytest.raises(projectors.ProjectorError):
-            commutator_star("h", PolyMatrix.identity(SIDE(n)))
+                level_read_off(g, n, basis=pair)
