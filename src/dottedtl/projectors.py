@@ -5,17 +5,12 @@ statespace.STRAND_BASIS), and u_k sums the words with k v-letters, each
 signed by (-1)^(sum of the 0-based positions of its v-letters).  B_n has
 columns T^(x)n u_k and its left inverse B_n^+ the rows u_k^T T^-(x)n /
 C(n,k), as u_j^T u_k = C(n,k) [j = k] (the sign-twisted symmetric basis
-of Sym^n, Frenkel-Khovanov).  p_n is the closed form B_n B_n^+.  The core
-of F: V_n -> V_m is the (m+1) x (n+1) matrix B_m^+ F B_n; it fixes
-p_m F p_n, cores compose by the product and p_n's core is the identity.
-
-commutator_star acts on a core as on a state matrix: on a core side G_n
-is statespace._core_operator, diagonal in B_n and built from one strand,
-so the certification of U_n and D_n, the Kirby star images and
-quiver_check all work on cores.  A TrackedMor is a map with its core,
-accepted after the exact check that the map is p-sandwiched.  p_n, B_n,
-U_n and D_n are parameter-free and built once per process; U_n and D_n
-are certified once per parameter pair.
+of Sym^n, Frenkel-Khovanov), both written entry by entry (_closed_basis)
+and checked by B_n^+ B_n = I, so p_n = B_n B_n^+ is idempotent.  The core
+of F: V_n -> V_m is B_m^+ F B_n; it fixes p_m F p_n, cores compose by the
+product and p_n's core is the identity.  commutator_star acts on cores
+(statespace._core_operator), so U_n and D_n (built once per process, by
+_u_map and _d_map) are certified on cores, as are the Kirby star images.
 """
 
 from __future__ import annotations
@@ -25,11 +20,10 @@ from fractions import Fraction
 
 from .ring import E_RING
 from .sl2 import GENERATORS, DtlParams
-from .statespace import STRAND_BASIS, PolyMatrix, commutator_star, core_side
+from .statespace import PolyMatrix, commutator_star, core_side
 from .words import Word, crossing_combo, evaluate_word, zn_combo
 
-E1 = E_RING.gen("E1")
-E2 = E_RING.gen("E2")
+E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
 
 JW_TRACKED_BOUND = 8
 # the symmetrizer oracle runs at every level p_n is built
@@ -56,23 +50,43 @@ def _derived(key, build):
     return m
 
 
+def _closed_basis(n: int):
+    """(B_n, B_n^+) as packed tables: for a state s with the A0 positions S,
+    B_n[s, k] = sigma(S) (-E1/2)^(k-|S|) e_(k-|S|)(positions not in S) and
+    B_n^+[k, s] = (E1/2)^(|S|-k) e_k(S) / C(n,k), where sigma(S) =
+    prod_{p in S} (-1)^p and e_j(P) is the j-th elementary symmetric
+    polynomial of the signs (-1)^p, p in P."""
+    def elementary(a, c):  # e_0, e_1, ... of a signs +1 and c signs -1
+        return [sum((-1) ** i * math.comb(a, j - i) * math.comb(c, i)
+                    for i in range(j + 1)) for j in range(a + c + 1)]
+
+    top, odds = 2 ** n, sum(1 << b for b in range(n) if (n - 1 - b) % 2)
+    den = math.lcm(*(math.comb(n, k) for k in range(n + 1)))
+    b_cols, bp_cols, parts = {k: {} for k in range(n + 1)}, {}, {}
+    for s in range(top):  # bit b of s is the strand at position n-1-b
+        size, odd = bin(s).count("1"), bin(s & odds).count("1")
+        if (size, odd) not in parts:  # entries depend on S through these
+            out = elementary(n - n // 2 - size + odd, n // 2 - odd)
+            parts[size, odd] = (
+                [(size + j, {j << 32: (-1) ** (odd + j) * 2 ** (n - j) * e})
+                 for j, e in enumerate(out) if e],
+                {k: {(size - k) << 32: e * 2 ** (n - size + k)
+                     * (den // math.comb(n, k))}
+                 for k, e in enumerate(elementary(size - odd, odd)) if e})
+        row, bp_cols[s] = parts[size, odd]
+        for k, t in row:
+            b_cols[k][s] = t
+    return (PolyMatrix.from_packed(n, core_side(n), top, b_cols),
+            PolyMatrix.from_packed(core_side(n), n, den * top, bp_cols))
+
+
 def _basis(n: int):
-    """(B_n, B_n^+): B_n = T^(x)n U, U having the columns u_k, and its left
-    inverse B_n^+ = diag(1/C(n,k)) U^T T^-(x)n."""
+    """(B_n, B_n^+) from _closed_basis, accepted only if B_n^+ B_n = I."""
     def build():
-        t, ti = STRAND_BASIS
-        tn = tin = PolyMatrix.identity(0)
-        for _ in range(n):
-            tn, tin = tn.tensor(t), tin.tensor(ti)
-        den = math.lcm(*(math.comb(n, k) for k in range(n + 1)))
-        u, ut = {}, {}
-        for i in range(2 ** n):  # bit b of i is the strand at position n-1-b
-            sign = (-1) ** sum(n - 1 - b for b in range(n) if i >> b & 1)
-            k = bin(i).count("1")
-            u.setdefault(k, {})[i] = {0: sign}
-            ut[i] = {k: {0: sign * den // math.comb(n, k)}}
-        return (tn * PolyMatrix.from_packed(n, core_side(n), 1, u),
-                PolyMatrix.from_packed(core_side(n), n, den, ut) * tin)
+        b, bp = _closed_basis(n)
+        if bp * b != PolyMatrix.identity(core_side(n)):
+            raise ProjectorError(f"B_{n}^+ is not a left inverse of B_{n}")
+        return b, bp
 
     return _derived(("basis", n), build)
 
@@ -93,18 +107,35 @@ def core(F: PolyMatrix) -> PolyMatrix:
 
 
 class TrackedMor:
-    """A map F: P_n -> P_m as its state matrix and its core C, accepted
-    only after the exact check F = B_m C B_n^+, which says F = p_m F p_n,
-    so that C fixes F and every check on C decides the same on F."""
+    """A map F: P_n -> P_m as its state matrix and its core C, with F =
+    B_m C B_n^+ checked by its builder, so checks on C decide F's."""
 
     __slots__ = ("mat", "core")
 
-    def __init__(self, mat: PolyMatrix):
-        c = core(mat)
-        if _basis(mat.n_out)[0] * (c * _basis(mat.n_in)[1]) != mat:
-            raise ProjectorError(
-                f"map {mat.n_out}<-{mat.n_in} is not p-sandwiched")
-        self.mat, self.core = mat, c
+    def __init__(self, mat: PolyMatrix, core: PolyMatrix):
+        self.mat, self.core = mat, core
+
+
+def _u_map(n: int, x: PolyMatrix) -> TrackedMor:
+    """p_{n+2} X for X: V_n -> V_{n+2}, whose core is C = Y B_n, Y =
+    B_{n+2}^+ X; only its right side is open: it is p-sandwiched iff
+    Y = C B_n^+, on thin products (B_{n+2} is injective)."""
+    y = _basis(n + 2)[1] * x
+    c = y * _basis(n)[0]
+    if c * _basis(n)[1] != y:
+        raise ProjectorError(f"map {n + 2}<-{n} is not p-sandwiched")
+    return TrackedMor(jw(n + 2) * x, c)
+
+
+def _d_map(n: int, x: PolyMatrix) -> TrackedMor:
+    """n(n-1) X p_n for X: V_n -> V_{n-2}; only its left side is open: it
+    is p-sandwiched iff Y = X B_n has B_{n-2} B_{n-2}^+ Y = Y, on thin
+    products (B_n^+ is surjective), and its core is n(n-1) B_{n-2}^+ Y."""
+    y = x * _basis(n)[0]
+    c = _basis(n - 2)[1] * y
+    if _basis(n - 2)[0] * c != y:
+        raise ProjectorError(f"map {n - 2}<-{n} is not p-sandwiched")
+    return TrackedMor((x * jw(n)).scale(n * (n - 1)), c.scale(n * (n - 1)))
 
 
 # -- symmetrizer oracle -------------------------------------------------------
@@ -144,10 +175,9 @@ def _certify(name: str, t: TrackedMor, params: DtlParams, f_eig, h_eig):
 
 
 def _certified(kind: str, n: int, params: DtlParams, build, f_eig, h_eig):
-    """U_n or D_n, built and sandwich-checked once, certified once per
-    parameter pair.  A failed certification is not recorded, so it raises
-    on every call."""
-    t = _derived((kind, n), lambda: TrackedMor(build()))
+    """U_n or D_n, built once and certified once per parameter pair; a
+    failed certification is not recorded, so it raises on every call."""
+    t = _derived((kind, n), build)
     if (kind, n, params) not in _jw_cache:
         _certify(f"{kind.upper()}_{n}", t, params, f_eig, h_eig)
         _jw_cache[kind, n, params] = True
@@ -158,8 +188,7 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """U_n = p_{n+2} o (id^n (x) dotted cup) o p_n, certified at params.
     One dot carries the side-independent dotted cup, and p_n is absorbed:
     (id^n (x) cup) o p_n = (p_n (x) id^2) o (id^n (x) cup) and p_{n+2} o
-    (p_n (x) id^2) = p_{n+2}, so U_n is one product, and TrackedMor's
-    sandwich check confirms U_n = p_{n+2} U_n p_n exactly."""
+    (p_n (x) id^2) = p_{n+2}, so U_n is the one product of _u_map."""
     if n < 0:
         raise ProjectorError("n must be non-negative")
     if params.a1 != 0:
@@ -167,7 +196,7 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 
     def build():
         cup = evaluate_word(Word((("cup",), ("dot", "id"))))
-        return jw(n + 2) * PolyMatrix.identity(n).tensor(cup)
+        return _u_map(n, PolyMatrix.identity(n).tensor(cup))
 
     a2 = params.a2
     return _certified("u", n, params, build, (1 - a2) * E1, 2 * a2 - 2)
@@ -176,7 +205,7 @@ def un(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     """D_n = n(n-1) * p_{n-2} o (id^(n-2) (x) dotted cap) o p_n, certified
     at params; p_{n-2} is absorbed as in U_n, so D_n is the one product
-    n(n-1) * (id^(n-2) (x) dotted cap) o p_n."""
+    n(n-1) * (id^(n-2) (x) dotted cap) o p_n of _d_map."""
     if n < 2:
         raise ProjectorError("D_n needs n >= 2")
     if params.a1 != 0:
@@ -184,8 +213,7 @@ def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
 
     def build():
         cap = evaluate_word(Word((("dot", "id"), ("cap",))))
-        mid = PolyMatrix.identity(n - 2).tensor(cap)
-        return (mid * jw(n)).scale(n * (n - 1))
+        return _d_map(n, PolyMatrix.identity(n - 2).tensor(cap))
 
     a2 = params.a2
     return _certified("d", n, params, build, (1 + a2) * E1, -2 * a2 - 2)

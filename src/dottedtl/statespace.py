@@ -532,31 +532,38 @@ def derivative(g: str, F: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_packed(F.n_out, F.n_in, den, acc)
 
 
-@lru_cache(maxsize=256)
-def _core_operator(g: str, n: int, params: DtlParams, a: Fraction):
-    """G on the core side -1 - n, in _packed form: L_n(g) = diag_k((n - k)
-    l_b + k l_v), how G_n acts on p_n's image in the basis B_n of
-    projectors, plus the twist term TwistData(a).tau(g).
-
-    l_b and l_v are read once on 2 x 2 matrices: L_1(g) = T^-1 (G_1 T +
-    d_g T), G_1 being _strand_operator and T the strand basis, must be
-    diag(l_b, l_v).  At a1 != 0, L_1(f) is not, as f's dot term sends b
-    to v + (E1/2) b, and f on cores is refused.  For every n: G_n is the sum of
-    the strand operators and d_g is a derivation, so G_n T^(x)n +
-    d_g T^(x)n = T^(x)n D with D diagonal on words, l_b per b-letter and
-    l_v per v-letter.  Column k of B_n = T^(x)n U sums words with k
-    v-letters, so G_n B_n + d_g B_n = B_n L_n(g): p_n's image is
-    g-stable.  As T is invertible, G_1 T + d_g T = T L_1(g) also reads
-    T^-1 G_1 - d_g T^-1 = L_1(g) T^-1, so B_n^+ G_n - d_g B_n^+ =
-    L_n(g) B_n^+: p_n's kernel is g-stable.  The twist term is a scalar
-    on every side.
-    """
+@lru_cache(maxsize=64)
+def _strand_level(g: str, params: DtlParams):
+    """(l_b, l_v): L_1(g) = T^-1 (G_1 T + d_g T), G_1 being _strand_operator
+    and T the strand basis, read once per (g, params) on 2 x 2 matrices,
+    and checked exactly to be diag(l_b, l_v).  At a1 != 0, L_1(f) is not,
+    as f's dot term sends b to v + (E1/2) b, and f on cores is refused."""
     t, ti = STRAND_BASIS
     level = ti * (_strand_operator(g, params) * t + derivative(g, t))
     l_b, l_v = level[A1, A1], level[A0, A0]
     if level != PolyMatrix(1, 1, {(A1, A1): l_b, (A0, A0): l_v}):
         raise ValueError("the star action on cores needs a1 = 0: "
                          f"L_1({g}) is not diagonal on b, v")
+    return l_b, l_v
+
+
+@lru_cache(maxsize=256)
+def _core_operator(g: str, n: int, params: DtlParams, a: Fraction):
+    """G on the core side -1 - n, in _packed form: L_n(g) = diag_k((n - k)
+    l_b + k l_v), how G_n acts on p_n's image in the basis B_n of
+    projectors, plus the twist term TwistData(a).tau(g), with l_b and l_v
+    from _strand_level.
+
+    For every n: G_n is the sum of the strand operators and d_g is a
+    derivation, so G_n T^(x)n + d_g T^(x)n = T^(x)n D with D diagonal on
+    words, l_b per b-letter and l_v per v-letter.  Column k of B_n =
+    T^(x)n U sums words with k v-letters, so G_n B_n + d_g B_n = B_n
+    L_n(g): p_n's image is g-stable.  As T is invertible, G_1 T + d_g T =
+    T L_1(g) also reads T^-1 G_1 - d_g T^-1 = L_1(g) T^-1, so B_n^+ G_n -
+    d_g B_n^+ = L_n(g) B_n^+: p_n's kernel is g-stable.  The twist term is
+    a scalar on every side.
+    """
+    l_b, l_v = _strand_level(g, params)
     tau, side = TwistData(a).tau(g), core_side(n)
     return PolyMatrix(side, side, {(k, k): l_b * (n - k) + l_v * k + tau
                                    for k in range(n + 1)})._packed()

@@ -301,8 +301,9 @@ def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
         x = Combo.of(x)
     acc: dict = {}
     for w, coeff in x.terms.items():
-        dc = BASE_SPEC.apply(g, coeff)
-        if dc.terms:
+        # d_g of a constant is zero, so apply runs on the others only
+        dc = None if coeff.is_constant() else BASE_SPEC.apply(g, coeff)
+        if dc:
             _accumulate(acc, w, dc.terms)
         scaled: dict = {}
         for si, sl in enumerate(w.slices):

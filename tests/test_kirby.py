@@ -10,6 +10,7 @@ from dottedtl.sl2 import GENERATORS, DtlParams
 from dottedtl.statespace import PolyMatrix, commutator_star
 from dottedtl.words import Combo, Word
 from dottedtl.projectors import TrackedMor, _basis, un
+from test_projectors import sandwiched
 
 
 def test_level_twist_flatness():
@@ -154,7 +155,7 @@ def _perturbed_map(F, v=E_RING.gen("E1")):
     """F with v added at its core's first stored entry: still p-sandwiched,
     so it is a map between the same projector levels."""
     (b, _), (_, bp) = _basis(F.mat.n_out), _basis(F.mat.n_in)
-    return TrackedMor(F.mat + b * _one_entry(F.core, v) * bp)
+    return sandwiched(F.mat + b * _one_entry(F.core, v) * bp)
 
 
 def test_swapped_map_is_recomputed_not_served_stale():
@@ -198,8 +199,9 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     system: 126 commutator_star calls, all on cores (66 certifying U_n and
     D_n, 36 certifying the level maps, 24 for the composites).  Those calls
     read 252 core-side operators, served by statespace._core_operator from
-    its 90 distinct keys, each built once; the projector cache holds no
-    operator."""
+    its 90 distinct keys, each built once, and those read the strand step
+    L_1(g) (statespace._strand_level) once per (g, a2): 6 reads on 2 x 2
+    matrices; the projector cache holds no operator."""
     from dottedtl import projectors, statespace
 
     calls = []
@@ -222,12 +224,12 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
             built.append(key)
             super().__setitem__(key, value)
 
-    sandwiched = []
+    tracked = []
     real_init = TrackedMor.__init__
 
-    def counted_init(self, mat):
-        sandwiched.append((mat.n_out, mat.n_in))
-        real_init(self, mat)
+    def counted_init(self, mat, core):
+        tracked.append((mat.n_out, mat.n_in))
+        real_init(self, mat, core)
 
     monkeypatch.setattr(kirby, "commutator_star", counted)
     monkeypatch.setattr(projectors, "commutator_star", counted)
@@ -235,6 +237,7 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     monkeypatch.setattr(TrackedMor, "__init__", counted_init)
     monkeypatch.setattr(statespace, "_core_operator", counted_core_operator)
     real_core_operator.cache_clear()
+    statespace._strand_level.cache_clear()
     a2s = (Fraction(0), Fraction(1, 2))
     for a2 in a2s:
         for k in (0, 1):
@@ -253,9 +256,11 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
         <= set(core_keys)
     info = real_core_operator.cache_info()
     assert (info.misses, info.hits) == (90, 252 - 90)
+    info = statespace._strand_level.cache_info()
+    assert (info.misses, info.hits) == (6, 90 - 6)
     assert len(built) == len(set(built))
     maps = [("u", n) for n in range(6)] + [("d", n) for n in range(2, 7)]
-    assert sorted(sandwiched) == sorted(
+    assert sorted(tracked) == sorted(
         (n + 2, n) if kind == "u" else (n - 2, n) for kind, n in maps)
     certified = [(kind, n, DtlParams(Fraction(0), a2))
                  for kind, n in maps for a2 in a2s]

@@ -1,15 +1,16 @@
 """Projectors, cores, certified dotted cup/cap maps, quiver relations."""
 
+import json
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 import dottedtl.words as words
-from dottedtl import expr, projectors, selftest, statespace
+from dottedtl import cli, expr, projectors, selftest, statespace
 from dottedtl.ring import E_RING
-from dottedtl.statespace import (PolyMatrix, commutator_star, derivative,
-                                 generator_matrix)
+from dottedtl.statespace import (STRAND_BASIS, PolyMatrix, commutator_star,
+                                 derivative, generator_matrix)
 from dottedtl.words import (Combo, DtlParams, Word, evaluate_word,
                             identity_word, verify_relations, zn_combo)
 from test_statespace import tensor_sum_object_operator
@@ -19,6 +20,7 @@ PH = DtlParams(Fraction(0), Fraction(1, 2))
 E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
 DOTTED_CUP = Word((("cup",), ("dot", "id")))
 DOTTED_CAP = Word((("dot", "id"), ("cap",)))
+SIDE = projectors.core_side
 
 
 def entry_added(m, v):
@@ -31,6 +33,37 @@ def from_core(c):
     """The state matrix B_m c B_n^+ of a core c."""
     return projectors._basis(-1 - c.n_out)[0] * c \
         * projectors._basis(-1 - c.n_in)[1]
+
+
+def sandwiched(mat):
+    """Oracle: the general check for any map F: V_n -> V_m, read its core
+    C = B_m^+ F B_n, then require F = B_m C B_n^+ (F is p-sandwiched) on
+    2^m x 2^n states.  un and dn check only the side their factorisation
+    leaves open, on thin products."""
+    c = projectors.core(mat)
+    if from_core(c) != mat:
+        raise projectors.ProjectorError(
+            f"map {mat.n_out}<-{mat.n_in} is not p-sandwiched")
+    return projectors.TrackedMor(mat, c)
+
+
+def tensor_basis(n):
+    """Oracle: (B_n, B_n^+) as the products T^(x)n U and diag(1/C(n,k))
+    U^T T^-(x)n, T the strand basis and U the signed columns u_k, at 3^n
+    cost through the tensor powers of T."""
+    t, ti = STRAND_BASIS
+    tn = tin = PolyMatrix.identity(0)
+    for _ in range(n):
+        tn, tin = tn.tensor(t), tin.tensor(ti)
+    den = lcm(*(comb(n, k) for k in range(n + 1)))
+    u, ut = {}, {}
+    for i in range(2 ** n):  # bit b of i is the strand at position n-1-b
+        sign = (-1) ** sum(n - 1 - b for b in range(n) if i >> b & 1)
+        k = bin(i).count("1")
+        u.setdefault(k, {})[i] = {0: sign}
+        ut[i] = {k: {0: sign * den // comb(n, k)}}
+    return (tn * PolyMatrix.from_packed(n, SIDE(n), 1, u),
+            PolyMatrix.from_packed(SIDE(n), n, den, ut) * tin)
 
 
 _WENZL = {}
@@ -60,7 +93,6 @@ def zn_sandwich(n):
 
 # the closed core formulas, with q = (E1^2 - 4E2)/4 = -ring.delta()/4
 Q = (E1 * E1 - 4 * E2) * Fraction(1, 4)
-SIDE = projectors.core_side
 
 
 def z_core_formula(n):
@@ -131,7 +163,9 @@ def test_p2_closed_form():
 
 
 def test_projector_identities():
-    for n in range(7):
+    """p_n^2 = p_n on 2^n states for every n <= 8: the oracle of the thin
+    left-inverse check that decides idempotence in `jw n`."""
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
         m = projectors.jw(n)
         assert m * m == m
         for i in range(n - 1):
@@ -155,6 +189,57 @@ def test_basis_is_a_left_inverse_pair():
         assert bp * b == PolyMatrix(SIDE(n), SIDE(n),
                                     {(k, k): 1 for k in range(n + 1)})
         assert projectors._basis(n) is projectors._basis(n)
+
+
+def test_closed_basis_equals_the_tensor_construction():
+    """The closed-form B_n and B_n^+ have exactly the packed tables of the
+    T^(x)n U construction, for every n <= 10 (past the projector bound)."""
+    for n in range(11):
+        b, bp = projectors._basis(n)
+        tb, tbp = tensor_basis(n)
+        assert (b._packed(), bp._packed()) == (tb._packed(), tbp._packed()), n
+
+
+REAL_CLOSED_BASIS = projectors._closed_basis
+
+
+def perturbed_closed_basis(n):
+    """_closed_basis with E1 added at the first stored entry of B_n^+."""
+    b, bp = REAL_CLOSED_BASIS(n)
+    return b, entry_added(bp, E1)
+
+
+def test_perturbed_left_inverse_is_refused(monkeypatch):
+    """Negative control of _basis's check: with one entry of B_n^+
+    perturbed, B_n^+ B_n is not the identity, and _basis (and so jw)
+    raises, for every n <= 5; nothing is cached."""
+    monkeypatch.setattr(projectors, "_jw_cache", {})
+    monkeypatch.setattr(projectors, "_closed_basis", perturbed_closed_basis)
+    for n in range(6):
+        for build in (projectors._basis, projectors.jw):
+            with pytest.raises(projectors.ProjectorError,
+                               match=f"B_{n}\\^\\+ is not a left inverse"):
+                build(n)
+    assert projectors._jw_cache == {}
+
+
+def test_jw_command_decides_idempotence_by_the_left_inverse(monkeypatch,
+                                                            capsys):
+    """`jw n` reads its idempotence line off B_n^+ B_n = I, with no 2^n x
+    2^n product: with a perturbed pair and its p_6 = B_6 B_6^+ in the
+    projector cache, p_6 is not idempotent, and the line fails with exit
+    status 1 (the symmetrizer line fails too).  n = 6 is past the jw
+    macro's bound, so no diagram form is normalised."""
+    assert cli.main(["jw", "6", "--json"]) == 0
+    capsys.readouterr()
+    b, bp = perturbed_closed_basis(6)
+    p = b * bp
+    assert p * p != p
+    monkeypatch.setattr(projectors, "_jw_cache", {("basis", 6): (b, bp),
+                                                  6: p})
+    assert cli.main(["jw", "6", "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert {"check": "idempotent", "status": "fail"} in rep["checks"]
 
 
 def test_symmetrizer_oracle_bound():
@@ -235,7 +320,7 @@ def test_perturbed_un_fails_certification():
         u = projectors.un(2, p)
         f_eig, h_eig = (1 - a2) * E1, 2 * a2 - 2
         projectors._certify("U_2", u, p, f_eig, h_eig)
-        bad = projectors.TrackedMor(from_core(entry_added(u.core, E1)))
+        bad = sandwiched(from_core(entry_added(u.core, E1)))
         with pytest.raises(projectors.ProjectorError):
             projectors._certify("U_2", bad, p, f_eig, h_eig)
 
@@ -256,18 +341,23 @@ def test_un_dn_single_product_equals_sandwich():
     """U_n and D_n, each one product after absorbing a projector, equal the
     three-factor sandwiches p_{n+2} (id^n (x) dotted cup) p_n and
     n(n-1) p_{n-2} (id^(n-2) (x) dotted cap) p_n, for every n the
-    projector bound allows."""
+    projector bound allows (n <= 6 and 2 <= n <= 8), and so do their
+    cores, read off the sandwiches by the general sandwich oracle."""
     cup = Combo.of(Word((("cup",), ("dot", "id")))).evaluate()
     cap = Combo.of(Word((("dot", "id"), ("cap",)))).evaluate()
     bound = projectors.JW_TRACKED_BOUND
     for n in range(bound - 1):
-        sandwich = projectors.jw(n + 2) * PolyMatrix.identity(n).tensor(cup) \
-            * projectors.jw(n)
-        assert projectors.un(n, P0).mat == sandwich, n
+        want = sandwiched(projectors.jw(n + 2)
+                          * PolyMatrix.identity(n).tensor(cup)
+                          * projectors.jw(n))
+        got = projectors.un(n, P0)
+        assert (got.mat, got.core) == (want.mat, want.core), n
     for n in range(2, bound + 1):
-        sandwich = projectors.jw(n - 2) \
-            * PolyMatrix.identity(n - 2).tensor(cap) * projectors.jw(n)
-        assert projectors.dn(n, P0).mat == sandwich.scale(n * (n - 1)), n
+        want = sandwiched((projectors.jw(n - 2)
+                           * PolyMatrix.identity(n - 2).tensor(cap)
+                           * projectors.jw(n)).scale(n * (n - 1)))
+        got = projectors.dn(n, P0)
+        assert (got.mat, got.core) == (want.mat, want.core), n
 
 
 def test_quiver_reduces_factors_before_multiplying():
@@ -355,7 +445,7 @@ def test_quiver_check_fails_with_sign_flipped_cap_map(monkeypatch):
 
     def flipped(n, params=P0):
         d = orig(n, params)
-        return projectors.TrackedMor(d.mat.scale(E_RING.const(-1)))
+        return sandwiched(d.mat.scale(E_RING.const(-1)))
 
     monkeypatch.setattr(projectors, "dn", flipped)
     for n_max in (2, 4):
@@ -377,13 +467,14 @@ def test_certification_failure_raises():
 
 def test_swapped_projector_cache_swaps_derived_matrices(monkeypatch):
     """Derived matrices and certificates live in the projector cache: with a
-    perturbed B_4 swapped in, U_2 (which reads B_4) fails its checks on
-    every call, and nothing built during the swap outlives it."""
-    projectors.un(2, P0)  # built and certified with the real B_4
+    perturbed B_4^+ swapped in, U_2 (whose thin check reads B_4^+) fails
+    its checks on every call, and nothing built during the swap outlives
+    it."""
+    projectors.un(2, P0)  # built and certified with the real B_4^+
     b, bp = projectors._basis(4)
     with monkeypatch.context() as m:
         m.setattr(projectors, "_jw_cache",
-                  {("basis", 4): (entry_added(b, E1), bp)})
+                  {("basis", 4): (b, entry_added(bp, E1))})
         for _ in range(2):
             with pytest.raises(projectors.ProjectorError):
                 projectors.un(2, P0)
@@ -449,7 +540,7 @@ def test_quiver_core_verdicts_equal_state_space_verdicts(monkeypatch, flip):
     if flip:
         orig = projectors.dn
         monkeypatch.setattr(projectors, "dn", lambda n, params=P0: (
-            projectors.TrackedMor(orig(n, params).mat.scale(-1))))
+            sandwiched(orig(n, params).mat.scale(-1))))
     rep = projectors.quiver_check(6, PH)
     got = [c["status"] for c in rep["checks"]]
     assert got == state_quiver(6, PH)
@@ -463,7 +554,7 @@ def test_perturbed_core_fails_its_oracle_and_d_u(monkeypatch):
     bad = entry_added(real_dn(4, P0).core, E1)
     assert real_dn(4, P0).core == d_core_formula(4)
     assert bad != d_core_formula(4)
-    bad_map = projectors.TrackedMor(from_core(bad))
+    bad_map = sandwiched(from_core(bad))
     assert bad_map.core == bad
     monkeypatch.setattr(projectors, "dn", lambda n, params=P0: (
         bad_map if n == 4 else real_dn(n, params)))
@@ -575,6 +666,7 @@ def test_strand_operator_not_diagonal_on_b_v_is_refused(monkeypatch):
     monkeypatch.setattr(statespace, "_strand_operator",
                         lambda g, params: real(g, params) + dot)
     statespace._core_operator.cache_clear()
+    statespace._strand_level.cache_clear()
     for g in "efh":
         with pytest.raises(ValueError, match=rf"L_1\({g}\) is not diagonal"):
             statespace._core_operator(g, 3, P0, Fraction(0))
@@ -604,10 +696,10 @@ def star_oracle_maps():
         maps.append((f"U_{n}", projectors.un(n)))
         if n >= 2:
             maps.append((f"D_{n}", projectors.dn(n)))
-        maps.append((f"z_{n}", projectors.TrackedMor(zn_sandwich(n))))
+        maps.append((f"z_{n}", sandwiched(zn_sandwich(n))))
         for m in (n - 2, n, n + 2):
             if m >= 0:
-                maps.append((f"R_{m}<-{n}", projectors.TrackedMor(
+                maps.append((f"R_{m}<-{n}", sandwiched(
                     from_core(random_core(rng, m, n)))))
     return maps
 
@@ -640,7 +732,7 @@ def test_core_star_needs_a1_zero():
 
 
 def test_bare_dotted_cup_and_cap_are_not_p_sandwiched():
-    """Negative control of the sandwich check: id_n (x) dotted cup and
+    """Negative control of the sandwich oracle: id_n (x) dotted cup and
     id_n (x) dotted cap without the projectors are refused."""
     cup, cap = evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
     for n in range(5):
@@ -648,7 +740,66 @@ def test_bare_dotted_cup_and_cap_are_not_p_sandwiched():
                      PolyMatrix.identity(n).tensor(cap)):
             with pytest.raises(projectors.ProjectorError,
                                match="not p-sandwiched"):
-                projectors.TrackedMor(bare)
+                sandwiched(bare)
+
+
+def test_thin_checks_refuse_a_factor_that_does_not_commute_with_p():
+    """Negative controls of the thin checks: a dot on strand 0 composed
+    into X on the side the factorisation leaves open (the input of
+    id_n (x) dotted cup, the output of id_{n-2} (x) dotted cap) does not
+    commute with the projector there, and _u_map and _d_map refuse the
+    map, as the sandwich oracle refuses its state matrix.  The factors
+    without the dot pass both."""
+    cup, cap = evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
+    for n in range(2, 6):
+        x = PolyMatrix.identity(n).tensor(cup)
+        sandwiched(projectors._u_map(n, x).mat)
+        bad = x * generator_matrix("dot", 0, n)
+        with pytest.raises(projectors.ProjectorError,
+                           match=f"map {n + 2}<-{n} is not p-sandwiched"):
+            projectors._u_map(n, bad)
+        with pytest.raises(projectors.ProjectorError,
+                           match="not p-sandwiched"):
+            sandwiched(projectors.jw(n + 2) * bad)
+    for n in range(4, 8):
+        x = PolyMatrix.identity(n - 2).tensor(cap)
+        sandwiched(projectors._d_map(n, x).mat)
+        bad = generator_matrix("dot", 0, n - 2) * x
+        with pytest.raises(projectors.ProjectorError,
+                           match=f"map {n - 2}<-{n} is not p-sandwiched"):
+            projectors._d_map(n, bad)
+        with pytest.raises(projectors.ProjectorError,
+                           match="not p-sandwiched"):
+            sandwiched(bad * projectors.jw(n))
+
+
+def test_un_dn_make_no_state_product_but_p_n_and_the_maps(monkeypatch):
+    """Operation-count gate: building un(0..5) and dn(2..6) from an empty
+    projector cache makes no product whose result has 2^m rows and 2^n
+    columns, other than p_n = B_n B_n^+ once per level read (2..7) and
+    the .mat products p_{n+2} X and X' p_n once per map.  The dotted cup
+    and cap words are evaluated before counting; evaluate_word caches
+    them."""
+    evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
+    monkeypatch.setattr(projectors, "_jw_cache", {})
+    shapes = []
+    real = PolyMatrix.__mul__
+
+    def recorded(self, other):
+        shapes.append(((self.n_out, self.n_in), (other.n_out, other.n_in)))
+        return real(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", recorded)
+    for n in range(6):
+        projectors.un(n, P0)
+    for n in range(2, 7):
+        projectors.dn(n, P0)
+    states = [s for s in shapes if min(s[0][0], s[1][1]) >= 0]
+    want = [((n, SIDE(n)), (SIDE(n), n)) for n in range(2, 8)]
+    want += [((n + 2, n + 2), (n + 2, n)) for n in range(6)]
+    want += [((n - 2, n), (n, n)) for n in range(2, 7)]
+    assert sorted(states) == sorted(want)
+    assert len(shapes) > len(states)
 
 
 def test_perturbed_basis_fails_the_stability_checks():

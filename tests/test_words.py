@@ -640,15 +640,20 @@ def test_wrong_arity_image_raises(monkeypatch, prim, bad):
 def test_act_builds_one_coefficient_per_output_word(monkeypatch):
     """Operation-count gate: outside _prim_images and BASE_SPEC.apply, act
     builds exactly one GradedPoly per output word (the per-term rule builds
-    about three per contribution), and calls apply once per input word."""
+    about three per contribution), and calls apply once per input word
+    with a non-constant coefficient: the derivation of a constant is zero,
+    and the constant word's images still reach the output."""
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
     x = Combo.zero(2, 2)
     for slices, c in [((("dot", "id"), ("cap",), ("cup",)), E1),
                       ((("id", "dot"), ("dot", "id")), E2 - Fraction(1, 2)),
                       ((("dot", "id"), ("id", "id")), Fraction(3, 2) * E1 * E2),
                       ((("cap",), ("cup",), ("dot", "dot")), E1 + 7),
-                      ((("id", "id"), ("dot", "id")), E1 * E1)]:
+                      ((("id", "id"), ("dot", "id")), E1 * E1),
+                      ((("dot", "dot"),), E_RING.const(Fraction(-5, 3)))]:
         x._add(Word(slices), c)
+    varying = [w for w, c in x.terms.items() if not c.is_constant()]
+    assert len(varying) == len(x.terms) - 1
     inside = [0]
     counts = {"built": 0, "apply": 0}
     real_init = GradedPoly.__init__
@@ -682,7 +687,7 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
             monkeypatch.setattr(GradedPoly, "__init__", real_init)
             assert got.terms == want.terms
             assert got.terms
-            assert counts == {"built": len(got.terms), "apply": len(x.terms)}
+            assert counts == {"built": len(got.terms), "apply": len(varying)}
             merged += len(x.terms) + sum(len(real_images(g, prim, p))
                                          for w in x.terms for sl in w.slices
                                          for prim in sl) - len(got.terms)
