@@ -103,7 +103,7 @@ class KirbySystem:
                         f"level map U_{src.n} not annihilated by {g}* "
                         f"(k={self.k}, j={j}, a2={self.a2})"
                     )
-            deg = F.mat.qdegree()
+            deg = F.core.qdegree()  # cores are graded like their maps
             net = None if deg is None else deg + tgt.twist.q_shift - src.twist.q_shift
             if net != 0:
                 raise KirbyError(

@@ -10,7 +10,8 @@ and checked by B_n^+ B_n = I, so p_n = B_n B_n^+ is idempotent.  The core
 of F: V_n -> V_m is B_m^+ F B_n; it fixes p_m F p_n, cores compose by the
 product and p_n's core is the identity.  commutator_star acts on cores
 (statespace._core_operator), so U_n and D_n (built once per process, by
-_u_map and _d_map) are certified on cores, as are the Kirby star images.
+_u_map and _d_map) are certified on cores, as are the Kirby star images;
+z_n's core is written from one strand (_z_core).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 
 from .ring import E_RING
 from .sl2 import GENERATORS, DtlParams
-from .statespace import PolyMatrix, commutator_star, core_side
-from .words import Word, crossing_combo, evaluate_word, zn_combo
+from .statespace import (A0, A1, PRIM_MATRICES, STRAND_BASIS, PolyMatrix,
+                         _canonical, commutator_star, core_side)
+from .words import Word, crossing_combo, evaluate_word
 
 E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
 
@@ -36,9 +38,9 @@ class ProjectorError(Exception):
 
 # -- the symmetric basis, projectors and cores --------------------------------
 
-# p_n under n, (B_n, B_n^+) under ("basis", n), U_n and D_n under ("u", n)
-# and ("d", n), and True under (kind, n, params) once certified, so
-# swapping the dict swaps every derived matrix and certificate with p_n.
+# p_n under n, (B_n, B_n^+) under ("basis", n), N = T^-1 dot T under "dot",
+# U_n, D_n under ("u", n), ("d", n), True under (kind, n, params) once
+# certified: swapping the dict swaps every derived matrix and certificate.
 _jw_cache: dict = {}
 
 
@@ -48,6 +50,14 @@ def _derived(key, build):
     if m is None:
         m = _jw_cache[key] = build()
     return m
+
+
+def _classes(n: int) -> list:
+    """(|S|, #odd p in S) per state s, S its A0 positions p = n-1-b (bits b
+    of s): B_n's row s and B_n^+'s column s depend only on it."""
+    odds = sum(1 << b for b in range(n) if (n - 1 - b) % 2)
+    return [(bin(s).count("1"), bin(s & odds).count("1"))
+            for s in range(2 ** n)]
 
 
 def _closed_basis(n: int):
@@ -60,12 +70,10 @@ def _closed_basis(n: int):
         return [sum((-1) ** i * math.comb(a, j - i) * math.comb(c, i)
                     for i in range(j + 1)) for j in range(a + c + 1)]
 
-    top, odds = 2 ** n, sum(1 << b for b in range(n) if (n - 1 - b) % 2)
     den = math.lcm(*(math.comb(n, k) for k in range(n + 1)))
     b_cols, bp_cols, parts = {k: {} for k in range(n + 1)}, {}, {}
-    for s in range(top):  # bit b of s is the strand at position n-1-b
-        size, odd = bin(s).count("1"), bin(s & odds).count("1")
-        if (size, odd) not in parts:  # entries depend on S through these
+    for s, (size, odd) in enumerate(_classes(n)):
+        if (size, odd) not in parts:  # each class's entries, built once
             out = elementary(n - n // 2 - size + odd, n // 2 - odd)
             parts[size, odd] = (
                 [(size + j, {j << 32: (-1) ** (odd + j) * 2 ** (n - j) * e})
@@ -76,8 +84,8 @@ def _closed_basis(n: int):
         row, bp_cols[s] = parts[size, odd]
         for k, t in row:
             b_cols[k][s] = t
-    return (PolyMatrix.from_packed(n, core_side(n), top, b_cols),
-            PolyMatrix.from_packed(core_side(n), n, den * top, bp_cols))
+    return (PolyMatrix.from_packed(n, core_side(n), 2 ** n, b_cols),
+            PolyMatrix.from_packed(core_side(n), n, den * 2 ** n, bp_cols))
 
 
 def _basis(n: int):
@@ -92,18 +100,33 @@ def _basis(n: int):
 
 
 def jw_tracked(n: int) -> PolyMatrix:
-    """p_n = B_n B_n^+; every call returns the cached matrix."""
+    """The cached p_n = B_n B_n^+: B_n times one column of B_n^+ per class
+    (_classes), each product column shared by the states of its class."""
     if n < 0 or n > JW_TRACKED_BOUND:
         raise ProjectorError(f"projector bound exceeded: n={n}")
-    return _derived(n, lambda: _basis(n)[0] * _basis(n)[1])
+
+    def build():
+        b, bp = _basis(n)
+        den, table = bp._packed()
+        classes = _classes(n)
+        reps = {c: s for s, c in enumerate(classes)}
+        half = b * PolyMatrix.from_packed(bp.n_out, n, den, {
+            s: table[s] for s in reps.values()})
+        # every (nonzero) column of half is copied: the content stays 1
+        den, table = half._packed()
+        return _canonical(n, n, den, {s: table[reps[c]]
+                                      for s, c in enumerate(classes)}, 1)
+
+    return _derived(n, build)
 
 
 jw = jw_tracked
 
 
-def core(F: PolyMatrix) -> PolyMatrix:
-    """The core B_m^+ F B_n of p_m F p_n, for F: V_n -> V_m."""
-    return _basis(F.n_out)[1] * F * _basis(F.n_in)[0]
+def idempotent(n: int) -> bool:
+    """p_n^2 = p_n, decided by B_n^+ B_n = I on the cached pair."""
+    b, bp = _basis(n)
+    return bp * b == PolyMatrix.identity(b.n_in)
 
 
 class TrackedMor:
@@ -219,6 +242,28 @@ def dn(n: int, params: DtlParams = DtlParams()) -> TrackedMor:
     return _certified("d", n, params, build, (1 + a2) * E1, -2 * a2 - 2)
 
 
+def _z_core(n: int) -> PolyMatrix:
+    """The core Z of z_n = sum_i (-1)^i dot_i: [n odd] E1/2 on the diagonal,
+    k + 1 below, (n - k) q above, q = (E1^2 - 4E2)/4, once N = T^-1 dot T
+    (T the strand basis) is checked to be (E1/2) I + (b -> v) + q (v -> b).
+    For all n, dot_i T^(x)n = T^(x)n N_i, whose (E1/2) I parts sum to [n odd]
+    E1/2; as sigma(S) (-1)^i = sigma(S + i), the signed raisings send u_k to
+    (k+1) u_(k+1), the lowerings to (n-k+1) q u_(k-1), so z_n B_n = B_n Z."""
+    def strand_step():  # read and checked once per projector cache
+        t, ti = STRAND_BASIS
+        half, q = E1 * Fraction(1, 2), (E1 * E1 - 4 * E2) * Fraction(1, 4)
+        if ti * PRIM_MATRICES["dot"] * t != PolyMatrix(1, 1, {
+                (A1, A1): half, (A0, A0): half, (A0, A1): 1, (A1, A0): q}):
+            raise ProjectorError("T^-1 dot T is not of the checked form")
+        return half, q
+
+    half, q = _derived("dot", strand_step)
+    entries = {(k, k): half for k in range(n + 1) if n % 2}
+    for k in range(n):
+        entries[k + 1, k], entries[k, k + 1] = k + 1, q * (n - k)
+    return PolyMatrix(core_side(n), core_side(n), entries)
+
+
 def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
     """-z_n^2 + k(E1^2 - 4E2)p_n + [n odd](E1 z_n - E2 p_n), the core of
     D_{n+2}U_n (k = floor((n+2)^2/4)) and of U_{n-2}D_n (k = floor(n^2/4)),
@@ -234,8 +279,8 @@ def _quiver_rhs(n: int, k: int, z: PolyMatrix, z2: PolyMatrix):
 
 def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
     """The relations among U, D, z in the projector category, on cores: U_n
-    and D_n the cached cores of the certified un and dn, z_n the bare dot
-    sum's.
+    and D_n the cached cores of the certified un and dn, z_n's from
+    _z_core.
     D_{n+2}U_n, U_{n-2}D_n (_quiver_rhs) and the z-intertwinings are exact
     identities; z_n^{n+1} = 0 holds at E1 = E2 = 0 (constant_terms: a ring
     homomorphism that makes T the identity, so a core reduces to 0 exactly
@@ -244,29 +289,24 @@ def quiver_check(n_max: int = 5, params: DtlParams = DtlParams()) -> dict:
         raise ProjectorError(
             f"n_max must be between 0 and {JW_TRACKED_BOUND}, got {n_max}")
     checks = []
-    zs = {}
+    zs = [_z_core(n) for n in range(n_max + 3)]
 
     def record(name, ok):
         checks.append({"relation": name, "status": "pass" if ok else "fail"})
 
-    def zn(n):  # each z_n core is read off once per call
-        if n not in zs:
-            zs[n] = core(zn_combo(n).evaluate())
-        return zs[n]
-
     for n in range(n_max + 1):
-        z = zn(n)
+        z = zs[n]
         z2 = z * z
         if n + 4 <= JW_TRACKED_BOUND:
             u, d = un(n, params).core, dn(n + 2, params).core
             rhs, text = _quiver_rhs(n, (n + 2) ** 2 // 4, z, z2)
             record(f"D_{n+2}U_{n} = {text}", d * u == rhs)
-            record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d == d * zn(n + 2))
+            record(f"z_{n}D_{n+2} = D_{n+2}z_{n+2}", z * d == d * zs[n + 2])
         if n >= 2:
             u, d = un(n - 2, params).core, dn(n, params).core
             rhs, text = _quiver_rhs(n, n * n // 4, z, z2)
             record(f"U_{n-2}D_{n} = {text}", u * d == rhs)
-            record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u == u * zn(n - 2))
+            record(f"z_{n}U_{n-2} = U_{n-2}z_{n-2}", z * u == u * zs[n - 2])
         zpow = zmod = z.constant_terms()
         for _ in range(n):
             zpow = zpow * zmod

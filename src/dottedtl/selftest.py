@@ -90,7 +90,7 @@ def criterion_projectors() -> dict:
                    - cc.scale(E_RING.const(Fraction(1, 2)))))
     for n in range(7):
         m = projectors.jw(n)
-        checks.append((f"p{n} idempotent", m * m == m))
+        checks.append((f"p{n} idempotent", projectors.idempotent(n)))
         killed = all(
             (generator_matrix("cap", i, n) * m).is_zero()
             for i in range(n - 1)

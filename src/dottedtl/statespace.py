@@ -39,13 +39,15 @@ _EXP_MASK = (1 << _EXP_BITS) - 1
 
 
 def basis_weight(index: int, n: int) -> int:
-    """h-weight of a basis word: (#A1) - (#A0)."""
-    ones = bin(index).count("1")
-    return n - 2 * ones
+    """h-weight of a basis word: (#A1) - (#A0); on the core side -1 - m,
+    m - 2k for u_k (b = A1 and v = A0 - (E1/2) A1 are homogeneous)."""
+    if n < 0:
+        return core_side(n) - 2 * index
+    return n - 2 * bin(index).count("1")
 
 
 def basis_qdegree(index: int, n: int) -> int:
-    """q-degree of a basis word: (#A0) - (#A1)."""
+    """q-degree of a basis word or core basis vector: (#A0) - (#A1)."""
     return -basis_weight(index, n)
 
 

@@ -91,11 +91,57 @@ def test_composites_and_closure():
 
 
 def test_net_degree_zero():
+    """Each level map's state matrix has net q-degree 0, and its core, which
+    the system's certificate reads, has the same q-degree."""
     system = kirby.build_kirby(1, 2, Fraction(0))
     for F, j in zip(system.maps, range(2)):
         deg = F.mat.qdegree()
+        assert F.core.qdegree() == deg
         src, tgt = system.levels[j], system.levels[j + 1]
         assert deg + tgt.twist.q_shift - src.twist.q_shift == 0
+
+
+def test_inhomogeneous_core_fails_the_net_degree_check(monkeypatch):
+    """Negative control of the net q-degree certificate, which reads the
+    maps' cores: with the star check bypassed (every star image zero), a
+    level map whose core has one entry made inhomogeneous is refused for
+    its q-degree; the real maps pass under the same bypass."""
+    monkeypatch.setattr(kirby, "star_act_twisted",
+                        lambda g, C, src, tgt, params:
+                        PolyMatrix(C.n_out, C.n_in))
+    assert kirby.build_kirby(0, 2, Fraction(1, 2)).report()["ok"]
+    real_un = kirby.un
+
+    def bad_un(n, params):
+        F = real_un(n, params)
+        if n != 2:
+            return F
+        bad = _one_entry(F.core, E_RING.one + E_RING.gen("E1"))
+        return TrackedMor(F.mat, F.core + bad)
+
+    monkeypatch.setattr(kirby, "un", bad_un)
+    with pytest.raises(kirby.KirbyError,
+                       match="U_2 has net q-degree None, expected 0"):
+        kirby.build_kirby(0, 2, Fraction(1, 2))
+
+
+def test_kirby_workload_reads_no_strand_qdegree(monkeypatch):
+    """Operation-count gate on the benchmark's kirby systems: the net
+    q-degree certificates read qdegree on cores only, one call per level
+    map (12 over k in (0, 1) and a2 in (0, 1/2), three maps each)."""
+    sides = []
+    real = PolyMatrix.qdegree
+
+    def recorded(self):
+        sides.append((self.n_out, self.n_in))
+        return real(self)
+
+    monkeypatch.setattr(PolyMatrix, "qdegree", recorded)
+    for a2 in (Fraction(0), Fraction(1, 2)):
+        for k in (0, 1):
+            kirby.build_kirby(k, 3, a2)
+    assert len(sides) == 12
+    assert not [s for s in sides if max(s) >= 0]
 
 
 def test_every_composite_is_checked_directly():
@@ -194,8 +240,9 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     """Operation-count gate on the benchmark's kirby calls: no star image is
     computed on a 2^n-state matrix.  Each p_n, each (B_n, B_n^+) and each
     U_n and D_n with its sandwich-checked core is built once, U_n and D_n
-    are certified once per a2, no z_n matrix is cached (quiver_check reads
-    z_n's core off per call), and each star image is computed once per
+    are certified once per a2, the strand step T^-1 dot T of the z_n
+    cores is read once (quiver_check writes each z_n core per call, and
+    no z_n matrix is cached), and each star image is computed once per
     system: 126 commutator_star calls, all on cores (66 certifying U_n and
     D_n, 36 certifying the level maps, 24 for the composites).  Those calls
     read 252 core-side operators, served by statespace._core_operator from
@@ -268,7 +315,7 @@ def test_kirby_workload_computes_each_image_once(monkeypatch):
     projections = set(range(2, 8))
     bases = [("basis", n) for n in range(8)]
     assert set(built) == projections | set(bases) | set(maps) \
-        | set(certified)
+        | set(certified) | {"dot"}
     assert not [key for key in built
                 if isinstance(key, tuple) and key[0] in ("level", "side")]
 

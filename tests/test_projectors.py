@@ -29,6 +29,12 @@ def entry_added(m, v):
     return m + PolyMatrix(m.n_out, m.n_in, {(i, j): v})
 
 
+def core(F):
+    """Oracle: the core B_m^+ F B_n of p_m F p_n, for F: V_n -> V_m, read
+    off 2^m x 2^n states."""
+    return projectors._basis(F.n_out)[1] * F * projectors._basis(F.n_in)[0]
+
+
 def from_core(c):
     """The state matrix B_m c B_n^+ of a core c."""
     return projectors._basis(-1 - c.n_out)[0] * c \
@@ -40,7 +46,7 @@ def sandwiched(mat):
     C = B_m^+ F B_n, then require F = B_m C B_n^+ (F is p-sandwiched) on
     2^m x 2^n states.  un and dn check only the side their factorisation
     leaves open, on thin products."""
-    c = projectors.core(mat)
+    c = core(mat)
     if from_core(c) != mat:
         raise projectors.ProjectorError(
             f"map {mat.n_out}<-{mat.n_in} is not p-sandwiched")
@@ -175,10 +181,13 @@ def test_projector_identities():
 
 def test_recursion_equals_symmetrizer():
     """The Wenzl recursion, the coset-product symmetrizer and the closed
-    form B_n B_n^+ agree at every level."""
+    form agree at every level n <= 8, and p_n, built from one column of
+    B_n^+ per class, has the packed table of the full product B_n B_n^+."""
     for n in range(projectors.JW_TRACKED_BOUND + 1):
         assert wenzl(n) == projectors.jw_bruteforce(n)
         assert projectors.jw(n) == wenzl(n), n
+        b, bp = projectors._basis(n)
+        assert projectors.jw(n)._packed() == (b * bp)._packed(), n
 
 
 def test_basis_is_a_left_inverse_pair():
@@ -257,6 +266,21 @@ def test_perturbed_projector_fails_symmetrizer_check(monkeypatch):
     assert not rep["ok"]
     assert status["p4 equals symmetrizer"] == "fail"
     assert status["p3 equals symmetrizer"] == "pass"
+
+
+def test_perturbed_basis_fails_the_idempotence_line(monkeypatch):
+    """Criterion 3 reads "p4 idempotent" off B_4^+ B_4 = I on the cached
+    pair: with one entry of the cached B_4^+ perturbed (and p_4 built from
+    that pair), the line fails, and the other levels' lines pass."""
+    b, bp = projectors._basis(4)
+    monkeypatch.setattr(projectors, "_jw_cache",
+                        {("basis", 4): (b, entry_added(bp, E1))})
+    rep = selftest.criterion_projectors()
+    status = {c["check"]: c["status"] for c in rep["checks"]}
+    assert not rep["ok"]
+    assert status["p4 idempotent"] == "fail"
+    assert [n for n in range(7) if status[f"p{n} idempotent"] == "fail"] \
+        == [4]
 
 
 def test_perturbed_p2_fails_the_projector_action_criterion(monkeypatch):
@@ -366,7 +390,7 @@ def test_quiver_reduces_factors_before_multiplying():
     power, and a state matrix reduces to zero exactly when its core does."""
     mod = PolyMatrix.constant_terms
     for n in range(5):
-        z = projectors.core(zn_combo(n).evaluate())
+        z = core(zn_combo(n).evaluate())
         assert mod(z) * mod(z) == mod(z * z)
         zz = zn_sandwich(n) * zn_sandwich(n)
         assert mod(zz).is_zero() == mod(z * z).is_zero()
@@ -492,22 +516,71 @@ def test_core_formulas_read_off_the_bare_diagrams():
     and from the certified maps."""
     cup, cap = evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
     for n in range(projectors.JW_TRACKED_BOUND + 1):
-        assert projectors.core(zn_combo(n).evaluate()) == z_core_formula(n)
+        assert core(zn_combo(n).evaluate()) == z_core_formula(n)
     for n in range(projectors.JW_TRACKED_BOUND - 1):
         want = u_core_formula(n)
-        assert projectors.core(PolyMatrix.identity(n).tensor(cup)) == want
-        assert projectors.core(projectors.un(n, P0).mat) == want, n
+        assert core(PolyMatrix.identity(n).tensor(cup)) == want
+        assert core(projectors.un(n, P0).mat) == want, n
     for n in range(2, projectors.JW_TRACKED_BOUND + 1):
         bare = PolyMatrix.identity(n - 2).tensor(cap)
-        assert projectors.core(bare).scale(n * (n - 1)) == d_core_formula(n)
-        assert projectors.core(projectors.dn(n, P0).mat) \
+        assert core(bare).scale(n * (n - 1)) == d_core_formula(n)
+        assert core(projectors.dn(n, P0).mat) \
             == d_core_formula(n), n
+
+
+def test_z_core_from_one_strand_equals_the_state_read_off():
+    """The z_n core quiver_check builds from the strand step equals the
+    core read off the bare dot sum's 2^n state matrix and the closed
+    formula, for every n <= 8."""
+    for n in range(projectors.JW_TRACKED_BOUND + 1):
+        z = projectors._z_core(n)
+        assert z == core(zn_combo(n).evaluate()), n
+        assert z == z_core_formula(n), n
+
+
+@pytest.mark.parametrize("bad", ["shifted", "negated"])
+def test_strand_dot_of_another_shape_is_refused(monkeypatch, bad):
+    """Negative control of _z_core's strand check: with the dot matrix
+    shifted by the identity (N's diagonal is no longer E1/2) or negated
+    (every entry of N changes sign), T^-1 dot T is not of the checked
+    form, and _z_core and quiver_check raise on every call; nothing is
+    cached."""
+    dot = statespace.PRIM_MATRICES["dot"]
+    wrong = {"shifted": dot + PolyMatrix.identity(1),
+             "negated": -dot}[bad]
+    monkeypatch.setattr(projectors, "_jw_cache", {})
+    monkeypatch.setitem(statespace.PRIM_MATRICES, "dot", wrong)
+    for n in (0, 1, 2, 3, 0):
+        with pytest.raises(projectors.ProjectorError,
+                           match="T\\^-1 dot T is not of the checked form"):
+            projectors._z_core(n)
+    with pytest.raises(projectors.ProjectorError):
+        projectors.quiver_check(0)
+    assert projectors._jw_cache == {}
+
+
+def test_quiver_check_fails_with_a_sign_flipped_z_core(monkeypatch):
+    """Negative control of the z_n cores: with the entry (1, 0) of z_2's
+    core negated, the relations that read z_2 fail, and only they."""
+    real = projectors._z_core
+
+    def flipped(n):
+        z = real(n)
+        if n == 2:
+            z = z - PolyMatrix(z.n_out, z.n_in, {(1, 0): 2 * z[1, 0]})
+        return z
+
+    assert flipped(2) != z_core_formula(2)
+    monkeypatch.setattr(projectors, "_z_core", flipped)
+    rep = projectors.quiver_check(4, PH)
+    failed = [c["relation"] for c in rep["checks"] if c["status"] != "pass"]
+    assert not rep["ok"]
+    assert failed and all("z_2" in name for name in failed)
 
 
 def test_core_of_a_composite_is_the_product_of_cores():
     """core(G F) = core(G) core(F) when G absorbs the projector between
     them, as the certified U and D maps do."""
-    core = projectors.core
     for n in range(5):
         u, d = projectors.un(n, PH).mat, projectors.dn(n + 2, PH).mat
         assert core(d * u) == core(d) * core(u)
@@ -522,7 +595,7 @@ def test_core_of_a_composite_is_the_product_of_cores():
 
 def test_core_and_state_matrix_do_not_mix():
     z = zn_combo(3).evaluate()
-    c = projectors.core(z)
+    c = core(z)
     with pytest.raises(ValueError):
         c * z
     with pytest.raises(ValueError):
@@ -565,23 +638,85 @@ def test_perturbed_core_fails_its_oracle_and_d_u(monkeypatch):
 
 
 def test_quiver_check_multiplies_no_state_matrices(monkeypatch):
-    """With U_n and D_n certified and the dot sums' words evaluated,
-    quiver_check(8) makes no product whose result is a 2^n x 2^n state
-    matrix: each product reads a core off (B^+ F, then times B) or
-    multiplies cores."""
+    """With U_n and D_n certified and the strand step of z_n read,
+    quiver_check(8) makes no product with a strand side, no tensor and no
+    word evaluation: each product multiplies cores, and z_n's core is
+    written from the strand step, not read off 2^n states."""
     projectors.quiver_check(8, PH)
-    shapes = []
+    shapes, other = [], []
     real = PolyMatrix.__mul__
 
     def recorded(self, other):
-        out = real(self, other)
-        shapes.append((out.n_out, out.n_in))
-        return out
+        shapes.append((self.n_out, self.n_in, other.n_out, other.n_in))
+        return real(self, other)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            other.append(name)
+            raise AssertionError(name)
+        return call
 
     monkeypatch.setattr(PolyMatrix, "__mul__", recorded)
+    monkeypatch.setattr(PolyMatrix, "tensor", refused("tensor"))
+    monkeypatch.setattr(words, "evaluate_word", refused("evaluate_word"))
+    monkeypatch.setattr(projectors, "evaluate_word", refused("evaluate_word"))
+    monkeypatch.setattr(Combo, "evaluate", refused("Combo.evaluate"))
     assert projectors.quiver_check(8, PH)["ok"]
-    assert shapes
-    assert not [s for s in shapes if min(s) >= 0]  # both sides strands
+    assert shapes and other == []
+    assert not [s for s in shapes if max(s) >= 0]  # every side a core
+
+
+# -- q-degrees on cores ------------------------------------------------------
+
+def homogeneous_core(rng, m, n, d):
+    """A seeded (m+1) x (n+1) core of net q-degree d with up to four
+    entries, each a signed monomial E1^a E2^b of the degree its place
+    needs (u_k has q-degree 2k - level); places needing a negative or odd
+    degree stay empty."""
+    entries = {}
+    for _ in range(4):
+        i, j = rng.randrange(m + 1), rng.randrange(n + 1)
+        need = d - (2 * i - m) + (2 * j - n)
+        if need >= 0 and need % 2 == 0:
+            b = rng.randrange(need // 4 + 1)
+            entries[i, j] = rng.choice((-2, -1, 1, 3)) \
+                * E1 ** (need // 2 - 2 * b) * E2 ** b
+    return PolyMatrix(SIDE(m), SIDE(n), entries)
+
+
+def test_core_basis_vectors_are_graded_so_the_basis_has_degree_zero():
+    """u_k on the core side of level m has the q-degree 2k - m of a word
+    with k A0-letters, so B_m and B_m^+ have q-degree 0, every m <= 8."""
+    for m in range(projectors.JW_TRACKED_BOUND + 1):
+        assert [statespace.basis_qdegree(k, SIDE(m)) for k in range(m + 1)] \
+            == [2 * k - m for k in range(m + 1)]
+        assert [statespace.basis_weight(k, SIDE(m)) for k in range(m + 1)] \
+            == [m - 2 * k for k in range(m + 1)]
+        b, bp = projectors._basis(m)
+        assert (b.qdegree(), bp.qdegree()) == (0, 0)
+
+
+def test_core_qdegree_equals_the_state_qdegree():
+    """A map's core has the q-degree of its state matrix (None when either
+    is inhomogeneous): U_n for n <= 6, D_n for 2 <= n <= 8, p_n z_n p_n
+    for n <= 6, and seeded p-sandwiched maps, homogeneous and not, n <= 5."""
+    import random
+
+    rng = random.Random(5)
+    maps = [projectors.un(n) for n in range(projectors.JW_TRACKED_BOUND - 1)]
+    maps += [projectors.dn(n)
+             for n in range(2, projectors.JW_TRACKED_BOUND + 1)]
+    maps += [projectors.TrackedMor(zn_sandwich(n), projectors._z_core(n))
+             for n in range(7)]
+    for n in range(6):
+        for m in (n - 2, n, n + 2):
+            if m >= 0:
+                for c in (random_core(rng, m, n),
+                          homogeneous_core(rng, m, n, rng.randrange(-4, 5))):
+                    maps.append(projectors.TrackedMor(from_core(c), c))
+    degrees = [F.core.qdegree() for F in maps]
+    assert degrees == [F.mat.qdegree() for F in maps]
+    assert None in degrees and len(set(degrees) - {None}) > 3
 
 
 # -- the star action on cores ----------------------------------------------
@@ -776,17 +911,24 @@ def test_thin_checks_refuse_a_factor_that_does_not_commute_with_p():
 def test_un_dn_make_no_state_product_but_p_n_and_the_maps(monkeypatch):
     """Operation-count gate: building un(0..5) and dn(2..6) from an empty
     projector cache makes no product whose result has 2^m rows and 2^n
-    columns, other than p_n = B_n B_n^+ once per level read (2..7) and
-    the .mat products p_{n+2} X and X' p_n once per map.  The dotted cup
-    and cap words are evaluated before counting; evaluate_word caches
-    them."""
+    columns, other than p_n = B_n B_n^+ once per level read (2..7), its
+    right factor holding at most (floor(n/2) + 1)(ceil(n/2) + 1) columns
+    of B_n^+, and the .mat products p_{n+2} X and X' p_n once per map.
+    The dotted cup and cap words are evaluated and the strand steps
+    L_1(g) read before counting; evaluate_word and _strand_level cache
+    them, so the count does not depend on the tests run before."""
     evaluate_word(DOTTED_CUP), evaluate_word(DOTTED_CAP)
+    for g in "efh":
+        statespace._strand_level(g, P0)
     monkeypatch.setattr(projectors, "_jw_cache", {})
     shapes = []
+    right_columns = {}
     real = PolyMatrix.__mul__
 
     def recorded(self, other):
         shapes.append(((self.n_out, self.n_in), (other.n_out, other.n_in)))
+        if self.n_out == other.n_in >= 0 > self.n_in:  # p_n = B_n B_n^+
+            right_columns[self.n_out] = len(other._packed()[1])
         return real(self, other)
 
     monkeypatch.setattr(PolyMatrix, "__mul__", recorded)
@@ -800,6 +942,10 @@ def test_un_dn_make_no_state_product_but_p_n_and_the_maps(monkeypatch):
     want += [((n - 2, n), (n, n)) for n in range(2, 7)]
     assert sorted(states) == sorted(want)
     assert len(shapes) > len(states)
+    # one column of B_n^+ per (|S|, #odd positions in S) class: 20 of 128
+    # at n = 7
+    assert right_columns == {n: (n // 2 + 1) * ((n + 1) // 2 + 1)
+                             for n in range(2, 8)}
 
 
 def test_perturbed_basis_fails_the_stability_checks():
