@@ -5,6 +5,8 @@ the Laurent module Q[E1,E2][A0^{+-1}, A1].  Both carry the derivation
 action from sl2core; everything here reduces their decompositions to
 finite certified computations: highest-weight vectors, the closed f-power
 formula on the v-basis, the minus-side filtration, and a summary report.
+That the minus part holds nothing locally finite is read, for every depth,
+off the spec's f-shifts.
 
 Plus blocks and minus filtration layers share one verdict per (weight, depth),
 and each is one twist step from the cached untwisted block of its depth.
@@ -92,7 +94,8 @@ def b4_report(depth: int = 40) -> dict:
                           if m.highest_weight_vectors(lam)]
     z = zuckerman(m)
     rep["zuckerman"] = z["summands"]
-    rep["ok"] = rep["ok"] and z["summands"] == [{"kind": "L", "lambda": 0}]
+    rep["ok"] = rep["ok"] and not z["unclassified"] \
+        and z["summands"] == [{"kind": "L", "lambda": 0}]
     return rep
 
 
@@ -249,14 +252,17 @@ def _twisted_verdict(w: int, depth: int) -> tuple:
     puts the dual-Verma witness of weight -w-2 (degree 2w + 2) inside the
     truncation: block_claim verified on it, and the weights of its locally
     finite summands, in the order zuckerman finds them, against the
-    claimed w - 4j >= 0 and even.  The table holds verdicts only."""
+    claimed w - 4j >= 0 and even, with every highest-weight vector
+    classified.  The table holds verdicts only."""
     depth = max(depth, 2 * w + 4)
     model = twisted_block(w, depth, f"twisted[w={w}]")
     claim_ok = verify_claim(model, block_claim(w, depth))["ok"]
-    lams = tuple(s["lambda"] for s in zuckerman(model)["summands"])
+    z = zuckerman(model)
+    lams = tuple(s["lambda"] for s in z["summands"])
     finite = [w - 4 * j for j in range(depth // 4 + 1)
               if w - 4 * j >= 0 and (w - 4 * j) % 2 == 0]
-    return depth, claim_ok, sorted(lams, reverse=True) == finite, lams
+    zok = not z["unclassified"] and sorted(lams, reverse=True) == finite
+    return depth, claim_ok, zok, lams
 
 
 def mplus_decomposition(depth: int = 20) -> dict:
@@ -289,14 +295,36 @@ def mplus_decomposition(depth: int = 20) -> dict:
 
 # -- minus part -------------------------------------------------------------
 
-def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
-    """Span of A1^m A0^(-n) with m - n = ell, n >= 1, over the base ring."""
+def _minus_keys(ell: int, depth: int) -> list:
+    """The keys E1^a E2^b A1^m A0^(-n) with m - n = ell, n >= 1, of degree
+    at most depth."""
     if abs(ell) > depth:
         raise LasagnaError("|ell| exceeds depth")
-    keys = [_lkey(a, b, n + ell, -n) for a, b in _poly_keys(depth)
+    return [_lkey(a, b, n + ell, -n) for a, b in _poly_keys(depth)
             for n in range(max(1, -ell), depth + 1)
             if 2 * a + 4 * b + 2 * n + ell <= depth]
-    return TruncatedModule(LASAGNA_SPEC, keys, depth, name=f"minus[{ell}]")
+
+
+def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
+    """Span of A1^m A0^(-n) with m - n = ell, n >= 1, over the base ring."""
+    return TruncatedModule(LASAGNA_SPEC, _minus_keys(ell, depth), depth,
+                           name=f"minus[{ell}]")
+
+
+def _layer_rows(ell: int, depth: int) -> TruncatedModule:
+    """The keys of minus_block(ell, depth) with A1-power at most
+    max(LAYER_RS) + rise, as a module: rise, read off the spec's e- and
+    f-shifts, is the most one step raises the A1-power (1 for
+    LASAGNA_SPEC).  A key the layers read has A1-power at most
+    max(LAYER_RS), so each of its image terms in the block is kept here,
+    and its columns and boundary losses equal the block's."""
+    a1 = _IDX["A1"]
+    rise = max(shift[a1] for g in ("e", "f")
+               for _, terms in LASAGNA_SPEC.shifts[g] for shift, _ in terms)
+    top = max(LAYER_RS) + rise
+    return TruncatedModule(
+        LASAGNA_SPEC, [k for k in _minus_keys(ell, depth) if k[a1] <= top],
+        depth, name=f"layer-rows[{ell}]")
 
 
 def minus_block_split_check(depth: int = 12) -> bool:
@@ -332,10 +360,11 @@ def strictness(ell: int, r: int, depth: int = 20) -> bool:
 def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
                   depth: int) -> dict:
     """The layer S_(ell,r)/S_(ell,r+1) as a twisted polynomial module with
-    weight w = 2r - ell, verified against the action of
-    blk = minus_block(ell, depth), which is read only when the layer is
-    strict, and against the claimed Verma/dual-Verma stack, the verdict
-    _twisted_verdict(w, depth)."""
+    weight w = 2r - ell, verified against the action of blk, a module
+    holding the keys of minus_block(ell, depth) with A1-power r and their
+    images (the block itself, or _layer_rows(ell, depth)), which is read
+    only when the layer is strict, and against the claimed
+    Verma/dual-Verma stack, the verdict _twisted_verdict(w, depth)."""
     if r < 0:
         raise LasagnaError("r must be non-negative")
     w = 2 * r - ell
@@ -378,22 +407,47 @@ def _layer_report(blk: TruncatedModule | None, ell: int, r: int,
     return report
 
 
+def minus_f_injectivity_check() -> bool:
+    """f is injective on the minus part (A0-exponent <= -1) at every depth,
+    and keeps the plus part (A0-exponent >= 0) in itself: read off
+    LASAGNA_SPEC.shifts["f"], no f-shift lowers the A0 exponent by more
+    than 1, and exactly one lowers it by 1, from the A0 generator (the
+    -E2*A1 term of f(A0)), with a nonzero numerator c.
+
+    Why that suffices, for every depth.  By the power rule f(x^p) is the
+    sum over generators i and their shifts s of p_i * num * x^(p + s).  Let
+    v be a nonzero minus vector and i <= -1 the lowest A0 exponent among
+    its monomials.  The terms of f(v) with A0 exponent i - 1 come only from
+    the monomials x^p of v with A0 exponent i, through the one lowering
+    shift s, as i * c * x^(p + s): i != 0, c != 0 and p -> p + s is
+    injective, so that part of f(v) is nonzero, and f(v) is a minus vector
+    with lowest A0 exponent i - 1.  Hence f^k(v) != 0 for every k.  On a
+    monomial with A0 exponent 0 the factor p_A0 is 0, so the lowering shift
+    never takes the plus part out of itself; a vector with a nonzero minus
+    component is therefore never killed by a power of f, and the locally
+    finite part lies in the plus part.  The depth-truncated Zuckerman pass
+    over the minus blocks is a test oracle of this."""
+    a0 = _IDX["A0"]
+    steps = [(i, shift[a0], num) for i, terms in LASAGNA_SPEC.shifts["f"]
+             for shift, num in terms if shift[a0] < 0]
+    return len(steps) == 1 and steps[0][:2] == (a0, -1) and steps[0][2] != 0
+
+
 def minus_side_checks(depth: int = 20) -> tuple:
     """(layers ok, no finite part) for ell in MINUS_ELLS: the filtration
-    layers (ell, r), r in LAYER_RS, and the Zuckerman check of each minus
-    block.  minus_block(ell, depth) is built once per ell and dropped
-    before the next one is built.  The 25 layers have 13 weights, and from
-    depth 20 on mplus_decomposition at the same depth has verified them."""
+    layers (ell, r), r in LAYER_RS, each read on _layer_rows(ell, depth),
+    built once per ell and dropped before the next one is built, and
+    minus_f_injectivity_check, which holds at every depth.  The 25 layers
+    have 13 weights, and from depth 20 on mplus_decomposition at the same
+    depth has verified them."""
     layers_ok = True
-    finite_free = True
     for ell in MINUS_ELLS:
-        blk = minus_block(ell, depth)
+        rows = _layer_rows(ell, depth)
         for r in LAYER_RS:
-            layers_ok = (_layer_report(blk, ell, r, depth)["ok"]
+            layers_ok = (_layer_report(rows, ell, r, depth)["ok"]
                          and layers_ok)
-        finite_free = finite_free and not zuckerman(blk)["summands"]
-        del blk
-    return layers_ok, finite_free
+        del rows
+    return layers_ok, minus_f_injectivity_check()
 
 
 # -- summary ----------------------------------------------------------------
@@ -421,9 +475,10 @@ def summary_report(depth: int = 20) -> dict:
     filtration depth ``depth`` (the ball to at least 40).
 
     The plus side runs through mplus_decomposition, and the minus side
-    through minus_side_checks, which builds each minus block once for its
-    five filtration layers and its Zuckerman check; each twisted model is
-    verified once across the whole report.  The last claim lists the
+    through minus_side_checks, which builds the layer rows of each minus
+    block once for its five filtration layers and reads "nothing locally
+    finite" off the spec's f-shifts; each twisted model is verified once
+    across the whole report.  The last claim lists the
     locally finite generators (m, n, j) with m + n + 4j <=
     _generator_cap(depth); ``detail.checked`` counts those compared with a
     computed plus block.  The plus blocks cover m, n <= the same cap, so

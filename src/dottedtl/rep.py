@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add
 
 from . import exactla
-from .sl2 import GENERATORS, Sl2ActionSpec, TwistData, add_term
+from .sl2 import Sl2ActionSpec, TwistData, add_term
 
 class RepError(Exception):
     pass
@@ -54,16 +54,24 @@ def _canonical(den: int, table: dict) -> tuple:
                             for k, col in table.items()}
 
 
+def _weight_table(weights: dict) -> tuple:
+    """h's table (1, {key: {key: weight}}): h(x^k) = weight(k) x^k, so h
+    never leaves the basis and needs no derivation."""
+    return 1, {k: {k: w} for k, w in weights.items() if w}
+
+
 class TruncatedModule:
     """Finite truncation of an sl2-module with monomial basis.
 
     basis keys are ring exponent tuples; vectors are {key: Fraction} dicts.
     ``tables[g]`` is (den, {key: {key2: int}}): g(x^key) is the sum of
     n / den * x^key2 over its column.  No numerator is zero, and den is
-    coprime to the table's numerators.  A module is built untwisted from
-    the spec's monomial kernel; an image term outside the basis is dropped
-    and its key recorded in ``boundary_loss``.  Tables are never changed
-    after a build, so ``twisted`` shares them where the twist leaves them.
+    coprime to the table's numerators.  A module is built untwisted: e and
+    f from the spec's monomial kernel, where an image term outside the
+    basis is dropped and its key recorded in ``boundary_loss``, and h from
+    the weights, h(x^k) = weight(k) x^k, which never leaves the basis.
+    Tables are never changed after a build, so ``twisted`` shares them
+    where the twist leaves them.
     """
 
     def __init__(self, spec: Sl2ActionSpec, keys, depth: int, name: str = ""):
@@ -75,8 +83,9 @@ class TruncatedModule:
         self.basis = sorted(keys)
         self.index = index = {k: i for i, k in enumerate(self.basis)}
         self.weights = {k: spec.weight_of_monomial(k) for k in self.basis}
-        self.tables, self.boundary_loss = {}, {}
-        for g in GENERATORS:
+        self.tables = {"h": _weight_table(self.weights)}
+        self.boundary_loss = {"h": set()}
+        for g in ("e", "f"):
             table, loss = {}, set()
             for k in self.basis:
                 img = spec.derive_monomial(g, k, 1, {})
@@ -89,9 +98,10 @@ class TruncatedModule:
             self.boundary_loss[g] = loss
 
     def twisted(self, twist: ModuleTwist, name: str) -> "TruncatedModule":
-        """This untwisted module twisted by ``twist``: column k of g gains
-        x^k TwistData(a).tau(g) over the lcm of the spec's and the twist's
-        denominators (f gains a*E1, h -2a; the basis, index and e-table are
+        """This untwisted module twisted by ``twist``: column k of f gains
+        x^k TwistData(a).tau(f) = a*E1 x^k over the lcm of the spec's and
+        the twist's denominators, and h's table is written from the shifted
+        weights (tau(h) = -2a is the shift; the basis, index and e-table are
         shared).  A key is a boundary loss when its full image leaves the
         basis: the twist term can cancel an escaped derivation term."""
         if self.twist is not None:
@@ -101,7 +111,8 @@ class TruncatedModule:
         out.weights = {k: w + twist.shift for k, w in self.weights.items()}
         out.tables = dict(self.tables)
         out.boundary_loss = dict(self.boundary_loss)
-        for g in GENERATORS:
+        out.tables["h"] = _weight_table(out.weights)
+        for g in ("e", "f"):
             tau = TwistData(twist.a).tau(g).terms
             if not tau:
                 continue
@@ -300,15 +311,20 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:
 
 def zuckerman(m: TruncatedModule) -> dict:
     """Largest locally finite part visible in the truncation: the span of the
-    finite cyclic modules of HWVs passing the f^(lam+1) = 0 test."""
+    finite cyclic modules of HWVs passing the f^(lam+1) = 0 test.
+    ``unclassified`` counts the HWVs the truncation could not classify (the
+    test raised RepError); a caller that reads "no summand" as "nothing
+    locally finite" must also see it at 0."""
     depth = m.depth
     found = []
+    unclassified = 0
     weights = sorted({w for w in m.weights.values() if w >= 0}, reverse=True)
     for lam in weights:
         for v in m.highest_weight_vectors(lam):
             try:
                 kind = m.classify_cyclic(v, lam)
             except RepError:
+                unclassified += 1
                 continue
             if kind == "L":
                 found.append({"lambda": lam, "generator": v})
@@ -319,5 +335,6 @@ def zuckerman(m: TruncatedModule) -> dict:
         "summands": [{"kind": "L", "lambda": p["lambda"]} for p in found],
         "generators": found,
         "dimension": dim,
+        "unclassified": unclassified,
         "caveat": f"certified up to filtration depth {depth} only",
     }

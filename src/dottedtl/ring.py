@@ -256,10 +256,6 @@ class QLaurent:
     def const(cls, c) -> "QLaurent":
         return cls({0: Fraction(c)})
 
-    @classmethod
-    def q(cls, n: int = 1) -> "QLaurent":
-        return cls({n: Fraction(1)})
-
     def __add__(self, other):
         other = other if isinstance(other, QLaurent) else QLaurent.const(other)
         terms = dict(self.terms)

@@ -16,7 +16,7 @@ gcd(den, every numerator) = 1, so equal matrices have equal (den, table).
 Every kernel (product, tensor, sums, scaling, the sl2 action) reads and
 writes tables and ends in one normalisation, from_packed.  GradedPoly
 entries with Fraction coefficients are built only at the API boundary:
-m[i, j], entries() and cols.
+m[i, j] and cols.
 """
 
 from __future__ import annotations
@@ -220,17 +220,6 @@ class PolyMatrix:
             return self._cols.get(j, {}).get(i, E_RING.zero)
         t = self._table.get(j, {}).get(i)
         return E_RING.zero if t is None else _unpack_poly(t, self._den)
-
-    def entries(self):
-        if self._table is None:
-            for j, col in self._cols.items():
-                for i, v in col.items():
-                    yield (i, j), v
-            return
-        den = self._den
-        for j, col in self._table.items():
-            for i, t in col.items():
-                yield (i, j), _unpack_poly(t, den)
 
     def nnz(self):
         return sum(len(col) for col in self._packed()[1].values())

@@ -134,8 +134,8 @@ def test_verify_report_does_not_depend_on_the_hash_seed():
     assert a.stdout == b.stdout
 
 
-# sha256 of the CLI's --json stdout for the projector, Kirby and
-# word-relation reports
+# sha256 of the CLI's --json stdout for the projector, Kirby,
+# word-relation and lasagna reports
 PINNED_REPORT_SHA256 = {
     ("quiver",):
         "9333f05123fc23b7c2adc59bcf2796dfa5570c4f2f1641c309f119e2b1039e56",
@@ -147,6 +147,10 @@ PINNED_REPORT_SHA256 = {
         "c70e6feda25bf1304daa4001d2caccb5cdb6b2f962f6191244fe090adc3ba1e1",
     ("dtl-verify", "--params", "1/2,-1/3"):
         "45c6f899197b8775fc6fde861063bcbbbaccbb97a8b1f45cfbf703208bfb8d12",
+    ("decompose-b2s2", "--depth", "20"):
+        "b0d64c00dce89cb92df13331df6ffa6a0509744481466f1cb35cffcd823c4535",
+    ("decompose-b4", "--depth", "40"):
+        "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
 }
 
 

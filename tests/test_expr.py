@@ -32,6 +32,7 @@ from dottedtl.words import (
     random_word,
     zn_combo,
 )
+from test_statespace import entries
 
 
 def _same(a: Combo, b: Combo) -> bool:
@@ -318,7 +319,7 @@ def _full_solve_normal_form(mat, n_in: int, n_out: int):
         return mat_cache[i]
 
     targets: dict = {}
-    for cell, poly in mat.entries():
+    for cell, poly in entries(mat):
         for exp, c in poly.terms.items():
             deg = (poly.monomial_degree(exp)
                    + statespace.basis_qdegree(cell[0], n_out)
@@ -334,7 +335,7 @@ def _full_solve_normal_form(mat, n_in: int, n_out: int):
                 continue
             for b in range(rem // 4 + 1):
                 mu = ((rem - 4 * b) // 2, b)
-                for cell, poly in span_matrix(i).entries():
+                for cell, poly in entries(span_matrix(i)):
                     for exp, c in poly.terms.items():
                         k = (cell, (exp[0] + mu[0], exp[1] + mu[1]))
                         rowmap.setdefault(k, {})[len(unknowns)] = c

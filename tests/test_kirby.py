@@ -11,6 +11,7 @@ from dottedtl.statespace import PolyMatrix, commutator_star
 from dottedtl.words import Combo, Word
 from dottedtl.projectors import TrackedMor, _basis, un
 from test_projectors import sandwiched
+from test_statespace import entries
 
 
 def test_level_twist_flatness():
@@ -193,7 +194,7 @@ def test_perturbed_level_map_is_not_annihilated():
 
 def _one_entry(m, v):
     """A matrix of m's shape holding v at m's first stored entry."""
-    (i, j), _ = next(iter(m.entries()))
+    (i, j), _ = next(iter(entries(m)))
     return PolyMatrix(m.n_out, m.n_in, {(i, j): v})
 
 

@@ -1,5 +1,6 @@
 """Invariant-module decompositions for the two four-manifolds."""
 
+import copy
 import hashlib
 import os
 import subprocess
@@ -203,6 +204,129 @@ def test_strict_layer_matches_block_action():
 
 def test_minus_no_finite_part():
     assert lasagna.minus_side_checks(12)[1]
+    assert lasagna.minus_f_injectivity_check()
+
+
+def test_zuckerman_on_a_minus_block_classifies_nothing():
+    """The depth-truncated pass the f-shift certificate replaces: on
+    minus_block(0, 20) every highest-weight vector of weight >= 0 is too
+    deep for the f^(lam+1) test, so it finds no summand and says so."""
+    z = rep.zuckerman(lasagna.minus_block(0, 20))
+    assert z["summands"] == []
+    assert z["unclassified"] > 0
+
+
+def test_minus_hwvs_are_verma_by_untruncated_f():
+    """Oracle for the f-shift certificate: every highest-weight vector of
+    weight lam >= 0 of a minus block at depth 12, walked by the spec's
+    untruncated f, has f^(lam+1) v != 0, so it generates an M and nothing
+    locally finite."""
+    seen = 0
+    for ell in lasagna.MINUS_ELLS:
+        blk = lasagna.minus_block(ell, 12)
+        for lam in sorted({w for w in blk.weights.values() if w >= 0}):
+            for v in blk.highest_weight_vectors(lam):
+                x = rep._numerators(v)[1]
+                for _ in range(lam + 1):
+                    x = LASAGNA_SPEC.derive("f", x)
+                assert x, (ell, lam)
+                seen += 1
+    assert seen > 20
+
+
+def _without_lowering_term(zero_coefficient):
+    """LASAGNA_SPEC with f(A0) = E1*A0/2: the -E2*A1 term dropped, or kept
+    in the f-shifts with numerator 0."""
+    spec = LASAGNA_SPEC
+    if not zero_coefficient:
+        return Sl2ActionSpec(spec.ring, spec.e_images,
+                             {**spec.f_images,
+                              "A0": spec.f_images["A0"]
+                              + spec.ring.gen("E2") * spec.ring.gen("A1")},
+                             spec.h_weights)
+    a0 = LASAGNA_RING.index["A0"]
+    bad = copy.copy(spec)
+    bad.shifts = {**spec.shifts, "f": tuple(
+        (i, tuple((s, 0 if s[a0] < 0 else c) for s, c in terms))
+        for i, terms in spec.shifts["f"])}
+    return bad
+
+
+@pytest.mark.parametrize("zero_coefficient", [False, True])
+def test_spec_without_the_lowering_f_term_fails_the_minus_claims(
+        monkeypatch, zero_coefficient):
+    """Negative control: with no f-shift lowering the A0 exponent, the
+    certificate has nothing to stand on, and both claims resting on it
+    fail."""
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC",
+                        _without_lowering_term(zero_coefficient))
+    assert not lasagna.minus_f_injectivity_check()
+    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
+              if c["status"] == "fail"}
+    assert {"minus part contributes nothing to the locally finite part",
+            "locally finite part comes from the plus side"} <= failed
+
+
+@pytest.mark.parametrize("depth", [12, 20, 40])
+def test_layer_rows_equal_the_minus_block_on_every_layer_key(depth):
+    """Oracle for _layer_rows: on every key with A1-power in LAYER_RS, the
+    row module's e-, f- and h-columns equal minus_block's as Fractions, and
+    so do its boundary-loss flags."""
+    for ell in lasagna.MINUS_ELLS:
+        blk = lasagna.minus_block(ell, depth)
+        rows = lasagna._layer_rows(ell, depth)
+        layer_keys = [k for k in blk.basis
+                      if lasagna._kparts(k)[2] in lasagna.LAYER_RS]
+        assert layer_keys and set(layer_keys) <= set(rows.basis) \
+            <= set(blk.basis)
+        for g in ("e", "f", "h"):
+            (bden, btable), (rden, rtable) = blk.tables[g], rows.tables[g]
+            for k in layer_keys:
+                assert {k2: Fraction(c, rden)
+                        for k2, c in rtable.get(k, {}).items()} \
+                    == {k2: Fraction(c, bden)
+                        for k2, c in btable.get(k, {}).items()}, (ell, g, k)
+                assert (k in rows.boundary_loss[g]) \
+                    == (k in blk.boundary_loss[g]), (ell, g, k)
+
+
+def test_layer_rows_at_depth_40_keep_a1_power_up_to_five():
+    sizes = [len(lasagna._layer_rows(ell, 40).basis)
+             for ell in lasagna.MINUS_ELLS]
+    assert sizes == [517, 517, 453, 343, 271]
+
+
+def test_summary_runs_zuckerman_on_no_minus_module(monkeypatch):
+    """Operation-count gate: summary_report(40) runs zuckerman on the ball
+    and on twisted models only, never on a minus-side module."""
+    names = []
+    real = lasagna.zuckerman
+    monkeypatch.setattr(lasagna, "zuckerman",
+                        lambda m: names.append(m.name) or real(m))
+    assert lasagna.summary_report(40)["ok"]
+    assert names and all(n == "ball" or n.startswith("twisted[")
+                         for n in names)
+
+
+def _with_one_unclassified(real):
+    def z(m):
+        out = real(m)
+        out["unclassified"] += 1
+        return out
+    return z
+
+
+def test_unclassified_hwv_fails_the_ball_and_the_twisted_verdict(
+        monkeypatch):
+    """Negative control: an unclassified highest-weight vector fails the
+    verdicts that read "no further summand" from zuckerman."""
+    assert lasagna.b4_report(16)["ok"]
+    assert lasagna._twisted_verdict(2, 12)[2]
+    lasagna._twisted_verdict.cache_clear()
+    monkeypatch.setattr(lasagna, "zuckerman",
+                        _with_one_unclassified(lasagna.zuckerman))
+    assert not lasagna.b4_report(16)["ok"]
+    assert not lasagna._twisted_verdict(2, 12)[2]
 
 
 def _finite_part_claim(report):
@@ -274,8 +398,8 @@ def test_finite_part_counts_checked_generators(monkeypatch):
     ball and one per twisted weight, plus blocks and layers sharing them)
     and builds 12 modules (the untwisted depth-40 block, which is the ball
     and the source of the 25 twisted models and the 19 strict layers'
-    models, the split check's six and five minus blocks); a twist is made
-    from its source's tables, not built."""
+    models, the split check's six, and the five layer-row modules); a twist
+    is made from its source's tables, not built."""
     verified, built = [], []
     verify = lasagna.verify_claim
 
@@ -315,8 +439,8 @@ def test_high_weight_block_is_verified_past_the_summary_depth():
 
 def test_summary_builds_one_minus_block_per_ell(monkeypatch):
     """Operation-count gate: outside the block split check, summary_report
-    builds each minus block once for its filtration layers and its Zuckerman
-    check."""
+    builds no minus block, and one layer-row module per ell for its
+    filtration layers."""
     built = []
     in_split = []
     split = lasagna.minus_block_split_check
@@ -337,9 +461,10 @@ def test_summary_builds_one_minus_block_per_ell(monkeypatch):
     monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
     monkeypatch.setattr(lasagna, "minus_block_split_check", counted_split)
     lasagna.summary_report(12)
-    minus = [b for b in built if b[0].startswith("minus[")]
-    assert sorted(minus) == sorted((f"minus[{ell}]", 12)
-                                   for ell in range(-2, 3))
+    assert not [b for b in built if b[0].startswith("minus[")]
+    rows = [b for b in built if b[0].startswith("layer-rows[")]
+    assert sorted(rows) == sorted((f"layer-rows[{ell}]", 12)
+                                  for ell in range(-2, 3))
 
 
 def test_summary_verifies_one_twisted_model_per_weight_and_depth(monkeypatch):
@@ -433,25 +558,25 @@ def test_wrong_summand_kind_fails_the_ball_criterion(monkeypatch):
 
 
 def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
-    """One doubled entry of the stored f-table of minus_block(0, 20), in
-    the strict layer (ell, r) = (0, 1), fails criterion 11 through its layer
-    check."""
+    """One doubled entry of the stored f-table of the layer rows of
+    minus_block(0, 20), in the strict layer (ell, r) = (0, 1), fails
+    criterion 11 through its layer check."""
     from dottedtl import selftest
 
-    real = lasagna.minus_block
+    real = lasagna._layer_rows
     k = lasagna._lkey(m=1, i=-1)           # A1 A0^-1
     k2 = lasagna._lkey(a=1, m=1, i=-1)     # E1 A1 A0^-1
 
-    def perturbed(ell, depth=20):
-        blk = real(ell, depth)
+    def perturbed(ell, depth):
+        rows = real(ell, depth)
         if (ell, depth) == (0, 20):
-            den, table = blk.tables["f"]
+            den, table = rows.tables["f"]
             col = table[k]
             assert Fraction(col[k2], den) == -1
             col[k2] *= 2
-        return blk
+        return rows
 
-    monkeypatch.setattr(lasagna, "minus_block", perturbed)
+    monkeypatch.setattr(lasagna, "_layer_rows", perturbed)
     rep = selftest.criterion_minus_part()
     assert rep["split"] is True
     assert rep["layers"] is False

@@ -2,9 +2,12 @@
 and every function reads each of its parameters.
 
 An AST scan: each ``def`` and ``class`` in ``src/dottedtl/*.py`` must be
-named somewhere, as a ``Name``, an ``Attribute`` or an import alias, in the
-package's modules (``__init__.py`` aside, since re-exporting is not using)
-or in the benchmark's ``perfbench/*.py``.  Dunder names are exempt, as the
+named somewhere, as a ``Name`` read, an import alias or an attribute read, in
+the package's modules (``__init__.py`` aside, since re-exporting is not using)
+or in the benchmark's ``perfbench/*.py``.  An attribute read counts for a
+method of that name, and for a module-level definition only when read off
+one of the package's modules; a ``Name`` that an enclosing function binds
+as a parameter or variable is not a use.  Dunder names are exempt, as the
 interpreter calls them; docstrings and other strings do not count.  Each
 parameter of a ``def`` other than ``self`` and ``cls`` must be read as a
 ``Name`` in its body, nested functions included.
@@ -29,35 +32,102 @@ def _definitions(tree: ast.AST, prefix: str):
             yield from _definitions(node, prefix)
 
 
-def _names_used(tree: ast.AST):
-    for node in ast.walk(tree):
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _variables(fn) -> set:
+    """The names a function binds as variables: its parameters and the
+    targets assigned in its own body (nested scopes aside)."""
+    a = fn.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+             + [a.vararg, a.kwarg] if p is not None}
+    stack = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _names_used(tree: ast.AST, modules: set, local=frozenset()):
+    """Each name the tree uses: a ``Name`` read that no enclosing function
+    binds as a variable, an import alias, an attribute read ``X.name``
+    where X ends in one of ``modules`` (a module-level definition reached
+    through its module), and, tagged ``("attr", name)``, every other
+    attribute read, which can only reach a method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, _SCOPES):
+            yield from _names_used(node, modules, local | _variables(node))
+            continue
         if isinstance(node, ast.Name):
-            yield node.id
+            if isinstance(node.ctx, ast.Load) and node.id not in local:
+                yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            owner = node.value
+            owner = owner.id if isinstance(owner, ast.Name) \
+                else owner.attr if isinstance(owner, ast.Attribute) else None
+            yield node.attr if owner in modules else ("attr", node.attr)
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1]
             if node.asname:
                 yield node.asname
+        yield from _names_used(node, modules, local)
 
 
-def unused_definitions() -> list:
-    modules = {path: ast.parse(path.read_text())
-               for path in sorted(PACKAGE.glob("*.py"))}
-    users = [tree for path, tree in modules.items()
-             if path.name != "__init__.py"]
+def _methods(tree: ast.AST) -> set:
+    """id of each def directly inside a class body."""
+    return {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def package_sources() -> dict:
+    return {path.stem: path.read_text()
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def unused_definitions(sources: dict | None = None) -> list:
+    """module.name of each def and class no user names.  A method counts
+    as used when any attribute of its name is read; a module-level
+    function or class only when it is named bare, imported, or read as an
+    attribute of its package's modules (``lasagna.name``,
+    ``dottedtl.name``)."""
+    sources = package_sources() if sources is None else sources
+    modules = {stem: ast.parse(text) for stem, text in sources.items()}
+    users = [tree for stem, tree in modules.items() if stem != "__init__"]
     users += [ast.parse(path.read_text())
               for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    used = {name for tree in users for name in _names_used(tree)}
-    return [qual
-            for path, tree in modules.items()
-            for qual, node in _definitions(tree, path.stem)
-            if not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in used]
+    package = {"dottedtl", *sources}
+    used = {name for tree in users for name in _names_used(tree, package)}
+    out = []
+    for stem, tree in modules.items():
+        methods = _methods(tree)
+        for qual, node in _definitions(tree, stem):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in used and not (id(node) in methods
+                                         and ("attr", name) in used):
+                out.append(qual)
+    return out
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
     assert unused_definitions() == []
+
+
+def test_uncalled_function_named_like_an_attribute_is_reported():
+    """Negative control: a module-level ``core`` that nothing calls is dead
+    although ``F.core`` (an attribute of another object) is read in the
+    package, and so is one with a fresh name."""
+    sources = package_sources()
+    assert unused_definitions(sources) == []
+    for name in ("core", "nonesuch_fn"):
+        patched = dict(sources)
+        patched["projectors"] += f"\n\ndef {name}(F):\n    return F\n"
+        assert unused_definitions(patched) == [f"projectors.{name}"]
 
 
 

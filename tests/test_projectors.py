@@ -13,7 +13,7 @@ from dottedtl.statespace import (STRAND_BASIS, PolyMatrix, commutator_star,
                                  derivative, generator_matrix)
 from dottedtl.words import (Combo, DtlParams, Word, evaluate_word,
                             identity_word, verify_relations, zn_combo)
-from test_statespace import tensor_sum_object_operator
+from test_statespace import entries, tensor_sum_object_operator
 
 P0 = DtlParams(Fraction(0), Fraction(0))
 PH = DtlParams(Fraction(0), Fraction(1, 2))
@@ -25,7 +25,7 @@ SIDE = projectors.core_side
 
 def entry_added(m, v):
     """m plus v at its first stored entry."""
-    (i, j), _ = next(iter(m.entries()))
+    (i, j), _ = next(iter(entries(m)))
     return m + PolyMatrix(m.n_out, m.n_in, {(i, j): v})
 
 

@@ -370,3 +370,24 @@ def test_twist_of_a_twisted_module_is_refused():
     m = _poly_module(8, twist=ModuleTwist(2))
     with pytest.raises(RepError, match="already twisted"):
         m.twisted(ModuleTwist(2), "twice")
+
+
+def test_h_tables_are_written_from_the_weights(monkeypatch):
+    """Operation-count gate: a build and a twist derive no h-column, and h
+    loses nothing at the boundary; the oracles above check the tables."""
+    derived = []
+    real = Sl2ActionSpec.derive_monomial
+
+    def counted(self, g, exp, c, out):
+        derived.append(g)
+        return real(self, g, exp, c, out)
+
+    monkeypatch.setattr(Sl2ActionSpec, "derive_monomial", counted)
+    lasagna._base_block.cache_clear()
+    modules = [lasagna.minus_block(-1, 12), lasagna.twisted_block(6, 16, "t")]
+    lasagna._base_block.cache_clear()
+    assert set(derived) == {"e", "f"}
+    for m in modules:
+        assert m.boundary_loss["h"] == set()
+        assert m.tables["h"] == (1, {k: {k: w} for k, w in m.weights.items()
+                                     if w})

@@ -68,7 +68,7 @@ def test_negative_powers_only_on_invertible_gens():
 def test_qint_values():
     assert qint(0).is_zero()
     assert qint(1) == QLaurent.const(1)
-    assert qint(2) == QLaurent.q() + QLaurent.q(-1)
+    assert qint(2) == QLaurent({1: 1}) + QLaurent({-1: 1})
     assert qint(-3) == -qint(3)
 
 

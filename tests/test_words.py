@@ -30,6 +30,7 @@ from dottedtl.words import (
     verify_relations,
     zn_combo,
 )
+from test_statespace import entries
 
 PARAM_SETS = [
     DtlParams(Fraction(0), Fraction(0)),
@@ -342,7 +343,7 @@ def propagated_matching_matrix(matching, dots, n_bot, n_top):
 def assert_stored_canonically(m):
     """No zero entry, no empty column, nonzero Fraction coefficients only."""
     assert all(m.cols.values())
-    for _, v in m.entries():
+    for _, v in entries(m):
         assert v.terms
         assert all(type(c) is Fraction and c for c in v.terms.values())
 
@@ -438,7 +439,7 @@ def test_evaluate_matches_fold(combo):
     got = combo.evaluate()
     want = folded_evaluate(combo)
     assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
-    assert dict(got.entries()) == dict(want.entries())
+    assert dict(entries(got)) == dict(entries(want))
     assert_stored_canonically(got)
 
 
