@@ -148,7 +148,7 @@ PINNED_REPORT_SHA256 = {
     ("dtl-verify", "--params", "1/2,-1/3"):
         "45c6f899197b8775fc6fde861063bcbbbaccbb97a8b1f45cfbf703208bfb8d12",
     ("decompose-b2s2", "--depth", "20"):
-        "b0d64c00dce89cb92df13331df6ffa6a0509744481466f1cb35cffcd823c4535",
+        "2173492bd80ffbffae4eee26e642603fa947f86650c1a816716421558bf74fdc",
     ("decompose-b4", "--depth", "40"):
         "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
 }

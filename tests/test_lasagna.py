@@ -11,9 +11,9 @@ from math import factorial, prod
 
 import pytest
 
-from dottedtl import lasagna, rep
-from dottedtl.ring import LASAGNA_RING, GradedPoly, delta
-from dottedtl.sl2 import LASAGNA_SPEC, Sl2ActionSpec
+from dottedtl import lasagna, rep, sl2
+from dottedtl.ring import E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms
+from dottedtl.sl2 import GENERATORS, LASAGNA_SPEC, Sl2ActionSpec
 
 CACHES = (lasagna._twisted_verdict, lasagna._base_block, lasagna._delta_power)
 
@@ -53,6 +53,17 @@ def test_ball_hwvs_are_discriminant_powers():
     assert set(v) == set(sq)
 
 
+def _spec(e=None, f=None, h=None):
+    """LASAGNA_SPEC with the given e- and f-images and h-weights replaced."""
+    spec = LASAGNA_SPEC
+    return Sl2ActionSpec(spec.ring, {**spec.e_images, **(e or {})},
+                         {**spec.f_images, **(f or {})},
+                         {**spec.h_weights, **(h or {})})
+
+
+A1_F = LASAGNA_SPEC.f_images["A1"]          # f(A1) = -E1*A1/2
+
+
 def v_poly():
     """v = A0 - E1*A1/2."""
     ring = LASAGNA_RING
@@ -82,8 +93,66 @@ def test_vbasis_matches_the_expanded_elements():
         assert {k: Fraction(c, 2 ** n) for k, c in x.items()} == want.terms
 
 
+# -- the v-basis grid oracle for closed_form_certificate ----------------------
+
+# the checked v-basis elements delta^j A1^m v^n (j, m, n < VBASIS_SIZE) and
+# f-powers f^r (r <= F_POWER_MAX)
+VBASIS_SIZE = 4
+F_POWER_MAX = 6
+
+
+def closed_form_numerators(g, r):
+    """(den, {key: int}): c_r from lasagna._closed_form_coefficient, the sum
+    of C_r(k, a) E1^k E2^a over k + 2a = r, as int numerators over den."""
+    return rep._numerators({
+        lasagna._lkey(a=r - 2 * a, b=a): c for a in range(r // 2 + 1)
+        if (c := Fraction(lasagna._closed_form_coefficient(r - 2 * a, a, g)))})
+
+
+def closed_form_check():
+    """Closed formula equals iterated f, f^r for r <= F_POWER_MAX, on the
+    whole v-basis grid (exact, no truncation), on int numerators: f steps
+    by the spec's derive over den["f"], and f^r(x) = c_r x is compared
+    cross-multiplied."""
+    spec = lasagna.LASAGNA_SPEC
+    fden = spec.den["f"]
+    for (j, m, n), x in lasagna._vbasis(VBASIS_SIZE - 1,
+                                        VBASIS_SIZE - 1).items():
+        g = lasagna.gamma(j, m, n)
+        fx = x
+        for r in range(1, F_POWER_MAX + 1):
+            fx = spec.derive("f", fx)
+            cden, c = closed_form_numerators(g, r)
+            if lasagna._scaled(fx, cden) \
+                    != lasagna._scaled(mul_terms(c, x), fden ** r):
+                return False
+    return True
+
+
+def vanishing_check():
+    """On the v-basis grid, f^(w+1) kills delta^j A1^m v^n when w = m-n-4j
+    is >= 0 and even, and f^w does not (w >= 1): the spec's apply on the
+    expanded polynomials."""
+    spec = lasagna.LASAGNA_SPEC
+    for (j, m, n), x in lasagna._vbasis(VBASIS_SIZE - 1,
+                                        VBASIS_SIZE - 1).items():
+        w = m - n - 4 * j
+        if w < 0 or w % 2:
+            continue
+        x = GradedPoly(LASAGNA_RING, {k: Fraction(c) for k, c in x.items()})
+        for _ in range(w):
+            x = spec.apply("f", x)
+        if w and x.is_zero():
+            return False
+        if not spec.apply("f", x).is_zero():
+            return False
+    return True
+
+
 def test_closed_form():
-    assert lasagna.closed_form_check()
+    """The all-index certificate and its grid oracle agree."""
+    assert lasagna.closed_form_certificate()
+    assert closed_form_check()
 
 
 def closed_form_coefficient(j, m, n, r):
@@ -116,38 +185,35 @@ def test_closed_form_matches_the_graded_poly_path():
     """Oracle: the int closed-form numerators are the GradedPoly closed
     coefficients, and f^r on the expanded v-basis element equals c_r x over
     Fraction, on the whole grid."""
-    for j, m, n in product(range(lasagna.VBASIS_SIZE), repeat=3):
+    for j, m, n in product(range(VBASIS_SIZE), repeat=3):
         x = vbasis_element(j, m, n)
         fx = x
-        for r in range(1, lasagna.F_POWER_MAX + 1):
+        for r in range(1, F_POWER_MAX + 1):
             fx = LASAGNA_SPEC.apply("f", fx)
             want = closed_form_coefficient(j, m, n, r)
-            den, nums = lasagna._closed_form_numerators(
-                lasagna.gamma(j, m, n), r)
+            den, nums = closed_form_numerators(lasagna.gamma(j, m, n), r)
             assert {k: Fraction(c, den) for k, c in nums.items()} \
                 == want.terms
             assert want * x == fx
 
 
 def test_perturbed_closed_coefficient_fails_the_check(monkeypatch):
-    """Negative control: gamma + 1/2 at the one grid point (1, 2, 1)."""
+    """Negative control for the grid oracle: gamma + 1/2 at the one grid
+    point (1, 2, 1)."""
     real = lasagna.gamma
     monkeypatch.setattr(
         lasagna, "gamma",
         lambda j, m, n: real(j, m, n) + Fraction((j, m, n) == (1, 2, 1), 2))
-    assert not lasagna.closed_form_check()
+    assert not closed_form_check()
 
 
 def test_perturbed_f_image_fails_the_closed_form_check(monkeypatch):
     """Negative control on the iterated side: f(A1) = -E1*A1 instead of
-    -E1*A1/2."""
-    spec = LASAGNA_SPEC
-    bad = Sl2ActionSpec(spec.ring, spec.e_images,
-                        {**spec.f_images, "A1": 2 * spec.f_images["A1"]},
-                        spec.h_weights)
-    assert lasagna.closed_form_check()
-    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", bad)
-    assert not lasagna.closed_form_check()
+    -E1*A1/2 fails the certificate and its grid oracle."""
+    assert closed_form_check()
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", _spec(f={"A1": 2 * A1_F}))
+    assert not lasagna.closed_form_certificate()
+    assert not closed_form_check()
 
 
 def test_embedding_check_on_the_plus_blocks():
@@ -168,7 +234,11 @@ def test_wrong_twist_fails_the_embedding_check(monkeypatch):
 
 
 def test_vanishing_pattern():
-    assert lasagna.vanishing_check()
+    """The grid oracle of the vanishing claim, which the summary reads off
+    closed_form_certificate."""
+    assert vanishing_check()
+    claims = {c["claim"]: c for c in lasagna.summary_report(12)["claims"]}
+    assert claims["vanishing/non-vanishing of f-strings"]["depth"] == "all"
 
 
 def test_plus_part_decomposition():
@@ -186,20 +256,69 @@ def test_strictness_table():
             assert lasagna.strictness(ell, r, 20) == (r >= max(0, ell + 1))
 
 
-def test_degenerate_layer_is_still_analyzed():
-    """(ell, r) = (1, 0) is a degenerate (equal) layer; its abstract twisted
-    model still verifies."""
-    rep = lasagna._layer_report(None, 1, 0, 12)
-    assert not rep["strict"]
-    assert rep["ok"], rep
+# -- the key-by-key layer oracle for layer_action_certificate -----------------
+
+def layer_rows(ell, depth):
+    """The keys of minus_block(ell, depth) with A1-power at most
+    max(LAYER_RS) + 1, as a module: e and f raise the A1-power by at most
+    1, so every key a layer reads keeps the block's columns and boundary
+    losses."""
+    a1 = LASAGNA_RING.index["A1"]
+    top = max(lasagna.LAYER_RS) + 1
+    return rep.TruncatedModule(
+        lasagna.LASAGNA_SPEC,
+        [k for k in lasagna._minus_keys(ell, depth) if k[a1] <= top],
+        depth, name=f"layer-rows[{ell}]")
+
+
+def layer_matches_model(blk, ell, r, depth):
+    """The layer S_(ell,r)/S_(ell,r+1) of blk (a module holding the keys of
+    minus_block(ell, depth) with A1-power r and their images) against
+    twisted_block(2r - ell) at the verdict's depth: every e-, f- and
+    h-column of a layer key, off the boundary, has no term of lower
+    A1-power and agrees with the model's column modulo higher ones."""
+    w, n = 2 * r - ell, r - ell
+    layer_depth = max(depth, 2 * w + 4)
+    model = lasagna.twisted_block(w, layer_depth, f"layer[ell={ell},r={r}]")
+    for g in GENERATORS:
+        bden, btable = blk.tables[g]
+        mden, mtable = model.tables[g]
+        for a, b in model.basis:
+            k = lasagna._lkey(a, b, r, -n)
+            if k not in blk.index or k in blk.boundary_loss[g] \
+                    or (a, b) in model.boundary_loss[g]:
+                continue
+            proj = {}
+            for k2, c in btable.get(k, {}).items():
+                a2, b2, m2, _ = lasagna._kparts(k2)
+                if m2 < r:
+                    return False
+                if m2 == r:
+                    proj[(a2, b2)] = c * mden
+            if proj != lasagna._scaled(mtable.get((a, b), {}), bden):
+                return False
+    return True
+
+
+def test_degenerate_layer_is_still_analyzed(monkeypatch):
+    """(ell, r) = (1, 0) is a degenerate (equal) layer, the only one of
+    weight 2r - ell = -1; minus_side_checks still reads its model's
+    verdict, one per layer."""
+    assert not lasagna.strictness(1, 0, 12)
+    weights = []
+    real = lasagna._twisted_verdict
+    monkeypatch.setattr(lasagna, "_twisted_verdict",
+                        lambda w, depth: weights.append(w) or real(w, depth))
+    assert lasagna.minus_side_checks(12) == (True, True)
+    assert weights.count(-1) == 1 and len(weights) == 25
 
 
 def test_strict_layer_matches_block_action():
-    rep = lasagna._layer_report(lasagna.minus_block(-1, 12), -1, 1, 12)
-    assert rep["strict"]
-    assert rep["ok"], rep
-    assert any(c["check"] == "layer action matches twisted model"
-               and c["status"] == "pass" for c in rep["checks"])
+    """The strict layer (-1, 1) of minus_block(-1, 12), key by key, agrees
+    with the certificate."""
+    assert lasagna.strictness(-1, 1, 12)
+    assert layer_matches_model(lasagna.minus_block(-1, 12), -1, 1, 12)
+    assert lasagna.layer_action_certificate()
 
 
 def test_minus_no_finite_part():
@@ -269,12 +388,15 @@ def test_spec_without_the_lowering_f_term_fails_the_minus_claims(
 
 @pytest.mark.parametrize("depth", [12, 20, 40])
 def test_layer_rows_equal_the_minus_block_on_every_layer_key(depth):
-    """Oracle for _layer_rows: on every key with A1-power in LAYER_RS, the
-    row module's e-, f- and h-columns equal minus_block's as Fractions, and
-    so do its boundary-loss flags."""
+    """The key-by-key oracle of layer_action_certificate: on every key with
+    A1-power in LAYER_RS, the row module's e-, f- and h-columns equal
+    minus_block's as Fractions, and so do its boundary-loss flags; and every
+    layer (ell, r) read on the rows matches its twisted model, as the
+    certificate says for every depth."""
+    assert lasagna.layer_action_certificate()
     for ell in lasagna.MINUS_ELLS:
         blk = lasagna.minus_block(ell, depth)
-        rows = lasagna._layer_rows(ell, depth)
+        rows = layer_rows(ell, depth)
         layer_keys = [k for k in blk.basis
                       if lasagna._kparts(k)[2] in lasagna.LAYER_RS]
         assert layer_keys and set(layer_keys) <= set(rows.basis) \
@@ -288,12 +410,138 @@ def test_layer_rows_equal_the_minus_block_on_every_layer_key(depth):
                         for k2, c in btable.get(k, {}).items()}, (ell, g, k)
                 assert (k in rows.boundary_loss[g]) \
                     == (k in blk.boundary_loss[g]), (ell, g, k)
+        assert all(layer_matches_model(rows, ell, r, depth)
+                   for r in lasagna.LAYER_RS), ell
 
 
 def test_layer_rows_at_depth_40_keep_a1_power_up_to_five():
-    sizes = [len(lasagna._layer_rows(ell, 40).basis)
-             for ell in lasagna.MINUS_ELLS]
+    sizes = [len(layer_rows(ell, 40).basis) for ell in lasagna.MINUS_ELLS]
     assert sizes == [517, 517, 453, 343, 271]
+
+
+def _lowering_a1():
+    """f(A1) gains E2*A0: an A1-shift that lowers the A1-power."""
+    ring = LASAGNA_RING
+    return _spec(f={"A1": A1_F + ring.gen("E2") * ring.gen("A0")})
+
+
+def _moving_a0():
+    """e(A0) gains E1*A0^2: an A0-shift that moves A0 with no A1 rise."""
+    ring = LASAGNA_RING
+    return _spec(e={"A0": LASAGNA_SPEC.e_images["A0"]
+                    + ring.gen("E1") * ring.gen("A0", 2)})
+
+
+# name: (perturbed spec, whether the key-by-key oracle sees it); a term that
+# moves A0 alone leaves the block ell, so the oracle, which reads the
+# block's columns, never meets it
+LAYER_PERTURBATIONS = {
+    "f(A1) doubled": (lambda: _spec(f={"A1": 2 * A1_F}), True),
+    "A0 h-weight": (lambda: _spec(h={"A0": -3}), True),
+    "A1 power lowered": (_lowering_a1, True),
+    "A0 moved alone": (_moving_a0, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_PERTURBATIONS))
+def test_layer_perturbation_fails_the_certificate_and_the_oracle(
+        monkeypatch, name):
+    """Negative control: each perturbed spec fails layer_action_certificate,
+    the layer claim of summary_report, criterion 11's layer field, and,
+    where it can see it, the key-by-key oracle on some layer of depth 12."""
+    from dottedtl import selftest
+
+    make, oracle_sees = LAYER_PERTURBATIONS[name]
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", make())
+    assert not lasagna.layer_action_certificate()
+    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
+              if c["status"] == "fail"}
+    assert "minus filtration layers are twisted polynomial modules" in failed
+    crit = selftest.criterion_minus_part()
+    assert crit["layers"] is False and crit["ok"] is False
+    assert oracle_sees is not all(
+        layer_matches_model(layer_rows(ell, 12), ell, r, 12)
+        for ell in lasagna.MINUS_ELLS for r in lasagna.LAYER_RS)
+
+
+def test_block_leak_fails_the_split_check(monkeypatch):
+    """Negative control: with e(A0) gaining E1*A0^2, e moves a key of block
+    ell with n >= 2 to block ell + 1 inside the minus part; that image term
+    is a boundary loss of the block alone, and the split check fails."""
+    assert lasagna.minus_block_split_check(12)
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", _moving_a0())
+    assert not lasagna.minus_block_split_check(12)
+
+
+def test_twist_off_by_a_half_fails_the_layer_claims(monkeypatch):
+    """Negative control: ModuleTwist.a = -shift/2 + 1/2 fails the
+    certificate, the layer claim and criterion 11."""
+    from dottedtl import selftest
+
+    monkeypatch.setattr(rep.ModuleTwist, "a", property(
+        lambda self: Fraction(1 - self.shift, 2)))
+    assert not lasagna.layer_action_certificate()
+    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
+              if c["status"] == "fail"}
+    assert "minus filtration layers are twisted polynomial modules" in failed
+    crit = selftest.criterion_minus_part()
+    assert crit["layers"] is False and crit["ok"] is False
+
+
+def test_changed_f_e2_fails_the_closed_form(monkeypatch):
+    """Negative control: f(E2) = 2*E1*E2 in BASE_SPEC fails the closed form
+    both when LASAGNA_SPEC is rebuilt from it and when it is not; in the
+    second case the two specs disagree on E2, which also fails the layer
+    certificate."""
+    base = sl2.BASE_SPEC
+    monkeypatch.setattr(lasagna, "BASE_SPEC", Sl2ActionSpec(
+        E_RING, base.e_images,
+        {**base.f_images, "E2": 2 * base.f_images["E2"]}, base.h_weights))
+    assert not lasagna.closed_form_certificate()
+    assert not lasagna.layer_action_certificate()
+    monkeypatch.setattr(sl2, "BASE_SPEC", lasagna.BASE_SPEC)
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", sl2.lasagna_spec())
+    assert not lasagna.closed_form_certificate()
+    assert not closed_form_check()
+
+
+def test_unrecognised_f_e1_shape_is_refused(monkeypatch):
+    """f(E1) with an E1 term is not of the shape the certificate reads."""
+    base = sl2.BASE_SPEC
+    bad = Sl2ActionSpec(E_RING, base.e_images,
+                        {**base.f_images,
+                         "E1": base.f_images["E1"] + E_RING.gen("E1")},
+                        base.h_weights)
+    monkeypatch.setattr(lasagna, "BASE_SPEC", bad)
+    monkeypatch.setattr(sl2, "BASE_SPEC", bad)
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", sl2.lasagna_spec())
+    assert not lasagna.closed_form_certificate()
+
+
+def _flipped(real, where):
+    def coefficient(k, a, g):
+        c = real(k, a, g)
+        return -c if where(k, a) else c
+    return coefficient
+
+
+@pytest.mark.parametrize("where", [
+    lambda k, a: (k, a) == (1, 1),
+    lambda k, a: (k, a) == (0, 2),
+    lambda k, a: a % 2 == 1,
+], ids=["C(1,1)", "C(0,2)", "odd a"])
+def test_flipped_closed_form_sign_fails(monkeypatch, where):
+    """Negative control: the closed form with a coefficient's sign flipped
+    fails the certificate and the grid oracle."""
+    monkeypatch.setattr(
+        lasagna, "_closed_form_coefficient",
+        _flipped(lasagna._closed_form_coefficient, where))
+    assert not lasagna.closed_form_certificate()
+    assert not closed_form_check()
+    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
+              if c["status"] == "fail"}
+    assert failed == {"closed f-power formula matches iteration",
+                      "vanishing/non-vanishing of f-strings"}
 
 
 def test_summary_runs_zuckerman_on_no_minus_module(monkeypatch):
@@ -396,10 +644,9 @@ def test_finite_part_counts_checked_generators(monkeypatch):
     """At depth 40, all 34 listed generators lie in a computed plus block
     (m, n <= 12).  Operation-count gate: the report verifies 26 claims (the
     ball and one per twisted weight, plus blocks and layers sharing them)
-    and builds 12 modules (the untwisted depth-40 block, which is the ball
-    and the source of the 25 twisted models and the 19 strict layers'
-    models, the split check's six, and the five layer-row modules); a twist
-    is made from its source's tables, not built."""
+    and builds 7 modules (the untwisted depth-40 block, which is the ball
+    and the source of the 25 twisted models, and the split check's six);
+    a twist is made from its source's tables, not built."""
     verified, built = [], []
     verify = lasagna.verify_claim
 
@@ -412,11 +659,39 @@ def test_finite_part_counts_checked_generators(monkeypatch):
                         lambda m, claim: verified.append(m) or verify(m, claim))
     monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
     rep40 = lasagna.summary_report(40)
-    assert (len(verified), len(built)) == (26, 12)
+    assert (len(verified), len(built)) == (26, 7)
     assert rep40["ok"], rep40
     assert len(rep40["claims"]) == 8
     assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
                                                    "checked": 34}
+
+
+def test_summary_builds_seven_modules_and_twists_each_weight_once(
+        monkeypatch):
+    """Operation-count gate: summary_report(40) builds the depth-40 base
+    block and the split check's six modules, no layer-row module, and
+    makes one twist step per plus-block weight -12..12: 25 in all (the
+    filtration layers' 13 weights are among them)."""
+    built, twists = [], []
+    real_init, real_twisted = (rep.TruncatedModule.__init__,
+                               rep.TruncatedModule.twisted)
+
+    def init(self, spec, keys, depth, name=""):
+        built.append((name, depth))
+        real_init(self, spec, keys, depth, name=name)
+
+    def twisted(self, twist, name):
+        twists.append((twist.shift, self.depth))
+        return real_twisted(self, twist, name)
+
+    monkeypatch.setattr(rep.TruncatedModule, "__init__", init)
+    monkeypatch.setattr(rep.TruncatedModule, "twisted", twisted)
+    assert lasagna.summary_report(40)["ok"]
+    assert sorted(built) == sorted(
+        [("ball", 40), ("disk-sphere[minus]", 12)]
+        + [(f"minus[{ell}]", 12) for ell in lasagna.MINUS_ELLS])
+    assert sorted(twists) == [(w, 40) for w in range(-12, 13)]
+    assert not hasattr(lasagna, "_layer_rows")
 
 
 def test_finite_part_checks_every_generator_at_depth_20():
@@ -438,9 +713,9 @@ def test_high_weight_block_is_verified_past_the_summary_depth():
 
 
 def test_summary_builds_one_minus_block_per_ell(monkeypatch):
-    """Operation-count gate: outside the block split check, summary_report
-    builds no minus block, and one layer-row module per ell for its
-    filtration layers."""
+    """Operation-count gate: summary_report builds one minus block per ell,
+    all inside the block split check, and no module for the filtration
+    layers, which layer_action_certificate reads off the spec."""
     built = []
     in_split = []
     split = lasagna.minus_block_split_check
@@ -448,8 +723,7 @@ def test_summary_builds_one_minus_block_per_ell(monkeypatch):
     class Counted(rep.TruncatedModule):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            if not in_split:
-                built.append((self.name, self.depth))
+            built.append((self.name, bool(in_split)))
 
     def counted_split(depth):
         in_split.append(depth)
@@ -461,10 +735,10 @@ def test_summary_builds_one_minus_block_per_ell(monkeypatch):
     monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
     monkeypatch.setattr(lasagna, "minus_block_split_check", counted_split)
     lasagna.summary_report(12)
-    assert not [b for b in built if b[0].startswith("minus[")]
-    rows = [b for b in built if b[0].startswith("layer-rows[")]
-    assert sorted(rows) == sorted((f"layer-rows[{ell}]", 12)
-                                  for ell in range(-2, 3))
+    assert sorted(name for name, _ in built if name.startswith("minus[")) \
+        == sorted(f"minus[{ell}]" for ell in range(-2, 3))
+    # outside the split check only untwisted base blocks are built
+    assert {name for name, inside in built if not inside} == {"ball"}
 
 
 def test_summary_verifies_one_twisted_model_per_weight_and_depth(monkeypatch):
@@ -517,13 +791,10 @@ def test_shared_verdict_fails_every_block_of_its_weight(monkeypatch):
 def test_shared_verdict_fails_every_layer_of_its_weight(monkeypatch):
     monkeypatch.setattr(lasagna, "block_claim",
                         _wrong_claim_at_weight_2(lasagna.block_claim))
-    failed = []
-    for ell in range(-2, 3):
-        blk = lasagna.minus_block(ell, 20)
-        for r in range(5):
-            if not lasagna._layer_report(blk, ell, r, 20)["ok"]:
-                failed.append((ell, r))
+    failed = [(ell, r) for ell in range(-2, 3) for r in range(5)
+              if not all(lasagna._twisted_verdict(2 * r - ell, 20)[1:3])]
     assert failed == [(-2, 0), (0, 1), (2, 2)]
+    assert lasagna.minus_side_checks(20) == (False, True)
 
 
 def test_wrong_weight_2_claim_fails_plus_and_layer_claims(monkeypatch):
@@ -558,25 +829,14 @@ def test_wrong_summand_kind_fails_the_ball_criterion(monkeypatch):
 
 
 def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
-    """One doubled entry of the stored f-table of the layer rows of
-    minus_block(0, 20), in the strict layer (ell, r) = (0, 1), fails
-    criterion 11 through its layer check."""
+    """f(A1) = -E1*A1, which doubles the E1 A1 A0^-1 entry of f's column
+    of A1 A0^-1 in the strict layer (ell, r) = (0, 1), fails criterion 11
+    through layer_action_certificate; the split check, which compares two
+    modules of the same spec, still passes."""
     from dottedtl import selftest
 
-    real = lasagna._layer_rows
-    k = lasagna._lkey(m=1, i=-1)           # A1 A0^-1
-    k2 = lasagna._lkey(a=1, m=1, i=-1)     # E1 A1 A0^-1
-
-    def perturbed(ell, depth):
-        rows = real(ell, depth)
-        if (ell, depth) == (0, 20):
-            den, table = rows.tables["f"]
-            col = table[k]
-            assert Fraction(col[k2], den) == -1
-            col[k2] *= 2
-        return rows
-
-    monkeypatch.setattr(lasagna, "_layer_rows", perturbed)
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", _spec(f={"A1": 2 * A1_F}))
+    assert not lasagna.layer_action_certificate()
     rep = selftest.criterion_minus_part()
     assert rep["split"] is True
     assert rep["layers"] is False
@@ -599,7 +859,7 @@ PINNED_REPORT_SHA256 = {
     ("decompose-b4",):
         "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
     ("decompose-b2s2", "--depth", "20"):
-        "b0d64c00dce89cb92df13331df6ffa6a0509744481466f1cb35cffcd823c4535",
+        "2173492bd80ffbffae4eee26e642603fa947f86650c1a816716421558bf74fdc",
 }
 
 
@@ -645,23 +905,24 @@ def test_f_string_walks_build_no_fraction(monkeypatch):
 
 
 def test_polynomial_checks_run_on_int_numerators(monkeypatch):
-    """Operation-count gate: in summary_report(12), closed_form_check,
-    block_claim and block_embedding_check call no sl2.apply, and their only
-    GradedPoly products build the powers of delta, one per power
-    delta^1..delta^10 of the depth-40 ball (the parent made 859 products
-    and 531 applies here)."""
+    """Operation-count gate: in summary_report(12), block_claim and
+    block_embedding_check call no sl2.apply, and their only GradedPoly
+    products build the powers of delta, one per power delta^1..delta^10 of
+    the depth-40 ball; closed_form_certificate reads its four generator
+    images with four applies (f on delta, A1 and v, e on v) and a handful
+    of products."""
     inside, applies, products = [], [], []
     real_apply = Sl2ActionSpec.apply
     real_mul = GradedPoly.__mul__
 
     def apply(self, g, x):
         if inside:
-            applies.append(g)
+            applies.append((inside[-1], g))
         return real_apply(self, g, x)
 
     def mul(self, other):
         if inside:
-            products.append(other)
+            products.append(inside[-1])
         return real_mul(self, other)
 
     def watched(fn):
@@ -675,8 +936,11 @@ def test_polynomial_checks_run_on_int_numerators(monkeypatch):
 
     monkeypatch.setattr(Sl2ActionSpec, "apply", apply)
     monkeypatch.setattr(GradedPoly, "__mul__", mul)
-    for name in ("closed_form_check", "block_claim", "block_embedding_check"):
+    for name in ("closed_form_certificate", "block_claim",
+                 "block_embedding_check"):
         monkeypatch.setattr(lasagna, name, watched(getattr(lasagna, name)))
     assert lasagna.summary_report(12)["ok"]
-    assert applies == []
-    assert len(products) <= 10
+    assert applies == [("closed_form_certificate", g)
+                       for g in ("f", "f", "f", "e")]
+    assert products.count("closed_form_certificate") <= 10
+    assert len(products) - products.count("closed_form_certificate") <= 10
