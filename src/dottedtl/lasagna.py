@@ -3,11 +3,12 @@
 The ball gives Q[E1,E2]; the twisted product of a disk and a sphere gives
 the Laurent module Q[E1,E2][A0^{+-1}, A1].  Both carry the derivation
 action from sl2; their decompositions reduce to highest-weight vectors and
-Zuckerman parts of truncated blocks, and to three certificates read off
+Zuckerman parts of truncated blocks, and to five certificates read off
 the specs for every index: the closed f-power formula on the v-basis with
-its vanishing pattern, the minus filtration layers as twisted blocks, and
-f's injectivity on the minus part.  summary_report labels each claim with
-the depth it was checked at, or "all".
+its vanishing pattern, the plus blocks A1^m v^n as twisted blocks, the
+minus part's split into weight blocks, the minus filtration layers as
+twisted blocks, and f's injectivity on the minus part.  summary_report
+labels each claim with the depth it was checked at, or "all".
 
 Plus blocks and minus filtration layers share one verdict per (weight, depth),
 and each is one twist step from the cached untwisted block of its depth.
@@ -20,8 +21,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .ring import E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms
-from .sl2 import BASE_SPEC, GENERATORS, LASAGNA_SPEC, TwistData
+from .ring import E_RING, LASAGNA_RING, GradedPoly, delta
+from .sl2 import BASE_SPEC, LASAGNA_SPEC, TwistData
 from .rep import (
     ClaimPart,
     DecompositionClaim,
@@ -96,26 +97,7 @@ def b4_report(depth: int = 40) -> dict:
     return rep
 
 
-# -- the Laurent module -----------------------------------------------------
-
-def b2s2_module(depth: int = 20, side: str = "all") -> TruncatedModule:
-    """The Laurent module, or its plus (A0-exponent >= 0) / minus part."""
-    if depth < 6:
-        raise LasagnaError("depth must be at least 6")
-    if side not in ("all", "plus", "minus"):
-        raise LasagnaError(f"unknown side {side!r}")
-    keys = []
-    for a, b in _poly_keys(depth):
-        for m in range(depth - 2 * a - 4 * b + 1):
-            rest = depth - 2 * a - 4 * b - m
-            lo = 0 if side == "plus" else -rest
-            hi = -1 if side == "minus" else rest
-            keys.extend(_lkey(a, b, m, i) for i in range(lo, hi + 1))
-    return TruncatedModule(LASAGNA_SPEC, keys, depth,
-                           name=f"disk-sphere[{side}]")
-
-
-# -- the v-basis and the closed f-power formula -----------------------------
+# -- the generators and the closed f-power formula --------------------------
 
 @lru_cache(maxsize=64)
 def _delta_power(j: int) -> GradedPoly:
@@ -125,27 +107,22 @@ def _delta_power(j: int) -> GradedPoly:
     return _delta_power(j - 1) * _delta_power(1)
 
 
-def _scaled(vec: dict, c) -> dict:
-    return {k: c * n for k, n in vec.items()} if c else {}
-
-
-def _vbasis(j_max: int, mn_max: int) -> dict:
-    """{(j, m, n): delta^j A1^m v^n up to a positive constant, as an int
-    vector} for j <= j_max and m, n <= mn_max, with v = A0 - E1*A1/2 and
-    each v^n made once, as (2v)^n."""
-    vn = [{_lkey(): 1}]
-    for _ in range(mn_max):
-        vn.append(mul_terms(vn[-1], {_lkey(i=1): 2, _lkey(a=1, m=1): -1}))
-    dj = [{_lkey(a, b): c.numerator
-           for (a, b), c in _delta_power(j).terms.items()}
-          for j in range(j_max + 1)]
-    return {(j, m, n): mul_terms(mul_terms(dj[j], vn[n]), {_lkey(m=m): 1})
-            for j, m, n in product(range(j_max + 1), range(mn_max + 1),
-                                   range(mn_max + 1))}
-
-
 def gamma(j: int, m: int, n: int) -> Fraction:
     return 2 * j + Fraction(n - m, 2)
+
+
+def _acts_as_twist(gens: str, units) -> bool:
+    """Each g in gens acts on x = delta, A1 or v = A0 - E1*A1/2, the
+    delta^j A1^m v^n of a unit (j, m, n) in units, through
+    LASAGNA_SPEC.apply as on the generator of a twist: e(x) = 0,
+    f(x) = gamma(j, m, n) E1 x and h(x) = (m - n - 4j) x."""
+    ring, apply = LASAGNA_RING, LASAGNA_SPEC.apply
+    E1, A1 = ring.gen("E1"), ring.gen("A1")
+    xs = {(1, 0, 0): delta(ring), (0, 1, 0): A1,
+          (0, 0, 1): ring.gen("A0") - Fraction(1, 2) * E1 * A1}
+    return all(apply(g, xs[j, m, n]) == xs[j, m, n] * {
+        "e": 0, "f": gamma(j, m, n) * E1, "h": m - n - 4 * j}[g]
+        for j, m, n in units for g in gens)
 
 
 def _closed_form_coefficient(k: int, a: int, g):
@@ -162,9 +139,9 @@ def closed_form_certificate() -> bool:
     f-strings, for every (j, m, n) and r: no grid, no truncation.
 
     LASAGNA_SPEC.apply gives f(x) = gamma E1 x for x = delta, A1 and
-    v = A0 - E1*A1/2 (gamma 2, -1/2 and 1/2) and e(v) = 0, so by the
-    Leibniz rule f^r(x) = c_r x for x = delta^j A1^m v^n, g = gamma(j, m, n),
-    c_0 = 1 and c_(r+1) = f(c_r) + g E1 c_r.  BASE_SPEC must give
+    v = A0 - E1*A1/2 (gamma 2, -1/2 and 1/2), so by the Leibniz rule
+    f^r(x) = c_r x for x = delta^j A1^m v^n, g = gamma(j, m, n), c_0 = 1
+    and c_(r+1) = f(c_r) + g E1 c_r.  BASE_SPEC must give
     f(E1) = al E1^2 + be E2 and f(E2) = de E1 E2 (any other shape is
     refused), so for k + 2a = r + 1 that recurrence reads
 
@@ -184,15 +161,9 @@ def closed_form_certificate() -> bool:
     kills x; c_w's E2^(w/2) coefficient is w!, so f^w does not.  The two
     facts, C(k, a) = 0 at g = 1 - k - a and C(0, a) != 0 at g = -a, are
     checked on the same grid."""
-    ring, apply = LASAGNA_RING, LASAGNA_SPEC.apply
-    E1, A1 = ring.gen("E1"), ring.gen("A1")
-    v = ring.gen("A0") - Fraction(1, 2) * E1 * A1
-    for unit, x in (((1, 0, 0), delta(ring)), ((0, 1, 0), A1),
-                    ((0, 0, 1), v)):
-        if apply("f", x) != gamma(*unit) * E1 * x:
-            return False
     f1, f2 = (BASE_SPEC.f_images[n].terms for n in ("E1", "E2"))
-    if not apply("e", v).is_zero() or not _lifts_base_spec() \
+    if not _acts_as_twist("f", ((1, 0, 0), (0, 1, 0), (0, 0, 1))) \
+            or not _lifts_base_spec() \
             or not set(f1) <= {(2, 0), (0, 1)} or not set(f2) <= {(1, 1)}:
         return False
     al, be, de = f1.get((2, 0), 0), f1.get((0, 1), 0), f2.get((1, 1), 0)
@@ -230,21 +201,6 @@ def block_claim(w: int, depth: int) -> DecompositionClaim:
     return DecompositionClaim(parts)
 
 
-def block_embedding_check(m: int, n: int, x: dict) -> bool:
-    """The block generator x = A1^m v^n, as _vbasis gives it, is a HWV in
-    the Laurent module, f acts on it through the twist gamma(0, m, n)
-    exactly and h by m - n: e(x) = 0, f(x) = gamma E1 x and h(x) =
-    (m-n) x, on int vectors by the spec's derive, cross-multiplied."""
-    derive, g = LASAGNA_SPEC.derive, gamma(0, m, n)
-    if derive("e", x):
-        return False
-    e1x = mul_terms(x, {_lkey(a=1): 1})
-    if _scaled(derive("f", x), g.denominator) \
-            != _scaled(e1x, g.numerator * LASAGNA_SPEC.den["f"]):
-        return False
-    return derive("h", x) == _scaled(x, m - n)
-
-
 def _generator_cap(depth: int) -> int:
     """The bound on m and n of the plus blocks and on m + n + 4j of the
     listed locally finite generators (m, n, j)."""
@@ -271,27 +227,39 @@ def _twisted_verdict(w: int, depth: int) -> tuple:
     return depth, claim_ok, zok, lams
 
 
+def plus_generator_certificate() -> bool:
+    """Every plus block (m, n), the Q[E1,E2]-span of A1^m v^n, is
+    twisted_block(m - n), for every m and n: read off the spec and the
+    twist.
+
+    Through LASAGNA_SPEC.apply, e kills A1 and v, f acts on them by
+    gamma(0, 1, 0) E1 and gamma(0, 0, 1) E1 and h by 1 and -1, and E1, E2
+    act as in BASE_SPEC.  By the Leibniz rule, then, e, f and h act on
+    p A1^m v^n, p in Q[E1,E2], as BASE_SPEC's e(p), f(p) + gamma(0, m, n) E1 p
+    and h(p) + (m - n) p: twisted_block(m - n), iff ModuleTwist(m - n) has
+    a = gamma(0, m, n) and shift m - n.  Both sides are affine in (m, n),
+    so agreeing at (0, 0), (1, 0) and (0, 1) they agree for every (m, n)."""
+    return _acts_as_twist("efh", ((0, 1, 0), (0, 0, 1))) \
+        and _lifts_base_spec() and all(
+            (ModuleTwist(m - n).a, ModuleTwist(m - n).shift)
+            == (gamma(0, m, n), m - n) for m, n in ((0, 0), (1, 0), (0, 1)))
+
+
 def mplus_decomposition(depth: int = 20) -> dict:
     """Per-block claim verification for the plus part, for m, n <=
     _generator_cap(depth), the range of the locally finite generators that
     summary_report lists.
 
-    Block (m, n) is the twisted polynomial module on A1^m v^n, of weight
-    w = m - n, with verdict _twisted_verdict(w, depth).  The generators
-    come from one _vbasis call, which makes each v^n once."""
+    Block (m, n) is twisted_block(m - n) by plus_generator_certificate, so
+    its verdict is _twisted_verdict(m - n, depth); ok is the certificate
+    and every verdict."""
     mn_max = _generator_cap(depth)
-    blocks, ok = [], True
-    for (_, m, n), x in _vbasis(0, mn_max).items():
-        if not block_embedding_check(m, n, x):
-            ok = False
-            blocks.append({"m": m, "n": n, "status": "fail",
-                           "reason": "embedding"})
-            continue
-        w = m - n
-        block_depth, claim_ok, zok, lams = _twisted_verdict(w, depth)
+    blocks, ok = [], plus_generator_certificate()
+    for m, n in product(range(mn_max + 1), repeat=2):
+        block_depth, claim_ok, zok, lams = _twisted_verdict(m - n, depth)
         ok = ok and claim_ok and zok
         blocks.append({
-            "m": m, "n": n, "weight": w, "depth": block_depth,
+            "m": m, "n": n, "weight": m - n, "depth": block_depth,
             "status": "pass" if claim_ok and zok else "fail",
             "zuckerman": [{"kind": "L", "lambda": lam} for lam in lams],
         })
@@ -311,33 +279,18 @@ def _minus_keys(ell: int, depth: int) -> list:
             if 2 * a + 4 * b + 2 * n + ell <= depth]
 
 
-def minus_block(ell: int, depth: int = 20) -> TruncatedModule:
-    """Span of A1^m A0^(-n) with m - n = ell, n >= 1, over the base ring."""
-    return TruncatedModule(LASAGNA_SPEC, _minus_keys(ell, depth), depth,
-                           name=f"minus[{ell}]")
+def minus_split_certificate() -> bool:
+    """e, f and h keep every minus block ell (the keys A1^m A0^(-n),
+    m - n = ell, n >= 1) inside itself, for every ell and every depth: read
+    off LASAGNA_SPEC.shifts.
 
-
-def minus_block_split_check(depth: int = 12) -> bool:
-    """Block closure: e, f, h keep each minus block ell in MINUS_ELLS inside
-    itself (a term leaving the block but not the minus part fails), and
-    those blocks partition the minus part with m - n in MINUS_ELLS."""
-    full = b2s2_module(depth, side="minus")
-    covered = set()
-    for ell in MINUS_ELLS:
-        blk = minus_block(ell, depth)
-        covered.update(blk.basis)
-        for g in GENERATORS:
-            # columns compared as numerators over one denominator
-            bden, btable = blk.tables[g]
-            fden, ftable = full.tables[g]
-            for k in blk.basis:
-                if k in full.boundary_loss[g]:
-                    continue
-                if _scaled(btable.get(k, {}), fden) \
-                        != _scaled(ftable.get(k, {}), bden):
-                    return False
-    return all(k in covered for k in full.basis
-               if _kparts(k)[2] + _kparts(k)[3] in MINUS_ELLS)
+    h is diagonal.  By the power rule e and f send x^p to a sum of terms
+    x^(p + s), s a shift of the spec; every e- and f-shift keeps
+    A1-exponent + A0-exponent, so each term stays in the block ell of x^p,
+    and none raises the A0 exponent, so each stays in the minus part."""
+    a1, a0 = _IDX["A1"], _IDX["A0"]
+    return all(s[a1] + s[a0] == 0 and s[a0] <= 0
+               for g in ("e", "f") for _, s in _shift_table(LASAGNA_SPEC, g))
 
 
 def strictness(ell: int, r: int, depth: int = 20) -> bool:
@@ -451,8 +404,6 @@ def _finite_part_from_plus(generators, blocks, mn_max: int) -> bool:
     (m, n), the listed weights are exactly the summand weights lambda with
     m + n + 4j = 2m - lambda <= mn_max."""
     for b in blocks:
-        if "zuckerman" not in b:
-            return False
         m, n = b["m"], b["n"]
         listed = sorted(g["lambda"] for g in generators
                         if (g["m"], g["n"]) == (m, n))
@@ -468,13 +419,13 @@ def summary_report(depth: int = 20) -> dict:
     the depth it was checked at, or "all" for the certificates that hold at
     every depth; the caveat names the truncated claims.
 
-    The ball is checked to depth max(depth, 40) and the minus block split
-    to min(depth, 12).  minus_side_checks reads the layers' twisted verdicts
-    that mplus_decomposition cached, so each twisted model is verified once
-    across the report.  The last claim lists the locally finite generators
-    (m, n, j) with m + n + 4j <= _generator_cap(depth); ``detail.checked``
-    counts those compared with a computed plus block, which cover m, n <=
-    the same cap, so every listed generator is checked.
+    The ball is checked to depth max(depth, 40); the plus blocks and the
+    minus filtration layers are twisted blocks at every index, with
+    truncated verdicts, which minus_side_checks reads from
+    mplus_decomposition's cache: each twisted model is verified once and
+    the ball is the only module built.  The last claim lists the locally
+    finite generators (m, n, j) with m + n + 4j <= _generator_cap(depth);
+    ``detail.checked`` counts those in a computed plus block: all of them.
     """
     if depth < 6:
         raise LasagnaError("depth must be at least 6")
@@ -488,8 +439,7 @@ def summary_report(depth: int = 20) -> dict:
         lines.append(entry)
 
     ball = b4_report(max(depth, 40))
-    line("ball module is Mdual(0) + sum of M(-4j)", ball["ok"],
-         ball["depth"], {"depth": ball["depth"]})
+    line("ball module is Mdual(0) + sum of M(-4j)", ball["ok"], ball["depth"])
 
     closed_ok = closed_form_certificate()
     line("closed f-power formula matches iteration", closed_ok, "all")
@@ -499,9 +449,8 @@ def summary_report(depth: int = 20) -> dict:
     line("plus part splits blockwise into Verma/dual-Verma stacks",
          plus["ok"])
 
-    split_depth = min(depth, 12)
-    line("minus part splits into weight blocks",
-         minus_block_split_check(split_depth), split_depth)
+    line("minus part splits into weight blocks", minus_split_certificate(),
+         "all")
     filt_ok, minus_finite_ok = minus_side_checks(depth)
     line("minus filtration layers are twisted polynomial modules", filt_ok)
     line("minus part contributes nothing to the locally finite part",
@@ -513,7 +462,6 @@ def summary_report(depth: int = 20) -> dict:
                                  range(depth // 4 + 1))
           if m - n - 4 * j >= 0 and (m - n) % 2 == 0
           and m + n + 4 * j <= mn_max]
-    # only generators inside a computed plus block are compared
     computed = {(b["m"], b["n"]) for b in plus["blocks"]}
     checked = sum((g["m"], g["n"]) in computed for g in gm)
     line("locally finite part comes from the plus side",

@@ -227,7 +227,7 @@ def criterion_plus_part() -> dict:
 
 
 def criterion_minus_part() -> dict:
-    ok = lasagna.minus_block_split_check(12)
+    ok = lasagna.minus_split_certificate()
     # S_(ell,r) is strict iff the block has a basis key with A1-power r
     table_ok = True
     for ell in lasagna.MINUS_ELLS:

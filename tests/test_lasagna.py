@@ -76,6 +76,100 @@ def vbasis_element(j, m, n):
             * v_poly() ** n)
 
 
+# -- test oracles: the v-basis grid and the modules the certificates replace --
+
+def scaled(vec: dict, c) -> dict:
+    return {k: c * n for k, n in vec.items()} if c else {}
+
+
+def vbasis(j_max: int, mn_max: int) -> dict:
+    """{(j, m, n): delta^j A1^m v^n up to a positive constant, as an int
+    vector} for j <= j_max and m, n <= mn_max, with v = A0 - E1*A1/2 and
+    each v^n made once, as (2v)^n."""
+    lkey = lasagna._lkey
+    vn = [{lkey(): 1}]
+    for _ in range(mn_max):
+        vn.append(mul_terms(vn[-1], {lkey(i=1): 2, lkey(a=1, m=1): -1}))
+    dj = [{lkey(a, b): c.numerator
+           for (a, b), c in lasagna._delta_power(j).terms.items()}
+          for j in range(j_max + 1)]
+    return {(j, m, n): mul_terms(mul_terms(dj[j], vn[n]), {lkey(m=m): 1})
+            for j, m, n in product(range(j_max + 1), range(mn_max + 1),
+                                   range(mn_max + 1))}
+
+
+def b2s2_module(depth: int, side: str) -> rep.TruncatedModule:
+    """The Laurent module truncated at depth: its plus (A0-exponent >= 0)
+    or minus part."""
+    keys = []
+    for a, b in lasagna._poly_keys(depth):
+        for m in range(depth - 2 * a - 4 * b + 1):
+            rest = depth - 2 * a - 4 * b - m
+            lo, hi = (0, rest) if side == "plus" else (-rest, -1)
+            keys.extend(lasagna._lkey(a, b, m, i) for i in range(lo, hi + 1))
+    return rep.TruncatedModule(lasagna.LASAGNA_SPEC, keys, depth,
+                               name=f"disk-sphere[{side}]")
+
+
+def minus_block(ell: int, depth: int) -> rep.TruncatedModule:
+    """Span of A1^m A0^(-n) with m - n = ell, n >= 1, over the base ring."""
+    return rep.TruncatedModule(lasagna.LASAGNA_SPEC,
+                               lasagna._minus_keys(ell, depth), depth,
+                               name=f"minus[{ell}]")
+
+
+def block_embedding_check(m: int, n: int, x: dict) -> bool:
+    """Oracle of plus_generator_certificate for one block: x = A1^m v^n, as
+    vbasis gives it, acts in the Laurent module as the generator of
+    twisted_block(m - n), e(x) = 0, f(x) = a E1 x and h(x) = shift x with
+    a and shift those of ModuleTwist(m - n), on int vectors by the spec's
+    derive, cross-multiplied."""
+    spec, twist = lasagna.LASAGNA_SPEC, rep.ModuleTwist(m - n)
+    a = Fraction(twist.a)
+    if spec.derive("e", x):
+        return False
+    e1x = mul_terms(x, {lasagna._lkey(a=1): 1})
+    if scaled(spec.derive("f", x), a.denominator) \
+            != scaled(e1x, a.numerator * spec.den["f"]):
+        return False
+    return spec.derive("h", x) == scaled(x, twist.shift)
+
+
+def plus_oracle() -> bool:
+    return all(block_embedding_check(m, n, x)
+               for (_, m, n), x in vbasis(0, 4).items())
+
+
+def minus_block_split_check(depth: int) -> bool:
+    """Oracle of minus_split_certificate at one depth: e, f, h keep each
+    minus block ell in MINUS_ELLS inside itself.  Off the boundary of the
+    whole minus part the block's columns equal the minus part's, so a term
+    leaving the block but not the minus part fails; on its boundary every
+    term of the untruncated image must keep the block and A0-exponent
+    <= -1.  The blocks partition the minus part with m - n in MINUS_ELLS."""
+    a1, a0 = LASAGNA_RING.index["A1"], LASAGNA_RING.index["A0"]
+    full = b2s2_module(depth, "minus")
+    covered = set()
+    for ell in lasagna.MINUS_ELLS:
+        blk = minus_block(ell, depth)
+        covered.update(blk.basis)
+        for g in GENERATORS:
+            # columns compared as numerators over one denominator
+            bden, btable = blk.tables[g]
+            fden, ftable = full.tables[g]
+            for k in blk.basis:
+                if k in full.boundary_loss[g]:
+                    image = lasagna.LASAGNA_SPEC.derive(g, {k: 1})
+                    if any(k2[a0] >= 0 or k2[a1] + k2[a0] != ell
+                           for k2 in image):
+                        return False
+                elif scaled(btable.get(k, {}), fden) \
+                        != scaled(ftable.get(k, {}), bden):
+                    return False
+    return all(k in covered for k in full.basis
+               if k[a1] + k[a0] in lasagna.MINUS_ELLS)
+
+
 def test_gamma_and_generators():
     assert lasagna.gamma(0, 0, 0) == 0
     v = v_poly()
@@ -86,7 +180,7 @@ def test_gamma_and_generators():
 def test_vbasis_matches_the_expanded_elements():
     """Each grid vector is a positive multiple of delta^j A1^m v^n, the
     multiple 2^n of (2v)^n."""
-    grid = lasagna._vbasis(3, 4)
+    grid = vbasis(3, 4)
     assert len(grid) == 4 * 5 * 5
     for (j, m, n), x in grid.items():
         want = vbasis_element(j, m, n)
@@ -116,15 +210,13 @@ def closed_form_check():
     cross-multiplied."""
     spec = lasagna.LASAGNA_SPEC
     fden = spec.den["f"]
-    for (j, m, n), x in lasagna._vbasis(VBASIS_SIZE - 1,
-                                        VBASIS_SIZE - 1).items():
+    for (j, m, n), x in vbasis(VBASIS_SIZE - 1, VBASIS_SIZE - 1).items():
         g = lasagna.gamma(j, m, n)
         fx = x
         for r in range(1, F_POWER_MAX + 1):
             fx = spec.derive("f", fx)
             cden, c = closed_form_numerators(g, r)
-            if lasagna._scaled(fx, cden) \
-                    != lasagna._scaled(mul_terms(c, x), fden ** r):
+            if scaled(fx, cden) != scaled(mul_terms(c, x), fden ** r):
                 return False
     return True
 
@@ -134,8 +226,7 @@ def vanishing_check():
     is >= 0 and even, and f^w does not (w >= 1): the spec's apply on the
     expanded polynomials."""
     spec = lasagna.LASAGNA_SPEC
-    for (j, m, n), x in lasagna._vbasis(VBASIS_SIZE - 1,
-                                        VBASIS_SIZE - 1).items():
+    for (j, m, n), x in vbasis(VBASIS_SIZE - 1, VBASIS_SIZE - 1).items():
         w = m - n - 4 * j
         if w < 0 or w % 2:
             continue
@@ -217,20 +308,18 @@ def test_perturbed_f_image_fails_the_closed_form_check(monkeypatch):
 
 
 def test_embedding_check_on_the_plus_blocks():
-    assert all(lasagna.block_embedding_check(m, n, x)
-               for (_, m, n), x in lasagna._vbasis(0, 4).items())
+    """The plus certificate and its oracle on the blocks m, n <= 4."""
+    assert lasagna.plus_generator_certificate()
+    assert plus_oracle()
 
 
-def test_wrong_twist_fails_the_embedding_check(monkeypatch):
-    """Negative control: the generator A1^2 v of block (2, 1) with the
-    twist of block (2, 0), and with v^2 in place of v."""
-    grid = lasagna._vbasis(0, 2)
-    assert lasagna.block_embedding_check(2, 1, grid[0, 2, 1])
-    assert not lasagna.block_embedding_check(2, 1, grid[0, 2, 2])
-    real = lasagna.gamma
-    monkeypatch.setattr(lasagna, "gamma",
-                        lambda j, m, n: real(j, m, n - 1))
-    assert not lasagna.block_embedding_check(2, 1, grid[0, 2, 1])
+def test_wrong_twist_fails_the_embedding_check():
+    """Negative control for the oracle: the generator A1^2 v of block
+    (2, 1) with the twist of block (2, 0), and with v^2 in place of v."""
+    grid = vbasis(0, 2)
+    assert block_embedding_check(2, 1, grid[0, 2, 1])
+    assert not block_embedding_check(2, 1, grid[0, 2, 2])
+    assert not block_embedding_check(2, 0, grid[0, 2, 1])
 
 
 def test_vanishing_pattern():
@@ -247,7 +336,9 @@ def test_plus_part_decomposition():
 
 
 def test_minus_block_split():
-    assert lasagna.minus_block_split_check(10)
+    """The split certificate and its oracle at depths 10 and 12."""
+    assert lasagna.minus_split_certificate()
+    assert minus_block_split_check(10) and minus_block_split_check(12)
 
 
 def test_strictness_table():
@@ -295,7 +386,7 @@ def layer_matches_model(blk, ell, r, depth):
                     return False
                 if m2 == r:
                     proj[(a2, b2)] = c * mden
-            if proj != lasagna._scaled(mtable.get((a, b), {}), bden):
+            if proj != scaled(mtable.get((a, b), {}), bden):
                 return False
     return True
 
@@ -317,7 +408,7 @@ def test_strict_layer_matches_block_action():
     """The strict layer (-1, 1) of minus_block(-1, 12), key by key, agrees
     with the certificate."""
     assert lasagna.strictness(-1, 1, 12)
-    assert layer_matches_model(lasagna.minus_block(-1, 12), -1, 1, 12)
+    assert layer_matches_model(minus_block(-1, 12), -1, 1, 12)
     assert lasagna.layer_action_certificate()
 
 
@@ -330,7 +421,7 @@ def test_zuckerman_on_a_minus_block_classifies_nothing():
     """The depth-truncated pass the f-shift certificate replaces: on
     minus_block(0, 20) every highest-weight vector of weight >= 0 is too
     deep for the f^(lam+1) test, so it finds no summand and says so."""
-    z = rep.zuckerman(lasagna.minus_block(0, 20))
+    z = rep.zuckerman(minus_block(0, 20))
     assert z["summands"] == []
     assert z["unclassified"] > 0
 
@@ -342,7 +433,7 @@ def test_minus_hwvs_are_verma_by_untruncated_f():
     locally finite."""
     seen = 0
     for ell in lasagna.MINUS_ELLS:
-        blk = lasagna.minus_block(ell, 12)
+        blk = minus_block(ell, 12)
         for lam in sorted({w for w in blk.weights.values() if w >= 0}):
             for v in blk.highest_weight_vectors(lam):
                 x = rep._numerators(v)[1]
@@ -395,7 +486,7 @@ def test_layer_rows_equal_the_minus_block_on_every_layer_key(depth):
     certificate says for every depth."""
     assert lasagna.layer_action_certificate()
     for ell in lasagna.MINUS_ELLS:
-        blk = lasagna.minus_block(ell, depth)
+        blk = minus_block(ell, depth)
         rows = layer_rows(ell, depth)
         layer_keys = [k for k in blk.basis
                       if lasagna._kparts(k)[2] in lasagna.LAYER_RS]
@@ -467,10 +558,12 @@ def test_layer_perturbation_fails_the_certificate_and_the_oracle(
 def test_block_leak_fails_the_split_check(monkeypatch):
     """Negative control: with e(A0) gaining E1*A0^2, e moves a key of block
     ell with n >= 2 to block ell + 1 inside the minus part; that image term
-    is a boundary loss of the block alone, and the split check fails."""
-    assert lasagna.minus_block_split_check(12)
+    is a boundary loss of the block alone, and the split certificate and
+    its oracle fail."""
+    assert minus_block_split_check(12)
     monkeypatch.setattr(lasagna, "LASAGNA_SPEC", _moving_a0())
-    assert not lasagna.minus_block_split_check(12)
+    assert not lasagna.minus_split_certificate()
+    assert not minus_block_split_check(12)
 
 
 def test_twist_off_by_a_half_fails_the_layer_claims(monkeypatch):
@@ -486,6 +579,71 @@ def test_twist_off_by_a_half_fails_the_layer_claims(monkeypatch):
     assert "minus filtration layers are twisted polynomial modules" in failed
     crit = selftest.criterion_minus_part()
     assert crit["layers"] is False and crit["ok"] is False
+
+
+def _twist_off_by_a_half(monkeypatch):
+    monkeypatch.setattr(rep.ModuleTwist, "a", property(
+        lambda self: Fraction(1 - self.shift, 2)))
+
+
+def _spec_patch(make):
+    return lambda monkeypatch: monkeypatch.setattr(lasagna, "LASAGNA_SPEC",
+                                                   make())
+
+
+# name: (patch, whether the plus certificate holds, whether the split
+# certificate holds); f(A1) gaining A0 sends A1 A0^-1 into the plus part
+CERTIFICATE_PERTURBATIONS = {
+    "none": (lambda monkeypatch: None, True, True),
+    "e(A1) nonzero": (_spec_patch(lambda: _spec(
+        e={"A1": LASAGNA_RING.gen("E1") * LASAGNA_RING.gen("A1")})),
+        False, True),
+    "A0 h-weight": (_spec_patch(lambda: _spec(h={"A0": -3})), False, True),
+    "twist a off by 1/2": (_twist_off_by_a_half, False, True),
+    "f(A1) gains A0": (_spec_patch(lambda: _spec(
+        f={"A1": A1_F + LASAGNA_RING.gen("A0")})), False, False),
+    "A0 moved alone": (_spec_patch(_moving_a0), False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_PERTURBATIONS))
+def test_certificates_agree_with_their_oracles(monkeypatch, name):
+    """On the real spec and each perturbation, plus_generator_certificate
+    agrees with its oracle on the blocks m, n <= 4, and
+    minus_split_certificate with its oracle at depths 10 and 12."""
+    patch, plus_ok, split_ok = CERTIFICATE_PERTURBATIONS[name]
+    patch(monkeypatch)
+    assert lasagna.plus_generator_certificate() is plus_oracle() is plus_ok
+    assert lasagna.minus_split_certificate() is split_ok
+    assert minus_block_split_check(10) is minus_block_split_check(12) \
+        is split_ok
+
+
+@pytest.mark.parametrize("name", ["e(A1) nonzero", "A0 h-weight",
+                                  "twist a off by 1/2"])
+def test_plus_perturbation_fails_the_plus_claim(monkeypatch, name):
+    """Negative control: each perturbation fails the plus claim of
+    summary_report through plus_generator_certificate."""
+    CERTIFICATE_PERTURBATIONS[name][0](monkeypatch)
+    assert not lasagna.mplus_decomposition(12)["ok"]
+    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
+              if c["status"] == "fail"}
+    assert "plus part splits blockwise into Verma/dual-Verma stacks" in failed
+
+
+def test_f_a1_gaining_a0_fails_the_split_claim(monkeypatch):
+    """Negative control: f(A1) += A0 sends A1 A0^-1 into the plus part, so
+    the minus part is not f-stable.  The split claim and criterion 11's
+    split field fail; a key-by-key check that skips every key whose image
+    leaves the minus module passes this spec."""
+    from dottedtl import selftest
+
+    CERTIFICATE_PERTURBATIONS["f(A1) gains A0"][0](monkeypatch)
+    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
+              if c["status"] == "fail"}
+    assert "minus part splits into weight blocks" in failed
+    crit = selftest.criterion_minus_part()
+    assert crit["split"] is False and crit["ok"] is False
 
 
 def test_changed_f_e2_fails_the_closed_form(monkeypatch):
@@ -597,6 +755,15 @@ def test_summary_report():
     detail = _finite_part_claim(rep)["detail"]
     assert detail == {"generators": len(listed), "checked": len(listed)}
     assert len(listed) == 10
+    # depth labels: the ball at 40, with no detail; four certificates "all"
+    depths = {c["claim"]: c["depth"] for c in rep["claims"]}
+    assert "detail" not in rep["claims"][0] and rep["claims"][0]["depth"] == 40
+    assert [c for c, d in depths.items() if d == "all"] == [
+        "closed f-power formula matches iteration",
+        "vanishing/non-vanishing of f-strings",
+        "minus part splits into weight blocks",
+        "minus part contributes nothing to the locally finite part"]
+    assert "weight blocks" not in rep["caveat"]
 
 
 def test_laurent_ring_consistency():
@@ -609,7 +776,7 @@ def test_depth_guard():
     with pytest.raises(lasagna.LasagnaError):
         lasagna.b4_module(2)
     with pytest.raises(lasagna.LasagnaError):
-        lasagna.b2s2_module(4)
+        lasagna._minus_keys(5, 4)
 
 
 def test_summary_finite_part_is_compared(monkeypatch):
@@ -644,9 +811,9 @@ def test_finite_part_counts_checked_generators(monkeypatch):
     """At depth 40, all 34 listed generators lie in a computed plus block
     (m, n <= 12).  Operation-count gate: the report verifies 26 claims (the
     ball and one per twisted weight, plus blocks and layers sharing them)
-    and builds 7 modules (the untwisted depth-40 block, which is the ball
-    and the source of the 25 twisted models, and the split check's six);
-    a twist is made from its source's tables, not built."""
+    and builds 1 module, the untwisted depth-40 block, which is the ball
+    and the source of the 25 twisted models; a twist is made from its
+    source's tables, not built."""
     verified, built = [], []
     verify = lasagna.verify_claim
 
@@ -659,17 +826,17 @@ def test_finite_part_counts_checked_generators(monkeypatch):
                         lambda m, claim: verified.append(m) or verify(m, claim))
     monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
     rep40 = lasagna.summary_report(40)
-    assert (len(verified), len(built)) == (26, 7)
+    assert (len(verified), len(built)) == (26, 1)
     assert rep40["ok"], rep40
     assert len(rep40["claims"]) == 8
     assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
                                                    "checked": 34}
 
 
-def test_summary_builds_seven_modules_and_twists_each_weight_once(
+def test_summary_builds_one_module_and_twists_each_weight_once(
         monkeypatch):
     """Operation-count gate: summary_report(40) builds the depth-40 base
-    block and the split check's six modules, no layer-row module, and
+    block and nothing else, no minus block and no layer-row module, and
     makes one twist step per plus-block weight -12..12: 25 in all (the
     filtration layers' 13 weights are among them)."""
     built, twists = [], []
@@ -687,9 +854,7 @@ def test_summary_builds_seven_modules_and_twists_each_weight_once(
     monkeypatch.setattr(rep.TruncatedModule, "__init__", init)
     monkeypatch.setattr(rep.TruncatedModule, "twisted", twisted)
     assert lasagna.summary_report(40)["ok"]
-    assert sorted(built) == sorted(
-        [("ball", 40), ("disk-sphere[minus]", 12)]
-        + [(f"minus[{ell}]", 12) for ell in lasagna.MINUS_ELLS])
+    assert built == [("ball", 40)]
     assert sorted(twists) == [(w, 40) for w in range(-12, 13)]
     assert not hasattr(lasagna, "_layer_rows")
 
@@ -712,33 +877,26 @@ def test_high_weight_block_is_verified_past_the_summary_depth():
     assert [s["lambda"] for s in block["zuckerman"]] == [10, 6, 2]
 
 
-def test_summary_builds_one_minus_block_per_ell(monkeypatch):
-    """Operation-count gate: summary_report builds one minus block per ell,
-    all inside the block split check, and no module for the filtration
-    layers, which layer_action_certificate reads off the spec."""
-    built = []
-    in_split = []
-    split = lasagna.minus_block_split_check
+def test_summary_builds_no_minus_block(monkeypatch):
+    """Operation-count gate: summary_report(12) and criterion 11 build no
+    minus-side module, only untwisted base blocks, and read the split
+    claim off minus_split_certificate, once each."""
+    from dottedtl import selftest
 
-    class Counted(rep.TruncatedModule):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append((self.name, bool(in_split)))
+    built, split = [], []
+    real_init = rep.TruncatedModule.__init__
+    certificate = lasagna.minus_split_certificate
 
-    def counted_split(depth):
-        in_split.append(depth)
-        try:
-            return split(depth)
-        finally:
-            in_split.pop()
+    def init(self, spec, keys, depth, name=""):
+        built.append(name)
+        real_init(self, spec, keys, depth, name=name)
 
-    monkeypatch.setattr(lasagna, "TruncatedModule", Counted)
-    monkeypatch.setattr(lasagna, "minus_block_split_check", counted_split)
-    lasagna.summary_report(12)
-    assert sorted(name for name, _ in built if name.startswith("minus[")) \
-        == sorted(f"minus[{ell}]" for ell in range(-2, 3))
-    # outside the split check only untwisted base blocks are built
-    assert {name for name, inside in built if not inside} == {"ball"}
+    monkeypatch.setattr(rep.TruncatedModule, "__init__", init)
+    monkeypatch.setattr(lasagna, "minus_split_certificate",
+                        lambda: split.append(1) or certificate())
+    assert lasagna.summary_report(12)["ok"]
+    assert selftest.criterion_minus_part()["ok"]
+    assert set(built) == {"ball"} and len(split) == 2
 
 
 def test_summary_verifies_one_twisted_model_per_weight_and_depth(monkeypatch):
@@ -831,8 +989,8 @@ def test_wrong_summand_kind_fails_the_ball_criterion(monkeypatch):
 def test_perturbed_minus_block_fails_the_minus_criterion(monkeypatch):
     """f(A1) = -E1*A1, which doubles the E1 A1 A0^-1 entry of f's column
     of A1 A0^-1 in the strict layer (ell, r) = (0, 1), fails criterion 11
-    through layer_action_certificate; the split check, which compares two
-    modules of the same spec, still passes."""
+    through layer_action_certificate; the split certificate still passes,
+    since the doubled term keeps both A-exponents."""
     from dottedtl import selftest
 
     monkeypatch.setattr(lasagna, "LASAGNA_SPEC", _spec(f={"A1": 2 * A1_F}))
@@ -859,7 +1017,7 @@ PINNED_REPORT_SHA256 = {
     ("decompose-b4",):
         "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
     ("decompose-b2s2", "--depth", "20"):
-        "2173492bd80ffbffae4eee26e642603fa947f86650c1a816716421558bf74fdc",
+        "93db527c15cfbdb71811e77f5c890379af08dbcaf8855bb8112b11d0310b3e55",
 }
 
 
@@ -905,12 +1063,13 @@ def test_f_string_walks_build_no_fraction(monkeypatch):
 
 
 def test_polynomial_checks_run_on_int_numerators(monkeypatch):
-    """Operation-count gate: in summary_report(12), block_claim and
-    block_embedding_check call no sl2.apply, and their only GradedPoly
-    products build the powers of delta, one per power delta^1..delta^10 of
-    the depth-40 ball; closed_form_certificate reads its four generator
-    images with four applies (f on delta, A1 and v, e on v) and a handful
-    of products."""
+    """Operation-count gate: in summary_report(12), block_claim calls no
+    sl2.apply, and its only GradedPoly products build the powers of delta,
+    one per power delta^1..delta^10 of the depth-40 ball; the certificates
+    read their generator images with nine applies (closed_form_certificate
+    f on delta, A1 and v; plus_generator_certificate e, f and h on A1 and
+    on v) and a handful of products, and summary_report makes no other
+    GradedPoly.__mul__ call."""
     inside, applies, products = [], [], []
     real_apply = Sl2ActionSpec.apply
     real_mul = GradedPoly.__mul__
@@ -936,11 +1095,12 @@ def test_polynomial_checks_run_on_int_numerators(monkeypatch):
 
     monkeypatch.setattr(Sl2ActionSpec, "apply", apply)
     monkeypatch.setattr(GradedPoly, "__mul__", mul)
-    for name in ("closed_form_certificate", "block_claim",
-                 "block_embedding_check"):
+    certificates = ("closed_form_certificate", "plus_generator_certificate")
+    for name in certificates + ("block_claim", "summary_report"):
         monkeypatch.setattr(lasagna, name, watched(getattr(lasagna, name)))
     assert lasagna.summary_report(12)["ok"]
-    assert applies == [("closed_form_certificate", g)
-                       for g in ("f", "f", "f", "e")]
-    assert products.count("closed_form_certificate") <= 10
-    assert len(products) - products.count("closed_form_certificate") <= 10
+    assert applies == [("closed_form_certificate", "f")] * 3 \
+        + [("plus_generator_certificate", g) for g in "efh" * 2]
+    assert all(products.count(name) <= 12 for name in certificates)
+    assert products.count("block_claim") <= 10
+    assert products.count("summary_report") == 0

@@ -26,6 +26,7 @@ from dottedtl.sl2 import (
     TwistData,
     add_term,
 )
+from test_lasagna import b2s2_module, minus_block
 from test_sl2 import leibniz_apply
 
 
@@ -223,8 +224,8 @@ def _items(action):
 MODULES = pytest.mark.parametrize("module", [
     lambda: lasagna.twisted_block(3, 16, "twisted"),
     lambda: lasagna.twisted_block(-5, 12, "twisted"),
-    lambda: lasagna.minus_block(-1, 12),
-    lambda: lasagna.b2s2_module(8, "plus"),
+    lambda: minus_block(-1, 12),
+    lambda: b2s2_module(8, "plus"),
 ], ids=["twisted-a<0", "twisted-a>0-shift<0", "minus-block", "b2s2-plus"])
 
 
@@ -384,7 +385,7 @@ def test_h_tables_are_written_from_the_weights(monkeypatch):
 
     monkeypatch.setattr(Sl2ActionSpec, "derive_monomial", counted)
     lasagna._base_block.cache_clear()
-    modules = [lasagna.minus_block(-1, 12), lasagna.twisted_block(6, 16, "t")]
+    modules = [minus_block(-1, 12), lasagna.twisted_block(6, 16, "t")]
     lasagna._base_block.cache_clear()
     assert set(derived) == {"e", "f"}
     for m in modules:
