@@ -10,8 +10,9 @@ minus part's split into weight blocks, the minus filtration layers as
 twisted blocks, and f's injectivity on the minus part.  summary_report
 labels each claim with the depth it was checked at, or "all".
 
-Plus blocks and minus filtration layers share one verdict per (weight, depth),
-and each is one twist step from the cached untwisted block of its depth.
+Plus blocks and minus filtration layers share one verdict per (weight,
+depth), each one twist step from the cached untwisted block of its depth;
+rep classifies their generators delta^j, f-eigenvectors, off the closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, prod
 
 from .ring import E_RING, LASAGNA_RING, GradedPoly, delta
 from .sl2 import BASE_SPEC, LASAGNA_SPEC, TwistData
@@ -28,6 +28,8 @@ from .rep import (
     DecompositionClaim,
     ModuleTwist,
     TruncatedModule,
+    base_ring_shifts,
+    f_string_certificate,
     verify_claim,
     zuckerman,
 )
@@ -111,74 +113,28 @@ def gamma(j: int, m: int, n: int) -> Fraction:
     return 2 * j + Fraction(n - m, 2)
 
 
-def _acts_as_twist(gens: str, units) -> bool:
-    """Each g in gens acts on x = delta, A1 or v = A0 - E1*A1/2, the
-    delta^j A1^m v^n of a unit (j, m, n) in units, through
-    LASAGNA_SPEC.apply as on the generator of a twist: e(x) = 0,
-    f(x) = gamma(j, m, n) E1 x and h(x) = (m - n - 4j) x."""
-    ring, apply = LASAGNA_RING, LASAGNA_SPEC.apply
+@lru_cache(maxsize=1)
+def _twist_generators(spec) -> frozenset:
+    """The reads (g, (j, m, n)), f of delta and e, f, h of A1 and of
+    v = A0 - E1*A1/2, on which spec.apply gives e(x) = 0, f(x) = gamma E1 x
+    and h(x) = (m - n - 4j) x, x = delta^j A1^m v^n: once per spec."""
+    ring = spec.ring
     E1, A1 = ring.gen("E1"), ring.gen("A1")
     xs = {(1, 0, 0): delta(ring), (0, 1, 0): A1,
           (0, 0, 1): ring.gen("A0") - Fraction(1, 2) * E1 * A1}
-    return all(apply(g, xs[j, m, n]) == xs[j, m, n] * {
-        "e": 0, "f": gamma(j, m, n) * E1, "h": m - n - 4 * j}[g]
-        for j, m, n in units for g in gens)
-
-
-def _closed_form_coefficient(k: int, a: int, g):
-    """C_r(k, a), the E1^k E2^a coefficient of the closed form c_r with
-    f^r(delta^j A1^m v^n) = c_r delta^j A1^m v^n, r = k + 2a and
-    g = gamma(j, m, n): (-1)^a (k+2a)!/(k! a!) (g)_(k+a), with (g)_s the
-    rising factorial g (g+1) ... (g+s-1)."""
-    return ((-1) ** a * factorial(k + 2 * a) // (factorial(k) * factorial(a))
-            * prod(g + t for t in range(k + a)))
+    return frozenset((g, (j, m, n)) for (j, m, n), x in xs.items()
+                     for g in ("f" if j else "efh")
+                     if spec.apply(g, x) == x * {"e": 0, "h": m - n - 4 * j,
+                                                 "f": gamma(j, m, n) * E1}[g])
 
 
 def closed_form_certificate() -> bool:
-    """The closed f-power formula and the vanishing pattern of the
-    f-strings, for every (j, m, n) and r: no grid, no truncation.
-
-    LASAGNA_SPEC.apply gives f(x) = gamma E1 x for x = delta, A1 and
-    v = A0 - E1*A1/2 (gamma 2, -1/2 and 1/2), so by the Leibniz rule
-    f^r(x) = c_r x for x = delta^j A1^m v^n, g = gamma(j, m, n), c_0 = 1
-    and c_(r+1) = f(c_r) + g E1 c_r.  BASE_SPEC must give
-    f(E1) = al E1^2 + be E2 and f(E2) = de E1 E2 (any other shape is
-    refused), so for k + 2a = r + 1 that recurrence reads
-
-        C(k, a) = ((k-1) al + a de + g) C(k-1, a) + be (k+1) C(k+1, a-1),
-
-    a term with a negative index being absent.  Both sides are polynomials
-    in g, so g > 0 suffices.  There each term, by the shape of
-    _closed_form_coefficient, has the nonzero factor
-    (-1)^a (k+2a-1)! (g)_(k+a) / (k! a!); dividing by it and multiplying by
-    g + k + a - 1 leaves (k+2a)(g+k+a-1) = k ((k-1) al + a de + g)
-    - be a (g+k+a-1), of degree at most 2 in k and in a and 1 in g and true
-    at k = a = 0.  It holds iff it holds on {0, 1, 2}^2 x {1/2, 3/2}, where
-    the recurrence is checked.
-
-    Vanishing: for w = m - n - 4j >= 0 and even, g = -w/2.  Every term of
-    c_(w+1) has k + a > w/2, so its factor (g)_(k+a) vanishes, and f^(w+1)
-    kills x; c_w's E2^(w/2) coefficient is w!, so f^w does not.  The two
-    facts, C(k, a) = 0 at g = 1 - k - a and C(0, a) != 0 at g = -a, are
-    checked on the same grid."""
-    f1, f2 = (BASE_SPEC.f_images[n].terms for n in ("E1", "E2"))
-    if not _acts_as_twist("f", ((1, 0, 0), (0, 1, 0), (0, 0, 1))) \
-            or not _lifts_base_spec() \
-            or not set(f1) <= {(2, 0), (0, 1)} or not set(f2) <= {(1, 1)}:
-        return False
-    al, be, de = f1.get((2, 0), 0), f1.get((0, 1), 0), f2.get((1, 1), 0)
-    C = _closed_form_coefficient
-    grid = product(range(3), range(3), (Fraction(1, 2), Fraction(3, 2)))
-    for k, a, g in grid:
-        rhs = int(k == a == 0)  # c_0 = 1
-        if k:
-            rhs += ((k - 1) * al + a * de + g) * C(k - 1, a, g)
-        if a:
-            rhs += be * (k + 1) * C(k + 1, a - 1, g)
-        if C(k, a, g) != rhs or (k + a and C(k, a, 1 - k - a)) \
-                or not C(0, a, -a):
-            return False
-    return True
+    """The closed f-power formula and its vanishing pattern for every
+    (j, m, n) and r: f(x) = gamma E1 x for x = delta, A1, v, so for every
+    delta^j A1^m v^n, and E1, E2 act as in BASE_SPEC (f_string_certificate)."""
+    return {("f", u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))} \
+        <= _twist_generators(LASAGNA_SPEC) and _lifts_base_spec() \
+        and f_string_certificate()
 
 
 # -- plus part, blockwise ---------------------------------------------------
@@ -239,8 +195,8 @@ def plus_generator_certificate() -> bool:
     and h(p) + (m - n) p: twisted_block(m - n), iff ModuleTwist(m - n) has
     a = gamma(0, m, n) and shift m - n.  Both sides are affine in (m, n),
     so agreeing at (0, 0), (1, 0) and (0, 1) they agree for every (m, n)."""
-    return _acts_as_twist("efh", ((0, 1, 0), (0, 0, 1))) \
-        and _lifts_base_spec() and all(
+    return {(g, u) for g in "efh" for u in ((0, 1, 0), (0, 0, 1))} \
+        <= _twist_generators(LASAGNA_SPEC) and _lifts_base_spec() and all(
             (ModuleTwist(m - n).a, ModuleTwist(m - n).shift)
             == (gamma(0, m, n), m - n) for m, n in ((0, 0), (1, 0), (0, 1)))
 
@@ -335,14 +291,10 @@ def _shift_table(spec, g: str) -> dict:
 def _lifts_base_spec() -> bool:
     """LASAGNA_SPEC acts on E1 and E2 as BASE_SPEC does: equal h-weights,
     and equal e- and f-shifts, none touching A1 or A0."""
-    for g in ("e", "f"):
-        base = {(n, _lkey(*s)): c
-                for (n, s), c in _shift_table(BASE_SPEC, g).items()}
-        lifted = _shift_table(LASAGNA_SPEC, g)
-        if base != {k: c for k, c in lifted.items() if k[0] in E_RING.names}:
-            return False
-    return all(LASAGNA_SPEC.h_weights[n] == w
-               for n, w in BASE_SPEC.h_weights.items())
+    return all(base_ring_shifts(LASAGNA_SPEC, g)
+               == base_ring_shifts(BASE_SPEC, g) for g in ("e", "f")) \
+        and all(LASAGNA_SPEC.h_weights[n] == w
+                for n, w in BASE_SPEC.h_weights.items())
 
 
 def layer_action_certificate() -> bool:
@@ -424,8 +376,7 @@ def summary_report(depth: int = 20) -> dict:
     truncated verdicts, which minus_side_checks reads from
     mplus_decomposition's cache: each twisted model is verified once and
     the ball is the only module built.  The last claim lists the locally
-    finite generators (m, n, j) with m + n + 4j <= _generator_cap(depth);
-    ``detail.checked`` counts those in a computed plus block: all of them.
+    finite generators (m, n, j) with m + n + 4j <= _generator_cap(depth).
     """
     if depth < 6:
         raise LasagnaError("depth must be at least 6")
@@ -462,11 +413,9 @@ def summary_report(depth: int = 20) -> dict:
                                  range(depth // 4 + 1))
           if m - n - 4 * j >= 0 and (m - n) % 2 == 0
           and m + n + 4 * j <= mn_max]
-    computed = {(b["m"], b["n"]) for b in plus["blocks"]}
-    checked = sum((g["m"], g["n"]) in computed for g in gm)
     line("locally finite part comes from the plus side",
          minus_finite_ok and _finite_part_from_plus(gm, plus["blocks"], mn_max),
-         detail={"generators": len(gm), "checked": checked})
+         detail={"generators": len(gm)})
 
     ok = all(entry["status"] == "pass" for entry in lines)
     truncated = "; ".join(f"{c['claim']} (depth {c['depth']})"

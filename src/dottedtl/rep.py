@@ -5,8 +5,9 @@ with integer h-weights and sparse e/f/h matrices generated from a
 derivation spec, each stored as int numerators over one denominator.
 Truncation is by filtration degree; any action image that escapes the
 stored basis is flagged, never silently dropped, and every report carries
-its depth.  Walks along e and f run on int numerators and leave the
-denominator aside: scaling a vector changes no zero test and no nullspace.
+its depth.  Walks along e and f run on int numerators (scaling changes no
+zero test and no nullspace); an f-eigenvector, f(v) = -(lam/2) E1 v, needs
+no f-walk: f_string_certificate's closed form classifies it at any depth.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import product
+from math import factorial, gcd, lcm, prod
 from operator import add
 
 from . import exactla
-from .sl2 import Sl2ActionSpec, TwistData, add_term
+from .sl2 import BASE_SPEC, Sl2ActionSpec, TwistData, add_term
 
 class RepError(Exception):
     pass
@@ -60,6 +63,67 @@ def _weight_table(weights: dict) -> tuple:
     return 1, {k: {k: w} for k, w in weights.items() if w}
 
 
+def _closed_form_coefficient(k: int, a: int, g):
+    """C(k, a), the E1^k E2^a coefficient of c_(k+2a), f^r(x) = c_r x when
+    f(x) = g E1 x: (-1)^a (k+2a)!/(k! a!) (g)_(k+a), (g)_s = g...(g+s-1)."""
+    return ((-1) ** a * factorial(k + 2 * a) // (factorial(k) * factorial(a))
+            * prod(g + t for t in range(k + a)))
+
+
+@lru_cache(maxsize=1)
+def f_string_certificate() -> bool:
+    """The closed f-power formula and its vanishing pattern, for every g
+    and r: read off BASE_SPEC once per process.
+
+    If f(x) = g E1 x in a module on which E1 and E2 act as in BASE_SPEC,
+    the Leibniz rule gives f^r(x) = c_r x, c_0 = 1 and
+    c_(r+1) = f(c_r) + g E1 c_r.  With f(E1) = al E1^2 + be E2 and
+    f(E2) = de E1 E2 (any other shape is refused), for k + 2a = r + 1 that
+    recurrence reads
+
+        C(k, a) = ((k-1) al + a de + g) C(k-1, a) + be (k+1) C(k+1, a-1),
+
+    a term with a negative index being absent.  Both sides are polynomials
+    in g, so g > 0 suffices.  There each term, by the shape of
+    _closed_form_coefficient, has the nonzero factor
+    (-1)^a (k+2a-1)! (g)_(k+a) / (k! a!); dividing by it and multiplying by
+    g + k + a - 1 leaves (k+2a)(g+k+a-1) = k ((k-1) al + a de + g)
+    - be a (g+k+a-1), of degree at most 2 in k and in a and 1 in g and true
+    at k = a = 0.  It holds iff it holds on {0, 1, 2}^2 x {1/2, 3/2}, where
+    the recurrence is checked.
+
+    Vanishing: at g = -w/2, w >= 0 even, every term of c_(w+1) has
+    k + a > w/2, so its factor (g)_(k+a) vanishes, while c_w's E2^(w/2)
+    coefficient is w!: C(k, a) = 0 at g = 1 - k - a and C(0, a) != 0 at
+    g = -a, checked on the same grid.  At any other g, c_r's E1^r
+    coefficient (g)_r vanishes for no r."""
+    f1, f2 = (BASE_SPEC.f_images[n].terms for n in ("E1", "E2"))
+    if not set(f1) <= {(2, 0), (0, 1)} or not set(f2) <= {(1, 1)}:
+        return False
+    al, be, de = f1.get((2, 0), 0), f1.get((0, 1), 0), f2.get((1, 1), 0)
+    C = _closed_form_coefficient
+    for k, a, g in product(range(3), range(3),
+                           (Fraction(1, 2), Fraction(3, 2))):
+        rhs = int(k == a == 0)  # c_0 = 1
+        if k:
+            rhs += ((k - 1) * al + a * de + g) * C(k - 1, a, g)
+        if a:
+            rhs += be * (k + 1) * C(k + 1, a - 1, g)
+        if C(k, a, g) != rhs or (k + a and C(k, a, 1 - k - a)) \
+                or not C(0, a, -a):
+            return False
+    return True
+
+
+def base_ring_shifts(spec, g: str) -> dict:
+    """spec's g-shifts of E1 and E2 keyed by generator and exponent names,
+    so comparable across rings: {(name, (name, exponent), ...): coeff}."""
+    names = spec.ring.names
+    return {(names[i], *((n, e) for n, e in zip(names, s) if e)):
+            Fraction(c, spec.den[g]) for i, terms in spec.shifts[g]
+            if names[i] in ("E1", "E2") for s, c in terms}
+
+
 class TruncatedModule:
     """Finite truncation of an sl2-module with monomial basis.
 
@@ -78,7 +142,9 @@ class TruncatedModule:
         self.ring = spec.ring
         self.spec = spec
         self.depth = depth
-        self.twist = None
+        self.twist, self.twist_a = None, 0
+        self.f_as_base = base_ring_shifts(spec, "f") \
+            == base_ring_shifts(BASE_SPEC, "f")
         self.name = name
         self.basis = sorted(keys)
         self.index = index = {k: i for i, k in enumerate(self.basis)}
@@ -107,7 +173,7 @@ class TruncatedModule:
         if self.twist is not None:
             raise RepError("module is already twisted")
         out = copy.copy(self)
-        out.twist, out.name = twist, name
+        out.twist, out.twist_a, out.name = twist, twist.a, name
         out.weights = {k: w + twist.shift for k, w in self.weights.items()}
         out.tables = dict(self.tables)
         out.boundary_loss = dict(self.boundary_loss)
@@ -190,11 +256,26 @@ class TruncatedModule:
             for v in exactla.nullspace(self._e_matrix(keys)[1], len(keys))
         ]
 
+    def _f_eigen(self, ivec: dict, lam: int) -> bool:
+        """Whether f(v) = -(lam/2) E1 v, untruncated: the spec's derivation
+        of v's numerators ivec plus the twist's twist_a E1 ivec, on ints."""
+        a, e1 = self.twist_a, self.ring.index["E1"]
+        c = -self.spec.den["f"] * (lam * a.denominator + 2 * a.numerator)
+        want = {k[:e1] + (k[e1] + 1,) + k[e1 + 1:]: c * n
+                for k, n in ivec.items()} if c else {}
+        return want == {k: 2 * a.denominator * n
+                        for k, n in self.spec.derive("f", ivec).items()}
+
     def classify_cyclic(self, vec: dict, lam: int) -> str:
-        """L or M for the cyclic module of a highest-weight vector."""
+        """L or M for the cyclic module of a highest-weight vector: if
+        f(vec) = -(lam/2) E1 vec, f^r(vec) = c_r(-lam/2) vec for every r
+        (f_string_certificate), L iff lam is even and >= 0; else walked."""
         ivec = _numerators(vec)[1]
         if self._step("e", ivec):
             raise RepError("not a highest-weight vector")
+        if self.f_as_base and self._f_eigen(ivec, lam) \
+                and f_string_certificate():
+            return "L" if lam >= 0 and lam % 2 == 0 else "M"
         if lam >= 0:
             img, done = self.iterate_f(ivec, lam + 1)
             if done < lam + 1:
@@ -312,9 +393,9 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:
 def zuckerman(m: TruncatedModule) -> dict:
     """Largest locally finite part visible in the truncation: the span of the
     finite cyclic modules of HWVs passing the f^(lam+1) = 0 test.
-    ``unclassified`` counts the HWVs the truncation could not classify (the
-    test raised RepError); a caller that reads "no summand" as "nothing
-    locally finite" must also see it at 0."""
+    ``unclassified`` counts the HWVs that are no f-eigenvectors and too
+    deep for the walk (classify_cyclic raised RepError); a caller that
+    reads "no summand" as "nothing locally finite" must also see it at 0."""
     depth = m.depth
     found = []
     unclassified = 0

@@ -148,7 +148,7 @@ PINNED_REPORT_SHA256 = {
     ("dtl-verify", "--params", "1/2,-1/3"):
         "45c6f899197b8775fc6fde861063bcbbbaccbb97a8b1f45cfbf703208bfb8d12",
     ("decompose-b2s2", "--depth", "20"):
-        "93db527c15cfbdb71811e77f5c890379af08dbcaf8855bb8112b11d0310b3e55",
+        "8758304dbff413fcc45f96c150164d88bd2abb822a12109e5a205174dc77a927",
     ("decompose-b4", "--depth", "40"):
         "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
 }

@@ -15,15 +15,17 @@ from dottedtl import lasagna, rep, sl2
 from dottedtl.ring import E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms
 from dottedtl.sl2 import GENERATORS, LASAGNA_SPEC, Sl2ActionSpec
 
-CACHES = (lasagna._twisted_verdict, lasagna._base_block, lasagna._delta_power)
+CACHES = (lasagna._twisted_verdict, lasagna._base_block, lasagna._delta_power,
+          lasagna._twist_generators, rep.f_string_certificate)
 
 
 @pytest.fixture(autouse=True)
 def fresh_verdicts():
-    """The twisted verdicts, the untwisted blocks and the powers of delta
-    are shared per process; each test starts and ends with empty tables,
-    so no test reads a verdict or a module made under another test's
-    monkeypatch, and the operation-count gates see every build."""
+    """The twisted verdicts, the untwisted blocks, the powers of delta, the
+    generator reads and the f-string certificate are shared per process;
+    each test starts and ends with empty tables, so no test reads a verdict
+    or a module made under another test's monkeypatch, and the
+    operation-count gates see every build."""
     for cache in CACHES:
         cache.cache_clear()
     yield
@@ -196,11 +198,11 @@ F_POWER_MAX = 6
 
 
 def closed_form_numerators(g, r):
-    """(den, {key: int}): c_r from lasagna._closed_form_coefficient, the sum
+    """(den, {key: int}): c_r from rep._closed_form_coefficient, the sum
     of C_r(k, a) E1^k E2^a over k + 2a = r, as int numerators over den."""
     return rep._numerators({
         lasagna._lkey(a=r - 2 * a, b=a): c for a in range(r // 2 + 1)
-        if (c := Fraction(lasagna._closed_form_coefficient(r - 2 * a, a, g)))})
+        if (c := Fraction(rep._closed_form_coefficient(r - 2 * a, a, g)))})
 
 
 def closed_form_check():
@@ -420,10 +422,17 @@ def test_minus_no_finite_part():
 def test_zuckerman_on_a_minus_block_classifies_nothing():
     """The depth-truncated pass the f-shift certificate replaces: on
     minus_block(0, 20) every highest-weight vector of weight >= 0 is too
-    deep for the f^(lam+1) test, so it finds no summand and says so."""
-    z = rep.zuckerman(minus_block(0, 20))
+    deep for the f^(lam+1) test, so it finds no summand and says so.  The
+    closed form classifies none of them: E1 and E2 act as in BASE_SPEC,
+    but no such vector v has f(v) = -(lam/2) E1 v."""
+    m = minus_block(0, 20)
+    z = rep.zuckerman(m)
     assert z["summands"] == []
     assert z["unclassified"] > 0
+    hwvs = [(v, lam) for lam in {w for w in m.weights.values() if w >= 0}
+            for v in m.highest_weight_vectors(lam)]
+    assert m.f_as_base and len(hwvs) >= z["unclassified"]
+    assert not any(m._f_eigen(rep._numerators(v)[1], lam) for v, lam in hwvs)
 
 
 def test_minus_hwvs_are_verma_by_untruncated_f():
@@ -692,14 +701,17 @@ def test_flipped_closed_form_sign_fails(monkeypatch, where):
     """Negative control: the closed form with a coefficient's sign flipped
     fails the certificate and the grid oracle."""
     monkeypatch.setattr(
-        lasagna, "_closed_form_coefficient",
-        _flipped(lasagna._closed_form_coefficient, where))
+        rep, "_closed_form_coefficient",
+        _flipped(rep._closed_form_coefficient, where))
     assert not lasagna.closed_form_certificate()
     assert not closed_form_check()
+    calls = walk_steps(monkeypatch)[0]
     failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
               if c["status"] == "fail"}
     assert failed == {"closed f-power formula matches iteration",
                       "vanishing/non-vanishing of f-strings"}
+    # no generator is read off the refused closed form: each is walked
+    assert sum(n for _, n in calls) > len(calls) > 100
 
 
 def test_summary_runs_zuckerman_on_no_minus_module(monkeypatch):
@@ -753,7 +765,7 @@ def test_summary_report():
         if m - n - 4 * j >= 0 and (m - n) % 2 == 0 and m + n + 4 * j <= 6
     ]
     detail = _finite_part_claim(rep)["detail"]
-    assert detail == {"generators": len(listed), "checked": len(listed)}
+    assert detail == {"generators": len(listed)}
     assert len(listed) == 10
     # depth labels: the ball at 40, with no detail; four certificates "all"
     depths = {c["claim"]: c["depth"] for c in rep["claims"]}
@@ -808,7 +820,7 @@ def test_summary_depth_checked_first(monkeypatch):
 
 
 def test_finite_part_counts_checked_generators(monkeypatch):
-    """At depth 40, all 34 listed generators lie in a computed plus block
+    """At depth 40 the last claim lists 34 generators, each in a plus block
     (m, n <= 12).  Operation-count gate: the report verifies 26 claims (the
     ball and one per twisted weight, plus blocks and layers sharing them)
     and builds 1 module, the untwisted depth-40 block, which is the ball
@@ -829,8 +841,7 @@ def test_finite_part_counts_checked_generators(monkeypatch):
     assert (len(verified), len(built)) == (26, 1)
     assert rep40["ok"], rep40
     assert len(rep40["claims"]) == 8
-    assert _finite_part_claim(rep40)["detail"] == {"generators": 34,
-                                                   "checked": 34}
+    assert _finite_part_claim(rep40)["detail"] == {"generators": 34}
 
 
 def test_summary_builds_one_module_and_twists_each_weight_once(
@@ -862,8 +873,7 @@ def test_summary_builds_one_module_and_twists_each_weight_once(
 def test_finite_part_checks_every_generator_at_depth_20():
     rep20 = lasagna.summary_report(20)
     assert rep20["ok"], rep20
-    assert _finite_part_claim(rep20)["detail"] == {"generators": 24,
-                                                   "checked": 24}
+    assert _finite_part_claim(rep20)["detail"] == {"generators": 24}
 
 
 def test_high_weight_block_is_verified_past_the_summary_depth():
@@ -1017,7 +1027,7 @@ PINNED_REPORT_SHA256 = {
     ("decompose-b4",):
         "8abd197b2e5a8827b430e243ff329aa5ec6861079311e34d3cd08d6e04b43dae",
     ("decompose-b2s2", "--depth", "20"):
-        "93db527c15cfbdb71811e77f5c890379af08dbcaf8855bb8112b11d0310b3e55",
+        "8758304dbff413fcc45f96c150164d88bd2abb822a12109e5a205174dc77a927",
 }
 
 
@@ -1034,42 +1044,94 @@ def test_lasagna_reports_are_pinned(args):
         assert digest == PINNED_REPORT_SHA256[args], hashseed
 
 
-def test_f_string_walks_build_no_fraction(monkeypatch):
-    """Operation-count gate: classify_cyclic walks its f-strings on int
-    numerators, so summary_report(12) builds no Fraction inside it."""
-    inside, built, lams = [], [], []
-    real_new = Fraction.__new__
+def walk_steps(monkeypatch) -> tuple:
+    """Count the f-string walks of classify_cyclic: after this patch, each
+    call appends (lam, its number of f-steps on the module's tables) to
+    the first list returned; the second is non-empty while a call runs."""
+    calls, inside = [], []
+    real_step = rep.TruncatedModule._step
     real_classify = rep.TruncatedModule.classify_cyclic
+
+    def step(self, g, ivec):
+        if inside and g == "f":
+            inside[-1] += 1
+        return real_step(self, g, ivec)
+
+    def classify(self, vec, lam):
+        inside.append(0)
+        try:
+            return real_classify(self, vec, lam)
+        finally:
+            calls.append((lam, inside.pop()))
+
+    monkeypatch.setattr(rep.TruncatedModule, "_step", step)
+    monkeypatch.setattr(rep.TruncatedModule, "classify_cyclic", classify)
+    return calls, inside
+
+
+def test_f_string_walks_build_no_fraction(monkeypatch):
+    """Operation-count gate: classify_cyclic decides on int numerators, so
+    summary_report(12) builds no Fraction inside it, both when every
+    generator is read off the closed form, with no walk step at all, and,
+    with the certificate refused, when each is walked, to f^(lam+1) or
+    down to the boundary.  The certificate, read once per process, is read
+    before the count."""
+    assert rep.f_string_certificate()
+    calls, inside = walk_steps(monkeypatch)
+    built = []
+    real_new = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
         if inside:
             built.append(args)
         return real_new(cls, *args, **kwargs)
 
-    def classify(self, vec, lam):
-        lams.append(lam)
-        inside.append(lam)
-        try:
-            return real_classify(self, vec, lam)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    monkeypatch.setattr(rep.TruncatedModule, "classify_cyclic", classify)
-    assert lasagna.summary_report(12)["ok"]
-    # walks of both kinds ran: to f^(lam+1) and down to the boundary
-    assert min(lams) < 0 <= max(lams) and len(lams) > 100
-    assert built == []
+    for closed_form in (True, False):
+        if not closed_form:
+            monkeypatch.setattr(rep, "f_string_certificate", lambda: False)
+            for cache in CACHES[:3]:
+                cache.cache_clear()
+        calls.clear()
+        assert lasagna.summary_report(12)["ok"]
+        lams = [lam for lam, _ in calls]
+        assert min(lams) < 0 <= max(lams) and len(lams) > 100
+        steps = sum(n for _, n in calls)
+        assert steps == 0 if closed_form else steps > len(calls)
+        assert built == []
+
+
+def test_summary_classifies_every_generator_by_one_f_step(monkeypatch):
+    """Operation-count gate: the 315 classifications of summary_report(40)
+    (the ball's and the 25 twisted models' block_claim generators and
+    Zuckerman highest-weight vectors) make no walk step, and each makes
+    exactly one exact f computation, the spec's derive of the eigenvector
+    test, also at the truncation's edge, where f of the generator leaves
+    the basis."""
+    calls, inside = walk_steps(monkeypatch)
+    derives = []
+    real_derive = Sl2ActionSpec.derive
+
+    def derive(self, g, vec):
+        if inside and g == "f":
+            derives.append(len(calls))
+        return real_derive(self, g, vec)
+
+    monkeypatch.setattr(Sl2ActionSpec, "derive", derive)
+    assert lasagna.summary_report(40)["ok"]
+    assert len(calls) == 315
+    assert [n for _, n in calls] == [0] * 315
+    assert derives == list(range(315))
 
 
 def test_polynomial_checks_run_on_int_numerators(monkeypatch):
     """Operation-count gate: in summary_report(12), block_claim calls no
     sl2.apply, and its only GradedPoly products build the powers of delta,
     one per power delta^1..delta^10 of the depth-40 ball; the certificates
-    read their generator images with nine applies (closed_form_certificate
-    f on delta, A1 and v; plus_generator_certificate e, f and h on A1 and
-    on v) and a handful of products, and summary_report makes no other
-    GradedPoly.__mul__ call."""
+    read their generator images once, with seven applies (f on delta, e, f
+    and h on A1 and on v, all made by closed_form_certificate, the first
+    reader; plus_generator_certificate makes none) and a handful of
+    products, and summary_report makes no other GradedPoly.__mul__ call."""
     inside, applies, products = [], [], []
     real_apply = Sl2ActionSpec.apply
     real_mul = GradedPoly.__mul__
@@ -1099,8 +1161,8 @@ def test_polynomial_checks_run_on_int_numerators(monkeypatch):
     for name in certificates + ("block_claim", "summary_report"):
         monkeypatch.setattr(lasagna, name, watched(getattr(lasagna, name)))
     assert lasagna.summary_report(12)["ok"]
-    assert applies == [("closed_form_certificate", "f")] * 3 \
-        + [("plus_generator_certificate", g) for g in "efh" * 2]
-    assert all(products.count(name) <= 12 for name in certificates)
+    assert applies == [("closed_form_certificate", g) for g in "fefhefh"]
+    assert products.count("closed_form_certificate") <= 12
+    assert products.count("plus_generator_certificate") == 0
     assert products.count("block_claim") <= 10
     assert products.count("summary_report") == 0

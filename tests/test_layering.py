@@ -1,7 +1,9 @@
-"""statespace sits below projectors and kirby: it imports neither.
+"""statespace sits below projectors and kirby, and rep below lasagna,
+selftest and cli: neither imports a module above it.
 
 An AST scan of every import statement, function-local ones included, in
-``src/dottedtl/statespace.py``, relative or absolute.
+``src/dottedtl/statespace.py`` and ``src/dottedtl/rep.py``, relative or
+absolute.
 """
 
 import ast
@@ -33,6 +35,27 @@ def package_imports(source: str) -> set:
 def test_statespace_imports_neither_projectors_nor_kirby():
     source = (PACKAGE / "statespace.py").read_text()
     assert package_imports(source) & {"projectors", "kirby"} == set()
+
+
+# rep holds the f-string certificate that lasagna's claims read
+ABOVE_REP = {"lasagna", "selftest", "cli"}
+
+
+def test_rep_imports_neither_lasagna_nor_selftest_nor_cli():
+    source = (PACKAGE / "rep.py").read_text()
+    assert package_imports(source) & ABOVE_REP == set()
+
+
+def test_upward_import_in_rep_is_reported():
+    """Negative control: rep's own source with one upward import added,
+    at module level or inside a function, is reported."""
+    source = (PACKAGE / "rep.py").read_text()
+    for line, module in (("from .lasagna import gamma", "lasagna"),
+                         ("from . import selftest", "selftest"),
+                         ("import dottedtl.cli", "cli")):
+        for added in (line, f"def f():\n    {line}\n    return 0"):
+            assert package_imports(f"{source}\n{added}\n") & ABOVE_REP \
+                == {module}, added
 
 
 def test_function_local_imports_are_seen():

@@ -7,7 +7,7 @@ from operator import add
 
 import pytest
 
-from dottedtl import lasagna
+from dottedtl import lasagna, rep
 from dottedtl.rep import (
     ClaimPart,
     DecompositionClaim,
@@ -26,7 +26,7 @@ from dottedtl.sl2 import (
     TwistData,
     add_term,
 )
-from test_lasagna import b2s2_module, minus_block
+from test_lasagna import b2s2_module, minus_block, walk_steps
 from test_sl2 import leibniz_apply
 
 
@@ -127,12 +127,21 @@ def test_classify_requires_hwv():
 
 
 def test_shallow_truncation_is_reported():
-    # twisted to weight 6 (a = -3): deciding f^7 = 0 on the generator needs
-    # depth 14, not 4
+    """A highest-weight vector that is no f-eigenvector is walked, and a
+    walk the truncation cuts short is reported: A1^3 A0^-3, of weight 6,
+    in minus_block(0, 6).  The generator 1 of the weight-6 twist (a = -3)
+    at depth 4 is an f-eigenvector: walking it to f^7 = 0 needs depth 14,
+    but the closed form classifies it."""
     m = _poly_module(4, twist=ModuleTwist(6))
     assert m.twist.a == Fraction(-3)
     with pytest.raises(RepError, match="too shallow"):
-        m.classify_cyclic({(0, 0): Fraction(1)}, 6)
+        walked_kind(m, {(0, 0): Fraction(1)}, 6)
+    assert m.classify_cyclic({(0, 0): Fraction(1)}, 6) == "L"
+    blk = minus_block(0, 6)
+    [v] = blk.highest_weight_vectors(6)
+    assert blk.f_as_base and not blk._f_eigen(_numerators(v)[1], 6)
+    with pytest.raises(RepError, match="too shallow"):
+        blk.classify_cyclic(v, 6)
 
 
 def test_bracket_and_ef_string():
@@ -392,3 +401,149 @@ def test_h_tables_are_written_from_the_weights(monkeypatch):
         assert m.boundary_loss["h"] == set()
         assert m.tables["h"] == (1, {k: {k: w} for k, w in m.weights.items()
                                      if w})
+
+
+# -- the closed form against the f-string walk --------------------------------
+
+def walked_kind(m, vec, lam):
+    """Oracle: the f-string walk that classified every highest-weight
+    vector before the closed form, on the truncated tables: L or M, or
+    RepError where the truncation is too shallow or the string ends."""
+    ivec = _numerators(vec)[1]
+    if lam >= 0:
+        img, done = m.iterate_f(ivec, lam + 1)
+        if done < lam + 1:
+            raise RepError("truncation too shallow")
+        return "L" if not img else "M"
+    while not m.lossy("f", ivec):
+        ivec = m._step("f", ivec)
+        if not ivec:
+            raise RepError("f-string terminated")
+    return "M"
+
+
+def closed_form_agrees_with_the_walk(m, w) -> int:
+    """Every generator of block_claim(w, m.depth) and every highest-weight
+    vector zuckerman classifies in m is an f-eigenvector, and classify_cyclic
+    reads its kind off the closed form; where the walk reaches a verdict,
+    the two kinds agree.  Returns the number of such verdicts."""
+    vectors = [(p.generator, p.lam)
+               for p in lasagna.block_claim(w, m.depth).parts]
+    vectors += [(v, lam) for lam in sorted({x for x in m.weights.values()
+                                             if x >= 0})
+                for v in m.highest_weight_vectors(lam)]
+    decided = 0
+    for v, lam in vectors:
+        assert m._f_eigen(_numerators(v)[1], lam), (m.name, lam)
+        kind = m.classify_cyclic(v, lam)
+        try:
+            walked = walked_kind(m, v, lam)
+        except RepError:
+            continue
+        assert kind == walked, (m.name, lam)
+        decided += 1
+    return decided
+
+
+@pytest.mark.parametrize("depth", [12, 20, 40])
+def test_closed_form_kind_is_the_walked_kind_on_the_ball(monkeypatch, depth):
+    calls = walk_steps(monkeypatch)[0]
+    m = lasagna.b4_module(depth)
+    assert m.f_as_base and closed_form_agrees_with_the_walk(m, 0) > depth // 4
+    assert calls and all(n == 0 for _, n in calls)
+
+
+def test_closed_form_kind_is_the_walked_kind_on_twisted_blocks(monkeypatch):
+    """twisted_block(w, max(20, 2w + 4)) for w in -12..12, the models of
+    every plus block and minus filtration layer of summary_report(20)."""
+    calls = walk_steps(monkeypatch)[0]
+    for w in range(-12, 13):
+        m = lasagna.twisted_block(w, max(20, 2 * w + 4), f"twisted[w={w}]")
+        assert closed_form_agrees_with_the_walk(m, w) > 0, w
+    assert calls and all(n == 0 for _, n in calls)
+
+
+@pytest.fixture
+def fresh_certificate():
+    """f_string_certificate is read once per process: the controls below
+    read it afresh under their patch, and leave no verdict behind."""
+    rep.f_string_certificate.cache_clear()
+    yield
+    rep.f_string_certificate.cache_clear()
+
+
+def _twist_a_off_by_a_half(monkeypatch):
+    monkeypatch.setattr(ModuleTwist, "a", property(
+        lambda self: Fraction(1 - self.shift, 2)))
+
+
+def _f_e2_changed(spec):
+    E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
+    return Sl2ActionSpec(E_RING, spec.e_images,
+                         {**spec.f_images, "E2": 2 * E1 * E2}, spec.h_weights)
+
+
+def _closed_form_sign_flipped(monkeypatch):
+    real = rep._closed_form_coefficient
+    monkeypatch.setattr(rep, "_closed_form_coefficient", lambda k, a, g: (
+        -1 if (k, a) == (1, 1) else 1) * real(k, a, g))
+
+
+def _delta_in_the_ball():
+    return _poly_module(12), {(0, 1): Fraction(4), (2, 0): Fraction(-1)}, -4
+
+
+def _one_in_a_block_of(spec):
+    return (TruncatedModule(spec, lasagna._poly_keys(12), 12),
+            {(0, 0): Fraction(1)}, 0)
+
+
+# name: (patch, the module, vector and weight it acts on, and the condition
+# of the shortcut the patch must break: the eigenvector test, f_as_base
+# or the certificate)
+NEGATIVE_CONTROLS = {
+    "twist a off by 1/2": (
+        _twist_a_off_by_a_half,
+        lambda: (lasagna.twisted_block(2, 20, "twisted"),
+                 {(0, 0): Fraction(1)}, 2),
+        lambda m, v, lam: m._f_eigen(_numerators(v)[1], lam)),
+    "module spec f(E2) changed": (
+        lambda monkeypatch: monkeypatch.setattr(
+            lasagna, "BASE_SPEC", _f_e2_changed(BASE_SPEC)),
+        lambda: _one_in_a_block_of(lasagna.BASE_SPEC),
+        lambda m, v, lam: m.f_as_base),
+    "BASE_SPEC f(E2) changed": (
+        lambda monkeypatch: monkeypatch.setattr(
+            rep, "BASE_SPEC", _f_e2_changed(BASE_SPEC)),
+        lambda: _one_in_a_block_of(rep.BASE_SPEC),
+        lambda m, v, lam: rep.f_string_certificate()),
+    "closed form sign flipped": (
+        _closed_form_sign_flipped, _delta_in_the_ball,
+        lambda m, v, lam: rep.f_string_certificate()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_sends_the_vector_to_the_walk(
+        monkeypatch, fresh_certificate, name):
+    """Each control changes the outcome: without it the vector is read off
+    the closed form, with no f-step; with it one condition of the shortcut
+    fails, and the walk decides.  In "module spec f(E2) changed" the
+    module is built from a spec whose f(E2) differs from BASE_SPEC's, and
+    in "BASE_SPEC f(E2) changed" from BASE_SPEC after that change, so only
+    the certificate, read off BASE_SPEC, refuses the shortcut."""
+    patch, make, condition = NEGATIVE_CONTROLS[name]
+    calls = walk_steps(monkeypatch)[0]
+    m, v, lam = make()
+    m.classify_cyclic(v, lam)
+    assert m.f_as_base and m._f_eigen(_numerators(v)[1], lam)
+    assert rep.f_string_certificate() and calls == [(lam, 0)]
+    rep.f_string_certificate.cache_clear()
+    patch(monkeypatch)
+    m, v, lam = make()
+    assert not condition(m, v, lam)
+    try:
+        m.classify_cyclic(v, lam)
+    except RepError:
+        pass
+    assert len(calls) == 2 and calls[1][1] > 0
