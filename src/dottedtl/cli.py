@@ -57,6 +57,9 @@ def _emit(report: dict, as_json: bool, lines) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max > expr.NORMALIZE_STRAND_BOUND:
+        raise WordError(f"ambient width must be at most "
+                        f"{expr.NORMALIZE_STRAND_BOUND}, got {args.n_max}")
     rep = verify_relations(args.params, n_max=args.n_max)
     lines = [
         f"relations at (a1, a2) = ({args.params.a1}, {args.params.a2}), "

@@ -3,20 +3,26 @@
 A word is a stack of slices, each slice a horizontal tensor of primitives
 (id, dot, cup, cap), composed bottom to top.  Formal linear combinations
 with polynomial coefficients carry the parameterized sl2 action by the
-Leibniz rule; equality testing happens in the state-space matrices.
+Leibniz rule, read off one packed-integer table of primitive images per
+(generator, parameters); equality testing happens in the state-space
+matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import lcm
 
-from .ring import E_RING, GradedPoly, mul_terms
+from .ring import E_RING
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams
 from .statespace import (
     PRIM_ARITY,
     PRIM_MATRICES,
     PolyMatrix,
+    _pack_poly,
     _packed_mul,
+    _unpack_poly,
     linear_combination,
 )
 
@@ -38,7 +44,7 @@ class Word:
         if not slices:
             raise WordError("a word needs at least one slice (use identity_word)")
         self.slices = slices
-        self.counts = _strand_counts(slices, None)
+        self.counts = _strand_counts(slices)
         self._hash = hash(slices)
 
     @classmethod
@@ -68,11 +74,10 @@ class Word:
         return " ; ".join("|".join(s) if s else "()" for s in self.slices)
 
 
-def _strand_counts(slices: tuple, cur) -> tuple:
-    """The strand counts between consecutive slices, from cur below the
-    first (None: the first slice's inputs) to above the last; raises
-    WordError on an unknown primitive or a strand mismatch."""
-    counts = []
+def _strand_counts(slices: tuple) -> tuple:
+    """The strand counts below the first slice and above each slice;
+    raises WordError on an unknown primitive or a strand mismatch."""
+    counts, cur = [], None
     for k, sl in enumerate(slices):
         for p in sl:
             if p not in PRIM_ARITY:
@@ -268,55 +273,79 @@ def _prim_images(g: str, prim: str, p: DtlParams):
     raise WordError(prim)
 
 
-def _replace_occurrence(w: Word, si: int, pi: int, local: tuple) -> Word:
+def _splice(w: Word, si: int, pi: int, local: tuple, counts: tuple) -> Word:
     """w with primitive pi of slice si replaced by the local slices, padded
-    with identities.  Only the new slices are validated; the other slices
-    keep their strand counts."""
+    with identities; counts are their strand counts, checked once by
+    _image_table."""
     sl = w.slices[si]
     before, after = sl[:pi], sl[pi + 1:]
-    out_before = sum(PRIM_ARITY[p][1] for p in before)
-    out_after = sum(PRIM_ARITY[p][1] for p in after)
-    expanded = [before + local[0] + after]
-    for ls in local[1:]:
-        expanded.append(("id",) * out_before + ls + ("id",) * out_after)
-    counts = _strand_counts(expanded, w.counts[si])
-    if counts[-1] != w.counts[si + 1]:
-        raise WordError(f"image of {sl[pi]!r} has {counts[-1]} output strands "
-                        f"at slice {si}, not {w.counts[si + 1]}")
-    return Word._spliced(w.slices[:si] + tuple(expanded) + w.slices[si + 1:],
+    ob = sum(PRIM_ARITY[p][1] for p in before)
+    oa = w.counts[si + 1] - ob - counts[-1]
+    new = (before + local[0] + after,) + tuple(
+        ("id",) * ob + ls + ("id",) * oa for ls in local[1:])
+    counts = tuple(ob + oa + c for c in counts[1:])
+    return Word._spliced(w.slices[:si] + new + w.slices[si + 1:],
                          w.counts[:si + 1] + counts + w.counts[si + 2:])
+
+
+@lru_cache(maxsize=128)
+def _image_table(g: str, params: DtlParams, rule) -> tuple:
+    """(den, {prim: [(packed numerators over den, local slices or None for
+    the primitive itself, strand counts)]}) of rule's images; id has none.
+    den is a multiple of BASE_SPEC.den[g]."""
+    images = {p: rule(g, p, params) for p in ("dot", "cup", "cap")}
+    den = lcm(BASE_SPEC.den[g], *(c.denominator for rows in images.values()
+                                  for poly, _ in rows
+                                  for c in poly.terms.values()))
+    table = {"id": []}
+    for p, rows in images.items():
+        table[p] = []
+        for poly, local in rows:
+            counts = _strand_counts(local)
+            if (counts[0], counts[-1]) != PRIM_ARITY[p]:
+                raise WordError(f"image of {p!r} maps {counts[0]} to "
+                                f"{counts[-1]} strands")
+            table[p].append((_pack_poly(poly, den)[1],
+                             None if local == ((p,),) else local, counts))
+    return den, table
 
 
 def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
     """Apply e, f, or h to a word or combination by the full Leibniz rule:
-    one term per primitive occurrence plus the base-coefficient derivative.
-
-    Every contribution to an output word is summed into one exponent ->
-    Fraction dict, and each output word's GradedPoly is built once, at the
-    end.  _prim_images is read, and its coefficients multiplied by a word's
-    coefficient, once per primitive of that word, not once per occurrence."""
+    one term per primitive occurrence plus the base-coefficient derivative,
+    on packed int numerators over one denominator.  Each primitive type's
+    _image_table rows are multiplied by a word's coefficient once; an image
+    that is the primitive itself adds onto the word, the others are
+    spliced in.  Each output GradedPoly is built once, at the end."""
     if g not in GENERATORS:
         raise WordError(f"unknown sl2 generator {g!r}")
     if isinstance(x, Word):
         x = Combo.of(x)
+    den, table = _image_table(g, params, _prim_images)
+    dscale = den // BASE_SPEC.den[g]
+    xden = lcm(*(c.denominator for coeff in x.terms.values()
+                 for c in coeff.terms.values()))
     acc: dict = {}
     for w, coeff in x.terms.items():
-        # d_g of a constant is zero, so apply runs on the others only
-        dc = None if coeff.is_constant() else BASE_SPEC.apply(g, coeff)
-        if dc:
-            _accumulate(acc, w, dc.terms)
+        vec = {e: c.numerator * (xden // c.denominator)
+               for e, c in coeff.terms.items()}
+        # d_g of a constant is zero, so derive runs on the others only
+        d = None if coeff.is_constant() else BASE_SPEC.derive(g, vec)
+        if d:
+            _accumulate(acc, w, {e1 << 32 | e2: n * dscale
+                                 for (e1, e2), n in d.items()})
+        num = {e1 << 32 | e2: n for (e1, e2), n in vec.items()}
         scaled: dict = {}
         for si, sl in enumerate(w.slices):
             for pi, prim in enumerate(sl):
-                prim_images = scaled.get(prim)
-                if prim_images is None:
-                    prim_images = scaled[prim] = [
-                        (mul_terms(coeff.terms, c.terms), local)
-                        for c, local in _prim_images(g, prim, params)]
-                for poly, local in prim_images:
-                    _accumulate(acc, _replace_occurrence(w, si, pi, local),
-                                poly)
-    terms = {w: GradedPoly(E_RING, poly)
+                rows = scaled.get(prim)
+                if rows is None:
+                    rows = scaled[prim] = [(_packed_mul(num, c), local, cs)
+                                           for c, local, cs in table[prim]]
+                for poly, local, cs in rows:
+                    _accumulate(acc, w if local is None else
+                                _splice(w, si, pi, local, cs), poly)
+    terms = {w: _unpack_poly(poly, den * xden)
              for w, poly in acc.items() if any(poly.values())}
     return Combo._of_terms(terms, x.n_in, x.n_out)
 

@@ -176,6 +176,8 @@ USAGE_ERRORS = [
      "error: ambient width must be non-negative, got -2"),
     (("kirby-certify", "--levels", "9"),
      "error: strand bound exceeded: 16 > 8"),
+    (("dtl-verify", "--n-max", "20"),
+     "error: ambient width must be at most 10, got 20"),
 ]
 
 

@@ -523,8 +523,7 @@ def _per_term_replace(w, si, pi, local):
 
 def per_term_act(g, x, params):
     """The earlier act: one Combo._add of a GradedPoly per contribution, and
-    every image word validated from scratch by Word; the oracle of the
-    one-dict-per-output-word act."""
+    every image word validated from scratch by Word; the oracle of act."""
     out = Combo.zero(x.n_in, x.n_out)
     for w, coeff in x.terms.items():
         dc = BASE_SPEC.apply(g, coeff)
@@ -558,7 +557,10 @@ def _random_combos(seed, count):
     return out
 
 
-@pytest.mark.parametrize("p", PARAM_SETS, ids=str)
+# odd denominators (3·7, 9·5) for the image table's common denominator
+@pytest.mark.parametrize("p", PARAM_SETS + [
+    DtlParams(Fraction(1, 3), Fraction(-5, 7)),
+    DtlParams(Fraction(-2, 9), Fraction(3, 5))], ids=str)
 def test_act_equals_the_per_term_rule(p):
     combos = _random_combos(23, 40)
     assert sum(not c.terms[w].is_constant()
@@ -586,20 +588,27 @@ def test_act_images_cancelling_to_nothing():
 # -- the splice: image words without re-validation -------------------------------
 
 def test_spliced_image_words_equal_validated_words():
+    """_splice, given the image table's strand counts, builds the same word
+    as validating the spliced slices from scratch."""
     rng = random.Random(29)
     checked = 0
-    for _ in range(60):
+    for _ in range(80):
         w = random_word(rng, max_strands=4, max_slices=4)
         for p in PARAM_SETS:
             for g in ("e", "f", "h"):
+                _, table = words._image_table(g, p, words._prim_images)
                 for si, sl in enumerate(w.slices):
                     for pi, prim in enumerate(sl):
-                        for _, local in words._prim_images(g, prim, p):
-                            got = words._replace_occurrence(w, si, pi, local)
+                        for _, local, counts in table.get(prim, ()):
+                            if local is None:
+                                continue
+                            got = words._splice(w, si, pi, local, counts)
                             want = Word(got.slices)
                             assert got.slices == want.slices
                             assert got.counts == want.counts
                             assert hash(got) == hash(want) and got == want
+                            assert got.slices == _per_term_replace(
+                                w, si, pi, local).slices
                             checked += 1
     assert checked > 1000
 
@@ -639,11 +648,11 @@ def test_wrong_arity_image_raises(monkeypatch, prim, bad):
 # -- operation counts --------------------------------------------------------------
 
 def test_act_builds_one_coefficient_per_output_word(monkeypatch):
-    """Operation-count gate: outside _prim_images and BASE_SPEC.apply, act
-    builds exactly one GradedPoly per output word (the per-term rule builds
-    about three per contribution), and calls apply once per input word
-    with a non-constant coefficient: the derivation of a constant is zero,
-    and the constant word's images still reach the output."""
+    """Operation-count gate: outside _prim_images, act builds exactly one
+    GradedPoly per output word (the per-term rule builds about three per
+    contribution), and calls BASE_SPEC.derive once per input word with a
+    non-constant coefficient: the derivation of a constant is zero, and the
+    constant word's images still reach the output."""
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
     x = Combo.zero(2, 2)
     for slices, c in [((("dot", "id"), ("cap",), ("cup",)), E1),
@@ -656,9 +665,9 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
     varying = [w for w, c in x.terms.items() if not c.is_constant()]
     assert len(varying) == len(x.terms) - 1
     inside = [0]
-    counts = {"built": 0, "apply": 0}
+    counts = {"built": 0, "derive": 0}
     real_init = GradedPoly.__init__
-    real_images, real_apply = words._prim_images, BASE_SPEC.apply
+    real_images, real_derive = words._prim_images, BASE_SPEC.derive
 
     def counting_init(self, *args, **kwargs):
         if not inside[0]:
@@ -677,22 +686,56 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(words, "_prim_images", shielded(real_images))
-    monkeypatch.setattr(BASE_SPEC, "apply", shielded(real_apply, "apply"))
+    monkeypatch.setattr(BASE_SPEC, "derive", shielded(real_derive, "derive"))
     merged = 0
     for p in PARAM_SETS[1:]:
         for g in ("e", "f", "h"):
             want = per_term_act(g, x, p)
-            counts.update(built=0, apply=0)
+            counts.update(built=0, derive=0)
             monkeypatch.setattr(GradedPoly, "__init__", counting_init)
             got = act(g, x, p)
             monkeypatch.setattr(GradedPoly, "__init__", real_init)
             assert got.terms == want.terms
             assert got.terms
-            assert counts == {"built": len(got.terms), "apply": len(varying)}
+            assert counts == {"built": len(got.terms), "derive": len(varying)}
             merged += len(x.terms) + sum(len(real_images(g, prim, p))
                                          for w in x.terms for sl in w.slices
                                          for prim in sl) - len(got.terms)
     assert merged > 0  # some output words have several contributions
+
+
+def test_act_reads_each_image_table_once_and_splices_only_new_words(
+        monkeypatch):
+    """Operation-count gate: repeated act calls at one (g, params) read
+    _prim_images 3 times in all (dot, cup and cap, once per process), and
+    _splice runs once per occurrence whose image is not the primitive
+    itself, so no h image splices a word."""
+    calls = {"images": 0, "splice": 0}
+    real_images, real_splice = words._prim_images, words._splice
+
+    def images(g, prim, p):
+        calls["images"] += 1
+        return real_images(g, prim, p)
+
+    def splice(*args):
+        calls["splice"] += 1
+        return real_splice(*args)
+
+    monkeypatch.setattr(words, "_prim_images", images)
+    monkeypatch.setattr(words, "_splice", splice)
+    p = DtlParams(Fraction(2, 3), Fraction(-1, 5))
+    combos = _random_combos(37, 20)
+    for g in ("e", "f", "h"):
+        calls.update(images=0, splice=0)
+        want = 0
+        for x in combos:
+            act(g, x, p)
+            want += sum(local != ((prim,),)
+                        for w in x.terms for sl in w.slices for prim in sl
+                        for _, local in real_images(g, prim, p))
+        assert calls == {"images": 3, "splice": want}
+        assert (want == 0) == (g == "h")
+    assert act("h", combos[0], p).terms
 
 
 def test_combos_are_summed_in_one_pass(monkeypatch):
