@@ -11,8 +11,9 @@ twisted blocks, and f's injectivity on the minus part.  summary_report
 labels each claim with the depth it was checked at, or "all".
 
 Plus blocks and minus filtration layers share one verdict per (weight,
-depth), each one twist step from the cached untwisted block of its depth;
-rep classifies their generators delta^j, f-eigenvectors, off the closed form.
+depth), each a twist of the cached untwisted block of its depth that only
+shifts the weights; rep classifies their generators delta^j, f-eigenvectors,
+and finds their dual-Verma witnesses off the closed form, with no f-walk.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Truncated sl2-module analysis.
 
 Modules here are finite slices of polynomial-type modules: a monomial basis
-with integer h-weights and sparse e/f/h matrices generated from a
-derivation spec, each stored as int numerators over one denominator.
-Truncation is by filtration degree; any action image that escapes the
-stored basis is flagged, never silently dropped, and every report carries
-its depth.  Walks along e and f run on int numerators (scaling changes no
-zero test and no nullspace); an f-eigenvector, f(v) = -(lam/2) E1 v, needs
-no f-walk: f_string_certificate's closed form classifies it at any depth.
+with integer h-weights, and e and h as sparse int numerators over one
+denominator.  Only the basis is truncated: e's columns hold full images, so
+highest-weight vectors and images of e are exact.  f is not stored: an
+f-eigenvector, decided by one exact f step, is classified at any depth by
+f_string_certificate's closed form, which also gives its f-powers.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm, prod
-from operator import add
 
 from . import exactla
-from .sl2 import BASE_SPEC, Sl2ActionSpec, TwistData, add_term
+from .sl2 import BASE_SPEC, Sl2ActionSpec
 
 class RepError(Exception):
     pass
@@ -128,14 +125,11 @@ class TruncatedModule:
     """Finite truncation of an sl2-module with monomial basis.
 
     basis keys are ring exponent tuples; vectors are {key: Fraction} dicts.
-    ``tables[g]`` is (den, {key: {key2: int}}): g(x^key) is the sum of
-    n / den * x^key2 over its column.  No numerator is zero, and den is
-    coprime to the table's numerators.  A module is built untwisted: e and
-    f from the spec's monomial kernel, where an image term outside the
-    basis is dropped and its key recorded in ``boundary_loss``, and h from
-    the weights, h(x^k) = weight(k) x^k, which never leaves the basis.
-    Tables are never changed after a build, so ``twisted`` shares them
-    where the twist leaves them.
+    ``tables[g]``, g in e and h, is (den, {key: {key2: int}}): g(x^key) is
+    the sum of n / den * x^key2 over its column, no numerator zero, den
+    coprime to them.  Only the basis is truncated: e's column is the spec's
+    full image of its key, and h's is written from the weights.  f is not
+    stored; _f_eigen reads it off the spec and the twist.
     """
 
     def __init__(self, spec: Sl2ActionSpec, keys, depth: int, name: str = ""):
@@ -147,66 +141,28 @@ class TruncatedModule:
             == base_ring_shifts(BASE_SPEC, "f")
         self.name = name
         self.basis = sorted(keys)
-        self.index = index = {k: i for i, k in enumerate(self.basis)}
         self.weights = {k: spec.weight_of_monomial(k) for k in self.basis}
-        self.tables = {"h": _weight_table(self.weights)}
-        self.boundary_loss = {"h": set()}
-        for g in ("e", "f"):
-            table, loss = {}, set()
-            for k in self.basis:
-                img = spec.derive_monomial(g, k, 1, {})
-                col = {ke: c for ke, c in img.items() if ke in index}
-                if len(col) < len(img):
-                    loss.add(k)
-                if col:
-                    table[k] = col
-            self.tables[g] = _canonical(spec.den[g], table)
-            self.boundary_loss[g] = loss
+        self.tables = {"h": _weight_table(self.weights), "e": _canonical(
+            spec.den["e"], {k: col for k in self.basis
+                            if (col := spec.derive_monomial("e", k, 1, {}))})}
 
     def twisted(self, twist: ModuleTwist, name: str) -> "TruncatedModule":
-        """This untwisted module twisted by ``twist``: column k of f gains
-        x^k TwistData(a).tau(f) = a*E1 x^k over the lcm of the spec's and
-        the twist's denominators, and h's table is written from the shifted
-        weights (tau(h) = -2a is the shift; the basis, index and e-table are
-        shared).  A key is a boundary loss when its full image leaves the
-        basis: the twist term can cancel an escaped derivation term."""
+        """This untwisted module twisted by ``twist``: TwistData(a) adds
+        nothing to e, a E1 to f (read by _f_eigen off twist_a) and the shift
+        to h, whose table is written from the shifted weights."""
         if self.twist is not None:
             raise RepError("module is already twisted")
         out = copy.copy(self)
         out.twist, out.twist_a, out.name = twist, twist.a, name
         out.weights = {k: w + twist.shift for k, w in self.weights.items()}
-        out.tables = dict(self.tables)
-        out.boundary_loss = dict(self.boundary_loss)
-        out.tables["h"] = _weight_table(out.weights)
-        for g in ("e", "f"):
-            tau = TwistData(twist.a).tau(g).terms
-            if not tau:
-                continue
-            sden, (den0, table0) = self.spec.den[g], self.tables[g]
-            den = lcm(sden, *(c.denominator for c in tau.values()))
-            table, loss = {}, set()
-            for k in self.basis:
-                col = {k2: c * (den // den0)
-                       for k2, c in table0.get(k, {}).items()}
-                img = (self.spec.derive_monomial(g, k, den // sden, {})
-                       if k in self.boundary_loss[g] else {})
-                for exp, c in tau.items():
-                    k2 = tuple(map(add, k, exp))
-                    add_term(col if k2 in self.index else img, k2,
-                             c.numerator * (den // c.denominator))
-                if any(k2 not in self.index for k2 in img):
-                    loss.add(k)
-                if col:
-                    table[k] = col
-            out.tables[g] = _canonical(den, table)
-            out.boundary_loss[g] = loss
+        out.tables = {**self.tables, "h": _weight_table(out.weights)}
         return out
 
     # -- vector helpers -----------------------------------------------------
 
     def _step(self, g: str, ivec: dict) -> dict:
-        """den * g(ivec) for an int vector, den being g's table
-        denominator."""
+        """den * g(ivec) for an int vector on the basis, g in e and h, den
+        being g's table denominator."""
         out: dict = {}
         table = self.tables[g][1]
         for k, c in ivec.items():
@@ -219,21 +175,10 @@ class TruncatedModule:
         return out
 
     def apply(self, g: str, vec: dict) -> dict:
+        """g(vec) for g in e and h."""
         den, ivec = _numerators(vec)
         den *= self.tables[g][0]
         return {k: Fraction(c, den) for k, c in self._step(g, ivec).items()}
-
-    def lossy(self, g: str, vec: dict) -> bool:
-        return any(k in self.boundary_loss[g] for k in vec)
-
-    def iterate_f(self, ivec: dict, r: int):
-        """(a positive multiple of f^r(ivec), steps actually completed before
-        hitting the boundary), on int vectors."""
-        for step in range(r):
-            if self.lossy("f", ivec):
-                return ivec, step
-            ivec = self._step("f", ivec)
-        return ivec, r
 
     def _e_matrix(self, keys) -> tuple:
         """(targets, rows): e's numerator matrix on the given keys, one row
@@ -249,7 +194,7 @@ class TruncatedModule:
         return dict(Counter(self.weights[k] for k in self.basis))
 
     def highest_weight_vectors(self, lam: int):
-        """Basis of ker(e) inside the weight-lam space (e never escapes)."""
+        """Basis of ker(e) inside the weight-lam space."""
         keys = [k for k in self.basis if self.weights[k] == lam]
         return [
             {k: c for k, c in zip(keys, v) if c}
@@ -261,36 +206,36 @@ class TruncatedModule:
         of v's numerators ivec plus the twist's twist_a E1 ivec, on ints."""
         a, e1 = self.twist_a, self.ring.index["E1"]
         c = -self.spec.den["f"] * (lam * a.denominator + 2 * a.numerator)
-        want = {k[:e1] + (k[e1] + 1,) + k[e1 + 1:]: c * n
-                for k, n in ivec.items()} if c else {}
+        want = _raised(ivec, e1, 1, c) if c else {}
         return want == {k: 2 * a.denominator * n
                         for k, n in self.spec.derive("f", ivec).items()}
 
     def classify_cyclic(self, vec: dict, lam: int) -> str:
-        """L or M for the cyclic module of a highest-weight vector: if
-        f(vec) = -(lam/2) E1 vec, f^r(vec) = c_r(-lam/2) vec for every r
-        (f_string_certificate), L iff lam is even and >= 0; else walked."""
+        """L or M for the cyclic module of a highest-weight vector v with
+        f(v) = -(lam/2) E1 v: f^r(v) = c_r(-lam/2) v for every r
+        (f_string_certificate), so L iff lam is even and >= 0.  Any other
+        vector, or a refused certificate, raises RepError."""
         ivec = _numerators(vec)[1]
         if self._step("e", ivec):
             raise RepError("not a highest-weight vector")
-        if self.f_as_base and self._f_eigen(ivec, lam) \
-                and f_string_certificate():
-            return "L" if lam >= 0 and lam % 2 == 0 else "M"
-        if lam >= 0:
-            img, done = self.iterate_f(ivec, lam + 1)
-            if done < lam + 1:
-                raise RepError(
-                    f"truncation too shallow for the f^{lam + 1} test"
-                )
-            return "L" if not img else "M"
-        while not self.lossy("f", ivec):
-            ivec = self._step("f", ivec)
-            if not ivec:
-                raise RepError(
-                    f"f-string of a weight-{lam} highest-weight vector "
-                    "terminated; not a Verma module"
-                )
-        return "M"
+        if not (self.f_as_base and self._f_eigen(ivec, lam)):
+            raise RepError(f"f(v) != -({lam}/2) E1 v")
+        if not f_string_certificate():
+            raise RepError("the closed f-power formula is refused")
+        return "L" if lam >= 0 and lam % 2 == 0 else "M"
+
+
+def _raised(ivec: dict, i: int, n: int, c: int = 1) -> dict:
+    """c times the int vector ivec times the i-th generator to the n."""
+    return {k[:i] + (k[i] + n,) + k[i + 1:]: c * v for k, v in ivec.items()}
+
+
+def _f_power_multiple(m: TruncatedModule, ivec: dict, lam: int) -> dict:
+    """E2^(lam/2) ivec, a nonzero multiple of f^lam(v) for an
+    f-eigenvector v of even weight lam >= 0 with numerators ivec: of
+    c_lam(-lam/2) only C(0, lam/2) survives, every other term having the
+    factor (-lam/2)_(k+a) = 0 (f_string_certificate)."""
+    return _raised(ivec, m.ring.index["E2"], lam // 2)
 
 
 # -- claims -----------------------------------------------------------------
@@ -363,59 +308,52 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:
             continue
         lam_v = {k: p.lam * c for k, c in v.items()} if p.lam else {}
         record(f"{label} generator weight", m.apply("h", v) == lam_v)
-        if p.kind in ("L", "M"):
-            try:
-                got_kind = m.classify_cyclic(v, p.lam)
-            except RepError as exc:
-                record(f"{label} classification", False, str(exc))
-                continue
-            record(f"{label} classification", got_kind == p.kind,
-                   {"classified": got_kind})
-        elif p.kind == "Mdual":
-            # finite part: L(lam) inside; witness that it extends upward
-            try:
-                cls = m.classify_cyclic(v, p.lam)
-            except RepError as exc:
-                record(f"{label} socle classification", False, str(exc))
-                continue
-            record(f"{label} socle is L", cls == "L", {"classified": cls})
-            low, done = m.iterate_f(_numerators(v)[1], max(p.lam, 0))
-            if done < max(p.lam, 0):
-                record(f"{label} extension witness", False,
-                       "truncation too shallow")
-                continue
-            hit = _in_image_of_e(m, low, -p.lam - 2)
-            record(f"{label} extension witness", hit,
-                   {"witness_weight": -p.lam - 2} if hit else None)
+        mdual = p.kind == "Mdual"
+        try:
+            cls = m.classify_cyclic(v, p.lam)
+        except RepError as exc:
+            record(f"{label} {'socle ' if mdual else ''}classification", False,
+                   str(exc))
+            continue
+        if not mdual:
+            record(f"{label} classification", cls == p.kind,
+                   {"classified": cls})
+            continue
+        # finite part: L(lam) inside; witness that it extends upward
+        record(f"{label} socle is L", cls == "L", {"classified": cls})
+        if cls != "L":
+            continue
+        low = _f_power_multiple(m, _numerators(v)[1], p.lam)
+        if not low.keys() <= m.weights.keys():
+            record(f"{label} extension witness", False,
+                   "truncation too shallow")
+            continue
+        hit = _in_image_of_e(m, low, -p.lam - 2)
+        record(f"{label} extension witness", hit,
+               {"witness_weight": -p.lam - 2} if hit else None)
     return report
 
 
 def zuckerman(m: TruncatedModule) -> dict:
     """Largest locally finite part visible in the truncation: the span of the
-    finite cyclic modules of HWVs passing the f^(lam+1) = 0 test.
-    ``unclassified`` counts the HWVs that are no f-eigenvectors and too
-    deep for the walk (classify_cyclic raised RepError); a caller that
-    reads "no summand" as "nothing locally finite" must also see it at 0."""
-    depth = m.depth
-    found = []
-    unclassified = 0
-    weights = sorted({w for w in m.weights.values() if w >= 0}, reverse=True)
-    for lam in weights:
+    finite cyclic modules of HWVs that classify_cyclic calls L.
+    ``unclassified`` counts the HWVs it refuses (no f-eigenvectors, or the
+    certificate refused); a caller that reads "no summand" as "nothing
+    locally finite" must also see it at 0."""
+    found, unclassified = [], 0
+    for lam in sorted({w for w in m.weights.values() if w >= 0}, reverse=True):
         for v in m.highest_weight_vectors(lam):
             try:
-                kind = m.classify_cyclic(v, lam)
+                if m.classify_cyclic(v, lam) == "L":
+                    found.append({"lambda": lam, "generator": v})
             except RepError:
                 unclassified += 1
-                continue
-            if kind == "L":
-                found.append({"lambda": lam, "generator": v})
-    dim = sum(p["lambda"] + 1 for p in found)
     return {
         "module": m.name,
-        "depth": depth,
+        "depth": m.depth,
         "summands": [{"kind": "L", "lambda": p["lambda"]} for p in found],
         "generators": found,
-        "dimension": dim,
+        "dimension": sum(p["lambda"] + 1 for p in found),
         "unclassified": unclassified,
-        "caveat": f"certified up to filtration depth {depth} only",
+        "caveat": f"certified up to filtration depth {m.depth} only",
     }

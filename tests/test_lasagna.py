@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,9 +12,9 @@ from math import factorial, prod
 
 import pytest
 
-from dottedtl import lasagna, rep, sl2
+from dottedtl import exactla, lasagna, rep, sl2
 from dottedtl.ring import E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms
-from dottedtl.sl2 import GENERATORS, LASAGNA_SPEC, Sl2ActionSpec
+from dottedtl.sl2 import GENERATORS, LASAGNA_SPEC, Sl2ActionSpec, add_term
 
 CACHES = (lasagna._twisted_verdict, lasagna._base_block, lasagna._delta_power,
           lasagna._twist_generators, rep.f_string_certificate)
@@ -142,33 +143,43 @@ def plus_oracle() -> bool:
                for (_, m, n), x in vbasis(0, 4).items())
 
 
+def f_exact(m: rep.TruncatedModule, vec: dict) -> dict:
+    """f(vec) in the untruncated module, as Fractions: the spec's
+    derivation of vec's numerators plus the twist's twist_a E1 vec."""
+    den, ivec = rep._numerators(vec)
+    out = {k: Fraction(c, den * m.spec.den["f"])
+           for k, c in m.spec.derive("f", ivec).items()}
+    e1 = m.ring.index["E1"]
+    for k, c in vec.items():
+        add_term(out, k[:e1] + (k[e1] + 1,) + k[e1 + 1:], m.twist_a * c)
+    return out
+
+
+def exact_image(m: rep.TruncatedModule, g: str, k) -> dict:
+    """g(x^k) as Fractions for a basis key k: e and h from m's tables, which
+    hold each basis key's full image, and f read exactly."""
+    if g == "f":
+        return f_exact(m, {k: Fraction(1)})
+    den, table = m.tables[g]
+    return {k2: Fraction(c, den) for k2, c in table.get(k, {}).items()}
+
+
 def minus_block_split_check(depth: int) -> bool:
     """Oracle of minus_split_certificate at one depth: e, f, h keep each
-    minus block ell in MINUS_ELLS inside itself.  Off the boundary of the
-    whole minus part the block's columns equal the minus part's, so a term
-    leaving the block but not the minus part fails; on its boundary every
-    term of the untruncated image must keep the block and A0-exponent
-    <= -1.  The blocks partition the minus part with m - n in MINUS_ELLS."""
+    minus block ell in MINUS_ELLS inside itself.  Every term of each basis
+    key's exact image keeps the block's A1 + A0 exponent ell and an
+    A0-exponent <= -1, and the blocks partition the minus part with
+    m - n in MINUS_ELLS."""
     a1, a0 = LASAGNA_RING.index["A1"], LASAGNA_RING.index["A0"]
-    full = b2s2_module(depth, "minus")
     covered = set()
     for ell in lasagna.MINUS_ELLS:
         blk = minus_block(ell, depth)
         covered.update(blk.basis)
-        for g in GENERATORS:
-            # columns compared as numerators over one denominator
-            bden, btable = blk.tables[g]
-            fden, ftable = full.tables[g]
-            for k in blk.basis:
-                if k in full.boundary_loss[g]:
-                    image = lasagna.LASAGNA_SPEC.derive(g, {k: 1})
-                    if any(k2[a0] >= 0 or k2[a1] + k2[a0] != ell
-                           for k2 in image):
-                        return False
-                elif scaled(btable.get(k, {}), fden) \
-                        != scaled(ftable.get(k, {}), bden):
-                    return False
-    return all(k in covered for k in full.basis
+        if any(k2[a0] >= 0 or k2[a1] + k2[a0] != ell
+               for g in GENERATORS for k in blk.basis
+               for k2 in exact_image(blk, g, k)):
+            return False
+    return all(k in covered for k in b2s2_module(depth, "minus").basis
                if k[a1] + k[a0] in lasagna.MINUS_ELLS)
 
 
@@ -353,9 +364,8 @@ def test_strictness_table():
 
 def layer_rows(ell, depth):
     """The keys of minus_block(ell, depth) with A1-power at most
-    max(LAYER_RS) + 1, as a module: e and f raise the A1-power by at most
-    1, so every key a layer reads keeps the block's columns and boundary
-    losses."""
+    max(LAYER_RS) + 1, as a module: every layer key keeps the block's
+    columns."""
     a1 = LASAGNA_RING.index["A1"]
     top = max(lasagna.LAYER_RS) + 1
     return rep.TruncatedModule(
@@ -366,29 +376,27 @@ def layer_rows(ell, depth):
 
 def layer_matches_model(blk, ell, r, depth):
     """The layer S_(ell,r)/S_(ell,r+1) of blk (a module holding the keys of
-    minus_block(ell, depth) with A1-power r and their images) against
-    twisted_block(2r - ell) at the verdict's depth: every e-, f- and
-    h-column of a layer key, off the boundary, has no term of lower
-    A1-power and agrees with the model's column modulo higher ones."""
+    minus_block(ell, depth) with A1-power r) against twisted_block(2r - ell)
+    at the verdict's depth: the exact e-, f- and h-image of every layer key
+    has no term of lower A1-power, and its terms of A1-power r keep the
+    key's A0-exponent and equal the model's exact image."""
     w, n = 2 * r - ell, r - ell
     layer_depth = max(depth, 2 * w + 4)
     model = lasagna.twisted_block(w, layer_depth, f"layer[ell={ell},r={r}]")
+    basis = set(blk.basis)
     for g in GENERATORS:
-        bden, btable = blk.tables[g]
-        mden, mtable = model.tables[g]
         for a, b in model.basis:
             k = lasagna._lkey(a, b, r, -n)
-            if k not in blk.index or k in blk.boundary_loss[g] \
-                    or (a, b) in model.boundary_loss[g]:
+            if k not in basis:
                 continue
             proj = {}
-            for k2, c in btable.get(k, {}).items():
-                a2, b2, m2, _ = lasagna._kparts(k2)
-                if m2 < r:
+            for k2, c in exact_image(blk, g, k).items():
+                a2, b2, m2, i2 = lasagna._kparts(k2)
+                if m2 < r or (m2 == r and i2 != -n):
                     return False
                 if m2 == r:
-                    proj[(a2, b2)] = c * mden
-            if proj != scaled(mtable.get((a, b), {}), bden):
+                    proj[(a2, b2)] = c
+            if proj != exact_image(model, g, (a, b)):
                 return False
     return True
 
@@ -419,33 +427,53 @@ def test_minus_no_finite_part():
     assert lasagna.minus_f_injectivity_check()
 
 
+def truncated_e_kernel(m: rep.TruncatedModule, lam: int) -> list:
+    """The weight-lam kernel of e with every image term outside m's basis
+    dropped: the highest-weight vectors a truncation of e's images finds."""
+    keys = [k for k in m.basis if m.weights[k] == lam]
+    basis = set(m.basis)
+    targets, rows = m._e_matrix(keys)
+    rows = [row for t, row in zip(targets, rows) if t in basis]
+    return [{k: c for k, c in zip(keys, v) if c}
+            for v in exactla.nullspace(rows, len(keys))]
+
+
 def test_zuckerman_on_a_minus_block_classifies_nothing():
-    """The depth-truncated pass the f-shift certificate replaces: on
-    minus_block(0, 20) every highest-weight vector of weight >= 0 is too
-    deep for the f^(lam+1) test, so it finds no summand and says so.  The
-    closed form classifies none of them: E1 and E2 act as in BASE_SPEC,
-    but no such vector v has f(v) = -(lam/2) E1 v."""
+    """minus_block(0, 20) has no highest-weight vector, so zuckerman finds
+    no summand and refuses nothing.  Its key set is not closed under e: the
+    kernel of e truncated to the basis has 15 vectors, and each one's exact
+    e-image is nonzero with every term outside the basis."""
     m = minus_block(0, 20)
     z = rep.zuckerman(m)
-    assert z["summands"] == []
-    assert z["unclassified"] > 0
-    hwvs = [(v, lam) for lam in {w for w in m.weights.values() if w >= 0}
-            for v in m.highest_weight_vectors(lam)]
-    assert m.f_as_base and len(hwvs) >= z["unclassified"]
-    assert not any(m._f_eigen(rep._numerators(v)[1], lam) for v, lam in hwvs)
+    assert (z["summands"], z["unclassified"]) == ([], 0)
+    weights = sorted(set(m.weights.values()))
+    assert not any(m.highest_weight_vectors(lam) for lam in weights)
+    artifacts = [v for lam in weights for v in truncated_e_kernel(m, lam)]
+    assert len(artifacts) == 15
+    basis = set(m.basis)
+    for v in artifacts:
+        image = m.apply("e", v)
+        assert image and not basis & set(image)
 
 
 def test_minus_hwvs_are_verma_by_untruncated_f():
-    """Oracle for the f-shift certificate: every highest-weight vector of
-    weight lam >= 0 of a minus block at depth 12, walked by the spec's
-    untruncated f, has f^(lam+1) v != 0, so it generates an M and nothing
-    locally finite."""
+    """Oracle for the f-shift certificate: on every minus block at depth
+    12, every basis vector and a seeded random vector of each weight
+    lam >= 0, walked by the spec's untruncated f, has f^(lam+1) v != 0, so
+    it generates nothing locally finite; and no block has a highest-weight
+    vector of any weight."""
+    rng = random.Random(5)
     seen = 0
     for ell in lasagna.MINUS_ELLS:
         blk = minus_block(ell, 12)
-        for lam in sorted({w for w in blk.weights.values() if w >= 0}):
-            for v in blk.highest_weight_vectors(lam):
-                x = rep._numerators(v)[1]
+        for lam in sorted(set(blk.weights.values())):
+            assert blk.highest_weight_vectors(lam) == [], (ell, lam)
+            if lam < 0:
+                continue
+            keys = [k for k in blk.basis if blk.weights[k] == lam]
+            vectors = [{k: 1} for k in keys]
+            vectors.append({k: rng.randint(-3, 3) or 1 for k in keys})
+            for x in vectors:
                 for _ in range(lam + 1):
                     x = LASAGNA_SPEC.derive("f", x)
                 assert x, (ell, lam)
@@ -489,10 +517,9 @@ def test_spec_without_the_lowering_f_term_fails_the_minus_claims(
 @pytest.mark.parametrize("depth", [12, 20, 40])
 def test_layer_rows_equal_the_minus_block_on_every_layer_key(depth):
     """The key-by-key oracle of layer_action_certificate: on every key with
-    A1-power in LAYER_RS, the row module's e-, f- and h-columns equal
-    minus_block's as Fractions, and so do its boundary-loss flags; and every
-    layer (ell, r) read on the rows matches its twisted model, as the
-    certificate says for every depth."""
+    A1-power in LAYER_RS, the row module's exact e-, f- and h-images equal
+    minus_block's as Fractions; and every layer (ell, r) read on the rows
+    matches its twisted model, as the certificate says for every depth."""
     assert lasagna.layer_action_certificate()
     for ell in lasagna.MINUS_ELLS:
         blk = minus_block(ell, depth)
@@ -501,15 +528,10 @@ def test_layer_rows_equal_the_minus_block_on_every_layer_key(depth):
                       if lasagna._kparts(k)[2] in lasagna.LAYER_RS]
         assert layer_keys and set(layer_keys) <= set(rows.basis) \
             <= set(blk.basis)
-        for g in ("e", "f", "h"):
-            (bden, btable), (rden, rtable) = blk.tables[g], rows.tables[g]
+        for g in GENERATORS:
             for k in layer_keys:
-                assert {k2: Fraction(c, rden)
-                        for k2, c in rtable.get(k, {}).items()} \
-                    == {k2: Fraction(c, bden)
-                        for k2, c in btable.get(k, {}).items()}, (ell, g, k)
-                assert (k in rows.boundary_loss[g]) \
-                    == (k in blk.boundary_loss[g]), (ell, g, k)
+                assert exact_image(rows, g, k) == exact_image(blk, g, k), \
+                    (ell, g, k)
         assert all(layer_matches_model(rows, ell, r, depth)
                    for r in lasagna.LAYER_RS), ell
 
@@ -532,14 +554,13 @@ def _moving_a0():
                     + ring.gen("E1") * ring.gen("A0", 2)})
 
 
-# name: (perturbed spec, whether the key-by-key oracle sees it); a term that
-# moves A0 alone leaves the block ell, so the oracle, which reads the
-# block's columns, never meets it
+# name: perturbed spec; the key-by-key oracle reads exact images, so it
+# also meets a term that moves A0 alone and leaves the block ell
 LAYER_PERTURBATIONS = {
-    "f(A1) doubled": (lambda: _spec(f={"A1": 2 * A1_F}), True),
-    "A0 h-weight": (lambda: _spec(h={"A0": -3}), True),
-    "A1 power lowered": (_lowering_a1, True),
-    "A0 moved alone": (_moving_a0, False),
+    "f(A1) doubled": lambda: _spec(f={"A1": 2 * A1_F}),
+    "A0 h-weight": lambda: _spec(h={"A0": -3}),
+    "A1 power lowered": _lowering_a1,
+    "A0 moved alone": _moving_a0,
 }
 
 
@@ -547,28 +568,27 @@ LAYER_PERTURBATIONS = {
 def test_layer_perturbation_fails_the_certificate_and_the_oracle(
         monkeypatch, name):
     """Negative control: each perturbed spec fails layer_action_certificate,
-    the layer claim of summary_report, criterion 11's layer field, and,
-    where it can see it, the key-by-key oracle on some layer of depth 12."""
+    the layer claim of summary_report, criterion 11's layer field, and the
+    key-by-key oracle on some layer of depth 12."""
     from dottedtl import selftest
 
-    make, oracle_sees = LAYER_PERTURBATIONS[name]
-    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", make())
+    monkeypatch.setattr(lasagna, "LASAGNA_SPEC", LAYER_PERTURBATIONS[name]())
     assert not lasagna.layer_action_certificate()
     failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
               if c["status"] == "fail"}
     assert "minus filtration layers are twisted polynomial modules" in failed
     crit = selftest.criterion_minus_part()
     assert crit["layers"] is False and crit["ok"] is False
-    assert oracle_sees is not all(
+    assert not all(
         layer_matches_model(layer_rows(ell, 12), ell, r, 12)
         for ell in lasagna.MINUS_ELLS for r in lasagna.LAYER_RS)
 
 
 def test_block_leak_fails_the_split_check(monkeypatch):
     """Negative control: with e(A0) gaining E1*A0^2, e moves a key of block
-    ell with n >= 2 to block ell + 1 inside the minus part; that image term
-    is a boundary loss of the block alone, and the split certificate and
-    its oracle fail."""
+    ell with n >= 2 to block ell + 1 inside the minus part; the block's e
+    column keeps that term, and the split certificate and its oracle
+    fail."""
     assert minus_block_split_check(12)
     monkeypatch.setattr(lasagna, "LASAGNA_SPEC", _moving_a0())
     assert not lasagna.minus_split_certificate()
@@ -699,19 +719,31 @@ def _flipped(real, where):
 ], ids=["C(1,1)", "C(0,2)", "odd a"])
 def test_flipped_closed_form_sign_fails(monkeypatch, where):
     """Negative control: the closed form with a coefficient's sign flipped
-    fails the certificate and the grid oracle."""
+    fails the certificate and the grid oracle.  classify_cyclic refuses
+    every generator, so every claim that classifies one fails with the two
+    closed-form claims; only the two minus-part certificates hold."""
     monkeypatch.setattr(
         rep, "_closed_form_coefficient",
         _flipped(rep._closed_form_coefficient, where))
     assert not lasagna.closed_form_certificate()
     assert not closed_form_check()
-    calls = walk_steps(monkeypatch)[0]
-    failed = {c["claim"] for c in lasagna.summary_report(12)["claims"]
-              if c["status"] == "fail"}
-    assert failed == {"closed f-power formula matches iteration",
-                      "vanishing/non-vanishing of f-strings"}
-    # no generator is read off the refused closed form: each is walked
-    assert sum(n for _, n in calls) > len(calls) > 100
+    calls, inside = f_derivations(monkeypatch)
+    refused = []
+    real = rep.TruncatedModule.classify_cyclic
+
+    def classify(self, vec, lam):
+        try:
+            return real(self, vec, lam)
+        except rep.RepError:
+            refused.append(lam)
+            raise
+
+    monkeypatch.setattr(rep.TruncatedModule, "classify_cyclic", classify)
+    claims = lasagna.summary_report(12)["claims"]
+    assert [c["claim"] for c in claims if c["status"] == "pass"] == [
+        "minus part splits into weight blocks",
+        "minus part contributes nothing to the locally finite part"]
+    assert len(calls) > 50 and len(refused) == len(calls)
 
 
 def test_summary_runs_zuckerman_on_no_minus_module(monkeypatch):
@@ -1044,18 +1076,18 @@ def test_lasagna_reports_are_pinned(args):
         assert digest == PINNED_REPORT_SHA256[args], hashseed
 
 
-def walk_steps(monkeypatch) -> tuple:
-    """Count the f-string walks of classify_cyclic: after this patch, each
-    call appends (lam, its number of f-steps on the module's tables) to
+def f_derivations(monkeypatch) -> tuple:
+    """Count the exact f computations of classify_cyclic: after this patch,
+    each call appends (lam, its number of the spec's derive("f") calls) to
     the first list returned; the second is non-empty while a call runs."""
     calls, inside = [], []
-    real_step = rep.TruncatedModule._step
+    real_derive = Sl2ActionSpec.derive
     real_classify = rep.TruncatedModule.classify_cyclic
 
-    def step(self, g, ivec):
+    def derive(self, g, vec):
         if inside and g == "f":
             inside[-1] += 1
-        return real_step(self, g, ivec)
+        return real_derive(self, g, vec)
 
     def classify(self, vec, lam):
         inside.append(0)
@@ -1064,20 +1096,19 @@ def walk_steps(monkeypatch) -> tuple:
         finally:
             calls.append((lam, inside.pop()))
 
-    monkeypatch.setattr(rep.TruncatedModule, "_step", step)
+    monkeypatch.setattr(Sl2ActionSpec, "derive", derive)
     monkeypatch.setattr(rep.TruncatedModule, "classify_cyclic", classify)
     return calls, inside
 
 
 def test_f_string_walks_build_no_fraction(monkeypatch):
-    """Operation-count gate: classify_cyclic decides on int numerators, so
-    summary_report(12) builds no Fraction inside it, both when every
-    generator is read off the closed form, with no walk step at all, and,
-    with the certificate refused, when each is walked, to f^(lam+1) or
-    down to the boundary.  The certificate, read once per process, is read
-    before the count."""
+    """Operation-count gate: classify_cyclic decides each generator's
+    f-string on int numerators, so summary_report(12) builds no Fraction
+    inside it, both when every generator is read off the closed form and,
+    with the certificate refused, when every one is refused.  The
+    certificate, read once per process, is read before the count."""
     assert rep.f_string_certificate()
-    calls, inside = walk_steps(monkeypatch)
+    calls, inside = f_derivations(monkeypatch)
     built = []
     real_new = Fraction.__new__
 
@@ -1093,35 +1124,63 @@ def test_f_string_walks_build_no_fraction(monkeypatch):
             for cache in CACHES[:3]:
                 cache.cache_clear()
         calls.clear()
-        assert lasagna.summary_report(12)["ok"]
+        assert lasagna.summary_report(12)["ok"] is closed_form
         lams = [lam for lam, _ in calls]
-        assert min(lams) < 0 <= max(lams) and len(lams) > 100
-        steps = sum(n for _, n in calls)
-        assert steps == 0 if closed_form else steps > len(calls)
+        assert min(lams) < 0 <= max(lams) and len(lams) > 50
+        assert [n for _, n in calls] == [1] * len(calls)
         assert built == []
 
 
 def test_summary_classifies_every_generator_by_one_f_step(monkeypatch):
-    """Operation-count gate: the 315 classifications of summary_report(40)
-    (the ball's and the 25 twisted models' block_claim generators and
-    Zuckerman highest-weight vectors) make no walk step, and each makes
-    exactly one exact f computation, the spec's derive of the eigenvector
-    test, also at the truncation's edge, where f of the generator leaves
-    the basis."""
-    calls, inside = walk_steps(monkeypatch)
-    derives = []
-    real_derive = Sl2ActionSpec.derive
-
-    def derive(self, g, vec):
-        if inside and g == "f":
-            derives.append(len(calls))
-        return real_derive(self, g, vec)
-
-    monkeypatch.setattr(Sl2ActionSpec, "derive", derive)
+    """Operation-count gate: each of the 315 classifications of
+    summary_report(40) (the ball's and the 25 twisted models' block_claim
+    generators and Zuckerman highest-weight vectors) makes exactly one
+    exact f computation, the spec's derive of the eigenvector test, also
+    at the truncation's edge, where f of the generator leaves the basis."""
+    calls = f_derivations(monkeypatch)[0]
     assert lasagna.summary_report(40)["ok"]
     assert len(calls) == 315
-    assert [n for _, n in calls] == [0] * 315
-    assert derives == list(range(315))
+    assert [n for _, n in calls] == [1] * 315
+
+
+def test_summary_derives_f_only_to_test_eigenvectors(monkeypatch):
+    """Operation-count gate: in summary_report(40) every f-derivation of a
+    monomial (derive_monomial("f", ...)) is made inside one of the 315
+    classifications or inside the three f-applies that read the generator
+    images for the certificates; no module build derives f, and a twist
+    step derives nothing at all."""
+    where, derived, applies = [], [], []
+    real_monomial = Sl2ActionSpec.derive_monomial
+    real_apply = Sl2ActionSpec.apply
+
+    def monomial(self, g, exp, c, out):
+        derived.append((where[-1] if where else None, g))
+        return real_monomial(self, g, exp, c, out)
+
+    def apply(self, g, x):
+        applies.append(g)
+        return watched("apply", real_apply)(self, g, x)
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            where.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return call
+
+    monkeypatch.setattr(Sl2ActionSpec, "derive_monomial", monomial)
+    monkeypatch.setattr(Sl2ActionSpec, "apply", apply)
+    for name in ("classify_cyclic", "twisted"):
+        monkeypatch.setattr(rep.TruncatedModule, name, watched(
+            name, getattr(rep.TruncatedModule, name)))
+    assert lasagna.summary_report(40)["ok"]
+    assert {w for w, g in derived if g == "f"} == {"classify_cyclic",
+                                                   "apply"}
+    assert applies.count("f") == 3
+    assert not any(w == "twisted" for w, _ in derived)
+    assert any(w is None and g == "e" for w, g in derived)
 
 
 def test_polynomial_checks_run_on_int_numerators(monkeypatch):

@@ -10,7 +10,8 @@ one of the package's modules; a ``Name`` that an enclosing function binds
 as a parameter or variable is not a use.  Dunder names are exempt, as the
 interpreter calls them; docstrings and other strings do not count.  Each
 parameter of a ``def`` other than ``self`` and ``cls`` must be read as a
-``Name`` in its body, nested functions included.
+``Name`` in its body, nested functions included.  Each name a module
+(``__init__.py`` aside) imports must be read as a ``Name`` in it.
 """
 
 import ast
@@ -129,6 +130,37 @@ def test_uncalled_function_named_like_an_attribute_is_reported():
         patched["projectors"] += f"\n\ndef {name}(F):\n    return F\n"
         assert unused_definitions(patched) == [f"projectors.{name}"]
 
+
+def unused_imports(source: str) -> list:
+    """Each name the source imports (``from __future__`` aside) and never
+    reads as a ``Name``, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    assert {stem: unused_imports(text)
+            for stem, text in package_sources().items()
+            if stem != "__init__" and unused_imports(text)} == {}
+
+
+def test_unused_import_is_reported():
+    """Negative control: rep's source with an unread import of each form
+    added is reported, and a read one is not."""
+    source = package_sources()["rep"]
+    assert unused_imports(source) == []
+    added = "import json\nimport os.path\nfrom math import tau as tau_alias\n"
+    assert unused_imports(added + source) == ["json", "os", "tau_alias"]
+    assert unused_imports(added + source + "\nX = json, os, tau_alias\n") == []
 
 
 def ignored_parameters() -> list:

@@ -21,33 +21,34 @@ from dottedtl.rep import (
 from dottedtl.ring import E_RING, GradedPoly
 from dottedtl.sl2 import (
     BASE_SPEC,
-    GENERATORS,
     Sl2ActionSpec,
     TwistData,
     add_term,
 )
-from test_lasagna import b2s2_module, minus_block, walk_steps
+from test_lasagna import b2s2_module, f_derivations, f_exact, minus_block
 from test_sl2 import leibniz_apply
 
 
 # -- module invariant oracles ------------------------------------------------
 
+def e_exact(m: TruncatedModule, vec: dict) -> dict:
+    """e(vec) in the untruncated module, as Fractions: the spec's
+    derivation of vec's numerators (a twist adds nothing to e)."""
+    den, ivec = _numerators(vec)
+    return {k: Fraction(c, den * m.spec.den["e"])
+            for k, c in m.spec.derive("e", ivec).items()}
+
+
 def bracket_check(m: TruncatedModule) -> bool:
-    """(e f - f e)(x) = h(x) on every basis vector whose f and e-f images
-    stay inside the truncation, on numerators over den_e * den_f."""
-    scale = m.tables["e"][0] * m.tables["f"][0]
+    """(e f - f e)(x) = h(x) on every basis vector x, with e(x) and h(x)
+    from the module's tables and f read exactly; e of f(x), which may leave
+    the basis, is the spec's."""
     for k in m.basis:
-        vec = {k: 1}
-        if m.lossy("f", vec):
-            continue
-        ev = m._step("e", vec)
-        if m.lossy("f", ev):
-            continue
-        lhs = m._step("e", m._step("f", vec))
-        for k2, c in m._step("f", ev).items():
+        vec = {k: Fraction(1)}
+        lhs = e_exact(m, f_exact(m, vec))
+        for k2, c in f_exact(m, m.apply("e", vec)).items():
             add_term(lhs, k2, -c)
-        want = {k: m.weights[k] * scale} if m.weights[k] else {}
-        if lhs != want:
+        if lhs != m.apply("h", vec):
             return False
     return True
 
@@ -61,18 +62,14 @@ def action_view(m: TruncatedModule) -> dict:
 
 def ef_string_check(m: TruncatedModule, vec: dict, lam: int,
                     k_max: int = 6) -> bool:
-    """e f^k (v) = k(lam - k + 1) f^(k-1)(v) for a HWV v of weight lam.
-    With P the numerators of f^(k-1)(v), the check is
-    E F P = k(lam - k + 1) den_e den_f P on the tables' numerators."""
-    scale = m.tables["e"][0] * m.tables["f"][0]
-    prev = _numerators(vec)[1]
+    """e f^k (v) = k(lam - k + 1) f^(k-1)(v) for a HWV v of weight lam,
+    f and e read exactly, with no truncation."""
+    prev = vec
     for k in range(1, k_max + 1):
-        if m.lossy("f", prev):
-            return True
-        cur = m._step("f", prev)
-        c = k * (lam - k + 1) * scale
-        want = {kk: c * n for kk, n in prev.items()} if c else {}
-        if m._step("e", cur) != want:
+        cur = f_exact(m, prev)
+        c = k * (lam - k + 1)
+        if e_exact(m, cur) != ({kk: c * n for kk, n in prev.items()}
+                               if c else {}):
             return False
         prev = cur
     return True
@@ -93,13 +90,6 @@ def test_weights_match_degrees():
     m = _poly_module(12)
     for (a, b) in m.basis:
         assert m.weights[(a, b)] == -(2 * a + 4 * b)
-
-
-def test_boundary_loss_is_tracked():
-    m = _poly_module(8)
-    assert (4, 0) in m.boundary_loss["f"]  # f(E1^4) has degree 10 terms
-    assert m.lossy("f", {(4, 0): Fraction(1)})
-    assert not m.lossy("f", {(0, 0): Fraction(1)})
 
 
 def test_constant_is_hwv():
@@ -126,22 +116,40 @@ def test_classify_requires_hwv():
         m.classify_cyclic({(0, 1): Fraction(1)}, -4)
 
 
+def test_key_set_not_closed_under_e_has_no_false_hwv():
+    """e's columns hold each basis key's full image, so a key set that e
+    leaves reports no false highest-weight vector: on the basis {E1},
+    e(E1) = -2 is kept, and no minus block at depth 12 or 20 has one (a
+    table truncated to the basis finds 15 in each block at depth 20)."""
+    m = TruncatedModule(BASE_SPEC, [(1, 0)], 2)
+    assert m.apply("e", {(1, 0): Fraction(1)}) == {(0, 0): Fraction(-2)}
+    assert m.highest_weight_vectors(-2) == []
+    for depth in (12, 20):
+        for ell in lasagna.MINUS_ELLS:
+            blk = minus_block(ell, depth)
+            assert not any(blk.highest_weight_vectors(lam)
+                           for lam in set(blk.weights.values())), (ell, depth)
+
+
 def test_shallow_truncation_is_reported():
-    """A highest-weight vector that is no f-eigenvector is walked, and a
-    walk the truncation cuts short is reported: A1^3 A0^-3, of weight 6,
-    in minus_block(0, 6).  The generator 1 of the weight-6 twist (a = -3)
-    at depth 4 is an f-eigenvector: walking it to f^7 = 0 needs depth 14,
-    but the closed form classifies it."""
+    """A truncation too shallow for the dual-Verma witness is reported.  The
+    generator 1 of the weight-6 twist (a = -3) is classified L off the
+    closed form at any depth, depth 4 included; f^6(1) is a multiple of
+    E2^3, of degree 12, and its witness of weight -8 has degree 14.  Below
+    depth 12 the witness fails as too shallow, at 12 no vector of weight
+    -8 is left, and from 2w + 2 = 14 on it passes."""
     m = _poly_module(4, twist=ModuleTwist(6))
     assert m.twist.a == Fraction(-3)
-    with pytest.raises(RepError, match="too shallow"):
-        walked_kind(m, {(0, 0): Fraction(1)}, 6)
     assert m.classify_cyclic({(0, 0): Fraction(1)}, 6) == "L"
-    blk = minus_block(0, 6)
-    [v] = blk.highest_weight_vectors(6)
-    assert blk.f_as_base and not blk._f_eigen(_numerators(v)[1], 6)
-    with pytest.raises(RepError, match="too shallow"):
-        blk.classify_cyclic(v, 6)
+    for depth, detail in ((11, "truncation too shallow"), (12, None),
+                          (14, {"witness_weight": -8})):
+        report = verify_claim(lasagna.twisted_block(6, depth, "t"),
+                              lasagna.block_claim(6, depth))
+        [witness] = [c for c in report["checks"]
+                     if c["check"] == "Mdual(6) extension witness"]
+        assert witness.get("detail") == detail, depth
+        assert report["ok"] is (witness["status"] == "pass") \
+            is (depth == 14), depth
 
 
 def test_bracket_and_ef_string():
@@ -163,7 +171,7 @@ def test_twisted_blocks_are_sl2_modules(w):
 def test_twist_changes_weights():
     m = _poly_module(8, twist=ModuleTwist(-2))
     assert m.weights[(0, 0)] == -2
-    fv = m.apply("f", {(0, 0): Fraction(1)})
+    fv = f_exact(m, {(0, 0): Fraction(1)})
     assert fv == {(1, 0): Fraction(1)}  # f(1) = a*E1
 
 
@@ -196,31 +204,21 @@ def test_zuckerman_on_polynomials():
 # -- action tables against the Leibniz oracle ---------------------------------
 
 def oracle_tables(m):
-    """(action, boundary_loss) of m rebuilt with one GradedPoly per basis key,
-    the spec applied by the Leibniz oracle and the twist added as polynomials."""
-    ring, twist = m.ring, m.twist
-    e1 = GradedPoly(ring, {tuple(int(n == "E1") for n in ring.names):
-                           Fraction(1)})
-    action, loss = {}, {g: set() for g in GENERATORS}
-    for g in GENERATORS:
+    """m's e- and h-tables rebuilt with one GradedPoly per basis key: each
+    column the full image, the spec applied by the Leibniz oracle and h's
+    twist term added as a polynomial."""
+    action = {}
+    for g in ("e", "h"):
         table = {}
         for k in m.basis:
-            mono = GradedPoly(ring, {k: Fraction(1)})
+            mono = GradedPoly(m.ring, {k: Fraction(1)})
             img = leibniz_apply(m.spec, g, mono)
-            if twist and g == "f":
-                img = img + Fraction(twist.a) * mono * e1
-            elif twist and g == "h":
-                img = img + Fraction(twist.shift) * mono
-            col = {}
-            for k2, c in img.terms.items():
-                if k2 in m.index:
-                    col[k2] = c
-                else:
-                    loss[g].add(k)
-            if col:
-                table[k] = col
+            if m.twist and g == "h":
+                img = img + Fraction(m.twist.shift) * mono
+            if img.terms:
+                table[k] = dict(img.terms)
         action[g] = table
-    return action, loss
+    return action
 
 
 def _items(action):
@@ -228,8 +226,6 @@ def _items(action):
             for g, table in action.items()}
 
 
-# every f-table here is over 2: the twisted blocks have odd weight, and the
-# Laurent spec has f(A1) = -E1*A1/2
 MODULES = pytest.mark.parametrize("module", [
     lambda: lasagna.twisted_block(3, 16, "twisted"),
     lambda: lasagna.twisted_block(-5, 12, "twisted"),
@@ -241,9 +237,7 @@ MODULES = pytest.mark.parametrize("module", [
 @MODULES
 def test_tables_match_leibniz_oracle(module):
     m = module()
-    want, loss = oracle_tables(m)
-    assert _items(action_view(m)) == _items(want)
-    assert m.boundary_loss == loss
+    assert _items(action_view(m)) == _items(oracle_tables(m))
     assert all(type(c) is Fraction for table in action_view(m).values()
                for col in table.values() for c in col.values())
     # the stored tables are canonical: int numerators, none zero, over a
@@ -252,7 +246,6 @@ def test_tables_match_leibniz_oracle(module):
         nums = [c for col in table.values() for c in col.values()]
         assert all(type(c) is int and c for c in nums)
         assert den > 0 and gcd(den, *nums) == 1
-    assert m.tables["f"][0] == 2
 
 
 @MODULES
@@ -266,7 +259,7 @@ def test_apply_matches_the_fraction_view(module):
         keys = rng.sample(m.basis, min(5, len(m.basis)))
         vec = {k: Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 6))
                for k in keys}
-        for g in GENERATORS:
+        for g in m.tables:
             want = {}
             for k, c in vec.items():
                 for k2, a in view[g].get(k, {}).items():
@@ -277,58 +270,55 @@ def test_apply_matches_the_fraction_view(module):
 
 
 def test_perturbed_spec_changes_table_and_fails_brackets():
-    """Negative control: f(E2) = 2*E1*E2 instead of E1*E2."""
+    """Negative controls: e(E2) = -2*E1 instead of -E1 changes e's table,
+    and f(E2) = 2*E1*E2 instead of E1*E2, stored in no table, changes f as
+    read off the spec; each fails the brackets."""
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
-    bad = Sl2ActionSpec(E_RING, dict(BASE_SPEC.e_images),
-                        {**BASE_SPEC.f_images, "E2": 2 * E1 * E2},
-                        dict(BASE_SPEC.h_weights))
     good = _poly_module(12)
-    m = TruncatedModule(bad, good.basis, 12, name="perturbed")
-    assert action_view(m)["f"] != action_view(good)["f"]
-    assert action_view(m)["f"] == oracle_tables(m)[0]["f"]
+    bad_e = TruncatedModule(Sl2ActionSpec(
+        E_RING, {**BASE_SPEC.e_images, "E2": -2 * E1},
+        dict(BASE_SPEC.f_images), dict(BASE_SPEC.h_weights)),
+        good.basis, 12, name="perturbed")
+    assert action_view(bad_e)["e"] != action_view(good)["e"]
+    assert action_view(bad_e) == oracle_tables(bad_e)
+    bad_f = TruncatedModule(Sl2ActionSpec(
+        E_RING, dict(BASE_SPEC.e_images),
+        {**BASE_SPEC.f_images, "E2": 2 * E1 * E2},
+        dict(BASE_SPEC.h_weights)), good.basis, 12, name="perturbed")
+    e2 = {(0, 1): Fraction(1)}
+    assert f_exact(bad_f, e2) != f_exact(good, e2)
     assert bracket_check(good)
-    assert not bracket_check(m)
+    assert not bracket_check(bad_e) and not bracket_check(bad_f)
 
 
 # -- the twist step against the one-pass twisted construction -----------------
 
 def one_pass_twisted(spec, keys, twist):
-    """(tables, boundary_loss, weights) of the twisted module built in one
-    pass: each column is the spec's kernel image of its key plus the key
-    times TwistData(a).tau(g), over den, the lcm of the spec's and the
-    twist's denominators, and a key whose image has a term outside the
-    basis is a loss; each table is then divided by its content.  This is
-    the construction the twist step replaced."""
-    basis = sorted(keys)
-    index = {k: i for i, k in enumerate(basis)}
-    tables, losses = {}, {}
-    for g in GENERATORS:
+    """(tables, weights) of the twisted module built in one pass: each e-
+    and h-column is the spec's kernel image of its key plus the key times
+    TwistData(a).tau(g), over den, the lcm of the spec's and the twist's
+    denominators, divided by the table's content."""
+    tables = {}
+    for g in ("e", "h"):
         tau = TwistData(twist.a).tau(g).terms
         sden = spec.den[g]
         den = lcm(sden, *(c.denominator for c in tau.values()))
-        terms = [(exp, c.numerator * (den // c.denominator))
-                 for exp, c in tau.items()]
-        table, loss = {}, set()
-        for k in basis:
+        table = {}
+        for k in sorted(keys):
             img = spec.derive_monomial(g, k, den // sden, {})
-            for exp, c in terms:
-                add_term(img, tuple(map(add, k, exp)), c)
-            col = {}
-            for ke, c in img.items():
-                if ke in index:
-                    col[ke] = c
-                else:
-                    loss.add(k)
-            if col:
-                table[k] = col
+            for exp, c in tau.items():
+                add_term(img, tuple(map(add, k, exp)),
+                         c.numerator * (den // c.denominator))
+            if img:
+                table[k] = img
         content = gcd(den, *(c for col in table.values()
                              for c in col.values()))
         tables[g] = (den // content,
                      {k: {k2: c // content for k2, c in col.items()}
                       for k, col in table.items()})
-        losses[g] = loss
-    weights = {k: spec.weight_of_monomial(k) + twist.shift for k in basis}
-    return tables, losses, weights
+    weights = {k: spec.weight_of_monomial(k) + twist.shift
+               for k in sorted(keys)}
+    return tables, weights
 
 
 def _ordered(tables):
@@ -339,9 +329,8 @@ def _ordered(tables):
 
 def twist_mismatches(m, oracle):
     """The parts of m that differ from the one-pass construction."""
-    tables, losses, weights = oracle
+    tables, weights = oracle
     parts = [("tables", _ordered(m.tables), _ordered(tables)),
-             ("boundary_loss", m.boundary_loss, losses),
              ("weights", list(m.weights.items()), list(weights.items()))]
     return [name for name, got, want in parts if got != want]
 
@@ -349,7 +338,7 @@ def twist_mismatches(m, oracle):
 @pytest.mark.parametrize("depth", [12, 20, 40])
 def test_twist_step_matches_one_pass_construction(depth):
     """For w in -12..12, the twist of the cached untwisted block equals the
-    one-pass construction: tables in dict order, boundary losses, weights."""
+    one-pass construction: tables in dict order and weights."""
     lasagna._base_block.cache_clear()
     keys = lasagna._poly_keys(depth)
     for w in range(-12, 13):
@@ -360,22 +349,6 @@ def test_twist_step_matches_one_pass_construction(depth):
     lasagna._base_block.cache_clear()
 
 
-def test_twist_term_cancels_an_escaped_term():
-    """At depth 12, f(E2^3) = 3 E1 E2^3 escapes the basis, and the weight-6
-    twist adds -3 E1 E2^3: E2^3 is a loss of the untwisted block only.  A
-    twist step that keeps the source's losses instead of deciding on the
-    full image fails the comparison with the one-pass construction."""
-    base = _poly_module(12)
-    m = base.twisted(ModuleTwist(6), "twisted")
-    oracle = one_pass_twisted(BASE_SPEC, base.basis, ModuleTwist(6))
-    assert (0, 3) in base.boundary_loss["f"]
-    assert (0, 3) not in m.boundary_loss["f"]
-    assert twist_mismatches(m, oracle) == []
-    m.boundary_loss = {**m.boundary_loss,
-                       "f": m.boundary_loss["f"] | base.boundary_loss["f"]}
-    assert twist_mismatches(m, oracle) == ["boundary_loss"]
-
-
 def test_twist_of_a_twisted_module_is_refused():
     m = _poly_module(8, twist=ModuleTwist(2))
     with pytest.raises(RepError, match="already twisted"):
@@ -383,8 +356,8 @@ def test_twist_of_a_twisted_module_is_refused():
 
 
 def test_h_tables_are_written_from_the_weights(monkeypatch):
-    """Operation-count gate: a build and a twist derive no h-column, and h
-    loses nothing at the boundary; the oracles above check the tables."""
+    """Operation-count gate: a build and a twist derive no h-column and no
+    f-column; the oracles above check the tables."""
     derived = []
     real = Sl2ActionSpec.derive_monomial
 
@@ -396,71 +369,93 @@ def test_h_tables_are_written_from_the_weights(monkeypatch):
     lasagna._base_block.cache_clear()
     modules = [minus_block(-1, 12), lasagna.twisted_block(6, 16, "t")]
     lasagna._base_block.cache_clear()
-    assert set(derived) == {"e", "f"}
+    assert set(derived) == {"e"}
     for m in modules:
-        assert m.boundary_loss["h"] == set()
         assert m.tables["h"] == (1, {k: {k: w} for k, w in m.weights.items()
                                      if w})
 
 
-# -- the closed form against the f-string walk --------------------------------
+# -- the closed form against the exact f-string walk --------------------------
 
-def walked_kind(m, vec, lam):
-    """Oracle: the f-string walk that classified every highest-weight
-    vector before the closed form, on the truncated tables: L or M, or
-    RepError where the truncation is too shallow or the string ends."""
-    ivec = _numerators(vec)[1]
+def f_power(m, vec, r):
+    """f^r(vec), f read exactly."""
+    for _ in range(r):
+        vec = f_exact(m, vec)
+    return vec
+
+
+def walked_kind(m, vec, lam, steps=4):
+    """Oracle: the kind by the exact f-string walk, with no truncation: for
+    lam >= 0, L iff f^(lam+1)(vec) = 0; for lam < 0, M while f^steps(vec)
+    is nonzero, and RepError if the string ends there."""
     if lam >= 0:
-        img, done = m.iterate_f(ivec, lam + 1)
-        if done < lam + 1:
-            raise RepError("truncation too shallow")
-        return "L" if not img else "M"
-    while not m.lossy("f", ivec):
-        ivec = m._step("f", ivec)
-        if not ivec:
-            raise RepError("f-string terminated")
+        return "M" if f_power(m, vec, lam + 1) else "L"
+    if not f_power(m, vec, steps):
+        raise RepError("f-string terminated")
     return "M"
 
 
 def closed_form_agrees_with_the_walk(m, w) -> int:
     """Every generator of block_claim(w, m.depth) and every highest-weight
     vector zuckerman classifies in m is an f-eigenvector, and classify_cyclic
-    reads its kind off the closed form; where the walk reaches a verdict,
-    the two kinds agree.  Returns the number of such verdicts."""
+    reads its kind off the closed form; the exact walk finds the same kind.
+    Returns the number of vectors compared."""
     vectors = [(p.generator, p.lam)
                for p in lasagna.block_claim(w, m.depth).parts]
     vectors += [(v, lam) for lam in sorted({x for x in m.weights.values()
                                              if x >= 0})
                 for v in m.highest_weight_vectors(lam)]
-    decided = 0
     for v, lam in vectors:
         assert m._f_eigen(_numerators(v)[1], lam), (m.name, lam)
-        kind = m.classify_cyclic(v, lam)
-        try:
-            walked = walked_kind(m, v, lam)
-        except RepError:
-            continue
-        assert kind == walked, (m.name, lam)
-        decided += 1
-    return decided
+        assert m.classify_cyclic(v, lam) == walked_kind(m, v, lam), \
+            (m.name, lam)
+    return len(vectors)
 
 
 @pytest.mark.parametrize("depth", [12, 20, 40])
 def test_closed_form_kind_is_the_walked_kind_on_the_ball(monkeypatch, depth):
-    calls = walk_steps(monkeypatch)[0]
+    calls = f_derivations(monkeypatch)[0]
     m = lasagna.b4_module(depth)
     assert m.f_as_base and closed_form_agrees_with_the_walk(m, 0) > depth // 4
-    assert calls and all(n == 0 for _, n in calls)
+    assert calls and all(n == 1 for _, n in calls)
 
 
 def test_closed_form_kind_is_the_walked_kind_on_twisted_blocks(monkeypatch):
     """twisted_block(w, max(20, 2w + 4)) for w in -12..12, the models of
     every plus block and minus filtration layer of summary_report(20)."""
-    calls = walk_steps(monkeypatch)[0]
+    calls = f_derivations(monkeypatch)[0]
     for w in range(-12, 13):
         m = lasagna.twisted_block(w, max(20, 2 * w + 4), f"twisted[w={w}]")
         assert closed_form_agrees_with_the_walk(m, w) > 0, w
-    assert calls and all(n == 0 for _, n in calls)
+    assert calls and all(n == 1 for _, n in calls)
+
+
+def _witness_modules():
+    for w in range(0, 13, 2):
+        yield lasagna.twisted_block(w, max(20, 2 * w + 4), f"t[{w}]"), w
+    for depth in (12, 20, 40):
+        yield lasagna.b4_module(depth), 0
+
+
+def test_witness_target_is_a_multiple_of_the_walked_f_power():
+    """Oracle of the dual-Verma witness: for every Mdual generator v of
+    weight lam of block_claim on the twisted models of even weight 0..12
+    and on the ball at depths 12, 20 and 40, the witness target, v's
+    numerators times E2^(lam/2), is a nonzero multiple of f^lam(v) from the
+    exact walk."""
+    seen = 0
+    for m, w in _witness_modules():
+        for p in lasagna.block_claim(w, m.depth).parts:
+            if p.kind != "Mdual":
+                continue
+            got = rep._f_power_multiple(m, _numerators(p.generator)[1],
+                                        p.lam)
+            want = f_power(m, p.generator, p.lam)
+            ratios = {want.get(k, 0) / c for k, c in got.items()}
+            assert got and want.keys() == got.keys() and len(ratios) == 1 \
+                and 0 not in ratios, (m.name, p.lam)
+            seen += 1
+    assert seen == sum(1 + w // 4 for w in range(0, 13, 2)) + 3
 
 
 @pytest.fixture
@@ -489,61 +484,59 @@ def _closed_form_sign_flipped(monkeypatch):
         -1 if (k, a) == (1, 1) else 1) * real(k, a, g))
 
 
-def _delta_in_the_ball():
-    return _poly_module(12), {(0, 1): Fraction(4), (2, 0): Fraction(-1)}, -4
+def _block_of(spec):
+    return TruncatedModule(spec, lasagna._poly_keys(12), 12), 0
 
 
-def _one_in_a_block_of(spec):
-    return (TruncatedModule(spec, lasagna._poly_keys(12), 12),
-            {(0, 0): Fraction(1)}, 0)
-
-
-# name: (patch, the module, vector and weight it acts on, and the condition
-# of the shortcut the patch must break: the eigenvector test, f_as_base
-# or the certificate)
+# name: (patch, the module and the weight w of its block_claim, and the
+# condition of the classification the patch must break: the eigenvector
+# test, f_as_base or the certificate)
 NEGATIVE_CONTROLS = {
     "twist a off by 1/2": (
         _twist_a_off_by_a_half,
-        lambda: (lasagna.twisted_block(2, 20, "twisted"),
-                 {(0, 0): Fraction(1)}, 2),
+        lambda: (lasagna.twisted_block(2, 20, "twisted"), 2),
         lambda m, v, lam: m._f_eigen(_numerators(v)[1], lam)),
     "module spec f(E2) changed": (
         lambda monkeypatch: monkeypatch.setattr(
             lasagna, "BASE_SPEC", _f_e2_changed(BASE_SPEC)),
-        lambda: _one_in_a_block_of(lasagna.BASE_SPEC),
+        lambda: _block_of(lasagna.BASE_SPEC),
         lambda m, v, lam: m.f_as_base),
     "BASE_SPEC f(E2) changed": (
         lambda monkeypatch: monkeypatch.setattr(
             rep, "BASE_SPEC", _f_e2_changed(BASE_SPEC)),
-        lambda: _one_in_a_block_of(rep.BASE_SPEC),
+        lambda: _block_of(rep.BASE_SPEC),
         lambda m, v, lam: rep.f_string_certificate()),
     "closed form sign flipped": (
-        _closed_form_sign_flipped, _delta_in_the_ball,
+        _closed_form_sign_flipped, lambda: (_poly_module(12), 0),
         lambda m, v, lam: rep.f_string_certificate()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
-def test_negative_control_sends_the_vector_to_the_walk(
+def test_negative_control_refuses_the_classification(
         monkeypatch, fresh_certificate, name):
-    """Each control changes the outcome: without it the vector is read off
-    the closed form, with no f-step; with it one condition of the shortcut
-    fails, and the walk decides.  In "module spec f(E2) changed" the
-    module is built from a spec whose f(E2) differs from BASE_SPEC's, and
-    in "BASE_SPEC f(E2) changed" from BASE_SPEC after that change, so only
-    the certificate, read off BASE_SPEC, refuses the shortcut."""
+    """Each control changes the outcome: without it block_claim holds, its
+    generators read off the closed form; with it one condition of the
+    closed form fails, classify_cyclic refuses every generator, and
+    exactly the claim's classification checks fail.  In "module spec
+    f(E2) changed" the module is built from a spec whose f(E2) differs from
+    BASE_SPEC's, and in "BASE_SPEC f(E2) changed" from BASE_SPEC after that
+    change, so only the certificate, read off BASE_SPEC, refuses it."""
     patch, make, condition = NEGATIVE_CONTROLS[name]
-    calls = walk_steps(monkeypatch)[0]
-    m, v, lam = make()
-    m.classify_cyclic(v, lam)
-    assert m.f_as_base and m._f_eigen(_numerators(v)[1], lam)
-    assert rep.f_string_certificate() and calls == [(lam, 0)]
+    m, w = make()
+    claim = lasagna.block_claim(w, m.depth)
+    v, lam = claim.parts[0].generator, w
+    assert m.classify_cyclic(v, lam) == ("L" if w >= 0 else "M")
+    assert condition(m, v, lam) and verify_claim(m, claim)["ok"]
     rep.f_string_certificate.cache_clear()
     patch(monkeypatch)
-    m, v, lam = make()
+    m, w = make()
     assert not condition(m, v, lam)
-    try:
+    with pytest.raises(RepError):
         m.classify_cyclic(v, lam)
-    except RepError:
-        pass
-    assert len(calls) == 2 and calls[1][1] > 0
+    report = verify_claim(m, claim)
+    failed = [c["check"] for c in report["checks"] if c["status"] == "fail"]
+    assert not report["ok"] and failed == [
+        f"{p.kind}({p.lam}) "
+        + ("socle classification" if p.kind == "Mdual" else "classification")
+        for p in claim.parts]
