@@ -6,17 +6,7 @@ Everything is computed over exact rationals; randomized checks are seeded
 and every truncated statement carries its depth.
 """
 
-from .ring import (
-    E_RING,
-    LASAGNA_RING,
-    GradedPoly,
-    PolyRing,
-    QLaurent,
-    delta,
-    qbinom,
-    qfact,
-    qint,
-)
+from .ring import E_RING, LASAGNA_RING, GradedPoly, PolyRing, delta
 from .sl2 import (
     BASE_SPEC,
     GENERATORS,
@@ -83,8 +73,7 @@ from . import lasagna, selftest
 __version__ = "0.1.0"
 
 __all__ = [
-    "E_RING", "LASAGNA_RING", "GradedPoly", "PolyRing", "QLaurent",
-    "delta", "qbinom", "qfact", "qint",
+    "E_RING", "LASAGNA_RING", "GradedPoly", "PolyRing", "delta",
     "BASE_SPEC", "GENERATORS", "LASAGNA_SPEC", "Sl2ActionSpec", "TwistData",
     "PolyMatrix", "commutator_star",
     "Combo", "DtlParams", "Word", "WordError", "act", "dotted_spanning_set",

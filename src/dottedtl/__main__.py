@@ -1,0 +1,5 @@
+"""``python -m dottedtl``: the command-line interface, cli.main."""
+
+from .cli import main
+
+raise SystemExit(main())

@@ -23,8 +23,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import exactla, projectors, statespace, words
-from .ring import E_RING, GradedPoly
-from .statespace import _EXP_BITS, _EXP_MASK
+from .ring import E_RING, GradedPoly, pack_key, unpack_key
 from .words import (
     Combo,
     Word,
@@ -347,7 +346,7 @@ def _degree_system(n_in: int, n_out: int, deg: int):
         den, table = words.matching_matrix(m, d, n_in, n_out)._packed()
         for b in range(rem // 4 + 1):
             mu = ((rem - 4 * b) // 2, b)
-            shift = mu[0] << _EXP_BITS | mu[1]
+            shift = pack_key(*mu)
             col = {}
             for c, tcol in table.items():
                 for r, t in tcol.items():
@@ -403,7 +402,8 @@ def normalize_matrix(mat, n_in: int, n_out: int):
         for r, t in tcol.items():
             q = statespace.basis_qdegree(r, n_out) - qc
             for e, v in t.items():
-                deg = q + 2 * (e >> _EXP_BITS) + 4 * (e & _EXP_MASK)
+                a, b = unpack_key(e)
+                deg = q + 2 * a + 4 * b
                 targets.setdefault(deg, {})[(r, c, e)] = v
 
     coeffs: dict = {}

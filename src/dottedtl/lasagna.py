@@ -29,7 +29,6 @@ from .rep import (
     DecompositionClaim,
     ModuleTwist,
     TruncatedModule,
-    base_ring_shifts,
     f_string_certificate,
     verify_claim,
     zuckerman,
@@ -245,9 +244,9 @@ def minus_split_certificate() -> bool:
     x^(p + s), s a shift of the spec; every e- and f-shift keeps
     A1-exponent + A0-exponent, so each term stays in the block ell of x^p,
     and none raises the A0 exponent, so each stays in the minus part."""
-    a1, a0 = _IDX["A1"], _IDX["A0"]
-    return all(s[a1] + s[a0] == 0 and s[a0] <= 0
-               for g in ("e", "f") for _, s in _shift_table(LASAGNA_SPEC, g))
+    parts = [_shift_parts(s) for g in ("e", "f")
+             for _, s in LASAGNA_SPEC.shift_table(g)]
+    return all(m + i == 0 and i <= 0 for _, _, m, i in parts)
 
 
 def strictness(ell: int, r: int, depth: int = 20) -> bool:
@@ -283,17 +282,17 @@ def minus_f_injectivity_check() -> bool:
     return len(steps) == 1 and steps[0][:2] == (a0, -1) and steps[0][2] != 0
 
 
-def _shift_table(spec, g: str) -> dict:
-    """{(generator name, shift): coefficient} of spec's g-shifts."""
-    return {(spec.ring.names[i], s): Fraction(c, spec.den[g])
-            for i, terms in spec.shifts[g] for s, c in terms}
+def _shift_parts(shift) -> tuple:
+    """The E1, E2, A1 and A0 exponents of a shift_table shift."""
+    exps = dict(shift)
+    return tuple(exps.get(name, 0) for name in LASAGNA_RING.names)
 
 
 def _lifts_base_spec() -> bool:
     """LASAGNA_SPEC acts on E1 and E2 as BASE_SPEC does: equal h-weights,
     and equal e- and f-shifts, none touching A1 or A0."""
-    return all(base_ring_shifts(LASAGNA_SPEC, g)
-               == base_ring_shifts(BASE_SPEC, g) for g in ("e", "f")) \
+    return all(LASAGNA_SPEC.shift_table(g, E_RING.names)
+               == BASE_SPEC.shift_table(g) for g in ("e", "f")) \
         and all(LASAGNA_SPEC.h_weights[n] == w
                 for n, w in BASE_SPEC.h_weights.items())
 
@@ -320,8 +319,8 @@ def layer_action_certificate() -> bool:
         return False
     alpha = {(g, name): {} for g in ("e", "f") for name in ("A1", "A0")}
     for g in ("e", "f"):
-        for (name, s), c in _shift_table(LASAGNA_SPEC, g).items():
-            e1, e2, m, i = _kparts(s)
+        for (name, s), c in LASAGNA_SPEC.shift_table(g).items():
+            e1, e2, m, i = _shift_parts(s)
             if name in ("A1", "A0") and m <= 0:
                 if m or i:  # lowers the A1-power, or moves A0 alone
                     return False

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import E_RING
+from .ring import E_RING, pack_key
 from .sl2 import GENERATORS, DtlParams
 from .statespace import (A0, A1, PRIM_MATRICES, STRAND_BASIS, PolyMatrix,
-                         _canonical, commutator_star, core_side)
+                         commutator_star, core_side)
 from .words import Word, crossing_combo, evaluate_word
 
 E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
@@ -76,9 +76,10 @@ def _closed_basis(n: int):
         if (size, odd) not in parts:  # each class's entries, built once
             out = elementary(n - n // 2 - size + odd, n // 2 - odd)
             parts[size, odd] = (
-                [(size + j, {j << 32: (-1) ** (odd + j) * 2 ** (n - j) * e})
+                [(size + j, {pack_key(j, 0):
+                             (-1) ** (odd + j) * 2 ** (n - j) * e})
                  for j, e in enumerate(out) if e],
-                {k: {(size - k) << 32: e * 2 ** (n - size + k)
+                {k: {pack_key(size - k, 0): e * 2 ** (n - size + k)
                      * (den // math.comb(n, k))}
                  for k, e in enumerate(elementary(size - odd, odd)) if e})
         row, bp_cols[s] = parts[size, odd]
@@ -112,10 +113,9 @@ def jw_tracked(n: int) -> PolyMatrix:
         reps = {c: s for s, c in enumerate(classes)}
         half = b * PolyMatrix.from_packed(bp.n_out, n, den, {
             s: table[s] for s in reps.values()})
-        # every (nonzero) column of half is copied: the content stays 1
         den, table = half._packed()
-        return _canonical(n, n, den, {s: table[reps[c]]
-                                      for s, c in enumerate(classes)}, 1)
+        return PolyMatrix.from_packed(n, n, den, {
+            s: table[reps[c]] for s, c in enumerate(classes)})
 
     return _derived(n, build)
 

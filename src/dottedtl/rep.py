@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from . import exactla
+from .ring import numerators
 from .sl2 import BASE_SPEC, Sl2ActionSpec
 
 class RepError(Exception):
@@ -36,13 +37,6 @@ class ModuleTwist:
     @property
     def a(self) -> Fraction:
         return Fraction(-self.shift, 2)
-
-
-def _numerators(vec: dict) -> tuple:
-    """(den, {key: int}) with vec = {key: int / den}."""
-    den = lcm(1, *(c.denominator for c in vec.values()))
-    return den, {k: c.numerator * (den // c.denominator)
-                 for k, c in vec.items()}
 
 
 def _canonical(den: int, table: dict) -> tuple:
@@ -112,15 +106,6 @@ def f_string_certificate() -> bool:
     return True
 
 
-def base_ring_shifts(spec, g: str) -> dict:
-    """spec's g-shifts of E1 and E2 keyed by generator and exponent names,
-    so comparable across rings: {(name, (name, exponent), ...): coeff}."""
-    names = spec.ring.names
-    return {(names[i], *((n, e) for n, e in zip(names, s) if e)):
-            Fraction(c, spec.den[g]) for i, terms in spec.shifts[g]
-            if names[i] in ("E1", "E2") for s, c in terms}
-
-
 class TruncatedModule:
     """Finite truncation of an sl2-module with monomial basis.
 
@@ -137,8 +122,8 @@ class TruncatedModule:
         self.spec = spec
         self.depth = depth
         self.twist, self.twist_a = None, 0
-        self.f_as_base = base_ring_shifts(spec, "f") \
-            == base_ring_shifts(BASE_SPEC, "f")
+        self.f_as_base = spec.shift_table("f", BASE_SPEC.ring.names) \
+            == BASE_SPEC.shift_table("f")
         self.name = name
         self.basis = sorted(keys)
         self.weights = {k: spec.weight_of_monomial(k) for k in self.basis}
@@ -176,7 +161,7 @@ class TruncatedModule:
 
     def apply(self, g: str, vec: dict) -> dict:
         """g(vec) for g in e and h."""
-        den, ivec = _numerators(vec)
+        den, ivec = numerators(vec)
         den *= self.tables[g][0]
         return {k: Fraction(c, den) for k, c in self._step(g, ivec).items()}
 
@@ -215,7 +200,7 @@ class TruncatedModule:
         f(v) = -(lam/2) E1 v: f^r(v) = c_r(-lam/2) v for every r
         (f_string_certificate), so L iff lam is even and >= 0.  Any other
         vector, or a refused certificate, raises RepError."""
-        ivec = _numerators(vec)[1]
+        ivec = numerators(vec)[1]
         if self._step("e", ivec):
             raise RepError("not a highest-weight vector")
         if not (self.f_as_base and self._f_eigen(ivec, lam)):
@@ -323,7 +308,7 @@ def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:
         record(f"{label} socle is L", cls == "L", {"classified": cls})
         if cls != "L":
             continue
-        low = _f_power_multiple(m, _numerators(v)[1], p.lam)
+        low = _f_power_multiple(m, numerators(v)[1], p.lam)
         if not low.keys() <= m.weights.keys():
             record(f"{label} extension witness", False,
                    "truncation too shallow")

@@ -1,12 +1,16 @@
-"""Exact scalar arithmetic: rationals, graded polynomial rings, q-Laurent polynomials.
+"""Exact scalar arithmetic: graded polynomial rings over Q, and the one
+packed integer format of Q[E1,E2] that every kernel computes in (pack_key,
+unpack_key, pack, unpack, numerators, packed_mul).
 
 Everything downstream is linear algebra over these rings, so all operations
-are exact (Fraction coefficients, no floats anywhere).
+are exact: Fraction coefficients or int numerators over one denominator,
+no floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 
@@ -242,131 +246,56 @@ LASAGNA_RING = PolyRing([GenSpec("E1", 2), GenSpec("E2", 4), GenSpec("A1", -2),
                          GenSpec("A0", 0, invertible=True)])
 
 
-# -- q-Laurent polynomials --------------------------------------------------
+# -- packed polynomials -----------------------------------------------------
 
-class QLaurent:
-    """Laurent polynomial in q over Q: dict from integer exponent to Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Fraction]):
-        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
-
-    @classmethod
-    def const(cls, c) -> "QLaurent":
-        return cls({0: Fraction(c)})
-
-    def __add__(self, other):
-        other = other if isinstance(other, QLaurent) else QLaurent.const(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return QLaurent(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = other if isinstance(other, QLaurent) else QLaurent.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, QLaurent):
-            return QLaurent({e: c * Fraction(other) for e, c in self.terms.items()})
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                s = terms.get(e1 + e2, 0) + c1 * c2
-                if s:
-                    terms[e1 + e2] = s
-                else:
-                    terms.pop(e1 + e2, None)
-        return QLaurent(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = other if isinstance(other, QLaurent) else QLaurent.const(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def exact_div(self, other: "QLaurent") -> "QLaurent":
-        """Exact division; raises RingError if the quotient is not a Laurent polynomial."""
-        if other.is_zero():
-            raise RingError("division by zero")
-        rem = dict(self.terms)
-        lead = max(other.terms)
-        lead_c = other.terms[lead]
-        quot: dict = {}
-        while rem:
-            top = max(rem)
-            e = top - lead
-            c = rem[top] / lead_c
-            quot[e] = quot.get(e, 0) + c
-            for oe, oc in other.terms.items():
-                k = oe + e
-                s = rem.get(k, 0) - oc * c
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return QLaurent(quot)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                qpow = "q" if e == 1 else f"q^{e}"
-                body = qpow if abs(c) == 1 else f"{abs(c)}*{qpow}"
-            parts.append(("-" if c < 0 else "+", body))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    __repr__ = __str__
+# The kernels' coefficient format: int numerators over one positive den,
+# {pack_key(e1, e2): numerator}.  Keys add like exponent pairs, as E1 and E2
+# are not invertible and no exponent reaches 2^_EXP_BITS.  Only this section
+# reads or writes a key's layout (pack_key, unpack_key, pack, unpack); other
+# modules only add keys.
+_EXP_BITS = 32
+_EXP_MASK = (1 << _EXP_BITS) - 1
 
 
-def qint(n: int) -> QLaurent:
-    """Balanced quantum integer [n] = (q^n - q^-n)/(q - q^-1)."""
-    if n == 0:
-        return QLaurent({})
-    if n < 0:
-        return -qint(-n)
-    return QLaurent({n - 1 - 2 * i: Fraction(1) for i in range(n)})
+def pack_key(e1: int, e2: int) -> int:
+    """The packed key of E1^e1 E2^e2; of negative e1 or e2, the shift that,
+    added to a key, adds (e1, e2) to its exponents."""
+    return (e1 << _EXP_BITS) + e2
 
 
-def qfact(k: int) -> QLaurent:
-    """Quantum factorial [k]!."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = QLaurent.const(1)
-    for j in range(1, k + 1):
-        out = out * qint(j)
-    return out
+def unpack_key(key: int) -> tuple:
+    """The exponent pair (e1, e2) of a packed key."""
+    return key >> _EXP_BITS, key & _EXP_MASK
 
 
-def qbinom(m: int, a: int) -> QLaurent:
-    """Quantum binomial: product over i=1..a of [m+1-i]/[i], exact division."""
-    if a < 0:
-        raise ValueError("a must be non-negative")
-    out = QLaurent.const(1)
-    for i in range(1, a + 1):
-        out = (out * qint(m + 1 - i)).exact_div(qint(i))
+def numerators(coeffs: Mapping) -> tuple:
+    """(den, {key: int}) with coeffs = {key: int / den}, den their lcm."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in coeffs.items()}
+
+
+def pack(poly: GradedPoly, den: int | None = None) -> tuple:
+    """A polynomial of E_RING in packed form: numerators of its terms, as
+    from numerators, keyed by packed exponents, in one pass."""
+    if den is None:
+        den = lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {e1 << _EXP_BITS | e2: c.numerator * (den // c.denominator)
+                 for (e1, e2), c in poly.terms.items()}
+
+
+def unpack(terms: dict, den: int) -> GradedPoly:
+    """The GradedPoly of packed terms over den."""
+    return GradedPoly(E_RING, {(e >> _EXP_BITS, e & _EXP_MASK):
+                               Fraction(c, den) for e, c in terms.items()})
+
+
+def packed_mul(p: dict, q: dict) -> dict:
+    """The product of two packed polynomials' numerators; zero numerators
+    are kept."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
     return out

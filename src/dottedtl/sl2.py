@@ -7,7 +7,10 @@ triangular operators act on every coefficient ring in this package.
 
 This module is the one place the action's formulas are stated: BASE_SPEC
 (E1 and E2), LASAGNA_SPEC (BASE_SPEC plus the strand letters A1 and A0)
-and the rank-one twist TwistData.tau; the other modules read them.
+and the rank-one twist TwistData.tau; the other modules read them.  So
+are the only derivation tables: each spec's shifts as Fractions
+(shift_table), and BASE_SPEC's derivation on packed numerators
+(derive_packed), which the matrix and word actions call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
-from .ring import E_RING, LASAGNA_RING, GradedPoly, PolyRing, RingError
+from .ring import (E_RING, LASAGNA_RING, GradedPoly, PolyRing, RingError,
+                   numerators, pack_key, unpack_key)
 
 GENERATORS = ("e", "f", "h")
 
@@ -87,6 +91,17 @@ class Sl2ActionSpec:
                 out.append((i, tuple(terms)))
         return den, tuple(out)
 
+    def shift_table(self, g: str, names=None) -> dict:
+        """{(generator name, shift): coefficient} of the g-shifts of the
+        generators in names (default: all), each shift written as the
+        (name, exponent) pairs of its nonzero exponents, so that the tables
+        of different rings compare."""
+        ring_names = self.ring.names
+        return {(ring_names[i], tuple((n, e) for n, e in zip(ring_names, s)
+                                      if e)): Fraction(c, self.den[g])
+                for i, terms in self.shifts[g]
+                if names is None or ring_names[i] in names for s, c in terms}
+
     def weight_of_monomial(self, exp: tuple) -> int:
         return sum(map(mul, exp, self._weights))
 
@@ -128,9 +143,8 @@ class Sl2ActionSpec:
         over their lcm; each output coefficient becomes a Fraction once."""
         if x.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
-        den = lcm(*[c.denominator for c in x.terms.values()])
-        out = self.derive(g, {exp: c.numerator * (den // c.denominator)
-                              for exp, c in x.terms.items()})
+        den, vec = numerators(x.terms)
+        out = self.derive(g, vec)
         if out:
             den *= self.den[g]
             out = {exp: Fraction(n, den) for exp, n in out.items()}
@@ -149,6 +163,40 @@ def base_spec() -> Sl2ActionSpec:
 
 
 BASE_SPEC = base_spec()
+
+
+def _packed_derivation() -> dict:
+    """BASE_SPEC's derivation on packed keys (ring.pack): for each
+    generator, the terms (packed exponent shift, factor of the E1 exponent,
+    factor of the E2 exponent), equal shifts merged.  h is the zero shift
+    with the h-weights as factors."""
+    out = {"h": ((0, BASE_SPEC.h_weights["E1"], BASE_SPEC.h_weights["E2"]),)}
+    for g in ("e", "f"):
+        merged: dict = {}
+        for i, terms in BASE_SPEC.shifts[g]:
+            for (d1, d2), num in terms:
+                factors = merged.setdefault(pack_key(d1, d2), [0, 0])
+                factors[i] += num
+        out[g] = tuple((shift, *f) for shift, f in merged.items())
+    return out
+
+
+_DERIVATION = _packed_derivation()
+
+
+def derive_packed(g: str, terms: dict, scale: int, out: dict) -> None:
+    """Add scale * BASE_SPEC.den[g] * g(terms) into out, on packed
+    numerators: c E1^a E2^b gives (fa*a + fb*b)*c at each shift of
+    _DERIVATION[g].  Numerators that cancel stay, as zeros."""
+    derivation = _DERIVATION[g]
+    for key, c in terms.items():
+        a, b = unpack_key(key)
+        c *= scale
+        for shift, fa, fb in derivation:
+            n = fa * a + fb * b
+            if n:
+                e = key + shift
+                out[e] = out.get(e, 0) + n * c
 
 
 def lasagna_spec() -> Sl2ActionSpec:
@@ -179,10 +227,15 @@ LASAGNA_SPEC = lasagna_spec()
 
 @dataclass(frozen=True)
 class DtlParams:
-    """The two free parameters of the sl2 action on cups and caps."""
+    """The two free parameters of the sl2 action on cups and caps, stored
+    as Fractions: DtlParams(1, 0) == DtlParams(Fraction(1), 0)."""
 
     a1: Fraction = Fraction(0)
     a2: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a1", Fraction(self.a1))
+        object.__setattr__(self, "a2", Fraction(self.a2))
 
     @classmethod
     def parse(cls, text: str) -> "DtlParams":

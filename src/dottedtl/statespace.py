@@ -8,15 +8,14 @@ Basis convention: words over {A1, A0}, A1 < A0, lexicographic; index bit 0 is
 A1 and bit 1 is A0, with the first strand in the most significant position.
 
 A PolyMatrix is stored in packed integer form: one common denominator den
-and a table {col: {row: {e1 << 32 | e2: int numerator}}}, each exponent pair
-(e1, e2) packed into one int key.  Packed keys add like exponent pairs
-because E1 and E2 are not invertible, so no exponent is negative.  The
-table is canonical: no zero numerator, no empty entry or column, and
-gcd(den, every numerator) = 1, so equal matrices have equal (den, table).
-Every kernel (product, tensor, sums, scaling, the sl2 action) reads and
-writes tables and ends in one normalisation, from_packed.  GradedPoly
-entries with Fraction coefficients are built only at the API boundary:
-m[i, j] and cols.
+and a table {col: {row: packed numerators}}, each entry in ring's packed
+format.  The table is canonical: no zero numerator, no empty entry or
+column, and gcd(den, every numerator) = 1, so equal matrices have equal
+(den, table).  Every kernel (product, tensor, sums, scaling, the sl2
+action, whose base derivation is sl2.derive_packed) reads and writes
+tables and ends in one normalisation, from_packed.  GradedPoly entries
+with Fraction coefficients are built only at the API boundary: m[i, j] and
+cols.
 """
 
 from __future__ import annotations
@@ -25,17 +24,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .ring import E_RING, LASAGNA_RING, GradedPoly
-from .sl2 import BASE_SPEC, GENERATORS, LASAGNA_SPEC, DtlParams, TwistData
+from .ring import (E_RING, LASAGNA_RING, GradedPoly, pack, packed_mul, unpack,
+                   unpack_key)
+from .sl2 import GENERATORS, LASAGNA_SPEC, DtlParams, TwistData, derive_packed
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
 
 A1, A0 = 0, 1  # bit values of the two basis letters
-
-# packed exponent keys: e1 << _EXP_BITS | e2
-_EXP_BITS = 32
-_EXP_MASK = (1 << _EXP_BITS) - 1
 
 
 def basis_weight(index: int, n: int) -> int:
@@ -49,22 +45,6 @@ def basis_weight(index: int, n: int) -> int:
 def basis_qdegree(index: int, n: int) -> int:
     """q-degree of a basis word or core basis vector: (#A0) - (#A1)."""
     return -basis_weight(index, n)
-
-
-def _pack_poly(poly: GradedPoly, den: int | None = None):
-    """A polynomial in packed form: (den, {e1 << 32 | e2: numerator}) with
-    int numerators.  den defaults to the lcm of the coefficients'
-    denominators; a given den must be a multiple of each of them."""
-    if den is None:
-        den = lcm(*(c.denominator for c in poly.terms.values()))
-    return den, {(e1 << _EXP_BITS) | e2: c.numerator * (den // c.denominator)
-                 for (e1, e2), c in poly.terms.items()}
-
-
-def _unpack_poly(terms: dict, den: int) -> GradedPoly:
-    """The GradedPoly of packed terms over den."""
-    return GradedPoly(E_RING, {(e >> _EXP_BITS, e & _EXP_MASK): Fraction(c, den)
-                               for e, c in terms.items()})
 
 
 def _pack_cols(cols: dict):
@@ -83,28 +63,17 @@ def _pack_cols(cols: dict):
         tcol = {}
         for i, v in col.items():
             if v.terms:
-                tcol[i] = _pack_poly(v, den)[1]
+                tcol[i] = pack(v, den)[1]
         if tcol:
             table[j] = tcol
     return den, table
 
 
-def _packed_mul(p: dict, q: dict) -> dict:
-    """Product of two packed polynomials {e1 << 32 | e2: int numerator}."""
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
 def _product_column(acc: dict, left: dict, right_col: dict,
                     scale: int) -> None:
     """The product kernel of __mul__ and commutator_star: add scale * (left
-    o right_col) into the column acc, left being a table.  Adding packed
-    keys adds the exponent pairs, because E1 and E2 are not invertible
-    (exponents are never negative) and no exponent reaches 2^32."""
+    o right_col) into the column acc, left being a table; packed keys add
+    like exponent pairs (ring's packed format)."""
     for k, vt in right_col.items():
         lcol = left.get(k)
         if not lcol:
@@ -185,18 +154,18 @@ class PolyMatrix:
     @classmethod
     def from_packed(cls, n_out: int, n_in: int, den: int,
                     acc: dict) -> "PolyMatrix":
-        """The matrix with entries acc[col][row] = {e1 << 32 | e2: int
-        numerator} over the positive int den.  Zero numerators, empty
+        """The matrix with entries acc[col][row], packed numerators (ring's
+        format) over the positive int den.  Zero numerators, empty
         entries and empty columns are dropped and the content is divided
         out: the one normalisation every kernel ends in.  The dicts of acc
         may become the matrix's table, so the caller must not change them
-        afterwards."""
-        table = {}
-        content = den
+        afterwards.  A column dict under several keys is stripped once."""
+        table, stripped, content = {}, {}, den
         for j, col in acc.items():
-            col, content = _strip(col, content)
-            if col:
-                table[j] = col
+            if id(col) not in stripped:  # acc holds col: its id is unique
+                stripped[id(col)], content = _strip(col, content)
+            if stripped[id(col)]:
+                table[j] = stripped[id(col)]
         return _canonical(n_out, n_in, den, table, content)
 
     def _packed(self):
@@ -209,7 +178,7 @@ class PolyMatrix:
     def cols(self) -> dict:
         if self._cols is None:
             den = self._den
-            self._cols = {j: {i: _unpack_poly(t, den) for i, t in col.items()}
+            self._cols = {j: {i: unpack(t, den) for i, t in col.items()}
                           for j, col in self._table.items()}
             self._table = None
         return self._cols
@@ -219,7 +188,7 @@ class PolyMatrix:
         if self._table is None:
             return self._cols.get(j, {}).get(i, E_RING.zero)
         t = self._table.get(j, {}).get(i)
-        return E_RING.zero if t is None else _unpack_poly(t, self._den)
+        return E_RING.zero if t is None else unpack(t, self._den)
 
     def nnz(self):
         return sum(len(col) for col in self._packed()[1].values())
@@ -274,7 +243,7 @@ class PolyMatrix:
         acc = {}
         for j1, col1 in ta.items():
             for j2, col2 in tb.items():
-                acc[j1 * co + j2] = {i1 * ro + i2: _packed_mul(t1, t2)
+                acc[j1 * co + j2] = {i1 * ro + i2: packed_mul(t1, t2)
                                      for i1, t1 in col1.items()
                                      for i2, t2 in col2.items()}
         return PolyMatrix.from_packed(self.n_out + other.n_out,
@@ -305,7 +274,7 @@ class PolyMatrix:
         for j, col in self._packed()[1].items():
             dj = basis_qdegree(j, self.n_in)
             for i, t in col.items():
-                ds = {d1 * (e >> _EXP_BITS) + d2 * (e & _EXP_MASK) for e in t}
+                ds = {d1 * a + d2 * b for a, b in map(unpack_key, t)}
                 if len(ds) > 1:
                     return None
                 d = ds.pop() + basis_qdegree(i, self.n_out) - dj
@@ -342,7 +311,7 @@ def linear_combination(n_out: int, n_in: int, terms) -> PolyMatrix:
         if (m.n_out, m.n_in) != (n_out, n_in):
             raise ValueError("shape mismatch")
         if isinstance(c, GradedPoly):
-            den_c, ct = _pack_poly(E_RING.coerce(c))
+            den_c, ct = pack(E_RING.coerce(c))
         else:
             c = Fraction(c)
             den_c, ct = c.denominator, {0: c.numerator} if c else {}
@@ -360,7 +329,7 @@ def linear_combination(n_out: int, n_in: int, terms) -> PolyMatrix:
             for i, t in col.items():
                 tacc = acc_j.get(i)
                 if tacc is None:
-                    acc_j[i] = (_packed_mul(t, ct) if const is None else
+                    acc_j[i] = (packed_mul(t, ct) if const is None else
                                 {e: c * const for e, c in t.items()})
                 elif const is not None:
                     for e, c in t.items():
@@ -439,7 +408,7 @@ def _strand_operator(g: str, params: DtlParams) -> PolyMatrix:
             terms[exp[ix["E1"]], exp[ix["E2"]]] = Fraction(c, den)
     m = PolyMatrix(1, 1, {k: GradedPoly(E_RING, t)
                           for k, t in entries.items()})
-    a1, a2 = Fraction(params.a1), Fraction(params.a2)
+    a1, a2 = params.a1, params.a2
     one = PRIM_MATRICES["id"]
     if g == "f":
         m = m - PRIM_MATRICES["dot"].scale(a1 / 2) + one.scale(-a2 / 2 * E1)
@@ -463,7 +432,7 @@ def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     tau = TwistData(a).tau(g)
     den = lcm(den_s, *(c.denominator for c in tau.terms.values()))
     ms = den // den_s
-    diag = _pack_poly(tau, den)[1]
+    diag = pack(tau, den)[1]
     cols = {}
     for j in range(2 ** n):
         acc = {j: dict(diag)} if diag else {}
@@ -477,49 +446,15 @@ def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     return PolyMatrix.from_packed(n, n, den, cols)._packed()
 
 
-def _packed_derivation() -> dict:
-    """BASE_SPEC's derivation on packed keys: for each generator, the terms
-    (packed exponent shift, factor of the E1 exponent, factor of the E2
-    exponent), equal shifts merged.  h is the zero shift with the
-    h-weights as factors."""
-    out = {"h": ((0, BASE_SPEC.h_weights["E1"], BASE_SPEC.h_weights["E2"]),)}
-    for g in ("e", "f"):
-        merged: dict = {}
-        for i, terms in BASE_SPEC.shifts[g]:
-            for (d1, d2), num in terms:
-                factors = merged.setdefault((d1 << _EXP_BITS) + d2, [0, 0])
-                factors[i] += num
-        out[g] = tuple((shift, *f) for shift, f in merged.items())
-    return out
-
-
-_DERIVATION = _packed_derivation()
-
-
-def _derive(g: str, terms: dict, scale: int, out: dict) -> None:
-    """Add scale * d_g(terms) into out, d_g being BASE_SPEC's derivation on
-    packed terms read from _DERIVATION: c E1^a E2^b gives (fa*a + fb*b)*c
-    at each shift.  Exact in ints only because BASE_SPEC.den is 1 for e,
-    f and h."""
-    derivation = _DERIVATION[g]
-    for key, c in terms.items():
-        a, b = key >> _EXP_BITS, key & _EXP_MASK
-        c *= scale
-        for shift, fa, fb in derivation:
-            n = fa * a + fb * b
-            if n:
-                e = key + shift
-                out[e] = out.get(e, 0) + n * c
-
-
 def derivative(g: str, F: PolyMatrix) -> PolyMatrix:
-    """d_g(F): the base derivation on each entry of F (_derive)."""
+    """d_g(F): the base derivation on each entry of F (derive_packed, exact
+    over F's denominator because BASE_SPEC.den is 1 for e, f and h)."""
     den, table = F._packed()
     acc: dict = {}
     for j, col in table.items():
         acc_j = acc[j] = {}
         for i, t in col.items():
-            _derive(g, t, 1, acc_j.setdefault(i, {}))
+            derive_packed(g, t, 1, acc_j.setdefault(i, {}))
     return PolyMatrix.from_packed(F.n_out, F.n_in, den, acc)
 
 
@@ -590,7 +525,7 @@ def commutator_star(
 
     One pass over the columns of F: G_out F and -F G_in are each one
     _product_column, the product kernel of PolyMatrix.__mul__, and d_g
-    acts on packed exponents by _derive in between.
+    acts on packed exponents by sl2.derive_packed in between.
     """
     if g not in GENERATORS:
         raise ValueError(g)
@@ -607,7 +542,7 @@ def commutator_star(
         fcol = fcols.get(j, {})
         _product_column(acc, gout, fcol, mo)
         for k, ft in fcol.items():  # d_g(F), over the full denominator
-            _derive(g, ft, den, acc.setdefault(k, {}))
+            derive_packed(g, ft, den, acc.setdefault(k, {}))
         _product_column(acc, fcols, gin.get(j, {}), -mi)
         col, content = _strip(acc, content)
         if col:

@@ -4,8 +4,8 @@ A word is a stack of slices, each slice a horizontal tensor of primitives
 (id, dot, cup, cap), composed bottom to top.  Formal linear combinations
 with polynomial coefficients carry the parameterized sl2 action by the
 Leibniz rule, read off one packed-integer table of primitive images per
-(generator, parameters); equality testing happens in the state-space
-matrices.
+(generator, parameters), the coefficients differentiated in ring's packed
+format; equality testing happens in the state-space matrices.
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ import itertools
 from functools import lru_cache
 from math import lcm
 
-from .ring import E_RING
-from .sl2 import BASE_SPEC, GENERATORS, DtlParams
-from .statespace import (
-    PRIM_ARITY,
-    PRIM_MATRICES,
-    PolyMatrix,
-    _pack_poly,
-    _packed_mul,
-    _unpack_poly,
-    linear_combination,
-)
+from .ring import E_RING, pack, packed_mul, unpack
+from .sl2 import BASE_SPEC, GENERATORS, DtlParams, derive_packed
+from .statespace import (PRIM_ARITY, PRIM_MATRICES, PolyMatrix,
+                         linear_combination)
 
 E1 = E_RING.gen("E1")
 E2 = E_RING.gen("E2")
@@ -305,18 +298,18 @@ def _image_table(g: str, params: DtlParams, rule) -> tuple:
             if (counts[0], counts[-1]) != PRIM_ARITY[p]:
                 raise WordError(f"image of {p!r} maps {counts[0]} to "
                                 f"{counts[-1]} strands")
-            table[p].append((_pack_poly(poly, den)[1],
+            table[p].append((pack(poly, den)[1],
                              None if local == ((p,),) else local, counts))
     return den, table
 
 
 def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
-    """Apply e, f, or h to a word or combination by the full Leibniz rule:
-    one term per primitive occurrence plus the base-coefficient derivative,
-    on packed int numerators over one denominator.  Each primitive type's
-    _image_table rows are multiplied by a word's coefficient once; an image
-    that is the primitive itself adds onto the word, the others are
-    spliced in.  Each output GradedPoly is built once, at the end."""
+    """Apply e, f, or h to a word or combination by the full Leibniz rule: one
+    term per primitive occurrence plus the base-coefficient derivative
+    (sl2.derive_packed), on packed int numerators over one denominator.  Each
+    primitive type's _image_table rows are multiplied by a word's coefficient
+    once; an image that is the primitive itself adds onto the word, the others
+    are spliced in.  Each output GradedPoly is built once, at the end."""
     if g not in GENERATORS:
         raise WordError(f"unknown sl2 generator {g!r}")
     if isinstance(x, Word):
@@ -327,25 +320,20 @@ def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
                  for c in coeff.terms.values()))
     acc: dict = {}
     for w, coeff in x.terms.items():
-        vec = {e: c.numerator * (xden // c.denominator)
-               for e, c in coeff.terms.items()}
-        # d_g of a constant is zero, so derive runs on the others only
-        d = None if coeff.is_constant() else BASE_SPEC.derive(g, vec)
-        if d:
-            _accumulate(acc, w, {e1 << 32 | e2: n * dscale
-                                 for (e1, e2), n in d.items()})
-        num = {e1 << 32 | e2: n for (e1, e2), n in vec.items()}
+        num = pack(coeff, xden)[1]
+        if not coeff.is_constant():  # d_g of a constant is zero
+            derive_packed(g, num, dscale, acc.setdefault(w, {}))
         scaled: dict = {}
         for si, sl in enumerate(w.slices):
             for pi, prim in enumerate(sl):
                 rows = scaled.get(prim)
                 if rows is None:
-                    rows = scaled[prim] = [(_packed_mul(num, c), local, cs)
+                    rows = scaled[prim] = [(packed_mul(num, c), local, cs)
                                            for c, local, cs in table[prim]]
                 for poly, local, cs in rows:
                     _accumulate(acc, w if local is None else
                                 _splice(w, si, pi, local, cs), poly)
-    terms = {w: _unpack_poly(poly, den * xden)
+    terms = {w: unpack(poly, den * xden)
              for w, poly in acc.items() if any(poly.values())}
     return Combo._of_terms(terms, x.n_in, x.n_out)
 
@@ -503,7 +491,7 @@ def _dot_powers(d_max: int) -> list:
             acc: dict = {}
             for y, p in col.items():
                 for z, q in dot.get(y, {}).items():
-                    _accumulate(acc, z, _packed_mul(p, q))
+                    _accumulate(acc, z, packed_mul(p, q))
             nxt[b] = _nonzero(acc)
         powers.append((den * den_dot, nxt))
     return powers
@@ -583,7 +571,7 @@ def matching_matrix(matching, dots, n_bot: int,
                         w = cap.get(2 * y + b2, {}).get(0)
                         if w:
                             x = bit_in(b1, i1) | bit_in(b2, i2)
-                            _accumulate(table, (x, 0), _packed_mul(v, w))
+                            _accumulate(table, (x, 0), packed_mul(v, w))
         elif s1 == "t" and s2 == "t":
             # (dot^d (x) id) o cup on the two output letters
             den *= den_cup * den_d
@@ -591,14 +579,14 @@ def matching_matrix(matching, dots, n_bot: int,
                 b1, b2 = y >> 1, y & 1
                 for z, w in dm[b1].items():
                     _accumulate(table, (0, bit_out(z, i1) | bit_out(b2, i2)),
-                                _packed_mul(v, w))
+                                packed_mul(v, w))
         else:
             bi, tj = (i1, i2) if s1 == "b" else (i2, i1)
             den *= den_d
             for b, col in dm.items():
                 for y, v in col.items():
                     _accumulate(table, (bit_in(b, bi), bit_out(y, tj)), v)
-        entries = [(x | xa, y | ya, _packed_mul(p, v))
+        entries = [(x | xa, y | ya, packed_mul(p, v))
                    for (xa, ya), v in _nonzero(table).items()
                    for x, y, p in entries]
     cols: dict = {}

@@ -72,6 +72,16 @@ def test_jw_checks_symmetrizer_at_every_accepted_size():
     assert "bound" in res.stderr
 
 
+def test_package_runs_as_a_module():
+    """python -m dottedtl is the CLI: the same stdout and exit code as
+    python -m dottedtl.cli."""
+    res = subprocess.run([sys.executable, "-m", "dottedtl", "jw", "2", "--json"],
+                         capture_output=True, text=True)
+    want = run_cli("jw", "2", "--json")
+    assert res.returncode == want.returncode == 0, res.stderr
+    assert res.stdout == want.stdout
+
+
 def test_kirby_command():
     res = run_cli("kirby-certify", "--k", "0", "--levels", "3",
                   "--a2", "1/2", "--json")

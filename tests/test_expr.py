@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dottedtl import exactla, expr, projectors, statespace, words
+from dottedtl import exactla, expr, projectors, ring, statespace, words
 from dottedtl.expr import (
     ExprError,
     _jw_combo,
@@ -435,7 +435,7 @@ def test_residual_rejects_a_target_off_the_basis_rows(monkeypatch):
     off = sorted(set(row_index.values()) - set(basis))
     assert off
     r, c, e = next(k for k, v in row_index.items() if v == off[0])
-    exp = (e >> statespace._EXP_BITS, e & statespace._EXP_MASK)
+    exp = ring.unpack_key(e)
     assert (E_RING.degrees[0] * exp[0] + E_RING.degrees[1] * exp[1]
             + statespace.basis_qdegree(r, n_out)
             - statespace.basis_qdegree(c, n_in)) == deg

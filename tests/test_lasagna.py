@@ -13,7 +13,8 @@ from math import factorial, prod
 import pytest
 
 from dottedtl import exactla, lasagna, rep, sl2
-from dottedtl.ring import E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms
+from dottedtl.ring import (E_RING, LASAGNA_RING, GradedPoly, delta, mul_terms,
+                          numerators)
 from dottedtl.sl2 import GENERATORS, LASAGNA_SPEC, Sl2ActionSpec, add_term
 
 CACHES = (lasagna._twisted_verdict, lasagna._base_block, lasagna._delta_power,
@@ -54,6 +55,28 @@ def test_ball_hwvs_are_discriminant_powers():
         assert ratio is None or r == ratio
         ratio = r
     assert set(v) == set(sq)
+
+
+def test_twisted_blocks_have_one_highest_weight_line_per_discriminant_power():
+    """ker e is Q[delta] in twisted_block(w) for every w, odd ones too: at
+    depth 2|w| + 8 there is exactly one highest-weight line at each weight
+    w - 4j of the truncation, spanned by delta^j, and none at any other
+    weight."""
+    for w in range(-9, 10):
+        depth = 2 * abs(w) + 8
+        m = lasagna.twisted_block(w, depth, f"twisted[w={w}]")
+        lines = {}
+        for lam in sorted(set(m.weights.values())):
+            vs = m.highest_weight_vectors(lam)
+            if vs:
+                lines[lam] = vs
+        assert sorted(lines, reverse=True) == [
+            w - 4 * j for j in range(depth // 4 + 1)], w
+        for lam, vs in lines.items():
+            want = (delta() ** ((w - lam) // 4)).terms
+            assert len(vs) == 1 and set(vs[0]) == set(want), (w, lam)
+            assert len({Fraction(c) / want[k] for k, c in vs[0].items()}) \
+                == 1, (w, lam)
 
 
 def _spec(e=None, f=None, h=None):
@@ -146,7 +169,7 @@ def plus_oracle() -> bool:
 def f_exact(m: rep.TruncatedModule, vec: dict) -> dict:
     """f(vec) in the untruncated module, as Fractions: the spec's
     derivation of vec's numerators plus the twist's twist_a E1 vec."""
-    den, ivec = rep._numerators(vec)
+    den, ivec = numerators(vec)
     out = {k: Fraction(c, den * m.spec.den["f"])
            for k, c in m.spec.derive("f", ivec).items()}
     e1 = m.ring.index["E1"]
@@ -211,7 +234,7 @@ F_POWER_MAX = 6
 def closed_form_numerators(g, r):
     """(den, {key: int}): c_r from rep._closed_form_coefficient, the sum
     of C_r(k, a) E1^k E2^a over k + 2a = r, as int numerators over den."""
-    return rep._numerators({
+    return numerators({
         lasagna._lkey(a=r - 2 * a, b=a): c for a in range(r // 2 + 1)
         if (c := Fraction(rep._closed_form_coefficient(r - 2 * a, a, g)))})
 

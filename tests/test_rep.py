@@ -14,11 +14,10 @@ from dottedtl.rep import (
     ModuleTwist,
     RepError,
     TruncatedModule,
-    _numerators,
     verify_claim,
     zuckerman,
 )
-from dottedtl.ring import E_RING, GradedPoly
+from dottedtl.ring import E_RING, GradedPoly, numerators
 from dottedtl.sl2 import (
     BASE_SPEC,
     Sl2ActionSpec,
@@ -34,7 +33,7 @@ from test_sl2 import leibniz_apply
 def e_exact(m: TruncatedModule, vec: dict) -> dict:
     """e(vec) in the untruncated module, as Fractions: the spec's
     derivation of vec's numerators (a twist adds nothing to e)."""
-    den, ivec = _numerators(vec)
+    den, ivec = numerators(vec)
     return {k: Fraction(c, den * m.spec.den["e"])
             for k, c in m.spec.derive("e", ivec).items()}
 
@@ -406,7 +405,7 @@ def closed_form_agrees_with_the_walk(m, w) -> int:
                                              if x >= 0})
                 for v in m.highest_weight_vectors(lam)]
     for v, lam in vectors:
-        assert m._f_eigen(_numerators(v)[1], lam), (m.name, lam)
+        assert m._f_eigen(numerators(v)[1], lam), (m.name, lam)
         assert m.classify_cyclic(v, lam) == walked_kind(m, v, lam), \
             (m.name, lam)
     return len(vectors)
@@ -448,7 +447,7 @@ def test_witness_target_is_a_multiple_of_the_walked_f_power():
         for p in lasagna.block_claim(w, m.depth).parts:
             if p.kind != "Mdual":
                 continue
-            got = rep._f_power_multiple(m, _numerators(p.generator)[1],
+            got = rep._f_power_multiple(m, numerators(p.generator)[1],
                                         p.lam)
             want = f_power(m, p.generator, p.lam)
             ratios = {want.get(k, 0) / c for k, c in got.items()}
@@ -495,7 +494,7 @@ NEGATIVE_CONTROLS = {
     "twist a off by 1/2": (
         _twist_a_off_by_a_half,
         lambda: (lasagna.twisted_block(2, 20, "twisted"), 2),
-        lambda m, v, lam: m._f_eigen(_numerators(v)[1], lam)),
+        lambda m, v, lam: m._f_eigen(numerators(v)[1], lam)),
     "module spec f(E2) changed": (
         lambda monkeypatch: monkeypatch.setattr(
             lasagna, "BASE_SPEC", _f_e2_changed(BASE_SPEC)),

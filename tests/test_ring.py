@@ -1,4 +1,4 @@
-"""Base ring arithmetic and quantum integers."""
+"""Base ring arithmetic and the packed polynomial format."""
 
 import random
 from fractions import Fraction
@@ -10,12 +10,14 @@ from dottedtl.ring import (
     E_RING,
     LASAGNA_RING,
     GradedPoly,
-    QLaurent,
     RingError,
     delta,
-    qbinom,
-    qfact,
-    qint,
+    numerators,
+    pack,
+    pack_key,
+    packed_mul,
+    unpack,
+    unpack_key,
 )
 from dottedtl.statespace import PolyMatrix
 
@@ -65,28 +67,29 @@ def test_negative_powers_only_on_invertible_gens():
     assert (a0inv * LASAGNA_RING.gen("A0")) == LASAGNA_RING.one
 
 
-def test_qint_values():
-    assert qint(0).is_zero()
-    assert qint(1) == QLaurent.const(1)
-    assert qint(2) == QLaurent({1: 1}) + QLaurent({-1: 1})
-    assert qint(-3) == -qint(3)
+def test_pack_round_trips_and_multiplies():
+    """pack is unpack's inverse over its default or a given common
+    denominator, its numerators are those of numerators(), and packed_mul
+    multiplies like GradedPoly."""
+    p = Fraction(3, 4) * E1 * E1 - Fraction(1, 6) * E2 + 5
+    q = E1 * E2 - Fraction(2, 3)
+    den, terms = pack(p)
+    assert den == 12 and unpack(terms, den) == p
+    assert terms[pack_key(2, 0)] == 9 and terms[pack_key(0, 1)] == -2
+    assert numerators(p.terms)[1] == {unpack_key(e): c
+                                      for e, c in terms.items()}
+    den24, terms24 = pack(p, 24)
+    assert den24 == 24 and unpack(terms24, 24) == p
+    dq, tq = pack(q)
+    assert unpack(packed_mul(terms, tq), den * dq) == p * q
+    assert numerators({}) == (1, {})
 
 
-def test_qbinom_integrality_and_symmetry():
-    for m in range(9):
-        for a in range(m + 1):
-            b = qbinom(m, a)
-            assert b == qbinom(m, m - a)
-    # Pascal-type product identity
-    for m in range(-8, 9):
-        for a in range(5):
-            prod = QLaurent.const(1)
-            for i in range(a):
-                prod = prod * qint(m - i)
-            assert qbinom(m, a) * qfact(a) == prod
-
-
-def test_qbinom_negative_upper():
-    for m in range(1, 8):
-        for a in range(5):
-            assert qbinom(-m, a) == qbinom(m + a - 1, a) * (-1) ** a
+def test_packed_keys_add_like_exponent_pairs():
+    """unpack_key inverts pack_key, and a packed shift with a negative
+    exponent, added to a key, moves both exponents."""
+    for e1, e2 in ((0, 0), (3, 0), (0, 5), (7, 2)):
+        assert unpack_key(pack_key(e1, e2)) == (e1, e2)
+    for d1, d2 in ((-1, 1), (1, -1), (-2, -1), (2, 3)):
+        assert unpack_key(pack_key(4, 5) + pack_key(d1, d2)) \
+            == (4 + d1, 5 + d2)

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dottedtl.ring import E_RING, LASAGNA_RING, GradedPoly, RingError, delta
+from dottedtl.ring import (E_RING, LASAGNA_RING, GradedPoly, RingError, delta,
+                           pack, unpack)
 from dottedtl.sl2 import (
     BASE_SPEC,
     GENERATORS,
     LASAGNA_SPEC,
     Sl2ActionSpec,
+    derive_packed,
 )
 
 ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -204,6 +206,23 @@ def test_derive_monomial_accumulates():
     assert out == {}
     with pytest.raises(ValueError):
         BASE_SPEC.derive_monomial("x", (1, 0), Fraction(1), out)
+
+
+def test_packed_derivation_matches_apply():
+    """derive_packed on pack's numerators, scaled and accumulated into out,
+    is BASE_SPEC.apply on random polynomials of Q[E1, E2]."""
+    rng = random.Random(11)
+    for _ in range(40):
+        p = GradedPoly(E_RING, {
+            (rng.randint(0, 4), rng.randint(0, 3)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)})
+        den, num = pack(p)
+        for g in GENERATORS:
+            out = {}
+            derive_packed(g, num, 3, out)
+            derive_packed(g, num, -1, out)
+            assert unpack(out, 2 * den * BASE_SPEC.den[g]) \
+                == BASE_SPEC.apply(g, p), (g, p)
 
 
 def test_negative_non_invertible_image_is_rejected():

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from dottedtl.ring import E_RING, GradedPoly
+from dottedtl.ring import E_RING, GradedPoly, pack_key, unpack
 from dottedtl.statespace import (
     PRIM_MATRICES,
     A0,
@@ -16,7 +16,6 @@ from dottedtl.statespace import (
     basis_weight,
     commutator_star,
     generator_matrix,
-    _unpack_poly,
     linear_combination,
 )
 from dottedtl.sl2 import BASE_SPEC, GENERATORS, DtlParams, TwistData
@@ -37,7 +36,7 @@ def entries(m: PolyMatrix):
     den, table = m._packed()
     for j, col in table.items():
         for i, t in col.items():
-            yield (i, j), _unpack_poly(t, den)
+            yield (i, j), unpack(t, den)
 
 
 def test_circle_is_two():
@@ -400,6 +399,28 @@ def assert_canonical(m):
             assert all(type(c) is int and c for c in t.values())
             content = gcd(content, *t.values())
     assert content == 1
+
+
+def test_from_packed_strips_a_shared_column_once(monkeypatch):
+    """A column dict under several keys of acc is stripped once, and the
+    matrix is that of separate copies: zeros dropped, content divided out."""
+    from dottedtl import statespace
+
+    col = {0: {0: 6, pack_key(1, 0): 0}, 1: {0: 0}}
+    copies = PolyMatrix.from_packed(1, 1, 4, {0: dict(col), 1: dict(col)})
+    calls = [0]
+    real_strip = statespace._strip
+
+    def strip(*args):
+        calls[0] += 1
+        return real_strip(*args)
+
+    monkeypatch.setattr(statespace, "_strip", strip)
+    shared = PolyMatrix.from_packed(1, 1, 4, {0: col, 1: col})
+    assert calls[0] == 1
+    assert shared == copies == PolyMatrix(
+        1, 1, {(0, 0): Fraction(3, 2), (0, 1): Fraction(3, 2)})
+    assert_canonical(shared)
 
 
 @st.composite

@@ -650,8 +650,8 @@ def test_wrong_arity_image_raises(monkeypatch, prim, bad):
 def test_act_builds_one_coefficient_per_output_word(monkeypatch):
     """Operation-count gate: outside _prim_images, act builds exactly one
     GradedPoly per output word (the per-term rule builds about three per
-    contribution), and calls BASE_SPEC.derive once per input word with a
-    non-constant coefficient: the derivation of a constant is zero, and the
+    contribution), and calls the packed derivation sl2.derive_packed once
+    per input word with a non-constant coefficient: the derivation of a constant is zero, and the
     constant word's images still reach the output."""
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
     x = Combo.zero(2, 2)
@@ -667,7 +667,7 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
     inside = [0]
     counts = {"built": 0, "derive": 0}
     real_init = GradedPoly.__init__
-    real_images, real_derive = words._prim_images, BASE_SPEC.derive
+    real_images, real_derive = words._prim_images, words.derive_packed
 
     def counting_init(self, *args, **kwargs):
         if not inside[0]:
@@ -686,7 +686,8 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(words, "_prim_images", shielded(real_images))
-    monkeypatch.setattr(BASE_SPEC, "derive", shielded(real_derive, "derive"))
+    monkeypatch.setattr(words, "derive_packed",
+                        shielded(real_derive, "derive"))
     merged = 0
     for p in PARAM_SETS[1:]:
         for g in ("e", "f", "h"):
@@ -736,6 +737,19 @@ def test_act_reads_each_image_table_once_and_splices_only_new_words(
         assert calls == {"images": 3, "splice": want}
         assert (want == 0) == (g == "h")
     assert act("h", combos[0], p).terms
+
+
+def test_params_are_stored_as_fractions():
+    """DtlParams(1, 0) and DtlParams(Fraction(1), 0) are one parameter pair:
+    equal, equally hashed, and one image table between them."""
+    a, b = DtlParams(1, 0), DtlParams(Fraction(1), 0)
+    assert type(a.a1) is type(a.a2) is Fraction
+    assert a == b and hash(a) == hash(b)
+    assert DtlParams(Fraction(1, 2), 0) != DtlParams(Fraction(1, 3), 0)
+    words._image_table.cache_clear()
+    x = primitive_combo("cup")
+    assert act("f", x, a).terms == act("f", x, b).terms
+    assert words._image_table.cache_info().currsize == 1
 
 
 def test_combos_are_summed_in_one_pass(monkeypatch):
