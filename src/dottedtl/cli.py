@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_b2s2)
 
     p = sub.add_parser("eval-expr", help="evaluate a diagram expression and "
-                       "normalize it over the dotted matching basis")
+                       "normalize it over the outer-dot matching basis")
     p.add_argument("expression")
     common(p)
     p.set_defaults(fn=_cmd_eval)

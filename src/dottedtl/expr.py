@@ -23,7 +23,8 @@ from functools import lru_cache
 from math import lcm
 
 from . import exactla, projectors, statespace, words
-from .ring import E_RING, GradedPoly, pack_key, unpack_key
+from .ring import (E_RING, GradedPoly, pack, pack_key, packed_add,
+                   packed_mul, unpack, unpack_key)
 from .words import (
     Combo,
     Word,
@@ -45,9 +46,8 @@ def _macro_bound(name: str) -> int:
     strands, within NORMALIZE_STRAND_BOUND; z(n) and s(i, n) reach
     JW_TRACKED_BOUND.  u(n) and d(n) keep the ranges eval-expr accepted
     when they were projector sandwiches through p_{n+2} and p_n, of 2n + 4
-    and 2n strands: u(4) and d(6) would fit NORMALIZE_STRAND_BOUND on
-    their 10 boundary strands, but take 3.5 s and 3.0 s to parse and
-    normalise (on a 2-core Xeon)."""
+    and 2n strands, though u(4) and d(6) would fit NORMALIZE_STRAND_BOUND
+    on their 10 boundary strands."""
     if name in ("jw", "d"):
         return NORMALIZE_STRAND_BOUND // 2
     if name == "u":
@@ -327,19 +327,20 @@ def _degree_system(n_in: int, n_out: int, deg: int):
     """The linear system of normalize_matrix at one structural degree, in
     integers: (unknowns, row_index, columns, basis).
 
-    Unknown j = (i, mu, den) is spanning-set element i times the monomial
-    mu = (e1, e2); a diagram with k dots has degree 2k, so it contributes
-    the monomials of degree deg - 2k only.  den is the denominator of the
-    element's matching_matrix table.  row_index numbers each (row, col,
-    packed exponent) an unknown reaches; columns[j] = {row number: int
-    numerator over den}; basis lists rows that span the row space
-    (exactla.row_basis).  No target enters the system, so it is built once
-    per (n_in, n_out, deg) and shared by every call; callers only read it.
+    Unknown j = (i, mu, den) is outer_dot_basis element i times the
+    monomial mu = (e1, e2); a diagram with k dots has degree 2k, so it
+    contributes the monomials of degree deg - 2k only.  den is the
+    denominator of the element's matching_matrix table.  row_index numbers
+    each (row, col, packed exponent) an unknown reaches; columns[j] = {row
+    number: int numerator over den}; basis lists rows that span the row
+    space (exactla.row_basis).  No target enters the system, so it is built
+    once per (n_in, n_out, deg) and shared by every call; callers only read
+    it.
     """
     unknowns = []
     row_index: dict = {}
     columns = []
-    for i, (m, d) in enumerate(words.dotted_spanning_set(n_in, n_out)):
+    for i, (m, d) in enumerate(outer_dot_basis(n_in, n_out)):
         rem = deg - 2 * sum(d)
         if rem < 0 or rem % 2:
             continue
@@ -378,21 +379,20 @@ def _solves(columns, y, rhs: dict) -> bool:
 
 
 def normalize_matrix(mat, n_in: int, n_out: int):
-    """The normal form of a state-space matrix over the dotted matching
-    spanning set, with polynomial coefficients.
+    """The normal form of a state-space matrix over the outer-dot basis,
+    with polynomial coefficients: rewrite_combo's result for any
+    combination that evaluates to mat.
 
-    Returns [(coefficient, matching, dots)].  The target is split by
-    structural degree straight from its packed table, and each degree is
-    solved against the cached _degree_system of (n_in, n_out, degree).
-    Where the spanning set is linearly dependent, the coefficients are the
-    unique solution supported on the leftmost independent spanning-set
-    columns (every other coefficient is zero).
+    Returns [(coefficient, matching, dots)] in outer_dot_basis order.  The
+    target is split by structural degree straight from its packed table,
+    and each degree is solved against the cached _degree_system of
+    (n_in, n_out, degree), whose columns are independent, so the solution
+    is unique.
 
     Each degree is one exactla.solve on the system's basis rows only.  Those
-    rows have the row space of the whole system, hence its null space, its
-    leftmost independent columns and its solution with the free variables
-    at zero; _solves then checks that solution exactly against every row,
-    so a target off the span raises as it would with all rows solved.
+    rows have the row space of the whole system, hence its solution;
+    _solves then checks that solution exactly against every row, so a
+    target off the span raises as it would with all rows solved.
     """
     _check_normalize_bound(n_in, n_out)
     den, table = mat._packed()
@@ -430,29 +430,206 @@ def normalize_matrix(mat, n_in: int, n_out: int):
         for (i, mu, den_j), v in zip(unknowns, y):
             if v:
                 coeffs.setdefault(i, {})[mu] = v * den_j / den
-    span = words.dotted_spanning_set(n_in, n_out)
+    span = outer_dot_basis(n_in, n_out)
     return [
         (GradedPoly(E_RING, terms), span[i][0], span[i][1])
         for i, terms in sorted(coeffs.items())
     ]
 
 
-def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
-    """A combination of matching words with the given evaluation."""
+def _as_combo(terms, n_in: int, n_out: int) -> Combo:
+    """The combination of matching words of [(coefficient, matching, dots)]."""
     out = Combo(n_in=n_in, n_out=n_out)
-    for poly, m, d in normalize_matrix(mat, n_in, n_out):
+    for poly, m, d in terms:
         out._add(words.matching_to_word(m, d, n_in, n_out), poly)
     return out
 
 
+def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
+    """A combination of matching words with the given evaluation."""
+    return _as_combo(normalize_matrix(mat, n_in, n_out), n_in, n_out)
+
+
 def normalize_combo(combo: Combo) -> Combo:
-    """normalize_matrix of the combination's evaluation, as a combination of
-    matching words."""
+    """The combination rewritten into the outer-dot basis (rewrite_combo),
+    as a combination of matching words."""
     n_in, n_out = combo.n_in, combo.n_out
     if n_in is None:
         raise ExprError("cannot normalize an empty combination of no shape")
-    _check_normalize_bound(n_in, n_out)  # before the evaluation it bounds
-    return combo_from_matrix(combo.evaluate(), n_in, n_out)
+    _check_normalize_bound(n_in, n_out)
+    return _as_combo(rewrite_combo(combo), n_in, n_out)
+
+
+# -- normal forms by rewriting ------------------------------------------------
+#
+# A dotted matching on N boundary points is a sorted tuple of arcs (x, y, d):
+# x < y positions in noncrossing_matchings' circular order (bottom left to
+# right, then top right to left), d in {0, 1} dots.  Only this order enters
+# the rewriting, so its tables are shared by every shape of N points.
+
+_ONE, _E1, _E2 = pack_key(0, 0), pack_key(1, 0), pack_key(0, 1)
+# the rewriter's constants, packed
+_CIRCLE = ({_ONE: 2}, {_E1: 1})      # the circle and the dotted circle
+_DOT_SQUARE = ({_E1: 1}, {_E2: -1})  # dot^2 = E1*dot - E2
+# The dot slide, for arc A = (a1, a2) directly inside B = (b1, b2):
+#   x_A M = E1 M - x_B M - E1 M' + x_(b1,a1) M' + x_(a2,b2) M',
+# M' being M with A and B replaced by (b1, a1) and (a2, b2), B's dots on
+# (b1, a1).  Rows: (coefficient, in M', the point whose arc gets a dot).
+_SLIDE = (({_E1: 1}, False, None), ({_ONE: -1}, False, "b1"),
+          ({_E1: -1}, True, None), ({_ONE: 1}, True, "b1"),
+          ({_ONE: 1}, True, "a2"))
+
+
+def _dot_power(k: int) -> tuple:
+    """(a, b), packed, with dot^k = a*dot + b."""
+    a, b = {}, {_ONE: 1}
+    for _ in range(k):
+        a, b = packed_add(packed_mul(a, _DOT_SQUARE[0]), b), \
+            packed_mul(a, _DOT_SQUARE[1])
+    return a, b
+
+
+def _add_reduced(acc: dict, arcs: dict, coeff: dict) -> None:
+    """acc += coeff * the matching {(x, y): dot count}, each arc's dots
+    reduced to at most one by _DOT_SQUARE."""
+    terms = [((), coeff)]
+    for (x, y), k in sorted(arcs.items()):
+        a, b = _dot_power(k)
+        terms = [(elem + ((x, y, d),), packed_mul(c, p))
+                 for elem, c in terms for d, p in ((1, a), (0, b)) if p]
+    for elem, c in terms:
+        packed_add(acc.setdefault(elem, {}), c)
+
+
+def _nested_dot(elem: tuple):
+    """A dotted arc of elem inside another arc, with the arc directly
+    around it; None if only outer arcs carry dots."""
+    for a1, a2, d in elem:
+        around = [(b1, b2) for b1, b2, _ in elem if b1 < a1 and a2 < b2]
+        if d and around:
+            return (a1, a2), max(around)
+    return None
+
+
+# every dotted matching of at most NORMALIZE_STRAND_BOUND points fits
+@lru_cache(maxsize=2048)
+def _outward(elem: tuple) -> dict:
+    """{outer-dot matching: packed coefficient} equal to elem, by moving its
+    dots outward with _SLIDE.  Each step either moves a dot to a less nested
+    arc or cuts A and B, which lowers the total nesting depth, so the
+    recursion ends."""
+    found = _nested_dot(elem)
+    if found is None:
+        return {elem: {_ONE: 1}}
+    (a1, a2), (b1, b2) = found
+    arcs = {(x, y): d for x, y, d in elem}
+    db = arcs.pop((b1, b2))
+    del arcs[(a1, a2)]
+    terms: dict = {}
+    for coeff, cut, at in _SLIDE:
+        new = dict(arcs)
+        if cut:
+            new.update({(b1, a1): db, (a2, b2): 0})
+        else:
+            new.update({(a1, a2): 0, (b1, b2): db})
+        if at:
+            p = b1 if at == "b1" else a2
+            arc = next(arc for arc in new if p in arc)
+            new[arc] += 1
+        _add_reduced(terms, new, coeff)
+    out: dict = {}
+    for elem2, c in terms.items():
+        for basis, c2 in _outward(elem2).items():
+            packed_add(out.setdefault(basis, {}), packed_mul(c, c2))
+    return {basis: c for basis, c in out.items() if c}
+
+
+def _contract(w: Word) -> tuple:
+    """({(x, y): dots} of the word's arcs, [dots of each closed loop]), by
+    union-find over its strand segments."""
+    n_in, n_out = w.n_in, w.n_out
+    parent = list(range(n_in))
+    dots = [0] * n_in
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    cur = list(range(n_in))
+    for sl in w.slices:
+        nxt, k = [], 0
+        for p in sl:
+            if p == "cup":
+                parent.append(len(parent))
+                dots.append(0)
+                nxt += [len(parent) - 1] * 2
+            elif p == "cap":
+                parent[find(cur[k])] = find(cur[k + 1])
+                k += 2
+            else:
+                if p == "dot":
+                    dots[cur[k]] += 1
+                nxt.append(cur[k])
+                k += 1
+        cur = nxt
+    ends: dict = {}
+    for x, node in enumerate(list(range(n_in)) + cur[::-1]):
+        ends.setdefault(find(node), []).append(x)
+    total: dict = {}
+    for node, d in enumerate(dots):
+        r = find(node)
+        total[r] = total.get(r, 0) + d
+    arcs = {tuple(xs): total[r] for r, xs in ends.items()}
+    loops = [d for r, d in total.items() if r not in ends]
+    return arcs, loops
+
+
+def _circular(m, d, n_in: int, n_out: int) -> tuple:
+    """The dotted matching (m, d) of noncrossing_matchings as arcs (x, y, d)."""
+    pos = {("b", i): i for i in range(n_in)}
+    pos.update({("t", j): n_in + n_out - 1 - j for j in range(n_out)})
+    return tuple(sorted((*sorted((pos[p], pos[q])), k)
+                        for (p, q), k in zip(m, d)))
+
+
+@lru_cache(maxsize=64)
+def outer_dot_basis(n_in: int, n_out: int) -> list:
+    """The dotted matchings (matching, dots) whose dots are all on outer
+    arcs, in dotted_spanning_set order: C(N, N/2) of them on N points, a
+    basis of the span (rewrite_combo reaches every element of the span)."""
+    return [(m, d) for m, d in words.dotted_spanning_set(n_in, n_out)
+            if _nested_dot(_circular(m, d, n_in, n_out)) is None]
+
+
+def rewrite_combo(combo: Combo) -> list:
+    """The normal form of normalize_matrix(combo.evaluate()), found by the
+    diagram relations: each word is contracted to one dotted matching times
+    its loop values (_CIRCLE), dots reduced by _DOT_SQUARE, then moved out
+    by _outward.  No matrix is built.  Returns [(coefficient, matching,
+    dots)] in outer_dot_basis order."""
+    n_in, n_out = combo.n_in, combo.n_out
+    den = lcm(*(c.denominator for poly in combo.terms.values()
+                for c in poly.terms.values()))
+    coeffs: dict = {}
+    for w, poly in combo.terms.items():
+        arcs, loops = _contract(w)
+        coeff = pack(poly, den)[1]
+        for k in loops:
+            a, b = _dot_power(k)
+            coeff = packed_mul(coeff, packed_add(packed_mul(a, _CIRCLE[1]),
+                                                 packed_mul(b, _CIRCLE[0])))
+        reduced: dict = {}
+        _add_reduced(reduced, arcs, coeff)
+        for elem, c in reduced.items():
+            for basis, c2 in _outward(elem).items():
+                packed_add(coeffs.setdefault(basis, {}), packed_mul(c, c2))
+    out = []
+    for m, d in outer_dot_basis(n_in, n_out):
+        poly = unpack(coeffs.get(_circular(m, d, n_in, n_out), {}), den)
+        if poly:
+            out.append((poly, m, d))
+    return out
 
 
 def normalized_string(combo: Combo) -> str:

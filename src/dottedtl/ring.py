@@ -290,6 +290,18 @@ def unpack(terms: dict, den: int) -> GradedPoly:
                                Fraction(c, den) for e, c in terms.items()})
 
 
+def packed_add(acc: dict, q: dict) -> dict:
+    """acc += q, in place, for packed numerators over one denominator; the
+    keys that cancel are dropped.  Returns acc."""
+    for e, c in q.items():
+        c += acc.get(e, 0)
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+    return acc
+
+
 def packed_mul(p: dict, q: dict) -> dict:
     """The product of two packed polynomials' numerators; zero numerators
     are kept."""

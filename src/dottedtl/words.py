@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from math import lcm
 
-from .ring import E_RING, pack, packed_mul, unpack
+from .ring import E_RING, pack, packed_add, packed_mul, unpack
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams, derive_packed
 from .statespace import (PRIM_ARITY, PRIM_MATRICES, PolyMatrix,
                          linear_combination)
@@ -331,8 +331,9 @@ def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
                     rows = scaled[prim] = [(packed_mul(num, c), local, cs)
                                            for c, local, cs in table[prim]]
                 for poly, local, cs in rows:
-                    _accumulate(acc, w if local is None else
-                                _splice(w, si, pi, local, cs), poly)
+                    packed_add(acc.setdefault(
+                        w if local is None else _splice(w, si, pi, local, cs),
+                        {}), poly)
     terms = {w: unpack(poly, den * xden)
              for w, poly in acc.items() if any(poly.values())}
     return Combo._of_terms(terms, x.n_in, x.n_out)
@@ -464,22 +465,6 @@ def noncrossing_matchings(n_bot: int, n_top: int | None = None):
     return [tuple(sorted(m)) for m in rec(seq)]
 
 
-def _accumulate(table: dict, key, poly: dict):
-    tacc = table.setdefault(key, {})
-    for e, c in poly.items():
-        tacc[e] = tacc.get(e, 0) + c
-
-
-def _nonzero(table: dict) -> dict:
-    """The accumulated table without zero coefficients or zero values."""
-    out = {}
-    for key, tacc in table.items():
-        poly = {e: c for e, c in tacc.items() if c}
-        if poly:
-            out[key] = poly
-    return out
-
-
 def _dot_powers(d_max: int) -> list:
     """dot^0, ..., dot^d_max, each as (den, {in bit: {out bit: packed}})."""
     den_dot, dot = PRIM_MATRICES["dot"]._packed()
@@ -491,8 +476,8 @@ def _dot_powers(d_max: int) -> list:
             acc: dict = {}
             for y, p in col.items():
                 for z, q in dot.get(y, {}).items():
-                    _accumulate(acc, z, packed_mul(p, q))
-            nxt[b] = _nonzero(acc)
+                    packed_add(acc.setdefault(z, {}), packed_mul(p, q))
+            nxt[b] = {z: p for z, p in acc.items() if p}
         powers.append((den * den_dot, nxt))
     return powers
 
@@ -571,23 +556,26 @@ def matching_matrix(matching, dots, n_bot: int,
                         w = cap.get(2 * y + b2, {}).get(0)
                         if w:
                             x = bit_in(b1, i1) | bit_in(b2, i2)
-                            _accumulate(table, (x, 0), packed_mul(v, w))
+                            packed_add(table.setdefault((x, 0), {}),
+                                       packed_mul(v, w))
         elif s1 == "t" and s2 == "t":
             # (dot^d (x) id) o cup on the two output letters
             den *= den_cup * den_d
             for y, v in cup.get(0, {}).items():
                 b1, b2 = y >> 1, y & 1
                 for z, w in dm[b1].items():
-                    _accumulate(table, (0, bit_out(z, i1) | bit_out(b2, i2)),
-                                packed_mul(v, w))
+                    packed_add(table.setdefault(
+                        (0, bit_out(z, i1) | bit_out(b2, i2)), {}),
+                        packed_mul(v, w))
         else:
             bi, tj = (i1, i2) if s1 == "b" else (i2, i1)
             den *= den_d
             for b, col in dm.items():
                 for y, v in col.items():
-                    _accumulate(table, (bit_in(b, bi), bit_out(y, tj)), v)
+                    packed_add(table.setdefault(
+                        (bit_in(b, bi), bit_out(y, tj)), {}), v)
         entries = [(x | xa, y | ya, packed_mul(p, v))
-                   for (xa, ya), v in _nonzero(table).items()
+                   for (xa, ya), v in table.items() if v
                    for x, y, p in entries]
     cols: dict = {}
     for x, y, p in entries:

@@ -1,6 +1,7 @@
 """Expression DSL: parsing, printing, macros, normalization."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -41,12 +42,17 @@ def _same(a: Combo, b: Combo) -> bool:
 
 @pytest.fixture(autouse=True)
 def fresh_degree_systems():
-    """Each test builds its normal-form systems afresh and leaves none
-    behind: a test that counts or patches words.matching_matrix would
-    otherwise see systems another test built, and no call at all."""
-    expr._degree_system.cache_clear()
+    """Each test builds its normal-form systems and rewriting tables afresh
+    and leaves none behind: a test that counts or patches
+    words.matching_matrix would otherwise see systems another test built,
+    and no call at all, and one that patches a rewriting rule would leave
+    its tables to the next."""
+    caches = (expr._degree_system, expr._outward)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    expr._degree_system.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_basic_parses():
@@ -139,12 +145,12 @@ def test_normalize_preserves_evaluation():
 
 
 # sha256 of `eval-expr EXPR --json` stdout; the normal forms these pin are
-# the solutions supported on the leftmost independent spanning-set columns
+# over the outer-dot basis, the unique solutions of its degree systems
 PINNED_EVAL_SHA256 = {
     "jw(4) ; z(4)":
-        "c464348c943745be6073c6b33b9f82da433bc242c7fff4cd34b238438b090e48",
+        "64ffe579f2401f02aff7362804698d7da4f7416122b9b371d9cc59c609766c35",
     "u(3)":
-        "dc5a9e5c54029dce62894fd2acc3d26e04ea49beb3f9eca7579ea2ff42b49da1",
+        "240eda95dd04316c82b3fb3f2c1819e2c006d404b2a193a25fe779626391e51b",
 }
 
 
@@ -166,13 +172,13 @@ def test_normalized_reports_are_pinned(text):
 # d(n); the same at PYTHONHASHSEED 0 and 4242
 PINNED_MACRO_SHA256 = {
     "u(0)": "af10e06b2fd40cea601eeef164c82b6aa69079d3b11801bf4d102149eae83677",
-    "u(1)": "88d937d297d5c352e8e08e48fb3a172eaa641dcc532a129a5d36974c56c6118b",
-    "u(2)": "b3cb49ae69887832a853c9ce6db757e241ee66a3b18b9ee4f9734e3f6c55e05b",
-    "u(3)": "361d8910ac7926ea9fc66bdbc94061abeb66f0fa9b1b3671cc91f0701bb17bca",
+    "u(1)": "c9b135bb53b3302444c944ea6b24bf9cdff4d2dd7f67332d39b50c34bc920420",
+    "u(2)": "e8643d5e1f72388780431f245464390e3089c3c011cdd79762d3341265f9c9b0",
+    "u(3)": "55693b6f7352287bd206645dca02d9bef7163edbe7206c36e39633e31a8bd390",
     "d(2)": "d6828dad36b0bb45e1295ba1934656135610c00af6c8a79cca11f23a2a844e03",
-    "d(3)": "f4dadca47a45edd0cd4ad0de112a04c16bd23e2f66d1d372ab713d59214b9f72",
-    "d(4)": "4b013b6032074092968961367731ee214c8be8bce0b7fe84e5576be2ec1826ae",
-    "d(5)": "8c76e8c3e263c895993f180dd39a3f11736ad94b7ff50112c3afc188fa4cbc71",
+    "d(3)": "fa14813ce1a8988e696fec644297b47d0bc0073fc8c4268ffc47a958e062232b",
+    "d(4)": "33582c16114192683579bfa31d5c04f6967ccd79ab4f8c9e69cbafe29ecf89ab",
+    "d(5)": "b7289c808d394a7ae457d6e4ccfca2a53af29f15ed27831c31981aa80fb0cb22",
 }
 
 
@@ -257,8 +263,9 @@ def test_sign_flipping_parser_fails_utilities_roundtrips(monkeypatch):
 def test_normal_forms_run_on_integer_kernels(monkeypatch):
     """Operation-count gate on the README eval-expr inputs: normalising
     them (projector combinations rebuilt too) makes no GradedPoly product
-    inside words.matching_matrix and no PolyMatrix sum or scale inside
-    Combo.evaluate."""
+    inside words.matching_matrix and no Combo.evaluate, as the rewriting
+    builds no matrix; evaluating them makes no PolyMatrix sum or scale
+    inside Combo.evaluate."""
     from dottedtl import expr, words
     from dottedtl.ring import GradedPoly
 
@@ -295,20 +302,39 @@ def test_normal_forms_run_on_integer_kernels(monkeypatch):
         monkeypatch.setattr(PolyMatrix, name, counted(
             "evaluate", f"PolyMatrix.{name}", getattr(PolyMatrix, name)))
     for text in ("jw(4) ; z(4)", "u(3)"):
-        expr.normalize_combo(parse_expr(text))
+        combo = parse_expr(text)
+        evaluated = counts.get("evaluate", 0)
+        expr.normalize_combo(combo)
+        assert counts.get("evaluate", 0) == evaluated, text
+        combo.evaluate()
     assert counts.pop("matching_matrix") > 0
     assert counts.pop("evaluate") > 0
     assert counts == {}
 
 
-# -- the cached, basis-row solve against the full per-call solve -------------
+# -- rewriting, the cached basis-row solve and the full per-call solve -------
+
+def _outer_dot_span(n_in: int, n_out: int) -> list:
+    """The spanning-set elements whose dotted arcs nest in no other arc in
+    the circular order (bottom left to right, then top right to left),
+    found without expr."""
+    n = n_in + n_out
+    out = []
+    for m, d in words.dotted_spanning_set(n_in, n_out):
+        arcs = [sorted(i if side == "b" else n - 1 - i for side, i in arc)
+                for arc in m]
+        if not any(k and any(u < x and y < v for u, v in arcs)
+                   for (x, y), k in zip(arcs, d)):
+            out.append((m, d))
+    return out
+
 
 def _full_solve_normal_form(mat, n_in: int, n_out: int):
-    """Oracle for normalize_matrix: each call evaluates the spanning-set
-    matrices, builds the whole system of each structural degree from them
-    and the target, and solves it on all of its rows, as dense Fraction
-    rows.  Returns the same [(coefficient, matching, dots)]."""
-    span = words.dotted_spanning_set(n_in, n_out)
+    """Oracle for normalize_matrix: each call evaluates the outer-dot
+    spanning-set matrices, builds the whole system of each structural
+    degree from them and the target, and solves it on all of its rows, as
+    dense Fraction rows.  Returns the same [(coefficient, matching, dots)]."""
+    span = _outer_dot_span(n_in, n_out)
     zero = Fraction(0)
     mat_cache: dict = {}
 
@@ -355,12 +381,18 @@ def _full_solve_normal_form(mat, n_in: int, n_out: int):
             for i, terms in sorted(coeffs.items())]
 
 
-def _assert_normal_form_matches_oracle(mat, n_in, n_out, label):
+def _assert_normal_form_matches_oracle(combo: Combo, label):
+    """Rewriting, the cached basis-row solve and the full solve give the
+    same normal form, term for term and in the same order."""
+    n_in, n_out = combo.n_in, combo.n_out
+    mat = combo.evaluate()
     got = normalize_matrix(mat, n_in, n_out)
     want = _full_solve_normal_form(mat, n_in, n_out)
+    rewritten = expr.rewrite_combo(combo)
     assert [(str(p), m, d) for p, m, d in got] \
-        == [(str(p), m, d) for p, m, d in want], label
-    assert got == want, label
+        == [(str(p), m, d) for p, m, d in want] \
+        == [(str(p), m, d) for p, m, d in rewritten], label
+    assert got == want == rewritten, label
 
 
 def _random_shaped_word(rng, n_in: int, n_out: int) -> Word:
@@ -394,17 +426,14 @@ def test_normal_form_matches_full_solve_on_random_words(shape):
                          rng.choice(coeffs))
         if rng.random() < 0.5:
             combo = combo + Combo.of(_random_shaped_word(rng, n_in, n_out))
-        _assert_normal_form_matches_oracle(combo.evaluate(), n_in, n_out,
-                                           repr(combo))
+        _assert_normal_form_matches_oracle(combo, repr(combo))
 
 
 @pytest.mark.parametrize("text", [f"jw({n})" for n in range(6)]
                          + [f"u({n})" for n in range(4)]
                          + [f"d({n})" for n in range(2, 6)])
 def test_normal_form_matches_full_solve_on_macros(text):
-    combo = parse_expr(text)
-    _assert_normal_form_matches_oracle(combo.evaluate(), combo.n_in,
-                                       combo.n_out, text)
+    _assert_normal_form_matches_oracle(parse_expr(text), text)
 
 
 def _benchmark_workloads():
@@ -419,9 +448,125 @@ def _benchmark_workloads():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_normal_form_matches_full_solve_on_benchmark_inputs(seed):
     for text in _benchmark_workloads().diagrams_inputs(seed)["normalize"]:
-        combo = parse_expr(text)
-        _assert_normal_form_matches_oracle(combo.evaluate(), combo.n_in,
-                                           combo.n_out, text)
+        _assert_normal_form_matches_oracle(parse_expr(text), text)
+
+
+def test_relations_rewrite_to_zero():
+    """Every instance of the defining relations, on up to 6 strands (past
+    NORMALIZE_STRAND_BOUND, which rewrite_combo does not need), rewrites to
+    the empty combination."""
+    for name, lhs, rhs in words.relation_instances(6):
+        assert expr.rewrite_combo(lhs - rhs) == [], name
+
+
+def test_outer_dot_basis_has_the_rank_of_the_span():
+    """C(N, N/2) outer-dot matchings on N <= 10 boundary points, for every
+    shape, in spanning-set order."""
+    for total in range(0, 11, 2):
+        for n_in in range(total + 1):
+            basis = expr.outer_dot_basis(n_in, total - n_in)
+            assert len(basis) == math.comb(total, total // 2), (n_in, total)
+            if total <= 8:
+                assert basis == _outer_dot_span(n_in, total - n_in)
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_8)
+def test_outer_dot_degree_systems_have_full_column_rank(shape):
+    """Each restricted degree system, up to four degrees past the most
+    dots an outer-dot matching carries (so every element meets the
+    monomials 1, E1, E1^2 and E2), has independent columns: a target's
+    solution is unique."""
+    n_in, n_out = shape
+    for deg in range(0, n_in + n_out + 5, 2):
+        unknowns, _, _, basis = expr._degree_system(n_in, n_out, deg)
+        assert len(basis) == len(unknowns), deg
+
+
+def _rule_with(row: int, coeff):
+    """expr._SLIDE with row's coefficient replaced, or dropped for None."""
+    rows = list(expr._SLIDE)
+    if coeff is None:
+        del rows[row]
+    else:
+        rows[row] = (coeff,) + rows[row][1:]
+    return tuple(rows)
+
+
+E1_KEY, ONE_KEY = ring.pack_key(1, 0), ring.pack_key(0, 0)
+NESTED_DOT = "id|dot|id|id ; id|cap|id ; cap"
+# (constant, broken value, a word whose normal form reads it)
+BROKEN_RULES = {
+    "E1 M coefficient 2*E1":
+        ("_SLIDE", _rule_with(0, {E1_KEY: 2}), NESTED_DOT),
+    "x_B M coefficient +1":
+        ("_SLIDE", _rule_with(1, {ONE_KEY: 1}), NESTED_DOT),
+    "side-by-side E1 M' dropped":
+        ("_SLIDE", _rule_with(2, None), NESTED_DOT),
+    "side-by-side x_(b1,a1) M' dropped":
+        ("_SLIDE", _rule_with(3, None), NESTED_DOT),
+    "side-by-side x_(a2,b2) M' dropped":
+        ("_SLIDE", _rule_with(4, None), NESTED_DOT),
+    "circle value 1":
+        ("_CIRCLE", ({ONE_KEY: 1}, {E1_KEY: 1}), "cup ; cap"),
+    "dotted circle value 2*E1":
+        ("_CIRCLE", ({ONE_KEY: 2}, {E1_KEY: 2}), "cup ; dot|id ; cap"),
+    "dot^2 = E1*dot + E2":
+        ("_DOT_SQUARE", ({E1_KEY: 1}, {ring.pack_key(0, 1): 1}), "dot ; dot"),
+}
+
+
+def _constants_hold_on_the_model() -> bool:
+    """expr._CIRCLE, _DOT_SQUARE and _SLIDE against PRIM_MATRICES: the
+    circles, dot*dot, and the slide on four points, where (0,3)(1,2) is M
+    and (0,1)(2,3) is M'."""
+    one, dot, cup, cap = (statespace.PRIM_MATRICES[p]
+                          for p in ("id", "dot", "cup", "cap"))
+
+    def holds(lhs, rows):  # lhs = the sum of packed coefficient * matrix
+        return lhs == statespace.linear_combination(
+            lhs.n_out, lhs.n_in, [(ring.unpack(c, 1), m) for c, m in rows])
+
+    def dot_at(k):
+        return PolyMatrix.identity(k).tensor(dot).tensor(
+            PolyMatrix.identity(3 - k))
+
+    nested, side = cap * one.tensor(cap).tensor(one), cap.tensor(cap)
+    point = {None: PolyMatrix.identity(4), "b1": dot_at(0), "a2": dot_at(2)}
+    empty = PolyMatrix.identity(0)
+    return (holds(cap * cup, [(expr._CIRCLE[0], empty)])
+            and holds(cap * dot.tensor(one) * cup, [(expr._CIRCLE[1], empty)])
+            and holds(dot * dot, zip(expr._DOT_SQUARE, (dot, one)))
+            and holds(nested * dot_at(1),
+                      [(c, (side if cut else nested) * point[at])
+                       for c, cut, at in expr._SLIDE]))
+
+
+def test_rewriting_constants_hold_on_the_model():
+    assert _constants_hold_on_the_model()
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_RULES))
+def test_broken_rewriting_constant_fails(broken, monkeypatch):
+    """Negative controls: with one rewriting constant broken, the model
+    check fails, and the rewriting no longer agrees with the solve on words
+    that use that constant."""
+    name, value, text = BROKEN_RULES[broken]
+    monkeypatch.setattr(expr, name, value)
+    assert not _constants_hold_on_the_model()
+    combo = parse_expr(text)
+    assert expr.rewrite_combo(combo) != normalize_matrix(
+        combo.evaluate(), combo.n_in, combo.n_out)
+
+
+def test_rewriting_moves_the_inner_dot_out():
+    """The dot slide on four points, read off the normal form."""
+    got = {(m, d): str(p)
+           for p, m, d in expr.rewrite_combo(parse_expr(NESTED_DOT))}
+    nested = ((("b", 0), ("b", 3)), (("b", 1), ("b", 2)))
+    side = ((("b", 0), ("b", 1)), (("b", 2), ("b", 3)))
+    assert got == {(nested, (0, 0)): "E1", (nested, (1, 0)): "-1",
+                   (side, (0, 0)): "-E1", (side, (1, 0)): "1",
+                   (side, (0, 1)): "1"}
 
 
 def test_residual_rejects_a_target_off_the_basis_rows(monkeypatch):
@@ -469,10 +614,11 @@ def test_normal_form_reads_spanning_matrices_over_their_denominators(
 
 def test_normalize_counts_on_the_diagrams_workload(monkeypatch):
     """Operation-count gate on the benchmark's diagrams calls at seed 0:
-    with the systems built once per (shape, degree) and solved on their
-    basis rows, words.matching_matrix is called at most 254 times (424 when
-    each call evaluated its spanning set; 201 distinct matrices) and the
-    rref calls see at most 12,548 cells (rows x columns), not 82,841."""
+    with the words rewritten and only the jw and u macros' matrices solved,
+    over the outer-dot basis, words.matching_matrix is called at most 56
+    times (254 when every normal form was solved over the whole spanning
+    set) and the rref calls see at most 2,016 cells (rows x columns), not
+    12,548."""
     workloads = _benchmark_workloads()
     counts = {"matching_matrix": 0, "cells": 0}
     real_matching, real_rref = words.matching_matrix, exactla.rref
@@ -488,15 +634,29 @@ def test_normalize_counts_on_the_diagrams_workload(monkeypatch):
     monkeypatch.setattr(words, "matching_matrix", matching)
     monkeypatch.setattr(exactla, "rref", rref)
     workloads.diagrams_run(workloads.diagrams_inputs(0))
-    assert 0 < counts["matching_matrix"] <= 254
-    assert 0 < counts["cells"] <= 12_548
+    assert 0 < counts["matching_matrix"] <= 56
+    assert 0 < counts["cells"] <= 2_016
 
 
-def test_parsed_macro_normalizes_on_cached_systems():
-    """parse_expr("u(3)") normalises U_3's matrix; normalising the parsed
-    combination again reads the same systems and builds none."""
+def test_parsed_macro_normalizes_on_cached_systems(monkeypatch):
+    """parse_expr("u(3)") normalises U_3's matrix by a solve; normalising
+    the parsed combination rewrites it: no degree system is read or built,
+    and no matching_matrix, Combo.evaluate or exactla call is made."""
     combo = parse_expr("u(3)")
-    built = expr._degree_system.cache_info().misses
-    assert built > 0
-    normalize_combo(combo)
-    assert expr._degree_system.cache_info().misses == built
+    before = expr._degree_system.cache_info()
+    assert before.misses > 0
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(words, "matching_matrix", forbidden("matching_matrix"))
+    monkeypatch.setattr(Combo, "evaluate", forbidden("Combo.evaluate"))
+    for name in ("rref", "row_basis", "solve", "nullspace"):
+        monkeypatch.setattr(exactla, name, forbidden(f"exactla.{name}"))
+    form = normalize_combo(combo)
+    after = expr._degree_system.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    monkeypatch.undo()
+    assert _same(form, combo)
