@@ -16,6 +16,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import expr, kirby, lasagna, projectors, selftest
+from .ring import RingError
 from .words import DtlParams, WordError, verify_relations
 
 
@@ -57,9 +58,6 @@ def _emit(report: dict, as_json: bool, lines) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n_max > expr.NORMALIZE_STRAND_BOUND:
-        raise WordError(f"ambient width must be at most "
-                        f"{expr.NORMALIZE_STRAND_BOUND}, got {args.n_max}")
     rep = verify_relations(args.params, n_max=args.n_max)
     lines = [
         f"relations at (a1, a2) = ({args.params.a1}, {args.params.a2}), "
@@ -256,7 +254,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (expr.ExprError, kirby.KirbyError, lasagna.LasagnaError,
-            projectors.ProjectorError, WordError, OSError) as exc:  # bad input
+            projectors.ProjectorError, RingError, WordError,
+            OSError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,34 +1,29 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q, on sparse integer systems.
 
-Matrices are dense lists of rows of ``Fraction`` entries.  ``rref``
-eliminates on an integer kernel: each row is scaled to ``int`` numerators
-over the lcm of its denominators and kept as a sparse ``{column: int}``
-dict, so zero cells cost nothing.  Elimination is fraction-free: a row is
-reduced by ``row = (pv/g)*row - (f/g)*pivot_row`` with ``g = gcd(pv, f)``
-and then divided by the gcd of its entries, which keeps the integers
-small.  Only the reduced rows are turned back into ``Fraction`` rows, once,
-at the end.  The reduced row echelon form is unique, so the result equals
-that of plain Gauss-Jordan elimination over ``Fraction``.  An ``int`` entry
-is read like the equal ``Fraction``.
+A system is given by its columns, ``[{row label: nonzero int}]``: column j
+is the image of the j-th unknown, and a label is any hashable key.  A
+right-hand side is ``{row label: int}``; a solution or a kernel vector is
+``{column index: Fraction}``, its nonzero entries in column order.
 
-``row_basis`` takes its rows already sparse, as ``{column: int}`` dicts,
-and runs only the forward pass: it picks rows that span the row space, so a
-caller can solve on those rows alone and check the others afterwards.
+``rref`` is the kernel that ``solve`` and ``nullspace`` call.  It takes
+sparse integer rows ``{column: nonzero int}`` and eliminates fraction-free:
+a row is reduced by ``row = (pv/g)*row - (f/g)*pivot_row`` with ``g =
+gcd(pv, f)`` and then divided by the gcd of its entries, which keeps the
+integers small.  The reduced row echelon form is unique, so each row,
+divided by its pivot entry, is that of plain Gauss-Jordan elimination over
+``Fraction``.
+
+``solve`` is made for tall systems, with many more rows than unknowns: a
+forward pass, sparsest rows first, picks rows that span the row space; the
+augmented system is eliminated on those rows alone; and the solution is
+checked exactly against every row, which also rejects a right-hand side on
+a label that no column reaches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
-
-
-def _int_row(row) -> dict:
-    """The row as a primitive sparse integer vector with the same span."""
-    den = lcm(*(x.denominator for x in row if x))
-    return _primitive({c: x.numerator * (den // x.denominator)
-                       for c, x in enumerate(row) if x})
 
 
 def _primitive(vec: dict) -> dict:
@@ -67,33 +62,13 @@ def _reduce_into(echelon: dict, vec: dict) -> bool:
     return False
 
 
-def row_basis(rows: list[dict]) -> list[int]:
-    """Increasing indices of rows that span the row space of the sparse
-    integer rows {column: nonzero int}; as many as the rank.
-
-    One forward pass, sparsest rows first (ties by index), as sparse rows
-    fill in the least.
-    """
-    echelon: dict = {}
-    basis = []
-    for r in sorted(range(len(rows)), key=lambda r: len(rows[r])):
-        if _reduce_into(echelon, _primitive(rows[r])):
-            basis.append(r)
-    return sorted(basis)
-
-
-def rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form in place; returns pivot column list.
-
-    Row i < rank holds the pivot row of the i-th pivot column (pivot entry
-    1); the rows past the rank are zero.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def rref(rows: list[dict]) -> dict:
+    """The reduced row echelon form of the sparse integer rows, as {pivot
+    column: row} in pivot order: each row primitive, its pivot its least
+    column, and zero in every other pivot column."""
     echelon: dict = {}
     for row in rows:
-        _reduce_into(echelon, _int_row(row))
+        _reduce_into(echelon, _primitive(row))
     pivots = sorted(echelon)
     # backward pass: clear each pivot column above its pivot row, last
     # column first, so no cleared column is filled again
@@ -103,48 +78,68 @@ def rref(rows: list[list[Fraction]]):
         for p in pivots[:i]:
             if c in echelon[p]:
                 echelon[p] = _eliminate(echelon[p], prow, c)
-    for r, c in enumerate(pivots):
-        vec = echelon[c]
-        pv = vec[c]
-        out = [_ZERO] * ncols
-        for k, v in vec.items():
-            out[k] = Fraction(v, pv)
-        rows[r] = out
-    for r in range(len(pivots), len(rows)):
-        rows[r] = [_ZERO] * ncols
-    return pivots
+    return {c: echelon[c] for c in pivots}
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix given by rows."""
-    work = [list(r) for r in rows]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _rows(columns: list[dict]) -> dict:
+    """The system's rows, {label: {column index: int}}, labels in the order
+    the columns first reach them."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[j] = v
+    return rows
+
+
+def _spanning_rows(rows: dict) -> list:
+    """Labels of rows that span the row space, as many as the rank: one
+    forward pass, sparsest rows first (ties in label order), as sparse rows
+    fill in the least."""
+    echelon: dict = {}
+    return [r for r in sorted(rows, key=lambda r: len(rows[r]))
+            if _reduce_into(echelon, _primitive(rows[r]))]
+
+
+def _satisfies(columns: list[dict], x: dict, rhs: dict) -> bool:
+    """Whether sum_j x[j] * columns[j] equals rhs on every row, exactly, in
+    integers over the lcm of x's denominators."""
+    den = lcm(*(v.denominator for v in x.values()))
+    acc: dict = {}
+    for j, v in x.items():
+        v = v.numerator * (den // v.denominator)
+        for r, a in columns[j].items():
+            acc[r] = acc.get(r, 0) + a * v
+    return {r: v for r, v in acc.items() if v} == \
+        {r: v * den for r, v in rhs.items() if v}
+
+
+def solve(columns: list[dict], rhs: dict):
+    """The solution x of sum_j x[j] * columns[j] = rhs with every free
+    unknown zero, or None if rhs is off the span of the columns."""
+    rows = _rows(columns)
+    n = len(columns)
+    aug = []
+    for r in _spanning_rows(rows):
+        b = rhs.get(r)
+        aug.append({**rows[r], n: b} if b else rows[r])
+    # the rows are independent, so n is no pivot: every row's rhs entry is
+    # its pivot unknown's value times its pivot entry
+    x = {c: Fraction(row[n], row[c])
+         for c, row in rref(aug).items() if n in row}
+    return x if _satisfies(columns, x, rhs) else None
+
+
+def nullspace(columns: list[dict]) -> list[dict]:
+    """A basis of the kernel of the system: one vector per free column,
+    that column's entry 1 and every other free column's entry zero."""
+    echelon = rref(list(_rows(columns).values()))
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
+    for fc in range(len(columns)):
+        if fc not in echelon:
+            # a pivot row holding fc has its pivot left of fc, so the
+            # entries come in column order
+            vec = {pc: Fraction(-row[fc], row[pc])
+                   for pc, row in echelon.items() if fc in row}
+            vec[fc] = Fraction(1)
+            basis.append(vec)
     return basis
-
-
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """One solution of A x = b, or None if inconsistent.
-
-    The solution is the one with every free variable zero: the unique
-    solution supported on the pivot columns of A.
-    """
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][ncols]
-    return x

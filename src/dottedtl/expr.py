@@ -42,17 +42,13 @@ NORMALIZE_STRAND_BOUND = 10
 
 
 def _macro_bound(name: str) -> int:
-    """The largest argument of a macro.  jw(n) is normalised on 2n boundary
-    strands, within NORMALIZE_STRAND_BOUND; z(n) and s(i, n) reach
-    JW_TRACKED_BOUND.  u(n) and d(n) keep the ranges eval-expr accepted
-    when they were projector sandwiches through p_{n+2} and p_n, of 2n + 4
-    and 2n strands, though u(4) and d(6) would fit NORMALIZE_STRAND_BOUND
-    on their 10 boundary strands."""
-    if name in ("jw", "d"):
-        return NORMALIZE_STRAND_BOUND // 2
-    if name == "u":
-        return NORMALIZE_STRAND_BOUND // 2 - 2
-    return projectors.JW_TRACKED_BOUND
+    """The largest argument of a macro.  jw(n), u(n) and d(n) are
+    normalised on their 2n, 2n + 2 and 2n - 2 boundary strands, within
+    NORMALIZE_STRAND_BOUND; z(n) and s(i, n) reach JW_TRACKED_BOUND."""
+    extra = {"jw": 0, "u": 2, "d": -2}.get(name)
+    if extra is None:
+        return projectors.JW_TRACKED_BOUND
+    return (NORMALIZE_STRAND_BOUND - extra) // 2
 
 
 class ExprError(Exception):
@@ -236,15 +232,14 @@ class _Parser:
         if kind != "name":
             raise ExprError(f"unexpected token {v!r}", pos)
         if v in E_RING.names:
-            gen = E_RING.gen(v)
             k2, v2, _ = self.peek()
             if k2 == "sym" and v2 == "^":
                 self.take()
                 k3, v3, p3 = self.take()
                 if k3 != "int":
                     raise ExprError("exponent must be an integer", p3)
-                return (gen ** int(v3), None)
-            return (gen, None)
+                return (E_RING.gen(v, int(v3)), None)
+            return (E_RING.gen(v), None)
         if v in PRIMS:
             return (E_RING.one, primitive_combo(v))
         if v in MACROS:
@@ -325,17 +320,16 @@ def _check_normalize_bound(n_in: int, n_out: int) -> None:
 @lru_cache(maxsize=64)
 def _degree_system(n_in: int, n_out: int, deg: int):
     """The linear system of normalize_matrix at one structural degree, in
-    integers: (unknowns, row_index, columns, basis).
+    integers: (unknowns, row_index, columns).
 
     Unknown j = (i, mu, den) is outer_dot_basis element i times the
     monomial mu = (e1, e2); a diagram with k dots has degree 2k, so it
     contributes the monomials of degree deg - 2k only.  den is the
     denominator of the element's matching_matrix table.  row_index numbers
-    each (row, col, packed exponent) an unknown reaches; columns[j] = {row
-    number: int numerator over den}; basis lists rows that span the row
-    space (exactla.row_basis).  No target enters the system, so it is built
-    once per (n_in, n_out, deg) and shared by every call; callers only read
-    it.
+    each (row, col, packed exponent) an unknown reaches, and columns[j] =
+    {row number: int numerator over den}.  No target enters the system, so
+    it is built once per (n_in, n_out, deg) and shared by every call;
+    callers only read it.
     """
     unknowns = []
     row_index: dict = {}
@@ -348,34 +342,12 @@ def _degree_system(n_in: int, n_out: int, deg: int):
         for b in range(rem // 4 + 1):
             mu = ((rem - 4 * b) // 2, b)
             shift = pack_key(*mu)
-            col = {}
-            for c, tcol in table.items():
-                for r, t in tcol.items():
-                    for e, v in t.items():
-                        key = (r, c, e + shift)
-                        col[row_index.setdefault(key, len(row_index))] = v
             unknowns.append((i, mu, den))
-            columns.append(col)
-    rows: list = [{} for _ in row_index]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][j] = v
-    return unknowns, row_index, columns, exactla.row_basis(rows)
-
-
-def _solves(columns, y, rhs: dict) -> bool:
-    """Whether sum_j y[j] * columns[j] equals rhs = {row number: int} on
-    every row of the system, exactly, in integers over the lcm of the
-    denominators of y."""
-    den = lcm(*(v.denominator for v in y))
-    acc: dict = {}
-    for col, v in zip(columns, y):
-        if v:
-            v = v.numerator * (den // v.denominator)
-            for r, a in col.items():
-                acc[r] = acc.get(r, 0) + a * v
-    return {r: v for r, v in acc.items() if v} == \
-        {r: v * den for r, v in rhs.items()}
+            columns.append({
+                row_index.setdefault((r, c, e + shift), len(row_index)): v
+                for c, tcol in table.items()
+                for r, t in tcol.items() for e, v in t.items()})
+    return unknowns, row_index, columns
 
 
 def normalize_matrix(mat, n_in: int, n_out: int):
@@ -385,14 +357,9 @@ def normalize_matrix(mat, n_in: int, n_out: int):
 
     Returns [(coefficient, matching, dots)] in outer_dot_basis order.  The
     target is split by structural degree straight from its packed table,
-    and each degree is solved against the cached _degree_system of
-    (n_in, n_out, degree), whose columns are independent, so the solution
-    is unique.
-
-    Each degree is one exactla.solve on the system's basis rows only.  Those
-    rows have the row space of the whole system, hence its solution;
-    _solves then checks that solution exactly against every row, so a
-    target off the span raises as it would with all rows solved.
+    and each degree is one exactla.solve against the cached _degree_system
+    of (n_in, n_out, degree), whose columns are independent, so the
+    solution is unique.  A target off the span raises ExprError.
     """
     _check_normalize_bound(n_in, n_out)
     den, table = mat._packed()
@@ -408,28 +375,17 @@ def normalize_matrix(mat, n_in: int, n_out: int):
 
     coeffs: dict = {}
     for deg, target in sorted(targets.items()):
-        unknowns, row_index, columns, basis = _degree_system(n_in, n_out, deg)
-        rhs = {}
-        for key, v in target.items():
-            r = row_index.get(key)
-            if r is None:
-                raise ExprError("evaluation is outside the diagram span")
-            rhs[r] = v
-        place = {r: k for k, r in enumerate(basis)}
-        rows = [[0] * len(unknowns) for _ in basis]
-        for j, col in enumerate(columns):
-            for r, a in col.items():
-                k = place.get(r)
-                if k is not None:
-                    rows[k][j] = a
-        y = exactla.solve(rows, [rhs.get(r, 0) for r in basis])
-        if y is None or not _solves(columns, y, rhs):
+        unknowns, row_index, columns = _degree_system(n_in, n_out, deg)
+        # a key that no unknown reaches is its own label, on no column
+        y = exactla.solve(columns, {row_index.get(key, key): v
+                                    for key, v in target.items()})
+        if y is None:
             raise ExprError("evaluation is outside the diagram span")
         # unknown j's matrix is columns[j] / den_j and the target is over
         # den, so its coefficient is y[j] * den_j / den
-        for (i, mu, den_j), v in zip(unknowns, y):
-            if v:
-                coeffs.setdefault(i, {})[mu] = v * den_j / den
+        for j, v in y.items():
+            i, mu, den_j = unknowns[j]
+            coeffs.setdefault(i, {})[mu] = v * den_j / den
     span = outer_dot_basis(n_in, n_out)
     return [
         (GradedPoly(E_RING, terms), span[i][0], span[i][1])

@@ -165,14 +165,6 @@ class TruncatedModule:
         den *= self.tables[g][0]
         return {k: Fraction(c, den) for k, c in self._step(g, ivec).items()}
 
-    def _e_matrix(self, keys) -> tuple:
-        """(targets, rows): e's numerator matrix on the given keys, one row
-        per key in targets, the keys that e reaches from them."""
-        etable = self.tables["e"][1]
-        cols = [etable.get(k, {}) for k in keys]
-        targets = list(dict.fromkeys(t for col in cols for t in col))
-        return targets, [[col.get(t, 0) for col in cols] for t in targets]
-
     # -- structure ----------------------------------------------------------
 
     def character(self) -> dict:
@@ -181,10 +173,9 @@ class TruncatedModule:
     def highest_weight_vectors(self, lam: int):
         """Basis of ker(e) inside the weight-lam space."""
         keys = [k for k in self.basis if self.weights[k] == lam]
-        return [
-            {k: c for k, c in zip(keys, v) if c}
-            for v in exactla.nullspace(self._e_matrix(keys)[1], len(keys))
-        ]
+        etable = self.tables["e"][1]
+        return [{keys[j]: c for j, c in v.items()}
+                for v in exactla.nullspace([etable.get(k, {}) for k in keys])]
 
     def _f_eigen(self, ivec: dict, lam: int) -> bool:
         """Whether f(v) = -(lam/2) E1 v, untruncated: the spec's derivation
@@ -253,11 +244,9 @@ def _in_image_of_e(m: TruncatedModule, target: dict, weight: int) -> bool:
     """Whether e(u) = target for some u of the given weight.  target is an
     int vector, and e is solved on its numerators: that rescales u only, so
     the answer holds for every multiple of target."""
-    keys = [k for k in m.basis if m.weights[k] == weight]
-    targets, rows = m._e_matrix(keys)
-    if not keys or not set(target).issubset(targets):
-        return False
-    return exactla.solve(rows, [target.get(t, 0) for t in targets]) is not None
+    etable = m.tables["e"][1]
+    columns = [etable.get(k, {}) for k in m.basis if m.weights[k] == weight]
+    return exactla.solve(columns, target) is not None
 
 
 def verify_claim(m: TruncatedModule, claim: DecompositionClaim) -> dict:

@@ -250,11 +250,13 @@ LASAGNA_RING = PolyRing([GenSpec("E1", 2), GenSpec("E2", 4), GenSpec("A1", -2),
 
 # The kernels' coefficient format: int numerators over one positive den,
 # {pack_key(e1, e2): numerator}.  Keys add like exponent pairs, as E1 and E2
-# are not invertible and no exponent reaches 2^_EXP_BITS.  Only this section
-# reads or writes a key's layout (pack_key, unpack_key, pack, unpack); other
-# modules only add keys.
+# are not invertible and no exponent reaches 2^_EXP_BITS: pack refuses an
+# exponent of 2^(_EXP_BITS - 1) or more, which leaves the kernels' products
+# room to add exponents.  Only this section reads or writes a key's layout
+# (pack_key, unpack_key, pack, unpack); other modules only add keys.
 _EXP_BITS = 32
 _EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_LIMIT = 1 << (_EXP_BITS - 1)
 
 
 def pack_key(e1: int, e2: int) -> int:
@@ -278,6 +280,8 @@ def numerators(coeffs: Mapping) -> tuple:
 def pack(poly: GradedPoly, den: int | None = None) -> tuple:
     """A polynomial of E_RING in packed form: numerators of its terms, as
     from numerators, keyed by packed exponents, in one pass."""
+    if poly.terms and max(map(max, poly.terms)) >= _EXP_LIMIT:
+        raise RingError(f"exponent too large to pack: {poly}")
     if den is None:
         den = lcm(*(c.denominator for c in poly.terms.values()))
     return den, {e1 << _EXP_BITS | e2: c.numerator * (den // c.denominator)

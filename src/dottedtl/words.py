@@ -412,10 +412,18 @@ def relation_instances(n_max: int = 4):
                    ambient(r3_r, left, right))
 
 
+# the widest ambient context verify_relations evaluates in: its state
+# spaces have 2^n_max states
+RELATION_WIDTH_BOUND = 10
+
+
 def verify_relations(params: DtlParams, n_max: int = 4) -> dict:
     """Check each defining relation and its e/f/h images in the matrix model."""
     if n_max < 0:
         raise WordError(f"ambient width must be non-negative, got {n_max}")
+    if n_max > RELATION_WIDTH_BOUND:
+        raise WordError(f"ambient width must be at most "
+                        f"{RELATION_WIDTH_BOUND}, got {n_max}")
     results = []
     ok = True
     for name, lhs, rhs in relation_instances(n_max):

@@ -9,10 +9,15 @@ import sys
 import pytest
 
 
-def run_cli(*args, env=None):
+# wall-time budget of one bounded CLI run: past it subprocess.run raises
+# TimeoutExpired, so an unbounded computation fails its test, not the suite
+BUDGET_S = 20
+
+
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "dottedtl.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
         env=None if env is None else {**os.environ, **env},
     )
 
@@ -35,6 +40,12 @@ def test_eval_expr_normalization():
     res = run_cli("eval-expr", "dot ; dot")
     assert res.returncode == 0
     assert res.stdout.strip() == "(E1)*(dot) + (-E2)*(id)"
+
+
+def test_eval_expr_large_power_is_one_monomial():
+    res = run_cli("eval-expr", "E1^2000000", timeout=BUDGET_S)
+    assert res.returncode == 0
+    assert res.stdout == "(E1^2000000)\n"
 
 
 def test_eval_expr_usage_error():
@@ -180,20 +191,22 @@ USAGE_ERRORS = [
      "error: n_max must be between 0 and 8, got 9"),
     (("decompose-b4", "--depth", "3"), "error: depth must be at least 4"),
     (("decompose-b2s2", "--depth", "5"), "error: depth must be at least 6"),
-    (("eval-expr", "u(4)"),
-     "error: macro argument out of range: u(4) (at position 0)"),
+    (("eval-expr", "u(5)"),
+     "error: macro argument out of range: u(5) (at position 0)"),
     (("dtl-verify", "--n-max", "-2"),
      "error: ambient width must be non-negative, got -2"),
     (("kirby-certify", "--levels", "9"),
      "error: strand bound exceeded: 16 > 8"),
     (("dtl-verify", "--n-max", "20"),
      "error: ambient width must be at most 10, got 20"),
+    (("eval-expr", "E2^4294967296"),
+     "error: exponent too large to pack: E2^4294967296"),
 ]
 
 
 @pytest.mark.parametrize("args,message", USAGE_ERRORS)
 def test_usage_errors_are_reported_by_main(args, message):
-    res = run_cli(*args)
+    res = run_cli(*args, timeout=BUDGET_S)
     assert res.returncode == 2
     assert res.stderr == message + "\n"
     assert "Traceback" not in res.stderr

@@ -1,7 +1,8 @@
-"""Exact linear algebra: the integer kernel against dense Gauss-Jordan."""
+"""Exact linear algebra: the sparse integer kernel against dense
+Gauss-Jordan."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -58,12 +59,42 @@ def matrices(draw, max_rows=7, max_cols=7):
     return rows
 
 
+def _sparse_int_rows(rows):
+    """Each row scaled by the lcm of its denominators, as {column: int}."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append({c: int(x * den) for c, x in enumerate(row) if x})
+    return out
+
+
+def _columns(rows):
+    """The system of rows as columns [{row index: int}], each row scaled as
+    by _sparse_int_rows, which changes neither kernel nor row space."""
+    ncols = len(rows[0]) if rows else 0
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(_sparse_int_rows(rows)):
+        for c, v in row.items():
+            cols[c][i] = v
+    return cols
+
+
+def _apply(rows, vec):
+    """The dense rows times the sparse vector {column: Fraction}."""
+    return [sum((row[c] * v for c, v in vec.items()), Fraction(0))
+            for row in rows]
+
+
 def assert_same_rref(rows):
-    got, ref = [list(r) for r in rows], [list(r) for r in rows]
-    pivots = exactla.rref(got)
-    assert pivots == dense_rref(ref)
-    assert got == ref
-    assert all(type(x) is Fraction for row in got for x in row)
+    ncols = len(rows[0]) if rows else 0
+    ref = [list(r) for r in rows]
+    pivots = dense_rref(ref)
+    got = exactla.rref(_sparse_int_rows(rows))
+    assert list(got) == pivots
+    for p, row in got.items():
+        assert min(row) == p and gcd(*row.values()) == 1
+    assert [[Fraction(row.get(c, 0), row[p]) for c in range(ncols)]
+            for p, row in got.items()] == ref[:len(pivots)]
 
 
 @LA_SETTINGS
@@ -80,7 +111,8 @@ def test_rref_more_rows_than_columns(rows):
 
 def test_rref_edge_shapes():
     F = Fraction
-    assert exactla.rref([]) == []
+    assert exactla.rref([]) == {}
+    assert exactla.rref([{}, {}]) == {}
     for rows in (
         [[]],
         [[], []],
@@ -90,54 +122,52 @@ def test_rref_edge_shapes():
         [[F(2), F(4), F(6)], [F(1), F(2), F(3)], [F(-3), F(-6), F(-9)]],
     ):
         assert_same_rref(rows)
-    assert len(exactla.rref([[F(1, 2), F(1, 3)], [F(3), F(2)]])) == 1
+    assert exactla.rref([{0: 3, 1: 2}, {0: 6, 1: 4}]) == {0: {0: 3, 1: 2}}
 
 
 @LA_SETTINGS
 @given(matrices(), st.data())
 def test_solve(rows, data):
     ncols = len(rows[0]) if rows else 0
-    x = [data.draw(entries) for _ in range(ncols)]
-    rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
-    sol = exactla.solve(rows, rhs)
+    x = {c: data.draw(entries) for c in range(ncols)}
+    rhs = _apply(rows, x)
+    # the augmented system's columns: the unknowns' and then the rhs
+    aug = _columns([row + [b] for row, b in zip(rows, rhs)]) or [{}]
+    sol = exactla.solve(aug[:-1], aug[-1])
     assert sol is not None
-    assert [sum((a * b for a, b in zip(row, sol)), Fraction(0))
-            for row in rows] == rhs
+    assert _apply(rows, sol) == rhs
+    assert all(type(v) is Fraction and v for v in sol.values())
+    assert list(sol) == sorted(sol)
     # free variables are zero
-    pivots = dense_rref([list(r) for r in rows])
-    assert all(v == 0 for c, v in enumerate(sol) if c not in pivots)
+    assert set(sol) <= set(dense_rref([list(r) for r in rows]))
 
 
 def test_solve_inconsistent_is_none():
     F = Fraction
-    rows = [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]
-    assert exactla.solve(rows, [F(1), F(3)]) == [F(2), F(0)]
-    assert exactla.solve(rows, [F(1), F(2)]) is None
-    assert exactla.solve([[F(0), F(0)]], [F(-1, 7)]) is None
-    assert exactla.solve([], [F(0)]) == []
-    assert exactla.solve([], [F(1)]) is None
+    # the rows 1/2 x + 1/3 y and 3/2 x + y, scaled to integers
+    columns = [{0: 3, 1: 3}, {0: 2, 1: 2}]
+    assert exactla.solve(columns, {0: 6, 1: 6}) == {0: F(2)}
+    # consistent on the one spanning row, refuted by the other
+    assert exactla.solve(columns, {0: 6, 1: 4}) is None
+    assert exactla.solve([{}, {}], {0: -1}) is None
+    assert exactla.solve([], {0: 0}) == {}
+    assert exactla.solve([], {0: 1}) is None
+    # labels are any keys; a label that no column reaches must be zero
+    assert exactla.solve([{"a": 2}], {"a": 4, "b": 0}) == {0: F(2)}
+    assert exactla.solve([{"a": 2}], {"a": 4, "b": 1}) is None
 
 
 @LA_SETTINGS
 @given(matrices())
 def test_nullspace_is_annihilated(rows):
     ncols = len(rows[0]) if rows else 0
-    basis = exactla.nullspace(rows, ncols)
+    basis = exactla.nullspace(_columns(rows))
     pivots = dense_rref([list(r) for r in rows])
     assert len(basis) == ncols - len(pivots)
     for vec in basis:
-        assert any(vec)
-        for row in rows:
-            assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
-
-
-def _sparse_int_rows(rows):
-    """Each row scaled by the lcm of its denominators, as {column: int}."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append({c: int(x * den) for c, x in enumerate(row) if x})
-    return out
+        assert vec and list(vec) == sorted(vec)
+        assert all(type(v) is Fraction and v for v in vec.values())
+        assert not any(_apply(rows, vec))
 
 
 def _reduced(rows):
@@ -148,10 +178,11 @@ def _reduced(rows):
 
 
 def assert_row_basis(rows):
-    basis = exactla.row_basis(_sparse_int_rows(rows))
-    assert basis == sorted(set(basis))
+    """The rows solve eliminates on: distinct, independent, as many as the
+    rank, and spanning, so they have the RREF of all rows."""
+    basis = exactla._spanning_rows(exactla._rows(_columns(rows)))
+    assert len(set(basis)) == len(basis)
     chosen = [rows[r] for r in basis]
-    # independent, as many as the rank, and spanning: the same RREF
     assert len(dense_rref([list(r) for r in chosen])) == len(basis)
     assert len(basis) == len(dense_rref([list(r) for r in rows]))
     assert _reduced(chosen) == _reduced(rows)
@@ -171,10 +202,9 @@ def test_row_basis_of_tall_matrices(rows):
 
 def test_row_basis_edge_cases():
     F = Fraction
-    assert exactla.row_basis([]) == []
-    assert exactla.row_basis([{}, {}]) == []
+    assert exactla._spanning_rows({}) == []
     # zero and duplicate rows are left out; the sparsest rows come first
     rows = [[F(0), F(0), F(0)], [F(1), F(2), F(3)], [F(2), F(4), F(6)],
             [F(0), F(5), F(0)], [F(1), F(2), F(3)], [F(1), F(-3), F(3)]]
     assert_row_basis(rows)
-    assert exactla.row_basis(_sparse_int_rows(rows)) == [1, 3]
+    assert exactla._spanning_rows(exactla._rows(_columns(rows))) == [3, 1]

@@ -455,10 +455,11 @@ def truncated_e_kernel(m: rep.TruncatedModule, lam: int) -> list:
     dropped: the highest-weight vectors a truncation of e's images finds."""
     keys = [k for k in m.basis if m.weights[k] == lam]
     basis = set(m.basis)
-    targets, rows = m._e_matrix(keys)
-    rows = [row for t, row in zip(targets, rows) if t in basis]
-    return [{k: c for k, c in zip(keys, v) if c}
-            for v in exactla.nullspace(rows, len(keys))]
+    etable = m.tables["e"][1]
+    columns = [{t: c for t, c in etable.get(k, {}).items() if t in basis}
+               for k in keys]
+    return [{keys[j]: c for j, c in v.items()}
+            for v in exactla.nullspace(columns)]
 
 
 def test_zuckerman_on_a_minus_block_classifies_nothing():

@@ -93,3 +93,17 @@ def test_packed_keys_add_like_exponent_pairs():
     for d1, d2 in ((-1, 1), (1, -1), (-2, -1), (2, 3)):
         assert unpack_key(pack_key(4, 5) + pack_key(d1, d2)) \
             == (4 + d1, 5 + d2)
+
+
+def test_pack_refuses_exponents_that_would_carry():
+    """An exponent of 2^31 or more is refused, in either generator, so no
+    packed product carries one generator's exponent into the other's;
+    2^31 - 1 still packs and round-trips."""
+    top = 2 ** 31 - 1
+    for e1, e2 in ((top, 0), (0, top), (top, top)):
+        p = E_RING.gen("E1", e1) * E_RING.gen("E2", e2)
+        assert unpack(pack(p)[1], 1) == p
+    for e1, e2 in ((top + 1, 0), (0, top + 1), (0, 2 ** 32), (5, 2 ** 40)):
+        p = 3 + E_RING.gen("E1", e1) * E_RING.gen("E2", e2)
+        with pytest.raises(RingError, match="too large to pack"):
+            pack(p)

@@ -84,6 +84,18 @@ def test_relations_reject_negative_width():
     assert len(verify_relations(PARAM_SETS[0], n_max=0)["checks"]) == 4
 
 
+def test_relations_reject_width_past_the_bound(monkeypatch):
+    """A width past RELATION_WIDTH_BOUND is refused before any relation is
+    built."""
+    def never(n_max):
+        raise AssertionError("relation_instances ran")
+
+    monkeypatch.setattr(words, "relation_instances", never)
+    for n_max in (words.RELATION_WIDTH_BOUND + 1, 20):
+        with pytest.raises(WordError, match=f"at most 10, got {n_max}$"):
+            verify_relations(PARAM_SETS[0], n_max=n_max)
+
+
 def test_act_is_linear():
     rng = random.Random(13)
     p = PARAM_SETS[3]
