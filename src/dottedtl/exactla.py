@@ -17,7 +17,7 @@ divided by its pivot entry, is that of plain Gauss-Jordan elimination over
 forward pass, sparsest rows first, picks rows that span the row space; the
 augmented system is eliminated on those rows alone; and the solution is
 checked exactly against every row, which also rejects a right-hand side on
-a label that no column reaches.
+a label that no column reaches; a ``System`` keeps its spanning rows.
 """
 
 from __future__ import annotations
@@ -113,13 +113,27 @@ def _satisfies(columns: list[dict], x: dict, rhs: dict) -> bool:
         {r: v * den for r, v in rhs.items() if v}
 
 
+class System(list):
+    """Columns with their (rows, spanning rows), found once, so a system
+    solved for many right-hand sides pays the spanning-rows pass once."""
+
+    __slots__ = ("spanned",)
+
+    def __init__(self, columns):
+        super().__init__(columns)
+        rows = _rows(self)
+        self.spanned = rows, _spanning_rows(rows)
+
+
 def solve(columns: list[dict], rhs: dict):
     """The solution x of sum_j x[j] * columns[j] = rhs with every free
     unknown zero, or None if rhs is off the span of the columns."""
-    rows = _rows(columns)
+    if not isinstance(columns, System):
+        columns = System(columns)
+    rows, spanning = columns.spanned
     n = len(columns)
     aug = []
-    for r in _spanning_rows(rows):
+    for r in spanning:
         b = rhs.get(r)
         aug.append({**rows[r], n: b} if b else rows[r])
     # the rows are independent, so n is no pivot: every row's rhs entry is

@@ -13,6 +13,8 @@ Grammar, loosest to tightest binding:
 
 Scalars and diagrams mix freely under '*'; '/' needs a constant divisor.
 A pure-scalar expression denotes that multiple of the empty diagram.
+Parsed scalars are GradedPolys until they scale a combination; combos,
+their printing and their rewriting read packed tables (words.Combo).
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import exactla, projectors, statespace, words
-from .ring import (E_RING, GradedPoly, pack, pack_key, packed_add,
-                   packed_mul, unpack, unpack_key)
+from .ring import (E_RING, GradedPoly, pack_key, packed_add, packed_mul,
+                   packed_str, unpack_key)
 from .words import (
     Combo,
     Word,
@@ -295,15 +296,16 @@ def print_word(w: Word) -> str:
 
 
 def print_combo(combo: Combo) -> str:
-    if not combo.terms:
+    den, table = combo._packed()
+    if not table:
         return "0"
     pieces = []
-    for w in sorted(combo.terms, key=lambda w: (len(w.slices), repr(w))):
-        c = combo.terms[w]
+    for w in sorted(table, key=lambda w: (len(w.slices), repr(w))):
         ws = print_word(w)
+        c = packed_str(table[w], den)
         if ws == "1":
             pieces.append(f"({c})")
-        elif str(c) == "1":
+        elif c == "1":
             pieces.append(f"({ws})")
         else:
             pieces.append(f"({c})*({ws})")
@@ -323,13 +325,12 @@ def _degree_system(n_in: int, n_out: int, deg: int):
     integers: (unknowns, row_index, columns).
 
     Unknown j = (i, mu, den) is outer_dot_basis element i times the
-    monomial mu = (e1, e2); a diagram with k dots has degree 2k, so it
-    contributes the monomials of degree deg - 2k only.  den is the
-    denominator of the element's matching_matrix table.  row_index numbers
-    each (row, col, packed exponent) an unknown reaches, and columns[j] =
-    {row number: int numerator over den}.  No target enters the system, so
-    it is built once per (n_in, n_out, deg) and shared by every call;
-    callers only read it.
+    monomial mu = (e1, e2) of degree deg - 2 * (its dots), den the
+    denominator of its matching_matrix table.  row_index numbers each
+    (row, col, packed exponent) an unknown reaches; columns, an
+    exactla.System, has columns[j] = {row number: int numerator over den}.
+    It is built once per (n_in, n_out, deg), spanning rows included, and
+    shared by every call; callers only read it.
     """
     unknowns = []
     row_index: dict = {}
@@ -347,7 +348,7 @@ def _degree_system(n_in: int, n_out: int, deg: int):
                 row_index.setdefault((r, c, e + shift), len(row_index)): v
                 for c, tcol in table.items()
                 for r, t in tcol.items() for e, v in t.items()})
-    return unknowns, row_index, columns
+    return unknowns, row_index, exactla.System(columns)
 
 
 def normalize_matrix(mat, n_in: int, n_out: int):
@@ -370,8 +371,7 @@ def normalize_matrix(mat, n_in: int, n_out: int):
             q = statespace.basis_qdegree(r, n_out) - qc
             for e, v in t.items():
                 a, b = unpack_key(e)
-                deg = q + 2 * a + 4 * b
-                targets.setdefault(deg, {})[(r, c, e)] = v
+                targets.setdefault(q + 2 * a + 4 * b, {})[(r, c, e)] = v
 
     coeffs: dict = {}
     for deg, target in sorted(targets.items()):
@@ -387,33 +387,28 @@ def normalize_matrix(mat, n_in: int, n_out: int):
             i, mu, den_j = unknowns[j]
             coeffs.setdefault(i, {})[mu] = v * den_j / den
     span = outer_dot_basis(n_in, n_out)
-    return [
-        (GradedPoly(E_RING, terms), span[i][0], span[i][1])
-        for i, terms in sorted(coeffs.items())
-    ]
-
-
-def _as_combo(terms, n_in: int, n_out: int) -> Combo:
-    """The combination of matching words of [(coefficient, matching, dots)]."""
-    out = Combo(n_in=n_in, n_out=n_out)
-    for poly, m, d in terms:
-        out._add(words.matching_to_word(m, d, n_in, n_out), poly)
-    return out
+    return [(GradedPoly(E_RING, terms), *span[i])
+            for i, terms in sorted(coeffs.items())]
 
 
 def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
     """A combination of matching words with the given evaluation."""
-    return _as_combo(normalize_matrix(mat, n_in, n_out), n_in, n_out)
+    out = Combo(n_in=n_in, n_out=n_out)
+    for poly, m, d in normalize_matrix(mat, n_in, n_out):
+        out._add(words.matching_to_word(m, d, n_in, n_out), poly)
+    return out
 
 
 def normalize_combo(combo: Combo) -> Combo:
     """The combination rewritten into the outer-dot basis (rewrite_combo),
-    as a combination of matching words."""
+    as a combination of matching words, built from the packed coefficients."""
     n_in, n_out = combo.n_in, combo.n_out
     if n_in is None:
         raise ExprError("cannot normalize an empty combination of no shape")
     _check_normalize_bound(n_in, n_out)
-    return _as_combo(rewrite_combo(combo), n_in, n_out)
+    den, terms = rewrite_combo(combo)
+    return Combo._of_packed(n_in, n_out, den, {
+        words.matching_to_word(m, d, n_in, n_out): t for t, m, d in terms})
 
 
 # -- normal forms by rewriting ------------------------------------------------
@@ -503,9 +498,8 @@ def _outward(elem: tuple) -> dict:
 def _contract(w: Word) -> tuple:
     """({(x, y): dots} of the word's arcs, [dots of each closed loop]), by
     union-find over its strand segments."""
-    n_in, n_out = w.n_in, w.n_out
-    parent = list(range(n_in))
-    dots = [0] * n_in
+    n_in = w.n_in
+    parent, dots = list(range(n_in)), [0] * n_in
 
     def find(x):
         while parent[x] != x:
@@ -558,19 +552,18 @@ def outer_dot_basis(n_in: int, n_out: int) -> list:
             if _nested_dot(_circular(m, d, n_in, n_out)) is None]
 
 
-def rewrite_combo(combo: Combo) -> list:
+def rewrite_combo(combo: Combo) -> tuple:
     """The normal form of normalize_matrix(combo.evaluate()), found by the
-    diagram relations: each word is contracted to one dotted matching times
-    its loop values (_CIRCLE), dots reduced by _DOT_SQUARE, then moved out
-    by _outward.  No matrix is built.  Returns [(coefficient, matching,
-    dots)] in outer_dot_basis order."""
+    diagram relations on the combination's packed table: each word is
+    contracted to one dotted matching times its loop values (_CIRCLE), dots
+    reduced by _DOT_SQUARE, then moved out by _outward.  No matrix is
+    built.  Returns (den, [(packed coefficient over den, matching, dots)])
+    in outer_dot_basis order."""
     n_in, n_out = combo.n_in, combo.n_out
-    den = lcm(*(c.denominator for poly in combo.terms.values()
-                for c in poly.terms.values()))
+    den, table = combo._packed()
     coeffs: dict = {}
-    for w, poly in combo.terms.items():
+    for w, coeff in table.items():
         arcs, loops = _contract(w)
-        coeff = pack(poly, den)[1]
         for k in loops:
             a, b = _dot_power(k)
             coeff = packed_mul(coeff, packed_add(packed_mul(a, _CIRCLE[1]),
@@ -580,12 +573,8 @@ def rewrite_combo(combo: Combo) -> list:
         for elem, c in reduced.items():
             for basis, c2 in _outward(elem).items():
                 packed_add(coeffs.setdefault(basis, {}), packed_mul(c, c2))
-    out = []
-    for m, d in outer_dot_basis(n_in, n_out):
-        poly = unpack(coeffs.get(_circular(m, d, n_in, n_out), {}), den)
-        if poly:
-            out.append((poly, m, d))
-    return out
+    return den, [(t, m, d) for m, d in outer_dot_basis(n_in, n_out)
+                 if (t := coeffs.get(_circular(m, d, n_in, n_out)))]
 
 
 def normalized_string(combo: Combo) -> str:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 from . import exactla
-from .ring import numerators
+from .ring import divide_content, numerators
 from .sl2 import BASE_SPEC, Sl2ActionSpec
 
 class RepError(Exception):
@@ -37,15 +37,6 @@ class ModuleTwist:
     @property
     def a(self) -> Fraction:
         return Fraction(-self.shift, 2)
-
-
-def _canonical(den: int, table: dict) -> tuple:
-    """(den, table) divided by the gcd of den and the table's numerators."""
-    content = gcd(den, *(c for col in table.values() for c in col.values()))
-    if content == 1:
-        return den, table
-    return den // content, {k: {k2: c // content for k2, c in col.items()}
-                            for k, col in table.items()}
 
 
 def _weight_table(weights: dict) -> tuple:
@@ -127,7 +118,7 @@ class TruncatedModule:
         self.name = name
         self.basis = sorted(keys)
         self.weights = {k: spec.weight_of_monomial(k) for k in self.basis}
-        self.tables = {"h": _weight_table(self.weights), "e": _canonical(
+        self.tables = {"h": _weight_table(self.weights), "e": divide_content(
             spec.den["e"], {k: col for k in self.basis
                             if (col := spec.derive_monomial("e", k, 1, {}))})}
 

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: graded polynomial rings over Q, and the one
 packed integer format of Q[E1,E2] that every kernel computes in (pack_key,
-unpack_key, pack, unpack, numerators, packed_mul).
+unpack_key, pack, pack_coefficient, pack_terms, unpack, packed_str,
+numerators, packed_add, packed_mul, divide_content, check_exponents).
 
 Everything downstream is linear algebra over these rings, so all operations
 are exact: Fraction coefficients or int numerators over one denominator,
@@ -10,7 +11,9 @@ no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping
 
 
@@ -76,6 +79,9 @@ class PolyRing:
                 raise RingError("mixed rings")
             return x
         return self.const(x)
+
+    def monomial_degree(self, exp: tuple) -> int:
+        return sum(p * d for p, d in zip(exp, self.degrees))
 
     def __repr__(self):
         return "PolyRing(" + ", ".join(self.names) + ")"
@@ -187,42 +193,29 @@ class GradedPoly:
         return self.terms[self.ring._zero_exp]
 
     def monomial_degree(self, exp: tuple) -> int:
-        return sum(p * d for p, d in zip(exp, self.ring.degrees))
+        return self.ring.monomial_degree(exp)
 
     # -- printing -----------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda ec: (self.monomial_degree(ec[0]), ec[0])
-        )
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self._sorted_terms():
-            factors = []
-            for name, p in zip(self.ring.names, e):
-                if p == 1:
-                    factors.append(name)
-                elif p:
-                    factors.append(f"{name}^{p}")
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first = parts[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _format(self.ring, {e: (c.numerator, c.denominator)
+                                   for e, c in self.terms.items()})
 
     __repr__ = __str__
+
+
+def _format(ring: PolyRing, terms: dict) -> str:
+    """The text of {exponents: (numerator, denominator) in lowest terms}."""
+    out = ""
+    for e in sorted(terms, key=lambda e: (ring.monomial_degree(e), e)):
+        n, d = terms[e]
+        mono = "*".join(name if p == 1 else f"{name}^{p}"
+                        for name, p in zip(ring.names, e) if p)
+        c = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        body = mono if mono and c == "1" else f"{c}*{mono}" if mono else c
+        out += ("-" if n < 0 else "") + body if not out else \
+            f" {'-' if n < 0 else '+'} {body}"
+    return out or "0"
 
 
 # -- standard rings ---------------------------------------------------------
@@ -257,6 +250,8 @@ LASAGNA_RING = PolyRing([GenSpec("E1", 2), GenSpec("E2", 4), GenSpec("A1", -2),
 _EXP_BITS = 32
 _EXP_MASK = (1 << _EXP_BITS) - 1
 _EXP_LIMIT = 1 << (_EXP_BITS - 1)
+# the bits of a key whose E1 or E2 exponent is _EXP_LIMIT or more
+_EXP_OVERFLOW = -_EXP_LIMIT << _EXP_BITS | _EXP_LIMIT
 
 
 def pack_key(e1: int, e2: int) -> int:
@@ -288,10 +283,56 @@ def pack(poly: GradedPoly, den: int | None = None) -> tuple:
                  for (e1, e2), c in poly.terms.items()}
 
 
+def pack_coefficient(c) -> tuple:
+    """(den, packed numerators) of a GradedPoly of E_RING (as pack gives
+    it), a rational (an int builds no Fraction) or such a pair itself."""
+    if isinstance(c, tuple):
+        return c
+    if isinstance(c, GradedPoly):
+        return pack(E_RING.coerce(c))
+    if not isinstance(c, int):
+        c = Fraction(c)
+    return c.denominator, {0: c.numerator} if c else {}
+
+
+def pack_terms(coeffs: Mapping) -> tuple:
+    """(den, {key: packed numerators}) of {key: coefficient} (as for
+    pack_coefficient) over the lcm of their denominators, so gcd(den,
+    every numerator) = 1; zero coefficients are left out."""
+    packed = [(k, pack_coefficient(c)) for k, c in coeffs.items()]
+    den = lcm(1, *(d for _, (d, _) in packed))
+    return den, {k: {e: c * (den // d) for e, c in t.items()}
+                 for k, (d, t) in packed if t}
+
+
+def divide_content(den: int, table: dict) -> tuple:
+    """(den, table) of packed numerators {key: {key: int}} over den, divided
+    by the gcd of den and every numerator."""
+    content = gcd(den, *(c for t in table.values() for c in t.values()))
+    if content == 1:
+        return den, table
+    return den // content, {k: {e: c // content for e, c in t.items()}
+                            for k, t in table.items()}
+
+
 def unpack(terms: dict, den: int) -> GradedPoly:
     """The GradedPoly of packed terms over den."""
     return GradedPoly(E_RING, {(e >> _EXP_BITS, e & _EXP_MASK):
                                Fraction(c, den) for e, c in terms.items()})
+
+
+def packed_str(terms: dict, den: int) -> str:
+    """str(unpack(terms, den)), built without a GradedPoly or a Fraction."""
+    return _format(E_RING, {unpack_key(e): (c // g, den // g) for e, c in
+                            terms.items() for g in (gcd(c, den),)})
+
+
+def check_exponents(den: int, polys) -> None:
+    """Refuse, as pack does, packed numerators over den with an exponent of
+    2^(_EXP_BITS - 1) or more, which a product could carry into E1's."""
+    for t in polys:
+        if reduce(or_, t, 0) & _EXP_OVERFLOW:
+            raise RingError(f"exponent too large to pack: {unpack(t, den)}")
 
 
 def packed_add(acc: dict, q: dict) -> dict:

@@ -7,15 +7,12 @@ the base ring are the semantic values of diagrams and the equality oracle.
 Basis convention: words over {A1, A0}, A1 < A0, lexicographic; index bit 0 is
 A1 and bit 1 is A0, with the first strand in the most significant position.
 
-A PolyMatrix is stored in packed integer form: one common denominator den
-and a table {col: {row: packed numerators}}, each entry in ring's packed
-format.  The table is canonical: no zero numerator, no empty entry or
-column, and gcd(den, every numerator) = 1, so equal matrices have equal
-(den, table).  Every kernel (product, tensor, sums, scaling, the sl2
-action, whose base derivation is sl2.derive_packed) reads and writes
-tables and ends in one normalisation, from_packed.  GradedPoly entries
-with Fraction coefficients are built only at the API boundary: m[i, j] and
-cols.
+A PolyMatrix is stored as one denominator den and a canonical table
+{col: {row: packed numerators}} (ring's format): no zero numerator, no
+empty entry or column, gcd(den, every numerator) = 1, so equal matrices
+have equal (den, table).  Every kernel reads and writes tables and ends
+in one normalisation, from_packed; GradedPolys are built only by m[i, j]
+and cols.
 """
 
 from __future__ import annotations
@@ -24,12 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .ring import (E_RING, LASAGNA_RING, GradedPoly, pack, packed_mul, unpack,
-                   unpack_key)
+from .ring import (E1, E2, E_RING, LASAGNA_RING, GradedPoly, pack, pack_terms,
+                   pack_coefficient, packed_mul, unpack, unpack_key)
 from .sl2 import GENERATORS, LASAGNA_SPEC, DtlParams, TwistData, derive_packed
-
-E1 = E_RING.gen("E1")
-E2 = E_RING.gen("E2")
 
 A1, A0 = 0, 1  # bit values of the two basis letters
 
@@ -47,25 +41,13 @@ def basis_qdegree(index: int, n: int) -> int:
     return -basis_weight(index, n)
 
 
-def _pack_cols(cols: dict):
-    """(den, table) of a {col: {row: GradedPoly}} dict; zero entries and
-    empty columns are skipped.  den is the lcm of every coefficient's
-    denominator, so gcd(den, every numerator) = 1."""
-    den = 1
-    for col in cols.values():
-        for v in col.values():
-            for c in v.terms.values():
-                d = c.denominator
-                if den % d:
-                    den = lcm(den, d)
-    table = {}
-    for j, col in cols.items():
-        tcol = {}
-        for i, v in col.items():
-            if v.terms:
-                tcol[i] = pack(v, den)[1]
-        if tcol:
-            table[j] = tcol
+def _pack_cols(cells: dict):
+    """(den, table) of {(row, col): coefficient}: ring.pack_terms, grouped
+    by column."""
+    den, packed = pack_terms(cells)
+    table: dict = {}
+    for (i, j), t in packed.items():
+        table.setdefault(j, {})[i] = t
     return den, table
 
 
@@ -140,16 +122,8 @@ class PolyMatrix:
     __slots__ = ("n_out", "n_in", "_den", "_table", "_cols")
 
     def __init__(self, n_out: int, n_in: int, entries=None):
-        self.n_out = n_out
-        self.n_in = n_in
-        self._cols = None
-        cols: dict = {}
-        if entries:
-            for (i, j), v in entries.items():
-                v = E_RING.coerce(v)
-                if v.terms:
-                    cols.setdefault(j, {})[i] = v
-        self._den, self._table = _pack_cols(cols)
+        self.n_out, self.n_in, self._cols = n_out, n_in, None
+        self._den, self._table = _pack_cols(entries or {})
 
     @classmethod
     def from_packed(cls, n_out: int, n_in: int, den: int,
@@ -172,7 +146,8 @@ class PolyMatrix:
         """(den, table): the stored table, or the cols dict packed afresh."""
         if self._table is not None:
             return self._den, self._table
-        return _pack_cols(self._cols)
+        return _pack_cols({(i, j): v for j, col in self._cols.items()
+                           for i, v in col.items()})
 
     @property
     def cols(self) -> dict:
@@ -302,19 +277,16 @@ def side_size(n: int) -> int:
 
 def linear_combination(n_out: int, n_in: int, terms) -> PolyMatrix:
     """The linear-combination kernel of +, -, negation, scale and
-    Combo.evaluate: the sum of c * m over the (c, m) pairs of terms, c a
-    GradedPoly or a rational and each m of shape n_out <- n_in, over the
-    lcm of the terms' denominators.  A constant c keeps each packed key
-    object as it is, where e + 0 would allocate a new int per term."""
+    Combo.evaluate: the sum of c * m over the (c, m) pairs of terms, c as
+    ring.pack_coefficient takes it (Combo.evaluate's come packed) and each
+    m of shape n_out <- n_in, over the lcm of the terms' denominators.  A
+    constant c keeps each packed key object as it is, where e + 0 would
+    allocate a new int per term."""
     packed = []
     for c, m in terms:
         if (m.n_out, m.n_in) != (n_out, n_in):
             raise ValueError("shape mismatch")
-        if isinstance(c, GradedPoly):
-            den_c, ct = pack(E_RING.coerce(c))
-        else:
-            c = Fraction(c)
-            den_c, ct = c.denominator, {0: c.numerator} if c else {}
+        den_c, ct = pack_coefficient(c)
         den_m, table = m._packed()
         if ct and table:
             packed.append((den_c * den_m, ct, table))

@@ -1,11 +1,12 @@
 """Formal diagram words in the dotted planar calculus.
 
 A word is a stack of slices, each slice a horizontal tensor of primitives
-(id, dot, cup, cap), composed bottom to top.  Formal linear combinations
-with polynomial coefficients carry the parameterized sl2 action by the
-Leibniz rule, read off one packed-integer table of primitive images per
-(generator, parameters), the coefficients differentiated in ring's packed
-format; equality testing happens in the state-space matrices.
+(id, dot, cup, cap), composed bottom to top.  A Combo, a formal linear
+combination of words, stores ring's packed numerators over one den; its
+arithmetic and the sl2 action (the Leibniz rule on one packed table of
+primitive images per (generator, parameters)) compute on them, and a
+GradedPoly is built only where coefficients come in or terms is read.
+Evaluations are compared in the state-space matrices.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import itertools
 from functools import lru_cache
 from math import lcm
 
-from .ring import E_RING, pack, packed_add, packed_mul, unpack
+from .ring import (E1, E2, E_RING, check_exponents, divide_content, pack,
+                   pack_coefficient, pack_terms, packed_add, packed_mul,
+                   packed_str, unpack)
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams, derive_packed
 from .statespace import (PRIM_ARITY, PRIM_MATRICES, PolyMatrix,
                          linear_combination)
-
-E1 = E_RING.gen("E1")
-E2 = E_RING.gen("E2")
 
 
 class WordError(Exception):
@@ -36,17 +36,14 @@ class Word:
         slices = tuple(tuple(s) for s in slices)
         if not slices:
             raise WordError("a word needs at least one slice (use identity_word)")
-        self.slices = slices
-        self.counts = _strand_counts(slices)
+        self.slices, self.counts = slices, _strand_counts(slices)
         self._hash = hash(slices)
 
     @classmethod
     def _spliced(cls, slices: tuple, counts: tuple) -> "Word":
         """A word from slices whose strand counts the caller has checked."""
         w = object.__new__(cls)
-        w.slices = slices
-        w.counts = counts
-        w._hash = hash(slices)
+        w.slices, w.counts, w._hash = slices, counts, hash(slices)
         return w
 
     @property
@@ -90,72 +87,103 @@ def identity_word(n: int) -> Word:
 
 
 class Combo:
-    """Formal linear combination of words with GradedPoly coefficients."""
+    """Formal linear combination of words over Q[E1, E2], stored as a
+    PolyMatrix is: den and a canonical table {word: packed numerators}, so
+    == is structural.  Entries are never changed, so tables share them.
+    terms is the mutable {word: GradedPoly} view, as PolyMatrix.cols is.
+    Combo(terms), Combo.of and _add take GradedPolys or rationals."""
 
-    __slots__ = ("terms", "n_in", "n_out")
+    __slots__ = ("n_in", "n_out", "_den", "_table", "_terms")
 
     def __init__(self, terms=None, n_in=None, n_out=None):
-        self.terms: dict = {}
-        self.n_in = n_in
-        self.n_out = n_out
-        if terms:
-            for w, c in terms.items():
-                self._add(w, c)
+        self.n_in, self.n_out = n_in, n_out
+        self._den, self._table, self._terms = 1, {}, None
+        for w, c in (terms or {}).items():
+            self._add(w, c)
 
     @classmethod
     def of(cls, word: Word, coeff=1) -> "Combo":
-        return cls({word: E_RING.coerce(coeff)}, word.n_in, word.n_out)
+        den, t = pack_coefficient(coeff)
+        return cls._of_packed(word.n_in, word.n_out, den, {word: t})
 
     @classmethod
     def zero(cls, n_in, n_out) -> "Combo":
         return cls(None, n_in, n_out)
 
-    def _add(self, w: Word, c):
-        c = E_RING.coerce(c)
-        if self.n_in is None:
-            self.n_in, self.n_out = w.n_in, w.n_out
-        elif (w.n_in, w.n_out) != (self.n_in, self.n_out):
-            raise WordError("adding words of different shapes")
-        s = self.terms.get(w)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = s
-
     @classmethod
-    def _of_terms(cls, terms: dict, n_in, n_out) -> "Combo":
-        """A combination owning terms, a dict of nonzero GradedPoly
-        coefficients on words of shape (n_in, n_out)."""
+    def _of_packed(cls, n_in, n_out, den: int, acc: dict) -> "Combo":
+        """The combination of acc, {word: packed numerators over den}, made
+        canonical; an exponent past the packed format raises RingError.
+        acc's dicts may become the table: the caller leaves them be."""
+        table = {}
+        for w, t in acc.items():
+            if 0 in t.values():
+                t = {e: c for e, c in t.items() if c}
+            if t:
+                table[w] = t
+        check_exponents(den, table.values())
         out = cls(None, n_in, n_out)
-        out.terms = terms
+        out._den, out._table = divide_content(den, table)
         return out
 
-    def __add__(self, other: "Combo") -> "Combo":
-        if other.n_in is not None and self.n_in is not None and \
+    def _packed(self):
+        """(den, table): the stored table, or the terms dict packed afresh."""
+        if self._terms is None:
+            return self._den, self._table
+        return pack_terms(self._terms)
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = {w: unpack(t, self._den)
+                           for w, t in self._table.items()}
+        return self._terms
+
+    def _add(self, w: Word, c):
+        """Add c, a GradedPoly or a rational, to the coefficient of w."""
+        out = self + Combo.of(w, c)
+        self.n_in, self.n_out = out.n_in, out.n_out
+        self._den, self._table, self._terms = out._den, out._table, None
+
+    def _sum(self, other: "Combo", sign: int) -> "Combo":
+        """self + sign * other, sign being 1 or -1."""
+        if None not in (self.n_in, other.n_in) and \
                 (other.n_in, other.n_out) != (self.n_in, self.n_out):
             raise WordError("shape mismatch")
-        out = Combo._of_terms(dict(self.terms), self.n_in, self.n_out)
-        for w, c in other.terms.items():
-            out._add(w, c)
-        if out.n_in is None:
-            out.n_in, out.n_out = other.n_in, other.n_out
-        return out
+        (da, ta), (db, tb) = self._packed(), other._packed()
+        den = lcm(da, db)
+        acc = {w: _times(t, den // da) for w, t in ta.items()}
+        for w, t in tb.items():
+            t = _times(t, sign * (den // db))
+            acc[w] = packed_add(dict(acc[w]), t) if w in acc else t
+        shape = other if self.n_in is None else self
+        return Combo._of_packed(shape.n_in, shape.n_out, den, acc)
+
+    def __add__(self, other: "Combo") -> "Combo":
+        return self._sum(other, 1)
+
+    def __sub__(self, other: "Combo") -> "Combo":
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return Combo._of_terms({w: -c for w, c in self.terms.items()},
-                               self.n_in, self.n_out)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self.scale(-1)
 
     def scale(self, c) -> "Combo":
-        c = E_RING.coerce(c)
-        if c.is_zero():
-            return Combo.zero(self.n_in, self.n_out)
-        # Q[E1, E2] has no zero divisors, so no product vanishes
-        return Combo._of_terms({w: v * c for w, v in self.terms.items()},
-                               self.n_in, self.n_out)
+        """c times the combination, for c a GradedPoly or a rational."""
+        (dc, ct), (den, table) = pack_coefficient(c), self._packed()
+        return Combo._of_packed(self.n_in, self.n_out, den * dc, {
+            w: packed_mul(t, ct) for w, t in table.items()})
+
+    def _product(self, other: "Combo", join, n_in, n_out) -> "Combo":
+        """The kernel of then and tensor: the sum over term pairs of
+        join(w1, w2) times the product of their coefficients."""
+        (da, ta), (db, tb) = self._packed(), other._packed()
+        acc: dict = {}
+        for w1, t1 in ta.items():
+            for w2, t2 in tb.items():
+                w, p = join(w1, w2), packed_mul(t1, t2)
+                acc[w] = packed_add(acc[w], p) if w in acc else p
+        return Combo._of_packed(n_in, n_out, da * db, acc)
 
     def then(self, other: "Combo") -> "Combo":
         """Stack: self applied first, then other."""
@@ -163,34 +191,37 @@ class Combo:
             raise WordError(
                 f"cannot stack: {self.n_out} output strands vs {other.n_in} inputs"
             )
-        out = Combo.zero(self.n_in, other.n_out)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out._add(Word._spliced(w1.slices + w2.slices,
-                                       w1.counts + w2.counts[1:]), c1 * c2)
-        return out
+        return self._product(other, lambda w1, w2: Word._spliced(
+            w1.slices + w2.slices, w1.counts + w2.counts[1:]),
+            self.n_in, other.n_out)
 
     def tensor(self, other: "Combo") -> "Combo":
-        out = Combo.zero(self.n_in + other.n_in, self.n_out + other.n_out)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out._add(_tensor_words(w1, w2), c1 * c2)
-        return out
+        return self._product(other, _tensor_words, self.n_in + other.n_in,
+                             self.n_out + other.n_out)
 
     def evaluate(self) -> PolyMatrix:
         """The state-space matrix, sum of coeff * evaluate_word(w), by
-        statespace.linear_combination."""
-        return linear_combination(
-            self.n_out, self.n_in,
-            [(c, evaluate_word(w)) for w, c in self.terms.items()])
+        statespace.linear_combination on the packed coefficients."""
+        den, table = self._packed()
+        return linear_combination(self.n_out, self.n_in, [
+            ((den, t), evaluate_word(w)) for w, t in table.items()])
+
+    def __eq__(self, other):
+        return isinstance(other, Combo) and (self.n_in, self.n_out) == (
+            other.n_in, other.n_out) and self._packed() == other._packed()
 
     def is_empty(self) -> bool:
-        return not self.terms
+        return not self._packed()[1]
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*[{w!r}]" for w, c in self.terms.items())
+        den, table = self._packed()
+        return " + ".join(f"({packed_str(t, den)})*[{w!r}]"
+                          for w, t in table.items()) or "0"
+
+
+def _times(t: dict, m: int) -> dict:
+    """The packed numerators t times the int m; t itself when m is 1."""
+    return t if m == 1 else {e: c * m for e, c in t.items()}
 
 
 def _tensor_words(w1: Word, w2: Word) -> Word:
@@ -230,40 +261,18 @@ def evaluate_word(w: Word) -> PolyMatrix:
 
 def _prim_images(g: str, prim: str, p: DtlParams):
     """Image of one primitive as [(coefficient, local slices)], empty if zero."""
-    a1, a2 = p.a1, p.a2
-    if prim == "id":
-        return []
-    if prim == "dot":
-        if g == "e":
-            return [(E_RING.const(-1), (("id",),))]
-        if g == "f":
-            return [(E_RING.one, (("dot",), ("dot",)))]
-        return [(E_RING.const(-2), (("dot",),))]
-    if prim == "cup":
-        if g == "e":
-            return []
-        if g == "f":
-            out = []
-            if a1:
-                out.append((E_RING.const(-a1), (("cup",), ("dot", "id"))))
-            if a2:
-                out.append((-a2 * E1, (("cup",),)))
-            return out
-        c = a1 + 2 * a2
-        return [(E_RING.const(c), (("cup",),))] if c else []
-    if prim == "cap":
-        if g == "e":
-            return []
-        if g == "f":
-            out = []
-            if a1:
-                out.append((E_RING.const(a1), (("dot", "id"), ("cap",))))
-            if a2:
-                out.append((a2 * E1, (("cap",),)))
-            return out
-        c = -a1 - 2 * a2
-        return [(E_RING.const(c), (("cap",),))] if c else []
-    raise WordError(prim)
+    a1, a2, c = p.a1, p.a2, p.a1 + 2 * p.a2
+    images = {("e", "dot"): [(-1, (("id",),))],
+              ("f", "dot"): [(1, (("dot",), ("dot",)))],
+              ("h", "dot"): [(-2, (("dot",),))],
+              ("f", "cup"): [(-a1, (("cup",), ("dot", "id"))),
+                             (-a2 * E1, (("cup",),))],
+              ("h", "cup"): [(c, (("cup",),))],
+              ("f", "cap"): [(a1, (("dot", "id"), ("cap",))),
+                             (a2 * E1, (("cap",),))],
+              ("h", "cap"): [(-c, (("cap",),))]}
+    return [(E_RING.coerce(k), local)
+            for k, local in images.get((g, prim), []) if k]
 
 
 def _splice(w: Word, si: int, pi: int, local: tuple, counts: tuple) -> Word:
@@ -290,9 +299,8 @@ def _image_table(g: str, params: DtlParams, rule) -> tuple:
     den = lcm(BASE_SPEC.den[g], *(c.denominator for rows in images.values()
                                   for poly, _ in rows
                                   for c in poly.terms.values()))
-    table = {"id": []}
+    table = {p: [] for p in PRIM_ARITY}
     for p, rows in images.items():
-        table[p] = []
         for poly, local in rows:
             counts = _strand_counts(local)
             if (counts[0], counts[-1]) != PRIM_ARITY[p]:
@@ -306,22 +314,20 @@ def _image_table(g: str, params: DtlParams, rule) -> tuple:
 def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
     """Apply e, f, or h to a word or combination by the full Leibniz rule: one
     term per primitive occurrence plus the base-coefficient derivative
-    (sl2.derive_packed), on packed int numerators over one denominator.  Each
-    primitive type's _image_table rows are multiplied by a word's coefficient
-    once; an image that is the primitive itself adds onto the word, the others
-    are spliced in.  Each output GradedPoly is built once, at the end."""
+    (sl2.derive_packed), on packed tables.  Each primitive type's
+    _image_table rows are multiplied by a word's coefficient once; an image
+    that is the primitive itself adds onto the word, the others are spliced
+    in.  The accumulator becomes the result's table."""
     if g not in GENERATORS:
         raise WordError(f"unknown sl2 generator {g!r}")
     if isinstance(x, Word):
         x = Combo.of(x)
     den, table = _image_table(g, params, _prim_images)
     dscale = den // BASE_SPEC.den[g]
-    xden = lcm(*(c.denominator for coeff in x.terms.values()
-                 for c in coeff.terms.values()))
+    xden, xtable = x._packed()
     acc: dict = {}
-    for w, coeff in x.terms.items():
-        num = pack(coeff, xden)[1]
-        if not coeff.is_constant():  # d_g of a constant is zero
+    for w, num in xtable.items():
+        if len(num) > 1 or 0 not in num:  # d_g of a constant is zero
             derive_packed(g, num, dscale, acc.setdefault(w, {}))
         scaled: dict = {}
         for si, sl in enumerate(w.slices):
@@ -334,9 +340,7 @@ def act(g: str, x, params: DtlParams = DtlParams()) -> Combo:
                     packed_add(acc.setdefault(
                         w if local is None else _splice(w, si, pi, local, cs),
                         {}), poly)
-    terms = {w: unpack(poly, den * xden)
-             for w, poly in acc.items() if any(poly.values())}
-    return Combo._of_terms(terms, x.n_in, x.n_out)
+    return Combo._of_packed(x.n_in, x.n_out, den * xden, acc)
 
 
 # -- handy combos -----------------------------------------------------------
@@ -374,70 +378,80 @@ def zn_combo(n: int) -> Combo:
 
 def ambient(combo: Combo, left: int, right: int) -> Combo:
     """id^left (x) combo (x) id^right."""
-    out = combo
     if left:
-        out = Combo.of(identity_word(left)).tensor(out)
+        combo = Combo.of(identity_word(left)).tensor(combo)
     if right:
-        out = out.tensor(Combo.of(identity_word(right)))
-    return out
+        combo = combo.tensor(Combo.of(identity_word(right)))
+    return combo
 
 
 # -- defining relations -----------------------------------------------------
 
-def relation_instances(n_max: int = 4):
-    """The three defining relations, instantiated at every position inside
-    ambient identity contexts with at most n_max strands.  Yields
-    (name, lhs, rhs) combos."""
+def _relations(n_max: int):
+    """Each defining relation at its own width, with the (name, left,
+    right) of its instances inside ambient identity contexts of at most
+    n_max strands: (lhs, rhs, instances)."""
     # relation 1 lives on 0 strands: cup then cap closes a circle
-    r1_l = Combo.of(Word((("cup",), ("cap",))))
-    r1_r = Combo.of(identity_word(0)).scale(2)
-    yield ("circle=2", r1_l, r1_r)
-    # relation 2: dot^2 = E1*dot - E2*id, on one strand
-    dd = Combo.of(Word((("dot",), ("dot",))))
-    r2_r = primitive_combo("dot").scale(E1) - Combo.of(identity_word(1)).scale(E2)
-    for left in range(n_max):
-        for right in range(n_max - left):
-            yield (f"dot2[{left}+1+{right}]", ambient(dd, left, right),
-                   ambient(r2_r, left, right))
-    # relation 3 on two adjacent strands
-    two = Combo.of(identity_word(2))
-    dots = primitive_combo("dot", 0, 2) + primitive_combo("dot", 1, 2)
-    cupcap = cupcap_combo(0, 2)
+    yield (Combo.of(Word((("cup",), ("cap",)))),
+           Combo.of(identity_word(0)).scale(2), [("circle=2", 0, 0)])
+    # dot^2 = E1*dot - E2*id on one strand; the dot slide on two
     capdot = Combo.of(Word((("dot", "id"), ("cap",), ("cup",))))
     cupdot = Combo.of(Word((("cap",), ("cup",), ("dot", "id"))))
-    r3_r = two.scale(E1) - cupcap.scale(E1) + capdot + cupdot
-    for left in range(n_max - 1):
-        for right in range(n_max - 1 - left):
-            yield (f"dotslide[{left}+2+{right}]", ambient(dots, left, right),
-                   ambient(r3_r, left, right))
+    for name, k, lhs, rhs in (
+            ("dot2", 1, Combo.of(Word((("dot",), ("dot",)))),
+             primitive_combo("dot").scale(E1)
+             - Combo.of(identity_word(1)).scale(E2)),
+            ("dotslide", 2,
+             primitive_combo("dot", 0, 2) + primitive_combo("dot", 1, 2),
+             Combo.of(identity_word(2)).scale(E1)
+             - cupcap_combo(0, 2).scale(E1) + capdot + cupdot)):
+        yield lhs, rhs, [(f"{name}[{left}+{k}+{right}]", left, right)
+                         for left in range(n_max - k + 1)
+                         for right in range(n_max - k + 1 - left)]
 
 
-# the widest ambient context verify_relations evaluates in: its state
-# spaces have 2^n_max states
+def relation_instances(n_max: int = 4):
+    """The three defining relations at every position inside ambient
+    identity contexts of at most n_max strands, as (name, lhs, rhs)."""
+    for lhs, rhs, instances in _relations(n_max):
+        for name, left, right in instances:
+            yield (name, ambient(lhs, left, right), ambient(rhs, left, right))
+
+
+# the widest ambient context verify_relations pads a relation to, a report
+# bound: padded instances are compared as combinations, not matrices
 RELATION_WIDTH_BOUND = 10
 
 
 def verify_relations(params: DtlParams, n_max: int = 4) -> dict:
-    """Check each defining relation and its e/f/h images in the matrix model."""
+    """Check each defining relation and its e/f/h images in the matrix model:
+    each relation X and its images are evaluated once, on its own 0, 1 or 2
+    strands.  Evaluation is monoidal, so an instance id^l (x) X (x) id^r
+    holds if X does and its difference and, under each g, act(g, instance)
+    equal ambient(X's difference, l, r) and ambient(act(g, X), l, r) as
+    packed combinations."""
     if n_max < 0:
         raise WordError(f"ambient width must be non-negative, got {n_max}")
     if n_max > RELATION_WIDTH_BOUND:
         raise WordError(f"ambient width must be at most "
                         f"{RELATION_WIDTH_BOUND}, got {n_max}")
     results = []
-    ok = True
-    for name, lhs, rhs in relation_instances(n_max):
+    padded_instances = relation_instances(n_max)
+    for lhs, rhs, instances in _relations(n_max):
         diff = lhs - rhs
-        row = {"relation": name, "generator": None,
-               "status": "pass" if diff.evaluate().is_zero() else "fail"}
-        results.append(row)
-        ok = ok and row["status"] == "pass"
-        for g in GENERATORS:
-            gdiff = act(g, diff, params)
-            status = "pass" if gdiff.evaluate().is_zero() else "fail"
-            results.append({"relation": name, "generator": g, "status": status})
-            ok = ok and status == "pass"
-    return {"params": [str(params.a1), str(params.a2)], "ok": ok,
+        images = {None: diff, **{g: act(g, diff, params) for g in GENERATORS}}
+        holds = {g: x.evaluate().is_zero() for g, x in images.items()}
+        for _, left, right in instances:  # relation_instances' next ones
+            name, padded_lhs, padded_rhs = next(padded_instances)
+            padded = padded_lhs - padded_rhs
+            for g, x in images.items():
+                same = ambient(x, left, right) == (
+                    act(g, padded, params) if g else padded)
+                results.append({"relation": name, "generator": g,
+                                "status": "pass" if holds[g] and same
+                                else "fail"})
+    return {"params": [str(params.a1), str(params.a2)],
+            "ok": all(r["status"] == "pass" for r in results),
             "checks": results}
 
 
@@ -460,15 +474,9 @@ def noncrossing_matchings(n_bot: int, n_top: int | None = None):
     def rec(points):
         if not points:
             return [[]]
-        out = []
-        first = points[0]
-        for k in range(1, len(points), 2):
-            inner = points[1:k]
-            outer = points[k + 1:]
-            for mi in rec(inner):
-                for mo in rec(outer):
-                    out.append([tuple(sorted((first, points[k])))] + mi + mo)
-        return out
+        return [[tuple(sorted((points[0], points[k])))] + mi + mo
+                for k in range(1, len(points), 2)
+                for mi in rec(points[1:k]) for mo in rec(points[k + 1:])]
 
     return [tuple(sorted(m)) for m in rec(seq)]
 
@@ -524,17 +532,13 @@ def matching_matrix(matching, dots, n_bot: int,
                     n_top: int | None = None) -> PolyMatrix:
     """Evaluate a dotted crossingless matching directly by the state-space
     rules, independently of the word machinery (it reads PRIM_MATRICES only).
+    dots: dots per arc, aligned with the matching; a dot on a cap or cup arc
+    sits at its first listed point.
 
-    dots: number of dots per arc, aligned with the matching tuple.  A dot
-    on a cap or cup arc sits at its first listed point.
-
-    Each arc gets one table of (input bits, output bits, value), built once
-    per call from the packed int tables of cup, cap and dot^d: a cap arc a
-    value for each input bit pair, a cup arc its output bit pairs, a through
-    arc its output bits for each input bit.  Arcs cover disjoint boundary
-    points, so the matrix entries are the products of one value per arc,
-    multiplied as packed int polynomials and normalised once by
-    PolyMatrix.from_packed.
+    Each arc gets one table of (input bits, output bits, packed value) from
+    the packed tables of cup, cap and dot^d.  Arcs cover disjoint boundary
+    points, so an entry is the product of one value per arc, normalised
+    once by PolyMatrix.from_packed.
     """
     if n_top is None:
         n_top = n_bot
@@ -593,20 +597,15 @@ def matching_matrix(matching, dots, n_bot: int,
 
 def dotted_spanning_set(n_bot: int, n_top: int | None = None):
     """Crossingless matchings with at most one dot per arc: (matching, dots)."""
-    out = []
-    for m in noncrossing_matchings(n_bot, n_top):
-        for dots in itertools.product((0, 1), repeat=len(m)):
-            out.append((m, dots))
-    return out
+    return [(m, dots) for m in noncrossing_matchings(n_bot, n_top)
+            for dots in itertools.product((0, 1), repeat=len(m))]
 
 
 def _peel_arcs(arcs: dict, width: int) -> list:
     """(k, width, dots) for each arc (i, j): dots of arcs, innermost first:
     the arc joins points k and k + 1 of the width points still left, which
     peeling it removes (an innermost arc's endpoints are adjacent)."""
-    cur = list(range(width))
-    pending = dict(arcs)
-    out = []
+    cur, pending, out = list(range(width)), dict(arcs), []
     while pending:
         for k in range(len(cur) - 1):
             key = (cur[k], cur[k + 1])
@@ -625,9 +624,7 @@ def matching_to_word(matching, dots, n_bot: int,
     if n_top is None:
         n_top = n_bot
     _check_matching(matching, dots, n_bot, n_top)
-    bottom: dict = {}
-    top: dict = {}
-    through = []
+    bottom, top, through = {}, {}, []
     for arc, d in zip(matching, dots):
         (s1, i1), (s2, i2) = arc
         if s1 == "b" and s2 == "b":
@@ -664,13 +661,9 @@ def matching_to_word(matching, dots, n_bot: int,
 
 def random_word(rng, max_strands: int = 4, max_slices: int = 4) -> Word:
     """A random composable word with every intermediate count <= max_strands."""
-    n = rng.randint(0, max_strands)
-    slices = []
-    cur = n
+    slices, cur = [], rng.randint(0, max_strands)
     for _ in range(rng.randint(1, max_slices)):
-        sl = []
-        remaining = cur
-        produced = 0
+        sl, remaining, produced = [], cur, 0
         while remaining > 0 or (not sl and remaining == 0):
             choices = ["id", "dot"] if remaining else []
             if remaining >= 2:

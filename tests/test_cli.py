@@ -213,6 +213,18 @@ def test_usage_errors_are_reported_by_main(args, message):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("text", [
+    "E2^2147483647*dot;E2^2147483647*dot;E2^2147483647*dot",
+    "(E2^2147483647*dot;E2^2147483647*dot)"])
+def test_stacked_large_powers_are_usage_errors(text):
+    """Each power packs, but stacking two adds the exponents past the
+    packed format: the first stack is refused, so no exponent carries."""
+    res = run_cli("eval-expr", text, timeout=BUDGET_S)
+    assert res.returncode == 2
+    assert res.stderr == "error: exponent too large to pack: E2^4294967294\n"
+    assert res.stdout == ""
+
+
 def test_quiver_bounds_are_usage_errors():
     for n_max in ("-1", "9"):
         res = run_cli("quiver", "--n-max", n_max)

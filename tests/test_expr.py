@@ -111,13 +111,16 @@ def test_macro_argument_bounds():
 def test_large_powers_are_built_directly_and_never_wrap():
     """E1^k and E2^k are one monomial each, not k products, and an
     exponent past the packed format raises instead of carrying into the
-    other generator (E2^(2^32) once normalised to E1)."""
+    other generator (E2^(2^32) once normalised to E1).  A combination
+    packs its coefficients when it is built, so the error comes from
+    building it, before normalize_combo is reached."""
     assert parse_expr("E1^2000000 * E2^7").evaluate() == PolyMatrix(
         0, 0, {(0, 0): E_RING.gen("E1", 2_000_000) * E_RING.gen("E2", 7)})
-    for combo in (parse_expr("E2^4294967296 * id"),
-                  Combo.of(identity_word(1), E_RING.gen("E2", 2 ** 32))):
+    for build in (lambda: parse_expr("E2^4294967296 * id"),
+                  lambda: Combo.of(identity_word(1),
+                                   E_RING.gen("E2", 2 ** 32))):
         with pytest.raises(ring.RingError, match="too large to pack"):
-            normalize_combo(combo)
+            normalize_combo(build())
 
 
 def test_error_positions():
@@ -412,6 +415,13 @@ def _full_solve_normal_form(mat, n_in: int, n_out: int):
             for i, terms in sorted(coeffs.items())]
 
 
+def rewritten(combo: Combo) -> list:
+    """expr.rewrite_combo's normal form with GradedPoly coefficients, as
+    normalize_matrix gives it."""
+    den, terms = expr.rewrite_combo(combo)
+    return [(ring.unpack(t, den), m, d) for t, m, d in terms]
+
+
 def _assert_normal_form_matches_oracle(combo: Combo, label):
     """Rewriting, the cached basis-row solve and the full solve give the
     same normal form, term for term and in the same order."""
@@ -419,11 +429,11 @@ def _assert_normal_form_matches_oracle(combo: Combo, label):
     mat = combo.evaluate()
     got = normalize_matrix(mat, n_in, n_out)
     want = _full_solve_normal_form(mat, n_in, n_out)
-    rewritten = expr.rewrite_combo(combo)
+    by_rules = rewritten(combo)
     assert [(str(p), m, d) for p, m, d in got] \
         == [(str(p), m, d) for p, m, d in want] \
-        == [(str(p), m, d) for p, m, d in rewritten], label
-    assert got == want == rewritten, label
+        == [(str(p), m, d) for p, m, d in by_rules], label
+    assert got == want == by_rules, label
 
 
 def _random_shaped_word(rng, n_in: int, n_out: int) -> Word:
@@ -487,7 +497,7 @@ def test_relations_rewrite_to_zero():
     NORMALIZE_STRAND_BOUND, which rewrite_combo does not need), rewrites to
     the empty combination."""
     for name, lhs, rhs in words.relation_instances(6):
-        assert expr.rewrite_combo(lhs - rhs) == [], name
+        assert rewritten(lhs - rhs) == [], name
 
 
 def test_outer_dot_basis_has_the_rank_of_the_span():
@@ -585,14 +595,14 @@ def test_broken_rewriting_constant_fails(broken, monkeypatch):
     monkeypatch.setattr(expr, name, value)
     assert not _constants_hold_on_the_model()
     combo = parse_expr(text)
-    assert expr.rewrite_combo(combo) != normalize_matrix(
+    assert rewritten(combo) != normalize_matrix(
         combo.evaluate(), combo.n_in, combo.n_out)
 
 
 def test_rewriting_moves_the_inner_dot_out():
     """The dot slide on four points, read off the normal form."""
     got = {(m, d): str(p)
-           for p, m, d in expr.rewrite_combo(parse_expr(NESTED_DOT))}
+           for p, m, d in rewritten(parse_expr(NESTED_DOT))}
     nested = ((("b", 0), ("b", 3)), (("b", 1), ("b", 2)))
     side = ((("b", 0), ("b", 1)), (("b", 2), ("b", 3)))
     assert got == {(nested, (0, 0)): "E1", (nested, (1, 0)): "-1",
@@ -626,6 +636,29 @@ def test_residual_rejects_a_target_off_the_basis_rows(monkeypatch):
     monkeypatch.setattr(exactla, "_satisfies", lambda columns, x, rhs: True)
     wrong = expr.combo_from_matrix(target, n_in, n_out)
     assert wrong.evaluate() != target
+
+
+def test_second_normalize_matrix_of_a_shape_makes_no_spanning_pass(
+        monkeypatch):
+    """Operation-count gate: the cached degree systems keep their spanning
+    rows (exactla.System), so normalising a second matrix of one shape
+    makes no spanning-rows pass; a plain column list still gets one."""
+    calls = [0]
+    real = exactla._spanning_rows
+
+    def counted(rows):
+        calls[0] += 1
+        return real(rows)
+
+    monkeypatch.setattr(exactla, "_spanning_rows", counted)
+    first = normalize_matrix(projectors.jw(3), 3, 3)
+    assert calls[0] > 0
+    calls[0] = 0
+    assert normalize_matrix(projectors.jw(3), 3, 3) == first
+    assert normalize_matrix(parse_expr("cap | id ; cup | id").evaluate(), 3, 3)
+    assert calls[0] == 0
+    assert exactla.solve([{0: 2}], {0: 4}) == {0: 2}
+    assert calls[0] == 1
 
 
 def test_normal_form_reads_spanning_matrices_over_their_denominators(

@@ -2,14 +2,15 @@
 relations."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dottedtl import words
-from dottedtl.ring import E_RING, GradedPoly
+from dottedtl import ring, words
+from dottedtl.ring import E_RING, GradedPoly, RingError, unpack
 from dottedtl.sl2 import BASE_SPEC
 from dottedtl.statespace import PRIM_ARITY, PRIM_MATRICES, PolyMatrix
 from dottedtl.words import (
@@ -533,18 +534,32 @@ def _per_term_replace(w, si, pi, local):
     return Word(w.slices[:si] + tuple(expanded) + w.slices[si + 1:])
 
 
+def terms_of(x: Combo) -> dict:
+    """x's {word: GradedPoly} terms, read without making them its storage."""
+    den, table = x._packed()
+    return {w: unpack(t, den) for w, t in table.items()}
+
+
+def _accumulate(out: dict, w, c) -> None:
+    s = out.get(w, E_RING.zero) + c
+    if s.is_zero():
+        out.pop(w, None)
+    else:
+        out[w] = s
+
+
 def per_term_act(g, x, params):
-    """The earlier act: one Combo._add of a GradedPoly per contribution, and
-    every image word validated from scratch by Word; the oracle of act."""
-    out = Combo.zero(x.n_in, x.n_out)
-    for w, coeff in x.terms.items():
-        dc = BASE_SPEC.apply(g, coeff)
-        if not dc.is_zero():
-            out._add(w, dc)
+    """The earlier act: one GradedPoly sum per contribution, and every
+    image word validated from scratch by Word; the oracle of act.  Returns
+    {word: GradedPoly}."""
+    out: dict = {}
+    for w, coeff in terms_of(x).items():
+        _accumulate(out, w, BASE_SPEC.apply(g, coeff))
         for si, sl in enumerate(w.slices):
             for pi, prim in enumerate(sl):
                 for c, local in words._prim_images(g, prim, params):
-                    out._add(_per_term_replace(w, si, pi, local), coeff * c)
+                    _accumulate(out, _per_term_replace(w, si, pi, local),
+                                coeff * c)
     return out
 
 
@@ -575,13 +590,14 @@ def _random_combos(seed, count):
     DtlParams(Fraction(-2, 9), Fraction(3, 5))], ids=str)
 def test_act_equals_the_per_term_rule(p):
     combos = _random_combos(23, 40)
-    assert sum(not c.terms[w].is_constant()
-               for c in combos for w in c.terms) > 40
+    assert sum(not v.is_constant()
+               for c in combos for v in terms_of(c).values()) > 40
     for x in combos:
         for g in ("e", "f", "h"):
             got, want = act(g, x, p), per_term_act(g, x, p)
-            assert (got.n_in, got.n_out) == (want.n_in, want.n_out)
-            assert got.terms == want.terms
+            assert (got.n_in, got.n_out) == (x.n_in, x.n_out)
+            assert_canonical(got)
+            assert got.terms == want
             assert all(c.terms for c in got.terms.values())
 
 
@@ -594,7 +610,7 @@ def test_act_images_cancelling_to_nothing():
         got = act("e", x, p)
         assert got.terms == {} and got.is_empty()
         assert (got.n_in, got.n_out) == (1, 1)
-        assert per_term_act("e", x, p).terms == {}
+        assert per_term_act("e", x, p) == {}
 
 
 # -- the splice: image words without re-validation -------------------------------
@@ -660,11 +676,12 @@ def test_wrong_arity_image_raises(monkeypatch, prim, bad):
 # -- operation counts --------------------------------------------------------------
 
 def test_act_builds_one_coefficient_per_output_word(monkeypatch):
-    """Operation-count gate: outside _prim_images, act builds exactly one
-    GradedPoly per output word (the per-term rule builds about three per
-    contribution), and calls the packed derivation sl2.derive_packed once
-    per input word with a non-constant coefficient: the derivation of a constant is zero, and the
-    constant word's images still reach the output."""
+    """Operation-count gate: act builds no GradedPoly outside _prim_images
+    (its output stays packed), reading the output's terms builds exactly
+    one per output word, and act calls the packed derivation
+    sl2.derive_packed once per input word with a non-constant coefficient:
+    the derivation of a constant is zero, and the constant word's images
+    still reach the output."""
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
     x = Combo.zero(2, 2)
     for slices, c in [((("dot", "id"), ("cap",), ("cup",)), E1),
@@ -674,8 +691,9 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
                       ((("id", "id"), ("dot", "id")), E1 * E1),
                       ((("dot", "dot"),), E_RING.const(Fraction(-5, 3)))]:
         x._add(Word(slices), c)
-    varying = [w for w, c in x.terms.items() if not c.is_constant()]
-    assert len(varying) == len(x.terms) - 1
+    view = terms_of(x)
+    varying = [w for w, c in view.items() if not c.is_constant()]
+    assert len(varying) == len(view) - 1
     inside = [0]
     counts = {"built": 0, "derive": 0}
     real_init = GradedPoly.__init__
@@ -707,13 +725,14 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
             counts.update(built=0, derive=0)
             monkeypatch.setattr(GradedPoly, "__init__", counting_init)
             got = act(g, x, p)
+            assert counts == {"built": 0, "derive": len(varying)}
+            got_terms = got.terms
+            assert counts["built"] == len(got_terms) > 0
             monkeypatch.setattr(GradedPoly, "__init__", real_init)
-            assert got.terms == want.terms
-            assert got.terms
-            assert counts == {"built": len(got.terms), "derive": len(varying)}
-            merged += len(x.terms) + sum(len(real_images(g, prim, p))
-                                         for w in x.terms for sl in w.slices
-                                         for prim in sl) - len(got.terms)
+            assert got_terms == want
+            merged += len(view) + sum(len(real_images(g, prim, p))
+                                      for w in view for sl in w.slices
+                                      for prim in sl) - len(got_terms)
     assert merged > 0  # some output words have several contributions
 
 
@@ -802,3 +821,218 @@ def test_bracket_check_acts_once_per_generator_on_its_input(monkeypatch):
     monkeypatch.setattr(selftest, "act", counted)
     assert selftest._bracket_holds(primitive_combo("cup"), PARAM_SETS[3])
     assert len(calls) == 9 and sorted(calls) == ["e"] * 3 + ["f"] * 3 + ["h"] * 3
+
+
+# -- the packed Combo against the GradedPoly combination operations -------------
+
+def assert_canonical(x: Combo):
+    """x is stored as a table over den with no zero numerator or empty
+    entry, and gcd(den, every numerator) = 1."""
+    assert x._terms is None
+    den, table = x._packed()
+    assert den > 0 and all(t and all(t.values()) for t in table.values())
+    assert math.gcd(den, *(c for t in table.values() for c in t.values())) == 1
+
+
+def oracle_sum(x: dict, y: dict, sign=1) -> dict:
+    """The earlier Combo + and -, on {word: GradedPoly}."""
+    out = dict(x)
+    for w, c in y.items():
+        _accumulate(out, w, c * sign)
+    return out
+
+
+def oracle_scale(x: dict, c) -> dict:
+    c = E_RING.coerce(c)
+    return {} if c.is_zero() else {w: v * c for w, v in x.items()}
+
+
+def oracle_product(x: dict, y: dict, join) -> dict:
+    """The earlier then and tensor: one sum per pair of terms."""
+    out: dict = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            _accumulate(out, join(w1, w2), c1 * c2)
+    return out
+
+
+def _stacked(w1, w2):
+    return Word(w1.slices + w2.slices)
+
+
+def _combo_of_shape(rng, n_in, n_out):
+    pool = WORD_POOL[(n_in, n_out)]
+    x = Combo.zero(n_in, n_out)
+    for w in rng.sample(pool, min(len(pool), rng.randint(1, 4))):
+        x._add(w, _random_coefficient(rng))
+    return x
+
+
+def test_packed_kernels_equal_the_graded_poly_operations():
+    """+, -, negation, scale, then and tensor on 40 seeded combinations with
+    non-constant rational coefficients equal the GradedPoly operations term
+    for term, every result stored canonically; the cases include results
+    that cancel to nothing and results whose content divides out."""
+    rng = random.Random(47)
+    combos = _random_combos(47, 40)
+    cases = 0
+    for x in combos:
+        y = _combo_of_shape(rng, x.n_in, x.n_out)
+        outs = [s for s in sorted(WORD_POOL) if s[0] == x.n_out]
+        z = _combo_of_shape(rng, *rng.choice(outs))
+        c = _random_coefficient(rng)
+        tx, ty, tz = terms_of(x), terms_of(y), terms_of(z)
+        for got, want in [
+                (x + y, oracle_sum(tx, ty)), (x - y, oracle_sum(tx, ty, -1)),
+                (-x, oracle_scale(tx, -1)), (x - x, {}), (x + -x, {}),
+                (x.scale(c), oracle_scale(tx, c)),
+                (x.scale(Fraction(-3, 4)), oracle_scale(tx, Fraction(-3, 4))),
+                (x.scale(0), {}), (x.then(z), oracle_product(tx, tz, _stacked)),
+                (x.tensor(y), oracle_product(tx, ty, words._tensor_words))]:
+            assert_canonical(got)
+            assert terms_of(got) == want
+            cases += 1
+    assert cases == 400
+    # content that divides out: E1/6 + 1/2 and E1/6 - 1/2 sum to E1/3
+    dot = Word((("dot",),))
+    e1 = E_RING.gen("E1")
+    a, b = Combo.of(dot, e1 / 6 + Fraction(1, 2)), Combo.of(dot, e1 / 6 - Fraction(1, 2))
+    assert a._packed()[0] == b._packed()[0] == 6
+    total = a + b
+    assert_canonical(total)
+    e1_key = ring.pack_key(1, 0)
+    assert total._packed() == (3, {dot: {e1_key: 1}})
+    assert a.scale(6)._packed() == (1, {dot: {e1_key: 1, 0: 3}})
+    assert a.scale(Fraction(1, 3))._packed() == (18, {dot: {e1_key: 1, 0: 3}})
+
+
+def test_equal_combinations_are_equal_structurally():
+    """Combinations are equal exactly when their canonical tables are, so
+    == needs no evaluation: built in two ways, x equals itself; a changed
+    coefficient or shape makes it unequal."""
+    for x in _random_combos(59, 10):
+        again = Combo(terms_of(x), x.n_in, x.n_out)
+        assert again == x and (x + x) == x.scale(2) and x.scale(2) != x
+        assert Combo.zero(x.n_in, x.n_out) != Combo.zero(x.n_in + 1, x.n_out)
+
+
+def test_terms_writes_are_honoured():
+    """terms is the writable view, as perfbench's gate uses it: a flipped
+    coefficient written into it is what every kernel then reads."""
+    x = act("f", primitive_combo("cup"), PARAM_SETS[3])
+    w, c = next(iter(terms_of(x).items()))
+    flipped = Combo(terms_of(x), x.n_in, x.n_out)
+    assert flipped == x
+    flipped.terms[w] = -c
+    assert flipped != x and flipped.evaluate() != x.evaluate()
+    assert flipped - x == Combo.of(w, -2 * c)
+    del flipped.terms[w]
+    assert flipped + Combo.of(w, c) == x
+    assert flipped.evaluate() + evaluate_word(w).scale(c) == x.evaluate()
+
+
+BRACKETS = [("h", "e", 2, "e"), ("h", "f", -2, "f"), ("e", "f", 1, "h")]
+
+
+def test_bracket_pattern_builds_no_graded_poly_or_fraction():
+    """Operation-count gate: the bracket pattern of the diagrams benchmark,
+    at every parameter pair, builds no GradedPoly and no Fraction inside
+    act, combination arithmetic or evaluate once the image tables and word
+    matrices are cached.  Reading terms does build them (the control)."""
+    samples = [primitive_combo(p) for p in ("id", "dot", "cup", "cap")]
+    samples += _random_combos(61, 8)
+
+    def pattern():
+        for p in PARAM_SETS:
+            for x in samples:
+                for g1, g2, c, gout in BRACKETS:
+                    lhs = act(g1, act(g2, x, p), p) - act(g2, act(g1, x, p), p)
+                    rhs = act(gout, x, p).scale(c)
+                    assert lhs.evaluate() == rhs.evaluate()
+
+    pattern()
+    counts = {"GradedPoly": 0, "Fraction": 0}
+    real_init, real_new = GradedPoly.__init__, Fraction.__dict__["__new__"]
+
+    def init(self, *args):
+        counts["GradedPoly"] += 1
+        real_init(self, *args)
+
+    def new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return real_new.__func__(cls, *args, **kwargs)
+
+    GradedPoly.__init__, Fraction.__new__ = init, staticmethod(new)
+    try:
+        pattern()
+        quiet = dict(counts)
+        assert act("f", samples[-1], PARAM_SETS[3]).terms
+    finally:
+        GradedPoly.__init__, Fraction.__new__ = real_init, real_new
+    assert quiet == {"GradedPoly": 0, "Fraction": 0}
+    assert counts["GradedPoly"] > 0 and counts["Fraction"] > 0
+
+
+def test_chained_kernels_never_carry_an_exponent():
+    """then, tensor, scale and act refuse a result exponent of 2^31 or more,
+    as ring.pack does, so chaining them never carries E2's exponent into
+    E1's; just below the limit the exponents add exactly."""
+    top = 2 ** 31 - 1
+    dot = Word((("dot",),))
+    big = Combo.of(dot, E_RING.gen("E2", top))
+    for make in (lambda: big.then(big), lambda: big.tensor(big),
+                 lambda: big.scale(E_RING.gen("E2", top)),
+                 lambda: big.then(big).then(big),
+                 lambda: act("f", Combo.of(dot, E_RING.gen("E1", top)),
+                             PARAM_SETS[0])):
+        with pytest.raises(RingError, match="too large to pack: "):
+            make()
+    half = Combo.of(dot, E_RING.gen("E2", 2 ** 30 - 1))
+    assert terms_of(half.then(half)) == {
+        Word((("dot",), ("dot",))): E_RING.gen("E2", 2 ** 31 - 2)}
+    assert terms_of(half.scale(E_RING.gen("E2", 2 ** 30))) == {
+        dot: E_RING.gen("E2", top)}
+    image = terms_of(act("f", big, PARAM_SETS[0]))
+    assert {e for c in image.values() for e in c.terms} == {(1, top), (0, top)}
+    assert image[dot] == top * E_RING.gen("E1") * E_RING.gen("E2", top)
+
+
+def test_evaluation_is_monoidal():
+    """evaluate(ambient(X, l, r)) = id_l (x) evaluate(X) (x) id_r, the fact
+    that lets verify_relations evaluate each relation at its own width."""
+    for x in _random_combos(53, 12) + [zn_combo(2)]:
+        for left, right in ((0, 1), (1, 0), (2, 1), (1, 2)):
+            want = PolyMatrix.identity(left).tensor(x.evaluate()).tensor(
+                PolyMatrix.identity(right))
+            assert words.ambient(x, left, right).evaluate() == want
+
+
+def _width(name: str) -> int:
+    inner = name[name.index("[") + 1:-1] if "[" in name else "0"
+    return sum(map(int, inner.split("+")))
+
+
+def test_act_wrong_on_wide_words_fails_the_padded_rows(monkeypatch):
+    """Negative control for the padded rows: an act that drops one term
+    only from images of words wider than 2 strands leaves every relation on
+    its own width passing, and fails padded rows (which verify_relations
+    decides without evaluating them)."""
+    real = words.act
+
+    def dropping(g, x, params=DtlParams()):
+        out = real(g, x, params)
+        den, table = out._packed()
+        wide = [w for w in table if max(w.counts) > 2]
+        if wide:
+            table = {w: t for w, t in table.items() if w != wide[0]}
+        return Combo._of_packed(out.n_in, out.n_out, den, table)
+
+    monkeypatch.setattr(words, "act", dropping)
+    for p in PARAM_SETS:
+        rep = verify_relations(p, n_max=4)
+        failed = [(c["relation"], c["generator"]) for c in rep["checks"]
+                  if c["status"] == "fail"]
+        assert not rep["ok"] and failed
+        assert all(_width(name) > 2 and g for name, g in failed)
+        assert all(c["status"] == "pass" for c in rep["checks"]
+                   if _width(c["relation"]) <= 2)
