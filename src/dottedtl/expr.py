@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exactla, projectors, statespace, words
-from .ring import (E_RING, GradedPoly, pack_key, packed_add, packed_mul,
-                   packed_str, unpack_key)
+from .ring import (E_RING, numerators, pack_key, pack_terms, packed_add,
+                   packed_mul, packed_str, unpack_key)
 from .words import (
     Combo,
     Word,
@@ -324,8 +324,8 @@ def _degree_system(n_in: int, n_out: int, deg: int):
     """The linear system of normalize_matrix at one structural degree, in
     integers: (unknowns, row_index, columns).
 
-    Unknown j = (i, mu, den) is outer_dot_basis element i times the
-    monomial mu = (e1, e2) of degree deg - 2 * (its dots), den the
+    Unknown j = (i, shift, den) is outer_dot_basis element i times the
+    monomial of packed key shift and degree deg - 2 * (its dots), den the
     denominator of its matching_matrix table.  row_index numbers each
     (row, col, packed exponent) an unknown reaches; columns, an
     exactla.System, has columns[j] = {row number: int numerator over den}.
@@ -341,9 +341,8 @@ def _degree_system(n_in: int, n_out: int, deg: int):
             continue
         den, table = words.matching_matrix(m, d, n_in, n_out)._packed()
         for b in range(rem // 4 + 1):
-            mu = ((rem - 4 * b) // 2, b)
-            shift = pack_key(*mu)
-            unknowns.append((i, mu, den))
+            shift = pack_key((rem - 4 * b) // 2, b)
+            unknowns.append((i, shift, den))
             columns.append({
                 row_index.setdefault((r, c, e + shift), len(row_index)): v
                 for c, tcol in table.items()
@@ -353,14 +352,14 @@ def _degree_system(n_in: int, n_out: int, deg: int):
 
 def normalize_matrix(mat, n_in: int, n_out: int):
     """The normal form of a state-space matrix over the outer-dot basis,
-    with polynomial coefficients: rewrite_combo's result for any
-    combination that evaluates to mat.
+    as rewrite_combo gives it for any combination that evaluates to mat:
+    (den, [(packed coefficient over den, matching, dots)]).
 
-    Returns [(coefficient, matching, dots)] in outer_dot_basis order.  The
-    target is split by structural degree straight from its packed table,
-    and each degree is one exactla.solve against the cached _degree_system
-    of (n_in, n_out, degree), whose columns are independent, so the
-    solution is unique.  A target off the span raises ExprError.
+    The target is split by structural degree straight from its packed
+    table, and each degree is one exactla.solve against the cached
+    _degree_system of (n_in, n_out, degree), whose columns are
+    independent, so the solution is unique.  A target off the span raises
+    ExprError.
     """
     _check_normalize_bound(n_in, n_out)
     den, table = mat._packed()
@@ -384,31 +383,34 @@ def normalize_matrix(mat, n_in: int, n_out: int):
         # unknown j's matrix is columns[j] / den_j and the target is over
         # den, so its coefficient is y[j] * den_j / den
         for j, v in y.items():
-            i, mu, den_j = unknowns[j]
-            coeffs.setdefault(i, {})[mu] = v * den_j / den
+            i, shift, den_j = unknowns[j]
+            coeffs.setdefault(i, {})[shift] = v * den_j / den
     span = outer_dot_basis(n_in, n_out)
-    return [(GradedPoly(E_RING, terms), *span[i])
-            for i, terms in sorted(coeffs.items())]
+    den, packed = pack_terms({i: numerators(c)
+                              for i, c in sorted(coeffs.items())})
+    return den, [(t, *span[i]) for i, t in packed.items()]
+
+
+def _matching_combo(n_in: int, n_out: int, den: int, terms) -> Combo:
+    """The combination of matching words of a normal form as
+    normalize_matrix and rewrite_combo give it."""
+    return Combo._of_packed(n_in, n_out, den, {
+        words.matching_to_word(m, d, n_in, n_out): t for t, m, d in terms})
 
 
 def combo_from_matrix(mat, n_in: int, n_out: int) -> Combo:
     """A combination of matching words with the given evaluation."""
-    out = Combo(n_in=n_in, n_out=n_out)
-    for poly, m, d in normalize_matrix(mat, n_in, n_out):
-        out._add(words.matching_to_word(m, d, n_in, n_out), poly)
-    return out
+    return _matching_combo(n_in, n_out, *normalize_matrix(mat, n_in, n_out))
 
 
 def normalize_combo(combo: Combo) -> Combo:
     """The combination rewritten into the outer-dot basis (rewrite_combo),
-    as a combination of matching words, built from the packed coefficients."""
+    as a combination of matching words."""
     n_in, n_out = combo.n_in, combo.n_out
     if n_in is None:
         raise ExprError("cannot normalize an empty combination of no shape")
     _check_normalize_bound(n_in, n_out)
-    den, terms = rewrite_combo(combo)
-    return Combo._of_packed(n_in, n_out, den, {
-        words.matching_to_word(m, d, n_in, n_out): t for t, m, d in terms})
+    return _matching_combo(n_in, n_out, *rewrite_combo(combo))
 
 
 # -- normal forms by rewriting ------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: graded polynomial rings over Q, and the one
 packed integer format of Q[E1,E2] that every kernel computes in (pack_key,
 unpack_key, pack, pack_coefficient, pack_terms, unpack, packed_str,
-numerators, packed_add, packed_mul, divide_content, check_exponents).
+numerators, packed_add, packed_mul), with its one canonical form (strip,
+divide_content), through which PolyMatrix, Combo and rep's e-table alone
+are normalised.
 
 Everything downstream is linear algebra over these rings, so all operations
 are exact: Fraction coefficients or int numerators over one denominator,
@@ -243,10 +245,10 @@ LASAGNA_RING = PolyRing([GenSpec("E1", 2), GenSpec("E2", 4), GenSpec("A1", -2),
 
 # The kernels' coefficient format: int numerators over one positive den,
 # {pack_key(e1, e2): numerator}.  Keys add like exponent pairs, as E1 and E2
-# are not invertible and no exponent reaches 2^_EXP_BITS: pack refuses an
-# exponent of 2^(_EXP_BITS - 1) or more, which leaves the kernels' products
-# room to add exponents.  Only this section reads or writes a key's layout
-# (pack_key, unpack_key, pack, unpack); other modules only add keys.
+# are not invertible and no exponent reaches 2^_EXP_BITS: pack and strip
+# refuse an exponent of 2^(_EXP_BITS - 1) or more, which leaves products room
+# to add exponents.  Only this section reads or writes a key's layout (pack,
+# unpack and strip too); other modules only add keys.
 _EXP_BITS = 32
 _EXP_MASK = (1 << _EXP_BITS) - 1
 _EXP_LIMIT = 1 << (_EXP_BITS - 1)
@@ -305,10 +307,34 @@ def pack_terms(coeffs: Mapping) -> tuple:
                  for k, (d, t) in packed if t}
 
 
-def divide_content(den: int, table: dict) -> tuple:
-    """(den, table) of packed numerators {key: {key: int}} over den, divided
-    by the gcd of den and every numerator."""
-    content = gcd(den, *(c for t in table.values() for c in t.values()))
+def strip(acc: dict, den: int, content: int) -> tuple:
+    """(table, gcd(content, its numerators)) of acc, {k: packed numerators
+    over den}: acc without zero numerators or empty entries.  As pack does,
+    it refuses an exponent of 2^(_EXP_BITS - 1) or more, so every stored
+    table stays below it and adding two keys never carries E2's exponent
+    into E1's.  acc's dicts without zeros become the table's."""
+    table, high = {}, 0
+    for k, t in acc.items():
+        if not t or 0 in t.values():
+            t = {e: c for e, c in t.items() if c}
+            if not t:
+                continue
+        table[k] = t
+        for e in t:  # cheaper than reduce(or_, t) on one- or two-key entries
+            high |= e
+        if content != 1:
+            content = gcd(content, *t.values())
+    if high & _EXP_OVERFLOW:
+        t = next(t for t in table.values() if reduce(or_, t) & _EXP_OVERFLOW)
+        raise RingError(f"exponent too large to pack: {unpack(t, den)}")
+    return table, content
+
+
+def divide_content(den: int, table: dict, content: int | None = None) -> tuple:
+    """(den, table) of numerators {k: {key: int}} over den divided by
+    content: strip's, or else the gcd of den and every numerator."""
+    if content is None:
+        content = gcd(den, *(c for t in table.values() for c in t.values()))
     if content == 1:
         return den, table
     return den // content, {k: {e: c // content for e, c in t.items()}
@@ -325,14 +351,6 @@ def packed_str(terms: dict, den: int) -> str:
     """str(unpack(terms, den)), built without a GradedPoly or a Fraction."""
     return _format(E_RING, {unpack_key(e): (c // g, den // g) for e, c in
                             terms.items() for g in (gcd(c, den),)})
-
-
-def check_exponents(den: int, polys) -> None:
-    """Refuse, as pack does, packed numerators over den with an exponent of
-    2^(_EXP_BITS - 1) or more, which a product could carry into E1's."""
-    for t in polys:
-        if reduce(or_, t, 0) & _EXP_OVERFLOW:
-            raise RingError(f"exponent too large to pack: {unpack(t, den)}")
 
 
 def packed_add(acc: dict, q: dict) -> dict:

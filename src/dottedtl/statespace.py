@@ -11,18 +11,20 @@ A PolyMatrix is stored as one denominator den and a canonical table
 {col: {row: packed numerators}} (ring's format): no zero numerator, no
 empty entry or column, gcd(den, every numerator) = 1, so equal matrices
 have equal (den, table).  Every kernel reads and writes tables and ends
-in one normalisation, from_packed; GradedPolys are built only by m[i, j]
-and cols.
+in ring's canonical form, ring.strip column by column and then
+ring.divide_content, so a result exponent past the packed format raises
+RingError; GradedPolys are built only by m[i, j] and cols.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
-from .ring import (E1, E2, E_RING, LASAGNA_RING, GradedPoly, pack, pack_terms,
-                   pack_coefficient, packed_mul, unpack, unpack_key)
+from .ring import (E1, E2, E_RING, LASAGNA_RING, GradedPoly, divide_content,
+                   pack, pack_coefficient, pack_terms, packed_mul, strip, unpack,
+                   unpack_key)
 from .sl2 import GENERATORS, LASAGNA_SPEC, DtlParams, TwistData, derive_packed
 
 A1, A0 = 0, 1  # bit values of the two basis letters
@@ -73,33 +75,17 @@ def _product_column(acc: dict, left: dict, right_col: dict,
                     tacc[e] = tacc.get(e, 0) + c1 * c2
 
 
-def _strip(acc: dict, content: int):
-    """An accumulated column {row: {key: numerator}} without zero numerators
-    or empty entries, and gcd(content, its numerators)."""
-    col = {}
-    for i, t in acc.items():
-        if not t or 0 in t.values():
-            t = {e: c for e, c in t.items() if c}
-            if not t:
-                continue
-        col[i] = t
-        if content != 1:
-            content = gcd(content, *t.values())
-    return col, content
-
-
 def _canonical(n_out: int, n_in: int, den: int, table: dict,
                content: int) -> "PolyMatrix":
-    """The matrix of a table over den with no zero numerator and no empty
-    entry or column, content = gcd(den, every numerator) divided out."""
+    """The matrix of a table over den whose columns ring.strip made, content
+    being gcd(den, every numerator): ring.divide_content divides it out of
+    each column."""
     if content != 1:
-        den //= content
-        table = {j: {i: {e: c // content for e, c in t.items()}
-                     for i, t in col.items()}
+        table = {j: divide_content(den, col, content)[1]
                  for j, col in table.items()}
     m = PolyMatrix.__new__(PolyMatrix)
     m.n_out, m.n_in = n_out, n_in
-    m._den, m._table, m._cols = den, table, None
+    m._den, m._table, m._cols = den // content, table, None
     return m
 
 
@@ -129,15 +115,14 @@ class PolyMatrix:
     def from_packed(cls, n_out: int, n_in: int, den: int,
                     acc: dict) -> "PolyMatrix":
         """The matrix with entries acc[col][row], packed numerators (ring's
-        format) over the positive int den.  Zero numerators, empty
-        entries and empty columns are dropped and the content is divided
-        out: the one normalisation every kernel ends in.  The dicts of acc
+        format) over the positive int den, each column put through
+        ring.strip and the content divided out.  The dicts of acc
         may become the matrix's table, so the caller must not change them
         afterwards.  A column dict under several keys is stripped once."""
         table, stripped, content = {}, {}, den
         for j, col in acc.items():
             if id(col) not in stripped:  # acc holds col: its id is unique
-                stripped[id(col)], content = _strip(col, content)
+                stripped[id(col)], content = strip(col, den, content)
             if stripped[id(col)]:
                 table[j] = stripped[id(col)]
         return _canonical(n_out, n_in, den, table, content)
@@ -192,9 +177,9 @@ class PolyMatrix:
         """Composition self o other (apply other first).
 
         Each output column is one _product_column over den_self *
-        den_other, stripped of zeros as soon as it is complete, keeping a
-        running gcd of the numerators, so that only a result whose content
-        exceeds 1 gets a second pass.
+        den_other, put through ring.strip as soon as it is complete, which
+        keeps a running gcd of the numerators, so that only a result whose
+        content exceeds 1 gets a second pass.
         """
         if self.n_in != other.n_out:
             raise ValueError("shape mismatch in product")
@@ -205,7 +190,7 @@ class PolyMatrix:
         for j, ocol in ocols.items():
             acc: dict = {}
             _product_column(acc, scols, ocol, 1)
-            col, content = _strip(acc, content)
+            col, content = strip(acc, den, content)
             if col:
                 table[j] = col
         return _canonical(self.n_out, other.n_in, den, table, content)
@@ -516,7 +501,7 @@ def commutator_star(
         for k, ft in fcol.items():  # d_g(F), over the full denominator
             derive_packed(g, ft, den, acc.setdefault(k, {}))
         _product_column(acc, fcols, gin.get(j, {}), -mi)
-        col, content = _strip(acc, content)
+        col, content = strip(acc, full, content)
         if col:
             table[j] = col
     return _canonical(F.n_out, F.n_in, full, table, content)

@@ -4,8 +4,9 @@ A word is a stack of slices, each slice a horizontal tensor of primitives
 (id, dot, cup, cap), composed bottom to top.  A Combo, a formal linear
 combination of words, stores ring's packed numerators over one den; its
 arithmetic and the sl2 action (the Leibniz rule on one packed table of
-primitive images per (generator, parameters)) compute on them, and a
-GradedPoly is built only where coefficients come in or terms is read.
+primitive images per (generator, parameters)) compute on them, each result
+is normalised once by ring's strip and divide_content (Combo._canonical),
+and a GradedPoly is built only where coefficients come in or terms is read.
 Evaluations are compared in the state-space matrices.
 """
 
@@ -15,9 +16,9 @@ import itertools
 from functools import lru_cache
 from math import lcm
 
-from .ring import (E1, E2, E_RING, check_exponents, divide_content, pack,
-                   pack_coefficient, pack_terms, packed_add, packed_mul,
-                   packed_str, unpack)
+from .ring import (E1, E2, E_RING, divide_content, pack, pack_coefficient,
+                   pack_terms, packed_add, packed_mul, packed_str, strip,
+                   unpack)
 from .sl2 import BASE_SPEC, GENERATORS, DtlParams, derive_packed
 from .statespace import (PRIM_ARITY, PRIM_MATRICES, PolyMatrix,
                          linear_combination)
@@ -91,15 +92,20 @@ class Combo:
     PolyMatrix is: den and a canonical table {word: packed numerators}, so
     == is structural.  Entries are never changed, so tables share them.
     terms is the mutable {word: GradedPoly} view, as PolyMatrix.cols is.
-    Combo(terms), Combo.of and _add take GradedPolys or rationals."""
+    Combo(terms) and Combo.of take GradedPolys or rationals."""
 
     __slots__ = ("n_in", "n_out", "_den", "_table", "_terms")
 
     def __init__(self, terms=None, n_in=None, n_out=None):
-        self.n_in, self.n_out = n_in, n_out
-        self._den, self._table, self._terms = 1, {}, None
-        for w, c in (terms or {}).items():
-            self._add(w, c)
+        """The combination of terms, {word: coefficient}, in one pass; its
+        shape is its words' unless n_in and n_out are given."""
+        terms = terms or {}
+        for w in terms:
+            if n_in is None:
+                n_in, n_out = w.n_in, w.n_out
+            elif (w.n_in, w.n_out) != (n_in, n_out):
+                raise WordError("shape mismatch")
+        self._canonical(n_in, n_out, *pack_terms(terms))
 
     @classmethod
     def of(cls, word: Word, coeff=1) -> "Combo":
@@ -112,19 +118,18 @@ class Combo:
 
     @classmethod
     def _of_packed(cls, n_in, n_out, den: int, acc: dict) -> "Combo":
-        """The combination of acc, {word: packed numerators over den}, made
-        canonical; an exponent past the packed format raises RingError.
-        acc's dicts may become the table: the caller leaves them be."""
-        table = {}
-        for w, t in acc.items():
-            if 0 in t.values():
-                t = {e: c for e, c in t.items() if c}
-            if t:
-                table[w] = t
-        check_exponents(den, table.values())
-        out = cls(None, n_in, n_out)
-        out._den, out._table = divide_content(den, table)
+        """The combination of acc, {word: packed numerators over den}."""
+        out = cls.__new__(cls)
+        out._canonical(n_in, n_out, den, acc)
         return out
+
+    def _canonical(self, n_in, n_out, den: int, acc: dict) -> None:
+        """Store acc, {word: packed numerators over den}, in ring's canonical
+        form (strip, then divide_content): the one normalisation of every
+        Combo, so an exponent past the packed format raises RingError.
+        acc's dicts may become the table: the caller leaves them be."""
+        self.n_in, self.n_out, self._terms = n_in, n_out, None
+        self._den, self._table = divide_content(den, *strip(acc, den, den))
 
     def _packed(self):
         """(den, table): the stored table, or the terms dict packed afresh."""
@@ -138,12 +143,6 @@ class Combo:
             self._terms = {w: unpack(t, self._den)
                            for w, t in self._table.items()}
         return self._terms
-
-    def _add(self, w: Word, c):
-        """Add c, a GradedPoly or a rational, to the coefficient of w."""
-        out = self + Combo.of(w, c)
-        self.n_in, self.n_out = out.n_in, out.n_out
-        self._den, self._table, self._terms = out._den, out._table, None
 
     def _sum(self, other: "Combo", sign: int) -> "Combo":
         """self + sign * other, sign being 1 or -1."""
@@ -233,27 +232,21 @@ def _tensor_words(w1: Word, w2: Word) -> Word:
 
 # -- evaluation -------------------------------------------------------------
 
-_slice_cache: dict = {}
-_word_cache: dict = {}
-
-
+# bounded well above the 103 slices and 620 words that selftest evaluates;
+# evaluate_word returns the same matrix object while its word is cached
+@lru_cache(maxsize=1024)
 def _slice_matrix(sl: tuple) -> PolyMatrix:
-    m = _slice_cache.get(sl)
-    if m is None:
-        m = PolyMatrix.identity(0)
-        for p in sl:
-            m = m.tensor(PRIM_MATRICES[p])
-        _slice_cache[sl] = m
+    m = PolyMatrix.identity(0)
+    for p in sl:
+        m = m.tensor(PRIM_MATRICES[p])
     return m
 
 
+@lru_cache(maxsize=4096)
 def evaluate_word(w: Word) -> PolyMatrix:
-    m = _word_cache.get(w)
-    if m is None:
-        m = PolyMatrix.identity(w.n_in)
-        for sl in w.slices:
-            m = _slice_matrix(sl) * m
-        _word_cache[w] = m
+    m = PolyMatrix.identity(w.n_in)
+    for sl in w.slices:
+        m = _slice_matrix(sl) * m
     return m
 
 
@@ -420,7 +413,7 @@ def relation_instances(n_max: int = 4):
 
 # the widest ambient context verify_relations pads a relation to, a report
 # bound: padded instances are compared as combinations, not matrices
-RELATION_WIDTH_BOUND = 10
+RELATION_WIDTH_BOUND = 32
 
 
 def verify_relations(params: DtlParams, n_max: int = 4) -> dict:
@@ -487,13 +480,12 @@ def _dot_powers(d_max: int) -> list:
     powers = [(1, {0: {0: {0: 1}}, 1: {1: {0: 1}}})]
     for _ in range(d_max):
         den, prev = powers[-1]
-        nxt = {}
+        nxt: dict = {}
         for b, col in prev.items():
-            acc: dict = {}
+            acc = nxt[b] = {}
             for y, p in col.items():
                 for z, q in dot.get(y, {}).items():
                     packed_add(acc.setdefault(z, {}), packed_mul(p, q))
-            nxt[b] = {z: p for z, p in acc.items() if p}
         powers.append((den * den_dot, nxt))
     return powers
 

@@ -197,8 +197,8 @@ USAGE_ERRORS = [
      "error: ambient width must be non-negative, got -2"),
     (("kirby-certify", "--levels", "9"),
      "error: strand bound exceeded: 16 > 8"),
-    (("dtl-verify", "--n-max", "20"),
-     "error: ambient width must be at most 10, got 20"),
+    (("dtl-verify", "--n-max", "40"),
+     "error: ambient width must be at most 32, got 40"),
     (("eval-expr", "E2^4294967296"),
      "error: exponent too large to pack: E2^4294967296"),
 ]

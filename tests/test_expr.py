@@ -147,8 +147,9 @@ def test_shape_mismatch_in_sum():
 def test_normalize_examples():
     assert normalized_string(parse_expr("dot ; dot")) \
         == "(E1)*(dot) + (-E2)*(id)"
-    terms = normalize_matrix(parse_expr("dot ; dot").evaluate(), 1, 1)
-    assert len(terms) == 2
+    den, terms = normalize_matrix(parse_expr("dot ; dot").evaluate(), 1, 1)
+    assert len(terms) == 2 and all(type(c) is int for t, _, _ in terms
+                                   for c in t.values())
     assert normalized_string(parse_expr("cup ; cap")) == "(2)"
 
 
@@ -415,11 +416,22 @@ def _full_solve_normal_form(mat, n_in: int, n_out: int):
             for i, terms in sorted(coeffs.items())]
 
 
-def rewritten(combo: Combo) -> list:
-    """expr.rewrite_combo's normal form with GradedPoly coefficients, as
-    normalize_matrix gives it."""
-    den, terms = expr.rewrite_combo(combo)
+def as_polys(form) -> list:
+    """A normal form (den, [(packed coefficient, matching, dots)]), as
+    normalize_matrix and rewrite_combo give it, with GradedPoly
+    coefficients."""
+    den, terms = form
     return [(ring.unpack(t, den), m, d) for t, m, d in terms]
+
+
+def rewritten(combo: Combo) -> list:
+    """expr.rewrite_combo's normal form with GradedPoly coefficients."""
+    return as_polys(expr.rewrite_combo(combo))
+
+
+def normalized(mat, n_in: int, n_out: int) -> list:
+    """normalize_matrix's normal form with GradedPoly coefficients."""
+    return as_polys(normalize_matrix(mat, n_in, n_out))
 
 
 def _assert_normal_form_matches_oracle(combo: Combo, label):
@@ -427,7 +439,7 @@ def _assert_normal_form_matches_oracle(combo: Combo, label):
     same normal form, term for term and in the same order."""
     n_in, n_out = combo.n_in, combo.n_out
     mat = combo.evaluate()
-    got = normalize_matrix(mat, n_in, n_out)
+    got = normalized(mat, n_in, n_out)
     want = _full_solve_normal_form(mat, n_in, n_out)
     by_rules = rewritten(combo)
     assert [(str(p), m, d) for p, m, d in got] \
@@ -595,7 +607,7 @@ def test_broken_rewriting_constant_fails(broken, monkeypatch):
     monkeypatch.setattr(expr, name, value)
     assert not _constants_hold_on_the_model()
     combo = parse_expr(text)
-    assert rewritten(combo) != normalize_matrix(
+    assert rewritten(combo) != normalized(
         combo.evaluate(), combo.n_in, combo.n_out)
 
 
@@ -655,7 +667,8 @@ def test_second_normalize_matrix_of_a_shape_makes_no_spanning_pass(
     assert calls[0] > 0
     calls[0] = 0
     assert normalize_matrix(projectors.jw(3), 3, 3) == first
-    assert normalize_matrix(parse_expr("cap | id ; cup | id").evaluate(), 3, 3)
+    assert normalize_matrix(parse_expr("cap | id ; cup | id").evaluate(),
+                            3, 3)[1]
     assert calls[0] == 0
     assert exactla.solve([{0: 2}], {0: 4}) == {0: 2}
     assert calls[0] == 1
@@ -667,13 +680,12 @@ def test_normal_form_reads_spanning_matrices_over_their_denominators(
     only test of an unknown's denominator: with every spanning-set matrix
     halved, every coefficient of a normal form doubles."""
     mat = parse_expr("u(1) ; jw(3)").evaluate()
-    want = normalize_matrix(mat, 1, 3)
+    want = normalized(mat, 1, 3)
     expr._degree_system.cache_clear()
     real = words.matching_matrix
     monkeypatch.setattr(words, "matching_matrix",
                         lambda *args: real(*args).scale(Fraction(1, 2)))
-    assert normalize_matrix(mat, 1, 3) \
-        == [(p * 2, m, d) for p, m, d in want]
+    assert normalized(mat, 1, 3) == [(p * 2, m, d) for p, m, d in want]
 
 
 def test_normalize_counts_on_the_diagrams_workload(monkeypatch):

@@ -3,11 +3,13 @@ selftest and cli: neither imports a module above it.  No module imports
 another's underscore names, and only ``ring`` writes or reads the layout
 of a packed polynomial key: no other module shifts by 32 or names
 ``EXP_BITS`` or ``EXP_MASK``; they call ``ring.pack_key`` and
-``ring.unpack_key``.
+``ring.unpack_key``.  Only ``ring`` and ``exactla`` (whose rows are not
+packed tables) import or call ``gcd``: every packed table is made
+canonical by ``ring.strip`` and ``ring.divide_content``.
 
 An AST scan of every import statement, function-local ones included, in
 ``src/dottedtl/statespace.py`` and ``src/dottedtl/rep.py``, relative or
-absolute; and of every module of the package for the other two rules.
+absolute; and of every module of the package for the other rules.
 """
 
 import ast
@@ -146,3 +148,40 @@ def test_private_imports_and_packing_are_reported():
                          ("b = key & ring._EXP_MASK", {"_EXP_MASK"}),
                          ("from .ring import EXP_BITS", {"EXP_BITS"})):
         assert packed_layout_uses(f"{words}\n{added}\n") == found, added
+
+
+# the modules that may take a gcd: ring owns the canonical form of packed
+# tables, exactla makes its integer rows primitive
+GCD_MODULES = {"ring", "exactla"}
+
+
+def gcd_uses(source: str) -> set:
+    """Each spelling of gcd that source imports, reads or calls: a name, an
+    attribute (math.gcd) or an imported alias."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name.split(".")[-1] if isinstance(node, ast.alias)
+                else "")
+        if name == "gcd":
+            out.add(type(node).__name__)
+    return out
+
+
+def test_only_ring_and_exactla_take_a_gcd():
+    found = {name: gcd_uses(source) for name, source in modules().items()
+             if name not in GCD_MODULES}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert gcd_uses(modules()["ring"])
+
+
+def test_gcd_outside_ring_is_reported():
+    """Negative control: statespace's own source with a gcd import, a call
+    or an attribute read added is reported."""
+    source = modules()["statespace"]
+    assert gcd_uses(source) == set()
+    for added, found in (("from math import gcd, lcm", {"alias"}),
+                         ("def f(a, b):\n    return gcd(a, b)", {"Name"}),
+                         ("import math\nc = math.gcd(4, 6)", {"Attribute"})):
+        assert gcd_uses(f"{source}\n{added}\n") == found, added

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from dottedtl.ring import E_RING, GradedPoly, pack_key, unpack
+from dottedtl.ring import E_RING, GradedPoly, RingError, pack_key, unpack
 from dottedtl.statespace import (
     PRIM_MATRICES,
     A0,
@@ -409,18 +409,37 @@ def test_from_packed_strips_a_shared_column_once(monkeypatch):
     col = {0: {0: 6, pack_key(1, 0): 0}, 1: {0: 0}}
     copies = PolyMatrix.from_packed(1, 1, 4, {0: dict(col), 1: dict(col)})
     calls = [0]
-    real_strip = statespace._strip
+    real_strip = statespace.strip
 
     def strip(*args):
         calls[0] += 1
         return real_strip(*args)
 
-    monkeypatch.setattr(statespace, "_strip", strip)
+    monkeypatch.setattr(statespace, "strip", strip)
     shared = PolyMatrix.from_packed(1, 1, 4, {0: col, 1: col})
     assert calls[0] == 1
     assert shared == copies == PolyMatrix(
         1, 1, {(0, 0): Fraction(3, 2), (0, 1): Fraction(3, 2)})
     assert_canonical(shared)
+
+
+def test_kernels_refuse_an_exponent_past_the_packed_format():
+    """Products, tensors and linear combinations refuse a result exponent
+    of 2^31 or more with RingError, as ring.pack and Combo do, so E2's
+    exponent never carries into E1's; just below the limit the exponents
+    add exactly."""
+    top = E_RING.gen("E2", 2 ** 31 - 1)
+    m = PolyMatrix(0, 0, {(0, 0): top})
+    for make in (lambda: m * m * m, lambda: m.tensor(m).tensor(m),
+                 lambda: linear_combination(0, 0, [(top, m)]),
+                 lambda: m.scale(top)):
+        with pytest.raises(RingError, match=r"too large to pack: E2\^"):
+            make()
+    half = PolyMatrix(0, 0, {(0, 0): E_RING.gen("E2", 2 ** 30 - 1)})
+    square = E_RING.gen("E2", 2 ** 31 - 2)
+    assert (half * half)[0, 0] == half.tensor(half)[0, 0] == square
+    assert linear_combination(0, 0, [(E_RING.gen("E2", 2 ** 30), half)]) \
+        == m
 
 
 @st.composite

@@ -92,8 +92,8 @@ def test_relations_reject_width_past_the_bound(monkeypatch):
         raise AssertionError("relation_instances ran")
 
     monkeypatch.setattr(words, "relation_instances", never)
-    for n_max in (words.RELATION_WIDTH_BOUND + 1, 20):
-        with pytest.raises(WordError, match=f"at most 10, got {n_max}$"):
+    for n_max in (words.RELATION_WIDTH_BOUND + 1, 40):
+        with pytest.raises(WordError, match=f"at most 32, got {n_max}$"):
             verify_relations(PARAM_SETS[0], n_max=n_max)
 
 
@@ -577,10 +577,8 @@ def _random_combos(seed, count):
     out = []
     for _ in range(count):
         pool = WORD_POOL[rng.choice(shapes)]
-        x = Combo.zero(pool[0].n_in, pool[0].n_out)
-        for w in rng.sample(pool, min(len(pool), rng.randint(1, 5))):
-            x._add(w, _random_coefficient(rng))
-        out.append(x)
+        out.append(Combo({w: _random_coefficient(rng) for w in rng.sample(
+            pool, min(len(pool), rng.randint(1, 5)))}))
     return out
 
 
@@ -683,14 +681,13 @@ def test_act_builds_one_coefficient_per_output_word(monkeypatch):
     the derivation of a constant is zero, and the constant word's images
     still reach the output."""
     E1, E2 = E_RING.gen("E1"), E_RING.gen("E2")
-    x = Combo.zero(2, 2)
-    for slices, c in [((("dot", "id"), ("cap",), ("cup",)), E1),
-                      ((("id", "dot"), ("dot", "id")), E2 - Fraction(1, 2)),
-                      ((("dot", "id"), ("id", "id")), Fraction(3, 2) * E1 * E2),
-                      ((("cap",), ("cup",), ("dot", "dot")), E1 + 7),
-                      ((("id", "id"), ("dot", "id")), E1 * E1),
-                      ((("dot", "dot"),), E_RING.const(Fraction(-5, 3)))]:
-        x._add(Word(slices), c)
+    x = Combo({Word(slices): c for slices, c in [
+        ((("dot", "id"), ("cap",), ("cup",)), E1),
+        ((("id", "dot"), ("dot", "id")), E2 - Fraction(1, 2)),
+        ((("dot", "id"), ("id", "id")), Fraction(3, 2) * E1 * E2),
+        ((("cap",), ("cup",), ("dot", "dot")), E1 + 7),
+        ((("id", "id"), ("dot", "id")), E1 * E1),
+        ((("dot", "dot"),), E_RING.const(Fraction(-5, 3)))]})
     view = terms_of(x)
     varying = [w for w, c in view.items() if not c.is_constant()]
     assert len(varying) == len(view) - 1
@@ -784,25 +781,50 @@ def test_params_are_stored_as_fractions():
 
 
 def test_combos_are_summed_in_one_pass(monkeypatch):
-    """Operation-count gate: combo_from_matrix and zn_combo make one
-    Combo._add per term (a running out = out + ... makes a quadratic
-    number)."""
+    """Operation-count gate: combo_from_matrix and zn_combo put their terms
+    through ring's canonical form once per Combo (a running out = out + ...
+    makes one per term)."""
     from dottedtl import expr
 
-    adds = [0]
-    real_add = Combo._add
+    strips = [0]
+    real_strip = words.strip
 
-    def counted(self, w, c):
-        adds[0] += 1
-        return real_add(self, w, c)
+    def counted(*args):
+        strips[0] += 1
+        return real_strip(*args)
 
     mat = expr.parse_expr("jw(3)").evaluate()
-    monkeypatch.setattr(Combo, "_add", counted)
+    monkeypatch.setattr(words, "strip", counted)
     combo = expr.combo_from_matrix(mat, 3, 3)
-    assert len(combo.terms) > 2 and adds[0] == len(combo.terms)
+    assert len(combo.terms) > 2 and strips[0] == 1
     for n in range(7):
-        adds[0] = 0
-        assert len(zn_combo(n).terms) == n == adds[0]
+        strips[0] = 0
+        assert len(zn_combo(n).terms) == n and strips[0] == 1
+
+
+def test_combo_of_terms_takes_its_shape_from_its_words():
+    """Combo(terms) infers its shape from its words, also when every
+    coefficient is zero, and refuses words of two shapes, or of another
+    shape than the one given, with WordError."""
+    dot, cup = Word((("dot",),)), Word((("cup",),))
+    two = Combo({dot: 2})
+    assert (two.n_in, two.n_out) == (1, 1) and two == Combo.of(dot, 2)
+    empty = Combo({dot: 0})
+    assert empty.is_empty() and (empty.n_in, empty.n_out) == (1, 1)
+    for bad in (lambda: Combo({dot: 1, cup: 1}), lambda: Combo({dot: 1}, 2, 2)):
+        with pytest.raises(WordError, match="shape mismatch"):
+            bad()
+
+
+def test_word_evaluations_are_cached_in_bounded_caches():
+    """evaluate_word returns one matrix object per word, for equal words
+    built apart too (the benchmark counts its cache hits by identity), and
+    both evaluation caches are bounded."""
+    slices = (("dot", "id"), ("cap",), ("cup",))
+    first = words.evaluate_word(Word(slices))
+    assert words.evaluate_word(Word(slices)) is first
+    for cache in (words._slice_matrix, words.evaluate_word):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_bracket_check_acts_once_per_generator_on_its_input(monkeypatch):
@@ -862,10 +884,8 @@ def _stacked(w1, w2):
 
 def _combo_of_shape(rng, n_in, n_out):
     pool = WORD_POOL[(n_in, n_out)]
-    x = Combo.zero(n_in, n_out)
-    for w in rng.sample(pool, min(len(pool), rng.randint(1, 4))):
-        x._add(w, _random_coefficient(rng))
-    return x
+    return Combo({w: _random_coefficient(rng) for w in rng.sample(
+        pool, min(len(pool), rng.randint(1, 4)))}, n_in, n_out)
 
 
 def test_packed_kernels_equal_the_graded_poly_operations():
