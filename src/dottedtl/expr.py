@@ -2,19 +2,20 @@
 
 Grammar, loosest to tightest binding:
 
-    expr   := ['-'] stack (('+' | '-') stack)*
+    expr   := stack (('+' | '-') stack)*
     stack  := tens (';' tens)*           left operand applied first
     tens   := factor ('|' factor)*
     factor := unit (('*' | '/') unit)*   at most one diagram per chain
     unit   := INT | E1 | E2 | E1^INT | E2^INT
             | id | dot | cup | cap
             | jw(n) | z(n) | u(n) | d(n) | s(i,n)
-            | '(' expr ')'
+            | '(' expr ')' | '-' unit
 
-Scalars and diagrams mix freely under '*'; '/' needs a constant divisor.
-A pure-scalar expression denotes that multiple of the empty diagram.
-Parsed scalars are GradedPolys until they scale a combination; combos,
-their printing and their rewriting read packed tables (words.Combo).
+Every rule gives a combination (words.Combo), whose printing and rewriting
+read its packed table.  A scalar is that multiple of the empty diagram: a
+0 -> 0 combination with no term on another word.  '*' scales by a scalar
+factor, so a chain holds at most one diagram, and '/' needs a nonzero
+constant divisor.
 """
 
 from __future__ import annotations
@@ -121,8 +122,45 @@ def _jw_combo(n: int) -> Combo:
     return combo_from_matrix(projectors.jw(n), n, n)
 
 
+_EMPTY = identity_word(0)
+
+
+def _scalar(c: Combo):
+    """(den, packed numerators) of c as a multiple of the empty diagram;
+    None if c has a term on another word or another shape."""
+    den, table = c._packed()
+    if (c.n_in, c.n_out) != (0, 0) or table.keys() - {_EMPTY}:
+        return None
+    return den, table.get(_EMPTY, {})
+
+
+def _times(a: Combo, b: Combo) -> Combo:
+    """a * b, at most one of them a diagram."""
+    if (s := _scalar(a)) is not None:
+        return b.scale(s)
+    if (s := _scalar(b)) is not None:
+        return a.scale(s)
+    raise ExprError("cannot '*' two diagrams; use ';' or '|'")
+
+
+def _divide(a: Combo, b: Combo) -> Combo:
+    """a / b, b a nonzero constant."""
+    s = _scalar(b)
+    if s is None or s[1].keys() - {_ONE}:
+        raise ExprError("divisor must be a constant scalar")
+    den, t = s
+    if not t:
+        raise ExprError("division by zero")
+    return a.scale(Fraction(den, t[_ONE]))
+
+
+# the binary operators by level, loosest binding first: {symbol: fold step}
+_BINARY = ({"+": Combo.__add__, "-": Combo.__sub__}, {";": Combo.then},
+           {"|": Combo.tensor}, {"*": _times, "/": _divide})
+
+
 class _Parser:
-    """Recursive descent over the token list; values are (scalar, combo|None)."""
+    """Recursive descent over the token list; every rule returns a Combo."""
 
     def __init__(self, text: str):
         self.text = text
@@ -140,109 +178,60 @@ class _Parser:
     def expect(self, sym):
         kind, val, pos = self.take()
         if kind != "sym" or val != sym:
-            raise ExprError(f"expected {sym!r}, found {val!r}", pos)
+            found = "end of input" if kind is None else repr(val)
+            raise ExprError(f"expected {sym!r}, found {found}", pos)
 
     def parse(self):
-        val = self.expr()
+        val = self.binary(0)
         kind, v, pos = self.peek()
         if kind is not None:
             raise ExprError(f"trailing input {v!r}", pos)
         return val
 
-    def expr(self):
-        kind, v, pos = self.peek()
-        neg = False
-        if kind == "sym" and v == "-":
+    def binary(self, level: int) -> Combo:
+        """The left fold of _BINARY[level]'s operators over operands of the
+        next level, units past the last; an operand that does not fit is
+        an ExprError at the operator."""
+        if level == len(_BINARY):
+            return self.unit()
+        steps = _BINARY[level]
+        acc = self.binary(level + 1)
+        while True:
+            kind, v, pos = self.peek()
+            if kind != "sym" or v not in steps:
+                return acc
             self.take()
-            neg = True
-        acc = self.stack()
-        if neg:
-            acc = _negate(acc)
-        while True:
-            kind, v, pos = self.peek()
-            if kind == "sym" and v in "+-":
-                self.take()
-                rhs = self.stack()
-                if v == "-":
-                    rhs = _negate(rhs)
-                acc = _add(acc, rhs, pos)
-            else:
-                return acc
-
-    def stack(self):
-        acc = self.tens()
-        while True:
-            kind, v, pos = self.peek()
-            if kind == "sym" and v == ";":
-                self.take()
-                rhs = self.tens()
-                a, b = _materialize(acc), _materialize(rhs)
-                try:
-                    acc = (E_RING.one, a.then(b))
-                except WordError as exc:
-                    raise ExprError(str(exc), pos)
-            else:
-                return acc
-
-    def tens(self):
-        acc = self.factor()
-        while True:
-            kind, v, pos = self.peek()
-            if kind == "sym" and v == "|":
-                self.take()
-                rhs = self.factor()
-                acc = (E_RING.one, _materialize(acc).tensor(_materialize(rhs)))
-            else:
-                return acc
-
-    def factor(self):
-        scalar, combo = self.unit()
-        while True:
-            kind, v, pos = self.peek()
-            if kind == "sym" and v in "*/":
-                self.take()
-                s2, c2 = self.unit()
-                if v == "/":
-                    if c2 is not None or not s2.is_constant():
-                        raise ExprError("divisor must be a constant scalar", pos)
-                    cv = s2.constant_value()
-                    if cv == 0:
-                        raise ExprError("division by zero", pos)
-                    scalar = scalar * (Fraction(1) / cv)
-                else:
-                    scalar = scalar * s2
-                    if c2 is not None:
-                        if combo is not None:
-                            raise ExprError(
-                                "cannot '*' two diagrams; use ';' or '|'", pos
-                            )
-                        combo = c2
-            else:
-                return (scalar, combo)
+            rhs = self.binary(level + 1)
+            try:
+                acc = steps[v](acc, rhs)
+            except (ExprError, WordError) as exc:
+                raise ExprError(str(exc), pos)
 
     def unit(self):
         kind, v, pos = self.take()
         if kind == "int":
-            return (E_RING.const(Fraction(v)), None)
+            return Combo.of(_EMPTY, int(v))
         if kind == "sym" and v == "(":
-            inner = self.expr()
+            inner = self.binary(0)
             self.expect(")")
             return inner
         if kind == "sym" and v == "-":
-            return _negate(self.unit())
+            return -self.unit()
+        if kind is None:
+            raise ExprError("unexpected end of input", pos)
         if kind != "name":
             raise ExprError(f"unexpected token {v!r}", pos)
         if v in E_RING.names:
-            k2, v2, _ = self.peek()
-            if k2 == "sym" and v2 == "^":
+            power = 1
+            if self.peek()[:2] == ("sym", "^"):
                 self.take()
                 k3, v3, p3 = self.take()
                 if k3 != "int":
                     raise ExprError("exponent must be an integer", p3)
-                return (E_RING.gen(v, int(v3)), None)
-            return (E_RING.gen(v), None)
+                power = int(v3)
+            return Combo.of(_EMPTY, E_RING.gen(v, power))
         if v in PRIMS:
-            return (E_RING.one, primitive_combo(v))
+            return primitive_combo(v)
         if v in MACROS:
             self.expect("(")
             args = []
@@ -256,34 +245,12 @@ class _Parser:
                     break
                 if not (k3 == "sym" and v3 == ","):
                     raise ExprError("expected ',' or ')'", p3)
-            return (E_RING.one, _macro(v, args, pos))
+            return _macro(v, args, pos)
         raise ExprError(f"unknown name {v!r}", pos)
 
 
-def _materialize(val) -> Combo:
-    scalar, combo = val
-    if combo is None:
-        combo = Combo.of(identity_word(0))
-    return combo.scale(scalar)
-
-
-def _negate(val):
-    scalar, combo = val
-    return (-scalar, combo)
-
-
-def _add(a, b, pos):
-    if a[1] is None and b[1] is None:
-        return (a[0] + b[0], None)
-    ca, cb = _materialize(a), _materialize(b)
-    try:
-        return (E_RING.one, ca + cb)
-    except WordError as exc:
-        raise ExprError(str(exc), pos)
-
-
 def parse_expr(text: str) -> Combo:
-    return _materialize(_Parser(text).parse())
+    return _Parser(text).parse()
 
 
 # -- printing ---------------------------------------------------------------

@@ -244,8 +244,8 @@ def minus_split_certificate() -> bool:
     x^(p + s), s a shift of the spec; every e- and f-shift keeps
     A1-exponent + A0-exponent, so each term stays in the block ell of x^p,
     and none raises the A0 exponent, so each stays in the minus part."""
-    parts = [_shift_parts(s) for g in ("e", "f")
-             for _, s in LASAGNA_SPEC.shift_table(g)]
+    parts = [_kparts(s) for g in ("e", "f")
+             for _, terms in LASAGNA_SPEC.shifts[g] for s, _ in terms]
     return all(m + i == 0 and i <= 0 for _, _, m, i in parts)
 
 
@@ -282,12 +282,6 @@ def minus_f_injectivity_check() -> bool:
     return len(steps) == 1 and steps[0][:2] == (a0, -1) and steps[0][2] != 0
 
 
-def _shift_parts(shift) -> tuple:
-    """The E1, E2, A1 and A0 exponents of a shift_table shift."""
-    exps = dict(shift)
-    return tuple(exps.get(name, 0) for name in LASAGNA_RING.names)
-
-
 def _lifts_base_spec() -> bool:
     """LASAGNA_SPEC acts on E1 and E2 as BASE_SPEC does: equal h-weights,
     and equal e- and f-shifts, none touching A1 or A0."""
@@ -319,12 +313,14 @@ def layer_action_certificate() -> bool:
         return False
     alpha = {(g, name): {} for g in ("e", "f") for name in ("A1", "A0")}
     for g in ("e", "f"):
-        for (name, s), c in LASAGNA_SPEC.shift_table(g).items():
-            e1, e2, m, i = _shift_parts(s)
-            if name in ("A1", "A0") and m <= 0:
-                if m or i:  # lowers the A1-power, or moves A0 alone
-                    return False
-                alpha[g, name][e1, e2] = c
+        for i, terms in LASAGNA_SPEC.shifts[g]:
+            name = LASAGNA_RING.names[i]
+            for s, c in terms:
+                e1, e2, m, a0 = _kparts(s)
+                if name in ("A1", "A0") and m <= 0:
+                    if m or a0:  # lowers the A1-power, or moves A0 alone
+                        return False
+                    alpha[g, name][e1, e2] = Fraction(c, LASAGNA_SPEC.den[g])
     alpha = {key: GradedPoly(E_RING, p) for key, p in alpha.items()}
     hw = LASAGNA_SPEC.h_weights
     for r, n in ((0, 0), (1, 0), (0, 1)):

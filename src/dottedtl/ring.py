@@ -184,16 +184,6 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(e == self.ring._zero_exp for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise RingError("not a constant")
-        return self.terms[self.ring._zero_exp]
-
     def monomial_degree(self, exp: tuple) -> int:
         return self.ring.monomial_degree(exp)
 

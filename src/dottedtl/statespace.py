@@ -403,26 +403,16 @@ def _object_operator(g: str, n: int, params: DtlParams, a: Fraction):
     return PolyMatrix.from_packed(n, n, den, cols)._packed()
 
 
-def derivative(g: str, F: PolyMatrix) -> PolyMatrix:
-    """d_g(F): the base derivation on each entry of F (derive_packed, exact
-    over F's denominator because BASE_SPEC.den is 1 for e, f and h)."""
-    den, table = F._packed()
-    acc: dict = {}
-    for j, col in table.items():
-        acc_j = acc[j] = {}
-        for i, t in col.items():
-            derive_packed(g, t, 1, acc_j.setdefault(i, {}))
-    return PolyMatrix.from_packed(F.n_out, F.n_in, den, acc)
-
-
 @lru_cache(maxsize=64)
 def _strand_level(g: str, params: DtlParams):
     """(l_b, l_v): L_1(g) = T^-1 (G_1 T + d_g T), G_1 being _strand_operator
-    and T the strand basis, read once per (g, params) on 2 x 2 matrices,
+    and T the strand basis, read once per (g, params) on 2 x 2 matrices
+    as T^-1 (g*T) + G_1 (g*T = G_1 T - T G_1 + d_g T, commutator_star),
     and checked exactly to be diag(l_b, l_v).  At a1 != 0, L_1(f) is not,
     as f's dot term sends b to v + (E1/2) b, and f on cores is refused."""
     t, ti = STRAND_BASIS
-    level = ti * (_strand_operator(g, params) * t + derivative(g, t))
+    level = ti * commutator_star(g, t, params=params) \
+        + _strand_operator(g, params)
     l_b, l_v = level[A1, A1], level[A0, A0]
     if level != PolyMatrix(1, 1, {(A1, A1): l_b, (A0, A0): l_v}):
         raise ValueError("the star action on cores needs a1 = 0: "

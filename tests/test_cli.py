@@ -201,6 +201,11 @@ USAGE_ERRORS = [
      "error: ambient width must be at most 32, got 40"),
     (("eval-expr", "E2^4294967296"),
      "error: exponent too large to pack: E2^4294967296"),
+    (("eval-expr", ""), "error: unexpected end of input (at position 0)"),
+    (("eval-expr", "dot +"),
+     "error: unexpected end of input (at position 5)"),
+    (("eval-expr", "(dot"),
+     "error: expected ')', found end of input (at position 4)"),
 ]
 
 

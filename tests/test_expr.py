@@ -144,6 +144,58 @@ def test_shape_mismatch_in_sum():
         parse_expr("dot + cap")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(cup;cap)*dot", "cannot '*' two diagrams; use ';' or '|' (at position 9)"),
+    ("dot*cap", "cannot '*' two diagrams; use ';' or '|' (at position 3)"),
+    ("dot/dot", "divisor must be a constant scalar (at position 3)"),
+    ("dot/E1", "divisor must be a constant scalar (at position 3)"),
+    ("dot/0", "division by zero (at position 3)"),
+    ("dot+cap", "shape mismatch (at position 3)"),
+])
+def test_operator_errors_name_the_operator(text, message):
+    with pytest.raises(ExprError) as exc:
+        parse_expr(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,shape", [
+    ("0*(cup;cap)*dot", (1, 1)), ("(cup;cap - cup;cap)*dot", (1, 1)),
+    ("(1|1)*dot", None), ("dot/(1|1)", None)])
+def test_a_multiple_of_the_empty_diagram_is_a_scalar(text, shape):
+    """A factor is a scalar when its combination is a multiple of the empty
+    diagram, whatever built it: a diagram cancelled to zero scales the
+    product to zero, and 1|1 is 1."""
+    got = parse_expr(text)
+    if shape:
+        assert got == Combo.zero(*shape)
+    else:
+        assert got == parse_expr("dot")
+
+
+def test_parsing_makes_no_graded_poly_arithmetic(monkeypatch):
+    """Operation-count gate: every parsed unit is a Combo, a scalar being a
+    multiple of the empty diagram, so scalars are multiplied, added and
+    negated as packed combinations and no GradedPoly arithmetic is made."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__neg__",
+                 "__sub__", "__rsub__"):
+        def counting(self, *args, _real=getattr(GradedPoly, name),
+                     _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(GradedPoly, name, counting)
+    printed = [print_combo(parse_expr(text)) for text in (
+        "(E1^2 - 3/2*E2)*(cup ; dot|id) + E1*E2*cup - 2*(cup ; id|dot)",
+        "-E1*dot/3 + E2^2*id",
+        "2*3*id")]
+    assert calls == []
+    assert printed == [
+        "(E1*E2)*(cup) + (-3/2*E2 + E1^2)*(cup ; dot|id) "
+        "+ (-2)*(cup ; id|dot)",
+        "(-1/3*E1)*(dot) + (E2^2)*(id)",
+        "(6)*(id)"]
+
+
 def test_normalize_examples():
     assert normalized_string(parse_expr("dot ; dot")) \
         == "(E1)*(dot) + (-E2)*(id)"

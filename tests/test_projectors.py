@@ -9,8 +9,9 @@ import pytest
 import dottedtl.words as words
 from dottedtl import cli, expr, projectors, selftest, statespace
 from dottedtl.ring import E_RING
+from dottedtl.sl2 import derive_packed
 from dottedtl.statespace import (STRAND_BASIS, PolyMatrix, commutator_star,
-                                 derivative, generator_matrix)
+                                 generator_matrix)
 from dottedtl.words import (Combo, DtlParams, Word, evaluate_word,
                             identity_word, verify_relations, zn_combo)
 from test_statespace import entries, tensor_sum_object_operator
@@ -33,6 +34,18 @@ def core(F):
     """Oracle: the core B_m^+ F B_n of p_m F p_n, for F: V_n -> V_m, read
     off 2^m x 2^n states."""
     return projectors._basis(F.n_out)[1] * F * projectors._basis(F.n_in)[0]
+
+
+def derivative(g, F):
+    """Oracle: d_g(F), the base derivation on each entry of F
+    (sl2.derive_packed, exact over F's denominator because BASE_SPEC.den is
+    1 for e, f and h)."""
+    den, table = F._packed()
+    acc: dict = {}
+    for j, col in table.items():
+        for i, t in col.items():
+            derive_packed(g, t, 1, acc.setdefault(j, {}).setdefault(i, {}))
+    return PolyMatrix.from_packed(F.n_out, F.n_in, den, acc)
 
 
 def from_core(c):

@@ -29,8 +29,7 @@ def test_ring_basics():
     p = E1 * E1 - 4 * E2
     assert p == -delta()
     assert (p - p).is_zero()
-    assert E_RING.one.is_constant()
-    assert E_RING.one.constant_value() == 1
+    assert E_RING.one.terms == {(0, 0): 1}
 
 
 def test_grading():
