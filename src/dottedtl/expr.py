@@ -20,6 +20,7 @@ constant divisor.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -504,21 +505,42 @@ def _contract(w: Word) -> tuple:
     return arcs, loops
 
 
-def _circular(m, d, n_in: int, n_out: int) -> tuple:
-    """The dotted matching (m, d) of noncrossing_matchings as arcs (x, y, d)."""
-    pos = {("b", i): i for i in range(n_in)}
-    pos.update({("t", j): n_in + n_out - 1 - j for j in range(n_out)})
-    return tuple(sorted((*sorted((pos[p], pos[q])), k)
-                        for (p, q), k in zip(m, d)))
+def _dot_choices(arcs: list) -> list:
+    """The dot counts each arc (x, y) of a noncrossing matching may carry
+    in the outer-dot basis: (0, 1) on an outer arc, (0,) on a nested one.
+    Taken in order of x, an arc is nested iff it starts before the
+    furthest end of the arcs before it."""
+    choices, reach = [None] * len(arcs), -1
+    for k in sorted(range(len(arcs)), key=arcs.__getitem__):
+        x, y = arcs[k]
+        choices[k] = (0,) if x < reach else (0, 1)
+        reach = max(reach, y)
+    return choices
 
 
 @lru_cache(maxsize=64)
+def _outer_dot_elements(n_in: int, n_out: int) -> tuple:
+    """(outer_dot_basis(n_in, n_out), the circular form of each element):
+    for each matching in noncrossing_matchings order, every 0 or 1 dot on
+    its outer arcs and none on its nested ones, by itertools.product, so
+    the elements keep dotted_spanning_set's order."""
+    pos = {("b", i): i for i in range(n_in)}
+    pos.update({("t", j): n_in + n_out - 1 - j for j in range(n_out)})
+    basis, circular = [], []
+    for m in words.noncrossing_matchings(n_in, n_out):
+        arcs = [sorted((pos[p], pos[q])) for p, q in m]
+        for d in itertools.product(*_dot_choices(arcs)):
+            basis.append((m, d))
+            circular.append(tuple(sorted((*arc, k)
+                                         for arc, k in zip(arcs, d))))
+    return basis, circular
+
+
 def outer_dot_basis(n_in: int, n_out: int) -> list:
     """The dotted matchings (matching, dots) whose dots are all on outer
     arcs, in dotted_spanning_set order: C(N, N/2) of them on N points, a
     basis of the span (rewrite_combo reaches every element of the span)."""
-    return [(m, d) for m, d in words.dotted_spanning_set(n_in, n_out)
-            if _nested_dot(_circular(m, d, n_in, n_out)) is None]
+    return _outer_dot_elements(n_in, n_out)[0]
 
 
 def rewrite_combo(combo: Combo) -> tuple:
@@ -542,8 +564,9 @@ def rewrite_combo(combo: Combo) -> tuple:
         for elem, c in reduced.items():
             for basis, c2 in _outward(elem).items():
                 packed_add(coeffs.setdefault(basis, {}), packed_mul(c, c2))
-    return den, [(t, m, d) for m, d in outer_dot_basis(n_in, n_out)
-                 if (t := coeffs.get(_circular(m, d, n_in, n_out)))]
+    basis, circular = _outer_dot_elements(n_in, n_out)
+    return den, [(t, m, d) for (m, d), elem in zip(basis, circular)
+                 if (t := coeffs.get(elem))]
 
 
 def normalized_string(combo: Combo) -> str:

@@ -185,14 +185,15 @@ class Combo:
         return Combo._of_packed(n_in, n_out, da * db, acc)
 
     def then(self, other: "Combo") -> "Combo":
-        """Stack: self applied first, then other."""
+        """Stack: self applied first, then other; at a 0-strand junction
+        the stacked words drop their empty slices."""
         if self.n_out != other.n_in:
             raise WordError(
                 f"cannot stack: {self.n_out} output strands vs {other.n_in} inputs"
             )
-        return self._product(other, lambda w1, w2: Word._spliced(
-            w1.slices + w2.slices, w1.counts + w2.counts[1:]),
-            self.n_in, other.n_out)
+        return self._product(other, _stacked if self.n_out
+                             else _stacked_through_nothing,
+                             self.n_in, other.n_out)
 
     def tensor(self, other: "Combo") -> "Combo":
         return self._product(other, _tensor_words, self.n_in + other.n_in,
@@ -223,11 +224,33 @@ def _times(t: dict, m: int) -> dict:
     return t if m == 1 else {e: c * m for e, c in t.items()}
 
 
+def _stacked(w1: Word, w2: Word) -> Word:
+    """w1 then w2."""
+    return Word._spliced(w1.slices + w2.slices, w1.counts + w2.counts[1:])
+
+
+def _stacked_through_nothing(w1: Word, w2: Word) -> Word:
+    """w1 then w2 joined at 0 strands: the stack without its empty slices,
+    or the one empty slice if nothing else is left, so that a stack of
+    empty diagrams is the empty word, as a tensor of them is."""
+    slices, counts = w1.slices + w2.slices, w1.counts + w2.counts[1:]
+    kept = [k for k, sl in enumerate(slices) if sl]
+    if not kept:
+        return identity_word(0)
+    return Word._spliced(tuple(slices[k] for k in kept),
+                         (counts[0],) + tuple(counts[k + 1] for k in kept))
+
+
 def _tensor_words(w1: Word, w2: Word) -> Word:
-    h = max(len(w1.slices), len(w2.slices))
-    s1 = list(w1.slices) + [("id",) * w1.n_out] * (h - len(w1.slices))
-    s2 = list(w2.slices) + [("id",) * w2.n_out] * (h - len(w2.slices))
-    return Word(tuple(a + b for a, b in zip(s1, s2)))
+    """w1 beside w2, the shorter padded on top with identity slices."""
+    h1, h2 = len(w1.slices), len(w2.slices)
+    h = max(h1, h2)
+    s1 = w1.slices + (("id",) * w1.n_out,) * (h - h1)
+    s2 = w2.slices + (("id",) * w2.n_out,) * (h - h2)
+    c1 = w1.counts + (w1.n_out,) * (h - h1)
+    c2 = w2.counts + (w2.n_out,) * (h - h2)
+    return Word._spliced(tuple(a + b for a, b in zip(s1, s2)),
+                         tuple(a + b for a, b in zip(c1, c2)))
 
 
 # -- evaluation -------------------------------------------------------------
@@ -370,12 +393,17 @@ def zn_combo(n: int) -> Combo:
 
 
 def ambient(combo: Combo, left: int, right: int) -> Combo:
-    """id^left (x) combo (x) id^right."""
-    if left:
-        combo = Combo.of(identity_word(left)).tensor(combo)
-    if right:
-        combo = combo.tensor(Combo.of(identity_word(right)))
-    return combo
+    """id^left (x) combo (x) id^right, a relabelling: each word gets left
+    leading and right trailing identities on every slice, and keeps its
+    coefficient."""
+    if not (left or right):
+        return combo
+    lpad, rpad, extra = ("id",) * left, ("id",) * right, left + right
+    den, table = combo._packed()
+    return Combo._of_packed(combo.n_in + extra, combo.n_out + extra, den, {
+        Word._spliced(tuple(lpad + sl + rpad for sl in w.slices),
+                      tuple(c + extra for c in w.counts)): t
+        for w, t in table.items()})
 
 
 # -- defining relations -----------------------------------------------------

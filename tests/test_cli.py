@@ -166,6 +166,8 @@ PINNED_REPORT_SHA256 = {
         "fc1526ee6fb9216d9d316660fa10663b9a0727d0eb728f82d2d8e4d5f2df1b8d",
     ("kirby-certify", "--k", "0", "--levels", "3", "--a2", "1/2"):
         "c70e6feda25bf1304daa4001d2caccb5cdb6b2f962f6191244fe090adc3ba1e1",
+    ("dtl-verify", "--n-max", "32"):
+        "e5ba7c8aaf6aa1101549a88e584897d768072c4fd4fcc38f1bbe309a915664d2",
     ("dtl-verify", "--params", "1/2,-1/3"):
         "45c6f899197b8775fc6fde861063bcbbbaccbb97a8b1f45cfbf703208bfb8d12",
     ("decompose-b2s2", "--depth", "20"):

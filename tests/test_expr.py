@@ -47,7 +47,7 @@ def fresh_degree_systems():
     words.matching_matrix would otherwise see systems another test built,
     and no call at all, and one that patches a rewriting rule would leave
     its tables to the next."""
-    caches = (expr._degree_system, expr._outward)
+    caches = (expr._degree_system, expr._outward, expr._outer_dot_elements)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -194,6 +194,19 @@ def test_parsing_makes_no_graded_poly_arithmetic(monkeypatch):
         "+ (-2)*(cup ; id|dot)",
         "(-1/3*E1)*(dot) + (E2^2)*(id)",
         "(6)*(id)"]
+
+
+def test_stacks_of_empty_diagrams_are_the_empty_diagram():
+    """';' at a 0-strand junction drops empty slices, as '|' and print_word
+    do: a stack of scalars is a scalar, and an empty diagram inside a
+    stack leaves no trace in its word."""
+    assert parse_expr("1;1 + 1") == parse_expr("2")
+    assert print_combo(parse_expr("1;1 + 1")) == "(2)"
+    assert parse_expr("(1;1)*dot") == parse_expr("(1|1)*dot") \
+        == parse_expr("dot")
+    x = parse_expr("cap ; 1 ; cup + cap ; cup")
+    assert len(x._packed()[1]) == 1 and x == parse_expr("2*(cap ; cup)")
+    assert print_combo(x) == "(2)*(cap ; cup)"
 
 
 def test_normalize_examples():
@@ -573,6 +586,58 @@ def test_outer_dot_basis_has_the_rank_of_the_span():
             assert len(basis) == math.comb(total, total // 2), (n_in, total)
             if total <= 8:
                 assert basis == _outer_dot_span(n_in, total - n_in)
+
+
+def _filtered_outer_dot_elements(n_in: int, n_out: int) -> tuple:
+    """The earlier outer_dot_basis, the oracle of the generated one: the
+    dotted spanning set filtered by _nested_dot on each element's circular
+    form, returned with those forms as _outer_dot_elements returns them."""
+    n = n_in + n_out
+    basis, circular = [], []
+    for m, d in words.dotted_spanning_set(n_in, n_out):
+        elem = tuple(sorted(
+            (*sorted(i if side == "b" else n - 1 - i for side, i in arc), k)
+            for arc, k in zip(m, d)))
+        if expr._nested_dot(elem) is None:
+            basis.append((m, d))
+            circular.append(elem)
+    return basis, circular
+
+
+SHAPES_UP_TO_12 = [(n_in, total - n_in) for total in range(0, 13, 2)
+                   for n_in in range(total + 1)]
+
+
+def test_outer_dot_basis_is_the_filtered_spanning_set(monkeypatch):
+    """The generated basis and its circular forms equal the filtered
+    spanning set at every shape of at most 12 boundary points; negative
+    control: a generator that lets a nested arc carry a dot fails from
+    4 points on."""
+    for shape in SHAPES_UP_TO_12:
+        got = expr._outer_dot_elements(*shape)
+        assert got == _filtered_outer_dot_elements(*shape), shape
+        assert got[0] is expr.outer_dot_basis(*shape)
+    monkeypatch.setattr(expr, "_dot_choices",
+                        lambda arcs: [(0, 1)] * len(arcs))
+    expr._outer_dot_elements.cache_clear()
+    wrong = [shape for shape in SHAPES_UP_TO_12
+             if expr._outer_dot_elements(*shape)
+             != _filtered_outer_dot_elements(*shape)]
+    assert wrong == [s for s in SHAPES_UP_TO_12 if sum(s) >= 4]
+
+
+def test_outer_dot_basis_filters_nothing(monkeypatch):
+    """Operation-count gate: the basis is generated, not filtered, so
+    building it asks _nested_dot nothing; C(N, N/2) elements on N points."""
+    calls = []
+    real = expr._nested_dot
+    monkeypatch.setattr(expr, "_nested_dot",
+                        lambda elem: calls.append(elem) or real(elem))
+    for n_in, n_out in [(0, 0), (2, 2), (3, 5), (0, 10), (6, 6)]:
+        total = n_in + n_out
+        assert len(expr.outer_dot_basis(n_in, n_out)) \
+            == math.comb(total, total // 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("shape", SHAPES_UP_TO_8)

@@ -639,6 +639,41 @@ def test_spliced_image_words_equal_validated_words():
     assert checked > 1000
 
 
+def test_tensored_words_equal_validated_words():
+    """_tensor_words, built from its operands' strand counts, is the word
+    that validating the tensored slices from scratch gives."""
+    rng = random.Random(67)
+    pool = [random_word(rng, max_strands=3, max_slices=4)
+            for _ in range(40)] + [identity_word(0), Word(((), ()))]
+    for w1, w2 in itertools.product(pool, repeat=2):
+        got, want = words._tensor_words(w1, w2), _validated_tensor(w1, w2)
+        assert (got.slices, got.counts, hash(got)) == \
+            (want.slices, want.counts, hash(want))
+
+
+def test_stacks_through_nothing_drop_their_empty_slices():
+    """Stacking at a 0-strand junction drops the empty slices, keeping one
+    only if nothing else is left, so a stack of empty diagrams is the
+    empty word, as their tensor is, and the words it builds are valid."""
+    empty, two = Combo.of(identity_word(0)), Combo.of(Word(((), ())))
+    for x in (empty.then(empty), two.then(empty), empty.then(two),
+              empty.tensor(empty)):
+        assert x == empty and list(x.terms) == [identity_word(0)]
+    cap_cup = Combo.of(Word((("cap",), ("cup",))))
+    for x, y in [(Combo.of(Word((("cap",), ()))),
+                  Combo.of(Word(((), ("cup",))))),
+                 (primitive_combo("cap"), empty.then(primitive_combo("cup"))),
+                 (primitive_combo("cap").then(two), primitive_combo("cup"))]:
+        assert x.then(y) == cap_cup
+        for w in x.then(y).terms:
+            want = Word(w.slices)
+            assert (w.slices, w.counts, hash(w)) == \
+                (want.slices, want.counts, hash(want))
+    # a junction of one strand or more keeps every slice
+    assert list(Combo.of(Word((("dot",), ("id",)))).then(
+        primitive_combo("dot")).terms) == [Word((("dot",), ("id",), ("dot",)))]
+
+
 def test_stacked_words_equal_validated_words():
     for x, y in [(primitive_combo("cap", 0, 3), primitive_combo("cup", 1, 1)),
                  (zn_combo(2), Combo.of(Word((("cap",), ("cup",)))))]:
@@ -879,7 +914,21 @@ def oracle_product(x: dict, y: dict, join) -> dict:
 
 
 def _stacked(w1, w2):
-    return Word(w1.slices + w2.slices)
+    """w1 then w2, validated; at a 0-strand junction without its empty
+    slices, or the one empty slice if nothing else is left."""
+    slices = w1.slices + w2.slices
+    if w1.n_out == 0:
+        slices = tuple(sl for sl in slices if sl) or ((),)
+    return Word(slices)
+
+
+def _validated_tensor(w1, w2):
+    """The earlier _tensor_words: the shorter word padded on top with
+    identity slices, the result validated by Word."""
+    h = max(len(w1.slices), len(w2.slices))
+    s1 = list(w1.slices) + [("id",) * w1.n_out] * (h - len(w1.slices))
+    s2 = list(w2.slices) + [("id",) * w2.n_out] * (h - len(w2.slices))
+    return Word(tuple(a + b for a, b in zip(s1, s2)))
 
 
 def _combo_of_shape(rng, n_in, n_out):
@@ -908,7 +957,7 @@ def test_packed_kernels_equal_the_graded_poly_operations():
                 (x.scale(c), oracle_scale(tx, c)),
                 (x.scale(Fraction(-3, 4)), oracle_scale(tx, Fraction(-3, 4))),
                 (x.scale(0), {}), (x.then(z), oracle_product(tx, tz, _stacked)),
-                (x.tensor(y), oracle_product(tx, ty, words._tensor_words))]:
+                (x.tensor(y), oracle_product(tx, ty, _validated_tensor))]:
             assert_canonical(got)
             assert terms_of(got) == want
             cases += 1
@@ -1025,6 +1074,113 @@ def test_evaluation_is_monoidal():
             want = PolyMatrix.identity(left).tensor(x.evaluate()).tensor(
                 PolyMatrix.identity(right))
             assert words.ambient(x, left, right).evaluate() == want
+
+
+def tensor_ambient(x: Combo, left: int, right: int) -> dict:
+    """The earlier ambient, the oracle of the relabelling: {word:
+    GradedPoly} of id^left (x) x (x) id^right, by GradedPoly tensor
+    products with identity words, each word validated."""
+    out = terms_of(x)
+    if left:
+        out = oracle_product({identity_word(left): E_RING.one}, out,
+                             _validated_tensor)
+    if right:
+        out = oracle_product(out, {identity_word(right): E_RING.one},
+                             _validated_tensor)
+    return out
+
+
+def _ambient_cases():
+    """220 seeded combinations, each with four (left, right) pads, one of
+    them (0, 0) and two with one side 0: random combinations of every
+    shape up to 3 strands, zero combinations, words of 0 strands (with
+    empty slices too), relation differences and their images, and inputs
+    read or written through terms."""
+    rng = random.Random(61)
+    combos = _random_combos(61, 180) + [
+        Combo.zero(0, 0), Combo.zero(2, 0), Combo.zero(1, 3),
+        Combo.of(identity_word(0), 3), Combo.of(Word(((), ())), -1),
+        Combo.of(Word(((), ("cup",), ("cap",))), E_RING.gen("E2")),
+        Combo.of(identity_word(2), 0)]
+    for diffs in RELATION_ZEROS.values():
+        combos += diffs[:2] + [act("f", diffs[0], PARAM_SETS[3])]
+    for x in combos[::9]:
+        read = Combo(terms_of(x), x.n_in, x.n_out)
+        read.terms  # the packed table is now read back from terms
+        combos.append(read)
+    written = Combo(terms_of(combos[0]), combos[0].n_in, combos[0].n_out)
+    w, c = next(iter(written.terms.items()))
+    written.terms[w] = -c
+    combos.append(written)
+    assert len(combos) >= 200
+    for x in combos:
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        for left, right in ((0, 0), (0, a), (b, 0), (a, b)):
+            yield x, left, right
+
+
+def _ambient_mismatches(pad) -> list:
+    """The cases where pad(x, left, right) is not the oracle's padding,
+    in shape or in terms."""
+    bad = []
+    for x, left, right in _ambient_cases():
+        got = pad(x, left, right)
+        if (got.n_in, got.n_out) != (x.n_in + left + right,
+                                     x.n_out + left + right) \
+                or terms_of(got) != tensor_ambient(x, left, right):
+            bad.append((x, left, right))
+    return bad
+
+
+def test_ambient_is_the_tensor_with_identities():
+    """ambient's relabelling equals the tensor products with identity words
+    on every case, and its result is stored canonically; negative control:
+    a padding that drops the right identities, keeping the shape, fails."""
+    assert _ambient_mismatches(words.ambient) == []
+    for x, left, right in itertools.islice(_ambient_cases(), 0, None, 7):
+        if left or right:
+            assert_canonical(words.ambient(x, left, right))
+
+    def no_right_pad(x, left, right):
+        out = words.ambient(x, left, 0)
+        den, table = out._packed()
+        return Combo._of_packed(out.n_in + right, out.n_out + right, den,
+                                table)
+
+    dropped = _ambient_mismatches(no_right_pad)
+    assert dropped and all(right for _, _, right in dropped)
+
+
+def test_padding_makes_no_tensor_product(monkeypatch):
+    """Operation-count gate: ambient relabels words, so verify_relations
+    pads every instance with no Combo product and no strand-count
+    validation inside ambient."""
+    inside, padded, calls = [False], [], []
+    real_ambient = words.ambient
+
+    def tracking(*args):
+        inside[0] = True
+        padded.append(args[1:])
+        try:
+            return real_ambient(*args)
+        finally:
+            inside[0] = False
+
+    def counting(name, real):
+        def wrapper(*args):
+            if inside[0]:
+                calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(words, "ambient", tracking)
+    monkeypatch.setattr(Combo, "_product",
+                        counting("_product", Combo._product))
+    monkeypatch.setattr(words, "_strand_counts",
+                        counting("_strand_counts", words._strand_counts))
+    assert verify_relations(PARAM_SETS[0], 4)["ok"]
+    assert len(padded) > 100 and any(l and r for l, r in padded)
+    assert calls == []
 
 
 def _width(name: str) -> int:
